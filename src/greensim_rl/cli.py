@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
-import json
 import os
 import shutil
 import sys
@@ -33,7 +31,7 @@ from .bioenv import (
     save_scenario,
 )
 from .core import rollout_batch, substream, write_trajectories_jsonl
-from .harness import evaluate_policy, run_comparison
+from .harness import config_digest, evaluate_policy, run_comparison, write_manifest
 from .policy import load_params, make_policy, purification_features
 from .trainer import (
     ESTIMATOR_KINDS,
@@ -108,18 +106,29 @@ def _atomic_out_dir(path: str):
     os.replace(tmp, final)
 
 
-def _write_manifest(out_dir: Path, payload: dict) -> None:
-    digest = hashlib.sha256(json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()
-    manifest = {"version": __version__, "config_digest": digest, **payload}
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _build_policy_for(scn, kind: str, hidden_dim: int = 16):
     env = ChromatographyEnv(scn)
     features = purification_features(scn.p_bar, scn.i_bar, env.horizon())
     return env, make_policy(kind, features, env.action_count(), hidden_dim)
+
+
+def _load_checkpoint(path: str, scn):
+    """Environment, policy and parameters of a checkpoint, rebuilt from its own architecture."""
+    if not Path(path).exists():
+        raise CliError(EXIT_MISSING_FILE, f"checkpoint not found: {path}")
+    try:
+        theta, kind, meta = load_params(path)
+        hidden_dim = meta.get("hidden_dim", 16)
+        env, policy = _build_policy_for(scn, kind, hidden_dim)
+    except ValueError as exc:
+        raise CliError(EXIT_BAD_CONFIG, f"invalid checkpoint {path}: {exc}")
+    if theta.shape[0] != policy.param_dim:
+        raise CliError(
+            EXIT_BAD_CONFIG,
+            f"checkpoint {path} holds {theta.shape[0]} parameters, but a {kind!r} policy "
+            f"(hidden_dim {hidden_dim}) on this scenario has {policy.param_dim}",
+        )
+    return env, policy, theta
 
 
 # --- subcommands --------------------------------------------------------------
@@ -127,13 +136,10 @@ def _build_policy_for(scn, kind: str, hidden_dim: int = 16):
 
 def _cmd_simulate(args) -> int:
     scn = _load_scenario_arg(args.scenario)
-    env, policy = _build_policy_for(scn, "mlp")
     if args.checkpoint:
-        if not Path(args.checkpoint).exists():
-            raise CliError(EXIT_MISSING_FILE, f"checkpoint not found: {args.checkpoint}")
-        theta, kind = load_params(args.checkpoint)
-        env, policy = _build_policy_for(scn, kind)
+        env, policy, theta = _load_checkpoint(args.checkpoint, scn)
     else:
+        env, policy = _build_policy_for(scn, "mlp")
         theta = policy.init_params(substream(args.seed, 0))
     trajectories = rollout_batch(
         env, policy, theta, scn.true_model, args.n, substream(args.seed, 1)
@@ -156,7 +162,15 @@ def _cmd_train(args) -> int:
         with open(tmp / "history.csv", "w", newline="") as fh:
             write_history_csv(history, fh)
         save_scenario(scn, tmp / "scenario.json")
-        _write_manifest(tmp, {"command": "train", "seed": cfg.seed, "config": cfg.__dict__})
+        write_manifest(
+            tmp,
+            {
+                "command": "train",
+                "config_digest": config_digest(scn, cfg, {}),
+                "seed": cfg.seed,
+                "config": cfg.__dict__,
+            },
+        )
     final = history.iterations[-1]
     print(
         f"trained {len(history.iterations)} iterations ({cfg.estimator}); "
@@ -168,10 +182,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     scn = _load_scenario_arg(args.scenario)
-    if not Path(args.checkpoint).exists():
-        raise CliError(EXIT_MISSING_FILE, f"checkpoint not found: {args.checkpoint}")
-    theta, kind = load_params(args.checkpoint)
-    env, policy = _build_policy_for(scn, kind)
+    env, policy, theta = _load_checkpoint(args.checkpoint, scn)
     value = evaluate_policy(
         theta, env, scn.true_model, policy, args.r_test, substream(args.seed, 0)
     )
@@ -201,19 +212,7 @@ def _cmd_compare(args) -> int:
             window=args.window,
             threads=threads,
         )
-        _write_manifest(
-            tmp,
-            {
-                "command": "compare",
-                "seed": args.seed,
-                "estimators": estimator_kinds,
-                "n_i_grid": n_i_grid,
-                "macros": args.macros,
-                "r_test": args.r_test,
-                "window": args.window,
-                "config": cfg.__dict__,
-            },
-        )
+        write_manifest(tmp, {"command": "compare"})
     for row in rows:
         print(f"{row.estimator:>4} n_i={row.n_i:<4} mean={row.mean:8.3f} se={row.se:.3f}")
     for err in errors:

@@ -114,7 +114,11 @@ class BufferRecord:
                 raise ValueError(
                     f"trajectory provenance {traj.provenance} does not match record iteration {iteration}"
                 )
+        # Frozen in place: the buffer's density memos assume a record's
+        # pair never changes, and the trainer's identity shortcut needs the
+        # caller's array itself, not a copy.
         self.theta = np.asarray(theta, dtype=np.float64)
+        self.theta.setflags(write=False)
         self.omega = omega
         self.trajectories = tuple(trajectories)
         self.iteration = int(iteration)
@@ -146,18 +150,34 @@ class BufferRecord:
         return self._returns[gamma]
 
 
+def _memo_hit(entry: tuple | None, env: Environment | None, policy: Policy) -> bool:
+    """A density memo is valid only for the exact objects it was computed with."""
+    return entry is not None and entry[0] is env and entry[1] is policy
+
+
 class ReplayBuffer:
     """Ordered records with contiguous iteration indices 1..k.
 
-    Also memoizes each record's log density under its own generating pair
-    (a fixed quantity), which the individual-ratio estimator reuses every
-    iteration.  The memo is validated against the exact environment and
-    policy objects it was computed with.
+    Also memoizes densities that never change once a record is written,
+    because a record's generating pair is fixed:
+
+    * each record's log density under its own pair, which the
+      individual-ratio estimator reuses every iteration;
+    * the rolling window's block of ``log D_i(tau_j)`` (record ``i``'s
+      pair, trajectory ``j`` of any window record), one block per density
+      kind (full, or policy-only for ``tlr``), which the mixture
+      estimators extend by the new records' rows and columns instead of
+      recomputing.
+
+    Every memo is validated against the exact environment and policy
+    objects it was computed with.
     """
 
     def __init__(self, records: Sequence[BufferRecord] = ()):
         self.records: list[BufferRecord] = []
         self._own_logdens: dict[int, tuple[Environment, Policy, np.ndarray]] = {}
+        # policy_only -> (env, policy, lo, hi, block over records[lo:hi])
+        self._window_logdens: dict[bool, tuple] = {}
         for record in records:
             self.append(record)
 
@@ -181,11 +201,40 @@ class ReplayBuffer:
     def own_logdensity(self, index: int, env: Environment | None, policy: Policy) -> np.ndarray:
         record = self.records[index]
         entry = self._own_logdens.get(index)
-        if entry is not None and entry[0] is env and entry[1] is policy:
+        if _memo_hit(entry, env, policy):
             return entry[2]
         value = _record_logdensity(record, record.theta, record.omega, env, policy)
         self._own_logdens[index] = (env, policy, value)
         return value
+
+    def window_logdensities(
+        self, size: int, env: Environment | None, policy: Policy, policy_only: bool
+    ) -> np.ndarray:
+        """``log D_i(tau_j)`` over ``window(size)``, shape (records, trajectories).
+
+        Row ``i`` is the ``i``-th window record's pair; columns are the
+        window's trajectories in record order.  Only records appended since
+        the last call are evaluated: each one's row over every window
+        trajectory, and each older record's column over the new records'
+        trajectories.  Records that left the window are sliced off; a
+        different env/policy object or a window start left of the memo's
+        rebuilds the block.
+        """
+        hi = len(self.records)
+        lo = hi - len(self.window(size))
+        entry = self._window_logdens.get(policy_only)
+        if _memo_hit(entry, env, policy) and entry[2] <= lo < entry[3]:
+            _, _, old_lo, mid, block = entry
+            dropped = sum(r.n_i for r in self.records[old_lo:lo])
+            block = block[lo - old_lo :, dropped:]
+        else:
+            mid, block = lo, np.zeros((0, 0))
+        block = _extend_block(
+            block, self.records[lo:mid], self.records[mid:hi], env, policy, policy_only
+        )
+        block.setflags(write=False)
+        self._window_logdens[policy_only] = (env, policy, lo, hi, block)
+        return block
 
 
 # --- density plumbing --------------------------------------------------------
@@ -314,34 +363,76 @@ def _per_traj_weights(
     return np.concatenate(parts)
 
 
-def _concat_flat(records: Sequence[BufferRecord], gamma: float):
-    """Flatten a record selection into step-level arrays.
+def _stack_steps(records: Sequence[BufferRecord]):
+    """Step-level arrays of a record selection, from each record's flat steps.
 
-    Returns (states, actions, next_states, step_traj, rtg, traj_record,
-    n_traj) where ``step_traj`` maps each step row to its global
-    trajectory index and ``traj_record`` maps trajectories to positions in
-    ``records``.
+    Returns (states, actions, next_states, step_traj, n_traj) where
+    ``step_traj`` maps each step row to its trajectory's index in the
+    selection.
     """
-    states, actions, nexts, step_traj, rtg, traj_record = [], [], [], [], [], []
+    states, actions, nexts, step_traj = [], [], [], []
     offset = 0
-    for pos, record in enumerate(records):
+    for record in records:
         s, a, ns, local = record.flat_steps()
         states.append(s)
         actions.append(a)
         nexts.append(ns)
         step_traj.append(local + offset)
-        rtg.append(record.rtg(gamma))
-        traj_record.append(np.full(record.n_i, pos))
         offset += record.n_i
     return (
         np.concatenate(states),
         np.concatenate(actions),
         np.concatenate(nexts),
         np.concatenate(step_traj),
-        np.concatenate(rtg),
-        np.concatenate(traj_record),
         offset,
     )
+
+
+def _concat_flat(records: Sequence[BufferRecord], gamma: float):
+    """Flatten a record selection into step-level arrays.
+
+    Returns (states, actions, next_states, step_traj, rtg, n_traj) where
+    ``step_traj`` maps each step row to its global trajectory index.
+    """
+    states, actions, nexts, step_traj, n_traj = _stack_steps(records)
+    rtg = np.concatenate([record.rtg(gamma) for record in records])
+    return states, actions, nexts, step_traj, rtg, n_traj
+
+
+def _extend_block(
+    block: np.ndarray,
+    old: Sequence[BufferRecord],
+    new: Sequence[BufferRecord],
+    env: Environment | None,
+    policy: Policy,
+    policy_only: bool,
+) -> np.ndarray:
+    """Grow ``log D_i(tau_j)`` over ``old`` by the records in ``new``.
+
+    ``block`` holds old records' pairs against old trajectories.  Each
+    old record adds a column segment over the new trajectories and each
+    new record a full row, so appending one record to a window of ``w``
+    costs ``2w - 1`` record-by-record blocks instead of ``w**2``.
+    """
+    if not new:
+        return block
+    records = [*old, *new]
+    n_old = block.shape[1]
+    out = np.empty((len(records), n_old + sum(r.n_i for r in new)))
+    out[: len(old), :n_old] = block
+    states, actions, nexts, step_traj, n_new = _stack_steps(new)
+    for i, record in enumerate(old):
+        per_step = _steps_logdensity(
+            states, actions, nexts, record.theta, record.omega, env, policy, policy_only
+        )
+        out[i, n_old:] = _segment_sum(per_step, step_traj, n_new)
+    states, actions, nexts, step_traj, n_traj = _stack_steps(records)
+    for i, record in enumerate(new, start=len(old)):
+        per_step = _steps_logdensity(
+            states, actions, nexts, record.theta, record.omega, env, policy, policy_only
+        )
+        out[i] = _segment_sum(per_step, step_traj, n_traj)
+    return out
 
 
 def _score_weighted_gradient(
@@ -354,8 +445,10 @@ def _score_weighted_gradient(
 
 
 def _fill_diag(diag_out: dict | None, ratios: np.ndarray) -> None:
+    """Per-trajectory ratios, their maximum and effective sample size."""
     if diag_out is None:
         return
+    diag_out["ratios"] = ratios
     total = float(np.sum(ratios))
     total_sq = float(np.sum(ratios**2))
     diag_out["max_ratio"] = float(np.max(ratios)) if ratios.size else 0.0
@@ -375,7 +468,7 @@ def pg_gradient(
     if not np.array_equal(theta, record.theta):
         raise EstimatorError("pg_gradient requires the record's own policy parameters")
     coef = _per_traj_weights([record], None if traj_weights is None else [traj_weights])
-    states, actions, nexts, step_traj, rtg, _, _ = _concat_flat([record], gamma)
+    states, actions, nexts, step_traj, rtg, _ = _concat_flat([record], gamma)
     _fill_diag(diag_out, np.ones(record.n_i))
     return _score_weighted_gradient(states, actions, step_traj, rtg, theta, policy, coef)
 
@@ -398,7 +491,7 @@ def ilr_gradient(
     own = np.concatenate([buffer.own_logdensity(i, env, policy) for i in range(k)])
     if np.any(own == -np.inf):
         raise EstimatorError("a record assigns zero density to its own trajectory")
-    states, actions, nexts, step_traj, rtg, traj_record, n_traj = _concat_flat(records, gamma)
+    states, actions, nexts, step_traj, rtg, n_traj = _concat_flat(records, gamma)
     target = _segment_sum(
         _steps_logdensity(states, actions, nexts, theta_k, omega_k, env, policy, False),
         step_traj,
@@ -427,7 +520,7 @@ def ilr_mean_estimate(
     own = np.concatenate([buffer.own_logdensity(i, env, policy) for i in range(k)])
     if np.any(own == -np.inf):
         raise EstimatorError("a record assigns zero density to its own trajectory")
-    states, actions, nexts, step_traj, _, _, n_traj = _concat_flat(records, gamma)
+    states, actions, nexts, step_traj, _, n_traj = _concat_flat(records, gamma)
     target = _segment_sum(
         _steps_logdensity(states, actions, nexts, theta_k, omega_k, env, policy, False),
         step_traj,
@@ -458,14 +551,8 @@ def _mixture_window_gradient(
     records = buffer.window(rolling_window)
     w = len(records)
     alphas = MixtureWeights.from_counts([r.n_i for r in records]).alphas
-    states, actions, nexts, step_traj, rtg, traj_record, n_traj = _concat_flat(records, gamma)
-
-    log_dens = np.empty((w, n_traj))
-    for i, record in enumerate(records):
-        per_step = _steps_logdensity(
-            states, actions, nexts, record.theta, record.omega, env, policy, policy_only
-        )
-        log_dens[i] = _segment_sum(per_step, step_traj, n_traj)
+    states, actions, nexts, step_traj, rtg, n_traj = _concat_flat(records, gamma)
+    log_dens = buffer.window_logdensities(rolling_window, env, policy, policy_only)
     last = records[-1]
     if theta_k is last.theta and (policy_only or omega_k is last.omega):
         log_target = log_dens[-1]
@@ -503,8 +590,11 @@ def mlr_gradient(
     """Mixture-ratio gradient over the most recent window of records.
 
     The mixture components are exactly the window records, weighted in
-    proportion to their replication counts; ratios are recomputed from the
-    current target pair on every call, never cached.
+    proportion to their replication counts.  Component densities are
+    memoised in the buffer (a record's pair never changes), so a call
+    evaluates only the newly appended records' rows and columns; the
+    ratios themselves are formed against the current target pair on every
+    call.
     """
     return _mixture_window_gradient(
         buffer, theta_k, omega_k, rolling_window, env, policy, gamma, traj_weights, diag_out, False

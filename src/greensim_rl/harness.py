@@ -33,10 +33,12 @@ __all__ = [
     "MacroResult",
     "SummaryRow",
     "aggregate_curves",
+    "config_digest",
     "evaluate_policy",
     "run_comparison",
     "summarize_last_window",
     "write_curve_csv",
+    "write_manifest",
     "write_summary_csv",
 ]
 
@@ -125,7 +127,8 @@ def summarize_last_window(
 # --- comparison grid ----------------------------------------------------------
 
 
-def _config_digest(scn: Scenario, cfg: TrainConfig, extra: dict) -> str:
+def config_digest(scn: Scenario, cfg: TrainConfig, extra: dict) -> str:
+    """sha256 of the scenario, the training config and ``extra``."""
     payload = {
         "scenario": scenario_to_jsonable(scn),
         "config": {k: v for k, v in cfg.__dict__.items()},
@@ -167,7 +170,7 @@ def run_comparison(
     """
     if macros < 2:
         raise ValueError("need at least 2 macro replications")
-    digest = _config_digest(
+    digest = config_digest(
         scn, base_cfg, {"macros": macros, "seed": seed, "r_test": r_test, "window": window}
     )
     tasks = []
@@ -214,7 +217,21 @@ def run_comparison(
             rows.append(summarize_last_window(stats.mean, window, estimator=kind, n_i=n_i))
 
     if out_dir is not None:
-        _write_outputs(Path(out_dir), results, rows, errors, digest, seed, macros, r_test, window)
+        _write_outputs(Path(out_dir), results, rows)
+        write_manifest(
+            Path(out_dir),
+            {
+                "config_digest": digest,
+                "seed": seed,
+                "estimators": list(estimator_kinds),
+                "n_i_grid": list(n_i_grid),
+                "macros": macros,
+                "r_test": r_test,
+                "window": window,
+                "config": base_cfg.__dict__,
+                "errors": errors,
+            },
+        )
     return rows, results, errors
 
 
@@ -234,17 +251,7 @@ def write_summary_csv(rows: list[SummaryRow], fh) -> None:
         writer.writerow([row.estimator, row.n_i, repr(row.mean), repr(row.se)])
 
 
-def _write_outputs(
-    out_dir: Path,
-    results: list[MacroResult],
-    rows: list[SummaryRow],
-    errors: list[str],
-    digest: str,
-    seed: int,
-    macros: int,
-    r_test: int,
-    window: int,
-) -> None:
+def _write_outputs(out_dir: Path, results: list[MacroResult], rows: list[SummaryRow]) -> None:
     curves_dir = out_dir / "curves"
     curves_dir.mkdir(parents=True, exist_ok=True)
     for result in results:
@@ -253,15 +260,17 @@ def _write_outputs(
             write_curve_csv(stats, fh)
     with open(out_dir / "summary.csv", "w", newline="") as fh:
         write_summary_csv(rows, fh)
-    manifest = {
-        "config_digest": digest,
-        "seed": seed,
-        "macros": macros,
-        "r_test": r_test,
-        "window": window,
-        "version": __version__,
-        "errors": errors,
-    }
-    with open(out_dir / "manifest.json", "w") as fh:
+
+
+def write_manifest(out_dir: Path, fields: dict) -> None:
+    """Write ``out_dir/manifest.json``, merging ``fields`` into any manifest there.
+
+    The one manifest writer: ``run_comparison`` records its study (errors
+    included) and a caller such as the CLI adds its own fields on top.
+    """
+    path = Path(out_dir) / "manifest.json"
+    manifest = json.loads(path.read_text()) if path.exists() else {}
+    manifest.update(fields, version=__version__)
+    with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

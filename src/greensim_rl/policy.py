@@ -29,6 +29,7 @@ __all__ = [
     "FeatureMap",
     "LinearSoftmaxPolicy",
     "MlpSoftmaxPolicy",
+    "POLICY_KINDS",
     "identity_features",
     "load_params",
     "make_policy",
@@ -37,6 +38,8 @@ __all__ = [
     "save_params",
     "softmax_probs",
 ]
+
+POLICY_KINDS = ("linear", "mlp")
 
 
 def softmax_probs(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -150,6 +153,8 @@ class MlpSoftmaxPolicy(Policy):
     """
 
     def __init__(self, features: FeatureMap, n_actions: int, hidden_dim: int = 16):
+        if not isinstance(hidden_dim, (int, np.integer)) or hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be a positive integer, got {hidden_dim!r}")
         self.features = features
         self._n_actions = n_actions
         self.hidden_dim = hidden_dim
@@ -218,7 +223,7 @@ def make_policy(kind: str, features: FeatureMap, n_actions: int, hidden_dim: int
         return LinearSoftmaxPolicy(features, n_actions)
     if kind == "mlp":
         return MlpSoftmaxPolicy(features, n_actions, hidden_dim)
-    raise ValueError(f"unknown policy kind {kind!r} (expected 'linear' or 'mlp')")
+    raise ValueError(f"unknown policy kind {kind!r} (expected one of {POLICY_KINDS})")
 
 
 # --- checkpoints ------------------------------------------------------------
@@ -239,12 +244,24 @@ def save_params(path, theta: np.ndarray, kind: str, meta: dict | None = None) ->
         json.dump(payload, fh)
 
 
-def load_params(path) -> tuple[np.ndarray, str]:
+def load_params(path) -> tuple[np.ndarray, str, dict]:
+    """Read a checkpoint as ``(theta, kind, meta)``; ValueError if malformed."""
     with open(path) as fh:
-        payload = json.load(fh)
-    values = np.array(payload["values"], dtype=np.float64)
-    if values.shape[0] != payload["length"]:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict) or not {"kind", "length", "values"} <= payload.keys():
+        raise ValueError("expected a JSON object with 'kind', 'length' and 'values'")
+    meta = payload.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError("'meta' must be a JSON object")
+    try:
+        values = np.array(payload["values"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("'values' must be a list of numbers") from exc
+    if values.ndim != 1 or values.shape[0] != payload["length"]:
         raise ValueError(
-            f"checkpoint header says {payload['length']} values, file has {values.shape[0]}"
+            f"checkpoint header says {payload['length']} values, file has {values.shape}"
         )
-    return values, payload["kind"]
+    return values, payload["kind"], meta

@@ -34,7 +34,7 @@ import numpy as np
 from . import bayes, estimators
 from .bioenv import ChromatographyEnv, Scenario, collect_real_data
 from .core import Policy, rollout_batch, substream, trajectory_return
-from .policy import make_policy, purification_features, save_params
+from .policy import POLICY_KINDS, make_policy, purification_features, save_params
 
 __all__ = [
     "ESTIMATOR_KINDS",
@@ -81,9 +81,13 @@ class TrainConfig:
     thin: int = 5
 
     def __post_init__(self):
-        for name in ("periods", "iterations_per_period", "replications", "real_data_per_period"):
+        for name in (
+            "periods", "iterations_per_period", "replications", "real_data_per_period", "hidden_dim"
+        ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.policy_kind not in POLICY_KINDS:
+            raise ValueError(f"policy_kind must be one of {POLICY_KINDS}, got {self.policy_kind!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.gamma <= 1.0:
@@ -275,7 +279,9 @@ def train(
             if ckpt_root is not None:
                 step_dir = ckpt_root / f"iter_{k}"
                 step_dir.mkdir(parents=True, exist_ok=True)
-                save_params(step_dir / "params.json", theta, cfg.policy_kind)
+                save_params(
+                    step_dir / "params.json", theta, cfg.policy_kind, meta={"hidden_dim": cfg.hidden_dim}
+                )
 
         rates = [
             row["accept_rate"] for row in bayes.acceptance_rows(posterior) if row["proposed"] > 0

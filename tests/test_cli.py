@@ -6,6 +6,7 @@ import pytest
 
 from greensim_rl import cli
 from greensim_rl.bioenv import default_scenario, save_scenario
+from greensim_rl.trainer import TrainingError
 
 
 @pytest.fixture()
@@ -164,6 +165,70 @@ class TestEvaluateCommand:
         assert "mean reward" in capsys.readouterr().out
 
 
+class TestCheckpointArchitecture:
+    @pytest.fixture()
+    def hidden8_checkpoint(self, tmp_path, scenario_file, tiny_config_file):
+        config = json.loads(tiny_config_file.read_text())
+        config_path = tmp_path / "h8.json"
+        config_path.write_text(json.dumps({**config, "hidden_dim": 8}))
+        out = tmp_path / "run"
+        code = cli.main(
+            ["train", "--scenario", str(scenario_file), "--config", str(config_path), "--out", str(out)]
+        )
+        assert code == 0
+        return out / "ckpt" / "iter_3" / "params.json"
+
+    def test_non_default_hidden_dim_round_trips(self, tmp_path, scenario_file, hidden8_checkpoint):
+        assert json.loads(hidden8_checkpoint.read_text())["meta"] == {"hidden_dim": 8}
+        code = cli.main(
+            ["evaluate", "--scenario", str(scenario_file), "--checkpoint", str(hidden8_checkpoint), "--r-test", "5"]
+        )
+        assert code == 0
+        code = cli.main(
+            [
+                "simulate",
+                "--scenario",
+                str(scenario_file),
+                "--checkpoint",
+                str(hidden8_checkpoint),
+                "--out",
+                str(tmp_path / "t.jsonl"),
+                "--n",
+                "2",
+            ]
+        )
+        assert code == 0
+
+    def test_architecture_mismatch_exits_4(self, scenario_file, hidden8_checkpoint, capsys):
+        payload = json.loads(hidden8_checkpoint.read_text())
+        payload["meta"]["hidden_dim"] = 16
+        hidden8_checkpoint.write_text(json.dumps(payload))
+        for command in ("evaluate", "simulate"):
+            args = [command, "--scenario", str(scenario_file), "--checkpoint", str(hidden8_checkpoint)]
+            if command == "simulate":
+                args += ["--out", str(hidden8_checkpoint.with_suffix(".jsonl"))]
+            assert cli.main(args) == cli.EXIT_BAD_CONFIG
+            assert "hidden_dim 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "{not json",
+            "[1, 2]",
+            '{"kind": "mlp", "length": 3, "values": [0.0, 1.0]}',
+            '{"kind": "mlp", "length": 1, "values": ["x"]}',
+            '{"kind": "tabular", "length": 1, "values": [0.0]}',
+            '{"kind": "mlp", "length": 1, "values": [0.0], "meta": {"hidden_dim": -2}}',
+        ],
+    )
+    def test_malformed_checkpoint_exits_4(self, tmp_path, scenario_file, content, capsys):
+        path = tmp_path / "params.json"
+        path.write_text(content)
+        code = cli.main(["evaluate", "--scenario", str(scenario_file), "--checkpoint", str(path)])
+        assert code == cli.EXIT_BAD_CONFIG
+        assert "invalid checkpoint" in capsys.readouterr().err
+
+
 class TestCompareCommand:
     def test_tiny_grid(self, tmp_path, scenario_file, tiny_config_file):
         out = tmp_path / "cmp"
@@ -194,6 +259,51 @@ class TestCompareCommand:
         assert (out / "summary.csv").exists()
         assert (out / "curves" / "pg_3.csv").exists()
         assert (out / "curves" / "tlr_3.csv").exists()
+
+    def test_failed_cell_error_kept_in_manifest(self, tmp_path, scenario_file, tiny_config_file, monkeypatch):
+        from greensim_rl import harness
+
+        real_train = harness.train
+
+        def train(scn, cfg, *args, **kwargs):
+            if cfg.estimator == "tlr":
+                raise TrainingError("injected failure")
+            return real_train(scn, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "train", train)
+        out = tmp_path / "cmp"
+        code = cli.main(
+            [
+                "compare",
+                "--scenario",
+                str(scenario_file),
+                "--config",
+                str(tiny_config_file),
+                "--out",
+                str(out),
+                "--estimators",
+                "pg,tlr",
+                "--n-i",
+                "3",
+                "--macros",
+                "2",
+                "--r-test",
+                "4",
+                "--window",
+                "2",
+                "--threads",
+                "1",
+            ]
+        )
+        assert code == cli.EXIT_RUNTIME
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(manifest["errors"]) == 1
+        assert manifest["errors"][0].startswith("tlr/n_i=3:")
+        assert "injected failure" in manifest["errors"][0]
+        assert manifest["command"] == "compare"
+        assert manifest["estimators"] == ["pg", "tlr"]
+        assert len(manifest["config_digest"]) == 64
+        assert (out / "curves" / "pg_3.csv").exists()
 
     def test_unknown_estimator_rejected(self, tmp_path, scenario_file):
         code = cli.main(

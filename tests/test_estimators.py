@@ -16,13 +16,14 @@ from greensim_rl.estimators import (
     mixture_logdensity,
     mlr_gradient,
     mlr_ratio,
+    mlr_ratios_batch,
     pg_gradient,
     tlr_gradient,
     traj_rel_logdensity,
     write_diagnostics_csv,
 )
 from greensim_rl.oracle import TabularEnv, TabularMDP, enumerate_trajectories
-from greensim_rl.policy import LinearSoftmaxPolicy, onehot_features
+from greensim_rl.policy import FeatureMap, LinearSoftmaxPolicy, onehot_features
 
 from conftest import random_tensor, stream
 
@@ -383,6 +384,167 @@ class TestLogDomainSafety:
                 env,
                 tab_policy,
             )
+
+
+def mixed_buffer(env, policy, rng, n_records, n_per_record):
+    """Records with distinct policies and transition models, as in an MLR run."""
+    components = [
+        (0.5 * rng.standard_normal(policy.param_dim), random_tensor(rng)) for _ in range(n_records)
+    ]
+    return make_buffer(env, policy, components, n_per_record, seed=20)
+
+
+def window_gradient(kind, buffer, window, env, policy, diag=None):
+    """The trainer's call: target is the newest record's own pair."""
+    last = buffer.records[-1]
+    if kind == "mlr":
+        return mlr_gradient(buffer, last.theta, last.omega, window, env, policy, 0.9, diag_out=diag)
+    return tlr_gradient(buffer, last.theta, window, policy, 0.9, diag_out=diag)
+
+
+class TestWindowDensityMemo:
+    # one call per appended record; the window grows, shrinks and slides
+    WINDOWS = [1, 3, 3, 3, 5, 2, 4, 4, 6, 1, 3, 3]
+
+    @pytest.mark.parametrize("kind", ["mlr", "tlr"])
+    def test_warm_buffer_matches_cold(self, kind, toy_mdp, tab_policy, rng):
+        env = TabularEnv(toy_mdp)
+        full = mixed_buffer(env, tab_policy, rng, len(self.WINDOWS), 6)
+        warm = ReplayBuffer()
+        for record, window in zip(full.records, self.WINDOWS):
+            warm.append(record)
+            got, want = {}, {}
+            warm_grad = window_gradient(kind, warm, window, env, tab_policy, got)
+            cold_grad = window_gradient(kind, ReplayBuffer(warm.records), window, env, tab_policy, want)
+            np.testing.assert_allclose(warm_grad, cold_grad, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got["ratios"], want["ratios"], rtol=0, atol=1e-12)
+            assert got["ess"] == pytest.approx(want["ess"], abs=1e-12)
+
+    def test_ratios_match_reference(self, toy_mdp, tab_policy, rng):
+        env = TabularEnv(toy_mdp)
+        buffer = ReplayBuffer()
+        for record, window in zip(mixed_buffer(env, tab_policy, rng, 9, 5).records, self.WINDOWS):
+            buffer.append(record)
+            diag = {}
+            window_gradient("mlr", buffer, window, env, tab_policy, diag)
+            records = buffer.window(window)
+            want = mlr_ratios_batch(
+                [t for r in records for t in r.trajectories],
+                (records[-1].theta, records[-1].omega),
+                [(r.theta, r.omega) for r in records],
+                MixtureWeights.from_counts([r.n_i for r in records]),
+                env,
+                tab_policy,
+            )
+            np.testing.assert_allclose(diag["ratios"], want, rtol=0, atol=1e-12)
+
+    def test_swapped_env_or_policy_rebuilds(self, toy_mdp, tab_policy, rng):
+        env = TabularEnv(toy_mdp)
+        buffer = mixed_buffer(env, tab_policy, rng, 5, 6)
+        onehot = onehot_features(2)
+        sharper = LinearSoftmaxPolicy(FeatureMap(2, lambda s: 2.0 * onehot(s)), 2)
+        first = window_gradient("mlr", buffer, 4, env, tab_policy)
+        for env2, policy2 in [(TabularEnv(toy_mdp), tab_policy), (env, sharper)]:
+            again = window_gradient("mlr", buffer, 4, env2, policy2)
+            cold = window_gradient("mlr", ReplayBuffer(buffer.records), 4, env2, policy2)
+            np.testing.assert_allclose(again, cold, rtol=0, atol=1e-12)
+            entry = buffer._window_logdens[False]
+            assert entry[0] is env2 and entry[1] is policy2
+        # the sharper policy's densities differ, so a stale memo would show
+        assert not np.allclose(again, first)
+
+    def test_memo_holds_only_window_records(self, toy_mdp, tab_policy, rng):
+        env = TabularEnv(toy_mdp)
+        buffer = ReplayBuffer()
+        for record in mixed_buffer(env, tab_policy, rng, 7, 4).records:
+            buffer.append(record)
+            window_gradient("mlr", buffer, 3, env, tab_policy)
+            window_gradient("tlr", buffer, 2, None, tab_policy)
+        for policy_only, window in [(False, 3), (True, 2)]:
+            _, _, lo, hi, block = buffer._window_logdens[policy_only]
+            assert (lo, hi) == (7 - window, 7)
+            assert block.shape == (window, 4 * window)
+
+    def test_dead_trajectories_get_zero_ratio(self, tab_policy, rng):
+        # record 1 may step to either state; record 2 (the target) always
+        # steps to state 1, so record 1's trajectories that visit state 0
+        # are impossible under the target
+        deterministic = np.zeros((2, 2, 2))
+        deterministic[:, :, 1] = 1.0
+        mdp = TabularMDP(
+            transition=deterministic,
+            rewards=np.ones((2, 2)),
+            initial=np.array([1.0, 0.0]),
+            horizon=3,
+        )
+        env = TabularEnv(mdp)
+        theta = 0.3 * rng.standard_normal(tab_policy.param_dim)
+        buffer = make_buffer(env, tab_policy, [(theta, random_tensor(rng)), (theta, deterministic)], 20)
+        diag = {}
+        window_gradient("mlr", buffer, 2, env, tab_policy, diag)
+        dead = np.array(
+            [np.any(t.states[1:, 0] == 0) for r in buffer.records for t in r.trajectories]
+        )
+        assert dead.any() and not dead.all()
+        assert np.all(diag["ratios"][dead] == 0.0)
+        assert np.all(diag["ratios"][~dead] > 0.0)
+
+    def test_dead_mixture_with_live_target_raises(self, tab_policy, rng):
+        # the record claims a model under which its own trajectories are
+        # impossible, so the mixture is zero where the target is not
+        deterministic = np.zeros((2, 2, 2))
+        deterministic[:, :, 1] = 1.0
+        other = np.zeros((2, 2, 2))
+        other[:, :, 0] = 1.0
+        mdp = TabularMDP(
+            transition=deterministic,
+            rewards=np.ones((2, 2)),
+            initial=np.array([1.0, 0.0]),
+            horizon=3,
+        )
+        env = TabularEnv(mdp)
+        theta = np.zeros(tab_policy.param_dim)
+        trajs = rollout_batch(env, tab_policy, theta, deterministic, 3, stream(13), provenance=1)
+        buffer = ReplayBuffer([BufferRecord(theta, other, trajs, 1)])
+        with pytest.raises(EstimatorError, match="mixture density is zero"):
+            mlr_gradient(buffer, theta, deterministic, 1, env, tab_policy)
+
+    def test_record_theta_is_frozen(self, toy_mdp, tab_policy, rng):
+        env = TabularEnv(toy_mdp)
+        theta = 0.3 * rng.standard_normal(tab_policy.param_dim)
+        buffer = make_buffer(env, tab_policy, [(theta, toy_mdp.transition)], 3)
+        assert buffer.records[0].theta is theta  # no copy: identity shortcuts keep working
+        with pytest.raises(ValueError):
+            theta[0] += 1.0
+
+
+class TestMixtureCostIsLinearInWindow:
+    """Guard against the mixture going back to recomputing the W x W block."""
+
+    @pytest.mark.parametrize("kind", ["mlr", "tlr"])
+    def test_rows_evaluated_per_iteration(self, kind, toy_mdp, rng):
+        n, window, iterations, steps = 25, 50, 100, 2
+        env = TabularEnv(toy_mdp)
+        policy = LinearSoftmaxPolicy(onehot_features(2), 2)
+        records = mixed_buffer(env, policy, rng, iterations, n).records
+        rows = []
+        log_prob_batch = policy.log_prob_batch
+
+        def counting(theta, states, actions):
+            rows.append(states.shape[0])
+            return log_prob_batch(theta, states, actions)
+
+        policy.log_prob_batch = counting
+        buffer = ReplayBuffer()
+        for record in records:
+            buffer.append(record)
+            window_gradient(kind, buffer, window, env if kind == "mlr" else None, policy)
+        ks = np.arange(1, iterations + 1)
+        w = np.minimum(ks, window)
+        linear = int(np.sum(n * steps * (2 * w - 1)))
+        quadratic = int(np.sum(n * steps * w**2))
+        assert (linear, quadratic) == (372_500, 8_396_250)
+        assert sum(rows) == linear
 
 
 class TestDiagnostics:

@@ -174,9 +174,10 @@ class TestCheckpoints:
         policy = MlpSoftmaxPolicy(identity_features(3), 10)
         theta = policy.init_params(rng)
         path = tmp_path / "params.json"
-        save_params(path, theta, "mlp")
-        back, kind = load_params(path)
+        save_params(path, theta, "mlp", meta={"hidden_dim": 16})
+        back, kind, meta = load_params(path)
         assert kind == "mlp"
+        assert meta == {"hidden_dim": 16}
         np.testing.assert_array_equal(back, theta)
 
     def test_make_policy_rejects_unknown_kind(self):

@@ -70,6 +70,10 @@ class TestConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(gamma=0.0)
+        with pytest.raises(ValueError):
+            TrainConfig(hidden_dim=0)
+        with pytest.raises(ValueError):
+            TrainConfig(policy_kind="bogus")
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
