@@ -4,9 +4,17 @@ The real-world dataset holds observed chromatography removal fractions per
 (step, pooling window).  Under a Unif(0, 300] prior on every Beta shape
 parameter, each (step, action, species) channel has an independent
 posterior over its ``(alpha, beta)`` pair given the fractions observed for
-that channel.  A random-walk Metropolis-Hastings sampler (on log shapes,
-with per-channel step-size adaptation during burn-in) produces joint
-posterior draws assembled into full model parameter tables.
+that channel.  A random-walk Metropolis-Hastings chain per channel (on
+log shapes, with per-chain step-size adaptation during burn-in) produces
+joint posterior draws assembled into full model parameter tables.
+
+The chains advance in lockstep.  :class:`PosteriorState` holds them as
+arrays, one row per channel, and every move updates all data-backed chains
+at once: one vectorised ``betaln`` over the proposals, a per-chain
+acceptance mask and per-chain step sizes and adaptation windows.  The
+randomness stays per channel: each channel draws its proposal increments
+and acceptance uniforms from its own child stream, so one channel's draws
+do not depend on the data held by any other channel.
 
 Channels with no observations are sampled by an independence proposal
 from the prior itself, which such a chain accepts with probability one --
@@ -113,33 +121,17 @@ def read_fractions_csv(fh: IO[str]) -> FractionDataset:
 # --- log posterior -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _SuffStats:
-    """Beta-likelihood sufficient statistics of one channel's fractions."""
-
-    n: int
-    sum_log: float
-    sum_log1m: float
-
-    @classmethod
-    def of(cls, fractions: np.ndarray) -> "_SuffStats":
-        fractions = np.asarray(fractions, dtype=np.float64)
-        if fractions.size == 0:
-            return cls(0, 0.0, 0.0)
-        return cls(int(fractions.size), float(np.sum(np.log(fractions))), float(np.sum(np.log1p(-fractions))))
+def _suff_stats(fractions) -> tuple[int, float, float]:
+    """Beta-likelihood sufficient statistics ``(n, sum log x, sum log(1-x))``."""
+    fractions = np.asarray(fractions, dtype=np.float64)
+    if fractions.size == 0:
+        return 0, 0.0, 0.0
+    return int(fractions.size), float(np.sum(np.log(fractions))), float(np.sum(np.log1p(-fractions)))
 
 
-_EMPTY_STATS = _SuffStats(0, 0.0, 0.0)
-
-
-def _log_lik(alpha: float, beta: float, stats: _SuffStats) -> float:
-    if stats.n == 0:
-        return 0.0
-    return (
-        (alpha - 1.0) * stats.sum_log
-        + (beta - 1.0) * stats.sum_log1m
-        - stats.n * float(betaln(alpha, beta))
-    )
+def _log_lik(alpha, beta, n, sum_log, sum_log1m):
+    """Beta log likelihood from sufficient statistics; broadcasts over chains."""
+    return (alpha - 1.0) * sum_log + (beta - 1.0) * sum_log1m - n * betaln(alpha, beta)
 
 
 def log_posterior_pair(shapes, fractions) -> float:
@@ -151,87 +143,23 @@ def log_posterior_pair(shapes, fractions) -> float:
     alpha, beta = float(shapes[0]), float(shapes[1])
     if not (0.0 < alpha <= PRIOR_HIGH and 0.0 < beta <= PRIOR_HIGH):
         return -np.inf
-    return _log_lik(alpha, beta, _SuffStats.of(np.asarray(fractions, dtype=np.float64)))
+    n, sum_log, sum_log1m = _suff_stats(fractions)
+    return float(_log_lik(alpha, beta, n, sum_log, sum_log1m)) if n else 0.0
 
 
 # --- chains ------------------------------------------------------------------
 
 
-@dataclass
-class ChainState:
-    """Random-walk state of one channel (positions stored as log shapes)."""
-
-    log_shapes: np.ndarray
-    step_size: float = 0.5
-    accepted: int = 0
-    proposed: int = 0
-    steps_taken: int = 0
-    window_accepted: int = 0
-    window_proposed: int = 0
-    cur_loglik: float | None = None  # cached log likelihood at the position
-
-
-def _advance_chain(
-    chain: ChainState,
-    stats: _SuffStats,
-    n_moves: int,
-    burn_in: int,
-    rng: np.random.Generator,
-    force_walk: bool = False,
-) -> None:
-    """Advance one chain by ``n_moves`` Metropolis-Hastings moves in place.
-
-    Data-backed channels walk on log shapes; the acceptance ratio carries
-    the log-transform Jacobian so the chain targets the posterior over the
-    shapes themselves.  Empty channels draw fresh prior points instead
-    (independence proposal, which the flat target always accepts, making
-    their draws exactly i.i.d. prior samples) unless ``force_walk`` keeps
-    them on the random-walk path.
-    """
-    if stats.n == 0 and not force_walk:
-        # Only the end position is observable; one draw stands in for the move block.
-        proposal = PRIOR_HIGH * (1.0 - rng.random(2))  # in (0, PRIOR_HIGH]
-        chain.log_shapes = np.log(proposal)
-        chain.accepted += n_moves
-        chain.proposed += n_moves
-        chain.steps_taken += n_moves
-        chain.cur_loglik = 0.0
-        return
-    normals = rng.standard_normal((n_moves, 2))
-    log_us = np.log(rng.random(n_moves))
-    if chain.cur_loglik is None:
-        shapes = np.exp(chain.log_shapes)
-        chain.cur_loglik = _log_lik(shapes[0], shapes[1], stats)
-    for m in range(n_moves):
-        prop = chain.log_shapes + chain.step_size * normals[m]
-        shapes = np.exp(prop)
-        if shapes[0] <= PRIOR_HIGH and shapes[1] <= PRIOR_HIGH:
-            prop_loglik = _log_lik(shapes[0], shapes[1], stats)
-            # the sum difference is the Jacobian of the log transform
-            log_ratio = prop_loglik - chain.cur_loglik + float(np.sum(prop) - np.sum(chain.log_shapes))
-        else:
-            prop_loglik = -np.inf
-            log_ratio = -np.inf
-        chain.proposed += 1
-        chain.window_proposed += 1
-        if log_us[m] < log_ratio:
-            chain.log_shapes = prop
-            chain.cur_loglik = prop_loglik
-            chain.accepted += 1
-            chain.window_accepted += 1
-        chain.steps_taken += 1
-        if chain.steps_taken <= burn_in and chain.window_proposed >= ADAPT_EVERY:
-            rate = chain.window_accepted / chain.window_proposed
-            if rate < ACCEPT_LOW:
-                chain.step_size = max(chain.step_size * 0.7, 1e-3)
-            elif rate > ACCEPT_HIGH:
-                chain.step_size = min(chain.step_size * 1.4, 10.0)
-            chain.window_accepted = 0
-            chain.window_proposed = 0
-
-
 class PosteriorState:
-    """Dataset plus one MCMC chain per (step, action, species) channel.
+    """Dataset plus one MCMC chain per (step, action, species) channel, held as arrays.
+
+    Row ``c`` of every per-chain array belongs to ``channel_keys()[c]``:
+    ``log_shapes`` (C, 2) is the position on log shapes, ``step_size`` the
+    random-walk scale, ``accepted``/``proposed`` the totals since the last
+    restart and ``window_accepted``/``window_proposed`` the step-size
+    adaptation window.  ``n_obs``, ``sum_log`` and ``sum_log1m`` are the
+    channels' sufficient statistics.  ``steps_taken`` is the move count,
+    shared by every chain.
 
     Single-writer: :func:`mh_sample` advances the chains in place.  The
     emitted :class:`~greensim_rl.bioenv.ModelParams` draws are immutable.
@@ -252,27 +180,33 @@ class PosteriorState:
         self.n_actions = n_actions
         self.burn_in = burn_in
         self.thin = thin
-        self.chains: dict[tuple[int, int, str], ChainState] = {}
-        for t in range(1, n_steps + 1):
-            for a in range(n_actions):
-                for channel in ("eta", "psi"):
-                    self.chains[(t, a, channel)] = ChainState(log_shapes=np.log(np.array([10.0, 10.0])))
-        self._stats: dict[tuple[int, int, str], _SuffStats] = {}
-        self._rebuild_stats()
-
-    def _rebuild_stats(self) -> None:
-        groups = self.dataset.partition()
-        for (t, a, channel) in self.chains:
-            if (t, a) in groups:
-                h, psi = groups[(t, a)]
-                if a >= self.n_actions:
-                    raise ValueError(f"observation action {a} >= n_actions {self.n_actions}")
-                self._stats[(t, a, channel)] = _SuffStats.of(h if channel == "eta" else psi)
-            else:
-                self._stats[(t, a, channel)] = _EMPTY_STATS
+        n_chains = 2 * n_steps * n_actions
+        self.log_shapes = np.log(np.full((n_chains, 2), 10.0))
+        self.step_size = np.full(n_chains, 0.5)
+        self.accepted = np.zeros(n_chains, dtype=np.int64)
+        self.proposed = np.zeros(n_chains, dtype=np.int64)
+        self.window_accepted = np.zeros(n_chains, dtype=np.int64)
+        self.window_proposed = np.zeros(n_chains, dtype=np.int64)
+        self.steps_taken = 0
+        self.n_obs = np.zeros(n_chains, dtype=np.int64)
+        self.sum_log = np.zeros(n_chains)
+        self.sum_log1m = np.zeros(n_chains)
+        for (t, a), (h, psi) in dataset.partition().items():
+            if t > n_steps or a >= n_actions:
+                raise ValueError(
+                    f"observation at step {t}, action {a} outside {n_steps} steps x {n_actions} actions"
+                )
+            eta_row = 2 * ((t - 1) * n_actions + a)  # the (t, a, "psi") row follows it
+            for c, fractions in ((eta_row, h), (eta_row + 1, psi)):
+                self.n_obs[c], self.sum_log[c], self.sum_log1m[c] = _suff_stats(fractions)
 
     def channel_keys(self) -> list[tuple[int, int, str]]:
-        return sorted(self.chains)
+        return [
+            (t, a, channel)
+            for t in range(1, self.n_steps + 1)
+            for a in range(self.n_actions)
+            for channel in ("eta", "psi")
+        ]
 
 
 def make_posterior(
@@ -285,38 +219,113 @@ def make_posterior(
     return PosteriorState(dataset, n_steps, n_actions, burn_in, thin)
 
 
+def _walk(ps: PosteriorState, live: np.ndarray, normals: np.ndarray, log_us: np.ndarray, stops) -> list:
+    """Advance the data-backed chains ``live`` through ``len(normals)`` moves in lockstep.
+
+    ``normals`` (M, L, 2) and ``log_us`` (M, L) hold each chain's random-walk
+    increments and log acceptance uniforms.  The acceptance ratio carries
+    the log-transform Jacobian, so each chain targets the posterior over the
+    shapes themselves.  While the shared move count is within burn-in, every
+    chain whose window holds ``ADAPT_EVERY`` proposals nudges its step size
+    toward the target acceptance band.  Returns the positions after each
+    move index in ``stops``.
+    """
+    pos = ps.log_shapes[live]
+    step = ps.step_size[live]
+    n_obs, sum_log, sum_log1m = ps.n_obs[live], ps.sum_log[live], ps.sum_log1m[live]
+    alpha, beta = np.exp(pos).T
+    cur_ll = _log_lik(alpha, beta, n_obs, sum_log, sum_log1m)
+    accepted = np.zeros(live.size, dtype=np.int64)
+    w_acc, w_prop = ps.window_accepted[live], ps.window_proposed[live]
+    steps = ps.steps_taken
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(normals.shape[0]):
+            prop = pos + step[:, None] * normals[m]
+            alpha, beta = np.exp(prop).T
+            inside = (alpha <= PRIOR_HIGH) & (beta <= PRIOR_HIGH)
+            prop_ll = _log_lik(alpha, beta, n_obs, sum_log, sum_log1m)
+            # the sum difference is the Jacobian of the log transform
+            log_ratio = np.where(inside, (prop_ll - cur_ll) + (prop.sum(axis=1) - pos.sum(axis=1)), -np.inf)
+            take = log_us[m] < log_ratio
+            pos = np.where(take[:, None], prop, pos)
+            cur_ll = np.where(take, prop_ll, cur_ll)
+            accepted += take
+            w_acc += take
+            w_prop += 1
+            steps += 1
+            if steps <= ps.burn_in:
+                full = w_prop >= ADAPT_EVERY
+                if full.any():
+                    rate = w_acc / w_prop
+                    step = np.where(full & (rate < ACCEPT_LOW), np.maximum(step * 0.7, 1e-3), step)
+                    step = np.where(full & (rate > ACCEPT_HIGH), np.minimum(step * 1.4, 10.0), step)
+                    w_acc[full] = 0
+                    w_prop[full] = 0
+            if m in stops:
+                out.append(pos)
+    ps.step_size[live] = step
+    ps.accepted[live] += accepted
+    ps.proposed[live] += normals.shape[0]
+    ps.window_accepted[live] = w_acc
+    ps.window_proposed[live] = w_prop
+    return out
+
+
 def mh_sample(ps: PosteriorState, n: int, rng: np.random.Generator) -> list[ModelParams]:
     """Draw ``n`` thinned post-burn-in joint posterior samples.
 
-    Each channel advances on its own child stream (spawned from ``rng`` in
-    fixed key order), so the draw sequence of one channel is unaffected by
-    the data held by any other.
+    A call first finishes burn-in, if the chains have made fewer than
+    ``burn_in`` moves, and then makes ``thin`` moves per draw.  Each channel
+    has its own child stream, spawned from ``rng`` in ``channel_keys()``
+    order, so the draw sequence of one channel is unaffected by the data
+    held by any other.  A data-backed channel draws from its stream, block
+    by block (burn-in, then each draw), the block's normal increments and
+    then its log acceptance uniforms; all data-backed chains then advance
+    together, one set of array operations per move (:func:`_walk`).  An
+    empty channel draws one prior point per block instead: the flat target
+    always accepts that independence proposal, so its draws are i.i.d.
+    Unif(0, 300].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    keys = ps.channel_keys()
-    streams = rng.spawn(len(keys))
-    per_channel: dict[tuple[int, int, str], list[np.ndarray]] = {}
-    for key, stream in zip(keys, streams):
-        chain = ps.chains[key]
-        stats = ps._stats[key]
-        if chain.steps_taken < ps.burn_in:
-            _advance_chain(chain, stats, ps.burn_in - chain.steps_taken, ps.burn_in, stream)
-        draws = []
-        for _ in range(n):
-            _advance_chain(chain, stats, ps.thin, ps.burn_in, stream)
-            draws.append(np.exp(chain.log_shapes))
-        per_channel[key] = draws
+    streams = rng.spawn(ps.n_obs.size)
+    burn = max(ps.burn_in - ps.steps_taken, 0)
+    blocks = ([burn] if burn else []) + [ps.thin] * n
+    n_moves = sum(blocks)
+    live = np.flatnonzero(ps.n_obs > 0)
+    empty = np.flatnonzero(ps.n_obs == 0)
+    positions = np.empty((n, ps.n_obs.size, 2))
+    if live.size:
+        normals = np.empty((n_moves, live.size, 2))
+        uniforms = np.empty((n_moves, live.size))
+        for j, c in enumerate(live):
+            lo = 0
+            for m in blocks:
+                normals[lo:lo + m, j] = streams[c].standard_normal((m, 2))
+                uniforms[lo:lo + m, j] = streams[c].random(m)
+                lo += m
+        stops = {burn + ps.thin * (d + 1) - 1 for d in range(n)}
+        positions[:, live] = _walk(ps, live, normals, np.log(uniforms), stops)
+    if empty.size:
+        # One prior point per block stands in for the block's moves.  All blocks'
+        # points come from one call (Generator.random fills in stream order);
+        # the burn-in block's point is drawn only to keep the stream in step.
+        prior = np.stack([streams[c].random((len(blocks), 2))[-n:] for c in empty], axis=1)
+        positions[:, empty] = np.log(PRIOR_HIGH * (1.0 - prior))  # in (0, PRIOR_HIGH]
+        ps.accepted[empty] += n_moves
+        ps.proposed[empty] += n_moves
+    ps.steps_taken += n_moves
+    ps.log_shapes = positions[-1].copy()
+
+    rows = np.arange(ps.n_obs.size)[:, None] // 2
+    cols = np.tile([[ETA_L, ETA_U], [PSI_L, PSI_U]], (ps.n_obs.size // 2, 1))
+    shapes = np.exp(positions)
     out = []
     for d in range(n):
-        table = np.zeros((ps.n_steps, ps.n_actions, 4))
-        for (t, a, channel) in keys:
-            pair = per_channel[(t, a, channel)][d]
-            if channel == "psi":
-                table[t - 1, a, PSI_L], table[t - 1, a, PSI_U] = pair
-            else:
-                table[t - 1, a, ETA_L], table[t - 1, a, ETA_U] = pair
-        out.append(ModelParams(table))
+        table = np.zeros((ps.n_steps * ps.n_actions, 4))
+        table[rows, cols] = shapes[d]
+        out.append(ModelParams(table.reshape(ps.n_steps, ps.n_actions, 4)))
     return out
 
 
@@ -330,27 +339,24 @@ def update_dataset(ps: PosteriorState, new_data: FractionDataset) -> PosteriorSt
     merged = PosteriorState(
         ps.dataset.union(new_data), ps.n_steps, ps.n_actions, ps.burn_in, ps.thin
     )
-    for key, chain in ps.chains.items():
-        merged.chains[key] = ChainState(
-            log_shapes=chain.log_shapes.copy(), step_size=chain.step_size
-        )
+    merged.log_shapes = ps.log_shapes.copy()
+    merged.step_size = ps.step_size.copy()
     return merged
 
 
 def acceptance_rows(ps: PosteriorState) -> list[dict]:
     rows = []
-    for key in ps.channel_keys():
-        chain = ps.chains[key]
-        t, a, channel = key
+    for c, (t, a, channel) in enumerate(ps.channel_keys()):
+        proposed = int(ps.proposed[c])
         rows.append(
             {
                 "step": t,
                 "action": a,
                 "channel": channel,
-                "n_obs": ps._stats[key].n,
-                "proposed": chain.proposed,
-                "accept_rate": chain.accepted / chain.proposed if chain.proposed else 0.0,
-                "step_size": chain.step_size,
+                "n_obs": int(ps.n_obs[c]),
+                "proposed": proposed,
+                "accept_rate": int(ps.accepted[c]) / proposed if proposed else 0.0,
+                "step_size": float(ps.step_size[c]),
             }
         )
     return rows

@@ -328,6 +328,26 @@ def transition_logpdf(state, action: int, next_state, omega: ModelParams) -> flo
     )
 
 
+def _batch_step_indices(states: np.ndarray) -> np.ndarray:
+    """Zero-based step index of every row of a transition batch, after the scalar path's checks.
+
+    Raises :class:`InvalidStateError` unless every mass is positive and
+    every step coordinate is an integer in {1, 2} (to the same 1e-9 as
+    :func:`transition`).  Whole-array checks: the mixture calls this with
+    thousands of rows per iteration.
+    """
+    masses = states[:, :2]
+    if not masses.min() > 0.0:  # also false for NaN
+        p, i = masses[~(masses > 0.0).all(axis=1)][0]
+        raise InvalidStateError(f"masses must be positive, got p={p}, i={i}")
+    t = states[:, 2]
+    off = np.abs(np.abs(t - 1.5) - 0.5)  # distance to the nearer of 1 and 2
+    if not off.max() <= 1e-9:
+        bad = t[~(off <= 1e-9)][0]
+        raise InvalidStateError(f"transitions only occur from integer steps 1 and 2, got t={bad}")
+    return (t > 1.5).astype(np.int64)
+
+
 def reward(state, cfg: RewardConfig) -> float:
     """Reward attached to a state by its step index.
 
@@ -384,7 +404,11 @@ class ChromatographyEnv(Environment):
         return transition(state, action, omega, rng)
 
     def sample_transition_batch(self, states, actions, omega, rng) -> np.ndarray:
-        t = int(round(float(states[0, 2])))
+        t_idx = _batch_step_indices(states)
+        if not (t_idx == t_idx[0]).all():
+            steps = sorted(set((t_idx + 1).tolist()))
+            raise InvalidStateError(f"batch rows must share one step index, got {steps}")
+        t = int(t_idx[0]) + 1
         shapes = omega.beta_shapes[t - 1, np.asarray(actions, dtype=np.int64)]
         h = np.clip(rng.beta(shapes[:, ETA_L], shapes[:, ETA_U]), _FRACTION_EPS, 1.0 - _FRACTION_EPS)
         psi = np.clip(rng.beta(shapes[:, PSI_L], shapes[:, PSI_U]), _FRACTION_EPS, 1.0 - _FRACTION_EPS)
@@ -396,7 +420,7 @@ class ChromatographyEnv(Environment):
         return transition_logpdf(state, action, next_state, omega)
 
     def transition_logpdf_batch(self, states, actions, next_states, omega) -> np.ndarray:
-        t_idx = np.round(states[:, 2]).astype(np.int64) - 1
+        t_idx = _batch_step_indices(states)
         shapes = omega.beta_shapes[t_idx, np.asarray(actions, dtype=np.int64)]
         h = next_states[:, 0] / states[:, 0]
         psi = next_states[:, 1] / states[:, 1]

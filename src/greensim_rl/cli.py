@@ -40,6 +40,7 @@ from .trainer import (
     load_train_config,
     train,
     write_history_csv,
+    write_periods_csv,
 )
 
 EXIT_OK = 0
@@ -156,11 +157,16 @@ def _cmd_train(args) -> int:
     if args.estimator:
         cfg = cfg.__class__(**{**cfg.__dict__, "estimator": args.estimator})
     if args.seed is not None:
-        cfg = cfg.__class__(**{**cfg.__dict__, "seed": args.seed})
+        try:
+            cfg = cfg.__class__(**{**cfg.__dict__, "seed": args.seed})
+        except ValueError as exc:
+            raise CliError(EXIT_BAD_CONFIG, f"invalid --seed: {exc}")
     with _atomic_out_dir(args.out) as tmp:
         history = train(scn, cfg, checkpoint_dir=tmp / "ckpt")
         with open(tmp / "history.csv", "w", newline="") as fh:
             write_history_csv(history, fh)
+        with open(tmp / "periods.csv", "w", newline="") as fh:
+            write_periods_csv(history, fh)
         save_scenario(scn, tmp / "scenario.json")
         write_manifest(
             tmp,
@@ -239,12 +245,14 @@ def _cmd_posterior_diag(args) -> int:
     if args.data:
         if not Path(args.data).exists():
             raise CliError(EXIT_MISSING_FILE, f"data file not found: {args.data}")
-        with open(args.data) as fh:
-            dataset = bayes.read_fractions_csv(fh)
+        try:
+            with open(args.data) as fh:
+                posterior = bayes.make_posterior(bayes.read_fractions_csv(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(EXIT_BAD_CONFIG, f"invalid fraction data {args.data}: {exc!r}")
     else:
         # No data: every channel samples straight from the prior.
-        dataset = bayes.FractionDataset()
-    posterior = bayes.make_posterior(dataset)
+        posterior = bayes.make_posterior(bayes.FractionDataset())
     bayes.mh_sample(posterior, args.draws, substream(args.seed, 0))
     with open(args.out, "w", newline="") as fh:
         bayes.write_acceptance_csv(posterior, fh)

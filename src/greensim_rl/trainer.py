@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import IO, Callable
 
@@ -47,6 +47,7 @@ __all__ = [
     "policy_update",
     "train",
     "write_history_csv",
+    "write_periods_csv",
 ]
 
 ESTIMATOR_KINDS = ("pg", "ilr", "mlr", "tlr")
@@ -54,6 +55,10 @@ ESTIMATOR_KINDS = ("pg", "ilr", "mlr", "tlr")
 # Stream purposes within an iteration (the third path component is the
 # iteration index, or the period index for real-world data collection).
 _INIT, _REAL_DATA, _POSTERIOR, _ROLLOUT, _EVAL = 0, 1, 2, 3, 4
+
+
+# Accepted Python types per annotated numeric TrainConfig field (bool is rejected separately).
+_NUMERIC_FIELD_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None))}
 
 
 class TrainingError(RuntimeError):
@@ -81,11 +86,19 @@ class TrainConfig:
     thin: int = 5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = _NUMERIC_FIELD_TYPES.get(f.type)
+            if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         for name in (
-            "periods", "iterations_per_period", "replications", "real_data_per_period", "hidden_dim"
+            "periods", "iterations_per_period", "replications", "real_data_per_period", "hidden_dim", "thin"
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("seed", "burn_in"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.policy_kind not in POLICY_KINDS:
             raise ValueError(f"policy_kind must be one of {POLICY_KINDS}, got {self.policy_kind!r}")
         if self.learning_rate <= 0:
@@ -283,8 +296,11 @@ def train(
                     step_dir / "params.json", theta, cfg.policy_kind, meta={"hidden_dim": cfg.hidden_dim}
                 )
 
+        # prior-only channels always accept their independence proposal: leave them out
         rates = [
-            row["accept_rate"] for row in bayes.acceptance_rows(posterior) if row["proposed"] > 0
+            row["accept_rate"]
+            for row in bayes.acceptance_rows(posterior)
+            if row["n_obs"] > 0 and row["proposed"] > 0
         ]
         new_data = collect_real_data(
             scn, policy, theta, cfg.real_data_per_period, substream(cfg.seed, macro, period, _REAL_DATA)
@@ -301,22 +317,25 @@ def train(
 
 
 def write_history_csv(history: TrainHistory, fh: IO[str]) -> None:
+    """Per-iteration diagnostics; wall times stay out so the file is deterministic."""
     writer = csv.writer(fh)
-    writer.writerow(["iteration", "estimator", "grad_norm", "return_estimate"])
+    writer.writerow(["iteration", "estimator", "grad_norm", "return_estimate", "max_ratio", "ess"])
     for rec in history.iterations:
         writer.writerow(
-            [rec.iteration, history.config.estimator, repr(rec.grad_norm), repr(rec.return_estimate)]
+            [
+                rec.iteration,
+                history.config.estimator,
+                repr(rec.grad_norm),
+                repr(rec.return_estimate),
+                repr(rec.max_ratio),
+                repr(rec.ess),
+            ]
         )
 
 
-def history_diag_rows(history: TrainHistory) -> list[dict]:
-    return [
-        {
-            "iteration": rec.iteration,
-            "estimator": history.config.estimator,
-            "grad_norm": rec.grad_norm,
-            "max_ratio": rec.max_ratio,
-            "ess": rec.ess,
-        }
-        for rec in history.iterations
-    ]
+def write_periods_csv(history: TrainHistory, fh: IO[str]) -> None:
+    """Per-period dataset size and mean MCMC acceptance of the data-backed channels."""
+    writer = csv.writer(fh)
+    writer.writerow(["period", "dataset_size", "mean_acceptance"])
+    for rec in history.periods:
+        writer.writerow([rec.period, rec.dataset_size, repr(rec.mean_acceptance)])

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.  The comparison study (criteria 8 and 9) runs the
-full desk-scale protocol twice, which takes a few minutes; everything else
+full desk-scale protocol twice, which takes a few minutes; both carry the
+``slow`` marker, so ``pytest -m "not slow"`` skips them.  Everything else
 finishes in seconds.
 """
 
@@ -306,6 +307,7 @@ def study_dirs(tmp_path_factory):
     return dirs, elapsed
 
 
+@pytest.mark.slow
 class TestCriterion8Convergence:
     def test_desk_scale_study(self, study_dirs):
         dirs, elapsed = study_dirs
@@ -337,6 +339,7 @@ class TestCriterion8Convergence:
         report(8, "desk-scale convergence study", order_ok and all(monotone.values()) and runtime_ok, detail)
 
 
+@pytest.mark.slow
 class TestCriterion9Determinism:
     def test_byte_identical_outputs(self, study_dirs):
         dirs, _ = study_dirs

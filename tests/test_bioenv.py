@@ -150,6 +150,51 @@ class TestTransition:
             transition(np.array([1.0, 1.0, 3.0]), 0, scn.true_model, rng)
 
 
+BAD_STATES = {
+    "zero protein mass": [0.0, 5.0, 1.0],
+    "negative impurity mass": [10.0, -1.0, 2.0],
+    "NaN mass": [np.nan, 5.0, 1.0],
+    "terminal step": [10.0, 5.0, 3.0],
+    "step zero": [10.0, 5.0, 0.0],
+    "fractional step": [10.0, 5.0, 1.5],
+}
+
+
+class TestBatchStateValidation:
+    @pytest.mark.parametrize("bad", list(BAD_STATES.values()), ids=list(BAD_STATES))
+    def test_sample_transition_batch_rejects(self, env, scn, bad):
+        states = np.array([[10.0, 5.0, bad[2]], bad])
+        with pytest.raises(InvalidStateError):
+            env.sample_transition_batch(states, np.zeros(2, dtype=np.int64), scn.true_model, stream(5))
+
+    def test_sample_transition_batch_rejects_mixed_steps(self, env, scn):
+        states = np.array([[10.0, 5.0, 1.0], [10.0, 5.0, 2.0]])
+        with pytest.raises(InvalidStateError, match="share one step"):
+            env.sample_transition_batch(states, np.zeros(2, dtype=np.int64), scn.true_model, stream(5))
+
+    @pytest.mark.parametrize("bad", list(BAD_STATES.values()), ids=list(BAD_STATES))
+    def test_transition_logpdf_batch_rejects(self, env, scn, bad):
+        states = np.array([[10.0, 5.0, 1.0], bad])
+        nxt = np.array([[4.0, 2.0, 2.0], [4.0, 2.0, 3.0]])
+        with pytest.raises(InvalidStateError):
+            env.transition_logpdf_batch(states, np.zeros(2, dtype=np.int64), nxt, scn.true_model)
+
+    def test_transition_logpdf_batch_mixed_steps_match_scalar(self, env, scn):
+        # the mixture concatenates step-1 and step-2 rows into one call
+        states = np.array([[10.0, 5.0, 1.0], [6.0, 2.0, 2.0], [10.0, 5.0, 1.0 + 1e-12]])
+        actions = np.array([4, 7, 0])
+        nxt = np.array([[6.0, 2.0, 2.0], [5.0, 0.5, 3.0], [3.0, 1.0, 2.0]])
+        batch = env.transition_logpdf_batch(states, actions, nxt, scn.true_model)
+        scalar = [transition_logpdf(s, a, x, scn.true_model) for s, a, x in zip(states, actions, nxt)]
+        np.testing.assert_allclose(batch, scalar, rtol=1e-12)
+
+    def test_sample_transition_batch_valid_rows_advance(self, env, scn):
+        states = np.array([[10.0, 5.0, 2.0], [8.0, 1.0, 2.0]])
+        nxt = env.sample_transition_batch(states, np.array([1, 2]), scn.true_model, stream(6))
+        np.testing.assert_array_equal(nxt[:, 2], [3.0, 3.0])
+        assert np.all(nxt[:, :2] < states[:, :2])
+
+
 class TestTransitionLogpdf:
     def test_uniform_shapes_zero_logdensity(self):
         omega = ModelParams(np.ones((3, 10, 4)))

@@ -79,6 +79,34 @@ class TestErrors:
         )
         assert code == cli.EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize(
+        "config", [{"hidden_dim": "8"}, {"thin": 0}, {"burn_in": -1}, {"burn_in": 2.5}]
+    )
+    def test_bad_sampler_and_integer_fields_exit_4(self, tmp_path, scenario_file, config, capsys):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        code = cli.main(["train", "--scenario", str(scenario_file), "--config", str(bad), "--out", str(out)])
+        assert code == cli.EXIT_BAD_CONFIG
+        assert next(iter(config)) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exits_4(self, tmp_path, scenario_file, tiny_config_file):
+        code = cli.main(
+            [
+                "train",
+                "--scenario",
+                str(scenario_file),
+                "--config",
+                str(tiny_config_file),
+                "--seed",
+                "-1",
+                "--out",
+                str(tmp_path / "run"),
+            ]
+        )
+        assert code == cli.EXIT_BAD_CONFIG
+
     def test_existing_out_dir_refused(self, tmp_path, scenario_file, tiny_config_file):
         out = tmp_path / "run"
         out.mkdir()
@@ -128,7 +156,13 @@ class TestTrainCommand:
             ]
         )
         assert code == 0
-        assert (out / "history.csv").exists()
+        history = (out / "history.csv").read_text().splitlines()
+        assert history[0] == "iteration,estimator,grad_norm,return_estimate,max_ratio,ess"
+        assert len(history) == 1 + 3
+        periods = (out / "periods.csv").read_text().splitlines()
+        assert periods[0] == "period,dataset_size,mean_acceptance"
+        assert periods[1].split(",")[:2] == ["1", "12"]
+        assert 0.0 < float(periods[1].split(",")[2]) < 1.0
         assert (out / "ckpt" / "iter_3" / "params.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 5
@@ -328,3 +362,27 @@ class TestPosteriorDiagCommand:
         assert code == 0
         header = out.read_text().splitlines()[0]
         assert header == "step,action,channel,n_obs,proposed,accept_rate,step_size"
+
+    def test_reads_fraction_data(self, tmp_path):
+        data = tmp_path / "fractions.csv"
+        data.write_text("step,action,h_fraction,psi_fraction\n1,2,0.6,0.3\n1,2,0.7,0.2\n2,0,0.5,0.4\n")
+        out = tmp_path / "diag.csv"
+        assert cli.main(["posterior-diag", "--data", str(data), "--out", str(out), "--draws", "2"]) == 0
+        n_obs = {tuple(r.split(",")[:3]): int(r.split(",")[3]) for r in out.read_text().splitlines()[1:]}
+        assert n_obs[("1", "2", "eta")] == 2 and n_obs[("2", "0", "psi")] == 1
+        assert sum(n_obs.values()) == 6
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "step,action,h_fraction,psi_fraction\n1,12,0.6,0.3\n",  # action outside the 10 windows
+            "step,action,h_fraction,psi_fraction\n1,2,1.5,0.3\n",  # fraction outside (0, 1)
+            "step,action,h_fraction\n1,2,0.6\n",  # missing column
+            "step,action,h_fraction,psi_fraction\n1,2,0.6\n",  # short row
+        ],
+    )
+    def test_bad_fraction_data_exits_4(self, tmp_path, rows):
+        data = tmp_path / "fractions.csv"
+        data.write_text(rows)
+        code = cli.main(["posterior-diag", "--data", str(data), "--out", str(tmp_path / "diag.csv")])
+        assert code == cli.EXIT_BAD_CONFIG

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from greensim_rl import trainer
+from greensim_rl import bayes, trainer
 from greensim_rl.trainer import (
     TrainConfig,
     TrainingError,
@@ -13,6 +13,7 @@ from greensim_rl.trainer import (
     policy_update,
     train,
     write_history_csv,
+    write_periods_csv,
 )
 
 
@@ -74,6 +75,30 @@ class TestConfig:
             TrainConfig(hidden_dim=0)
         with pytest.raises(ValueError):
             TrainConfig(policy_kind="bogus")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"hidden_dim": "8"},
+            {"periods": True},
+            {"replications": 25.0},
+            {"burn_in": 2.5},
+            {"burn_in": None},
+            {"seed": "0"},
+            {"learning_rate": "0.1"},
+            {"grad_clip": False},
+            {"burn_in": -1},
+            {"thin": 0},
+            {"seed": -1},
+        ],
+    )
+    def test_rejects_mistyped_and_out_of_range_fields(self, overrides):
+        with pytest.raises(ValueError):
+            TrainConfig(**overrides)
+
+    def test_accepts_boundary_sampler_settings(self):
+        cfg = TrainConfig(burn_in=0, thin=1, learning_rate=1, grad_clip=2)
+        assert (cfg.burn_in, cfg.thin) == (0, 1)
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -166,6 +191,56 @@ class TestHistoryExport:
         buf = io.StringIO()
         write_history_csv(history, buf)
         lines = buf.getvalue().splitlines()
-        assert lines[0] == "iteration,estimator,grad_norm,return_estimate"
+        assert lines[0] == "iteration,estimator,grad_norm,return_estimate,max_ratio,ess"
         assert len(lines) == 1 + len(history.iterations)
         assert lines[1].split(",")[1] == "tlr"
+        last = lines[-1].split(",")
+        assert float(last[4]) == history.iterations[-1].max_ratio
+        assert float(last[5]) == history.iterations[-1].ess
+
+    def test_periods_csv(self, scn):
+        history = train(scn, tiny_cfg(estimator="pg"))
+        buf = io.StringIO()
+        write_periods_csv(history, buf)
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == "period,dataset_size,mean_acceptance"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["1", "12"], ["2", "18"]]
+        assert [float(line.split(",")[2]) for line in lines[1:]] == [
+            p.mean_acceptance for p in history.periods
+        ]
+
+    def test_files_are_deterministic(self, scn):
+        outputs = []
+        for _ in range(2):
+            history = train(scn, tiny_cfg(estimator="mlr"))
+            buf = io.StringIO()
+            write_history_csv(history, buf)
+            write_periods_csv(history, buf)
+            outputs.append(buf.getvalue())
+        assert outputs[0] == outputs[1]
+
+
+class TestPeriodAcceptance:
+    def test_mean_over_data_backed_channels_only(self, scn, monkeypatch):
+        seen = []
+
+        def spy(posterior):
+            rows = real(posterior)
+            seen.append(rows)
+            return rows
+
+        real = bayes.acceptance_rows
+        monkeypatch.setattr(bayes, "acceptance_rows", spy)
+        history = train(scn, tiny_cfg(estimator="pg"))
+        assert len(seen) == len(history.periods) == 2
+        for rows, period in zip(seen, history.periods):
+            live = [r["accept_rate"] for r in rows if r["n_obs"] > 0]
+            prior_only = [r["accept_rate"] for r in rows if r["n_obs"] == 0]
+            # the independence-proposal channels accept every move and must not dilute the mean
+            assert prior_only and all(rate == 1.0 for rate in prior_only)
+            assert period.mean_acceptance == float(np.mean(live))
+            assert period.mean_acceptance < 1.0
+
+    def test_no_draws_reports_zero(self, scn):
+        history = train(scn, tiny_cfg(estimator="tlr"))
+        assert [p.mean_acceptance for p in history.periods] == [0.0, 0.0]
