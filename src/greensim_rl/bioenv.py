@@ -50,11 +50,7 @@ __all__ = [
     "default_scenario",
     "integrate_upstream",
     "load_scenario",
-    "reward",
-    "sample_initial_state",
     "save_scenario",
-    "transition",
-    "transition_logpdf",
 ]
 
 # Smallest admissible mass (mg); keeps transition fractions well-defined.
@@ -272,69 +268,16 @@ def _harvest_masses(scn: Scenario, n: int, rng: np.random.Generator):
     )
 
 
-def sample_initial_state(scn: Scenario, rng: np.random.Generator) -> np.ndarray:
-    """One random downstream input state ``(p1, i1, 1)``."""
-    p1, i1 = _harvest_masses(scn, 1, rng)
-    return np.array([p1[0], i1[0], 1.0])
-
-
 # --- chromatography transitions and rewards ---------------------------------
 
 
-def _step_index(state) -> int:
-    t = float(state[2])
-    ti = int(round(t))
-    if abs(t - ti) > 1e-9:
-        raise InvalidStateError(f"step index coordinate {t} is not an integer")
-    return ti
-
-
-def transition(state, action: int, omega: ModelParams, rng: np.random.Generator) -> np.ndarray:
-    """Apply one chromatography column: retain Beta fractions of each mass."""
-    t = _step_index(state)
-    p, i = float(state[0]), float(state[1])
-    if p <= 0.0 or i <= 0.0:
-        raise InvalidStateError(f"masses must be positive, got p={p}, i={i}")
-    if t not in (1, 2):
-        raise InvalidStateError(f"transitions only occur from steps 1 and 2, got t={t}")
-    shapes = omega.beta_shapes[t - 1, action]
-    h = float(np.clip(rng.beta(shapes[ETA_L], shapes[ETA_U]), _FRACTION_EPS, 1.0 - _FRACTION_EPS))
-    psi = float(np.clip(rng.beta(shapes[PSI_L], shapes[PSI_U]), _FRACTION_EPS, 1.0 - _FRACTION_EPS))
-    return np.array([h * p, psi * i, float(t + 1)])
-
-
-def transition_logpdf(state, action: int, next_state, omega: ModelParams) -> float:
-    """Relative log density of one observed transition under ``omega``.
-
-    The density is over the retained fractions ``h = p'/p`` and
-    ``psi = i'/i``; the change-of-variable term ``-log(p * i)`` is omitted
-    because it is identical for every ``omega`` (and every policy) given
-    the transition, hence cancels in all likelihood ratios.  Fractions
-    outside (0, 1) have zero density (-inf), which is a value, not an
-    error.
-    """
-    t = _step_index(state)
-    if t not in (1, 2):
-        raise InvalidStateError(f"transitions only occur from steps 1 and 2, got t={t}")
-    p, i = float(state[0]), float(state[1])
-    if p <= 0.0 or i <= 0.0:
-        raise InvalidStateError(f"masses must be positive, got p={p}, i={i}")
-    shapes = omega.beta_shapes[t - 1, action]
-    h = float(next_state[0]) / p
-    psi = float(next_state[1]) / i
-    return float(
-        beta_log_pdf(h, shapes[ETA_L], shapes[ETA_U])
-        + beta_log_pdf(psi, shapes[PSI_L], shapes[PSI_U])
-    )
-
-
 def _batch_step_indices(states: np.ndarray) -> np.ndarray:
-    """Zero-based step index of every row of a transition batch, after the scalar path's checks.
+    """Zero-based step index of every row of a transition batch: the one state check.
 
     Raises :class:`InvalidStateError` unless every mass is positive and
-    every step coordinate is an integer in {1, 2} (to the same 1e-9 as
-    :func:`transition`).  Whole-array checks: the mixture calls this with
-    thousands of rows per iteration.
+    every step coordinate is within 1e-9 of an integer in {1, 2}.
+    Whole-array checks: the mixture calls this with thousands of rows per
+    iteration.
     """
     masses = states[:, :2]
     if not masses.min() > 0.0:  # also false for NaN
@@ -346,30 +289,6 @@ def _batch_step_indices(states: np.ndarray) -> np.ndarray:
         bad = t[~(off <= 1e-9)][0]
         raise InvalidStateError(f"transitions only occur from integer steps 1 and 2, got t={bad}")
     return (t > 1.5).astype(np.int64)
-
-
-def reward(state, cfg: RewardConfig) -> float:
-    """Reward attached to a state by its step index.
-
-    Steps 1 and 2 charge the column operating cost.  Step 3 assesses the
-    batch: purity ``p/(p+i)`` below the requirement forfeits the failure
-    cost; otherwise revenue is earned on the demanded amount, with a
-    shortage penalty when the protein mass falls below the demand.  A
-    zero-mass batch counts as a purity failure.
-    """
-    t = _step_index(state)
-    if t in (1, 2):
-        return -cfg.op_cost
-    if t != 3:
-        raise InvalidStateError(f"no reward defined for step index {t}")
-    p, i = float(state[0]), float(state[1])
-    terminal_op = -cfg.op_cost if cfg.charge_terminal_op_cost else 0.0
-    total = p + i
-    if total <= 0.0 or p / total < cfg.r_d:
-        return -cfg.c_f + terminal_op
-    if p >= cfg.p_d:
-        return cfg.price * cfg.p_d + terminal_op
-    return cfg.price * p - cfg.c_l * (cfg.p_d - p) + terminal_op
 
 
 class ChromatographyEnv(Environment):
@@ -393,17 +312,15 @@ class ChromatographyEnv(Environment):
     def state_dim(self) -> int:
         return 3
 
-    def sample_initial(self, rng) -> np.ndarray:
-        return sample_initial_state(self.scenario, rng)
-
     def sample_initial_batch(self, n, rng) -> np.ndarray:
         p1, i1 = _harvest_masses(self.scenario, n, rng)
         return np.column_stack([p1, i1, np.ones(n)])
 
-    def sample_transition(self, state, action, omega, rng) -> np.ndarray:
-        return transition(state, action, omega, rng)
-
     def sample_transition_batch(self, states, actions, omega, rng) -> np.ndarray:
+        """Apply one chromatography column per row: retain Beta fractions of each mass.
+
+        Every row must be at the same step (1 or 2).
+        """
         t_idx = _batch_step_indices(states)
         if not (t_idx == t_idx[0]).all():
             steps = sorted(set((t_idx + 1).tolist()))
@@ -416,10 +333,16 @@ class ChromatographyEnv(Environment):
             [h * states[:, 0], psi * states[:, 1], np.full(states.shape[0], float(t + 1))]
         )
 
-    def transition_logpdf(self, state, action, next_state, omega) -> float:
-        return transition_logpdf(state, action, next_state, omega)
-
     def transition_logpdf_batch(self, states, actions, next_states, omega) -> np.ndarray:
+        """Relative log density of each row's transition under ``omega``.
+
+        The density is over the retained fractions ``h = p'/p`` and
+        ``psi = i'/i``; the change-of-variable term ``-log(p * i)`` is
+        omitted because it is identical for every ``omega`` (and every
+        policy) given the transition, hence cancels in all likelihood
+        ratios.  Fractions outside (0, 1) have zero density (-inf), which
+        is a value, not an error.  Rows may be at different steps.
+        """
         t_idx = _batch_step_indices(states)
         shapes = omega.beta_shapes[t_idx, np.asarray(actions, dtype=np.int64)]
         h = next_states[:, 0] / states[:, 0]
@@ -428,16 +351,18 @@ class ChromatographyEnv(Environment):
             psi, shapes[:, PSI_L], shapes[:, PSI_U]
         )
 
-    def reward(self, state, action, step_index) -> float:
-        return reward(state, self.scenario.reward)
-
     def reward_batch(self, states, actions, step_index) -> np.ndarray:
+        """Steps 1 and 2 charge the column operating cost."""
         return np.full(states.shape[0], -self.scenario.reward.op_cost)
 
-    def terminal_reward(self, state) -> float:
-        return reward(state, self.scenario.reward)
-
     def terminal_reward_batch(self, states) -> np.ndarray:
+        """Quality payout of each step-3 state.
+
+        Purity ``p/(p+i)`` below the requirement forfeits the failure
+        cost; otherwise revenue is earned on the demanded amount, with a
+        shortage penalty when the protein mass falls below the demand.  A
+        zero-mass batch counts as a purity failure.
+        """
         cfg = self.scenario.reward
         p, i = states[:, 0], states[:, 1]
         total = p + i
@@ -457,28 +382,28 @@ def collect_real_data(
     """Run ``m`` real-world batches under the true model and record fractions.
 
     Every executed transition contributes one observation
-    ``(step, action, protein fraction, impurity fraction)``; these are the
-    measurements the posterior over the transition model consumes.
+    ``(step, action, protein fraction, impurity fraction)``, trajectory by
+    trajectory and step by step within each; these are the measurements
+    the posterior over the transition model consumes.
     """
     from .bayes import FractionDataset, FractionObservation
 
     if m < 1:
         raise ValueError("m must be >= 1")
     env = ChromatographyEnv(scn)
-    trajectories = rollout_batch(env, policy, theta, scn.true_model, m, rng)
-    observations = []
-    for traj in trajectories:
-        for t in range(traj.n_steps):
-            s, s2 = traj.states[t], traj.states[t + 1]
-            observations.append(
-                FractionObservation(
-                    step=int(round(s[2])),
-                    action=int(traj.actions[t]),
-                    h_fraction=float(s2[0] / s[0]),
-                    psi_fraction=float(s2[1] / s[1]),
-                )
+    batch = rollout_batch(env, policy, theta, scn.true_model, m, rng)
+    states, actions, next_states = batch.step_arrays
+    steps = _batch_step_indices(states) + 1
+    h_fractions = next_states[:, 0] / states[:, 0]
+    psi_fractions = next_states[:, 1] / states[:, 1]
+    return FractionDataset(
+        tuple(
+            FractionObservation(step=t, action=a, h_fraction=h, psi_fraction=psi)
+            for t, a, h, psi in zip(
+                steps.tolist(), actions.tolist(), h_fractions.tolist(), psi_fractions.tolist()
             )
-    return FractionDataset(tuple(observations))
+        )
+    )
 
 
 # --- scenario construction and I/O -------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import shutil
 import sys
@@ -64,6 +65,29 @@ def _default_threads() -> int:
         except ValueError:
             raise CliError(EXIT_BAD_CONFIG, f"GREENSIM_THREADS={env!r} is not an integer")
     return 1
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum`` (otherwise a usage error)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _replication_counts(text: str) -> list[int]:
+    """argparse type: a comma-separated list of positive integers."""
+    counts = [_int_at_least(1)(part.strip()) for part in text.split(",") if part.strip()]
+    if not counts:
+        raise argparse.ArgumentTypeError("needs at least one replication count")
+    return counts
 
 
 def _load_scenario_arg(path: str | None):
@@ -142,12 +166,10 @@ def _cmd_simulate(args) -> int:
     else:
         env, policy = _build_policy_for(scn, "mlp")
         theta = policy.init_params(substream(args.seed, 0))
-    trajectories = rollout_batch(
-        env, policy, theta, scn.true_model, args.n, substream(args.seed, 1)
-    )
+    batch = rollout_batch(env, policy, theta, scn.true_model, args.n, substream(args.seed, 1))
     with open(args.out, "w") as fh:
-        write_trajectories_jsonl(trajectories, fh)
-    print(f"wrote {len(trajectories)} trajectories to {args.out}")
+        write_trajectories_jsonl(batch, fh)
+    print(f"wrote {len(batch)} trajectories to {args.out}")
     return EXIT_OK
 
 
@@ -155,10 +177,10 @@ def _cmd_train(args) -> int:
     scn = _load_scenario_arg(args.scenario)
     cfg = _load_config_arg(args.config)
     if args.estimator:
-        cfg = cfg.__class__(**{**cfg.__dict__, "estimator": args.estimator})
+        cfg = dataclasses.replace(cfg, estimator=args.estimator)
     if args.seed is not None:
         try:
-            cfg = cfg.__class__(**{**cfg.__dict__, "seed": args.seed})
+            cfg = dataclasses.replace(cfg, seed=args.seed)
         except ValueError as exc:
             raise CliError(EXIT_BAD_CONFIG, f"invalid --seed: {exc}")
     with _atomic_out_dir(args.out) as tmp:
@@ -203,21 +225,23 @@ def _cmd_compare(args) -> int:
     for kind in estimator_kinds:
         if kind not in ESTIMATOR_KINDS:
             raise CliError(EXIT_BAD_CONFIG, f"unknown estimator {kind!r}")
-    n_i_grid = [int(x) for x in args.n_i.split(",") if x.strip()]
     threads = args.threads if args.threads is not None else _default_threads()
     with _atomic_out_dir(args.out) as tmp:
-        rows, _, errors = run_comparison(
-            scn,
-            cfg,
-            estimator_kinds,
-            n_i_grid,
-            macros=args.macros,
-            seed=args.seed,
-            out_dir=tmp,
-            r_test=args.r_test,
-            window=args.window,
-            threads=threads,
-        )
+        try:
+            rows, _, errors = run_comparison(
+                scn,
+                cfg,
+                estimator_kinds,
+                args.n_i,
+                macros=args.macros,
+                seed=args.seed,
+                out_dir=tmp,
+                r_test=args.r_test,
+                window=args.window,
+                threads=threads,
+            )
+        except ValueError as exc:
+            raise CliError(EXIT_BAD_CONFIG, f"invalid comparison: {exc}")
         write_manifest(tmp, {"command": "compare"})
     for row in rows:
         print(f"{row.estimator:>4} n_i={row.n_i:<4} mean={row.mean:8.3f} se={row.se:.3f}")
@@ -274,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="export true-model rollouts as JSONL")
     p.add_argument("--scenario", help="scenario JSON (default: built-in scenario)")
     p.add_argument("--out", required=True, help="output JSONL file")
-    p.add_argument("--n", type=int, default=100, help="number of trajectories")
+    p.add_argument("--n", type=_int_at_least(1), default=100, help="number of trajectories")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint", help="policy checkpoint (default: fresh init)")
     p.set_defaults(fn=_cmd_simulate)
@@ -290,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a checkpoint against the true model")
     p.add_argument("--scenario")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--r-test", type=int, default=200)
+    p.add_argument("--r-test", type=_int_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_evaluate)
 
@@ -300,10 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory (must not exist)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--estimators", default="pg,ilr,mlr,tlr")
-    p.add_argument("--n-i", default="25", help="comma-separated replication counts")
-    p.add_argument("--macros", type=int, default=5)
-    p.add_argument("--r-test", type=int, default=200)
-    p.add_argument("--window", type=int, default=100)
+    p.add_argument(
+        "--n-i", type=_replication_counts, default=[25], help="comma-separated replication counts"
+    )
+    p.add_argument("--macros", type=_int_at_least(2), default=5)
+    p.add_argument("--r-test", type=_int_at_least(1), default=200)
+    p.add_argument("--window", type=int, default=100, help="last-window length, 2..total iterations")
     p.add_argument("--threads", type=int, help="worker processes (default: GREENSIM_THREADS or 1)")
     p.set_defaults(fn=_cmd_compare)
 
@@ -313,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("posterior-diag", help="dump per-channel MCMC acceptance rates")
     p.add_argument("--data", help="fraction observations CSV (default: empty dataset)")
     p.add_argument("--out", required=True, help="output CSV file")
-    p.add_argument("--draws", type=int, default=100)
+    p.add_argument("--draws", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_posterior_diag)
     return parser

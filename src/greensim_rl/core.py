@@ -1,10 +1,18 @@
 """Finite-horizon decision process primitives.
 
-Shared language for the whole package: trajectories, discounted returns,
-the environment and policy contracts, rollouts, and hierarchical RNG
-streams.  States are dense float vectors (environments document the
+Shared language for the whole package: trajectory batches, discounted
+returns, the environment and policy contracts, rollouts, and hierarchical
+RNG streams.  States are dense float vectors (environments document the
 meaning of each coordinate, including the step index stored as a float);
 actions are integers in ``[0, action_count)``.
+
+Every environment has a fixed horizon H, so trajectories travel as one
+:class:`TrajectoryBatch` of arrays: ``states (n, H, d)``, ``actions
+(n, H-1)``, ``rewards (n, H-1)``.  The environment and policy contracts
+are batch-only: each hook takes a stack of rows (one row per trajectory,
+or per step) and returns one value per row.  Per-trajectory quantities are
+row reductions over the ``(n, H-1)`` matrices; step-level arrays are the
+batch's rows in trajectory-major order (:attr:`TrajectoryBatch.step_arrays`).
 
 All randomness flows through explicitly passed ``numpy.random.Generator``
 instances.  Nothing in this package touches global RNG state, so common
@@ -15,9 +23,10 @@ stream path (see :func:`substream`).
 from __future__ import annotations
 
 import abc
+import functools
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -25,13 +34,12 @@ __all__ = [
     "Environment",
     "Policy",
     "RolloutError",
-    "Step",
-    "Trajectory",
-    "rollout",
+    "TrajectoryBatch",
+    "read_trajectories_jsonl",
+    "returns",
+    "reward_to_go",
     "rollout_batch",
     "substream",
-    "trajectory_return",
-    "read_trajectories_jsonl",
     "write_trajectories_jsonl",
 ]
 
@@ -54,106 +62,122 @@ def substream(root_seed: int, *path: int) -> np.random.Generator:
     )
 
 
-@dataclass(frozen=True)
-class Step:
-    """One transition: ``(state, action, reward, next_state)``."""
+@dataclass(frozen=True, eq=False)
+class TrajectoryBatch:
+    """``n`` state-action-reward paths of one horizon ``H``, as arrays.
 
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
+    ``states`` has shape ``(n, H, d)``; ``actions`` and ``rewards`` have
+    shape ``(n, H-1)``.  Step ``t`` (0-based) of trajectory ``j`` is
+    ``(states[j, t], actions[j, t], rewards[j, t], states[j, t+1])``.
+    ``provenance`` holds, per trajectory, the replay-buffer iteration index
+    of the (policy, transition-model) pair that produced it, or -1 for
+    trajectories generated outside a training loop; a scalar is broadcast.
 
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A state-action-reward path plus the iteration index that generated it.
-
-    ``states`` has shape ``(H, state_dim)`` and chains with the per-step
-    arrays: step ``t`` (0-based here) is ``(states[t], actions[t],
-    rewards[t], states[t+1])``.  Arrays are frozen after construction;
-    trajectories are safe to share across threads.
-
-    ``provenance`` is the replay-buffer iteration index of the
-    (policy, transition-model) pair that produced the trajectory, or -1
-    for trajectories generated outside a training loop.
+    Shapes are validated at construction and every array is made
+    read-only in place, so batches are safe to share across threads.
     """
 
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
-    provenance: int = -1
+    provenance: np.ndarray | int = -1
 
     def __post_init__(self) -> None:
-        states = np.atleast_2d(np.asarray(self.states, dtype=np.float64))
-        actions = np.asarray(self.actions, dtype=np.int64).reshape(-1)
-        rewards = np.asarray(self.rewards, dtype=np.float64).reshape(-1)
-        if states.shape[0] != actions.shape[0] + 1:
-            raise ValueError(
-                f"need one more state than action, got {states.shape[0]} states "
-                f"and {actions.shape[0]} actions"
-            )
-        if rewards.shape[0] != actions.shape[0]:
-            raise ValueError("one reward per action required")
-        for arr in (states, actions, rewards):
+        states = np.asarray(self.states, dtype=np.float64)
+        actions = np.asarray(self.actions, dtype=np.int64)
+        rewards = np.asarray(self.rewards, dtype=np.float64)
+        if states.ndim != 3 or states.shape[1] < 1:
+            raise ValueError(f"states must have shape (n, H >= 1, d), got {states.shape}")
+        n, horizon, _ = states.shape
+        for name, arr in (("actions", actions), ("rewards", rewards)):
+            if arr.shape != (n, horizon - 1):
+                raise ValueError(
+                    f"{name} must have shape {(n, horizon - 1)} to match states {states.shape}, "
+                    f"got {arr.shape}"
+                )
+        provenance = np.asarray(self.provenance, dtype=np.int64)
+        if provenance.ndim > 1 or provenance.size not in (1, n):
+            raise ValueError(f"provenance must be a scalar or one per trajectory, got {provenance.shape}")
+        provenance = np.broadcast_to(provenance, (n,)).copy()
+        fields = {"states": states, "actions": actions, "rewards": rewards, "provenance": provenance}
+        for name, arr in fields.items():
             arr.setflags(write=False)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "rewards", rewards)
+            object.__setattr__(self, name, arr)
 
-    @property
-    def n_steps(self) -> int:
-        return self.actions.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        """Number of visited states (one more than the number of steps)."""
+    def __len__(self) -> int:
         return self.states.shape[0]
 
     @property
-    def steps(self) -> list[Step]:
-        return [
-            Step(self.states[t], int(self.actions[t]), float(self.rewards[t]), self.states[t + 1])
-            for t in range(self.n_steps)
-        ]
+    def n_steps(self) -> int:
+        return self.states.shape[1] - 1
+
+    @functools.cached_property
+    def step_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Step rows ``(states, actions, next_states)`` in trajectory-major order.
+
+        Row ``j * (H-1) + t`` is step ``t`` of trajectory ``j``, so a
+        per-step vector reshaped to ``(n, H-1)`` has one trajectory per
+        row.  Computed once per batch and read-only.
+        """
+        dim = self.states.shape[2]
+        out = (
+            self.states[:, :-1].reshape(-1, dim),
+            self.actions.reshape(-1),
+            self.states[:, 1:].reshape(-1, dim),
+        )
+        for arr in out:
+            arr.setflags(write=False)
+        return out
+
+    @classmethod
+    def concat(cls, batches: Sequence["TrajectoryBatch"]) -> "TrajectoryBatch":
+        """One batch holding ``batches``' trajectories in order."""
+        if len(batches) == 1:
+            return batches[0]
+        return cls(
+            np.concatenate([b.states for b in batches]),
+            np.concatenate([b.actions for b in batches]),
+            np.concatenate([b.rewards for b in batches]),
+            np.concatenate([b.provenance for b in batches]),
+        )
 
 
-def trajectory_return(traj: Trajectory, gamma: float) -> float:
-    """Discounted return ``sum_t gamma^(t-1) * r_t`` (t is 1-based).
-
-    An empty trajectory returns 0.
-    """
+def _check_gamma(gamma: float) -> None:
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-    n = traj.n_steps
-    if n == 0:
-        return 0.0
-    if gamma == 1.0:
-        return float(np.sum(traj.rewards))
-    return float(np.dot(gamma ** np.arange(n), traj.rewards))
+
+
+def returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
+    """Discounted return ``sum_t gamma^(t-1) * r_t`` (t is 1-based) per row.
+
+    ``rewards`` is the ``(n, H-1)`` reward matrix of a batch; a stepless
+    trajectory returns 0.
+    """
+    _check_gamma(gamma)
+    rewards = np.asarray(rewards, dtype=np.float64)
+    return (gamma ** np.arange(rewards.shape[1]) * rewards).sum(axis=1)
 
 
 def reward_to_go(rewards: np.ndarray, gamma: float) -> np.ndarray:
-    """Per-step tail sums ``rtg_t = sum_{t' >= t} gamma^(t'-1) * r_t'``.
+    """Per-step tail sums ``rtg_t = sum_{t' >= t} gamma^(t'-1) * r_t'`` per row.
 
     The discount exponent is anchored at the trajectory start (t' is the
     1-based step index), so this is the causal weight carried by the score
-    term of step t in every gradient estimator.
+    term of step t in every gradient estimator.  Shape ``(n, H-1)``, like
+    ``rewards``.
     """
-    n = rewards.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    discounted = (gamma ** np.arange(n)) * rewards
-    return np.cumsum(discounted[::-1])[::-1].copy()
+    _check_gamma(gamma)
+    rewards = np.asarray(rewards, dtype=np.float64)
+    discounted = gamma ** np.arange(rewards.shape[1]) * rewards
+    return np.cumsum(discounted[:, ::-1], axis=1)[:, ::-1].copy()
 
 
 class Environment(abc.ABC):
-    """Contract every environment implements.
+    """Batch-only contract every environment implements.
 
-    ``transition_logpdf`` must be the log-density of the same measure
-    ``sample_transition`` draws from, up to an additive term that is
-    constant in the transition-model parameters ``omega`` for any fixed
-    transition.  Such terms cancel in every likelihood ratio the
-    estimators form, so environments may (and do) omit them.
+    Each hook takes a stack of rows and returns one value (or next state)
+    per row; rows may come from different trajectories and, for the
+    density hook, from different steps.
     """
 
     @abc.abstractmethod
@@ -165,62 +189,40 @@ class Environment(abc.ABC):
         ...
 
     @abc.abstractmethod
-    def sample_initial(self, rng: np.random.Generator) -> np.ndarray:
-        ...
-
-    @abc.abstractmethod
-    def sample_transition(self, state, action: int, omega, rng: np.random.Generator) -> np.ndarray:
-        ...
-
-    @abc.abstractmethod
-    def transition_logpdf(self, state, action: int, next_state, omega) -> float:
-        ...
-
-    @abc.abstractmethod
-    def reward(self, state, action: int, step_index: int) -> float:
-        """Reward for taking ``action`` in ``state`` at 1-based step ``step_index``."""
-
-    def terminal_reward(self, state) -> float:
-        """Payout on reaching the final state; credited to the last step."""
-        return 0.0
-
-    # Vectorized hooks used by the hot paths.  The loop fallbacks keep
-    # custom environments easy to write; built-in environments override.
-
     def sample_initial_batch(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.stack([self.sample_initial(rng) for _ in range(n)])
+        """``n`` initial states, shape ``(n, d)``."""
 
+    @abc.abstractmethod
     def sample_transition_batch(self, states, actions, omega, rng) -> np.ndarray:
-        return np.stack(
-            [
-                self.sample_transition(states[i], int(actions[i]), omega, rng)
-                for i in range(states.shape[0])
-            ]
-        )
+        """One next state per row under transition model ``omega``, shape ``(n, d)``."""
 
+    @abc.abstractmethod
     def transition_logpdf_batch(self, states, actions, next_states, omega) -> np.ndarray:
-        return np.array(
-            [
-                self.transition_logpdf(states[i], int(actions[i]), next_states[i], omega)
-                for i in range(states.shape[0])
-            ]
-        )
+        """Log-density of each row's transition under ``omega``, shape ``(n,)``.
 
+        The log-density of the same measure :meth:`sample_transition_batch`
+        draws from, up to an additive term that is constant in ``omega``
+        for any fixed transition.  Such terms cancel in every likelihood
+        ratio the estimators form, so environments may (and do) omit them.
+        Zero density is ``-inf``, a value rather than an error.
+        """
+
+    @abc.abstractmethod
     def reward_batch(self, states, actions, step_index: int) -> np.ndarray:
-        return np.array(
-            [self.reward(states[i], int(actions[i]), step_index) for i in range(states.shape[0])]
-        )
+        """Reward for taking ``actions`` in ``states`` at 1-based step ``step_index``."""
 
     def terminal_reward_batch(self, states) -> np.ndarray:
-        return np.array([self.terminal_reward(states[i]) for i in range(states.shape[0])])
+        """Payout on reaching each final state; credited to the last step."""
+        return np.zeros(states.shape[0])
 
 
 class Policy(abc.ABC):
-    """Differentiable stochastic policy over discrete actions.
+    """Batch-only contract of a differentiable stochastic policy over discrete actions.
 
     Parameters travel as a flat float vector ``theta`` of length
     ``param_dim``; the policy object owns the architecture (feature map
-    and layer shapes) needed to interpret it.
+    and layer shapes) needed to interpret it.  Every method takes a stack
+    of state rows (and one action per row).
     """
 
     @property
@@ -239,37 +241,19 @@ class Policy(abc.ABC):
 
     @abc.abstractmethod
     def log_prob_batch(self, theta, states, actions) -> np.ndarray:
-        ...
+        """``log pi(a_n|s_n)`` per row, shape ``(n,)``."""
 
     @abc.abstractmethod
     def grad_log_prob_batch(self, theta, states, actions) -> np.ndarray:
         """Score vectors d/dtheta log pi(a|s), shape ``(n, param_dim)``."""
 
     def weighted_score_sum(self, theta, states, actions, weights) -> np.ndarray:
-        """``sum_n weights[n] * grad_log_prob(theta, states[n], actions[n])``.
+        """``sum_n weights[n] * d/dtheta log pi(actions[n] | states[n])``.
 
         Concrete policies override this with a matrix-product form that
         skips materializing the per-row score vectors.
         """
         return self.grad_log_prob_batch(theta, states, actions).T @ np.asarray(weights)
-
-    def action_probs(self, theta, state) -> np.ndarray:
-        return self.action_probs_batch(theta, np.asarray(state, dtype=np.float64)[None, :])[0]
-
-    def log_prob(self, theta, state, action: int) -> float:
-        return float(
-            self.log_prob_batch(
-                theta, np.asarray(state, dtype=np.float64)[None, :], np.array([action])
-            )[0]
-        )
-
-    def grad_log_prob(self, theta, state, action: int) -> np.ndarray:
-        return self.grad_log_prob_batch(
-            theta, np.asarray(state, dtype=np.float64)[None, :], np.array([action])
-        )[0]
-
-    def sample_action(self, theta, state, rng: np.random.Generator) -> int:
-        return int(self.sample_actions_batch(theta, np.asarray(state)[None, :], rng)[0])
 
     def sample_actions_batch(self, theta, states, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF sampling; one uniform draw per row."""
@@ -283,41 +267,6 @@ class Policy(abc.ABC):
         return scale * rng.standard_normal(self.param_dim)
 
 
-def rollout(
-    env: Environment,
-    policy: Policy,
-    theta: np.ndarray,
-    omega,
-    rng: np.random.Generator,
-    provenance: int = -1,
-) -> Trajectory:
-    """Generate one episode under ``(policy(theta), omega)``.
-
-    Per step: sample the action, record the step reward, sample the next
-    state.  The terminal payout (if the environment defines one) is added
-    to the final step's reward.  Deterministic given the rng state.
-    """
-    horizon = env.horizon()
-    state = np.asarray(env.sample_initial(rng), dtype=np.float64)
-    if not np.all(np.isfinite(state)):
-        raise RolloutError(f"non-finite initial state {state}")
-    states = [state]
-    actions: list[int] = []
-    rewards: list[float] = []
-    for t in range(1, horizon):
-        action = policy.sample_action(theta, state, rng)
-        r = env.reward(state, action, t)
-        state = np.asarray(env.sample_transition(state, action, omega, rng), dtype=np.float64)
-        if not np.all(np.isfinite(state)):
-            raise RolloutError(f"non-finite state at step {t}: {state}")
-        if t == horizon - 1:
-            r += env.terminal_reward(state)
-        states.append(state)
-        actions.append(action)
-        rewards.append(r)
-    return Trajectory(np.stack(states), np.array(actions), np.array(rewards), provenance)
-
-
 def rollout_batch(
     env: Environment,
     policy: Policy,
@@ -326,13 +275,13 @@ def rollout_batch(
     n: int,
     rng: np.random.Generator,
     provenance: int = -1,
-) -> list[Trajectory]:
-    """Generate ``n`` episodes with vectorized per-step sampling.
+) -> TrajectoryBatch:
+    """Generate ``n`` episodes under ``(policy(theta), omega)``.
 
-    All episodes advance in lockstep (valid for fixed-horizon
-    environments, which is all of the built-in ones).  The draw order
-    differs from n sequential :func:`rollout` calls, but the batch itself
-    is deterministic given the rng state.
+    All episodes advance in lockstep.  Per step: sample the actions,
+    record the step rewards, sample the next states.  The terminal payout
+    is added to the final step's reward.  Deterministic given the rng
+    state.
     """
     horizon = env.horizon()
     states = np.asarray(env.sample_initial_batch(n, rng), dtype=np.float64)
@@ -352,12 +301,12 @@ def rollout_batch(
         all_states.append(states)
         all_actions.append(actions)
         all_rewards.append(rewards)
-    state_cube = np.stack(all_states, axis=1)  # (n, H, dim)
-    action_mat = np.stack(all_actions, axis=1) if all_actions else np.zeros((n, 0), dtype=np.int64)
-    reward_mat = np.stack(all_rewards, axis=1) if all_rewards else np.zeros((n, 0))
-    return [
-        Trajectory(state_cube[i], action_mat[i], reward_mat[i], provenance) for i in range(n)
-    ]
+    return TrajectoryBatch(
+        np.stack(all_states, axis=1),
+        np.stack(all_actions, axis=1) if all_actions else np.zeros((n, 0), dtype=np.int64),
+        np.stack(all_rewards, axis=1) if all_rewards else np.zeros((n, 0)),
+        provenance,
+    )
 
 
 # --- serialization ---------------------------------------------------------
@@ -365,42 +314,33 @@ def rollout_batch(
 # One JSON object per trajectory, newline-delimited.  Each step is a flat
 # array of numbers: state, action, reward, next_state.
 
-def trajectory_to_jsonable(traj: Trajectory) -> dict:
-    steps = []
-    for t in range(traj.n_steps):
-        steps.append(
-            [float(x) for x in traj.states[t]]
-            + [float(traj.actions[t]), float(traj.rewards[t])]
-            + [float(x) for x in traj.states[t + 1]]
-        )
-    return {"provenance": int(traj.provenance), "steps": steps}
+def write_trajectories_jsonl(batch: TrajectoryBatch, fh: IO[str]) -> None:
+    states, actions, next_states = batch.step_arrays
+    rows = np.column_stack([states, actions, batch.rewards.reshape(-1), next_states])
+    rows = rows.reshape(len(batch), batch.n_steps, 2 * states.shape[1] + 2).tolist()
+    for provenance, steps in zip(batch.provenance.tolist(), rows):
+        fh.write(json.dumps({"provenance": provenance, "steps": steps}) + "\n")
 
 
-def trajectory_from_jsonable(obj: dict, state_dim: int) -> Trajectory:
-    raw_steps = obj["steps"]
-    if not raw_steps:
-        raise ValueError("cannot reconstruct a trajectory with no steps from JSON")
-    states = [np.array(raw_steps[0][:state_dim])]
-    actions = []
-    rewards = []
-    for row in raw_steps:
-        if len(row) != 2 * state_dim + 2:
-            raise ValueError(f"step row of length {len(row)} does not match state_dim={state_dim}")
-        actions.append(int(row[state_dim]))
-        rewards.append(float(row[state_dim + 1]))
-        states.append(np.array(row[state_dim + 2 :]))
-    return Trajectory(np.stack(states), np.array(actions), np.array(rewards), int(obj["provenance"]))
-
-
-def write_trajectories_jsonl(trajectories: Iterable[Trajectory], fh: IO[str]) -> None:
-    for traj in trajectories:
-        fh.write(json.dumps(trajectory_to_jsonable(traj)) + "\n")
-
-
-def read_trajectories_jsonl(fh: IO[str], state_dim: int) -> list[Trajectory]:
-    out = []
+def read_trajectories_jsonl(fh: IO[str], state_dim: int) -> TrajectoryBatch:
+    """Read a JSONL file back into one batch; ValueError if the lines do not form one."""
+    provenance, rows = [], []
     for line in fh:
         line = line.strip()
         if line:
-            out.append(trajectory_from_jsonable(json.loads(line), state_dim))
-    return out
+            obj = json.loads(line)
+            provenance.append(int(obj["provenance"]))
+            rows.append(obj["steps"])
+    if not rows:
+        raise ValueError("no trajectories in the file")
+    if len({len(steps) for steps in rows}) != 1:
+        raise ValueError("every trajectory in a batch must have the same number of steps")
+    if not rows[0]:
+        raise ValueError("cannot reconstruct a trajectory with no steps from JSON")
+    if {len(row) for steps in rows for row in steps} != {2 * state_dim + 2}:
+        raise ValueError(f"every step row must have length {2 * state_dim + 2} for state_dim={state_dim}")
+    table = np.array(rows, dtype=np.float64)  # (n, H-1, 2d+2)
+    if not np.array_equal(table[:, 1:, :state_dim], table[:, :-1, state_dim + 2 :]):
+        raise ValueError("a step's state must be the previous step's next state")
+    states = np.concatenate([table[:, :1, :state_dim], table[:, :, state_dim + 2 :]], axis=1)
+    return TrajectoryBatch(states, table[:, :, state_dim], table[:, :, state_dim + 1], provenance)

@@ -20,18 +20,19 @@ trajectory densities:
 All density arithmetic happens in log space with a single exponentiation
 at the end; trajectory densities are *relative*: the initial-state factor
 and any change-of-variable terms shared by every (policy, model) pair are
-omitted, which leaves every ratio exact.
+omitted, which leaves every ratio exact.  Densities, returns and
+reward-to-go are computed per step over a whole
+:class:`~greensim_rl.core.TrajectoryBatch` and summed along its rows.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import Environment, Policy, Trajectory, reward_to_go
+from .core import Environment, Policy, TrajectoryBatch, returns, reward_to_go
 
 __all__ = [
     "BufferRecord",
@@ -40,14 +41,11 @@ __all__ = [
     "ReplayBuffer",
     "ilr_gradient",
     "ilr_mean_estimate",
-    "mixture_logdensity",
     "mlr_gradient",
-    "mlr_ratio",
     "mlr_ratios_batch",
     "pg_gradient",
     "tlr_gradient",
-    "traj_rel_logdensity",
-    "write_diagnostics_csv",
+    "trajectory_logdensity",
 ]
 
 
@@ -78,81 +76,40 @@ class MixtureWeights:
         return cls(counts / np.sum(counts))
 
 
-def _flatten_trajectories(trajectories: Sequence[Trajectory]):
-    """Step-level arrays (states, actions, next_states, trajectory index)."""
-    states, actions, nexts, idx = [], [], [], []
-    for j, traj in enumerate(trajectories):
-        if traj.n_steps:
-            states.append(traj.states[:-1])
-            actions.append(traj.actions)
-            nexts.append(traj.states[1:])
-            idx.append(np.full(traj.n_steps, j))
-    if not states:
-        dim = trajectories[0].states.shape[1]
-        return (
-            np.zeros((0, dim)),
-            np.zeros(0, dtype=np.int64),
-            np.zeros((0, dim)),
-            np.zeros(0, dtype=np.int64),
-        )
-    return (
-        np.concatenate(states),
-        np.concatenate(actions),
-        np.concatenate(nexts),
-        np.concatenate(idx),
-    )
-
-
 class BufferRecord:
-    """One iteration's policy, model draw and generated trajectories."""
+    """One iteration's policy, model draw and generated trajectory batch."""
 
-    def __init__(self, theta, omega, trajectories: Sequence[Trajectory], iteration: int):
+    def __init__(self, theta, omega, trajectories: TrajectoryBatch, iteration: int):
         if len(trajectories) == 0:
             raise ValueError("a buffer record needs at least one trajectory")
-        for traj in trajectories:
-            if traj.provenance != -1 and traj.provenance != iteration:
-                raise ValueError(
-                    f"trajectory provenance {traj.provenance} does not match record iteration {iteration}"
-                )
+        foreign = trajectories.provenance[
+            (trajectories.provenance != -1) & (trajectories.provenance != iteration)
+        ]
+        if foreign.size:
+            raise ValueError(
+                f"trajectory provenance {foreign[0]} does not match record iteration {iteration}"
+            )
         # Frozen in place: the buffer's density memos assume a record's
         # pair never changes, and the trainer's identity shortcut needs the
         # caller's array itself, not a copy.
         self.theta = np.asarray(theta, dtype=np.float64)
         self.theta.setflags(write=False)
         self.omega = omega
-        self.trajectories = tuple(trajectories)
+        self.trajectories = trajectories
         self.iteration = int(iteration)
-        self._flat: tuple | None = None
-        self._rtg: dict[float, np.ndarray] = {}
-        self._returns: dict[float, np.ndarray] = {}
 
     @property
     def n_i(self) -> int:
         return len(self.trajectories)
 
-    def flat_steps(self):
-        """Concatenated (states, actions, next_states, local traj index)."""
-        if self._flat is None:
-            self._flat = _flatten_trajectories(self.trajectories)
-        return self._flat
-
-    def rtg(self, gamma: float) -> np.ndarray:
-        """Concatenated reward-to-go per step, in flat_steps order."""
-        if gamma not in self._rtg:
-            parts = [reward_to_go(t.rewards, gamma) for t in self.trajectories if t.n_steps]
-            self._rtg[gamma] = np.concatenate(parts) if parts else np.zeros(0)
-        return self._rtg[gamma]
-
-    def returns(self, gamma: float) -> np.ndarray:
-        if gamma not in self._returns:
-            rtgs = [reward_to_go(t.rewards, gamma) for t in self.trajectories]
-            self._returns[gamma] = np.array([r[0] if r.size else 0.0 for r in rtgs])
-        return self._returns[gamma]
-
 
 def _memo_hit(entry: tuple | None, env: Environment | None, policy: Policy) -> bool:
     """A density memo is valid only for the exact objects it was computed with."""
     return entry is not None and entry[0] is env and entry[1] is policy
+
+
+def _batch_of(records: Sequence[BufferRecord]) -> TrajectoryBatch:
+    return TrajectoryBatch.concat([r.trajectories for r in records])
 
 
 class ReplayBuffer:
@@ -203,7 +160,7 @@ class ReplayBuffer:
         entry = self._own_logdens.get(index)
         if _memo_hit(entry, env, policy):
             return entry[2]
-        value = _record_logdensity(record, record.theta, record.omega, env, policy)
+        value = trajectory_logdensity(record.trajectories, record.theta, record.omega, env, policy)
         self._own_logdens[index] = (env, policy, value)
         return value
 
@@ -237,30 +194,31 @@ class ReplayBuffer:
         return block
 
 
-# --- density plumbing --------------------------------------------------------
+# --- densities -----------------------------------------------------------------
 
 
-def _segment_sum(values: np.ndarray, segment: np.ndarray, n_segments: int) -> np.ndarray:
-    return np.bincount(segment, weights=values, minlength=n_segments)
-
-
-def _steps_logdensity(
-    states, actions, next_states, theta, omega, env: Environment | None, policy: Policy, policy_only: bool
+def trajectory_logdensity(
+    batch: TrajectoryBatch,
+    theta,
+    omega,
+    env: Environment | None,
+    policy: Policy,
+    policy_only: bool = False,
 ) -> np.ndarray:
+    """Relative log density of each trajectory of ``batch`` under ``(theta, omega)``.
+
+    Per step, the action log probability plus (unless ``policy_only``,
+    where ``env`` and ``omega`` are unused) the transition log density,
+    summed along each trajectory's row; shape ``(n,)``.  ``-inf`` where a
+    step has zero density; a stepless trajectory has relative log density 0.
+    """
+    states, actions, next_states = batch.step_arrays
+    if states.shape[0] == 0:
+        return np.zeros(len(batch))
     lp = policy.log_prob_batch(theta, states, actions)
     if not policy_only:
         lp = lp + env.transition_logpdf_batch(states, actions, next_states, omega)
-    return lp
-
-
-def _record_logdensity(
-    record: BufferRecord, theta, omega, env, policy, policy_only: bool = False
-) -> np.ndarray:
-    states, actions, nexts, idx = record.flat_steps()
-    if states.shape[0] == 0:
-        return np.zeros(record.n_i)
-    per_step = _steps_logdensity(states, actions, nexts, theta, omega, env, policy, policy_only)
-    return _segment_sum(per_step, idx, record.n_i)
+    return lp.reshape(len(batch), batch.n_steps).sum(axis=1)
 
 
 def _log_mixture(log_densities: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -273,74 +231,40 @@ def _log_mixture(log_densities: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(peak), out, -np.inf)
 
 
-def traj_rel_logdensity(
-    traj: Trajectory, theta, omega, env: Environment, policy: Policy
-) -> float:
-    """Relative log density of a trajectory under ``(theta, omega)``.
-
-    Sum over steps of the action log probability plus the transition log
-    density; -inf when any step has zero density.  A stepless trajectory
-    has relative log density 0.
-    """
-    if traj.n_steps == 0:
-        return 0.0
-    per_step = _steps_logdensity(
-        traj.states[:-1], traj.actions, traj.states[1:], theta, omega, env, policy, False
-    )
-    return float(np.sum(per_step))
-
-
-def mixture_logdensity(
-    traj: Trajectory, components, weights: MixtureWeights, env: Environment, policy: Policy
-) -> float:
-    """Log of the mixture density ``sum_i alpha_i D_i(traj)``."""
-    if len(components) != weights.alphas.size:
-        raise ValueError("one weight per component required")
-    logd = np.array([traj_rel_logdensity(traj, th, om, env, policy) for th, om in components])
-    return float(_log_mixture(logd[:, None], weights.alphas)[0])
-
-
-def mlr_ratios_batch(
-    trajectories: Sequence[Trajectory],
-    target,
-    components,
-    weights: MixtureWeights,
-    env: Environment,
-    policy: Policy,
-) -> np.ndarray:
-    """Mixture likelihood ratios for many trajectories at once."""
-    if len(components) != weights.alphas.size:
-        raise ValueError("one weight per component required")
-    states, actions, nexts, step_traj = _flatten_trajectories(trajectories)
-    n_traj = len(trajectories)
-    log_dens = np.empty((len(components), n_traj))
-    for i, (theta_i, omega_i) in enumerate(components):
-        per_step = _steps_logdensity(states, actions, nexts, theta_i, omega_i, env, policy, False)
-        log_dens[i] = _segment_sum(per_step, step_traj, n_traj)
-    log_target = _segment_sum(
-        _steps_logdensity(states, actions, nexts, target[0], target[1], env, policy, False),
-        step_traj,
-        n_traj,
-    )
-    log_mix = _log_mixture(log_dens, weights.alphas)
+def _mixture_ratios(log_target: np.ndarray, log_dens: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """``D_target / sum_i alpha_i D_i`` per trajectory; 0 where the target density is 0."""
+    log_mix = _log_mixture(log_dens, alphas)
     dead = log_target == -np.inf
     if np.any((log_mix == -np.inf) & ~dead):
         raise EstimatorError(
             "mixture density is zero for a trajectory the target can generate "
             "(target pair is not represented in the mixture)"
         )
-    return np.where(dead, 0.0, np.exp(log_target - np.where(dead, 0.0, log_mix)))
+    safe_mix = np.where(dead, 0.0, log_mix)  # avoid -inf minus -inf
+    return np.where(dead, 0.0, np.exp(log_target - safe_mix))
 
 
-def mlr_ratio(
-    traj: Trajectory, target, components, weights: MixtureWeights, env: Environment, policy: Policy
-) -> float:
-    """Mixture likelihood ratio ``D_target(traj) / sum_i alpha_i D_i(traj)``.
+def mlr_ratios_batch(
+    batch: TrajectoryBatch,
+    target,
+    components,
+    weights: MixtureWeights,
+    env: Environment,
+    policy: Policy,
+) -> np.ndarray:
+    """Mixture likelihood ratios ``D_target(tau) / sum_i alpha_i D_i(tau)`` over a batch.
 
-    When the target pair is one of the components with weight ``alpha``,
-    the ratio is bounded by ``1/alpha``.
+    Recomputes every component density; the estimators read the buffer's
+    memoised block instead.  When the target pair is one of the components
+    with weight ``alpha``, each ratio is bounded by ``1/alpha``.
     """
-    return float(mlr_ratios_batch([traj], target, components, weights, env, policy)[0])
+    if len(components) != weights.alphas.size:
+        raise ValueError("one weight per component required")
+    log_dens = np.stack(
+        [trajectory_logdensity(batch, theta_i, omega_i, env, policy) for theta_i, omega_i in components]
+    )
+    log_target = trajectory_logdensity(batch, target[0], target[1], env, policy)
+    return _mixture_ratios(log_target, log_dens, weights.alphas)
 
 
 # --- gradient estimators -----------------------------------------------------
@@ -361,42 +285,6 @@ def _per_traj_weights(
             raise ValueError("weight array shape must match the record's trajectory count")
         parts.append(w)
     return np.concatenate(parts)
-
-
-def _stack_steps(records: Sequence[BufferRecord]):
-    """Step-level arrays of a record selection, from each record's flat steps.
-
-    Returns (states, actions, next_states, step_traj, n_traj) where
-    ``step_traj`` maps each step row to its trajectory's index in the
-    selection.
-    """
-    states, actions, nexts, step_traj = [], [], [], []
-    offset = 0
-    for record in records:
-        s, a, ns, local = record.flat_steps()
-        states.append(s)
-        actions.append(a)
-        nexts.append(ns)
-        step_traj.append(local + offset)
-        offset += record.n_i
-    return (
-        np.concatenate(states),
-        np.concatenate(actions),
-        np.concatenate(nexts),
-        np.concatenate(step_traj),
-        offset,
-    )
-
-
-def _concat_flat(records: Sequence[BufferRecord], gamma: float):
-    """Flatten a record selection into step-level arrays.
-
-    Returns (states, actions, next_states, step_traj, rtg, n_traj) where
-    ``step_traj`` maps each step row to its global trajectory index.
-    """
-    states, actions, nexts, step_traj, n_traj = _stack_steps(records)
-    rtg = np.concatenate([record.rtg(gamma) for record in records])
-    return states, actions, nexts, step_traj, rtg, n_traj
 
 
 def _extend_block(
@@ -420,27 +308,25 @@ def _extend_block(
     n_old = block.shape[1]
     out = np.empty((len(records), n_old + sum(r.n_i for r in new)))
     out[: len(old), :n_old] = block
-    states, actions, nexts, step_traj, n_new = _stack_steps(new)
+    new_batch = _batch_of(new)
     for i, record in enumerate(old):
-        per_step = _steps_logdensity(
-            states, actions, nexts, record.theta, record.omega, env, policy, policy_only
+        out[i, n_old:] = trajectory_logdensity(
+            new_batch, record.theta, record.omega, env, policy, policy_only
         )
-        out[i, n_old:] = _segment_sum(per_step, step_traj, n_new)
-    states, actions, nexts, step_traj, n_traj = _stack_steps(records)
+    all_batch = _batch_of(records)
     for i, record in enumerate(new, start=len(old)):
-        per_step = _steps_logdensity(
-            states, actions, nexts, record.theta, record.omega, env, policy, policy_only
-        )
-        out[i] = _segment_sum(per_step, step_traj, n_traj)
+        out[i] = trajectory_logdensity(all_batch, record.theta, record.omega, env, policy, policy_only)
     return out
 
 
 def _score_weighted_gradient(
-    states, actions, step_traj, rtg, theta_k, policy: Policy, traj_coef: np.ndarray
+    batch: TrajectoryBatch, gamma: float, theta_k, policy: Policy, traj_coef: np.ndarray
 ) -> np.ndarray:
+    """``sum_j traj_coef[j] sum_t rtg[j, t] score[j, t]`` over the trajectories ``j`` of ``batch``."""
+    states, actions, _ = batch.step_arrays
     if states.shape[0] == 0:
         return np.zeros(policy.param_dim)
-    step_weight = traj_coef[step_traj] * rtg
+    step_weight = (traj_coef[:, None] * reward_to_go(batch.rewards, gamma)).reshape(-1)
     return policy.weighted_score_sum(theta_k, states, actions, step_weight)
 
 
@@ -468,9 +354,19 @@ def pg_gradient(
     if not np.array_equal(theta, record.theta):
         raise EstimatorError("pg_gradient requires the record's own policy parameters")
     coef = _per_traj_weights([record], None if traj_weights is None else [traj_weights])
-    states, actions, nexts, step_traj, rtg, _ = _concat_flat([record], gamma)
     _fill_diag(diag_out, np.ones(record.n_i))
-    return _score_weighted_gradient(states, actions, step_traj, rtg, theta, policy, coef)
+    return _score_weighted_gradient(record.trajectories, gamma, theta, policy, coef)
+
+
+def _individual_ratios(buffer: ReplayBuffer, theta_k, omega_k, env: Environment, policy: Policy):
+    """Every record's trajectories as one batch, and their ratios ``D_k / D_i``."""
+    if len(buffer) == 0:
+        raise EstimatorError("buffer is empty")
+    own = np.concatenate([buffer.own_logdensity(i, env, policy) for i in range(len(buffer))])
+    if np.any(own == -np.inf):
+        raise EstimatorError("a record assigns zero density to its own trajectory")
+    batch = _batch_of(buffer.records)
+    return batch, np.exp(trajectory_logdensity(batch, theta_k, omega_k, env, policy) - own)
 
 
 def ilr_gradient(
@@ -484,23 +380,11 @@ def ilr_gradient(
     diag_out: dict | None = None,
 ) -> np.ndarray:
     """Individual-ratio gradient over every record in the buffer."""
-    if len(buffer) == 0:
-        raise EstimatorError("buffer is empty")
+    batch, ratios = _individual_ratios(buffer, theta_k, omega_k, env, policy)
     records = buffer.records
-    k = len(records)
-    own = np.concatenate([buffer.own_logdensity(i, env, policy) for i in range(k)])
-    if np.any(own == -np.inf):
-        raise EstimatorError("a record assigns zero density to its own trajectory")
-    states, actions, nexts, step_traj, rtg, n_traj = _concat_flat(records, gamma)
-    target = _segment_sum(
-        _steps_logdensity(states, actions, nexts, theta_k, omega_k, env, policy, False),
-        step_traj,
-        n_traj,
-    )
-    ratios = np.exp(target - own)
-    coef = (1.0 / k) * _per_traj_weights(records, traj_weights) * ratios
+    coef = (1.0 / len(records)) * _per_traj_weights(records, traj_weights) * ratios
     _fill_diag(diag_out, ratios)
-    return _score_weighted_gradient(states, actions, step_traj, rtg, theta_k, policy, coef)
+    return _score_weighted_gradient(batch, gamma, theta_k, policy, coef)
 
 
 def ilr_mean_estimate(
@@ -513,23 +397,10 @@ def ilr_mean_estimate(
     traj_weights: Sequence[np.ndarray] | None = None,
 ) -> float:
     """Individual-ratio estimate of the expected return at ``(theta_k, omega_k)``."""
-    if len(buffer) == 0:
-        raise EstimatorError("buffer is empty")
+    batch, ratios = _individual_ratios(buffer, theta_k, omega_k, env, policy)
     records = buffer.records
-    k = len(records)
-    own = np.concatenate([buffer.own_logdensity(i, env, policy) for i in range(k)])
-    if np.any(own == -np.inf):
-        raise EstimatorError("a record assigns zero density to its own trajectory")
-    states, actions, nexts, step_traj, _, n_traj = _concat_flat(records, gamma)
-    target = _segment_sum(
-        _steps_logdensity(states, actions, nexts, theta_k, omega_k, env, policy, False),
-        step_traj,
-        n_traj,
-    )
-    ratios = np.exp(target - own)
     weights = _per_traj_weights(records, traj_weights)
-    returns = np.concatenate([r.returns(gamma) for r in records])
-    return float(np.sum((1.0 / k) * weights * ratios * returns))
+    return float(np.sum((1.0 / len(records)) * weights * ratios * returns(batch.rewards, gamma)))
 
 
 def _mixture_window_gradient(
@@ -549,31 +420,18 @@ def _mixture_window_gradient(
     if rolling_window < 1:
         raise EstimatorError("rolling window must be >= 1")
     records = buffer.window(rolling_window)
-    w = len(records)
     alphas = MixtureWeights.from_counts([r.n_i for r in records]).alphas
-    states, actions, nexts, step_traj, rtg, n_traj = _concat_flat(records, gamma)
+    batch = _batch_of(records)
     log_dens = buffer.window_logdensities(rolling_window, env, policy, policy_only)
     last = records[-1]
     if theta_k is last.theta and (policy_only or omega_k is last.omega):
         log_target = log_dens[-1]
     else:
-        log_target = _segment_sum(
-            _steps_logdensity(states, actions, nexts, theta_k, omega_k, env, policy, policy_only),
-            step_traj,
-            n_traj,
-        )
-    log_mix = _log_mixture(log_dens, alphas)
-    dead_target = log_target == -np.inf
-    if np.any((log_mix == -np.inf) & ~dead_target):
-        raise EstimatorError(
-            "mixture density is zero for a trajectory the target can generate "
-            "(target pair is not represented in the mixture)"
-        )
-    safe_mix = np.where(dead_target, 0.0, log_mix)  # avoid -inf minus -inf
-    f = np.where(dead_target, 0.0, np.exp(log_target - safe_mix))
-    coef = (1.0 / w) * _per_traj_weights(records, traj_weights) * f
+        log_target = trajectory_logdensity(batch, theta_k, omega_k, env, policy, policy_only)
+    f = _mixture_ratios(log_target, log_dens, alphas)
+    coef = (1.0 / len(records)) * _per_traj_weights(records, traj_weights) * f
     _fill_diag(diag_out, f)
-    return _score_weighted_gradient(states, actions, step_traj, rtg, theta_k, policy, coef)
+    return _score_weighted_gradient(batch, gamma, theta_k, policy, coef)
 
 
 def mlr_gradient(
@@ -619,19 +477,3 @@ def tlr_gradient(
     return _mixture_window_gradient(
         buffer, theta_k, None, rolling_window, None, policy, gamma, traj_weights, diag_out, True
     )
-
-
-def write_diagnostics_csv(rows: Sequence[dict], fh: IO[str]) -> None:
-    """Per-iteration variance diagnostics: gradient norm, max ratio, ESS."""
-    writer = csv.writer(fh)
-    writer.writerow(["iteration", "estimator", "grad_norm", "max_ratio", "ess"])
-    for row in rows:
-        writer.writerow(
-            [
-                row["iteration"],
-                row["estimator"],
-                repr(float(row["grad_norm"])),
-                repr(float(row["max_ratio"])),
-                repr(float(row["ess"])),
-            ]
-        )

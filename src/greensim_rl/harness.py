@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bioenv import ChromatographyEnv, Scenario, scenario_to_jsonable
-from .core import Environment, Policy, rollout_batch, trajectory_return
+from .core import Environment, Policy, returns, rollout_batch
 from .trainer import TrainConfig, train
 
 __all__ = [
@@ -55,8 +55,8 @@ def evaluate_policy(
     """Mean return of ``r_test`` rollouts under ``(policy(theta), omega)``."""
     if r_test < 1:
         raise ValueError("r_test must be >= 1")
-    trajectories = rollout_batch(env, policy, theta, omega, r_test, rng)
-    return float(np.mean([trajectory_return(t, gamma) for t in trajectories]))
+    rewards = rollout_batch(env, policy, theta, omega, r_test, rng).rewards
+    return float(np.mean(returns(rewards, gamma)))
 
 
 @dataclass(frozen=True)
@@ -166,10 +166,20 @@ def run_comparison(
     Returns summary rows, raw per-cell results, and per-cell error
     strings (failed cells are isolated; the others complete).  When
     ``out_dir`` is given, writes ``curves/<estimator>_<n_i>.csv``,
-    ``summary.csv`` and ``manifest.json`` there.
+    ``summary.csv`` and ``manifest.json`` there.  Every argument is
+    checked before any cell trains (each cell's config too): bad input
+    raises ``ValueError``.
     """
     if macros < 2:
         raise ValueError("need at least 2 macro replications")
+    if r_test < 1:
+        raise ValueError("r_test must be >= 1")
+    if not 2 <= window <= base_cfg.total_iterations:
+        raise ValueError(
+            f"window {window} must be between 2 and the {base_cfg.total_iterations} training iterations"
+        )
+    if not estimator_kinds or not n_i_grid:
+        raise ValueError("the grid needs at least one estimator and one replication count")
     digest = config_digest(
         scn, base_cfg, {"macros": macros, "seed": seed, "r_test": r_test, "window": window}
     )

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Environment, Policy, Trajectory, reward_to_go, trajectory_return
+from .core import Environment, Policy, TrajectoryBatch, returns, reward_to_go
 from .estimators import (
     BufferRecord,
     ReplayBuffer,
@@ -117,15 +117,8 @@ class TabularEnv(Environment):
     def state_dim(self) -> int:
         return 1
 
-    def sample_initial(self, rng) -> np.ndarray:
-        return np.array([float(rng.choice(self.mdp.n_states, p=self.mdp.initial))])
-
     def sample_initial_batch(self, n, rng) -> np.ndarray:
         return rng.choice(self.mdp.n_states, size=n, p=self.mdp.initial).astype(np.float64)[:, None]
-
-    def sample_transition(self, state, action, omega, rng) -> np.ndarray:
-        probs = np.asarray(omega)[int(state[0]), action]
-        return np.array([float(rng.choice(self.mdp.n_states, p=probs))])
 
     def sample_transition_batch(self, states, actions, omega, rng) -> np.ndarray:
         omega = np.asarray(omega)
@@ -134,10 +127,6 @@ class TabularEnv(Environment):
         cum = np.cumsum(rows, axis=1)
         cum[:, -1] = 1.0
         return np.argmax(cum >= u[:, None], axis=1).astype(np.float64)[:, None]
-
-    def transition_logpdf(self, state, action, next_state, omega) -> float:
-        p = float(np.asarray(omega)[int(state[0]), action, int(next_state[0])])
-        return float(np.log(p)) if p > 0.0 else -np.inf
 
     def transition_logpdf_batch(self, states, actions, next_states, omega) -> np.ndarray:
         omega = np.asarray(omega)
@@ -149,17 +138,14 @@ class TabularEnv(Environment):
         with np.errstate(divide="ignore"):
             return np.where(p > 0.0, np.log(np.maximum(p, 1e-300)), -np.inf)
 
-    def reward(self, state, action, step_index) -> float:
-        return float(self.mdp.rewards[int(state[0]), action])
-
     def reward_batch(self, states, actions, step_index) -> np.ndarray:
         return self.mdp.rewards[states[:, 0].astype(np.int64), np.asarray(actions, dtype=np.int64)]
 
 
 def enumerate_trajectories(
     mdp: TabularMDP, theta, policy: Policy, omega: np.ndarray | None = None
-) -> list[tuple[Trajectory, float]]:
-    """Every support trajectory with its exact probability.
+) -> tuple[TrajectoryBatch, np.ndarray]:
+    """Every support trajectory as one batch, with its exact probability.
 
     Only branches of positive probability appear; the returned
     probabilities sum to 1.  ``omega`` overrides the MDP's transition
@@ -169,54 +155,40 @@ def enumerate_trajectories(
     n_paths_bound = mdp.n_states * (mdp.n_states * mdp.n_actions) ** max(mdp.horizon - 1, 0)
     if n_paths_bound > MAX_PATHS:
         raise EnumerationSizeError(f"up to {n_paths_bound} paths exceeds the {MAX_PATHS} cap")
-    state_vecs = [np.array([float(s)]) for s in range(mdp.n_states)]
-    action_probs = [policy.action_probs(theta, state_vecs[s]) for s in range(mdp.n_states)]
+    policy_probs = policy.action_probs_batch(theta, np.arange(mdp.n_states, dtype=np.float64)[:, None])
 
-    out: list[tuple[Trajectory, float]] = []
-
-    def extend(states: list[int], actions: list[int], prob: float):
-        t = len(actions)
-        if t == mdp.horizon - 1:
-            rewards = [mdp.rewards[s, a] for s, a in zip(states, actions)]
-            traj = Trajectory(
-                np.array([[float(s)] for s in states]), np.array(actions), np.array(rewards)
-            )
-            out.append((traj, prob))
-            return
-        s = states[-1]
-        for a in range(mdp.n_actions):
-            pa = action_probs[s][a]
-            if pa <= 0.0:
-                continue
-            for s2 in range(mdp.n_states):
-                ps = transition[s, a, s2]
-                if ps <= 0.0:
-                    continue
-                extend(states + [s2], actions + [a], prob * pa * ps)
-
-    for s1 in range(mdp.n_states):
-        if mdp.initial[s1] > 0.0:
-            extend([s1], [], float(mdp.initial[s1]))
-    return out
+    # Each path is (states, actions, probability); every round extends each
+    # path by one step, in (action, next state) order.
+    paths = [([s1], [], float(mdp.initial[s1])) for s1 in range(mdp.n_states) if mdp.initial[s1] > 0.0]
+    for _ in range(mdp.horizon - 1):
+        longer = []
+        for states, actions, prob in paths:
+            s = states[-1]
+            for a in np.flatnonzero(policy_probs[s] > 0.0):
+                for s2 in np.flatnonzero(transition[s, a] > 0.0):
+                    step_prob = policy_probs[s, a] * transition[s, a, s2]
+                    longer.append((states + [s2], actions + [a], prob * step_prob))
+        paths = longer
+    states = np.array([p[0] for p in paths], dtype=np.float64)[:, :, None]
+    actions = np.array([p[1] for p in paths], dtype=np.int64).reshape(len(paths), mdp.horizon - 1)
+    rewards = mdp.rewards[states[:, :-1, 0].astype(np.int64), actions]
+    return TrajectoryBatch(states, actions, rewards), np.array([p[2] for p in paths])
 
 
 def exact_expected_return(mdp: TabularMDP, theta, gamma: float, policy: Policy) -> float:
     """``sum_tau Pr(tau) R(tau)`` by full enumeration."""
-    return sum(
-        prob * trajectory_return(traj, gamma) for traj, prob in enumerate_trajectories(mdp, theta, policy)
-    )
+    batch, probs = enumerate_trajectories(mdp, theta, policy)
+    return float(probs @ returns(batch.rewards, gamma))
 
 
 def exact_policy_gradient(mdp: TabularMDP, theta, gamma: float, policy: Policy) -> np.ndarray:
     """Exact gradient of the expected return: score times reward-to-go, averaged."""
-    grad = np.zeros(policy.param_dim)
-    for traj, prob in enumerate_trajectories(mdp, theta, policy):
-        if traj.n_steps == 0:
-            continue
-        scores = policy.grad_log_prob_batch(theta, traj.states[:-1], traj.actions)
-        rtg = reward_to_go(traj.rewards, gamma)
-        grad += prob * (scores.T @ rtg)
-    return grad
+    batch, probs = enumerate_trajectories(mdp, theta, policy)
+    if batch.n_steps == 0:
+        return np.zeros(policy.param_dim)
+    states, actions, _ = batch.step_arrays
+    weights = (probs[:, None] * reward_to_go(batch.rewards, gamma)).reshape(-1)
+    return policy.weighted_score_sum(theta, states, actions, weights)
 
 
 # --- exact estimator expectations --------------------------------------------
@@ -230,9 +202,9 @@ def _enumerated_buffer(
     buffer = ReplayBuffer()
     weights = []
     for i, (theta_i, omega_i) in enumerate(components):
-        enum = enumerate_trajectories(mdp, theta_i, policy, omega=omega_i)
-        buffer.append(BufferRecord(theta_i, omega_i, [t for t, _ in enum], i + 1))
-        weights.append(np.array([p for _, p in enum]))
+        batch, probs = enumerate_trajectories(mdp, theta_i, policy, omega=omega_i)
+        buffer.append(BufferRecord(theta_i, omega_i, batch, i + 1))
+        weights.append(probs)
     return buffer, weights
 
 
@@ -311,8 +283,8 @@ def run_oracle_checks() -> list[tuple[str, bool, str]]:
     theta_k, omega_k = components[-1]
     results = []
 
-    enum = enumerate_trajectories(mdp, theta_k, policy, omega=omega_k)
-    total = sum(p for _, p in enum)
+    enum_batch, probs = enumerate_trajectories(mdp, theta_k, policy, omega=omega_k)
+    total = float(probs.sum())
     results.append(
         ("enumeration probabilities sum to 1", abs(total - 1.0) < 1e-10, f"sum={total!r}")
     )
@@ -331,11 +303,8 @@ def run_oracle_checks() -> list[tuple[str, bool, str]]:
     err = float(np.max(np.abs(exact - fd)) / max(1.0, float(np.max(np.abs(fd)))))
     results.append(("exact gradient matches finite differences", err < 1e-7, f"rel err={err:.2e}"))
 
-    score_sum = np.zeros(policy.param_dim)
-    for traj, prob in enum:
-        score_sum += prob * policy.grad_log_prob_batch(theta_k, traj.states[:-1], traj.actions).sum(
-            axis=0
-        )
+    states, actions, _ = enum_batch.step_arrays
+    score_sum = policy.weighted_score_sum(theta_k, states, actions, np.repeat(probs, enum_batch.n_steps))
     score_norm = float(np.max(np.abs(score_sum)))
     results.append(("trajectory score has zero mean", score_norm < 1e-10, f"max |.|={score_norm:.2e}"))
 

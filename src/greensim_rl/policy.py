@@ -10,8 +10,8 @@ Two softmax policies over discrete actions:
   output layer, with exact reverse-mode score gradients.  This is the
   policy the training loop uses.
 
-Both expose batched forward/score passes; the scalar contract methods
-delegate to them.
+Both implement the batch-only :class:`~greensim_rl.core.Policy` contract:
+forward and score passes over a stack of state rows.
 """
 
 from __future__ import annotations

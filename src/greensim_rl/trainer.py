@@ -33,7 +33,7 @@ import numpy as np
 
 from . import bayes, estimators
 from .bioenv import ChromatographyEnv, Scenario, collect_real_data
-from .core import Policy, rollout_batch, substream, trajectory_return
+from .core import Policy, returns, rollout_batch, substream
 from .policy import POLICY_KINDS, make_policy, purification_features, save_params
 
 __all__ = [
@@ -276,13 +276,12 @@ def train(
             if eval_fn is not None:
                 eval_reward = float(eval_fn(theta, policy, substream(cfg.seed, macro, k, _EVAL)))
 
-            returns = np.array([trajectory_return(t, cfg.gamma) for t in trajectories])
             history.iterations.append(
                 IterationRecord(
                     iteration=k,
                     theta=theta,
                     grad_norm=grad_norm,
-                    return_estimate=float(np.mean(returns)),
+                    return_estimate=float(np.mean(returns(trajectories.rewards, cfg.gamma))),
                     max_ratio=float(diag.get("max_ratio", 1.0)),
                     ess=float(diag.get("ess", cfg.replications)),
                     wall_time=time.perf_counter() - started,

@@ -14,10 +14,10 @@ import time
 import numpy as np
 import pytest
 
-from greensim_rl import bayes, bioenv, harness, trainer
+from greensim_rl import bayes, harness, trainer
 from greensim_rl.bioenv import ChromatographyEnv, ModelParams, RewardConfig, default_scenario
-from greensim_rl.core import rollout_batch, substream
-from greensim_rl.estimators import MixtureWeights, mlr_ratio, mlr_ratios_batch
+from greensim_rl.core import TrajectoryBatch, rollout_batch, substream
+from greensim_rl.estimators import MixtureWeights, mlr_ratios_batch
 from greensim_rl.oracle import (
     TabularMDP,
     estimator_exact_expectation,
@@ -113,10 +113,11 @@ class TestCriterion2MlrBound:
             ratios = mlr_ratios_batch(trajs, components[k], components, weights, env, policy)
             worst_excess = max(worst_excess, float(np.max(ratios) - bound))
             checked += ratios.size
-            # scalar op agrees with the batch path
-            for traj in trajs[:3]:
-                f = mlr_ratio(traj, components[k], components, weights, env, policy)
-                assert f <= bound + 1e-12
+            # a three-trajectory batch agrees with the full batch's first rows
+            head = TrajectoryBatch(trajs.states[:3], trajs.actions[:3], trajs.rewards[:3])
+            f = mlr_ratios_batch(head, components[k], components, weights, env, policy)
+            assert np.all(f <= bound + 1e-12)
+            np.testing.assert_allclose(f, ratios[:3], rtol=1e-12, atol=0)
         elapsed = time.perf_counter() - started
         report(
             2,
@@ -172,6 +173,10 @@ class TestCriterion4GradientCorrectness:
     def test_finite_differences_and_score_identity(self, scn):
         started = time.perf_counter()
         rng = np.random.default_rng(404)
+
+        def row(state):
+            return np.asarray(state, dtype=np.float64)[None, :]
+
         policies = [
             MlpSoftmaxPolicy(identity_features(3), 10, hidden_dim=16),
             LinearSoftmaxPolicy(identity_features(3), 10),
@@ -182,15 +187,15 @@ class TestCriterion4GradientCorrectness:
                 theta = policy.init_params(rng, scale=0.5)
                 state = rng.normal(size=3)
                 action = int(rng.integers(10))
-                grad = policy.grad_log_prob(theta, state, action)
+                grad = policy.grad_log_prob_batch(theta, row(state), np.array([action]))[0]
                 h = 1e-5
                 fd = np.zeros_like(grad)
                 for j in range(grad.size):
                     e = np.zeros_like(grad)
                     e[j] = h
                     fd[j] = (
-                        policy.log_prob(theta + e, state, action)
-                        - policy.log_prob(theta - e, state, action)
+                        policy.log_prob_batch(theta + e, row(state), np.array([action]))[0]
+                        - policy.log_prob_batch(theta - e, row(state), np.array([action]))[0]
                     ) / (2 * h)
                 rel = float(np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12))
                 worst_rel = max(worst_rel, rel)
@@ -200,8 +205,9 @@ class TestCriterion4GradientCorrectness:
         for _ in range(100):
             theta = policy.init_params(rng, scale=0.5)
             state = rng.normal(size=3)
-            probs = policy.action_probs(theta, state)
-            total = sum(probs[a] * policy.grad_log_prob(theta, state, a) for a in range(10))
+            probs = policy.action_probs_batch(theta, row(state))[0]
+            scores = policy.grad_log_prob_batch(theta, np.tile(state, (10, 1)), np.arange(10))
+            total = probs @ scores
             worst_score = max(worst_score, float(np.max(np.abs(total))))
         elapsed = time.perf_counter() - started
         report(
@@ -246,7 +252,15 @@ class TestCriterion5PosteriorConsistency:
 class TestCriterion6Reward:
     def test_reward_cases(self):
         started = time.perf_counter()
-        cfg = RewardConfig()
+        env = ChromatographyEnv(dataclasses.replace(default_scenario(), reward=RewardConfig()))
+
+        def reward(state):
+            """Step reward of a state: the quality payout at t=3, the column cost before."""
+            rows = state[None, :]
+            if state[2] == 3.0:
+                return env.terminal_reward_batch(rows)[0]
+            return env.reward_batch(rows, np.zeros(1, dtype=np.int64), int(state[2]))[0]
+
         cases = [
             (np.array([10.0, 1.0, 3.0]), 40.0),
             (np.array([6.0, 0.5, 3.0]), 18.0),
@@ -254,7 +268,7 @@ class TestCriterion6Reward:
             (np.array([12.0, 9.0, 1.0]), -8.0),
             (np.array([12.0, 9.0, 2.0]), -8.0),
         ]
-        worst = max(abs(bioenv.reward(s, cfg) - expected) for s, expected in cases)
+        worst = max(abs(reward(s) - expected) for s, expected in cases)
         elapsed = time.perf_counter() - started
         report(6, "reward function cases", worst == 0.0 and elapsed < 1.0, f"max err {worst}, {elapsed:.2f}s")
 

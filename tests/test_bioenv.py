@@ -23,15 +23,31 @@ from greensim_rl.bioenv import (
     default_scenario,
     integrate_upstream,
     load_scenario,
-    reward,
-    sample_initial_state,
     save_scenario,
-    transition,
-    transition_logpdf,
 )
+from greensim_rl.core import rollout_batch
 from greensim_rl.policy import LinearSoftmaxPolicy, purification_features
 
 from conftest import stream
+
+ENV = ChromatographyEnv(default_scenario())
+
+
+def transition(state, action, omega, rng):
+    """One-row call of the batch sampler."""
+    return ENV.sample_transition_batch(np.array([state], dtype=float), np.array([action]), omega, rng)[0]
+
+
+def transition_logpdf(state, action, next_state, omega):
+    """One-row call of the batch log density."""
+    rows = np.array([state], dtype=float), np.array([action]), np.array([next_state], dtype=float)
+    return ENV.transition_logpdf_batch(*rows, omega)[0]
+
+
+def payout(state, cfg=RewardConfig()):
+    """Quality payout of one step-3 state under ``cfg``."""
+    env = ChromatographyEnv(dataclasses.replace(default_scenario(), reward=cfg))
+    return env.terminal_reward_batch(np.array([state], dtype=float))[0]
 
 
 def upstream(**overrides):
@@ -81,7 +97,7 @@ class TestSampleInitialState:
             p_bar=scn.p_bar,
             i_bar=scn.i_bar,
         )
-        state = sample_initial_state(quiet, stream(0))
+        state = ChromatographyEnv(quiet).sample_initial_batch(1, stream(0))[0]
         p_u, i_u = integrate_upstream(quiet.upstream, 0.11, 0.11, 780.0)
         np.testing.assert_allclose(state, [p_u, i_u, 1.0], rtol=1e-12)
 
@@ -124,10 +140,9 @@ class TestTransition:
     def test_uniform_fractions_shrink_masses(self, rng):
         omega = ModelParams(np.ones((3, 10, 4)))
         state = np.array([10.0, 5.0, 1.0])
-        for _ in range(200):
-            nxt = transition(state, 3, omega, rng)
-            assert 0 < nxt[0] < state[0] and 0 < nxt[1] < state[1]
-            assert nxt[2] == 2.0
+        nxt = ENV.sample_transition_batch(np.tile(state, (200, 1)), np.full(200, 3), omega, rng)
+        assert np.all((0 < nxt[:, 0]) & (nxt[:, 0] < state[0]) & (0 < nxt[:, 1]) & (nxt[:, 1] < state[1]))
+        assert np.all(nxt[:, 2] == 2.0)
 
     def test_seeded_transition_reproducible(self, scn):
         state = np.array([10.0, 5.0, 2.0])
@@ -138,8 +153,8 @@ class TestTransition:
     def test_beta_moment(self, rng):
         shapes = np.tile([5.0, 3.0, 5.0, 3.0], (3, 10, 1))
         omega = ModelParams(shapes)
-        state = np.array([1.0, 1.0, 1.0])
-        draws = np.array([transition(state, 0, omega, rng)[0] for _ in range(100_000)])
+        states = np.ones((100_000, 3))
+        draws = ENV.sample_transition_batch(states, np.zeros(100_000, dtype=np.int64), omega, rng)[:, 0]
         se = np.sqrt(draws.var() / draws.size)
         assert abs(draws.mean() - 5.0 / 8.0) < 3 * se
 
@@ -180,7 +195,8 @@ class TestBatchStateValidation:
             env.transition_logpdf_batch(states, np.zeros(2, dtype=np.int64), nxt, scn.true_model)
 
     def test_transition_logpdf_batch_mixed_steps_match_scalar(self, env, scn):
-        # the mixture concatenates step-1 and step-2 rows into one call
+        # the mixture concatenates step-1 and step-2 rows into one call; each
+        # row's value is the one a one-row call gives
         states = np.array([[10.0, 5.0, 1.0], [6.0, 2.0, 2.0], [10.0, 5.0, 1.0 + 1e-12]])
         actions = np.array([4, 7, 0])
         nxt = np.array([[6.0, 2.0, 2.0], [5.0, 0.5, 3.0], [3.0, 1.0, 2.0]])
@@ -238,15 +254,13 @@ class TestTransitionLogpdf:
 
         psi_fix = 0.5
         grid = np.linspace(1e-6, 1 - 1e-6, 20001)
-        dens = np.array(
-            [
-                np.exp(
-                    transition_logpdf(
-                        state, action, np.array([g * 10.0, psi_fix * 5.0, 2.0]), omega
-                    )
-                )
-                for g in grid
-            ]
+        next_states = np.column_stack(
+            [grid * 10.0, np.full(grid.size, psi_fix * 5.0), np.full(grid.size, 2.0)]
+        )
+        dens = np.exp(
+            env.transition_logpdf_batch(
+                np.tile(state, (grid.size, 1)), np.full(grid.size, action), next_states, omega
+            )
         )
         cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(grid))])
         cdf /= cdf[-1]
@@ -262,38 +276,40 @@ class TestTransitionLogpdf:
 
 class TestReward:
     def test_full_demand_case(self):
-        assert reward(np.array([10.0, 1.0, 3.0]), RewardConfig()) == pytest.approx(40.0)
+        assert payout([10.0, 1.0, 3.0]) == pytest.approx(40.0)
 
     def test_shortage_case(self):
-        assert reward(np.array([6.0, 0.5, 3.0]), RewardConfig()) == pytest.approx(18.0)
+        assert payout([6.0, 0.5, 3.0]) == pytest.approx(18.0)
 
     def test_purity_failure_case(self):
-        assert reward(np.array([20.0, 5.0, 3.0]), RewardConfig()) == pytest.approx(-48.0)
+        assert payout([20.0, 5.0, 3.0]) == pytest.approx(-48.0)
 
     def test_intermediate_steps_charge_op_cost(self):
-        cfg = RewardConfig()
-        assert reward(np.array([10.0, 10.0, 1.0]), cfg) == -8.0
-        assert reward(np.array([10.0, 10.0, 2.0]), cfg) == -8.0
+        states = np.array([[10.0, 10.0, 1.0], [12.0, 1.0, 1.0]])
+        for step in (1, 2):
+            states[:, 2] = step
+            rewards = ENV.reward_batch(states, np.array([0, 9]), step)
+            np.testing.assert_array_equal(rewards, [-8.0, -8.0])
 
     def test_zero_mass_is_purity_failure(self):
-        assert reward(np.array([0.0, 0.0, 3.0]), RewardConfig()) == pytest.approx(-48.0)
+        assert payout([0.0, 0.0, 3.0]) == pytest.approx(-48.0)
 
     def test_boundary_continuity_at_demand(self):
         cfg = RewardConfig()
-        at_demand = reward(np.array([8.0, 0.1, 3.0]), cfg)
-        just_below = reward(np.array([8.0 - 1e-9, 0.1, 3.0]), cfg)
+        at_demand = payout([8.0, 0.1, 3.0], cfg)
+        just_below = payout([8.0 - 1e-9, 0.1, 3.0], cfg)
         assert at_demand == pytest.approx(cfg.price * cfg.p_d)
         assert just_below == pytest.approx(at_demand, abs=1e-6)
 
     def test_terminal_op_cost_flag(self):
         cfg = RewardConfig(charge_terminal_op_cost=True)
-        assert reward(np.array([10.0, 1.0, 3.0]), cfg) == pytest.approx(32.0)
+        assert payout([10.0, 1.0, 3.0], cfg) == pytest.approx(32.0)
 
     @given(p=st.floats(0.001, 30.0), i=st.floats(0.001, 30.0))
     @settings(max_examples=200, deadline=None)
     def test_cases_partition_terminal_space(self, p, i):
         cfg = RewardConfig()
-        value = reward(np.array([p, i, 3.0]), cfg)
+        value = payout([p, i, 3.0], cfg)
         purity = p / (p + i)
         if purity < cfg.r_d:
             assert value == -cfg.c_f
@@ -305,13 +321,11 @@ class TestReward:
 
 class TestEnvRewardWiring:
     def test_step_rewards_and_terminal_payout(self, env, scn, mlp_policy):
-        from greensim_rl.core import rollout
-
         theta = mlp_policy.init_params(stream(5))
-        traj = rollout(env, mlp_policy, theta, scn.true_model, stream(6))
-        assert traj.rewards[0] == -scn.reward.op_cost
-        quality = reward(traj.states[2], scn.reward)
-        assert traj.rewards[1] == pytest.approx(-scn.reward.op_cost + quality)
+        batch = rollout_batch(env, mlp_policy, theta, scn.true_model, 20, stream(6))
+        np.testing.assert_array_equal(batch.rewards[:, 0], -scn.reward.op_cost)
+        quality = np.array([payout(state, scn.reward) for state in batch.states[:, 2]])
+        np.testing.assert_allclose(batch.rewards[:, 1], -scn.reward.op_cost + quality, rtol=1e-12)
 
 
 class TestCollectRealData:
@@ -329,6 +343,18 @@ class TestCollectRealData:
         for obs in data.observations:
             assert 0.0 < obs.h_fraction < 1.0
             assert 0.0 < obs.psi_fraction < 1.0
+
+    def test_observations_follow_rollout_order(self, scn, env, mlp_policy):
+        # trajectory by trajectory, step by step: the same stream's rollout, in order
+        theta = mlp_policy.init_params(stream(7))
+        data = collect_real_data(scn, mlp_policy, theta, 4, stream(11))
+        batch = rollout_batch(env, mlp_policy, theta, scn.true_model, 4, stream(11))
+        obs = data.observations
+        assert [o.step for o in obs] == [1, 2] * 4
+        assert [o.action for o in obs] == batch.actions.reshape(-1).tolist()
+        fractions = batch.states[:, 1:, :2] / batch.states[:, :-1, :2]
+        assert [o.h_fraction for o in obs] == fractions[:, :, 0].reshape(-1).tolist()
+        assert [o.psi_fraction for o in obs] == fractions[:, :, 1].reshape(-1).tolist()
 
     def test_deterministic_policy_actions_recorded(self, scn):
         policy = LinearSoftmaxPolicy(purification_features(scn.p_bar, scn.i_bar, 3), 10)

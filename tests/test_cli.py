@@ -386,3 +386,82 @@ class TestPosteriorDiagCommand:
         data.write_text(rows)
         code = cli.main(["posterior-diag", "--data", str(data), "--out", str(tmp_path / "diag.csv")])
         assert code == cli.EXIT_BAD_CONFIG
+
+
+class TestNumericArguments:
+    """Values that are invalid on their own are usage errors (exit 2) before anything runs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "0"],
+            ["simulate", "--n", "many"],
+            ["posterior-diag", "--draws", "0"],
+            ["evaluate", "--checkpoint", "ckpt.json", "--r-test", "0"],
+            ["compare", "--r-test", "0"],
+            ["compare", "--macros", "1"],
+            ["compare", "--n-i", "0"],
+            ["compare", "--n-i", "x"],
+            ["compare", "--n-i", "25,x"],
+            ["compare", "--n-i", ","],
+        ],
+        ids=[
+            "simulate-n-0",
+            "simulate-n-word",
+            "draws-0",
+            "evaluate-r-test-0",
+            "compare-r-test-0",
+            "macros-1",
+            "n-i-0",
+            "n-i-x",
+            "n-i-list-with-x",
+            "n-i-empty-list",
+        ],
+    )
+    def test_usage_error(self, tmp_path, argv, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(out)] if argv[0] != "evaluate" else argv)
+        assert exc.value.code == cli.EXIT_USAGE
+        assert argv[-2] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replication_list_parsed(self):
+        args = cli.build_parser().parse_args(["compare", "--out", "x", "--n-i", "3, 25,"])
+        assert args.n_i == [3, 25]
+
+    @pytest.mark.parametrize("window", ["1", "10"])
+    def test_window_outside_curve_exits_4_before_training(
+        self, tmp_path, scenario_file, tiny_config_file, window, monkeypatch, capsys
+    ):
+        from greensim_rl import harness
+
+        def train(*args, **kwargs):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(harness, "train", train)
+        out = tmp_path / "cmp"
+        code = cli.main(
+            [
+                "compare",
+                "--scenario",
+                str(scenario_file),
+                "--config",
+                str(tiny_config_file),
+                "--out",
+                str(out),
+                "--estimators",
+                "pg",
+                "--n-i",
+                "3",
+                "--macros",
+                "2",
+                "--window",
+                window,
+                "--threads",
+                "1",
+            ]
+        )
+        assert code == cli.EXIT_BAD_CONFIG
+        assert f"window {window}" in capsys.readouterr().err
+        assert not out.exists()

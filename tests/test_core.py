@@ -1,4 +1,4 @@
-"""Trajectory primitives, returns, rollouts, serialization."""
+"""Trajectory batches, returns, rollouts, serialization."""
 
 import io
 
@@ -9,29 +9,44 @@ from hypothesis import strategies as st
 
 from greensim_rl.core import (
     Environment,
-    Trajectory,
+    TrajectoryBatch,
     read_trajectories_jsonl,
+    returns,
     reward_to_go,
-    rollout,
     rollout_batch,
     substream,
-    trajectory_return,
     write_trajectories_jsonl,
+)
+from greensim_rl.estimators import (
+    BufferRecord,
+    ReplayBuffer,
+    ilr_gradient,
+    mlr_gradient,
+    pg_gradient,
+    trajectory_logdensity,
 )
 from greensim_rl.policy import LinearSoftmaxPolicy, onehot_features
 
 from conftest import stream
 
 
-def make_traj(rewards, provenance=-1):
+def make_batch(rewards, provenance=-1):
+    """One trajectory over a counting chain of 1-d states, with the given rewards."""
     n = len(rewards)
-    states = np.zeros((n + 1, 1))
-    states[:, 0] = np.arange(n + 1)
-    return Trajectory(states, np.zeros(n, dtype=int), np.array(rewards, dtype=float), provenance)
+    states = np.arange(n + 1, dtype=np.float64).reshape(1, n + 1, 1)
+    rewards = np.array(rewards, dtype=float).reshape(1, n)
+    return TrajectoryBatch(states, np.zeros((1, n), dtype=int), rewards, provenance)
+
+
+def assert_batches_equal(a: TrajectoryBatch, b: TrajectoryBatch) -> None:
+    for name in ("states", "actions", "rewards", "provenance"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 class ConstEnv(Environment):
-    """One action, deterministic chain, constant reward."""
+    """One action, deterministic chain, constant reward: the batch hooks only."""
 
     def __init__(self, reward=3.0, horizon=3):
         self._reward = reward
@@ -43,38 +58,40 @@ class ConstEnv(Environment):
     def action_count(self):
         return 1
 
-    def sample_initial(self, rng):
-        return np.array([0.0])
+    def sample_initial_batch(self, n, rng):
+        return np.zeros((n, 1))
 
-    def sample_transition(self, state, action, omega, rng):
-        return state + 1.0
+    def sample_transition_batch(self, states, actions, omega, rng):
+        return states + 1.0
 
-    def transition_logpdf(self, state, action, next_state, omega):
-        return 0.0
+    def transition_logpdf_batch(self, states, actions, next_states, omega):
+        return np.zeros(states.shape[0])
 
-    def reward(self, state, action, step_index):
-        return self._reward
+    def reward_batch(self, states, actions, step_index):
+        return np.full(states.shape[0], self._reward)
 
 
 class TestTrajectoryReturn:
     def test_paper_constants_sum(self):
-        traj = make_traj([-8.0, -8.0, 40.0])
-        assert trajectory_return(traj, 1.0) == pytest.approx(24.0, abs=1e-12)
+        batch = make_batch([-8.0, -8.0, 40.0])
+        assert returns(batch.rewards, 1.0)[0] == pytest.approx(24.0, abs=1e-12)
 
     def test_empty_trajectory_is_zero(self):
-        traj = Trajectory(np.zeros((1, 2)), np.zeros(0, dtype=int), np.zeros(0))
-        assert trajectory_return(traj, 0.3) == 0.0
+        batch = TrajectoryBatch(np.zeros((2, 1, 2)), np.zeros((2, 0), dtype=int), np.zeros((2, 0)))
+        np.testing.assert_array_equal(returns(batch.rewards, 0.3), [0.0, 0.0])
+        assert reward_to_go(batch.rewards, 0.3).shape == (2, 0)
 
     def test_geometric_sum(self):
-        traj = make_traj([1.0, 1.0, 1.0])
-        assert trajectory_return(traj, 0.5) == pytest.approx(1.75, abs=1e-12)
+        batch = make_batch([1.0, 1.0, 1.0])
+        assert returns(batch.rewards, 0.5)[0] == pytest.approx(1.75, abs=1e-12)
 
     def test_gamma_validation(self):
-        traj = make_traj([1.0])
-        with pytest.raises(ValueError):
-            trajectory_return(traj, 0.0)
-        with pytest.raises(ValueError):
-            trajectory_return(traj, 1.5)
+        rewards = make_batch([1.0]).rewards
+        for gamma in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                returns(rewards, gamma)
+            with pytest.raises(ValueError):
+                reward_to_go(rewards, gamma)
 
     @given(
         rewards=st.lists(st.floats(-50, 50), min_size=1, max_size=6),
@@ -82,100 +99,227 @@ class TestTrajectoryReturn:
     )
     @settings(max_examples=50, deadline=None)
     def test_scaling_by_two_is_exact(self, rewards, gamma):
-        base = trajectory_return(make_traj(rewards), gamma)
-        doubled = trajectory_return(make_traj([2.0 * r for r in rewards]), gamma)
+        base = returns(make_batch(rewards).rewards, gamma)[0]
+        doubled = returns(make_batch([2.0 * r for r in rewards]).rewards, gamma)[0]
         assert doubled == pytest.approx(2.0 * base, rel=1e-15, abs=1e-12)
+
+    def test_rows_are_independent_trajectories(self):
+        rewards = np.array([[1.0, 2.0, 3.0], [-8.0, -8.0, 40.0]])
+        np.testing.assert_allclose(returns(rewards, 0.5), [1.0 + 1.0 + 0.75, -8.0 - 4.0 + 10.0])
 
 
 class TestRewardToGo:
     def test_matches_direct_tail_sums(self):
-        rewards = np.array([1.0, -2.0, 3.0, 0.5])
+        rewards = np.array([[1.0, -2.0, 3.0, 0.5], [0.0, 4.0, -1.0, 2.0]])
         gamma = 0.9
         rtg = reward_to_go(rewards, gamma)
-        for t in range(4):
-            expected = sum(gamma ** (tp) * rewards[tp] for tp in range(t, 4))
-            assert rtg[t] == pytest.approx(expected, abs=1e-12)
+        for j in range(2):
+            for t in range(4):
+                expected = sum(gamma ** (tp) * rewards[j, tp] for tp in range(t, 4))
+                assert rtg[j, t] == pytest.approx(expected, abs=1e-12)
 
     def test_first_entry_is_return(self):
-        rewards = np.array([-8.0, 32.0])
-        assert reward_to_go(rewards, 1.0)[0] == pytest.approx(24.0)
+        rewards = np.array([[-8.0, 32.0], [1.0, 2.0]])
+        np.testing.assert_array_equal(reward_to_go(rewards, 1.0)[:, 0], returns(rewards, 1.0))
 
 
 class TestTrajectoryInvariants:
     def test_chaining_enforced_by_shape(self):
         with pytest.raises(ValueError):
-            Trajectory(np.zeros((2, 1)), np.zeros(2, dtype=int), np.zeros(2))
+            TrajectoryBatch(np.zeros((1, 2, 1)), np.zeros((1, 2), dtype=int), np.zeros((1, 2)))
 
     def test_steps_view_chains(self):
-        traj = make_traj([1.0, 2.0, 3.0])
-        for a, b in zip(traj.steps[:-1], traj.steps[1:]):
-            np.testing.assert_array_equal(a.next_state, b.state)
+        batch = TrajectoryBatch(
+            np.arange(8, dtype=float).reshape(2, 4, 1), np.zeros((2, 3), dtype=int), np.zeros((2, 3))
+        )
+        states, actions, next_states = batch.step_arrays
+        assert states.shape == next_states.shape == (6, 1) and actions.shape == (6,)
+        # trajectory-major rows: step t of trajectory j is row 3 * j + t
+        np.testing.assert_array_equal(states[:, 0], [0, 1, 2, 4, 5, 6])
+        np.testing.assert_array_equal(next_states[:, 0], [1, 2, 3, 5, 6, 7])
+        by_traj = next_states.reshape(2, 3, 1)
+        np.testing.assert_array_equal(by_traj[:, :-1], states.reshape(2, 3, 1)[:, 1:])
 
     def test_arrays_frozen(self):
-        traj = make_traj([1.0])
+        batch = make_batch([1.0, 2.0])
+        for arr in (batch.states, batch.actions, batch.rewards, batch.provenance, *batch.step_arrays):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 99
+
+    @pytest.mark.parametrize(
+        "states, actions, rewards, provenance",
+        [
+            (np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 2)), -1),  # states not (n, H, d)
+            (np.zeros((2, 0, 1)), np.zeros((2, 0)), np.zeros((2, 0)), -1),  # no state at all
+            (np.zeros((2, 3, 1)), np.zeros((3, 2)), np.zeros((2, 2)), -1),  # actions: wrong n
+            (np.zeros((2, 3, 1)), np.zeros((2, 2)), np.zeros((2, 3)), -1),  # rewards: wrong H
+            (np.zeros((2, 3, 1)), np.zeros(4), np.zeros((2, 2)), -1),  # actions flattened
+            (np.zeros((2, 3, 1)), np.zeros((2, 2)), np.zeros((2, 2)), [1, 2, 3]),  # provenance per 3
+            (np.zeros((2, 3, 1)), np.zeros((2, 2)), np.zeros((2, 2)), [[1, 2]]),  # provenance 2-d
+        ],
+    )
+    def test_mismatched_shapes_rejected(self, states, actions, rewards, provenance):
         with pytest.raises(ValueError):
-            traj.states[0, 0] = 99.0
+            TrajectoryBatch(states, actions, rewards, provenance)
+
+    def test_scalar_provenance_broadcast(self):
+        batch = TrajectoryBatch(np.zeros((3, 2, 1)), np.zeros((3, 1)), np.zeros((3, 1)), 7)
+        np.testing.assert_array_equal(batch.provenance, [7, 7, 7])
+        assert len(batch) == 3 and batch.n_steps == 1
+
+    def test_concat_keeps_order_and_provenance(self):
+        a = TrajectoryBatch(np.zeros((2, 3, 1)), np.zeros((2, 2)), np.ones((2, 2)), 1)
+        b = TrajectoryBatch(np.ones((1, 3, 1)), np.ones((1, 2)), np.full((1, 2), 2.0), 2)
+        both = TrajectoryBatch.concat([a, b])
+        np.testing.assert_array_equal(both.provenance, [1, 1, 2])
+        np.testing.assert_array_equal(both.rewards[:, 0], [1.0, 1.0, 2.0])
+        assert TrajectoryBatch.concat([a]) is a
+        with pytest.raises(ValueError):
+            shorter = TrajectoryBatch(np.zeros((1, 2, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
+            TrajectoryBatch.concat([a, shorter])
+
+    def test_record_rejects_foreign_provenance(self):
+        batch = TrajectoryBatch(np.zeros((3, 2, 1)), np.zeros((3, 1)), np.zeros((3, 1)), [4, -1, 5])
+        with pytest.raises(ValueError, match="provenance 5"):
+            BufferRecord(np.zeros(1), None, batch, 4)
+        ok = TrajectoryBatch(np.zeros((2, 2, 1)), np.zeros((2, 1)), np.zeros((2, 1)), [4, -1])
+        assert BufferRecord(np.zeros(1), None, ok, 4).n_i == 2
+
+
+class TestBatchOnlyEnvironment:
+    """A custom environment needs nothing but the batch hooks."""
+
+    def setup_method(self):
+        self.env = ConstEnv(reward=3.0, horizon=3)
+        self.policy = LinearSoftmaxPolicy(onehot_features(4), 1)
+        self.theta = np.zeros(self.policy.param_dim)
+
+    def test_no_terminal_hook_needed(self):
+        batch = rollout_batch(self.env, self.policy, self.theta, None, 4, stream(0), provenance=1)
+        np.testing.assert_array_equal(batch.states[:, :, 0], np.tile([0.0, 1.0, 2.0], (4, 1)))
+        np.testing.assert_array_equal(batch.rewards, np.full((4, 2), 3.0))
+
+    def test_estimators_run_on_it(self):
+        # one action: every score is zero, so every estimator's gradient is zero
+        batch = rollout_batch(self.env, self.policy, self.theta, None, 5, stream(1), provenance=1)
+        buffer = ReplayBuffer([BufferRecord(self.theta, None, batch, 1)])
+        logdens = trajectory_logdensity(batch, self.theta, None, self.env, self.policy)
+        np.testing.assert_array_equal(logdens, np.zeros(5))
+        diag = {}
+        for grad in (
+            pg_gradient(buffer.records[0], self.theta, self.policy),
+            ilr_gradient(buffer, self.theta, None, self.env, self.policy),
+            mlr_gradient(buffer, self.theta, None, 1, self.env, self.policy, diag_out=diag),
+        ):
+            np.testing.assert_array_equal(grad, np.zeros(self.policy.param_dim))
+        np.testing.assert_array_equal(diag["ratios"], np.ones(5))
 
 
 class TestRollout:
     def test_degenerate_env_return(self):
         env = ConstEnv(reward=3.0, horizon=3)
         policy = LinearSoftmaxPolicy(onehot_features(4), 1)
-        traj = rollout(env, policy, np.zeros(policy.param_dim), None, stream(0))
-        assert traj.n_steps == 2
-        assert trajectory_return(traj, 1.0) == pytest.approx(6.0)
+        batch = rollout_batch(env, policy, np.zeros(policy.param_dim), None, 1, stream(0))
+        assert batch.n_steps == 2
+        assert returns(batch.rewards, 1.0)[0] == pytest.approx(6.0)
 
     def test_seeded_rollouts_bitwise_identical(self, env, mlp_policy, scn):
         theta = mlp_policy.init_params(stream(1))
-        a = rollout(env, mlp_policy, theta, scn.true_model, stream(2))
-        b = rollout(env, mlp_policy, theta, scn.true_model, stream(2))
-        np.testing.assert_array_equal(a.states, b.states)
-        np.testing.assert_array_equal(a.actions, b.actions)
-        np.testing.assert_array_equal(a.rewards, b.rewards)
+        a = rollout_batch(env, mlp_policy, theta, scn.true_model, 1, stream(2))
+        b = rollout_batch(env, mlp_policy, theta, scn.true_model, 1, stream(2))
+        assert_batches_equal(a, b)
 
     def test_batch_rollouts_deterministic(self, env, mlp_policy, scn):
         theta = mlp_policy.init_params(stream(1))
         a = rollout_batch(env, mlp_policy, theta, scn.true_model, 7, stream(3))
         b = rollout_batch(env, mlp_policy, theta, scn.true_model, 7, stream(3))
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.states, y.states)
-            np.testing.assert_array_equal(x.rewards, y.rewards)
+        assert_batches_equal(a, b)
 
     def test_masses_positive_and_decreasing(self, env, mlp_policy, scn):
         # removal fractions live in (0,1), so both species shrink every step
         theta = mlp_policy.init_params(stream(1))
-        trajs = rollout_batch(env, mlp_policy, theta, scn.true_model, 1000, stream(4))
-        for traj in trajs:
-            masses = traj.states[:, :2]
-            assert np.all(masses > 0)
-            assert np.all(np.diff(masses, axis=0) < 0)
+        batch = rollout_batch(env, mlp_policy, theta, scn.true_model, 1000, stream(4))
+        masses = batch.states[:, :, :2]
+        assert np.all(masses > 0)
+        assert np.all(np.diff(masses, axis=1) < 0)
 
     def test_provenance_recorded(self, env, mlp_policy, scn):
         theta = mlp_policy.init_params(stream(1))
-        traj = rollout(env, mlp_policy, theta, scn.true_model, stream(5), provenance=12)
-        assert traj.provenance == 12
+        batch = rollout_batch(env, mlp_policy, theta, scn.true_model, 3, stream(5), provenance=12)
+        np.testing.assert_array_equal(batch.provenance, [12, 12, 12])
+
+
+# The exact text the list-of-trajectories writer produced for this batch; the
+# file format may not change.
+PINNED_JSONL = (
+    '{"provenance": 3, "steps": [[12.5, 7.25, 1.0, 4.0, -8.0, 10.0, 2.5, 2.0], '
+    '[10.0, 2.5, 2.0, 7.0, 32.0, 9.1, 0.3, 3.0]]}\n'
+    '{"provenance": -1, "steps": [[0.1, 1e-06, 1.0, 0.0, -8.0, 0.07, 3.3e-07, 2.0], '
+    '[0.07, 3.3e-07, 2.0, 9.0, -56.0, 0.05, 1.25e-07, 3.0]]}\n'
+)
+
+
+def pinned_batch() -> TrajectoryBatch:
+    return TrajectoryBatch(
+        np.array(
+            [
+                [[12.5, 7.25, 1.0], [10.0, 2.5, 2.0], [9.1, 0.3, 3.0]],
+                [[0.1, 1e-06, 1.0], [0.07, 3.3e-07, 2.0], [0.05, 1.25e-07, 3.0]],
+            ]
+        ),
+        np.array([[4, 7], [0, 9]]),
+        np.array([[-8.0, 32.0], [-8.0, -56.0]]),
+        [3, -1],
+    )
 
 
 class TestSerialization:
     def test_jsonl_round_trip(self, env, mlp_policy, scn):
         theta = mlp_policy.init_params(stream(1))
-        trajs = rollout_batch(env, mlp_policy, theta, scn.true_model, 5, stream(6), provenance=4)
+        batch = rollout_batch(env, mlp_policy, theta, scn.true_model, 5, stream(6), provenance=4)
         buf = io.StringIO()
-        write_trajectories_jsonl(trajs, buf)
+        write_trajectories_jsonl(batch, buf)
         buf.seek(0)
         back = read_trajectories_jsonl(buf, state_dim=3)
         assert len(back) == 5
-        for a, b in zip(trajs, back):
-            np.testing.assert_allclose(a.states, b.states, rtol=0, atol=0)
-            np.testing.assert_array_equal(a.actions, b.actions)
-            np.testing.assert_allclose(a.rewards, b.rewards, rtol=0, atol=0)
-            assert b.provenance == 4
+        assert_batches_equal(back, batch)
 
     def test_one_json_object_per_line(self):
         buf = io.StringIO()
-        write_trajectories_jsonl([make_traj([1.0, 2.0])], buf)
+        write_trajectories_jsonl(make_batch([1.0, 2.0]), buf)
         lines = [l for l in buf.getvalue().splitlines() if l]
         assert len(lines) == 1
+
+    def test_format_pinned(self):
+        buf = io.StringIO()
+        write_trajectories_jsonl(pinned_batch(), buf)
+        assert buf.getvalue() == PINNED_JSONL
+        back = read_trajectories_jsonl(io.StringIO(PINNED_JSONL), state_dim=3)
+        assert_batches_equal(back, pinned_batch())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # second trajectory has one step, the first two
+            PINNED_JSONL.splitlines()[0]
+            + '\n{"provenance": 3, "steps": [[1.0, 1.0, 1.0, 0.0, -8.0, 0.5, 0.5, 2.0]]}\n',
+            # a step row one number short
+            '{"provenance": 3, "steps": [[12.5, 7.25, 1.0, 4.0, -8.0, 10.0, 2.5]]}\n',
+            # rows of different lengths within one trajectory
+            '{"provenance": 3, "steps": [[1.0, 1.0, 1.0, 0.0, -8.0, 0.5, 0.5, 2.0], '
+            '[0.5, 0.5, 2.0, 1.0, 4.0]]}\n',
+            # the second step does not start where the first ended
+            '{"provenance": 3, "steps": [[1.0, 1.0, 1.0, 0.0, -8.0, 0.5, 0.5, 2.0], '
+            '[0.4, 0.5, 2.0, 1.0, 4.0, 0.2, 0.1, 3.0]]}\n',
+            # stepless trajectories and an empty file
+            '{"provenance": 3, "steps": []}\n',
+            "\n",
+        ],
+        ids=["different step counts", "short row", "ragged rows", "broken chain", "no steps", "empty file"],
+    )
+    def test_malformed_lines_rejected(self, text):
+        with pytest.raises(ValueError):
+            read_trajectories_jsonl(io.StringIO(text), state_dim=3)
 
 
 class TestSubstream:

@@ -1,26 +1,22 @@
 """Likelihood ratios, mixtures, and the four gradient estimators."""
 
-import io
-
 import numpy as np
 import pytest
 
-from greensim_rl.core import Trajectory, reward_to_go, rollout_batch, trajectory_return
+from greensim_rl.core import TrajectoryBatch, returns, rollout_batch
 from greensim_rl.estimators import (
     BufferRecord,
     EstimatorError,
     MixtureWeights,
     ReplayBuffer,
+    _log_mixture,
     ilr_gradient,
     ilr_mean_estimate,
-    mixture_logdensity,
     mlr_gradient,
-    mlr_ratio,
     mlr_ratios_batch,
     pg_gradient,
     tlr_gradient,
-    traj_rel_logdensity,
-    write_diagnostics_csv,
+    trajectory_logdensity,
 )
 from greensim_rl.oracle import TabularEnv, TabularMDP, enumerate_trajectories
 from greensim_rl.policy import FeatureMap, LinearSoftmaxPolicy, onehot_features
@@ -65,8 +61,9 @@ class TestBufferStructure:
             BufferRecord(theta, toy_mdp.transition, trajs, 1)
 
     def test_empty_record_rejected(self):
+        empty = TrajectoryBatch(np.zeros((0, 3, 1)), np.zeros((0, 2)), np.zeros((0, 2)))
         with pytest.raises(ValueError):
-            BufferRecord(np.zeros(2), None, [], 1)
+            BufferRecord(np.zeros(2), None, empty, 1)
 
     def test_own_density_cache_matches_recompute(self, toy_mdp, tab_policy, rng):
         env = TabularEnv(toy_mdp)
@@ -75,20 +72,37 @@ class TestBufferStructure:
         cached = buffer.own_logdensity(0, env, tab_policy)
         again = buffer.own_logdensity(0, env, tab_policy)
         assert cached is again  # memoized
-        direct = np.array(
-            [
-                traj_rel_logdensity(t, theta, toy_mdp.transition, env, tab_policy)
-                for t in buffer.records[0].trajectories
-            ]
-        )
+        batch = buffer.records[0].trajectories
+        direct = trajectory_logdensity(batch, theta, toy_mdp.transition, env, tab_policy)
         np.testing.assert_allclose(cached, direct, atol=1e-12)
 
 
 class TestTrajRelLogdensity:
     def test_stepless_trajectory_is_zero(self, toy_mdp, tab_policy):
         env = TabularEnv(toy_mdp)
-        traj = Trajectory(np.zeros((1, 1)), np.zeros(0, dtype=int), np.zeros(0))
-        assert traj_rel_logdensity(traj, np.zeros(4), toy_mdp.transition, env, tab_policy) == 0.0
+        batch = TrajectoryBatch(np.zeros((3, 1, 1)), np.zeros((3, 0), dtype=int), np.zeros((3, 0)))
+        for policy_only in (False, True):
+            value = trajectory_logdensity(
+                batch, np.zeros(4), toy_mdp.transition, env, tab_policy, policy_only
+            )
+            np.testing.assert_array_equal(value, np.zeros(3))
+
+    def test_stepless_buffer_gives_zero_gradients(self, tab_policy):
+        # horizon 1: the enumeration yields stepless trajectories only
+        mdp = TabularMDP(np.full((2, 2, 2), 0.5), np.ones((2, 2)), np.array([0.5, 0.5]), horizon=1)
+        env = TabularEnv(mdp)
+        theta = np.zeros(tab_policy.param_dim)
+        batch, probs = enumerate_trajectories(mdp, theta, tab_policy)
+        assert batch.n_steps == 0 and len(batch) == 2
+        buffer = ReplayBuffer([BufferRecord(theta, mdp.transition, batch, 1)])
+        for grad in (
+            pg_gradient(buffer.records[0], theta, tab_policy),
+            ilr_gradient(buffer, theta, mdp.transition, env, tab_policy),
+            mlr_gradient(buffer, theta, mdp.transition, 1, env, tab_policy),
+            tlr_gradient(buffer, theta, 1, tab_policy),
+        ):
+            np.testing.assert_array_equal(grad, np.zeros(tab_policy.param_dim))
+        assert ilr_mean_estimate(buffer, theta, mdp.transition, 1.0, env, tab_policy) == 0.0
 
     def test_uniform_closed_form(self, scn, env, mlp_policy):
         # uniform policy over 10 actions and Beta(1,1) fractions: each step
@@ -97,73 +111,63 @@ class TestTrajRelLogdensity:
 
         uniform_model = ModelParams(np.ones((3, 10, 4)))
         theta = np.zeros(mlp_policy.param_dim)
-        trajs = rollout_batch(env, mlp_policy, theta, uniform_model, 3, stream(2))
-        for traj in trajs:
-            value = traj_rel_logdensity(traj, theta, uniform_model, env, mlp_policy)
-            assert value == pytest.approx(2 * np.log(0.1), abs=1e-12)
+        batch = rollout_batch(env, mlp_policy, theta, uniform_model, 3, stream(2))
+        value = trajectory_logdensity(batch, theta, uniform_model, env, mlp_policy)
+        np.testing.assert_allclose(value, np.full(3, 2 * np.log(0.1)), rtol=0, atol=1e-12)
 
     def test_matches_per_step_recomputation(self, scn, env, mlp_policy, rng):
         theta = mlp_policy.init_params(stream(3))
-        trajs = rollout_batch(env, mlp_policy, theta, scn.true_model, 5, stream(4))
-        for traj in trajs:
+        batch = rollout_batch(env, mlp_policy, theta, scn.true_model, 5, stream(4))
+        value = trajectory_logdensity(batch, theta, scn.true_model, env, mlp_policy)
+        for j in range(5):
             total = 0.0
-            for t in range(traj.n_steps):
-                total += mlp_policy.log_prob(theta, traj.states[t], int(traj.actions[t]))
-                total += env.transition_logpdf(
-                    traj.states[t], int(traj.actions[t]), traj.states[t + 1], scn.true_model
-                )
-            value = traj_rel_logdensity(traj, theta, scn.true_model, env, mlp_policy)
-            assert value == pytest.approx(total, abs=1e-12)
+            for t in range(batch.n_steps):
+                s, s2 = batch.states[j, t : t + 1], batch.states[j, t + 1 : t + 2]
+                a = batch.actions[j, t : t + 1]
+                total += mlp_policy.log_prob_batch(theta, s, a)[0]
+                total += env.transition_logpdf_batch(s, a, s2, scn.true_model)[0]
+            assert value[j] == pytest.approx(total, abs=1e-12)
 
 
 class TestMixtureLogdensity:
+    """``log sum_i alpha_i D_i(tau)`` from the per-trajectory log densities."""
+
     def test_single_component_reduces(self, toy_mdp, tab_policy, rng):
         env = TabularEnv(toy_mdp)
         theta = 0.2 * rng.standard_normal(tab_policy.param_dim)
-        trajs = rollout_batch(env, tab_policy, theta, toy_mdp.transition, 3, stream(5))
-        for traj in trajs:
-            own = traj_rel_logdensity(traj, theta, toy_mdp.transition, env, tab_policy)
-            mix = mixture_logdensity(
-                traj, [(theta, toy_mdp.transition)], MixtureWeights(np.array([1.0])), env, tab_policy
-            )
-            assert mix == pytest.approx(own, abs=1e-12)
+        batch = rollout_batch(env, tab_policy, theta, toy_mdp.transition, 3, stream(5))
+        own = trajectory_logdensity(batch, theta, toy_mdp.transition, env, tab_policy)
+        mix = _log_mixture(own[None, :], MixtureWeights(np.array([1.0])).alphas)
+        np.testing.assert_allclose(mix, own, rtol=0, atol=1e-12)
 
     def test_identical_components_collapse(self, toy_mdp, tab_policy, rng):
         env = TabularEnv(toy_mdp)
         theta = 0.2 * rng.standard_normal(tab_policy.param_dim)
-        comp = (theta, toy_mdp.transition)
-        trajs = rollout_batch(env, tab_policy, theta, toy_mdp.transition, 3, stream(6))
-        for traj in trajs:
-            own = traj_rel_logdensity(traj, theta, toy_mdp.transition, env, tab_policy)
-            mix = mixture_logdensity(
-                traj, [comp, comp], MixtureWeights(np.array([0.5, 0.5])), env, tab_policy
-            )
-            assert mix == pytest.approx(own, abs=1e-12)
+        batch = rollout_batch(env, tab_policy, theta, toy_mdp.transition, 3, stream(6))
+        own = trajectory_logdensity(batch, theta, toy_mdp.transition, env, tab_policy)
+        mix = _log_mixture(np.stack([own, own]), MixtureWeights(np.array([0.5, 0.5])).alphas)
+        np.testing.assert_allclose(mix, own, rtol=0, atol=1e-12)
 
     def test_matches_high_precision_sum(self, toy_mdp, tab_policy, rng):
-        from fractions import Fraction
+        import mpmath
 
         env = TabularEnv(toy_mdp)
         components = [
             (0.4 * rng.standard_normal(tab_policy.param_dim), random_tensor(rng)) for _ in range(5)
         ]
         alphas = MixtureWeights.from_counts([1, 2, 3, 4, 5])
-        trajs = rollout_batch(env, tab_policy, components[0][0], components[0][1], 5, stream(7))
-        import mpmath
-
-        for traj in trajs:
-            logds = [
-                traj_rel_logdensity(traj, th, om, env, tab_policy) for th, om in components
-            ]
+        batch = rollout_batch(env, tab_policy, components[0][0], components[0][1], 5, stream(7))
+        logds = np.stack([trajectory_logdensity(batch, th, om, env, tab_policy) for th, om in components])
+        mine = _log_mixture(logds, alphas.alphas)
+        for j in range(len(batch)):
             with mpmath.workdps(60):
                 exact = mpmath.log(
                     mpmath.fsum(
                         mpmath.mpf(a) * mpmath.e**mpmath.mpf(ld)
-                        for a, ld in zip(alphas.alphas, logds)
+                        for a, ld in zip(alphas.alphas, logds[:, j])
                     )
                 )
-            mine = mixture_logdensity(traj, components, alphas, env, tab_policy)
-            assert abs(mine - float(exact)) <= 1e-10 * max(1.0, abs(float(exact)))
+            assert abs(mine[j] - float(exact)) <= 1e-10 * max(1.0, abs(float(exact)))
 
 
 class TestMlrRatio:
@@ -171,11 +175,9 @@ class TestMlrRatio:
         env = TabularEnv(toy_mdp)
         theta = 0.2 * rng.standard_normal(tab_policy.param_dim)
         comp = (theta, toy_mdp.transition)
-        trajs = rollout_batch(env, tab_policy, theta, toy_mdp.transition, 3, stream(8))
-        for traj in trajs:
-            assert mlr_ratio(
-                traj, comp, [comp], MixtureWeights(np.array([1.0])), env, tab_policy
-            ) == pytest.approx(1.0, abs=1e-12)
+        batch = rollout_batch(env, tab_policy, theta, toy_mdp.transition, 3, stream(8))
+        ratios = mlr_ratios_batch(batch, comp, [comp], MixtureWeights(np.array([1.0])), env, tab_policy)
+        np.testing.assert_allclose(ratios, np.ones(3), rtol=0, atol=1e-12)
 
     def test_bounded_by_inverse_weight(self, toy_mdp, tab_policy, rng):
         env = TabularEnv(toy_mdp)
@@ -187,10 +189,9 @@ class TestMlrRatio:
             counts = rng.integers(1, 30, size=5)
             weights = MixtureWeights.from_counts(counts)
             k = int(rng.integers(5))
-            trajs = rollout_batch(env, tab_policy, components[k][0], components[k][1], 4, stream(9, case))
-            for traj in trajs:
-                f = mlr_ratio(traj, components[k], components, weights, env, tab_policy)
-                assert f <= 1.0 / weights.alphas[k] + 1e-12
+            batch = rollout_batch(env, tab_policy, components[k][0], components[k][1], 4, stream(9, case))
+            f = mlr_ratios_batch(batch, components[k], components, weights, env, tab_policy)
+            assert np.all(f <= 1.0 / weights.alphas[k] + 1e-12)
 
     def test_mixture_mass_integrates_to_one(self, toy_mdp, tab_policy, rng):
         # sum over all trajectories of mixture(tau) * f(tau) telescopes to 1
@@ -200,24 +201,21 @@ class TestMlrRatio:
         ]
         weights = MixtureWeights.from_counts([2, 1, 2])
         target = components[-1]
-        total = 0.0
-        seen = set()
-        for i, (theta_i, omega_i) in enumerate(components):
-            for traj, prob in enumerate_trajectories(toy_mdp, theta_i, tab_policy, omega=omega_i):
-                key = (int(traj.states[0, 0]),) + tuple(
-                    (int(a), int(s)) for a, s in zip(traj.actions, traj.states[1:, 0])
-                )
-                if key in seen:
-                    continue
-                seen.add(key)
-                # mixture probability of this trajectory (full measure)
-                mix_prob = 0.0
-                for (th, om), alpha in zip(components, weights.alphas):
-                    d = np.exp(traj_rel_logdensity(traj, th, om, env, tab_policy))
-                    mix_prob += alpha * toy_mdp.initial[int(traj.states[0, 0])] * d
-                f = mlr_ratio(traj, target, components, weights, env, tab_policy)
-                total += mix_prob * f
-        assert total == pytest.approx(1.0, abs=1e-12)
+        pooled = TrajectoryBatch.concat(
+            [enumerate_trajectories(toy_mdp, th, tab_policy, omega=om)[0] for th, om in components]
+        )
+        first_seen = {}
+        for j in range(len(pooled)):
+            first_seen.setdefault((tuple(pooled.states[j, :, 0]), tuple(pooled.actions[j])), j)
+        keep = sorted(first_seen.values())
+        batch = TrajectoryBatch(pooled.states[keep], pooled.actions[keep], pooled.rewards[keep])
+        # mixture probability of each trajectory (full measure)
+        densities = np.exp(
+            np.stack([trajectory_logdensity(batch, th, om, env, tab_policy) for th, om in components])
+        )
+        mix_prob = toy_mdp.initial[batch.states[:, 0, 0].astype(int)] * (weights.alphas @ densities)
+        f = mlr_ratios_batch(batch, target, components, weights, env, tab_policy)
+        assert float(np.sum(mix_prob * f)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPgGradient:
@@ -284,10 +282,9 @@ class TestReductionLattice:
             env, tab_policy, [(theta, toy_mdp.transition)] * 3, 10
         )
         # pooled PG over all records
-        flat_all = [t for r in buffer.records for t in r.trajectories]
-        pooled = BufferRecord(theta, toy_mdp.transition, [
-            Trajectory(t.states, t.actions, t.rewards) for t in flat_all
-        ], 1)
+        flat_all = TrajectoryBatch.concat([r.trajectories for r in buffer.records])
+        unowned = TrajectoryBatch(flat_all.states, flat_all.actions, flat_all.rewards)
+        pooled = BufferRecord(theta, toy_mdp.transition, unowned, 1)
         pg = pg_gradient(pooled, theta, tab_policy, 0.9)
         ilr = ilr_gradient(buffer, theta, toy_mdp.transition, env, tab_policy, 0.9)
         mlr = mlr_gradient(buffer, theta, toy_mdp.transition, 3, env, tab_policy, 0.9)
@@ -310,9 +307,7 @@ class TestIlrMeanEstimate:
         theta = 0.3 * rng.standard_normal(tab_policy.param_dim)
         buffer = make_buffer(env, tab_policy, [(theta, toy_mdp.transition)], 40)
         est = ilr_mean_estimate(buffer, theta, toy_mdp.transition, 0.9, env, tab_policy)
-        mc = np.mean(
-            [trajectory_return(t, 0.9) for t in buffer.records[0].trajectories]
-        )
+        mc = np.mean(returns(buffer.records[0].trajectories.rewards, 0.9))
         assert est == pytest.approx(mc, abs=1e-12)
 
     def test_zero_rewards_zero_value(self, tab_policy, rng):
@@ -374,10 +369,10 @@ class TestLogDomainSafety:
         )
         env = TabularEnv(mdp)
         theta = np.zeros(tab_policy.param_dim)
-        traj = rollout_batch(env, tab_policy, theta, deterministic, 1, stream(12))[0]
+        batch = rollout_batch(env, tab_policy, theta, deterministic, 1, stream(12))
         with pytest.raises(EstimatorError):
-            mlr_ratio(
-                traj,
+            mlr_ratios_batch(
+                batch,
                 (theta, deterministic),
                 [(theta, other)],
                 MixtureWeights(np.array([1.0])),
@@ -429,7 +424,7 @@ class TestWindowDensityMemo:
             window_gradient("mlr", buffer, window, env, tab_policy, diag)
             records = buffer.window(window)
             want = mlr_ratios_batch(
-                [t for r in records for t in r.trajectories],
+                TrajectoryBatch.concat([r.trajectories for r in records]),
                 (records[-1].theta, records[-1].omega),
                 [(r.theta, r.omega) for r in records],
                 MixtureWeights.from_counts([r.n_i for r in records]),
@@ -482,8 +477,8 @@ class TestWindowDensityMemo:
         buffer = make_buffer(env, tab_policy, [(theta, random_tensor(rng)), (theta, deterministic)], 20)
         diag = {}
         window_gradient("mlr", buffer, 2, env, tab_policy, diag)
-        dead = np.array(
-            [np.any(t.states[1:, 0] == 0) for r in buffer.records for t in r.trajectories]
+        dead = np.concatenate(
+            [np.any(r.trajectories.states[:, 1:, 0] == 0, axis=1) for r in buffer.records]
         )
         assert dead.any() and not dead.all()
         assert np.all(diag["ratios"][dead] == 0.0)
@@ -556,13 +551,3 @@ class TestDiagnostics:
         mlr_gradient(buffer, thetas[-1], toy_mdp.transition, 3, env, tab_policy, diag_out=diag)
         assert 0 < diag["max_ratio"] <= 3.0 + 1e-12  # bounded by 1/alpha
         assert 0 < diag["ess"] <= 30.0
-
-    def test_csv_writer(self):
-        buf = io.StringIO()
-        write_diagnostics_csv(
-            [{"iteration": 1, "estimator": "mlr", "grad_norm": 1.5, "max_ratio": 2.0, "ess": 12.0}],
-            buf,
-        )
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "iteration,estimator,grad_norm,max_ratio,ess"
-        assert lines[1].startswith("1,mlr,1.5")

@@ -139,6 +139,28 @@ class TestRunComparison:
         with pytest.raises(ValueError):
             run_comparison(**args)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"window": 1},
+            {"window": 5},  # beyond the 4 training iterations
+            {"r_test": 0},
+            {"n_i_grid": [0]},
+            {"n_i_grid": []},
+            {"estimator_kinds": ["pg", "zzz"]},
+        ],
+        ids=["window-1", "window-past-curve", "r-test-0", "n-i-0", "no-n-i", "unknown-estimator"],
+    )
+    def test_bad_arguments_rejected_before_training(self, scn, change, monkeypatch):
+        from greensim_rl import harness
+
+        def train(*args, **kwargs):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(harness, "train", train)
+        with pytest.raises(ValueError):
+            run_comparison(**{**self.small_args(scn), **change})
+
     def test_parallel_matches_serial(self, scn, tmp_path):
         args = self.small_args(scn)
         rows_serial, results_serial, _ = run_comparison(**args)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from greensim_rl.core import rollout_batch, trajectory_return
+from greensim_rl.core import returns, rollout_batch
 from greensim_rl.harness import evaluate_policy
 from greensim_rl.oracle import (
     TabularEnv,
@@ -37,9 +37,9 @@ class TestEnumeration:
             horizon=2,
         )
         policy = LinearSoftmaxPolicy(onehot_features(1), 1)
-        enum = enumerate_trajectories(mdp, np.zeros(1), policy)
-        assert len(enum) == 1
-        assert enum[0][1] == pytest.approx(1.0)
+        batch, probs = enumerate_trajectories(mdp, np.zeros(1), policy)
+        assert len(batch) == 1
+        assert probs[0] == pytest.approx(1.0)
 
     def test_uniform_counting(self, tab_policy):
         mdp = TabularMDP(
@@ -48,22 +48,28 @@ class TestEnumeration:
             initial=np.array([0.5, 0.5]),
             horizon=2,
         )
-        enum = enumerate_trajectories(mdp, np.zeros(4), tab_policy)
-        assert len(enum) == 8
-        for _, prob in enum:
-            assert prob == pytest.approx(1.0 / 8.0, abs=1e-15)
+        batch, probs = enumerate_trajectories(mdp, np.zeros(4), tab_policy)
+        assert len(batch) == 8 and probs.shape == (8,)
+        np.testing.assert_allclose(probs, 1.0 / 8.0, rtol=0, atol=1e-15)
 
     def test_probabilities_sum_to_one(self, toy_mdp, tab_policy, rng):
         theta = 0.4 * rng.standard_normal(4)
-        enum = enumerate_trajectories(toy_mdp, theta, tab_policy)
-        assert sum(p for _, p in enum) == pytest.approx(1.0, abs=1e-10)
+        _, probs = enumerate_trajectories(toy_mdp, theta, tab_policy)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_rewards_recorded(self, toy_mdp, tab_policy):
-        enum = enumerate_trajectories(toy_mdp, np.zeros(4), tab_policy)
-        traj, _ = enum[0]
-        for t in range(traj.n_steps):
-            s, a = int(traj.states[t, 0]), int(traj.actions[t])
-            assert traj.rewards[t] == toy_mdp.rewards[s, a]
+        batch, _ = enumerate_trajectories(toy_mdp, np.zeros(4), tab_policy)
+        for j in range(len(batch)):
+            for t in range(batch.n_steps):
+                s, a = int(batch.states[j, t, 0]), int(batch.actions[j, t])
+                assert batch.rewards[j, t] == toy_mdp.rewards[s, a]
+
+    def test_paths_are_distinct_and_feasible(self, toy_mdp, tab_policy):
+        batch, probs = enumerate_trajectories(toy_mdp, np.zeros(4), tab_policy)
+        assert batch.states.shape == (len(probs), toy_mdp.horizon, 1)
+        paths = {(tuple(s), tuple(a)) for s, a in zip(batch.states[:, :, 0], batch.actions)}
+        assert len(paths) == len(batch) == 2 * 4 * 4  # every branch of the toy MDP is open
+        assert np.all(probs > 0.0)
 
 
 class TestExactExpectedReturn:
@@ -84,10 +90,10 @@ class TestExactExpectedReturn:
         theta = 0.4 * rng.standard_normal(4)
         exact = exact_expected_return(toy_mdp, theta, 0.9, tab_policy)
         env = TabularEnv(toy_mdp)
-        trajs = rollout_batch(env, tab_policy, theta, toy_mdp.transition, 1_000_000, stream(40))
-        returns = np.array([trajectory_return(t, 0.9) for t in trajs])
-        se = returns.std() / np.sqrt(returns.size)
-        assert abs(returns.mean() - exact) < 4 * se
+        batch = rollout_batch(env, tab_policy, theta, toy_mdp.transition, 1_000_000, stream(40))
+        values = returns(batch.rewards, 0.9)
+        se = values.std() / np.sqrt(values.size)
+        assert abs(values.mean() - exact) < 4 * se
 
 
 class TestExactPolicyGradient:
@@ -123,10 +129,11 @@ class TestExactPolicyGradient:
 
     def test_score_zero_mean_over_trajectories(self, toy_mdp, tab_policy, rng):
         theta = 0.4 * rng.standard_normal(4)
-        total = np.zeros(4)
-        for traj, prob in enumerate_trajectories(toy_mdp, theta, tab_policy):
-            scores = tab_policy.grad_log_prob_batch(theta, traj.states[:-1], traj.actions)
-            total += prob * scores.sum(axis=0)
+        batch, probs = enumerate_trajectories(toy_mdp, theta, tab_policy)
+        states, actions, _ = batch.step_arrays
+        scores = tab_policy.grad_log_prob_batch(theta, states, actions)
+        scores = scores.reshape(len(batch), batch.n_steps, 4)
+        total = probs @ scores.sum(axis=1)
         np.testing.assert_allclose(total, 0.0, atol=1e-10)
 
 
@@ -177,22 +184,24 @@ class TestEstimatorExpectations:
         gamma = 0.9
         env = TabularEnv(toy_mdp)
         from greensim_rl.core import reward_to_go
-        from greensim_rl.estimators import traj_rel_logdensity
+        from greensim_rl.estimators import trajectory_logdensity
 
         expect_rtg = np.zeros(4)
         expect_full = np.zeros(4)
         k = len(components)
         for theta_i, omega_i in components:
-            for traj, prob in enumerate_trajectories(toy_mdp, theta_i, tab_policy, omega=omega_i):
-                ratio = np.exp(
-                    traj_rel_logdensity(traj, theta_k, omega_k, env, tab_policy)
-                    - traj_rel_logdensity(traj, theta_i, omega_i, env, tab_policy)
-                )
-                scores = tab_policy.grad_log_prob_batch(theta_k, traj.states[:-1], traj.actions)
-                rtg = reward_to_go(traj.rewards, gamma)
-                full = rtg[0]
-                expect_rtg += (prob / k) * ratio * (scores.T @ rtg)
-                expect_full += (prob / k) * ratio * scores.sum(axis=0) * full
+            batch, probs = enumerate_trajectories(toy_mdp, theta_i, tab_policy, omega=omega_i)
+            ratio = np.exp(
+                trajectory_logdensity(batch, theta_k, omega_k, env, tab_policy)
+                - trajectory_logdensity(batch, theta_i, omega_i, env, tab_policy)
+            )
+            states, actions, _ = batch.step_arrays
+            scores = tab_policy.grad_log_prob_batch(theta_k, states, actions)
+            scores = scores.reshape(len(batch), batch.n_steps, 4)
+            rtg = reward_to_go(batch.rewards, gamma)
+            weight = (probs / k) * ratio
+            expect_rtg += np.einsum("j,jtp,jt->p", weight, scores, rtg)
+            expect_full += np.einsum("j,jtp,j->p", weight, scores, rtg[:, 0])
         np.testing.assert_allclose(expect_rtg, expect_full, atol=1e-10)
 
 
@@ -201,10 +210,10 @@ class TestEvaluatePolicyOnToy:
         theta = 0.4 * rng.standard_normal(4)
         exact = exact_expected_return(toy_mdp, theta, 1.0, tab_policy)
         env = TabularEnv(toy_mdp)
-        trajs = rollout_batch(env, tab_policy, theta, toy_mdp.transition, 100_000, stream(41))
-        returns = np.array([trajectory_return(t, 1.0) for t in trajs])
+        batch = rollout_batch(env, tab_policy, theta, toy_mdp.transition, 100_000, stream(41))
+        values = returns(batch.rewards, 1.0)
         value = evaluate_policy(theta, env, toy_mdp.transition, tab_policy, 100_000, stream(41))
-        se = returns.std() / np.sqrt(returns.size)
+        se = values.std() / np.sqrt(values.size)
         assert abs(value - exact) < 4 * se
 
 

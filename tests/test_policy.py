@@ -19,13 +19,32 @@ from greensim_rl.policy import (
 from conftest import stream
 
 
+# One-row calls into the batch contract.
+
+
+def row(state):
+    return np.asarray(state, dtype=np.float64)[None, :]
+
+
+def action_probs(policy, theta, state):
+    return policy.action_probs_batch(theta, row(state))[0]
+
+
+def log_prob(policy, theta, state, action):
+    return policy.log_prob_batch(theta, row(state), np.array([action]))[0]
+
+
+def grad_log_prob(policy, theta, state, action):
+    return policy.grad_log_prob_batch(theta, row(state), np.array([action]))[0]
+
+
 def finite_difference_grad(policy, theta, state, action, h):
     grad = np.zeros_like(theta)
     for j in range(theta.size):
         e = np.zeros_like(theta)
         e[j] = h
         grad[j] = (
-            policy.log_prob(theta + e, state, action) - policy.log_prob(theta - e, state, action)
+            log_prob(policy, theta + e, state, action) - log_prob(policy, theta - e, state, action)
         ) / (2 * h)
     return grad
 
@@ -60,7 +79,7 @@ class TestLinearSoftmax:
     def test_zero_theta_grad_is_centered_feature(self, rng):
         state = rng.normal(size=3)
         theta = np.zeros(self.policy.param_dim)
-        grad = self.policy.grad_log_prob(theta, state, 1)
+        grad = grad_log_prob(self.policy, theta, state, 1)
         blocks = grad.reshape(4, 3)
         # uniform policy: phi(s,a) minus the average of all action blocks
         np.testing.assert_allclose(blocks[1], state * (1 - 0.25), atol=1e-12)
@@ -69,8 +88,8 @@ class TestLinearSoftmax:
     def test_block_structure(self, rng):
         state = rng.normal(size=3)
         theta = rng.normal(size=self.policy.param_dim)
-        probs = self.policy.action_probs(theta, state)
-        grad = self.policy.grad_log_prob(theta, state, 2).reshape(4, 3)
+        probs = action_probs(self.policy, theta, state)
+        grad = grad_log_prob(self.policy, theta, state, 2).reshape(4, 3)
         np.testing.assert_allclose(grad[2], state * (1 - probs[2]), atol=1e-12)
         for a in (0, 1, 3):
             np.testing.assert_allclose(grad[a], -state * probs[a], atol=1e-12)
@@ -80,7 +99,7 @@ class TestLinearSoftmax:
             theta = rng.normal(size=self.policy.param_dim)
             state = rng.normal(size=3)
             action = int(rng.integers(4))
-            grad = self.policy.grad_log_prob(theta, state, action)
+            grad = grad_log_prob(self.policy, theta, state, action)
             fd = finite_difference_grad(self.policy, theta, state, action, 1e-6)
             assert np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
 
@@ -90,7 +109,7 @@ class TestMlpSoftmax:
         self.policy = MlpSoftmaxPolicy(identity_features(3), 10, hidden_dim=16)
 
     def test_zero_theta_uniform(self):
-        probs = self.policy.action_probs(np.zeros(self.policy.param_dim), np.ones(3))
+        probs = action_probs(self.policy, np.zeros(self.policy.param_dim), np.ones(3))
         np.testing.assert_allclose(probs, np.full(10, 0.1), atol=1e-15)
 
     def test_second_layer_shrink_gives_uniform(self, rng):
@@ -98,19 +117,19 @@ class TestMlpSoftmax:
         w, b = self.policy.unpack(theta)
         for c in (1e-3, 1e-6):
             squeezed = np.concatenate([w.ravel(), c * b.ravel()])
-            probs = self.policy.action_probs(squeezed, rng.normal(size=3))
+            probs = action_probs(self.policy, squeezed, rng.normal(size=3))
             assert np.max(np.abs(probs - 0.1)) < 20 * c
 
     def test_probs_sum_to_one(self, rng):
         for _ in range(25):
             theta = self.policy.init_params(rng, scale=1.0)
-            probs = self.policy.action_probs(theta, rng.normal(size=3))
+            probs = action_probs(self.policy, theta, rng.normal(size=3))
             assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_zero_theta_output_bias_grad(self):
         # at uniform output, the logit-bias gradient is onehot(a) - 1/A
         theta = np.zeros(self.policy.param_dim)
-        grad = self.policy.grad_log_prob(theta, np.array([0.3, -0.2, 1.0]), 7)
+        grad = grad_log_prob(self.policy, theta, np.array([0.3, -0.2, 1.0]), 7)
         _, b_grad = self.policy.unpack(grad)
         np.testing.assert_allclose(b_grad[:, 0], np.eye(10)[7] - 0.1, atol=1e-12)
 
@@ -119,7 +138,7 @@ class TestMlpSoftmax:
             theta = self.policy.init_params(rng, scale=0.5)
             state = rng.normal(size=3)
             action = int(rng.integers(10))
-            grad = self.policy.grad_log_prob(theta, state, action)
+            grad = grad_log_prob(self.policy, theta, state, action)
             fd = finite_difference_grad(self.policy, theta, state, action, 1e-5)
             assert np.linalg.norm(grad - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
 
@@ -127,25 +146,39 @@ class TestMlpSoftmax:
         for _ in range(10):
             theta = self.policy.init_params(rng, scale=0.5)
             state = rng.normal(size=3)
-            probs = self.policy.action_probs(theta, state)
+            probs = action_probs(self.policy, theta, state)
             total = sum(
-                probs[a] * self.policy.grad_log_prob(theta, state, a) for a in range(10)
+                probs[a] * grad_log_prob(self.policy, theta, state, a) for a in range(10)
             )
             assert np.max(np.abs(total)) < 1e-10
 
     def test_log_prob_consistency(self, rng):
         theta = self.policy.init_params(rng)
         state = rng.normal(size=3)
-        probs = self.policy.action_probs(theta, state)
+        probs = action_probs(self.policy, theta, state)
         for a in range(10):
-            assert self.policy.log_prob(theta, state, a) == pytest.approx(
+            assert log_prob(self.policy, theta, state, a) == pytest.approx(
                 np.log(probs[a]), abs=1e-12
             )
 
     def test_grad_shape_matches_param_dim(self):
         assert self.policy.param_dim == 16 * 4 + 10 * 17
-        grad = self.policy.grad_log_prob(np.zeros(self.policy.param_dim), np.zeros(3), 0)
+        grad = grad_log_prob(self.policy, np.zeros(self.policy.param_dim), np.zeros(3), 0)
         assert grad.shape == (self.policy.param_dim,)
+
+    def test_batch_rows_match_one_row_calls(self, rng):
+        theta = self.policy.init_params(rng, scale=0.5)
+        states = rng.normal(size=(7, 3))
+        actions = rng.integers(0, 10, size=7)
+        probs = self.policy.action_probs_batch(theta, states)
+        logp = self.policy.log_prob_batch(theta, states, actions)
+        grads = self.policy.grad_log_prob_batch(theta, states, actions)
+        assert probs.shape == (7, 10) and logp.shape == (7,) and grads.shape == (7, self.policy.param_dim)
+        for n in range(7):
+            np.testing.assert_allclose(probs[n], action_probs(self.policy, theta, states[n]), atol=1e-15)
+            assert logp[n] == pytest.approx(log_prob(self.policy, theta, states[n], actions[n]), abs=1e-14)
+            one_row = grad_log_prob(self.policy, theta, states[n], actions[n])
+            np.testing.assert_allclose(grads[n], one_row, atol=1e-14)
 
     def test_weighted_score_sum_matches_explicit(self, rng):
         theta = self.policy.init_params(rng)
@@ -162,10 +195,9 @@ class TestSampling:
         policy = LinearSoftmaxPolicy(onehot_features(1), 3)
         theta = np.array([1.0, 0.0, -1.0])
         state = np.array([0.0])
-        probs = policy.action_probs(theta, state)
-        counts = np.bincount(
-            [policy.sample_action(theta, state, rng) for _ in range(20000)], minlength=3
-        )
+        probs = action_probs(policy, theta, state)
+        draws = policy.sample_actions_batch(theta, np.tile(state, (20000, 1)), rng)
+        counts = np.bincount(draws, minlength=3)
         np.testing.assert_allclose(counts / 20000, probs, atol=0.012)
 
 
