@@ -1,12 +1,16 @@
 """Transition-model risk quantification.
 
 The real-world dataset holds observed chromatography removal fractions per
-(step, pooling window).  Under a Unif(0, 300] prior on every Beta shape
-parameter, each (step, action, species) channel has an independent
-posterior over its ``(alpha, beta)`` pair given the fractions observed for
-that channel.  A random-walk Metropolis-Hastings chain per channel (on
-log shapes, with per-chain step-size adaptation during burn-in) produces
-joint posterior draws assembled into full model parameter tables.
+(step, pooling window) as four columns (:class:`FractionDataset`).  Under a
+Unif(0, 300] prior on every Beta shape parameter, each (step, action,
+species) channel has an independent posterior over its ``(alpha, beta)``
+pair given the fractions observed for that channel.  The Beta likelihood
+depends on a channel's fractions only through ``(n, sum log x,
+sum log(1-x))``; :class:`PosteriorState` computes these for every channel
+in one grouped reduction over the columns.  A random-walk
+Metropolis-Hastings chain per channel (on log shapes, with per-chain
+step-size adaptation during burn-in) produces joint posterior draws
+assembled into full model parameter tables.
 
 The chains advance in lockstep.  :class:`PosteriorState` holds them as
 arrays, one row per channel, and every move updates all data-backed chains
@@ -36,10 +40,8 @@ from .bioenv import ETA_L, ETA_U, PSI_L, PSI_U, ModelParams
 
 __all__ = [
     "FractionDataset",
-    "FractionObservation",
     "PosteriorState",
     "acceptance_rows",
-    "log_posterior_pair",
     "make_posterior",
     "mh_sample",
     "read_fractions_csv",
@@ -54,97 +56,72 @@ PRIOR_HIGH = 300.0
 ADAPT_EVERY = 25
 ACCEPT_LOW, ACCEPT_HIGH = 0.3, 0.5
 
+# FractionDataset columns and their dtypes, in CSV column order.
+_COLUMNS = {"step": np.int64, "action": np.int64, "h": np.float64, "psi": np.float64}
 
-@dataclass(frozen=True)
-class FractionObservation:
-    """One real-world transition measurement."""
 
-    step: int
-    action: int
-    h_fraction: float      # protein fraction retained
-    psi_fraction: float    # impurity fraction retained
+@dataclass(frozen=True, eq=False)
+class FractionDataset:
+    """All real-world fraction observations collected so far, held as columns.
+
+    Entry ``j`` is one executed transition: ``step[j]`` (1 or 2) and
+    ``action[j]`` (nonnegative) identify its (step, pooling window) cell,
+    ``h[j]`` and ``psi[j]`` are the protein and impurity fractions retained,
+    each in the open interval (0, 1).  The columns are validated at
+    construction and made read-only in place.
+    """
+
+    step: np.ndarray = ()
+    action: np.ndarray = ()
+    h: np.ndarray = ()
+    psi: np.ndarray = ()
 
     def __post_init__(self):
-        if self.step not in (1, 2):
-            raise ValueError(f"observations come from steps 1 and 2, got {self.step}")
-        if self.action < 0:
+        cols = {name: np.asarray(getattr(self, name), dtype=dtype) for name, dtype in _COLUMNS.items()}
+        if cols["step"].ndim != 1 or {arr.shape for arr in cols.values()} != {cols["step"].shape}:
+            raise ValueError("step, action, h and psi must be 1-D columns of one length")
+        bad = cols["step"][(cols["step"] != 1) & (cols["step"] != 2)]
+        if bad.size:
+            raise ValueError(f"observations come from steps 1 and 2, got {bad[0]}")
+        if (cols["action"] < 0).any():
             raise ValueError("action must be nonnegative")
-        for name in ("h_fraction", "psi_fraction"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name}={v} outside (0, 1)")
-
-
-@dataclass(frozen=True)
-class FractionDataset:
-    """All real-world fraction observations collected so far."""
-
-    observations: tuple[FractionObservation, ...] = ()
+        for name in ("h", "psi"):
+            v = cols[name]
+            bad = v[~((v > 0.0) & (v < 1.0))]
+            if bad.size:
+                raise ValueError(f"{name}={bad[0]} outside (0, 1)")
+        for name, arr in cols.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return self.step.size
 
     def union(self, other: "FractionDataset") -> "FractionDataset":
-        return FractionDataset(self.observations + other.observations)
-
-    def partition(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-        """Group fractions by (step, action) -> (protein array, impurity array)."""
-        groups: dict[tuple[int, int], tuple[list, list]] = {}
-        for obs in self.observations:
-            h, psi = groups.setdefault((obs.step, obs.action), ([], []))
-            h.append(obs.h_fraction)
-            psi.append(obs.psi_fraction)
-        return {key: (np.array(h), np.array(p)) for key, (h, p) in groups.items()}
+        return FractionDataset(*(np.concatenate([getattr(self, c), getattr(other, c)]) for c in _COLUMNS))
 
 
 def write_fractions_csv(dataset: FractionDataset, fh: IO[str]) -> None:
     writer = csv.writer(fh)
     writer.writerow(["step", "action", "h_fraction", "psi_fraction"])
-    for obs in dataset.observations:
-        writer.writerow([obs.step, obs.action, repr(obs.h_fraction), repr(obs.psi_fraction)])
+    for t, a, h, psi in zip(*(getattr(dataset, c).tolist() for c in _COLUMNS)):
+        writer.writerow([t, a, repr(h), repr(psi)])
 
 
 def read_fractions_csv(fh: IO[str]) -> FractionDataset:
-    reader = csv.DictReader(fh)
-    observations = tuple(
-        FractionObservation(
-            step=int(row["step"]),
-            action=int(row["action"]),
-            h_fraction=float(row["h_fraction"]),
-            psi_fraction=float(row["psi_fraction"]),
-        )
-        for row in reader
-    )
-    return FractionDataset(observations)
+    rows = [
+        (int(row["step"]), int(row["action"]), float(row["h_fraction"]), float(row["psi_fraction"]))
+        for row in csv.DictReader(fh)
+    ]
+    return FractionDataset(*zip(*rows)) if rows else FractionDataset()
 
 
-# --- log posterior -----------------------------------------------------------
-
-
-def _suff_stats(fractions) -> tuple[int, float, float]:
-    """Beta-likelihood sufficient statistics ``(n, sum log x, sum log(1-x))``."""
-    fractions = np.asarray(fractions, dtype=np.float64)
-    if fractions.size == 0:
-        return 0, 0.0, 0.0
-    return int(fractions.size), float(np.sum(np.log(fractions))), float(np.sum(np.log1p(-fractions)))
+# --- log likelihood ----------------------------------------------------------
 
 
 def _log_lik(alpha, beta, n, sum_log, sum_log1m):
     """Beta log likelihood from sufficient statistics; broadcasts over chains."""
     return (alpha - 1.0) * sum_log + (beta - 1.0) * sum_log1m - n * betaln(alpha, beta)
-
-
-def log_posterior_pair(shapes, fractions) -> float:
-    """Unnormalized log posterior of one (alpha, beta) pair.
-
-    The flat prior over (0, 300]^2 contributes only its support indicator;
-    outside the support the value is -inf.
-    """
-    alpha, beta = float(shapes[0]), float(shapes[1])
-    if not (0.0 < alpha <= PRIOR_HIGH and 0.0 < beta <= PRIOR_HIGH):
-        return -np.inf
-    n, sum_log, sum_log1m = _suff_stats(fractions)
-    return float(_log_lik(alpha, beta, n, sum_log, sum_log1m)) if n else 0.0
 
 
 # --- chains ------------------------------------------------------------------
@@ -191,14 +168,26 @@ class PosteriorState:
         self.n_obs = np.zeros(n_chains, dtype=np.int64)
         self.sum_log = np.zeros(n_chains)
         self.sum_log1m = np.zeros(n_chains)
-        for (t, a), (h, psi) in dataset.partition().items():
-            if t > n_steps or a >= n_actions:
-                raise ValueError(
-                    f"observation at step {t}, action {a} outside {n_steps} steps x {n_actions} actions"
-                )
-            eta_row = 2 * ((t - 1) * n_actions + a)  # the (t, a, "psi") row follows it
-            for c, fractions in ((eta_row, h), (eta_row + 1, psi)):
-                self.n_obs[c], self.sum_log[c], self.sum_log1m[c] = _suff_stats(fractions)
+        outside = (dataset.step > n_steps) | (dataset.action >= n_actions)
+        if outside.any():
+            j = int(np.argmax(outside))
+            raise ValueError(
+                f"observation at step {dataset.step[j]}, action {dataset.action[j]} "
+                f"outside {n_steps} steps x {n_actions} actions"
+            )
+        # Row of each fraction's channel: the (t, a, "eta") row, the (t, a, "psi") row after it.
+        eta_row = 2 * ((dataset.step - 1) * n_actions + dataset.action)
+        channel = np.concatenate([eta_row, eta_row + 1])
+        # A stable sort keeps each channel's fractions in observation order, so
+        # every per-channel np.sum adds the same values in the same order.
+        order = np.argsort(channel, kind="stable")
+        fractions = np.concatenate([dataset.h, dataset.psi])[order]
+        log_x, log1m_x = np.log(fractions), np.log1p(-fractions)
+        rows, starts, counts = np.unique(channel[order], return_index=True, return_counts=True)
+        self.n_obs[rows] = counts
+        for c, lo, hi in zip(rows.tolist(), starts.tolist(), (starts + counts).tolist()):
+            self.sum_log[c] = np.sum(log_x[lo:hi])
+            self.sum_log1m[c] = np.sum(log1m_x[lo:hi])
 
     def channel_keys(self) -> list[tuple[int, int, str]]:
         return [

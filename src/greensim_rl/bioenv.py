@@ -48,7 +48,6 @@ __all__ = [
     "beta_log_pdf",
     "collect_real_data",
     "default_scenario",
-    "integrate_upstream",
     "load_scenario",
     "save_scenario",
 ]
@@ -237,17 +236,6 @@ def _batch_final_biomass(p: UpstreamParams) -> float:
     return float(_integrate_biomass(p, p.S_i_mean))
 
 
-def integrate_upstream(p: UpstreamParams, nu1: float, nu2: float, s_i: float):
-    """Ferment and harvest: returns ``(protein mg, impurity mg)``.
-
-    Integrates the biomass/substrate ODE from ``(X0, S0)`` over the
-    configured duration and converts the end-point concentrations
-    ``nu1 * X`` and ``nu2 * X`` to masses.
-    """
-    x_end = _integrate_biomass(p, float(s_i))
-    return float(nu1 * x_end * p.harvest_to_mg), float(nu2 * x_end * p.harvest_to_mg)
-
-
 def _harvest_masses(scn: Scenario, n: int, rng: np.random.Generator):
     """Vectorized noisy harvest: n draws of (p1, i1), clamped to the state box."""
     up = scn.upstream
@@ -307,10 +295,6 @@ class ChromatographyEnv(Environment):
 
     def action_count(self) -> int:
         return self.scenario.true_model.n_actions
-
-    @property
-    def state_dim(self) -> int:
-        return 3
 
     def sample_initial_batch(self, n, rng) -> np.ndarray:
         p1, i1 = _harvest_masses(self.scenario, n, rng)
@@ -386,23 +370,18 @@ def collect_real_data(
     trajectory and step by step within each; these are the measurements
     the posterior over the transition model consumes.
     """
-    from .bayes import FractionDataset, FractionObservation
+    from .bayes import FractionDataset
 
     if m < 1:
         raise ValueError("m must be >= 1")
     env = ChromatographyEnv(scn)
     batch = rollout_batch(env, policy, theta, scn.true_model, m, rng)
     states, actions, next_states = batch.step_arrays
-    steps = _batch_step_indices(states) + 1
-    h_fractions = next_states[:, 0] / states[:, 0]
-    psi_fractions = next_states[:, 1] / states[:, 1]
     return FractionDataset(
-        tuple(
-            FractionObservation(step=t, action=a, h_fraction=h, psi_fraction=psi)
-            for t, a, h, psi in zip(
-                steps.tolist(), actions.tolist(), h_fractions.tolist(), psi_fractions.tolist()
-            )
-        )
+        _batch_step_indices(states) + 1,
+        actions,
+        next_states[:, 0] / states[:, 0],
+        next_states[:, 1] / states[:, 1],
     )
 
 

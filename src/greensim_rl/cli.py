@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, bayes
 from .bioenv import (
     ChromatographyEnv,
     ScenarioError,
@@ -179,16 +179,15 @@ def _cmd_train(args) -> int:
     if args.estimator:
         cfg = dataclasses.replace(cfg, estimator=args.estimator)
     if args.seed is not None:
-        try:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        except ValueError as exc:
-            raise CliError(EXIT_BAD_CONFIG, f"invalid --seed: {exc}")
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     with _atomic_out_dir(args.out) as tmp:
         history = train(scn, cfg, checkpoint_dir=tmp / "ckpt")
         with open(tmp / "history.csv", "w", newline="") as fh:
             write_history_csv(history, fh)
         with open(tmp / "periods.csv", "w", newline="") as fh:
             write_periods_csv(history, fh)
+        with open(tmp / "fractions.csv", "w", newline="") as fh:
+            bayes.write_fractions_csv(history.dataset, fh)
         save_scenario(scn, tmp / "scenario.json")
         write_manifest(
             tmp,
@@ -264,8 +263,6 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_posterior_diag(args) -> int:
-    from . import bayes
-
     if args.data:
         if not Path(args.data).exists():
             raise CliError(EXIT_MISSING_FILE, f"data file not found: {args.data}")
@@ -299,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", help="scenario JSON (default: built-in scenario)")
     p.add_argument("--out", required=True, help="output JSONL file")
     p.add_argument("--n", type=_int_at_least(1), default=100, help="number of trajectories")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--checkpoint", help="policy checkpoint (default: fresh init)")
     p.set_defaults(fn=_cmd_simulate)
 
@@ -307,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario")
     p.add_argument("--config", help="TrainConfig JSON")
     p.add_argument("--estimator", choices=ESTIMATOR_KINDS)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--out", required=True, help="output directory (must not exist)")
     p.set_defaults(fn=_cmd_train)
 
@@ -315,14 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--r-test", type=_int_at_least(1), default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(fn=_cmd_evaluate)
 
     p = sub.add_parser("compare", help="estimator comparison grid with CRN")
     p.add_argument("--scenario")
     p.add_argument("--config")
     p.add_argument("--out", required=True, help="output directory (must not exist)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--estimators", default="pg,ilr,mlr,tlr")
     p.add_argument(
         "--n-i", type=_replication_counts, default=[25], help="comma-separated replication counts"
@@ -340,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="fraction observations CSV (default: empty dataset)")
     p.add_argument("--out", required=True, help="output CSV file")
     p.add_argument("--draws", type=_int_at_least(1), default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(fn=_cmd_posterior_diag)
     return parser
 

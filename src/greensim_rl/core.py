@@ -222,7 +222,8 @@ class Policy(abc.ABC):
     Parameters travel as a flat float vector ``theta`` of length
     ``param_dim``; the policy object owns the architecture (feature map
     and layer shapes) needed to interpret it.  Every method takes a stack
-    of state rows (and one action per row).
+    of state rows (and one action per row).  Derivatives enter only through
+    :meth:`weighted_score_sum`, the score hook.
     """
 
     @property
@@ -244,16 +245,14 @@ class Policy(abc.ABC):
         """``log pi(a_n|s_n)`` per row, shape ``(n,)``."""
 
     @abc.abstractmethod
-    def grad_log_prob_batch(self, theta, states, actions) -> np.ndarray:
-        """Score vectors d/dtheta log pi(a|s), shape ``(n, param_dim)``."""
-
     def weighted_score_sum(self, theta, states, actions, weights) -> np.ndarray:
-        """``sum_n weights[n] * d/dtheta log pi(actions[n] | states[n])``.
+        """``sum_n weights[n] * d/dtheta log pi(actions[n] | states[n])``, shape ``(param_dim,)``.
 
-        Concrete policies override this with a matrix-product form that
-        skips materializing the per-row score vectors.
+        The policy's one score hook: every gradient estimator is a weighted
+        sum of per-row scores, so policies compute the sum directly (as
+        matrix products) and never materialize the ``(n, param_dim)`` score
+        matrix.  One-hot ``weights`` select the score of a single row.
         """
-        return self.grad_log_prob_batch(theta, states, actions).T @ np.asarray(weights)
 
     def sample_actions_batch(self, theta, states, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF sampling; one uniform draw per row."""

@@ -27,7 +27,6 @@ reward-to-go are computed per step over a whole
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,12 +36,10 @@ from .core import Environment, Policy, TrajectoryBatch, returns, reward_to_go
 __all__ = [
     "BufferRecord",
     "EstimatorError",
-    "MixtureWeights",
     "ReplayBuffer",
     "ilr_gradient",
     "ilr_mean_estimate",
     "mlr_gradient",
-    "mlr_ratios_batch",
     "pg_gradient",
     "tlr_gradient",
     "trajectory_logdensity",
@@ -51,29 +48,6 @@ __all__ = [
 
 class EstimatorError(RuntimeError):
     """A density or buffer precondition was violated."""
-
-
-@dataclass(frozen=True)
-class MixtureWeights:
-    """Convex weights of the mixture proposal, one per active record."""
-
-    alphas: np.ndarray
-
-    def __post_init__(self):
-        alphas = np.asarray(self.alphas, dtype=np.float64)
-        if alphas.ndim != 1 or alphas.size == 0:
-            raise ValueError("alphas must be a nonempty vector")
-        if np.any(alphas <= 0.0):
-            raise ValueError("mixture weights must be positive")
-        if abs(float(np.sum(alphas)) - 1.0) > 1e-12:
-            raise ValueError("mixture weights must sum to 1")
-        alphas.setflags(write=False)
-        object.__setattr__(self, "alphas", alphas)
-
-    @classmethod
-    def from_counts(cls, counts: Sequence[int]) -> "MixtureWeights":
-        counts = np.asarray(counts, dtype=np.float64)
-        return cls(counts / np.sum(counts))
 
 
 class BufferRecord:
@@ -244,29 +218,6 @@ def _mixture_ratios(log_target: np.ndarray, log_dens: np.ndarray, alphas: np.nda
     return np.where(dead, 0.0, np.exp(log_target - safe_mix))
 
 
-def mlr_ratios_batch(
-    batch: TrajectoryBatch,
-    target,
-    components,
-    weights: MixtureWeights,
-    env: Environment,
-    policy: Policy,
-) -> np.ndarray:
-    """Mixture likelihood ratios ``D_target(tau) / sum_i alpha_i D_i(tau)`` over a batch.
-
-    Recomputes every component density; the estimators read the buffer's
-    memoised block instead.  When the target pair is one of the components
-    with weight ``alpha``, each ratio is bounded by ``1/alpha``.
-    """
-    if len(components) != weights.alphas.size:
-        raise ValueError("one weight per component required")
-    log_dens = np.stack(
-        [trajectory_logdensity(batch, theta_i, omega_i, env, policy) for theta_i, omega_i in components]
-    )
-    log_target = trajectory_logdensity(batch, target[0], target[1], env, policy)
-    return _mixture_ratios(log_target, log_dens, weights.alphas)
-
-
 # --- gradient estimators -----------------------------------------------------
 
 
@@ -420,7 +371,8 @@ def _mixture_window_gradient(
     if rolling_window < 1:
         raise EstimatorError("rolling window must be >= 1")
     records = buffer.window(rolling_window)
-    alphas = MixtureWeights.from_counts([r.n_i for r in records]).alphas
+    counts = np.array([r.n_i for r in records], dtype=np.float64)
+    alphas = counts / np.sum(counts)
     batch = _batch_of(records)
     log_dens = buffer.window_logdensities(rolling_window, env, policy, policy_only)
     last = records[-1]

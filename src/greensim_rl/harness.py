@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bioenv import ChromatographyEnv, Scenario, scenario_to_jsonable
+from .bioenv import ChromatographyEnv, Scenario, _batch_final_biomass, scenario_to_jsonable
 from .core import Environment, Policy, returns, rollout_batch
 from .trainer import TrainConfig, train
 
@@ -192,6 +192,9 @@ def run_comparison(
 
     outcomes: dict[tuple[str, int, int], np.ndarray | Exception] = {}
     if threads is not None and threads > 1:
+        if scn.upstream.F == 0.0:
+            # Fill the upstream RK4 cache once: forked workers inherit it.
+            _batch_final_biomass(scn.upstream)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [(t, pool.submit(_run_macro_task, t)) for t in tasks]
             for (scn_, cfg_, h, _), fut in futures:

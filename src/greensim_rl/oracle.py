@@ -113,10 +113,6 @@ class TabularEnv(Environment):
     def action_count(self) -> int:
         return self.mdp.n_actions
 
-    @property
-    def state_dim(self) -> int:
-        return 1
-
     def sample_initial_batch(self, n, rng) -> np.ndarray:
         return rng.choice(self.mdp.n_states, size=n, p=self.mdp.initial).astype(np.float64)[:, None]
 

@@ -4,14 +4,15 @@ Two softmax policies over discrete actions:
 
 * :class:`LinearSoftmaxPolicy` -- logits are linear in state features with
   an action-block one-hot layout, so the score has the closed form
-  ``phi(s,a) - sum_a' phi(s,a') pi(a'|s)``.  Mainly used as an analytic
-  reference in tests.
+  ``phi(s,a) - sum_a' phi(s,a') pi(a'|s)``.  The tabular oracle uses it.
 * :class:`MlpSoftmaxPolicy` -- one sigmoid hidden layer feeding a softmax
   output layer, with exact reverse-mode score gradients.  This is the
   policy the training loop uses.
 
 Both implement the batch-only :class:`~greensim_rl.core.Policy` contract:
-forward and score passes over a stack of state rows.
+forward passes over a stack of state rows, and one score hook,
+``weighted_score_sum``, that returns the weighted sum of the rows' score
+vectors without forming them one by one.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "LinearSoftmaxPolicy",
     "MlpSoftmaxPolicy",
     "POLICY_KINDS",
-    "identity_features",
     "load_params",
     "make_policy",
     "onehot_features",
@@ -65,10 +65,6 @@ class FeatureMap:
 
     def __call__(self, states: np.ndarray) -> np.ndarray:
         return self.fn(np.atleast_2d(np.asarray(states, dtype=np.float64)))
-
-
-def identity_features(state_dim: int) -> FeatureMap:
-    return FeatureMap(state_dim, lambda s: s)
 
 
 def purification_features(p_bar: float, i_bar: float, horizon: int) -> FeatureMap:
@@ -123,22 +119,13 @@ class LinearSoftmaxPolicy(Policy):
         logp = log_softmax(logits)
         return logp[np.arange(logp.shape[0]), np.asarray(actions, dtype=np.int64)]
 
-    def grad_log_prob_batch(self, theta, states, actions) -> np.ndarray:
-        phi, logits = self._logits(theta, states)
-        probs = softmax_probs(logits)
-        n = phi.shape[0]
-        residual = -probs
-        residual[np.arange(n), np.asarray(actions, dtype=np.int64)] += 1.0
-        # phi(s,a) - sum_a' phi(s,a') pi(a'|s): block a' carries phi(s) * (1{a'=a} - pi(a'|s))
-        grad = residual[:, :, None] * phi[:, None, :]
-        return grad.reshape(n, self.param_dim)
-
     def weighted_score_sum(self, theta, states, actions, weights) -> np.ndarray:
         phi, logits = self._logits(theta, states)
         probs = softmax_probs(logits)
         n = phi.shape[0]
         residual = -probs
         residual[np.arange(n), np.asarray(actions, dtype=np.int64)] += 1.0
+        # score block a' of row n is phi(s_n) * (1{a'=a_n} - pi(a'|s_n))
         return ((residual * weights[:, None]).T @ phi).reshape(self.param_dim)
 
 
@@ -190,7 +177,9 @@ class MlpSoftmaxPolicy(Policy):
         logp = log_softmax(self._forward(theta, states)[2])
         return logp[np.arange(logp.shape[0]), np.asarray(actions, dtype=np.int64)]
 
-    def _backward_pieces(self, theta, states, actions):
+    def weighted_score_sum(self, theta, states, actions, weights) -> np.ndarray:
+        # Reverse mode through softmax and the sigmoid layer; summing over rows
+        # collapses each layer's per-row outer products into one matrix product.
         _, b = self.unpack(theta)
         phi, hidden, logits = self._forward(theta, states)
         probs = softmax_probs(logits)
@@ -200,19 +189,6 @@ class MlpSoftmaxPolicy(Policy):
         hidden_ext = np.concatenate([np.ones((n, 1)), hidden], axis=1)
         dhidden = (dlogits @ b[:, 1:]) * hidden * (1.0 - hidden)
         phi_ext = np.concatenate([np.ones((n, 1)), phi], axis=1)
-        return dlogits, hidden_ext, dhidden, phi_ext
-
-    def grad_log_prob_batch(self, theta, states, actions) -> np.ndarray:
-        dlogits, hidden_ext, dhidden, phi_ext = self._backward_pieces(theta, states, actions)
-        n = dlogits.shape[0]
-        grad_b = dlogits[:, :, None] * hidden_ext[:, None, :]
-        grad_w = dhidden[:, :, None] * phi_ext[:, None, :]
-        return np.concatenate([grad_w.reshape(n, -1), grad_b.reshape(n, -1)], axis=1)
-
-    def weighted_score_sum(self, theta, states, actions, weights) -> np.ndarray:
-        # sum_n w_n * dlog pi(a_n|s_n)/dtheta without materializing per-row
-        # gradients: both layer sums collapse into matrix products.
-        dlogits, hidden_ext, dhidden, phi_ext = self._backward_pieces(theta, states, actions)
         grad_b = (dlogits * weights[:, None]).T @ hidden_ext
         grad_w = (dhidden * weights[:, None]).T @ phi_ext
         return np.concatenate([grad_w.reshape(-1), grad_b.reshape(-1)])

@@ -157,10 +157,7 @@ class TrainHistory:
     macro: int
     iterations: list[IterationRecord] = field(default_factory=list)
     periods: list[PeriodRecord] = field(default_factory=list)
-
-    @property
-    def final_theta(self) -> np.ndarray:
-        return self.iterations[-1].theta
+    dataset: bayes.FractionDataset = field(default_factory=bayes.FractionDataset)  # all real data
 
     def eval_curve(self) -> np.ndarray:
         return np.array([rec.eval_reward for rec in self.iterations], dtype=np.float64)
@@ -312,6 +309,7 @@ def train(
                 mean_acceptance=float(np.mean(rates)) if rates else 0.0,
             )
         )
+    history.dataset = posterior.dataset
     return history
 
 

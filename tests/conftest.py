@@ -3,8 +3,10 @@ import pytest
 
 from greensim_rl import bioenv
 from greensim_rl.core import substream
+from greensim_rl.estimators import _mixture_ratios, trajectory_logdensity
 from greensim_rl.oracle import TabularMDP
 from greensim_rl.policy import (
+    FeatureMap,
     LinearSoftmaxPolicy,
     MlpSoftmaxPolicy,
     onehot_features,
@@ -59,3 +61,33 @@ def random_tensor(rng, n_states=2, n_actions=2):
 
 def stream(*path):
     return substream(987654321, *path)
+
+
+def identity_features(dim):
+    return FeatureMap(dim, lambda s: s)
+
+
+def alphas_from_counts(counts):
+    """Mixture weights proportional to replication counts, as the window estimators form them."""
+    counts = np.asarray(counts, dtype=np.float64)
+    return counts / np.sum(counts)
+
+
+def mlr_ratios_batch(batch, target, components, alphas, env, policy):
+    """Reference mixture likelihood ratios ``D_target(tau) / sum_i alpha_i D_i(tau)`` over a batch.
+
+    Recomputes every component density from scratch; the estimators read the
+    buffer's memoised block instead.  When the target pair is one of the
+    components with weight ``alpha``, each ratio is bounded by ``1/alpha``.
+    """
+    assert len(components) == len(alphas), "one weight per component"
+    log_dens = np.stack(
+        [trajectory_logdensity(batch, theta_i, omega_i, env, policy) for theta_i, omega_i in components]
+    )
+    log_target = trajectory_logdensity(batch, target[0], target[1], env, policy)
+    return _mixture_ratios(log_target, log_dens, np.asarray(alphas, dtype=np.float64))
+
+
+def scores(policy, theta, states, actions):
+    """Per-row score vectors, shape ``(n, param_dim)``: the score hook with one-hot weights."""
+    return np.stack([policy.weighted_score_sum(theta, states, actions, w) for w in np.eye(len(states))])

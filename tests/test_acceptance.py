@@ -17,7 +17,6 @@ import pytest
 from greensim_rl import bayes, harness, trainer
 from greensim_rl.bioenv import ChromatographyEnv, ModelParams, RewardConfig, default_scenario
 from greensim_rl.core import TrajectoryBatch, rollout_batch, substream
-from greensim_rl.estimators import MixtureWeights, mlr_ratios_batch
 from greensim_rl.oracle import (
     TabularMDP,
     estimator_exact_expectation,
@@ -26,10 +25,11 @@ from greensim_rl.oracle import (
 from greensim_rl.policy import (
     LinearSoftmaxPolicy,
     MlpSoftmaxPolicy,
-    identity_features,
     onehot_features,
     purification_features,
 )
+
+from conftest import alphas_from_counts, identity_features, mlr_ratios_batch, scores
 
 # The comparison study is seeded; with counter-based streams the whole run,
 # including every output byte, is a pure function of this configuration.
@@ -104,18 +104,18 @@ class TestCriterion2MlrBound:
                 )
                 for c in range(5)
             ]
-            weights = MixtureWeights.from_counts(rng.integers(1, 40, size=5))
+            alphas = alphas_from_counts(rng.integers(1, 40, size=5))
             k = int(rng.integers(5))
             trajs = rollout_batch(
                 env, policy, components[k][0], components[k][1], 500, substream(301, batch)
             )
-            bound = 1.0 / weights.alphas[k]
-            ratios = mlr_ratios_batch(trajs, components[k], components, weights, env, policy)
+            bound = 1.0 / alphas[k]
+            ratios = mlr_ratios_batch(trajs, components[k], components, alphas, env, policy)
             worst_excess = max(worst_excess, float(np.max(ratios) - bound))
             checked += ratios.size
             # a three-trajectory batch agrees with the full batch's first rows
             head = TrajectoryBatch(trajs.states[:3], trajs.actions[:3], trajs.rewards[:3])
-            f = mlr_ratios_batch(head, components[k], components, weights, env, policy)
+            f = mlr_ratios_batch(head, components[k], components, alphas, env, policy)
             assert np.all(f <= bound + 1e-12)
             np.testing.assert_allclose(f, ratios[:3], rtol=1e-12, atol=0)
         elapsed = time.perf_counter() - started
@@ -187,7 +187,7 @@ class TestCriterion4GradientCorrectness:
                 theta = policy.init_params(rng, scale=0.5)
                 state = rng.normal(size=3)
                 action = int(rng.integers(10))
-                grad = policy.grad_log_prob_batch(theta, row(state), np.array([action]))[0]
+                grad = scores(policy, theta, row(state), np.array([action]))[0]
                 h = 1e-5
                 fd = np.zeros_like(grad)
                 for j in range(grad.size):
@@ -206,8 +206,7 @@ class TestCriterion4GradientCorrectness:
             theta = policy.init_params(rng, scale=0.5)
             state = rng.normal(size=3)
             probs = policy.action_probs_batch(theta, row(state))[0]
-            scores = policy.grad_log_prob_batch(theta, np.tile(state, (10, 1)), np.arange(10))
-            total = probs @ scores
+            total = probs @ scores(policy, theta, np.tile(state, (10, 1)), np.arange(10))
             worst_score = max(worst_score, float(np.max(np.abs(total))))
         elapsed = time.perf_counter() - started
         report(
@@ -223,13 +222,10 @@ class TestCriterion5PosteriorConsistency:
         started = time.perf_counter()
         rng = np.random.default_rng(505)
         fractions = rng.beta(5.0, 3.0, size=2000)
-        observations = tuple(
-            bayes.FractionObservation(1, 0, float(h), float(p))
-            for h, p in zip(fractions, rng.beta(2.0, 2.0, size=2000))
+        dataset = bayes.FractionDataset(
+            np.full(2000, 1), np.full(2000, 0), fractions, rng.beta(2.0, 2.0, size=2000)
         )
-        posterior = bayes.make_posterior(
-            bayes.FractionDataset(observations), n_steps=1, n_actions=1
-        )
+        posterior = bayes.make_posterior(dataset, n_steps=1, n_actions=1)
         draws = bayes.mh_sample(posterior, 400, substream(510))
         eta = np.array([d.beta_shapes[0, 0, 2:] for d in draws]).mean(axis=0)
         rel_alpha = abs(eta[0] - 5.0) / 5.0

@@ -1,0 +1,60 @@
+"""The public surface is what the program uses: every exported name has a caller outside tests."""
+
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "greensim_rl"
+
+# Exported names kept without a caller in src/ or perfbench/, with the reason.
+ALLOWED = {
+    ("core", "read_trajectories_jsonl"): "reader paired with the JSONL export of `greensim simulate`",
+}
+
+
+def exported_names():
+    """``(module, name)`` for every name listed in a package module's ``__all__``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                for name in ast.literal_eval(node.value):
+                    yield path.stem, name
+
+
+def referenced_names():
+    """Identifiers used in code under src/ and perfbench/.
+
+    Strings and comments do not count, and neither does the name a ``def``
+    or ``class`` statement defines.
+    """
+    used = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        previous = None
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+            if tok.type == tokenize.NAME and previous not in ("def", "class"):
+                used.add(tok.string)
+            if tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT):
+                previous = tok.string
+    return used
+
+
+def test_every_exported_name_has_a_caller():
+    used = referenced_names()
+    uncalled = sorted(
+        f"{module}.{name}"
+        for module, name in exported_names()
+        if name not in used and (module, name) not in ALLOWED
+    )
+    assert uncalled == [], f"exported but called only from tests (delete, or call it): {uncalled}"
+
+
+def test_allow_list_is_current():
+    # an allowed name that gains a caller, or disappears, leaves the list
+    used = referenced_names()
+    exported = set(exported_names())
+    for module, name in ALLOWED:
+        assert (module, name) in exported and name not in used

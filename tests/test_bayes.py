@@ -8,10 +8,8 @@ import pytest
 from greensim_rl import bayes
 from greensim_rl.bayes import (
     FractionDataset,
-    FractionObservation,
     PRIOR_HIGH,
     acceptance_rows,
-    log_posterior_pair,
     make_posterior,
     mh_sample,
     read_fractions_csv,
@@ -24,27 +22,43 @@ from conftest import stream
 
 
 def dataset_from_fractions(step, action, h_values, psi_values):
-    obs = tuple(
-        FractionObservation(step=step, action=action, h_fraction=float(h), psi_fraction=float(p))
-        for h, p in zip(h_values, psi_values)
-    )
-    return FractionDataset(obs)
+    n = len(h_values)
+    return FractionDataset(np.full(n, step), np.full(n, action), h_values, psi_values)
+
+
+def assert_same_dataset(a, b):
+    for column in ("step", "action", "h", "psi"):
+        np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
+
+
+def log_lik(shapes, fractions):
+    """Beta log likelihood of ``fractions`` from a one-channel posterior's sufficient statistics."""
+    ps = make_posterior(dataset_from_fractions(1, 0, fractions, fractions), n_steps=1, n_actions=1)
+    return float(bayes._log_lik(shapes[0], shapes[1], ps.n_obs[0], ps.sum_log[0], ps.sum_log1m[0]))
 
 
 class TestLogPosteriorPair:
     def test_uniform_shapes_zero(self):
-        assert log_posterior_pair((1.0, 1.0), [0.1, 0.7, 0.4]) == 0.0
+        assert log_lik((1.0, 1.0), [0.1, 0.7, 0.4]) == 0.0
 
     def test_symmetric_shapes_analytic(self):
-        assert log_posterior_pair((2.0, 2.0), [0.5]) == pytest.approx(np.log(1.5), abs=1e-12)
+        assert log_lik((2.0, 2.0), [0.5]) == pytest.approx(np.log(1.5), abs=1e-12)
 
     def test_outside_prior_support(self):
-        assert log_posterior_pair((350.0, 5.0), [0.5]) == -np.inf
-        assert log_posterior_pair((5.0, 0.0), [0.5]) == -np.inf
+        # proposals above PRIOR_HIGH or at shape 0 have log posterior -inf: never
+        # accepted, not even against a log uniform of -inf
+        ps = make_posterior(dataset_from_fractions(1, 0, [0.5], [0.5]), n_steps=1, n_actions=1)
+        start = np.log([[299.0, 5.0]])
+        for increment in ([np.log(350.0 / 299.0), 0.0], [0.0, -1e4]):
+            ps.log_shapes[:1] = start
+            ps.step_size[:] = 1.0
+            (pos,) = bayes._walk(ps, np.array([0]), np.array([[increment]]), np.array([[-np.inf]]), {0})
+            np.testing.assert_array_equal(pos, start)
+            assert ps.accepted[0] == 0
 
     def test_additive_in_observations(self):
-        single = log_posterior_pair((3.0, 4.0), [0.3])
-        assert log_posterior_pair((3.0, 4.0), [0.3, 0.3]) == pytest.approx(2 * single, rel=1e-12)
+        single = log_lik((3.0, 4.0), [0.3])
+        assert log_lik((3.0, 4.0), [0.3, 0.3]) == pytest.approx(2 * single, rel=1e-12)
 
 
 class TestDataset:
@@ -55,19 +69,74 @@ class TestDataset:
         assert len(a.union(b)) == 3
 
     def test_partition_by_step_action(self):
+        # the grouped reduction puts each fraction in its (step, action, species) channel
         data = dataset_from_fractions(1, 0, [0.5, 0.6], [0.4, 0.3]).union(
             dataset_from_fractions(2, 3, [0.7], [0.2])
         )
-        groups = data.partition()
-        assert set(groups) == {(1, 0), (2, 3)}
-        np.testing.assert_allclose(groups[(1, 0)][0], [0.5, 0.6])
-        np.testing.assert_allclose(groups[(2, 3)][1], [0.2])
+        ps = make_posterior(data, n_steps=2, n_actions=4)
+        keys = ps.channel_keys()
+        expected = {
+            (1, 0, "eta"): [0.5, 0.6],
+            (1, 0, "psi"): [0.4, 0.3],
+            (2, 3, "eta"): [0.7],
+            (2, 3, "psi"): [0.2],
+        }
+        for c, key in enumerate(keys):
+            fr = np.array(expected.get(key, []))
+            assert ps.n_obs[c] == fr.size
+            assert ps.sum_log[c] == pytest.approx(np.sum(np.log(fr)), abs=1e-15)
+            assert ps.sum_log1m[c] == pytest.approx(np.sum(np.log1p(-fr)), abs=1e-15)
+
+    def test_statistics_equal_per_channel_sums(self):
+        # 8 to 40 interleaved observations per channel: long enough for np.sum's
+        # pairwise summation, so only the same values in the same order give the same bits
+        rng = np.random.default_rng(34)
+        cells = [(t, a) for t in (1, 2) for a in range(10)]
+        step, action = np.repeat(np.array(cells), rng.integers(8, 41, size=len(cells)), axis=0).T
+        order = rng.permutation(step.size)
+        h, psi = rng.beta(5.0, 2.0, step.size), rng.beta(2.0, 5.0, step.size)
+        data = FractionDataset(step[order], action[order], h, psi)
+        ps = make_posterior(data)
+        for c, (t, a, channel) in enumerate(ps.channel_keys()):
+            fr = (data.h if channel == "eta" else data.psi)[(data.step == t) & (data.action == a)]
+            assert ps.n_obs[c] == fr.size
+            assert ps.sum_log[c] == (np.sum(np.log(fr)) if fr.size else 0.0)
+            assert ps.sum_log1m[c] == (np.sum(np.log1p(-fr)) if fr.size else 0.0)
 
     def test_fraction_validation(self):
-        with pytest.raises(ValueError):
-            FractionObservation(step=1, action=0, h_fraction=1.0, psi_fraction=0.5)
-        with pytest.raises(ValueError):
-            FractionObservation(step=3, action=0, h_fraction=0.5, psi_fraction=0.5)
+        cases = [
+            ([1], [0], [1.0], [0.5]),  # protein fraction at the boundary
+            ([1], [0], [0.5], [0.0]),  # impurity fraction at the boundary
+            ([1], [0], [np.nan], [0.5]),
+            ([3], [0], [0.5], [0.5]),  # no transition from the terminal step
+            ([0], [0], [0.5], [0.5]),
+            ([1], [-1], [0.5], [0.5]),
+            ([1, 2], [0], [0.5], [0.5]),  # ragged columns
+            ([[1]], [[0]], [[0.5]], [[0.5]]),  # not 1-D
+        ]
+        for columns in cases:
+            with pytest.raises(ValueError):
+                FractionDataset(*columns)
+
+    def test_columns_frozen(self):
+        data = dataset_from_fractions(1, 0, np.array([0.5, 0.6]), np.array([0.4, 0.3]))
+        for column in ("step", "action", "h", "psi"):
+            with pytest.raises(ValueError):
+                getattr(data, column)[0] = 0
+
+    def test_csv_format_pinned(self):
+        # the exact text the per-observation writer produced for these three rows
+        data = FractionDataset(
+            [1, 2, 1], [7, 0, 3], [0.9473285161039607, 0.5, 0.1], [1e-05, 0.3333333333333333, 0.25]
+        )
+        buf = io.StringIO()
+        write_fractions_csv(data, buf)
+        assert buf.getvalue() == (
+            "step,action,h_fraction,psi_fraction\r\n"
+            "1,7,0.9473285161039607,1e-05\r\n"
+            "2,0,0.5,0.3333333333333333\r\n"
+            "1,3,0.1,0.25\r\n"
+        )
 
     def test_observation_outside_channel_grid_rejected(self):
         with pytest.raises(ValueError, match="outside"):
@@ -80,8 +149,7 @@ class TestDataset:
         buf = io.StringIO()
         write_fractions_csv(data, buf)
         buf.seek(0)
-        back = read_fractions_csv(buf)
-        assert back == data
+        assert_same_dataset(read_fractions_csv(buf), data)
 
 
 class TestMhSampler:
@@ -158,14 +226,18 @@ class ScalarReference:
     def __init__(self, dataset, n_steps, n_actions, burn_in, thin, previous=None):
         self.dataset, self.n_steps, self.n_actions = dataset, n_steps, n_actions
         self.burn_in, self.thin = burn_in, thin
-        groups = dataset.partition()
+        groups = {}  # (step, action) -> (protein fractions, impurity fractions), in observation order
+        for t, a, h, psi in zip(*(getattr(dataset, c).tolist() for c in ("step", "action", "h", "psi"))):
+            hs, psis = groups.setdefault((t, a), ([], []))
+            hs.append(h)
+            psis.append(psi)
         self.keys = sorted(
             (t, a, c) for t in range(1, n_steps + 1) for a in range(n_actions) for c in ("eta", "psi")
         )
         self.stats, self.chains = {}, {}
         for key in self.keys:
             t, a, channel = key
-            fr = groups.get((t, a), (np.array([]), np.array([])))[0 if channel == "eta" else 1]
+            fr = np.array(groups.get((t, a), ([], []))[0 if channel == "eta" else 1])
             self.stats[key] = (0, 0.0, 0.0)
             if fr.size:
                 self.stats[key] = (fr.size, float(np.sum(np.log(fr))), float(np.sum(np.log1p(-fr))))
@@ -250,14 +322,11 @@ class ScalarReference:
 class TestLockstepMatchesScalarReference:
     def _data(self, seed, cells, size):
         rng = np.random.default_rng(seed)
-        obs = []
+        data = FractionDataset()
         for t, a in cells:
             k = int(rng.integers(1, size + 1))
-            obs += [
-                FractionObservation(t, a, float(h), float(p))
-                for h, p in zip(rng.beta(3.0, 2.0, k), rng.beta(2.0, 5.0, k))
-            ]
-        return FractionDataset(tuple(obs))
+            data = data.union(dataset_from_fractions(t, a, rng.beta(3.0, 2.0, k), rng.beta(2.0, 5.0, k)))
+        return data
 
     def _assert_same(self, ps, ref, draws, ref_draws):
         for x, y in zip(draws, ref_draws, strict=True):
@@ -302,9 +371,8 @@ class TestNoPerChainLoop:
 
         monkeypatch.setattr(bayes, "betaln", counting)
         cells = [(t, a) for t in (1, 2) for a in range(4)]
-        data = FractionDataset(
-            tuple(FractionObservation(t, a, 0.4 + 0.05 * a, 0.3 + 0.1 * t) for t, a in cells)
-        )
+        step, action = np.array(cells).T
+        data = FractionDataset(step, action, 0.4 + 0.05 * action, 0.3 + 0.1 * step)
         ps = make_posterior(data, 2, 4, burn_in=500, thin=5)
         mh_sample(ps, 1, stream(42))
         moves = 500 + 5
@@ -320,7 +388,7 @@ class TestUpdateDataset:
         data = dataset_from_fractions(1, 0, [0.5], [0.4])
         ps = make_posterior(data, 1, 1)
         updated = update_dataset(ps, FractionDataset())
-        assert updated.dataset == data
+        assert_same_dataset(updated.dataset, data)
 
     def test_observation_counts_add(self):
         ps = make_posterior(dataset_from_fractions(1, 0, [0.5], [0.4]), 1, 1)

@@ -21,7 +21,6 @@ from greensim_rl.bioenv import (
     beta_log_pdf,
     collect_real_data,
     default_scenario,
-    integrate_upstream,
     load_scenario,
     save_scenario,
 )
@@ -56,8 +55,7 @@ def upstream(**overrides):
 
 class TestIntegrateUpstream:
     def test_zero_biomass_is_fixed_point(self):
-        p_u, i_u = integrate_upstream(upstream(X0=0.0), 0.11, 0.11, 780.0)
-        assert p_u == 0.0 and i_u == 0.0
+        assert bioenv._integrate_biomass(upstream(X0=0.0), 780.0) == 0.0
 
     def test_no_feed_no_substrate_biomass_decays(self):
         # with q_s = 0 the growth rate is -q_m * Y_em < 0
@@ -83,8 +81,11 @@ class TestIntegrateUpstream:
         ratio = err[0.5] / err[0.25]
         assert 8.0 < ratio < 32.0
 
-    def test_masses_scale_with_rates(self):
-        p_u, i_u = integrate_upstream(upstream(), 0.11, 0.055, 780.0)
+    def test_masses_scale_with_rates(self, scn):
+        quiet = dataclasses.replace(
+            scn, upstream=upstream(nu2_mean=0.055, nu1_sd=0.0, nu2_sd=0.0, S_i_sd=0.0, harvest_noise_sd=0.0)
+        )
+        p_u, i_u, _ = ChromatographyEnv(quiet).sample_initial_batch(1, stream(0))[0]
         assert i_u == pytest.approx(p_u / 2.0, rel=1e-12)
 
 
@@ -98,8 +99,9 @@ class TestSampleInitialState:
             i_bar=scn.i_bar,
         )
         state = ChromatographyEnv(quiet).sample_initial_batch(1, stream(0))[0]
-        p_u, i_u = integrate_upstream(quiet.upstream, 0.11, 0.11, 780.0)
-        np.testing.assert_allclose(state, [p_u, i_u, 1.0], rtol=1e-12)
+        up = quiet.upstream
+        mass = 0.11 * bioenv._integrate_biomass(up, 780.0) * up.harvest_to_mg
+        np.testing.assert_allclose(state, [mass, mass, 1.0], rtol=1e-12)
 
     def test_all_samples_inside_state_box(self, scn, env):
         states = env.sample_initial_batch(10_000, stream(1))
@@ -333,35 +335,32 @@ class TestCollectRealData:
         theta = mlp_policy.init_params(stream(7))
         data = collect_real_data(scn, mlp_policy, theta, 1, stream(8))
         assert len(data) == 2
-        steps = sorted(obs.step for obs in data.observations)
-        assert steps == [1, 2]
+        assert sorted(data.step.tolist()) == [1, 2]
 
     def test_fractions_inside_unit_interval(self, scn, mlp_policy):
         theta = mlp_policy.init_params(stream(7))
         data = collect_real_data(scn, mlp_policy, theta, 50, stream(9))
         assert len(data) == 100
-        for obs in data.observations:
-            assert 0.0 < obs.h_fraction < 1.0
-            assert 0.0 < obs.psi_fraction < 1.0
+        for fractions in (data.h, data.psi):
+            assert np.all((0.0 < fractions) & (fractions < 1.0))
 
     def test_observations_follow_rollout_order(self, scn, env, mlp_policy):
         # trajectory by trajectory, step by step: the same stream's rollout, in order
         theta = mlp_policy.init_params(stream(7))
         data = collect_real_data(scn, mlp_policy, theta, 4, stream(11))
         batch = rollout_batch(env, mlp_policy, theta, scn.true_model, 4, stream(11))
-        obs = data.observations
-        assert [o.step for o in obs] == [1, 2] * 4
-        assert [o.action for o in obs] == batch.actions.reshape(-1).tolist()
+        assert data.step.tolist() == [1, 2] * 4
+        assert data.action.tolist() == batch.actions.reshape(-1).tolist()
         fractions = batch.states[:, 1:, :2] / batch.states[:, :-1, :2]
-        assert [o.h_fraction for o in obs] == fractions[:, :, 0].reshape(-1).tolist()
-        assert [o.psi_fraction for o in obs] == fractions[:, :, 1].reshape(-1).tolist()
+        assert data.h.tolist() == fractions[:, :, 0].reshape(-1).tolist()
+        assert data.psi.tolist() == fractions[:, :, 1].reshape(-1).tolist()
 
     def test_deterministic_policy_actions_recorded(self, scn):
         policy = LinearSoftmaxPolicy(purification_features(scn.p_bar, scn.i_bar, 3), 10)
         theta = np.zeros((10, 3))
         theta[6, :] = 100.0  # features are positive, so action 6 dominates everywhere
         data = collect_real_data(scn, policy, theta.ravel(), 5, stream(10))
-        assert all(obs.action == 6 for obs in data.observations)
+        assert np.all(data.action == 6)
 
 
 class TestScenarioIO:

@@ -1,12 +1,15 @@
 """Command-line surface: dispatch, exit codes, atomic outputs."""
 
+import io
 import json
 
+import numpy as np
 import pytest
 
-from greensim_rl import cli
+from greensim_rl import bayes, cli
+from greensim_rl.core import substream
 from greensim_rl.bioenv import default_scenario, save_scenario
-from greensim_rl.trainer import TrainingError
+from greensim_rl.trainer import TrainingError, load_train_config, train
 
 
 @pytest.fixture()
@@ -91,21 +94,25 @@ class TestErrors:
         assert next(iter(config)) in capsys.readouterr().err
         assert not out.exists()
 
-    def test_negative_seed_exits_4(self, tmp_path, scenario_file, tiny_config_file):
-        code = cli.main(
-            [
-                "train",
-                "--scenario",
-                str(scenario_file),
-                "--config",
-                str(tiny_config_file),
-                "--seed",
-                "-1",
-                "--out",
-                str(tmp_path / "run"),
-            ]
-        )
-        assert code == cli.EXIT_BAD_CONFIG
+    def test_negative_seed_exits_2(self, tmp_path, scenario_file, tiny_config_file, capsys):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                [
+                    "train",
+                    "--scenario",
+                    str(scenario_file),
+                    "--config",
+                    str(tiny_config_file),
+                    "--seed",
+                    "-1",
+                    "--out",
+                    str(out),
+                ]
+            )
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_existing_out_dir_refused(self, tmp_path, scenario_file, tiny_config_file):
         out = tmp_path / "run"
@@ -162,6 +169,9 @@ class TestTrainCommand:
         periods = (out / "periods.csv").read_text().splitlines()
         assert periods[0] == "period,dataset_size,mean_acceptance"
         assert periods[1].split(",")[:2] == ["1", "12"]
+        fractions = (out / "fractions.csv").read_text().splitlines()
+        assert fractions[0] == "step,action,h_fraction,psi_fraction"
+        assert len(fractions) == 1 + 12
         assert 0.0 < float(periods[1].split(",")[2]) < 1.0
         assert (out / "ckpt" / "iter_3" / "params.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
@@ -372,6 +382,27 @@ class TestPosteriorDiagCommand:
         assert n_obs[("1", "2", "eta")] == 2 and n_obs[("2", "0", "psi")] == 1
         assert sum(n_obs.values()) == 6
 
+    def test_replays_a_training_run(self, tmp_path, scenario_file, tiny_config_file):
+        run = tmp_path / "run"
+        config = ["--scenario", str(scenario_file), "--config", str(tiny_config_file)]
+        assert cli.main(["train", *config, "--out", str(run)]) == 0
+        with open(run / "fractions.csv") as fh:
+            data = bayes.read_fractions_csv(fh)
+        # the run's whole dataset, bit for bit: 3 trajectories x 2 steps before training and after its period
+        history = train(default_scenario(), load_train_config(tiny_config_file))
+        assert len(data) == 12
+        for column in ("step", "action", "h", "psi"):
+            np.testing.assert_array_equal(getattr(data, column), getattr(history.dataset, column))
+        out = tmp_path / "diag.csv"
+        argv = ["posterior-diag", "--data", str(run / "fractions.csv"), "--out", str(out), "--draws", "2"]
+        assert cli.main(argv) == 0
+        # the same posterior the run's data builds, drawn on posterior-diag's stream
+        ps = bayes.make_posterior(data)
+        bayes.mh_sample(ps, 2, substream(0, 0))
+        buf = io.StringIO(newline="")
+        bayes.write_acceptance_csv(ps, buf)
+        assert out.read_text() == buf.getvalue().replace("\r\n", "\n")
+
     @pytest.mark.parametrize(
         "rows",
         [
@@ -404,6 +435,10 @@ class TestNumericArguments:
             ["compare", "--n-i", "x"],
             ["compare", "--n-i", "25,x"],
             ["compare", "--n-i", ","],
+            ["simulate", "--seed", "-1"],
+            ["evaluate", "--checkpoint", "ckpt.json", "--seed", "-1"],
+            ["compare", "--seed", "-1"],
+            ["posterior-diag", "--seed", "-3"],
         ],
         ids=[
             "simulate-n-0",
@@ -416,6 +451,10 @@ class TestNumericArguments:
             "n-i-x",
             "n-i-list-with-x",
             "n-i-empty-list",
+            "simulate-seed-negative",
+            "evaluate-seed-negative",
+            "compare-seed-negative",
+            "posterior-diag-seed-negative",
         ],
     )
     def test_usage_error(self, tmp_path, argv, capsys):

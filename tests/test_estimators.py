@@ -7,13 +7,11 @@ from greensim_rl.core import TrajectoryBatch, returns, rollout_batch
 from greensim_rl.estimators import (
     BufferRecord,
     EstimatorError,
-    MixtureWeights,
     ReplayBuffer,
     _log_mixture,
     ilr_gradient,
     ilr_mean_estimate,
     mlr_gradient,
-    mlr_ratios_batch,
     pg_gradient,
     tlr_gradient,
     trajectory_logdensity,
@@ -21,7 +19,7 @@ from greensim_rl.estimators import (
 from greensim_rl.oracle import TabularEnv, TabularMDP, enumerate_trajectories
 from greensim_rl.policy import FeatureMap, LinearSoftmaxPolicy, onehot_features
 
-from conftest import random_tensor, stream
+from conftest import alphas_from_counts, mlr_ratios_batch, random_tensor, stream
 
 
 def make_buffer(env, policy, components, n_per_record, seed=0):
@@ -33,15 +31,19 @@ def make_buffer(env, policy, components, n_per_record, seed=0):
 
 
 class TestMixtureWeights:
-    def test_from_counts(self):
-        w = MixtureWeights.from_counts([10, 30])
-        np.testing.assert_allclose(w.alphas, [0.25, 0.75])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MixtureWeights(np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            MixtureWeights(np.array([1.0, 0.0]))
+    def test_from_counts(self, toy_mdp, tab_policy, rng):
+        # a window of 10 and 30 trajectories is the mixture 0.25 D_1 + 0.75 D_2
+        env = TabularEnv(toy_mdp)
+        components = [(0.5 * rng.standard_normal(tab_policy.param_dim), random_tensor(rng)) for _ in range(2)]
+        buffer = ReplayBuffer()
+        for i, ((theta, omega), n) in enumerate(zip(components, (10, 30))):
+            trajs = rollout_batch(env, tab_policy, theta, omega, n, stream(4, i), provenance=i + 1)
+            buffer.append(BufferRecord(theta, omega, trajs, i + 1))
+        diag = {}
+        mlr_gradient(buffer, *components[-1], 2, env, tab_policy, diag_out=diag)
+        batch = TrajectoryBatch.concat([r.trajectories for r in buffer.records])
+        want = mlr_ratios_batch(batch, components[-1], components, np.array([0.25, 0.75]), env, tab_policy)
+        np.testing.assert_allclose(diag["ratios"], want, rtol=0, atol=1e-12)
 
 
 class TestBufferStructure:
@@ -137,7 +139,7 @@ class TestMixtureLogdensity:
         theta = 0.2 * rng.standard_normal(tab_policy.param_dim)
         batch = rollout_batch(env, tab_policy, theta, toy_mdp.transition, 3, stream(5))
         own = trajectory_logdensity(batch, theta, toy_mdp.transition, env, tab_policy)
-        mix = _log_mixture(own[None, :], MixtureWeights(np.array([1.0])).alphas)
+        mix = _log_mixture(own[None, :], np.array([1.0]))
         np.testing.assert_allclose(mix, own, rtol=0, atol=1e-12)
 
     def test_identical_components_collapse(self, toy_mdp, tab_policy, rng):
@@ -145,7 +147,7 @@ class TestMixtureLogdensity:
         theta = 0.2 * rng.standard_normal(tab_policy.param_dim)
         batch = rollout_batch(env, tab_policy, theta, toy_mdp.transition, 3, stream(6))
         own = trajectory_logdensity(batch, theta, toy_mdp.transition, env, tab_policy)
-        mix = _log_mixture(np.stack([own, own]), MixtureWeights(np.array([0.5, 0.5])).alphas)
+        mix = _log_mixture(np.stack([own, own]), np.array([0.5, 0.5]))
         np.testing.assert_allclose(mix, own, rtol=0, atol=1e-12)
 
     def test_matches_high_precision_sum(self, toy_mdp, tab_policy, rng):
@@ -155,16 +157,16 @@ class TestMixtureLogdensity:
         components = [
             (0.4 * rng.standard_normal(tab_policy.param_dim), random_tensor(rng)) for _ in range(5)
         ]
-        alphas = MixtureWeights.from_counts([1, 2, 3, 4, 5])
+        alphas = alphas_from_counts([1, 2, 3, 4, 5])
         batch = rollout_batch(env, tab_policy, components[0][0], components[0][1], 5, stream(7))
         logds = np.stack([trajectory_logdensity(batch, th, om, env, tab_policy) for th, om in components])
-        mine = _log_mixture(logds, alphas.alphas)
+        mine = _log_mixture(logds, alphas)
         for j in range(len(batch)):
             with mpmath.workdps(60):
                 exact = mpmath.log(
                     mpmath.fsum(
                         mpmath.mpf(a) * mpmath.e**mpmath.mpf(ld)
-                        for a, ld in zip(alphas.alphas, logds[:, j])
+                        for a, ld in zip(alphas, logds[:, j])
                     )
                 )
             assert abs(mine[j] - float(exact)) <= 1e-10 * max(1.0, abs(float(exact)))
@@ -176,7 +178,7 @@ class TestMlrRatio:
         theta = 0.2 * rng.standard_normal(tab_policy.param_dim)
         comp = (theta, toy_mdp.transition)
         batch = rollout_batch(env, tab_policy, theta, toy_mdp.transition, 3, stream(8))
-        ratios = mlr_ratios_batch(batch, comp, [comp], MixtureWeights(np.array([1.0])), env, tab_policy)
+        ratios = mlr_ratios_batch(batch, comp, [comp], np.array([1.0]), env, tab_policy)
         np.testing.assert_allclose(ratios, np.ones(3), rtol=0, atol=1e-12)
 
     def test_bounded_by_inverse_weight(self, toy_mdp, tab_policy, rng):
@@ -187,11 +189,11 @@ class TestMlrRatio:
                 for _ in range(5)
             ]
             counts = rng.integers(1, 30, size=5)
-            weights = MixtureWeights.from_counts(counts)
+            alphas = alphas_from_counts(counts)
             k = int(rng.integers(5))
             batch = rollout_batch(env, tab_policy, components[k][0], components[k][1], 4, stream(9, case))
-            f = mlr_ratios_batch(batch, components[k], components, weights, env, tab_policy)
-            assert np.all(f <= 1.0 / weights.alphas[k] + 1e-12)
+            f = mlr_ratios_batch(batch, components[k], components, alphas, env, tab_policy)
+            assert np.all(f <= 1.0 / alphas[k] + 1e-12)
 
     def test_mixture_mass_integrates_to_one(self, toy_mdp, tab_policy, rng):
         # sum over all trajectories of mixture(tau) * f(tau) telescopes to 1
@@ -199,7 +201,7 @@ class TestMlrRatio:
         components = [
             (0.5 * rng.standard_normal(tab_policy.param_dim), random_tensor(rng)) for _ in range(3)
         ]
-        weights = MixtureWeights.from_counts([2, 1, 2])
+        alphas = alphas_from_counts([2, 1, 2])
         target = components[-1]
         pooled = TrajectoryBatch.concat(
             [enumerate_trajectories(toy_mdp, th, tab_policy, omega=om)[0] for th, om in components]
@@ -213,8 +215,8 @@ class TestMlrRatio:
         densities = np.exp(
             np.stack([trajectory_logdensity(batch, th, om, env, tab_policy) for th, om in components])
         )
-        mix_prob = toy_mdp.initial[batch.states[:, 0, 0].astype(int)] * (weights.alphas @ densities)
-        f = mlr_ratios_batch(batch, target, components, weights, env, tab_policy)
+        mix_prob = toy_mdp.initial[batch.states[:, 0, 0].astype(int)] * (alphas @ densities)
+        f = mlr_ratios_batch(batch, target, components, alphas, env, tab_policy)
         assert float(np.sum(mix_prob * f)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -375,7 +377,7 @@ class TestLogDomainSafety:
                 batch,
                 (theta, deterministic),
                 [(theta, other)],
-                MixtureWeights(np.array([1.0])),
+                np.array([1.0]),
                 env,
                 tab_policy,
             )
@@ -427,7 +429,7 @@ class TestWindowDensityMemo:
                 TrajectoryBatch.concat([r.trajectories for r in records]),
                 (records[-1].theta, records[-1].omega),
                 [(r.theta, r.omega) for r in records],
-                MixtureWeights.from_counts([r.n_i for r in records]),
+                alphas_from_counts([r.n_i for r in records]),
                 env,
                 tab_policy,
             )

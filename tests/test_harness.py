@@ -161,6 +161,14 @@ class TestRunComparison:
         with pytest.raises(ValueError):
             run_comparison(**{**self.small_args(scn), **change})
 
+    def test_upstream_integrated_once_before_the_pool(self, scn):
+        # forked workers inherit the parent's cache instead of each integrating the RK4 again
+        from greensim_rl import bioenv
+
+        bioenv._batch_final_biomass.cache_clear()
+        run_comparison(threads=2, **self.small_args(scn))
+        assert bioenv._batch_final_biomass.cache_info().misses == 1
+
     def test_parallel_matches_serial(self, scn, tmp_path):
         args = self.small_args(scn)
         rows_serial, results_serial, _ = run_comparison(**args)

@@ -16,7 +16,7 @@ from greensim_rl.oracle import (
 )
 from greensim_rl.policy import LinearSoftmaxPolicy, onehot_features
 
-from conftest import random_tensor, stream
+from conftest import random_tensor, scores, stream
 
 
 def one_state_bandit(r0=1.0, r1=0.0):
@@ -131,9 +131,8 @@ class TestExactPolicyGradient:
         theta = 0.4 * rng.standard_normal(4)
         batch, probs = enumerate_trajectories(toy_mdp, theta, tab_policy)
         states, actions, _ = batch.step_arrays
-        scores = tab_policy.grad_log_prob_batch(theta, states, actions)
-        scores = scores.reshape(len(batch), batch.n_steps, 4)
-        total = probs @ scores.sum(axis=1)
+        step_scores = scores(tab_policy, theta, states, actions).reshape(len(batch), batch.n_steps, 4)
+        total = probs @ step_scores.sum(axis=1)
         np.testing.assert_allclose(total, 0.0, atol=1e-10)
 
 
@@ -196,12 +195,11 @@ class TestEstimatorExpectations:
                 - trajectory_logdensity(batch, theta_i, omega_i, env, tab_policy)
             )
             states, actions, _ = batch.step_arrays
-            scores = tab_policy.grad_log_prob_batch(theta_k, states, actions)
-            scores = scores.reshape(len(batch), batch.n_steps, 4)
+            step_scores = scores(tab_policy, theta_k, states, actions).reshape(len(batch), batch.n_steps, 4)
             rtg = reward_to_go(batch.rewards, gamma)
             weight = (probs / k) * ratio
-            expect_rtg += np.einsum("j,jtp,jt->p", weight, scores, rtg)
-            expect_full += np.einsum("j,jtp,j->p", weight, scores, rtg[:, 0])
+            expect_rtg += np.einsum("j,jtp,jt->p", weight, step_scores, rtg)
+            expect_full += np.einsum("j,jtp,j->p", weight, step_scores, rtg[:, 0])
         np.testing.assert_allclose(expect_rtg, expect_full, atol=1e-10)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from greensim_rl.policy import (
     LinearSoftmaxPolicy,
     MlpSoftmaxPolicy,
-    identity_features,
     load_params,
     make_policy,
     onehot_features,
@@ -16,7 +15,7 @@ from greensim_rl.policy import (
     softmax_probs,
 )
 
-from conftest import stream
+from conftest import identity_features, scores, stream
 
 
 # One-row calls into the batch contract.
@@ -35,7 +34,7 @@ def log_prob(policy, theta, state, action):
 
 
 def grad_log_prob(policy, theta, state, action):
-    return policy.grad_log_prob_batch(theta, row(state), np.array([action]))[0]
+    return policy.weighted_score_sum(theta, row(state), np.array([action]), np.ones(1))
 
 
 def finite_difference_grad(policy, theta, state, action, h):
@@ -172,7 +171,7 @@ class TestMlpSoftmax:
         actions = rng.integers(0, 10, size=7)
         probs = self.policy.action_probs_batch(theta, states)
         logp = self.policy.log_prob_batch(theta, states, actions)
-        grads = self.policy.grad_log_prob_batch(theta, states, actions)
+        grads = scores(self.policy, theta, states, actions)
         assert probs.shape == (7, 10) and logp.shape == (7,) and grads.shape == (7, self.policy.param_dim)
         for n in range(7):
             np.testing.assert_allclose(probs[n], action_probs(self.policy, theta, states[n]), atol=1e-15)
@@ -185,7 +184,7 @@ class TestMlpSoftmax:
         states = rng.normal(size=(30, 3))
         actions = rng.integers(0, 10, size=30)
         weights = rng.normal(size=30)
-        explicit = self.policy.grad_log_prob_batch(theta, states, actions).T @ weights
+        explicit = scores(self.policy, theta, states, actions).T @ weights
         fused = self.policy.weighted_score_sum(theta, states, actions, weights)
         np.testing.assert_allclose(fused, explicit, atol=1e-12)
 
