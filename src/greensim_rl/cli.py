@@ -6,9 +6,10 @@ comparison grid), ``oracle-check`` (exactness invariants), and
 ``posterior-diag`` (MCMC acceptance diagnostics).
 
 Exit codes: 0 success, 2 usage error, 3 missing input file, 4 malformed
-scenario/config, 1 runtime failure.  Output directories are populated in
-a temporary sibling and renamed into place on success, so a failed run
-never leaves a partial directory behind.
+scenario/config (a scenario whose upstream fermentation diverges too), 1
+runtime failure.  Output directories are populated in a temporary sibling
+and renamed into place on success, so a failed run never leaves a partial
+directory behind.
 """
 
 from __future__ import annotations
@@ -26,13 +27,21 @@ import numpy as np
 from . import __version__, bayes
 from .bioenv import (
     ChromatographyEnv,
+    IntegrationError,
     ScenarioError,
+    _batch_final_biomass,
     default_scenario,
     load_scenario,
     save_scenario,
 )
 from .core import rollout_batch, substream, write_trajectories_jsonl
-from .harness import config_digest, evaluate_policy, run_comparison, write_manifest
+from .harness import (
+    config_digest,
+    evaluate_policy,
+    run_comparison,
+    true_model_eval_fn,
+    write_manifest,
+)
 from .policy import load_params, make_policy, purification_features
 from .trainer import (
     ESTIMATOR_KINDS,
@@ -91,14 +100,24 @@ def _replication_counts(text: str) -> list[int]:
 
 
 def _load_scenario_arg(path: str | None):
+    """The scenario at ``path`` (default: built-in), its batch fermentation integrated up front.
+
+    With F = 0 the upstream RK4 is one cached integration, so a scenario
+    that diverges raises :class:`IntegrationError` here, before any output
+    is written.  With F > 0 it raises at the first harvest.
+    """
     if path is None:
-        return default_scenario()
-    if not Path(path).exists():
+        scn = default_scenario()
+    elif not Path(path).exists():
         raise CliError(EXIT_MISSING_FILE, f"scenario file not found: {path}")
-    try:
-        return load_scenario(path)
-    except ScenarioError as exc:
-        raise CliError(EXIT_BAD_CONFIG, f"invalid scenario {path}: {exc}")
+    else:
+        try:
+            scn = load_scenario(path)
+        except ScenarioError as exc:
+            raise CliError(EXIT_BAD_CONFIG, f"invalid scenario {path}: {exc}")
+    if scn.upstream.F == 0.0:
+        _batch_final_biomass(scn.upstream)
+    return scn
 
 
 def _load_config_arg(path: str | None) -> TrainConfig:
@@ -180,8 +199,11 @@ def _cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, estimator=args.estimator)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    eval_fn, scoring = None, {}
+    if args.r_test is not None:
+        eval_fn, scoring = true_model_eval_fn(scn, args.r_test, cfg.gamma), {"r_test": args.r_test}
     with _atomic_out_dir(args.out) as tmp:
-        history = train(scn, cfg, checkpoint_dir=tmp / "ckpt")
+        history = train(scn, cfg, eval_fn=eval_fn, checkpoint_dir=tmp / "ckpt")
         with open(tmp / "history.csv", "w", newline="") as fh:
             write_history_csv(history, fh)
         with open(tmp / "periods.csv", "w", newline="") as fh:
@@ -193,9 +215,10 @@ def _cmd_train(args) -> int:
             tmp,
             {
                 "command": "train",
-                "config_digest": config_digest(scn, cfg, {}),
+                "config_digest": config_digest(scn, cfg, scoring),
                 "seed": cfg.seed,
                 "config": cfg.__dict__,
+                **scoring,
             },
         )
     final = history.iterations[-1]
@@ -263,17 +286,19 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_posterior_diag(args) -> int:
+    # the step x action grid trainer.train builds its posterior on for this scenario
+    n_actions = ChromatographyEnv(_load_scenario_arg(args.scenario)).action_count()
     if args.data:
         if not Path(args.data).exists():
             raise CliError(EXIT_MISSING_FILE, f"data file not found: {args.data}")
         try:
             with open(args.data) as fh:
-                posterior = bayes.make_posterior(bayes.read_fractions_csv(fh))
+                posterior = bayes.make_posterior(bayes.read_fractions_csv(fh), n_actions=n_actions)
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(EXIT_BAD_CONFIG, f"invalid fraction data {args.data}: {exc!r}")
     else:
         # No data: every channel samples straight from the prior.
-        posterior = bayes.make_posterior(bayes.FractionDataset())
+        posterior = bayes.make_posterior(bayes.FractionDataset(), n_actions=n_actions)
     bayes.mh_sample(posterior, args.draws, substream(args.seed, 0))
     with open(args.out, "w", newline="") as fh:
         bayes.write_acceptance_csv(posterior, fh)
@@ -305,6 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="TrainConfig JSON")
     p.add_argument("--estimator", choices=ESTIMATOR_KINDS)
     p.add_argument("--seed", type=_int_at_least(0))
+    p.add_argument(
+        "--r-test",
+        type=_int_at_least(1),
+        help="score every iteration by this many true-model rollouts (history.csv eval_reward)",
+    )
     p.add_argument("--out", required=True, help="output directory (must not exist)")
     p.set_defaults(fn=_cmd_train)
 
@@ -334,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_oracle_check)
 
     p = sub.add_parser("posterior-diag", help="dump per-channel MCMC acceptance rates")
+    p.add_argument("--scenario", help="scenario whose step x action grid the posterior covers")
     p.add_argument("--data", help="fraction observations CSV (default: empty dataset)")
     p.add_argument("--out", required=True, help="output CSV file")
     p.add_argument("--draws", type=_int_at_least(1), default=100)
@@ -353,6 +384,9 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingError as exc:
         print(f"training failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except IntegrationError as exc:
+        print(f"error: invalid scenario: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     except Exception as exc:  # pragma: no cover - last-resort reporting
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

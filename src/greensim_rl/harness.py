@@ -24,7 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bioenv import ChromatographyEnv, Scenario, _batch_final_biomass, scenario_to_jsonable
+from .bioenv import (
+    ChromatographyEnv,
+    IntegrationError,
+    Scenario,
+    _batch_final_biomass,
+    scenario_to_jsonable,
+)
 from .core import Environment, Policy, returns, rollout_batch
 from .trainer import TrainConfig, train
 
@@ -37,6 +43,7 @@ __all__ = [
     "evaluate_policy",
     "run_comparison",
     "summarize_last_window",
+    "true_model_eval_fn",
     "write_curve_csv",
     "write_manifest",
     "write_summary_csv",
@@ -57,6 +64,16 @@ def evaluate_policy(
         raise ValueError("r_test must be >= 1")
     rewards = rollout_batch(env, policy, theta, omega, r_test, rng).rewards
     return float(np.mean(returns(rewards, gamma)))
+
+
+def true_model_eval_fn(scn: Scenario, r_test: int, gamma: float = 1.0):
+    """An ``eval_fn`` for :func:`trainer.train`: ``evaluate_policy`` under the true model."""
+    env = ChromatographyEnv(scn)
+
+    def eval_fn(theta, policy, rng):
+        return evaluate_policy(theta, env, scn.true_model, policy, r_test, rng, gamma)
+
+    return eval_fn
 
 
 @dataclass(frozen=True)
@@ -139,13 +156,7 @@ def config_digest(scn: Scenario, cfg: TrainConfig, extra: dict) -> str:
 
 def _run_macro_task(args) -> tuple[str, int, int, np.ndarray]:
     scn, cfg, macro, r_test = args
-    env = ChromatographyEnv(scn)
-    omega_true = scn.true_model
-
-    def eval_fn(theta, policy, rng):
-        return evaluate_policy(theta, env, omega_true, policy, r_test, rng, cfg.gamma)
-
-    history = train(scn, cfg, macro=macro, eval_fn=eval_fn)
+    history = train(scn, cfg, macro=macro, eval_fn=true_model_eval_fn(scn, r_test, cfg.gamma))
     return cfg.estimator, cfg.replications, macro, history.eval_curve()
 
 
@@ -164,7 +175,9 @@ def run_comparison(
     """Run the full (estimator x n_i) grid with common random numbers.
 
     Returns summary rows, raw per-cell results, and per-cell error
-    strings (failed cells are isolated; the others complete).  When
+    strings (failed cells are isolated; the others complete).  An
+    :class:`IntegrationError` is the scenario's fault, not a cell's, and
+    is raised.  When
     ``out_dir`` is given, writes ``curves/<estimator>_<n_i>.csv``,
     ``summary.csv`` and ``manifest.json`` there.  Every argument is
     checked before any cell trains (each cell's config too): bad input
@@ -201,6 +214,8 @@ def run_comparison(
                 try:
                     kind, n_i, macro, curve = fut.result()
                     outcomes[(kind, n_i, macro)] = curve
+                except IntegrationError:
+                    raise
                 except Exception as exc:  # isolate the failing cell
                     outcomes[(cfg_.estimator, cfg_.replications, h)] = exc
     else:
@@ -209,6 +224,8 @@ def run_comparison(
             try:
                 kind, n_i, macro, curve = _run_macro_task(t)
                 outcomes[(kind, n_i, macro)] = curve
+            except IntegrationError:
+                raise
             except Exception as exc:
                 outcomes[(cfg_.estimator, cfg_.replications, h)] = exc
 

@@ -314,20 +314,25 @@ def train(
 
 
 def write_history_csv(history: TrainHistory, fh: IO[str]) -> None:
-    """Per-iteration diagnostics; wall times stay out so the file is deterministic."""
+    """Per-iteration diagnostics; wall times stay out so the file is deterministic.
+
+    An ``eval_reward`` column is added when the run scored its iterations
+    (an ``eval_fn`` was given).
+    """
+    with_eval = any(rec.eval_reward is not None for rec in history.iterations)
     writer = csv.writer(fh)
-    writer.writerow(["iteration", "estimator", "grad_norm", "return_estimate", "max_ratio", "ess"])
+    header = ["iteration", "estimator", "grad_norm", "return_estimate", "max_ratio", "ess"]
+    writer.writerow(header + ["eval_reward"] if with_eval else header)
     for rec in history.iterations:
-        writer.writerow(
-            [
-                rec.iteration,
-                history.config.estimator,
-                repr(rec.grad_norm),
-                repr(rec.return_estimate),
-                repr(rec.max_ratio),
-                repr(rec.ess),
-            ]
-        )
+        row = [
+            rec.iteration,
+            history.config.estimator,
+            repr(rec.grad_norm),
+            repr(rec.return_estimate),
+            repr(rec.max_ratio),
+            repr(rec.ess),
+        ]
+        writer.writerow(row + [repr(rec.eval_reward)] if with_eval else row)
 
 
 def write_periods_csv(history: TrainHistory, fh: IO[str]) -> None:

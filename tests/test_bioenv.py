@@ -81,6 +81,44 @@ class TestIntegrateUpstream:
         ratio = err[0.5] / err[0.25]
         assert 8.0 < ratio < 32.0
 
+    def test_default_final_biomass_is_pinned_and_a_float(self):
+        # pinned bits of the default RK4; a Python float shows that the float loop
+        # ran, not numpy scalar arithmetic (about ten times slower)
+        x_end = bioenv._batch_final_biomass(UpstreamParams())
+        assert x_end == 0.12270236170569605
+        assert type(x_end) is float
+
+    def test_batch_rows_match_scalar_calls(self):
+        params = upstream(F=0.5, duration=50.0)
+        s_i = np.array([700.0, 760.0, 780.0, 800.0, 860.0])
+        batch = bioenv._integrate_biomass(params, s_i)
+        np.testing.assert_array_equal(batch, [bioenv._integrate_biomass(params, v) for v in s_i])
+
+    def test_clamp_matches_np_maximum(self):
+        for s in (-0.0, 0.0, -2.5, 3.0, float("inf"), -float("inf")):
+            clamped = bioenv._clamp_float(s)
+            assert np.float64(clamped).tobytes() == np.maximum(np.float64(s), 0.0).tobytes()
+        assert np.copysign(1.0, bioenv._clamp_float(-0.0)) == 1.0
+        assert np.isnan(bioenv._clamp_float(float("nan")))
+
+    @pytest.mark.parametrize("s_i", [780.0, np.array([780.0, 700.0])], ids=["scalar", "batch"])
+    def test_nan_substrate_raises(self, s_i):
+        # a clamp that mapped NaN to 0 would starve the culture into a finite answer
+        with pytest.raises(bioenv.IntegrationError, match="non-finite"):
+            bioenv._integrate_biomass(upstream(S0=float("nan"), F=0.5, duration=10.0), s_i)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"dt": 300.0}, "negative"),  # 4 steps overshoot to about -1.4e19 g/L
+            ({"S0": 1e308, "q_s_max": 10.0, "dt": 600.0}, "non-finite"),
+        ],
+        ids=["negative", "non-finite"],
+    )
+    def test_diverging_integration_raises(self, overrides, message):
+        with pytest.raises(bioenv.IntegrationError, match=message):
+            bioenv._batch_final_biomass(upstream(**overrides))
+
     def test_masses_scale_with_rates(self, scn):
         quiet = dataclasses.replace(
             scn, upstream=upstream(nu2_mean=0.055, nu1_sd=0.0, nu2_sd=0.0, S_i_sd=0.0, harvest_noise_sd=0.0)

@@ -1,15 +1,32 @@
 """Command-line surface: dispatch, exit codes, atomic outputs."""
 
+import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import greensim_rl
 from greensim_rl import bayes, cli
+from greensim_rl.bioenv import ModelParams, default_scenario, save_scenario
 from greensim_rl.core import substream
-from greensim_rl.bioenv import default_scenario, save_scenario
+from greensim_rl.harness import evaluate_policy
+from greensim_rl.policy import load_params
 from greensim_rl.trainer import TrainingError, load_train_config, train
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def scenario_with(path, **upstream):
+    """Write the default scenario with ``upstream`` overrides to ``path``."""
+    scn = default_scenario()
+    save_scenario(dataclasses.replace(scn, upstream=dataclasses.replace(scn.upstream, **upstream)), path)
+    return path
 
 
 @pytest.fixture()
@@ -114,6 +131,45 @@ class TestErrors:
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate", "--out", "OUT"],
+            ["train", "--out", "OUT"],
+            ["evaluate", "--checkpoint", "OUT"],
+            ["compare", "--out", "OUT"],
+            ["posterior-diag", "--out", "OUT"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize(
+        "upstream",
+        [{"dt": 300.0}, {"S0": 1e308, "q_s_max": 10.0, "dt": 600.0}],
+        ids=["negative-biomass", "non-finite"],
+    )
+    def test_diverging_upstream_exits_4(self, tmp_path, command, upstream, capsys):
+        # dt = 300 h overshoots to a biomass of -1.4e19 g/L, which would clip every harvest to 1e-6 mg
+        scenario = scenario_with(tmp_path / "scenario.json", **upstream)
+        out = tmp_path / "out"
+        argv = [str(out) if arg == "OUT" else arg for arg in command]
+        assert cli.main([*argv, "--scenario", str(scenario)]) == cli.EXIT_BAD_CONFIG
+        assert "reduce dt" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", [None, "1", "2"], ids=["simulate", "compare-serial", "compare-pool"])
+    def test_diverging_fed_batch_exits_4(self, tmp_path, tiny_config_file, threads, capsys):
+        # F > 0 is not integrated up front: the first harvest raises, in a
+        # compare cell too, where it fails the whole grid rather than one cell
+        scenario = scenario_with(tmp_path / "scenario.json", F=0.5, dt=300.0)
+        out = tmp_path / "out"
+        argv = ["simulate", "--scenario", str(scenario), "--out", str(out)]
+        if threads is not None:
+            grid = ["--estimators", "pg", "--n-i", "3", "--macros", "2", "--window", "2", "--r-test", "4"]
+            argv = ["compare", *argv[1:], "--config", str(tiny_config_file), *grid, "--threads", threads]
+        assert cli.main(argv) == cli.EXIT_BAD_CONFIG
+        assert "negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_existing_out_dir_refused(self, tmp_path, scenario_file, tiny_config_file):
         out = tmp_path / "run"
         out.mkdir()
@@ -142,6 +198,19 @@ class TestSimulate:
         assert len(lines) == 7
         obj = json.loads(lines[0])
         assert set(obj) == {"provenance", "steps"}
+
+    def test_fresh_interpreter(self, tmp_path):
+        # in-process tests share the warm upstream cache; a new process pays the
+        # cold integration and reads the packaged scenario JSON
+        packaged = Path(greensim_rl.__file__).parent / "data" / "default_scenario.json"
+        out = tmp_path / "trajs.jsonl"
+        argv = ["simulate", "--scenario", str(packaged), "--n", "2", "--out", str(out)]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-m", "greensim_rl.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert len(out.read_text().splitlines()) == 2
 
 
 class TestTrainCommand:
@@ -178,6 +247,26 @@ class TestTrainCommand:
         assert manifest["seed"] == 5
         assert manifest["config"]["estimator"] == "pg"
         assert not list(tmp_path.glob("run.tmp*"))
+
+    def test_r_test_adds_eval_reward(self, tmp_path, scenario_file, tiny_config_file):
+        config = ["--scenario", str(scenario_file), "--config", str(tiny_config_file), "--seed", "5"]
+        assert cli.main(["train", *config, "--out", str(tmp_path / "plain")]) == 0
+        assert cli.main(["train", *config, "--r-test", "6", "--out", str(tmp_path / "scored")]) == 0
+        plain = (tmp_path / "plain" / "history.csv").read_text().splitlines()
+        scored = (tmp_path / "scored" / "history.csv").read_text().splitlines()
+        assert scored[0] == plain[0] + ",eval_reward"
+        assert "r_test" not in json.loads((tmp_path / "plain" / "manifest.json").read_text())
+        assert json.loads((tmp_path / "scored" / "manifest.json").read_text())["r_test"] == 6
+        # scoring draws on its own stream: training is unchanged
+        assert [row.rsplit(",", 1)[0] for row in scored] == plain
+        scn = default_scenario()
+        for row in scored[1:]:
+            k = int(row.split(",")[0])
+            theta, kind, meta = load_params(tmp_path / "scored" / "ckpt" / f"iter_{k}" / "params.json")
+            env, policy = cli._build_policy_for(scn, kind, meta["hidden_dim"])
+            # the _EVAL stream (purpose 4) of macro 0, iteration k, as compare scores it
+            expected = evaluate_policy(theta, env, scn.true_model, policy, 6, substream(5, 0, k, 4))
+            assert float(row.rsplit(",", 1)[1]) == expected
 
 
 class TestEvaluateCommand:
@@ -403,6 +492,27 @@ class TestPosteriorDiagCommand:
         bayes.write_acceptance_csv(ps, buf)
         assert out.read_text() == buf.getvalue().replace("\r\n", "\n")
 
+    def test_replays_a_run_on_a_wider_scenario(self, tmp_path, tiny_config_file, capsys):
+        # the default scenario widened to 12 pooling windows (two copies of the last one)
+        scn = default_scenario()
+        shapes = scn.true_model.beta_shapes
+        wide = np.concatenate([shapes, shapes[:, -1:], shapes[:, -1:]], axis=1)
+        scenario = tmp_path / "wide.json"
+        save_scenario(dataclasses.replace(scn, true_model=ModelParams(wide)), scenario)
+        run = tmp_path / "run"
+        train_argv = ["train", "--scenario", str(scenario), "--config", str(tiny_config_file), "--out", str(run)]
+        assert cli.main(train_argv) == 0
+        with open(run / "fractions.csv") as fh:
+            assert bayes.read_fractions_csv(fh).action.max() >= 10
+        out = tmp_path / "diag.csv"
+        argv = ["posterior-diag", "--data", str(run / "fractions.csv"), "--out", str(out), "--draws", "2"]
+        assert cli.main(argv) == cli.EXIT_BAD_CONFIG  # the default 10-window grid
+        assert "outside 3 steps x 10 actions" in capsys.readouterr().err
+        assert cli.main([*argv, "--scenario", str(scenario)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 3 * 12 * 2
+        assert sum(int(r.split(",")[3]) for r in rows) == 2 * 12  # each observation feeds eta and psi
+
     @pytest.mark.parametrize(
         "rows",
         [
@@ -439,6 +549,7 @@ class TestNumericArguments:
             ["evaluate", "--checkpoint", "ckpt.json", "--seed", "-1"],
             ["compare", "--seed", "-1"],
             ["posterior-diag", "--seed", "-3"],
+            ["train", "--r-test", "0"],
         ],
         ids=[
             "simulate-n-0",
@@ -455,6 +566,7 @@ class TestNumericArguments:
             "evaluate-seed-negative",
             "compare-seed-negative",
             "posterior-diag-seed-negative",
+            "train-r-test-0",
         ],
     )
     def test_usage_error(self, tmp_path, argv, capsys):
