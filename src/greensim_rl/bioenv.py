@@ -76,14 +76,20 @@ class ScenarioError(ValueError):
     """Scenario file failed validation."""
 
 
-def beta_log_pdf(x, a, b):
-    """Log density of Beta(a, b) at x; -inf outside (0, 1).  Broadcasts."""
+def beta_log_pdf(x, a, b, log_beta):
+    """Log density of Beta(a, b) at x; -inf outside (0, 1).  Broadcasts.
+
+    ``log_beta`` is the normaliser ``scipy.special.betaln(a, b)``, passed in
+    so that a caller can take it once per entry of a shape table rather
+    than once per row.  The logs of ``x`` are taken at ``x``'s own shape:
+    ``x`` of shape ``(n,)`` against shapes ``(R, n)`` takes them once.
+    """
     x = np.asarray(x, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     inside = (x > 0.0) & (x < 1.0)
     xs = np.where(inside, x, 0.5)  # dummy value, masked below
-    logpdf = (a - 1.0) * np.log(xs) + (b - 1.0) * np.log1p(-xs) - betaln(a, b)
+    logpdf = (a - 1.0) * np.log(xs) + (b - 1.0) * np.log1p(-xs) - log_beta
     result = np.where(inside, logpdf, -np.inf)
     return result if result.ndim else float(result)
 
@@ -242,13 +248,16 @@ def _integrate_biomass(p: UpstreamParams, s_i):
         return (dilution + mu) * x, feed * (s_i - s_eff) - q_s * x
 
     half, sixth = 0.5 * h, h / 6.0
-    for _ in range(n_steps):
-        k1x, k1s = rhs(x, s)
-        k2x, k2s = rhs(x + half * k1x, s + half * k1s)
-        k3x, k3s = rhs(x + half * k2x, s + half * k2s)
-        k4x, k4s = rhs(x + h * k3x, s + h * k3s)
-        x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        s = clamp(s + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s))
+    # A diverging state overflows to inf and NaN; the finite check below is
+    # the error, so the array path stays as silent as the float path.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            k1x, k1s = rhs(x, s)
+            k2x, k2s = rhs(x + half * k1x, s + half * k1s)
+            k3x, k3s = rhs(x + half * k2x, s + half * k2s)
+            k4x, k4s = rhs(x + h * k3x, s + h * k3s)
+            x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            s = clamp(s + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s))
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s))):
         raise IntegrationError("upstream ODE state became non-finite; reduce dt")
     if np.any(x < 0.0):
@@ -348,8 +357,8 @@ class ChromatographyEnv(Environment):
             [h * states[:, 0], psi * states[:, 1], np.full(states.shape[0], float(t + 1))]
         )
 
-    def transition_logpdf_batch(self, states, actions, next_states, omega) -> np.ndarray:
-        """Relative log density of each row's transition under ``omega``.
+    def transition_logpdf_batch(self, states, actions, next_states, omegas) -> np.ndarray:
+        """Relative log density of each row's transition under each model of ``omegas``.
 
         The density is over the retained fractions ``h = p'/p`` and
         ``psi = i'/i``; the change-of-variable term ``-log(p * i)`` is
@@ -357,14 +366,20 @@ class ChromatographyEnv(Environment):
         policy) given the transition, hence cancels in all likelihood
         ratios.  Fractions outside (0, 1) have zero density (-inf), which
         is a value, not an error.  Rows may be at different steps.
+
+        The states are checked and the fractions' logs taken once for all
+        R models; ``betaln`` runs on the stacked ``(R, steps, actions)``
+        shape tables before the rows gather from them.  Shape ``(R, n)``.
         """
         t_idx = _batch_step_indices(states)
-        shapes = omega.beta_shapes[t_idx, np.asarray(actions, dtype=np.int64)]
+        actions = np.asarray(actions, dtype=np.int64)
+        tables = np.stack([omega.beta_shapes for omega in omegas])  # (R, steps, actions, 4)
+        log_beta = betaln(tables[..., [ETA_L, PSI_L]], tables[..., [ETA_U, PSI_U]])[:, t_idx, actions]
+        shapes = tables[:, t_idx, actions]  # (R, n, 4)
         h = next_states[:, 0] / states[:, 0]
         psi = next_states[:, 1] / states[:, 1]
-        return beta_log_pdf(h, shapes[:, ETA_L], shapes[:, ETA_U]) + beta_log_pdf(
-            psi, shapes[:, PSI_L], shapes[:, PSI_U]
-        )
+        eta_term = beta_log_pdf(h, shapes[..., ETA_L], shapes[..., ETA_U], log_beta[..., 0])
+        return eta_term + beta_log_pdf(psi, shapes[..., PSI_L], shapes[..., PSI_U], log_beta[..., 1])
 
     def reward_batch(self, states, actions, step_index) -> np.ndarray:
         """Steps 1 and 2 charge the column operating cost."""

@@ -51,6 +51,7 @@ from .trainer import (
     train,
     write_history_csv,
     write_periods_csv,
+    write_timings_csv,
 )
 
 EXIT_OK = 0
@@ -208,6 +209,8 @@ def _cmd_train(args) -> int:
             write_history_csv(history, fh)
         with open(tmp / "periods.csv", "w", newline="") as fh:
             write_periods_csv(history, fh)
+        with open(tmp / "timings.csv", "w", newline="") as fh:
+            write_timings_csv(history, fh)
         with open(tmp / "fractions.csv", "w", newline="") as fh:
             bayes.write_fractions_csv(history.dataset, fh)
         save_scenario(scn, tmp / "scenario.json")
@@ -357,7 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--macros", type=_int_at_least(2), default=5)
     p.add_argument("--r-test", type=_int_at_least(1), default=200)
     p.add_argument("--window", type=int, default=100, help="last-window length, 2..total iterations")
-    p.add_argument("--threads", type=int, help="worker processes (default: GREENSIM_THREADS or 1)")
+    p.add_argument(
+        "--threads", type=_int_at_least(1), help="worker processes (default: GREENSIM_THREADS or 1)"
+    )
     p.set_defaults(fn=_cmd_compare)
 
     p = sub.add_parser("oracle-check", help="run the exactness invariant suite")

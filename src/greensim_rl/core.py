@@ -10,9 +10,13 @@ Every environment has a fixed horizon H, so trajectories travel as one
 :class:`TrajectoryBatch` of arrays: ``states (n, H, d)``, ``actions
 (n, H-1)``, ``rewards (n, H-1)``.  The environment and policy contracts
 are batch-only: each hook takes a stack of rows (one row per trajectory,
-or per step) and returns one value per row.  Per-trajectory quantities are
-row reductions over the ``(n, H-1)`` matrices; step-level arrays are the
-batch's rows in trajectory-major order (:attr:`TrajectoryBatch.step_arrays`).
+or per step) and returns one value per row.  The two density hooks also
+take a stack of R parameter sets (policy parameters, or transition
+models) and return an ``(R, n)`` array, so the estimators evaluate many
+(policy, model) pairs over the same rows in one call.  Per-trajectory
+quantities are row reductions over the ``(n, H-1)`` matrices; step-level
+arrays are the batch's rows in trajectory-major order
+(:attr:`TrajectoryBatch.step_arrays`).
 
 All randomness flows through explicitly passed ``numpy.random.Generator``
 instances.  Nothing in this package touches global RNG state, so common
@@ -177,7 +181,8 @@ class Environment(abc.ABC):
 
     Each hook takes a stack of rows and returns one value (or next state)
     per row; rows may come from different trajectories and, for the
-    density hook, from different steps.
+    density hook, from different steps.  The density hook also takes a
+    stack of transition models and evaluates every row under each.
     """
 
     @abc.abstractmethod
@@ -197,8 +202,13 @@ class Environment(abc.ABC):
         """One next state per row under transition model ``omega``, shape ``(n, d)``."""
 
     @abc.abstractmethod
-    def transition_logpdf_batch(self, states, actions, next_states, omega) -> np.ndarray:
-        """Log-density of each row's transition under ``omega``, shape ``(n,)``.
+    def transition_logpdf_batch(self, states, actions, next_states, omegas) -> np.ndarray:
+        """Log-density of each row's transition under each model of ``omegas``, shape ``(R, n)``.
+
+        ``omegas`` is a sequence of R transition models; entry ``[r, n]``
+        is row n under ``omegas[r]``, with the same value a call with the
+        one model ``[omegas[r]]`` gives.  Work that depends on the rows
+        only (state checks, per-row features) is done once per call.
 
         The log-density of the same measure :meth:`sample_transition_batch`
         draws from, up to an additive term that is constant in ``omega``
@@ -222,7 +232,8 @@ class Policy(abc.ABC):
     Parameters travel as a flat float vector ``theta`` of length
     ``param_dim``; the policy object owns the architecture (feature map
     and layer shapes) needed to interpret it.  Every method takes a stack
-    of state rows (and one action per row).  Derivatives enter only through
+    of state rows (and one action per row); :meth:`log_prob_batch` also
+    takes a stack of parameter vectors.  Derivatives enter only through
     :meth:`weighted_score_sum`, the score hook.
     """
 
@@ -241,8 +252,14 @@ class Policy(abc.ABC):
         """Action probabilities, shape ``(n, n_actions)``; rows sum to 1."""
 
     @abc.abstractmethod
-    def log_prob_batch(self, theta, states, actions) -> np.ndarray:
-        """``log pi(a_n|s_n)`` per row, shape ``(n,)``."""
+    def log_prob_batch(self, thetas, states, actions) -> np.ndarray:
+        """``log pi(a_n|s_n)`` under each parameter vector of ``thetas``, shape ``(R, n)``.
+
+        ``thetas`` has shape ``(R, param_dim)``; entry ``[r, n]`` is row n
+        under ``thetas[r]``, with the same value the one-vector stack
+        ``thetas[r:r+1]`` gives.  Work that depends on the rows only (the
+        state features) is done once per call.
+        """
 
     @abc.abstractmethod
     def weighted_score_sum(self, theta, states, actions, weights) -> np.ndarray:

@@ -23,6 +23,10 @@ and any change-of-variable terms shared by every (policy, model) pair are
 omitted, which leaves every ratio exact.  Densities, returns and
 reward-to-go are computed per step over a whole
 :class:`~greensim_rl.core.TrajectoryBatch` and summed along its rows.
+Densities are evaluated for a stack of (policy, model) pairs at once
+(:func:`trajectory_logdensity`), so extending the rolling window's
+mixture block by one record takes two density calls, whatever the
+window size.
 """
 
 from __future__ import annotations
@@ -134,7 +138,7 @@ class ReplayBuffer:
         entry = self._own_logdens.get(index)
         if _memo_hit(entry, env, policy):
             return entry[2]
-        value = trajectory_logdensity(record.trajectories, record.theta, record.omega, env, policy)
+        value = _records_logdensity(record.trajectories, [record], env, policy, False)[0]
         self._own_logdens[index] = (env, policy, value)
         return value
 
@@ -173,26 +177,41 @@ class ReplayBuffer:
 
 def trajectory_logdensity(
     batch: TrajectoryBatch,
-    theta,
-    omega,
+    thetas,
+    omegas,
     env: Environment | None,
     policy: Policy,
     policy_only: bool = False,
 ) -> np.ndarray:
-    """Relative log density of each trajectory of ``batch`` under ``(theta, omega)``.
+    """Relative log density of each trajectory of ``batch`` under each pair ``(thetas[r], omegas[r])``.
 
-    Per step, the action log probability plus (unless ``policy_only``,
-    where ``env`` and ``omega`` are unused) the transition log density,
-    summed along each trajectory's row; shape ``(n,)``.  ``-inf`` where a
-    step has zero density; a stepless trajectory has relative log density 0.
+    ``thetas`` stacks R parameter vectors, shape ``(R, param_dim)``, and
+    ``omegas`` is a sequence of R transition models.  Per step, the action
+    log probability plus (unless ``policy_only``, where ``env`` and
+    ``omegas`` are unused) the transition log density, summed along each
+    trajectory's row; shape ``(R, n)``.  One policy call and one
+    environment call serve all R pairs.  ``-inf`` where a step has zero
+    density; a stepless trajectory has relative log density 0.
     """
     states, actions, next_states = batch.step_arrays
     if states.shape[0] == 0:
-        return np.zeros(len(batch))
-    lp = policy.log_prob_batch(theta, states, actions)
+        return np.zeros((len(thetas), len(batch)))
+    lp = policy.log_prob_batch(thetas, states, actions)
     if not policy_only:
-        lp = lp + env.transition_logpdf_batch(states, actions, next_states, omega)
-    return lp.reshape(len(batch), batch.n_steps).sum(axis=1)
+        lp = lp + env.transition_logpdf_batch(states, actions, next_states, omegas)
+    return lp.reshape(lp.shape[0], len(batch), batch.n_steps).sum(axis=2)
+
+
+def _records_logdensity(
+    batch: TrajectoryBatch,
+    records: Sequence[BufferRecord],
+    env: Environment | None,
+    policy: Policy,
+    policy_only: bool,
+) -> np.ndarray:
+    """``log D_i(tau_j)`` for record ``i``'s pair and trajectory ``j`` of ``batch``, in one call."""
+    thetas = np.stack([r.theta for r in records])
+    return trajectory_logdensity(batch, thetas, [r.omega for r in records], env, policy, policy_only)
 
 
 def _log_mixture(log_densities: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -248,10 +267,12 @@ def _extend_block(
 ) -> np.ndarray:
     """Grow ``log D_i(tau_j)`` over ``old`` by the records in ``new``.
 
-    ``block`` holds old records' pairs against old trajectories.  Each
-    old record adds a column segment over the new trajectories and each
-    new record a full row, so appending one record to a window of ``w``
-    costs ``2w - 1`` record-by-record blocks instead of ``w**2``.
+    ``block`` holds old records' pairs against old trajectories.  Two
+    density calls fill the rest: one for the old records' columns over
+    the new trajectories, one for the new records' rows over every
+    trajectory.  Appending one record to a window of ``w`` evaluates
+    ``2w - 1`` record-by-record blocks instead of ``w**2``, in two calls
+    instead of ``2w - 1``.
     """
     if not new:
         return block
@@ -259,14 +280,9 @@ def _extend_block(
     n_old = block.shape[1]
     out = np.empty((len(records), n_old + sum(r.n_i for r in new)))
     out[: len(old), :n_old] = block
-    new_batch = _batch_of(new)
-    for i, record in enumerate(old):
-        out[i, n_old:] = trajectory_logdensity(
-            new_batch, record.theta, record.omega, env, policy, policy_only
-        )
-    all_batch = _batch_of(records)
-    for i, record in enumerate(new, start=len(old)):
-        out[i] = trajectory_logdensity(all_batch, record.theta, record.omega, env, policy, policy_only)
+    if old:
+        out[: len(old), n_old:] = _records_logdensity(_batch_of(new), old, env, policy, policy_only)
+    out[len(old) :] = _records_logdensity(_batch_of(records), new, env, policy, policy_only)
     return out
 
 
@@ -317,7 +333,8 @@ def _individual_ratios(buffer: ReplayBuffer, theta_k, omega_k, env: Environment,
     if np.any(own == -np.inf):
         raise EstimatorError("a record assigns zero density to its own trajectory")
     batch = _batch_of(buffer.records)
-    return batch, np.exp(trajectory_logdensity(batch, theta_k, omega_k, env, policy) - own)
+    target = trajectory_logdensity(batch, np.asarray(theta_k)[None], [omega_k], env, policy)[0]
+    return batch, np.exp(target - own)
 
 
 def ilr_gradient(
@@ -379,7 +396,9 @@ def _mixture_window_gradient(
     if theta_k is last.theta and (policy_only or omega_k is last.omega):
         log_target = log_dens[-1]
     else:
-        log_target = trajectory_logdensity(batch, theta_k, omega_k, env, policy, policy_only)
+        log_target = trajectory_logdensity(
+            batch, np.asarray(theta_k)[None], [omega_k], env, policy, policy_only
+        )[0]
     f = _mixture_ratios(log_target, log_dens, alphas)
     coef = (1.0 / len(records)) * _per_traj_weights(records, traj_weights) * f
     _fill_diag(diag_out, f)

@@ -181,7 +181,8 @@ def run_comparison(
     ``out_dir`` is given, writes ``curves/<estimator>_<n_i>.csv``,
     ``summary.csv`` and ``manifest.json`` there.  Every argument is
     checked before any cell trains (each cell's config too): bad input
-    raises ``ValueError``.
+    raises ``ValueError``.  ``threads`` above 1 runs the cells in a pool of
+    at most ``threads`` worker processes, never more than there are cells.
     """
     if macros < 2:
         raise ValueError("need at least 2 macro replications")
@@ -193,6 +194,8 @@ def run_comparison(
         )
     if not estimator_kinds or not n_i_grid:
         raise ValueError("the grid needs at least one estimator and one replication count")
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     digest = config_digest(
         scn, base_cfg, {"macros": macros, "seed": seed, "r_test": r_test, "window": window}
     )
@@ -208,7 +211,8 @@ def run_comparison(
         if scn.upstream.F == 0.0:
             # Fill the upstream RK4 cache once: forked workers inherit it.
             _batch_final_biomass(scn.upstream)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # The pool starts all max_workers processes at the first submit.
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             futures = [(t, pool.submit(_run_macro_task, t)) for t in tasks]
             for (scn_, cfg_, h, _), fut in futures:
                 try:

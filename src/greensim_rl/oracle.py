@@ -124,9 +124,10 @@ class TabularEnv(Environment):
         cum[:, -1] = 1.0
         return np.argmax(cum >= u[:, None], axis=1).astype(np.float64)[:, None]
 
-    def transition_logpdf_batch(self, states, actions, next_states, omega) -> np.ndarray:
-        omega = np.asarray(omega)
-        p = omega[
+    def transition_logpdf_batch(self, states, actions, next_states, omegas) -> np.ndarray:
+        tensors = np.stack([np.asarray(omega) for omega in omegas])
+        p = tensors[
+            :,
             states[:, 0].astype(np.int64),
             np.asarray(actions, dtype=np.int64),
             next_states[:, 0].astype(np.int64),

@@ -12,7 +12,10 @@ Two softmax policies over discrete actions:
 Both implement the batch-only :class:`~greensim_rl.core.Policy` contract:
 forward passes over a stack of state rows, and one score hook,
 ``weighted_score_sum``, that returns the weighted sum of the rows' score
-vectors without forming them one by one.
+vectors without forming them one by one.  ``log_prob_batch`` also takes a
+stack of parameter vectors: the features are computed once and the
+forward pass broadcasts over the leading parameter axis, one matrix
+product per parameter set with the shapes of a single-set call.
 """
 
 from __future__ import annotations
@@ -54,6 +57,20 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     shifted = logits - np.max(logits, axis=axis, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+
+
+def _parameter_stack(thetas, param_dim: int) -> np.ndarray:
+    """``thetas`` as a float array of shape ``(R, param_dim)``; ValueError otherwise."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.ndim != 2 or thetas.shape[1] != param_dim:
+        raise ValueError(f"thetas must have shape (R, {param_dim}), got {thetas.shape}")
+    return thetas
+
+
+def _stacked_log_probs(logits: np.ndarray, actions) -> np.ndarray:
+    """``log_softmax(logits)[r, n, actions[n]]`` of ``(R, n, A)`` logits, shape ``(R, n)``."""
+    logp = log_softmax(logits)
+    return logp[:, np.arange(logp.shape[1]), np.asarray(actions, dtype=np.int64)]
 
 
 @dataclass(frozen=True)
@@ -106,18 +123,19 @@ class LinearSoftmaxPolicy(Policy):
         return self._n_actions
 
     def _logits(self, theta: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Features and logits; a leading axis of ``theta`` stacks parameter sets."""
         phi = self.features(states)
-        weights = np.asarray(theta, dtype=np.float64).reshape(self._n_actions, self.features.dim)
-        return phi, phi @ weights.T
+        theta = np.asarray(theta, dtype=np.float64)
+        weights = theta.reshape(*theta.shape[:-1], self._n_actions, self.features.dim)
+        return phi, phi @ weights.swapaxes(-1, -2)
 
     def action_probs_batch(self, theta, states) -> np.ndarray:
         _, logits = self._logits(theta, states)
         return softmax_probs(logits)
 
-    def log_prob_batch(self, theta, states, actions) -> np.ndarray:
-        _, logits = self._logits(theta, states)
-        logp = log_softmax(logits)
-        return logp[np.arange(logp.shape[0]), np.asarray(actions, dtype=np.int64)]
+    def log_prob_batch(self, thetas, states, actions) -> np.ndarray:
+        _, logits = self._logits(_parameter_stack(thetas, self.param_dim), states)
+        return _stacked_log_probs(logits, actions)
 
     def weighted_score_sum(self, theta, states, actions, weights) -> np.ndarray:
         phi, logits = self._logits(theta, states)
@@ -155,27 +173,36 @@ class MlpSoftmaxPolicy(Policy):
         return self._n_actions
 
     def unpack(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden and output weight matrices (bias in column 0) of ``theta``.
+
+        ``theta`` is one vector ``(param_dim,)`` or a stack ``(R, param_dim)``,
+        which gives stacks of matrices.
+        """
         theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.param_dim,):
-            raise ValueError(f"theta must have shape ({self.param_dim},), got {theta.shape}")
+        if theta.ndim not in (1, 2) or theta.shape[-1] != self.param_dim:
+            raise ValueError(
+                f"theta must have shape ({self.param_dim},) or (R, {self.param_dim}), got {theta.shape}"
+            )
+        lead = theta.shape[:-1]
         cut = self.hidden_dim * (self.features.dim + 1)
-        w = theta[:cut].reshape(self.hidden_dim, self.features.dim + 1)
-        b = theta[cut:].reshape(self._n_actions, self.hidden_dim + 1)
+        w = theta[..., :cut].reshape(*lead, self.hidden_dim, self.features.dim + 1)
+        b = theta[..., cut:].reshape(*lead, self._n_actions, self.hidden_dim + 1)
         return w, b
 
     def _forward(self, theta, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Features, hidden activations and logits; a leading axis of ``theta`` stacks parameter sets."""
         w, b = self.unpack(theta)
         phi = self.features(states)
-        hidden = expit(w[:, 0] + phi @ w[:, 1:].T)
-        logits = b[:, 0] + hidden @ b[:, 1:].T
+        hidden = expit(w[..., None, :, 0] + phi @ w[..., 1:].swapaxes(-1, -2))
+        logits = b[..., None, :, 0] + hidden @ b[..., 1:].swapaxes(-1, -2)
         return phi, hidden, logits
 
     def action_probs_batch(self, theta, states) -> np.ndarray:
         return softmax_probs(self._forward(theta, states)[2])
 
-    def log_prob_batch(self, theta, states, actions) -> np.ndarray:
-        logp = log_softmax(self._forward(theta, states)[2])
-        return logp[np.arange(logp.shape[0]), np.asarray(actions, dtype=np.int64)]
+    def log_prob_batch(self, thetas, states, actions) -> np.ndarray:
+        logits = self._forward(_parameter_stack(thetas, self.param_dim), states)[2]
+        return _stacked_log_probs(logits, actions)
 
     def weighted_score_sum(self, theta, states, actions, weights) -> np.ndarray:
         # Reverse mode through softmax and the sigmoid layer; summing over rows

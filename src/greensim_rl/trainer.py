@@ -48,6 +48,7 @@ __all__ = [
     "train",
     "write_history_csv",
     "write_periods_csv",
+    "write_timings_csv",
 ]
 
 ESTIMATOR_KINDS = ("pg", "ilr", "mlr", "tlr")
@@ -140,7 +141,13 @@ class IterationRecord:
     return_estimate: float       # mean return of this iteration's rollouts
     max_ratio: float
     ess: float
-    wall_time: float
+    wall_time: float             # seconds for the whole iteration
+    # Seconds per phase; a phase that does not run (posterior for tlr, eval
+    # without an eval_fn) reads 0.
+    posterior_s: float
+    rollout_s: float
+    gradient_s: float
+    eval_s: float
     eval_reward: float | None = None
 
 
@@ -243,6 +250,7 @@ def train(
                 omega_k = scn.true_model
             else:
                 omega_k = bayes.mh_sample(posterior, 1, substream(cfg.seed, macro, k, _POSTERIOR))[0]
+            sampled = time.perf_counter()
             trajectories = rollout_batch(
                 env,
                 policy,
@@ -253,6 +261,7 @@ def train(
                 provenance=k,
             )
             buffer.append(estimators.BufferRecord(theta, omega_k, trajectories, k))
+            rolled_out = time.perf_counter()
 
             diag: dict = {}
             try:
@@ -268,10 +277,12 @@ def train(
             if cfg.grad_clip is not None and grad_norm > cfg.grad_clip:
                 grad = grad * (cfg.grad_clip / grad_norm)
             theta = policy_update(theta, grad, cfg.learning_rate)
+            updated = time.perf_counter()
 
             eval_reward = None
             if eval_fn is not None:
                 eval_reward = float(eval_fn(theta, policy, substream(cfg.seed, macro, k, _EVAL)))
+            finished = time.perf_counter()
 
             history.iterations.append(
                 IterationRecord(
@@ -281,7 +292,11 @@ def train(
                     return_estimate=float(np.mean(returns(trajectories.rewards, cfg.gamma))),
                     max_ratio=float(diag.get("max_ratio", 1.0)),
                     ess=float(diag.get("ess", cfg.replications)),
-                    wall_time=time.perf_counter() - started,
+                    wall_time=finished - started,
+                    posterior_s=0.0 if cfg.estimator == "tlr" else sampled - started,
+                    rollout_s=rolled_out - sampled,
+                    gradient_s=updated - rolled_out,
+                    eval_s=0.0 if eval_fn is None else finished - updated,
                     eval_reward=eval_reward,
                 )
             )
@@ -333,6 +348,19 @@ def write_history_csv(history: TrainHistory, fh: IO[str]) -> None:
             repr(rec.ess),
         ]
         writer.writerow(row + [repr(rec.eval_reward)] if with_eval else row)
+
+
+def write_timings_csv(history: TrainHistory, fh: IO[str]) -> None:
+    """Per-iteration wall seconds of each phase and of the whole iteration.
+
+    The one non-deterministic output of a run, kept apart from
+    ``history.csv`` so that file stays byte-identical across reruns.
+    """
+    writer = csv.writer(fh)
+    writer.writerow(["iteration", "posterior_s", "rollout_s", "gradient_s", "eval_s", "wall_s"])
+    for rec in history.iterations:
+        times = (rec.posterior_s, rec.rollout_s, rec.gradient_s, rec.eval_s, rec.wall_time)
+        writer.writerow([rec.iteration, *map(repr, times)])
 
 
 def write_periods_csv(history: TrainHistory, fh: IO[str]) -> None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from greensim_rl import bioenv
-from greensim_rl.core import substream
+from greensim_rl.core import TrajectoryBatch, substream
 from greensim_rl.estimators import _mixture_ratios, trajectory_logdensity
 from greensim_rl.oracle import TabularMDP
 from greensim_rl.policy import (
@@ -73,6 +73,17 @@ def alphas_from_counts(counts):
     return counts / np.sum(counts)
 
 
+def logdensity(batch, theta, omega, env, policy, policy_only=False):
+    """Relative log density of each trajectory of ``batch`` under one pair: a one-row stack."""
+    return trajectory_logdensity(batch, np.asarray(theta)[None], [omega], env, policy, policy_only)[0]
+
+
+def window_block_reference(records, env, policy, policy_only=False):
+    """``log D_i(tau_j)`` over a window of records, one density call per record's pair."""
+    batch = TrajectoryBatch.concat([r.trajectories for r in records])
+    return np.stack([logdensity(batch, r.theta, r.omega, env, policy, policy_only) for r in records])
+
+
 def mlr_ratios_batch(batch, target, components, alphas, env, policy):
     """Reference mixture likelihood ratios ``D_target(tau) / sum_i alpha_i D_i(tau)`` over a batch.
 
@@ -81,10 +92,8 @@ def mlr_ratios_batch(batch, target, components, alphas, env, policy):
     components with weight ``alpha``, each ratio is bounded by ``1/alpha``.
     """
     assert len(components) == len(alphas), "one weight per component"
-    log_dens = np.stack(
-        [trajectory_logdensity(batch, theta_i, omega_i, env, policy) for theta_i, omega_i in components]
-    )
-    log_target = trajectory_logdensity(batch, target[0], target[1], env, policy)
+    log_dens = np.stack([logdensity(batch, theta_i, omega_i, env, policy) for theta_i, omega_i in components])
+    log_target = logdensity(batch, target[0], target[1], env, policy)
     return _mixture_ratios(log_target, log_dens, np.asarray(alphas, dtype=np.float64))
 
 

@@ -194,8 +194,8 @@ class TestCriterion4GradientCorrectness:
                     e = np.zeros_like(grad)
                     e[j] = h
                     fd[j] = (
-                        policy.log_prob_batch(theta + e, row(state), np.array([action]))[0]
-                        - policy.log_prob_batch(theta - e, row(state), np.array([action]))[0]
+                        policy.log_prob_batch((theta + e)[None], row(state), np.array([action]))[0, 0]
+                        - policy.log_prob_batch((theta - e)[None], row(state), np.array([action]))[0, 0]
                     ) / (2 * h)
                 rel = float(np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12))
                 worst_rel = max(worst_rel, rel)

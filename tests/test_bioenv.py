@@ -2,12 +2,15 @@
 
 import dataclasses
 import io
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import betaln
+from scipy.stats import beta as beta_dist
 
 from greensim_rl import bioenv
 from greensim_rl.bioenv import (
@@ -40,7 +43,7 @@ def transition(state, action, omega, rng):
 def transition_logpdf(state, action, next_state, omega):
     """One-row call of the batch log density."""
     rows = np.array([state], dtype=float), np.array([action]), np.array([next_state], dtype=float)
-    return ENV.transition_logpdf_batch(*rows, omega)[0]
+    return ENV.transition_logpdf_batch(*rows, [omega])[0, 0]
 
 
 def payout(state, cfg=RewardConfig()):
@@ -118,6 +121,15 @@ class TestIntegrateUpstream:
     def test_diverging_integration_raises(self, overrides, message):
         with pytest.raises(bioenv.IntegrationError, match=message):
             bioenv._batch_final_biomass(upstream(**overrides))
+
+    @pytest.mark.parametrize("s_i", [780.0, np.array([780.0, 790.0])], ids=["scalar", "batch"])
+    def test_diverging_fed_batch_raises_without_warnings(self, s_i):
+        # the finite check is the error; overflow on the way there prints nothing
+        params = upstream(F=0.5, S0=1e308, q_s_max=10.0, dt=600.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(bioenv.IntegrationError, match="non-finite"):
+                bioenv._integrate_biomass(params, s_i)
 
     def test_masses_scale_with_rates(self, scn):
         quiet = dataclasses.replace(
@@ -231,8 +243,9 @@ class TestBatchStateValidation:
     def test_transition_logpdf_batch_rejects(self, env, scn, bad):
         states = np.array([[10.0, 5.0, 1.0], bad])
         nxt = np.array([[4.0, 2.0, 2.0], [4.0, 2.0, 3.0]])
-        with pytest.raises(InvalidStateError):
-            env.transition_logpdf_batch(states, np.zeros(2, dtype=np.int64), nxt, scn.true_model)
+        for omegas in ([scn.true_model], [scn.true_model, ModelParams(np.ones((3, 10, 4)))]):
+            with pytest.raises(InvalidStateError):
+                env.transition_logpdf_batch(states, np.zeros(2, dtype=np.int64), nxt, omegas)
 
     def test_transition_logpdf_batch_mixed_steps_match_scalar(self, env, scn):
         # the mixture concatenates step-1 and step-2 rows into one call; each
@@ -240,9 +253,30 @@ class TestBatchStateValidation:
         states = np.array([[10.0, 5.0, 1.0], [6.0, 2.0, 2.0], [10.0, 5.0, 1.0 + 1e-12]])
         actions = np.array([4, 7, 0])
         nxt = np.array([[6.0, 2.0, 2.0], [5.0, 0.5, 3.0], [3.0, 1.0, 2.0]])
-        batch = env.transition_logpdf_batch(states, actions, nxt, scn.true_model)
+        batch = env.transition_logpdf_batch(states, actions, nxt, [scn.true_model])[0]
         scalar = [transition_logpdf(s, a, x, scn.true_model) for s, a, x in zip(states, actions, nxt)]
         np.testing.assert_allclose(batch, scalar, rtol=1e-12)
+
+    def test_stacked_models_match_one_model_calls(self, env, scn):
+        # step-1 and step-2 rows, and a row whose protein fraction is above 1
+        states = np.array([[10.0, 5.0, 1.0], [6.0, 2.0, 2.0], [10.0, 5.0, 1.0], [8.0, 4.0, 2.0]])
+        actions = np.array([4, 7, 0, 9])
+        nxt = np.array([[6.0, 2.0, 2.0], [5.0, 0.5, 3.0], [11.0, 1.0, 2.0], [1.0, 0.1, 3.0]])
+        rng = np.random.default_rng(5)
+        omegas = [scn.true_model, *(ModelParams(rng.uniform(0.5, 20.0, size=(3, 10, 4))) for _ in range(3))]
+        stacked = env.transition_logpdf_batch(states, actions, nxt, omegas)
+        assert stacked.shape == (4, 4)
+        t_idx = states[:, 2].astype(int) - 1
+        for r, omega in enumerate(omegas):
+            one = env.transition_logpdf_batch(states, actions, nxt, [omega])[0]
+            np.testing.assert_array_equal(stacked[r], one)
+            # independent reference: scipy's Beta log densities at each row's own (step, action) shapes
+            psi_l, psi_u, eta_l, eta_u = omega.beta_shapes[t_idx, actions].T
+            want = beta_dist.logpdf(nxt[:, 0] / states[:, 0], eta_l, eta_u) + beta_dist.logpdf(
+                nxt[:, 1] / states[:, 1], psi_l, psi_u
+            )
+            np.testing.assert_allclose(stacked[r], want, rtol=1e-12, atol=1e-12)
+        assert np.all(stacked[:, 2] == -np.inf) and np.all(np.isfinite(np.delete(stacked, 2, axis=1)))
 
     def test_sample_transition_batch_valid_rows_advance(self, env, scn):
         states = np.array([[10.0, 5.0, 2.0], [8.0, 1.0, 2.0]])
@@ -278,7 +312,7 @@ class TestTransitionLogpdf:
             norm, _ = integrate.quad(lambda x: x ** (a - 1) * (1 - x) ** (b - 1), 0.0, 1.0)
             x = rng.uniform(0.05, 0.95)
             expected = np.log(x ** (a - 1) * (1 - x) ** (b - 1) / norm)
-            assert beta_log_pdf(x, a, b) == pytest.approx(expected, abs=1e-8)
+            assert beta_log_pdf(x, a, b, betaln(a, b)) == pytest.approx(expected, abs=1e-8)
 
     def test_density_matches_sampler_histogram(self, scn):
         # chi-square GOF at significance 0.001 between sampled protein
@@ -299,8 +333,8 @@ class TestTransitionLogpdf:
         )
         dens = np.exp(
             env.transition_logpdf_batch(
-                np.tile(state, (grid.size, 1)), np.full(grid.size, action), next_states, omega
-            )
+                np.tile(state, (grid.size, 1)), np.full(grid.size, action), next_states, [omega]
+            )[0]
         )
         cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(grid))])
         cdf /= cdf[-1]

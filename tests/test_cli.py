@@ -241,6 +241,9 @@ class TestTrainCommand:
         fractions = (out / "fractions.csv").read_text().splitlines()
         assert fractions[0] == "step,action,h_fraction,psi_fraction"
         assert len(fractions) == 1 + 12
+        timings = (out / "timings.csv").read_text().splitlines()
+        assert timings[0] == "iteration,posterior_s,rollout_s,gradient_s,eval_s,wall_s"
+        assert [line.split(",")[0] for line in timings[1:]] == ["1", "2", "3"]
         assert 0.0 < float(periods[1].split(",")[2]) < 1.0
         assert (out / "ckpt" / "iter_3" / "params.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
@@ -550,6 +553,8 @@ class TestNumericArguments:
             ["compare", "--seed", "-1"],
             ["posterior-diag", "--seed", "-3"],
             ["train", "--r-test", "0"],
+            ["compare", "--threads", "0"],
+            ["compare", "--threads", "-3"],
         ],
         ids=[
             "simulate-n-0",
@@ -567,6 +572,8 @@ class TestNumericArguments:
             "compare-seed-negative",
             "posterior-diag-seed-negative",
             "train-r-test-0",
+            "compare-threads-0",
+            "compare-threads-negative",
         ],
     )
     def test_usage_error(self, tmp_path, argv, capsys):

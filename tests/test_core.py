@@ -64,8 +64,8 @@ class ConstEnv(Environment):
     def sample_transition_batch(self, states, actions, omega, rng):
         return states + 1.0
 
-    def transition_logpdf_batch(self, states, actions, next_states, omega):
-        return np.zeros(states.shape[0])
+    def transition_logpdf_batch(self, states, actions, next_states, omegas):
+        return np.zeros((len(omegas), states.shape[0]))
 
     def reward_batch(self, states, actions, step_index):
         return np.full(states.shape[0], self._reward)
@@ -203,8 +203,8 @@ class TestBatchOnlyEnvironment:
         # one action: every score is zero, so every estimator's gradient is zero
         batch = rollout_batch(self.env, self.policy, self.theta, None, 5, stream(1), provenance=1)
         buffer = ReplayBuffer([BufferRecord(self.theta, None, batch, 1)])
-        logdens = trajectory_logdensity(batch, self.theta, None, self.env, self.policy)
-        np.testing.assert_array_equal(logdens, np.zeros(5))
+        logdens = trajectory_logdensity(batch, self.theta[None], [None], self.env, self.policy)
+        np.testing.assert_array_equal(logdens, np.zeros((1, 5)))
         diag = {}
         for grad in (
             pg_gradient(buffer.records[0], self.theta, self.policy),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from greensim_rl import bioenv
 from greensim_rl.core import TrajectoryBatch, returns, rollout_batch
 from greensim_rl.estimators import (
     BufferRecord,
@@ -19,7 +20,14 @@ from greensim_rl.estimators import (
 from greensim_rl.oracle import TabularEnv, TabularMDP, enumerate_trajectories
 from greensim_rl.policy import FeatureMap, LinearSoftmaxPolicy, onehot_features
 
-from conftest import alphas_from_counts, mlr_ratios_batch, random_tensor, stream
+from conftest import (
+    alphas_from_counts,
+    logdensity,
+    mlr_ratios_batch,
+    random_tensor,
+    stream,
+    window_block_reference,
+)
 
 
 def make_buffer(env, policy, components, n_per_record, seed=0):
@@ -75,7 +83,7 @@ class TestBufferStructure:
         again = buffer.own_logdensity(0, env, tab_policy)
         assert cached is again  # memoized
         batch = buffer.records[0].trajectories
-        direct = trajectory_logdensity(batch, theta, toy_mdp.transition, env, tab_policy)
+        direct = logdensity(batch, theta, toy_mdp.transition, env, tab_policy)
         np.testing.assert_allclose(cached, direct, atol=1e-12)
 
 
@@ -84,10 +92,12 @@ class TestTrajRelLogdensity:
         env = TabularEnv(toy_mdp)
         batch = TrajectoryBatch(np.zeros((3, 1, 1)), np.zeros((3, 0), dtype=int), np.zeros((3, 0)))
         for policy_only in (False, True):
-            value = trajectory_logdensity(
-                batch, np.zeros(4), toy_mdp.transition, env, tab_policy, policy_only
-            )
+            value = logdensity(batch, np.zeros(4), toy_mdp.transition, env, tab_policy, policy_only)
             np.testing.assert_array_equal(value, np.zeros(3))
+            stacked = trajectory_logdensity(
+                batch, np.zeros((2, 4)), [toy_mdp.transition] * 2, env, tab_policy, policy_only
+            )
+            np.testing.assert_array_equal(stacked, np.zeros((2, 3)))
 
     def test_stepless_buffer_gives_zero_gradients(self, tab_policy):
         # horizon 1: the enumeration yields stepless trajectories only
@@ -114,21 +124,33 @@ class TestTrajRelLogdensity:
         uniform_model = ModelParams(np.ones((3, 10, 4)))
         theta = np.zeros(mlp_policy.param_dim)
         batch = rollout_batch(env, mlp_policy, theta, uniform_model, 3, stream(2))
-        value = trajectory_logdensity(batch, theta, uniform_model, env, mlp_policy)
+        value = logdensity(batch, theta, uniform_model, env, mlp_policy)
         np.testing.assert_allclose(value, np.full(3, 2 * np.log(0.1)), rtol=0, atol=1e-12)
 
     def test_matches_per_step_recomputation(self, scn, env, mlp_policy, rng):
         theta = mlp_policy.init_params(stream(3))
         batch = rollout_batch(env, mlp_policy, theta, scn.true_model, 5, stream(4))
-        value = trajectory_logdensity(batch, theta, scn.true_model, env, mlp_policy)
+        value = logdensity(batch, theta, scn.true_model, env, mlp_policy)
         for j in range(5):
             total = 0.0
             for t in range(batch.n_steps):
                 s, s2 = batch.states[j, t : t + 1], batch.states[j, t + 1 : t + 2]
                 a = batch.actions[j, t : t + 1]
-                total += mlp_policy.log_prob_batch(theta, s, a)[0]
-                total += env.transition_logpdf_batch(s, a, s2, scn.true_model)[0]
+                total += mlp_policy.log_prob_batch(theta[None], s, a)[0, 0]
+                total += env.transition_logpdf_batch(s, a, s2, [scn.true_model])[0, 0]
             assert value[j] == pytest.approx(total, abs=1e-12)
+
+    def test_stacked_pairs_match_one_pair_calls(self, scn, env, mlp_policy):
+        # each row of a stacked call carries the bits of its own one-pair call
+        thetas = np.stack([mlp_policy.init_params(stream(5, r), 0.5) for r in range(3)])
+        omegas = [scn.true_model, bioenv.ModelParams(np.ones((3, 10, 4))), scn.true_model]
+        batch = rollout_batch(env, mlp_policy, thetas[0], scn.true_model, 6, stream(6))
+        for policy_only in (False, True):
+            stacked = trajectory_logdensity(batch, thetas, omegas, env, mlp_policy, policy_only)
+            assert stacked.shape == (3, 6)
+            for r in range(3):
+                one = logdensity(batch, thetas[r], omegas[r], env, mlp_policy, policy_only)
+                np.testing.assert_array_equal(stacked[r], one)
 
 
 class TestMixtureLogdensity:
@@ -138,7 +160,7 @@ class TestMixtureLogdensity:
         env = TabularEnv(toy_mdp)
         theta = 0.2 * rng.standard_normal(tab_policy.param_dim)
         batch = rollout_batch(env, tab_policy, theta, toy_mdp.transition, 3, stream(5))
-        own = trajectory_logdensity(batch, theta, toy_mdp.transition, env, tab_policy)
+        own = logdensity(batch, theta, toy_mdp.transition, env, tab_policy)
         mix = _log_mixture(own[None, :], np.array([1.0]))
         np.testing.assert_allclose(mix, own, rtol=0, atol=1e-12)
 
@@ -146,7 +168,7 @@ class TestMixtureLogdensity:
         env = TabularEnv(toy_mdp)
         theta = 0.2 * rng.standard_normal(tab_policy.param_dim)
         batch = rollout_batch(env, tab_policy, theta, toy_mdp.transition, 3, stream(6))
-        own = trajectory_logdensity(batch, theta, toy_mdp.transition, env, tab_policy)
+        own = logdensity(batch, theta, toy_mdp.transition, env, tab_policy)
         mix = _log_mixture(np.stack([own, own]), np.array([0.5, 0.5]))
         np.testing.assert_allclose(mix, own, rtol=0, atol=1e-12)
 
@@ -159,7 +181,7 @@ class TestMixtureLogdensity:
         ]
         alphas = alphas_from_counts([1, 2, 3, 4, 5])
         batch = rollout_batch(env, tab_policy, components[0][0], components[0][1], 5, stream(7))
-        logds = np.stack([trajectory_logdensity(batch, th, om, env, tab_policy) for th, om in components])
+        logds = np.stack([logdensity(batch, th, om, env, tab_policy) for th, om in components])
         mine = _log_mixture(logds, alphas)
         for j in range(len(batch)):
             with mpmath.workdps(60):
@@ -212,9 +234,7 @@ class TestMlrRatio:
         keep = sorted(first_seen.values())
         batch = TrajectoryBatch(pooled.states[keep], pooled.actions[keep], pooled.rewards[keep])
         # mixture probability of each trajectory (full measure)
-        densities = np.exp(
-            np.stack([trajectory_logdensity(batch, th, om, env, tab_policy) for th, om in components])
-        )
+        densities = np.exp(np.stack([logdensity(batch, th, om, env, tab_policy) for th, om in components]))
         mix_prob = toy_mdp.initial[batch.states[:, 0, 0].astype(int)] * (alphas @ densities)
         f = mlr_ratios_batch(batch, target, components, alphas, env, tab_policy)
         assert float(np.sum(mix_prob * f)) == pytest.approx(1.0, abs=1e-12)
@@ -435,6 +455,24 @@ class TestWindowDensityMemo:
             )
             np.testing.assert_allclose(diag["ratios"], want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["mlr", "tlr"])
+    def test_sliding_block_matches_per_pair_reference(self, kind, scn, env, mlp_policy):
+        # chromatography and MLP, as in training: the memo's block, grown by
+        # stacked calls as the window slides, has the bits of one density
+        # call per record's pair over the whole window
+        window, policy_only = 3, kind == "tlr"
+        omegas = [scn.true_model, bioenv.ModelParams(np.full((3, 10, 4), 2.0))]
+        buffer = ReplayBuffer()
+        for k in range(1, 7):
+            theta = mlp_policy.init_params(stream(30, k), 0.5)
+            omega = omegas[k % 2]
+            trajs = rollout_batch(env, mlp_policy, theta, omega, 4, stream(31, k), provenance=k)
+            buffer.append(BufferRecord(theta, omega, trajs, k))
+            window_gradient(kind, buffer, window, None if policy_only else env, mlp_policy)
+            block = buffer._window_logdens[policy_only][4]
+            want = window_block_reference(buffer.window(window), env, mlp_policy, policy_only)
+            np.testing.assert_array_equal(block, want)
+
     def test_swapped_env_or_policy_rebuilds(self, toy_mdp, tab_policy, rng):
         env = TabularEnv(toy_mdp)
         buffer = mixed_buffer(env, tab_policy, rng, 5, 6)
@@ -516,7 +554,8 @@ class TestWindowDensityMemo:
 
 
 class TestMixtureCostIsLinearInWindow:
-    """Guard against the mixture going back to recomputing the W x W block."""
+    """Guard against the mixture going back to recomputing the W x W block,
+    or to one density call per record pair."""
 
     @pytest.mark.parametrize("kind", ["mlr", "tlr"])
     def test_rows_evaluated_per_iteration(self, kind, toy_mdp, rng):
@@ -524,17 +563,26 @@ class TestMixtureCostIsLinearInWindow:
         env = TabularEnv(toy_mdp)
         policy = LinearSoftmaxPolicy(onehot_features(2), 2)
         records = mixed_buffer(env, policy, rng, iterations, n).records
-        rows = []
+        rows, policy_calls, env_calls = [], [], []
         log_prob_batch = policy.log_prob_batch
+        transition_logpdf_batch = env.transition_logpdf_batch
 
-        def counting(theta, states, actions):
-            rows.append(states.shape[0])
-            return log_prob_batch(theta, states, actions)
+        def counting(thetas, states, actions):
+            rows.append(len(thetas) * states.shape[0])
+            policy_calls[-1] += 1
+            return log_prob_batch(thetas, states, actions)
+
+        def counting_env(states, actions, next_states, omegas):
+            env_calls[-1] += 1
+            return transition_logpdf_batch(states, actions, next_states, omegas)
 
         policy.log_prob_batch = counting
+        env.transition_logpdf_batch = counting_env
         buffer = ReplayBuffer()
         for record in records:
             buffer.append(record)
+            policy_calls.append(0)
+            env_calls.append(0)
             window_gradient(kind, buffer, window, env if kind == "mlr" else None, policy)
         ks = np.arange(1, iterations + 1)
         w = np.minimum(ks, window)
@@ -542,6 +590,9 @@ class TestMixtureCostIsLinearInWindow:
         quadratic = int(np.sum(n * steps * w**2))
         assert (linear, quadratic) == (372_500, 8_396_250)
         assert sum(rows) == linear
+        # two stacked calls per mixture call, whatever the window holds
+        assert max(policy_calls) == 2 and policy_calls[0] == 1
+        assert max(env_calls) == (2 if kind == "mlr" else 0)
 
 
 class TestDiagnostics:

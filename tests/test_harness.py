@@ -169,6 +169,45 @@ class TestRunComparison:
         run_comparison(threads=2, **self.small_args(scn))
         assert bioenv._batch_final_biomass.cache_info().misses == 1
 
+    @pytest.mark.parametrize("threads", [3, 64])
+    def test_pool_never_larger_than_the_task_count(self, scn, threads, monkeypatch):
+        # a stub pool that records its size and runs every task inline: no process starts
+        from concurrent.futures import Future
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        args = self.small_args(scn)
+        rows, results, errors = run_comparison(threads=threads, **args)
+        tasks = len(args["estimator_kinds"]) * len(args["n_i_grid"]) * args["macros"]
+        assert sizes == [min(threads, tasks)] and errors == []
+        serial_rows, _, _ = run_comparison(**args)
+        assert rows == serial_rows
+
+    def test_threads_below_one_rejected(self, scn, monkeypatch):
+        def train(*args, **kwargs):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(harness, "train", train)
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads"):
+                run_comparison(threads=threads, **self.small_args(scn))
+
     def test_parallel_matches_serial(self, scn, tmp_path):
         args = self.small_args(scn)
         rows_serial, results_serial, _ = run_comparison(**args)

@@ -16,7 +16,7 @@ from greensim_rl.oracle import (
 )
 from greensim_rl.policy import LinearSoftmaxPolicy, onehot_features
 
-from conftest import random_tensor, scores, stream
+from conftest import logdensity, random_tensor, scores, stream
 
 
 def one_state_bandit(r0=1.0, r1=0.0):
@@ -183,7 +183,6 @@ class TestEstimatorExpectations:
         gamma = 0.9
         env = TabularEnv(toy_mdp)
         from greensim_rl.core import reward_to_go
-        from greensim_rl.estimators import trajectory_logdensity
 
         expect_rtg = np.zeros(4)
         expect_full = np.zeros(4)
@@ -191,8 +190,8 @@ class TestEstimatorExpectations:
         for theta_i, omega_i in components:
             batch, probs = enumerate_trajectories(toy_mdp, theta_i, tab_policy, omega=omega_i)
             ratio = np.exp(
-                trajectory_logdensity(batch, theta_k, omega_k, env, tab_policy)
-                - trajectory_logdensity(batch, theta_i, omega_i, env, tab_policy)
+                logdensity(batch, theta_k, omega_k, env, tab_policy)
+                - logdensity(batch, theta_i, omega_i, env, tab_policy)
             )
             states, actions, _ = batch.step_arrays
             step_scores = scores(tab_policy, theta_k, states, actions).reshape(len(batch), batch.n_steps, 4)
@@ -201,6 +200,27 @@ class TestEstimatorExpectations:
             expect_rtg += np.einsum("j,jtp,jt->p", weight, step_scores, rtg)
             expect_full += np.einsum("j,jtp,j->p", weight, step_scores, rtg[:, 0])
         np.testing.assert_allclose(expect_rtg, expect_full, atol=1e-10)
+
+
+class TestTabularDensity:
+    def test_stacked_models_match_one_model_calls(self, toy_mdp, rng):
+        # the second model forbids the step 0 -(action 1)-> 0
+        blocked = random_tensor(rng)
+        blocked[0, 1] = [0.0, 1.0]
+        omegas = [toy_mdp.transition, blocked, random_tensor(rng)]
+        env = TabularEnv(toy_mdp)
+        states = np.array([[0.0], [0.0], [1.0], [1.0], [0.0]])
+        actions = np.array([1, 0, 1, 0, 1])
+        nxt = np.array([[0.0], [1.0], [1.0], [0.0], [1.0]])
+        stacked = env.transition_logpdf_batch(states, actions, nxt, omegas)
+        assert stacked.shape == (3, 5)
+        for r, omega in enumerate(omegas):
+            one = env.transition_logpdf_batch(states, actions, nxt, [omega])[0]
+            np.testing.assert_array_equal(stacked[r], one)
+            with np.errstate(divide="ignore"):
+                want = np.log(omega[states[:, 0].astype(int), actions, nxt[:, 0].astype(int)])
+            np.testing.assert_allclose(stacked[r], want, rtol=0, atol=1e-15)
+        assert stacked[1, 0] == -np.inf and np.isfinite(np.delete(stacked, 0, axis=1)).all()
 
 
 class TestEvaluatePolicyOnToy:

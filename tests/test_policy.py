@@ -30,7 +30,7 @@ def action_probs(policy, theta, state):
 
 
 def log_prob(policy, theta, state, action):
-    return policy.log_prob_batch(theta, row(state), np.array([action]))[0]
+    return policy.log_prob_batch(theta[None], row(state), np.array([action]))[0, 0]
 
 
 def grad_log_prob(policy, theta, state, action):
@@ -170,7 +170,7 @@ class TestMlpSoftmax:
         states = rng.normal(size=(7, 3))
         actions = rng.integers(0, 10, size=7)
         probs = self.policy.action_probs_batch(theta, states)
-        logp = self.policy.log_prob_batch(theta, states, actions)
+        logp = self.policy.log_prob_batch(theta[None], states, actions)[0]
         grads = scores(self.policy, theta, states, actions)
         assert probs.shape == (7, 10) and logp.shape == (7,) and grads.shape == (7, self.policy.param_dim)
         for n in range(7):
@@ -187,6 +187,38 @@ class TestMlpSoftmax:
         explicit = scores(self.policy, theta, states, actions).T @ weights
         fused = self.policy.weighted_score_sum(theta, states, actions, weights)
         np.testing.assert_allclose(fused, explicit, atol=1e-12)
+
+
+STACKED_POLICIES = {
+    "mlp": MlpSoftmaxPolicy(identity_features(3), 10, hidden_dim=16),
+    "linear": LinearSoftmaxPolicy(identity_features(3), 10),
+}
+
+
+class TestStackedLogProb:
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("kind", list(STACKED_POLICIES))
+    def test_rows_match_one_vector_calls(self, kind, r, rng):
+        # every parameter set of a stack gets the bits of its own call
+        policy = STACKED_POLICIES[kind]
+        thetas = np.stack([policy.init_params(rng, scale=0.5) for _ in range(r)])
+        states = rng.normal(size=(40, 3))
+        actions = rng.integers(0, 10, size=40)
+        stacked = policy.log_prob_batch(thetas, states, actions)
+        assert stacked.shape == (r, 40)
+        for k in range(r):
+            one = policy.log_prob_batch(thetas[k : k + 1], states, actions)[0]
+            np.testing.assert_array_equal(stacked[k], one)
+            probs = policy.action_probs_batch(thetas[k], states)
+            np.testing.assert_allclose(stacked[k], np.log(probs[np.arange(40), actions]), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(STACKED_POLICIES))
+    def test_parameter_stack_shape_checked(self, kind):
+        policy = STACKED_POLICIES[kind]
+        states, actions = np.zeros((2, 3)), np.zeros(2, dtype=np.int64)
+        for bad in (np.zeros(policy.param_dim), np.zeros((2, policy.param_dim + 1))):
+            with pytest.raises(ValueError, match="thetas must have shape"):
+                policy.log_prob_batch(bad, states, actions)
 
 
 class TestSampling:

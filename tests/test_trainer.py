@@ -14,6 +14,7 @@ from greensim_rl.trainer import (
     train,
     write_history_csv,
     write_periods_csv,
+    write_timings_csv,
 )
 
 
@@ -218,6 +219,36 @@ class TestHistoryExport:
             write_periods_csv(history, buf)
             outputs.append(buf.getvalue())
         assert outputs[0] == outputs[1]
+
+
+class TestPhaseTimings:
+    @pytest.mark.parametrize("kind", ["tlr", "mlr"])
+    def test_phases_recorded(self, scn, kind):
+        history = train(scn, tiny_cfg(estimator=kind), eval_fn=lambda theta, policy, rng: 0.0)
+        for rec in history.iterations:
+            phases = [rec.posterior_s, rec.rollout_s, rec.gradient_s, rec.eval_s]
+            assert all(t >= 0.0 for t in phases) and sum(phases) <= rec.wall_time
+            assert rec.rollout_s > 0.0 and rec.gradient_s > 0.0 and rec.eval_s > 0.0
+            # tlr simulates from the true model and draws no posterior sample
+            assert (rec.posterior_s == 0.0) == (kind == "tlr")
+
+    def test_no_eval_fn_reads_zero(self, scn):
+        history = train(scn, tiny_cfg(estimator="pg"))
+        assert all(rec.eval_s == 0.0 for rec in history.iterations)
+
+    def test_timings_csv(self, scn):
+        history = train(scn, tiny_cfg(estimator="pg"))
+        buf = io.StringIO()
+        write_timings_csv(history, buf)
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == "iteration,posterior_s,rollout_s,gradient_s,eval_s,wall_s"
+        assert len(lines) == 1 + len(history.iterations)
+        for line, rec in zip(lines[1:], history.iterations):
+            values = line.split(",")
+            assert int(values[0]) == rec.iteration
+            assert [float(v) for v in values[1:]] == [
+                rec.posterior_s, rec.rollout_s, rec.gradient_s, rec.eval_s, rec.wall_time
+            ]
 
 
 class TestPeriodAcceptance:
