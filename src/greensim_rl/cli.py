@@ -69,12 +69,10 @@ class CliError(Exception):
 
 def _default_threads() -> int:
     env = os.environ.get("GREENSIM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise CliError(EXIT_BAD_CONFIG, f"GREENSIM_THREADS={env!r} is not an integer")
-    return 1
+    try:
+        return _int_at_least(1)(env) if env else 1
+    except argparse.ArgumentTypeError:
+        raise CliError(EXIT_BAD_CONFIG, f"GREENSIM_THREADS must be an integer >= 1, got {env!r}") from None
 
 
 def _int_at_least(minimum: int):

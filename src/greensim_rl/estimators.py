@@ -27,6 +27,11 @@ Densities are evaluated for a stack of (policy, model) pairs at once
 (:func:`trajectory_logdensity`), so extending the rolling window's
 mixture block by one record takes two density calls, whatever the
 window size.
+
+A :class:`ReplayBuffer` is bound to one environment and one policy when
+it is built.  Every density it memoizes (each record's density under its
+own pair, and the rolling window's mixture block) is under those two
+objects, so the reuse estimators take only the buffer and the target pair.
 """
 
 from __future__ import annotations
@@ -81,19 +86,16 @@ class BufferRecord:
         return len(self.trajectories)
 
 
-def _memo_hit(entry: tuple | None, env: Environment | None, policy: Policy) -> bool:
-    """A density memo is valid only for the exact objects it was computed with."""
-    return entry is not None and entry[0] is env and entry[1] is policy
-
-
 def _batch_of(records: Sequence[BufferRecord]) -> TrajectoryBatch:
     return TrajectoryBatch.concat([r.trajectories for r in records])
 
 
 class ReplayBuffer:
-    """Ordered records with contiguous iteration indices 1..k.
+    """Ordered records with contiguous iteration indices 1..k, bound to one
+    environment and one policy.
 
-    Also memoizes densities that never change once a record is written,
+    Every density the buffer computes is under ``env`` and ``policy``, and
+    it memoizes the densities that never change once a record is written,
     because a record's generating pair is fixed:
 
     * each record's log density under its own pair, which the
@@ -103,16 +105,15 @@ class ReplayBuffer:
       kind (full, or policy-only for ``tlr``), which the mixture
       estimators extend by the new records' rows and columns instead of
       recomputing.
-
-    Every memo is validated against the exact environment and policy
-    objects it was computed with.
     """
 
-    def __init__(self, records: Sequence[BufferRecord] = ()):
+    def __init__(self, env: Environment | None, policy: Policy, records: Sequence[BufferRecord] = ()):
+        self.env = env
+        self.policy = policy
         self.records: list[BufferRecord] = []
-        self._own_logdens: dict[int, tuple[Environment, Policy, np.ndarray]] = {}
-        # policy_only -> (env, policy, lo, hi, block over records[lo:hi])
-        self._window_logdens: dict[bool, tuple] = {}
+        self._own_logdens: list[np.ndarray] = []  # one per record, in record order
+        # policy_only -> (lo, hi, block over records[lo:hi])
+        self._window_logdens: dict[bool, tuple[int, int, np.ndarray]] = {}
         for record in records:
             self.append(record)
 
@@ -133,43 +134,59 @@ class ReplayBuffer:
     def total_trajectories(self) -> int:
         return sum(r.n_i for r in self.records)
 
-    def own_logdensity(self, index: int, env: Environment | None, policy: Policy) -> np.ndarray:
-        record = self.records[index]
-        entry = self._own_logdens.get(index)
-        if _memo_hit(entry, env, policy):
-            return entry[2]
-        value = _records_logdensity(record.trajectories, [record], env, policy, False)[0]
-        self._own_logdens[index] = (env, policy, value)
-        return value
-
-    def window_logdensities(
-        self, size: int, env: Environment | None, policy: Policy, policy_only: bool
+    def _logdensity(
+        self, batch: TrajectoryBatch, records: Sequence[BufferRecord], policy_only: bool
     ) -> np.ndarray:
-        """``log D_i(tau_j)`` over ``window(size)``, shape (records, trajectories).
+        """``log D_i(tau_j)`` for record ``i``'s pair and trajectory ``j`` of ``batch``, in one call."""
+        thetas = np.stack([r.theta for r in records])
+        omegas = [r.omega for r in records]
+        return trajectory_logdensity(batch, thetas, omegas, self.env, self.policy, policy_only)
 
-        Row ``i`` is the ``i``-th window record's pair; columns are the
-        window's trajectories in record order.  Only records appended since
-        the last call are evaluated: each one's row over every window
-        trajectory, and each older record's column over the new records'
-        trajectories.  Records that left the window are sliced off; a
-        different env/policy object or a window start left of the memo's
-        rebuilds the block.
+    def own_logdensities(self) -> np.ndarray:
+        """Every trajectory's log density under its own record's pair, in record order.
+
+        Only the records appended since the last call are evaluated, one
+        density call each.
+        """
+        for record in self.records[len(self._own_logdens) :]:
+            self._own_logdens.append(self._logdensity(record.trajectories, [record], False)[0])
+        return np.concatenate(self._own_logdens)
+
+    def window_logdensities(self, size: int, policy_only: bool) -> tuple[TrajectoryBatch, np.ndarray]:
+        """The trajectories of ``window(size)`` as one batch, and ``log D_i(tau_j)`` over them.
+
+        The block has shape (records, trajectories): row ``i`` is the
+        ``i``-th window record's pair, and columns are the window's
+        trajectories in record order.  Only records appended since the last
+        call are evaluated, in two density calls: the older records'
+        columns over the new trajectories, and the new records' rows over
+        every window trajectory.  Appending one record to a window of ``w``
+        evaluates ``2w - 1`` record-by-record blocks instead of ``w**2``.
+        Records that left the window are sliced off; a window start left of
+        the memo's rebuilds the block.
         """
         hi = len(self.records)
         lo = hi - len(self.window(size))
+        batch = _batch_of(self.records[lo:hi])
         entry = self._window_logdens.get(policy_only)
-        if _memo_hit(entry, env, policy) and entry[2] <= lo < entry[3]:
-            _, _, old_lo, mid, block = entry
+        if entry is not None and entry[0] <= lo < entry[1]:
+            old_lo, mid, block = entry
             dropped = sum(r.n_i for r in self.records[old_lo:lo])
             block = block[lo - old_lo :, dropped:]
         else:
             mid, block = lo, np.zeros((0, 0))
-        block = _extend_block(
-            block, self.records[lo:mid], self.records[mid:hi], env, policy, policy_only
-        )
+        if mid < hi:
+            old, new = self.records[lo:mid], self.records[mid:hi]
+            n_old = block.shape[1]
+            grown = np.empty((hi - lo, len(batch)))
+            grown[: len(old), :n_old] = block
+            if old:
+                grown[: len(old), n_old:] = self._logdensity(_batch_of(new), old, policy_only)
+            grown[len(old) :] = self._logdensity(batch, new, policy_only)
+            block = grown
         block.setflags(write=False)
-        self._window_logdens[policy_only] = (env, policy, lo, hi, block)
-        return block
+        self._window_logdens[policy_only] = (lo, hi, block)
+        return batch, block
 
 
 # --- densities -----------------------------------------------------------------
@@ -200,18 +217,6 @@ def trajectory_logdensity(
     if not policy_only:
         lp = lp + env.transition_logpdf_batch(states, actions, next_states, omegas)
     return lp.reshape(lp.shape[0], len(batch), batch.n_steps).sum(axis=2)
-
-
-def _records_logdensity(
-    batch: TrajectoryBatch,
-    records: Sequence[BufferRecord],
-    env: Environment | None,
-    policy: Policy,
-    policy_only: bool,
-) -> np.ndarray:
-    """``log D_i(tau_j)`` for record ``i``'s pair and trajectory ``j`` of ``batch``, in one call."""
-    thetas = np.stack([r.theta for r in records])
-    return trajectory_logdensity(batch, thetas, [r.omega for r in records], env, policy, policy_only)
 
 
 def _log_mixture(log_densities: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -257,35 +262,6 @@ def _per_traj_weights(
     return np.concatenate(parts)
 
 
-def _extend_block(
-    block: np.ndarray,
-    old: Sequence[BufferRecord],
-    new: Sequence[BufferRecord],
-    env: Environment | None,
-    policy: Policy,
-    policy_only: bool,
-) -> np.ndarray:
-    """Grow ``log D_i(tau_j)`` over ``old`` by the records in ``new``.
-
-    ``block`` holds old records' pairs against old trajectories.  Two
-    density calls fill the rest: one for the old records' columns over
-    the new trajectories, one for the new records' rows over every
-    trajectory.  Appending one record to a window of ``w`` evaluates
-    ``2w - 1`` record-by-record blocks instead of ``w**2``, in two calls
-    instead of ``2w - 1``.
-    """
-    if not new:
-        return block
-    records = [*old, *new]
-    n_old = block.shape[1]
-    out = np.empty((len(records), n_old + sum(r.n_i for r in new)))
-    out[: len(old), :n_old] = block
-    if old:
-        out[: len(old), n_old:] = _records_logdensity(_batch_of(new), old, env, policy, policy_only)
-    out[len(old) :] = _records_logdensity(_batch_of(records), new, env, policy, policy_only)
-    return out
-
-
 def _score_weighted_gradient(
     batch: TrajectoryBatch, gamma: float, theta_k, policy: Policy, traj_coef: np.ndarray
 ) -> np.ndarray:
@@ -325,15 +301,17 @@ def pg_gradient(
     return _score_weighted_gradient(record.trajectories, gamma, theta, policy, coef)
 
 
-def _individual_ratios(buffer: ReplayBuffer, theta_k, omega_k, env: Environment, policy: Policy):
+def _individual_ratios(buffer: ReplayBuffer, theta_k, omega_k):
     """Every record's trajectories as one batch, and their ratios ``D_k / D_i``."""
     if len(buffer) == 0:
         raise EstimatorError("buffer is empty")
-    own = np.concatenate([buffer.own_logdensity(i, env, policy) for i in range(len(buffer))])
+    own = buffer.own_logdensities()
     if np.any(own == -np.inf):
         raise EstimatorError("a record assigns zero density to its own trajectory")
     batch = _batch_of(buffer.records)
-    target = trajectory_logdensity(batch, np.asarray(theta_k)[None], [omega_k], env, policy)[0]
+    target = trajectory_logdensity(
+        batch, np.asarray(theta_k)[None], [omega_k], buffer.env, buffer.policy
+    )[0]
     return batch, np.exp(target - own)
 
 
@@ -341,18 +319,16 @@ def ilr_gradient(
     buffer: ReplayBuffer,
     theta_k,
     omega_k,
-    env: Environment,
-    policy: Policy,
     gamma: float = 1.0,
     traj_weights: Sequence[np.ndarray] | None = None,
     diag_out: dict | None = None,
 ) -> np.ndarray:
     """Individual-ratio gradient over every record in the buffer."""
-    batch, ratios = _individual_ratios(buffer, theta_k, omega_k, env, policy)
+    batch, ratios = _individual_ratios(buffer, theta_k, omega_k)
     records = buffer.records
     coef = (1.0 / len(records)) * _per_traj_weights(records, traj_weights) * ratios
     _fill_diag(diag_out, ratios)
-    return _score_weighted_gradient(batch, gamma, theta_k, policy, coef)
+    return _score_weighted_gradient(batch, gamma, theta_k, buffer.policy, coef)
 
 
 def ilr_mean_estimate(
@@ -360,12 +336,10 @@ def ilr_mean_estimate(
     theta_k,
     omega_k,
     gamma: float,
-    env: Environment,
-    policy: Policy,
     traj_weights: Sequence[np.ndarray] | None = None,
 ) -> float:
     """Individual-ratio estimate of the expected return at ``(theta_k, omega_k)``."""
-    batch, ratios = _individual_ratios(buffer, theta_k, omega_k, env, policy)
+    batch, ratios = _individual_ratios(buffer, theta_k, omega_k)
     records = buffer.records
     weights = _per_traj_weights(records, traj_weights)
     return float(np.sum((1.0 / len(records)) * weights * ratios * returns(batch.rewards, gamma)))
@@ -376,8 +350,6 @@ def _mixture_window_gradient(
     theta_k,
     omega_k,
     rolling_window: int,
-    env: Environment | None,
-    policy: Policy,
     gamma: float,
     traj_weights: Sequence[np.ndarray] | None,
     diag_out: dict | None,
@@ -390,19 +362,18 @@ def _mixture_window_gradient(
     records = buffer.window(rolling_window)
     counts = np.array([r.n_i for r in records], dtype=np.float64)
     alphas = counts / np.sum(counts)
-    batch = _batch_of(records)
-    log_dens = buffer.window_logdensities(rolling_window, env, policy, policy_only)
+    batch, log_dens = buffer.window_logdensities(rolling_window, policy_only)
     last = records[-1]
     if theta_k is last.theta and (policy_only or omega_k is last.omega):
         log_target = log_dens[-1]
     else:
         log_target = trajectory_logdensity(
-            batch, np.asarray(theta_k)[None], [omega_k], env, policy, policy_only
+            batch, np.asarray(theta_k)[None], [omega_k], buffer.env, buffer.policy, policy_only
         )[0]
     f = _mixture_ratios(log_target, log_dens, alphas)
     coef = (1.0 / len(records)) * _per_traj_weights(records, traj_weights) * f
     _fill_diag(diag_out, f)
-    return _score_weighted_gradient(batch, gamma, theta_k, policy, coef)
+    return _score_weighted_gradient(batch, gamma, theta_k, buffer.policy, coef)
 
 
 def mlr_gradient(
@@ -410,8 +381,6 @@ def mlr_gradient(
     theta_k,
     omega_k,
     rolling_window: int,
-    env: Environment,
-    policy: Policy,
     gamma: float = 1.0,
     traj_weights: Sequence[np.ndarray] | None = None,
     diag_out: dict | None = None,
@@ -426,7 +395,7 @@ def mlr_gradient(
     call.
     """
     return _mixture_window_gradient(
-        buffer, theta_k, omega_k, rolling_window, env, policy, gamma, traj_weights, diag_out, False
+        buffer, theta_k, omega_k, rolling_window, gamma, traj_weights, diag_out, False
     )
 
 
@@ -434,7 +403,6 @@ def tlr_gradient(
     buffer: ReplayBuffer,
     theta_k,
     rolling_window: int,
-    policy: Policy,
     gamma: float = 1.0,
     traj_weights: Sequence[np.ndarray] | None = None,
     diag_out: dict | None = None,
@@ -446,5 +414,5 @@ def tlr_gradient(
     policy probabilities; no transition model is needed at all.
     """
     return _mixture_window_gradient(
-        buffer, theta_k, None, rolling_window, None, policy, gamma, traj_weights, diag_out, True
+        buffer, theta_k, None, rolling_window, gamma, traj_weights, diag_out, True
     )

@@ -15,9 +15,11 @@ whose bytes are a pure function of (scenario, config, seed).
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -154,10 +156,10 @@ def config_digest(scn: Scenario, cfg: TrainConfig, extra: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _run_macro_task(args) -> tuple[str, int, int, np.ndarray]:
+def _run_macro_task(args) -> np.ndarray:
     scn, cfg, macro, r_test = args
     history = train(scn, cfg, macro=macro, eval_fn=true_model_eval_fn(scn, r_test, cfg.gamma))
-    return cfg.estimator, cfg.replications, macro, history.eval_curve()
+    return history.eval_curve()
 
 
 def run_comparison(
@@ -207,31 +209,23 @@ def run_comparison(
                 tasks.append((scn, cfg, h, r_test))
 
     outcomes: dict[tuple[str, int, int], np.ndarray | Exception] = {}
-    if threads is not None and threads > 1:
-        if scn.upstream.F == 0.0:
-            # Fill the upstream RK4 cache once: forked workers inherit it.
-            _batch_final_biomass(scn.upstream)
-        # The pool starts all max_workers processes at the first submit.
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            futures = [(t, pool.submit(_run_macro_task, t)) for t in tasks]
-            for (scn_, cfg_, h, _), fut in futures:
-                try:
-                    kind, n_i, macro, curve = fut.result()
-                    outcomes[(kind, n_i, macro)] = curve
-                except IntegrationError:
-                    raise
-                except Exception as exc:  # isolate the failing cell
-                    outcomes[(cfg_.estimator, cfg_.replications, h)] = exc
-    else:
-        for t in tasks:
-            _, cfg_, h, _ = t
+    with ExitStack() as stack:
+        runs = [functools.partial(_run_macro_task, t) for t in tasks]
+        if threads is not None and threads > 1:
+            if scn.upstream.F == 0.0:
+                # Fill the upstream RK4 cache once: forked workers inherit it.
+                _batch_final_biomass(scn.upstream)
+            # The pool starts all max_workers processes at the first submit.
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(threads, len(tasks))))
+            runs = [pool.submit(run).result for run in runs]
+        for (_, cfg, h, _), run in zip(tasks, runs):
+            key = (cfg.estimator, cfg.replications, h)
             try:
-                kind, n_i, macro, curve = _run_macro_task(t)
-                outcomes[(kind, n_i, macro)] = curve
+                outcomes[key] = run()
             except IntegrationError:
                 raise
-            except Exception as exc:
-                outcomes[(cfg_.estimator, cfg_.replications, h)] = exc
+            except Exception as exc:  # isolate the failing cell
+                outcomes[key] = exc
 
     rows: list[SummaryRow] = []
     results: list[MacroResult] = []

@@ -196,7 +196,7 @@ def _enumerated_buffer(
 ) -> tuple[ReplayBuffer, list[np.ndarray]]:
     """Replay buffer whose record i holds the full enumeration under
     component i, plus the matching probability weights."""
-    buffer = ReplayBuffer()
+    buffer = ReplayBuffer(TabularEnv(mdp), policy)
     weights = []
     for i, (theta_i, omega_i) in enumerate(components):
         batch, probs = enumerate_trajectories(mdp, theta_i, policy, omega=omega_i)
@@ -222,24 +222,19 @@ def estimator_exact_expectation(
     is one of ``pg | ilr | mlr | tlr`` (or ``ilr_mean`` for the
     mean-response estimator).
     """
-    env = TabularEnv(mdp)
     buffer, weights = _enumerated_buffer(mdp, components, policy)
     theta_k, omega_k = buffer.records[-1].theta, buffer.records[-1].omega
     window = rolling_window if rolling_window is not None else len(components)
     if kind == "pg":
         return pg_gradient(buffer.records[-1], theta_k, policy, gamma, traj_weights=weights[-1])
     if kind == "ilr":
-        return ilr_gradient(buffer, theta_k, omega_k, env, policy, gamma, traj_weights=weights)
+        return ilr_gradient(buffer, theta_k, omega_k, gamma, traj_weights=weights)
     if kind == "ilr_mean":
-        return ilr_mean_estimate(buffer, theta_k, omega_k, gamma, env, policy, traj_weights=weights)
+        return ilr_mean_estimate(buffer, theta_k, omega_k, gamma, traj_weights=weights)
     if kind == "mlr":
-        return mlr_gradient(
-            buffer, theta_k, omega_k, window, env, policy, gamma, traj_weights=weights[-window:]
-        )
+        return mlr_gradient(buffer, theta_k, omega_k, window, gamma, traj_weights=weights[-window:])
     if kind == "tlr":
-        return tlr_gradient(
-            buffer, theta_k, window, policy, gamma, traj_weights=weights[-window:]
-        )
+        return tlr_gradient(buffer, theta_k, window, gamma, traj_weights=weights[-window:])
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 

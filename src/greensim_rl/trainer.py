@@ -186,25 +186,15 @@ def policy_update(theta: np.ndarray, grad: np.ndarray, learning_rate: float) -> 
 
 
 def _compute_gradient(
-    cfg: TrainConfig,
-    buffer: estimators.ReplayBuffer,
-    theta: np.ndarray,
-    omega_k,
-    env: ChromatographyEnv,
-    policy: Policy,
-    diag: dict,
+    cfg: TrainConfig, buffer: estimators.ReplayBuffer, theta: np.ndarray, omega_k, diag: dict
 ) -> np.ndarray:
     if cfg.estimator == "pg":
-        return estimators.pg_gradient(buffer.records[-1], theta, policy, cfg.gamma, diag_out=diag)
+        return estimators.pg_gradient(buffer.records[-1], theta, buffer.policy, cfg.gamma, diag_out=diag)
     if cfg.estimator == "ilr":
-        return estimators.ilr_gradient(buffer, theta, omega_k, env, policy, cfg.gamma, diag_out=diag)
+        return estimators.ilr_gradient(buffer, theta, omega_k, cfg.gamma, diag_out=diag)
     if cfg.estimator == "mlr":
-        return estimators.mlr_gradient(
-            buffer, theta, omega_k, cfg.rolling_window, env, policy, cfg.gamma, diag_out=diag
-        )
-    return estimators.tlr_gradient(
-        buffer, theta, cfg.rolling_window, policy, cfg.gamma, diag_out=diag
-    )
+        return estimators.mlr_gradient(buffer, theta, omega_k, cfg.rolling_window, cfg.gamma, diag_out=diag)
+    return estimators.tlr_gradient(buffer, theta, cfg.rolling_window, cfg.gamma, diag_out=diag)
 
 
 def train(
@@ -237,7 +227,7 @@ def train(
         data, n_steps=3, n_actions=env.action_count(), burn_in=cfg.burn_in, thin=cfg.thin
     )
 
-    buffer = estimators.ReplayBuffer()
+    buffer = estimators.ReplayBuffer(env, policy)
     history = TrainHistory(config=cfg, macro=macro)
     ckpt_root = Path(checkpoint_dir) if checkpoint_dir is not None else None
 
@@ -265,7 +255,7 @@ def train(
 
             diag: dict = {}
             try:
-                grad = _compute_gradient(cfg, buffer, theta, omega_k, env, policy, diag)
+                grad = _compute_gradient(cfg, buffer, theta, omega_k, diag)
             except estimators.EstimatorError as exc:
                 raise TrainingError(f"iteration {k}: estimator failed: {exc}") from exc
             if not np.all(np.isfinite(grad)):

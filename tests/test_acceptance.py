@@ -143,22 +143,22 @@ class TestCriterion3ReductionLattice:
         policy = MlpSoftmaxPolicy(purification_features(scn.p_bar, scn.i_bar, 3), 10)
         theta = policy.init_params(substream(310))
         trajs = rollout_batch(env, policy, theta, scn.true_model, 25, substream(311), provenance=1)
-        buffer = ReplayBuffer([BufferRecord(theta, scn.true_model, trajs, 1)])
+        buffer = ReplayBuffer(env, policy, [BufferRecord(theta, scn.true_model, trajs, 1)])
         pg = pg_gradient(buffer.records[0], theta, policy)
-        ilr = ilr_gradient(buffer, theta, scn.true_model, env, policy)
-        mlr = mlr_gradient(buffer, theta, scn.true_model, 1, env, policy)
+        ilr = ilr_gradient(buffer, theta, scn.true_model)
+        mlr = mlr_gradient(buffer, theta, scn.true_model, 1)
         err_a = max(
             float(np.max(np.abs(ilr - pg))),
             float(np.max(np.abs(mlr - pg))),
         )
 
         thetas = [policy.init_params(substream(312, i)) for i in range(4)]
-        shared_buffer = ReplayBuffer()
+        shared_buffer = ReplayBuffer(env, policy)
         for i, th in enumerate(thetas):
             t = rollout_batch(env, policy, th, scn.true_model, 10, substream(313, i), provenance=i + 1)
             shared_buffer.append(BufferRecord(th, scn.true_model, t, i + 1))
-        mlr_shared = mlr_gradient(shared_buffer, thetas[-1], scn.true_model, 4, env, policy)
-        tlr_shared = tlr_gradient(shared_buffer, thetas[-1], 4, policy)
+        mlr_shared = mlr_gradient(shared_buffer, thetas[-1], scn.true_model, 4)
+        tlr_shared = tlr_gradient(shared_buffer, thetas[-1], 4)
         err_b = float(np.max(np.abs(mlr_shared - tlr_shared)))
         elapsed = time.perf_counter() - started
         report(

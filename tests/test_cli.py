@@ -623,3 +623,22 @@ class TestNumericArguments:
         assert code == cli.EXIT_BAD_CONFIG
         assert f"window {window}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    def test_threads_variable_below_one_exits_4_before_training(
+        self, tmp_path, scenario_file, tiny_config_file, value, monkeypatch, capsys
+    ):
+        # the variable is a config value: anything but an integer >= 1 exits 4, never runs serially
+        from greensim_rl import harness
+
+        def train(*args, **kwargs):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(harness, "train", train)
+        monkeypatch.setenv("GREENSIM_THREADS", value)
+        out = tmp_path / "cmp"
+        argv = ["compare", "--scenario", str(scenario_file), "--config", str(tiny_config_file)]
+        code = cli.main([*argv, "--out", str(out), "--estimators", "pg", "--n-i", "3", "--macros", "2"])
+        assert code == cli.EXIT_BAD_CONFIG
+        assert f"GREENSIM_THREADS must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()

@@ -202,14 +202,14 @@ class TestBatchOnlyEnvironment:
     def test_estimators_run_on_it(self):
         # one action: every score is zero, so every estimator's gradient is zero
         batch = rollout_batch(self.env, self.policy, self.theta, None, 5, stream(1), provenance=1)
-        buffer = ReplayBuffer([BufferRecord(self.theta, None, batch, 1)])
+        buffer = ReplayBuffer(self.env, self.policy, [BufferRecord(self.theta, None, batch, 1)])
         logdens = trajectory_logdensity(batch, self.theta[None], [None], self.env, self.policy)
         np.testing.assert_array_equal(logdens, np.zeros((1, 5)))
         diag = {}
         for grad in (
             pg_gradient(buffer.records[0], self.theta, self.policy),
-            ilr_gradient(buffer, self.theta, None, self.env, self.policy),
-            mlr_gradient(buffer, self.theta, None, 1, self.env, self.policy, diag_out=diag),
+            ilr_gradient(buffer, self.theta, None),
+            mlr_gradient(buffer, self.theta, None, 1, diag_out=diag),
         ):
             np.testing.assert_array_equal(grad, np.zeros(self.policy.param_dim))
         np.testing.assert_array_equal(diag["ratios"], np.ones(5))

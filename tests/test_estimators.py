@@ -18,7 +18,7 @@ from greensim_rl.estimators import (
     trajectory_logdensity,
 )
 from greensim_rl.oracle import TabularEnv, TabularMDP, enumerate_trajectories
-from greensim_rl.policy import FeatureMap, LinearSoftmaxPolicy, onehot_features
+from greensim_rl.policy import LinearSoftmaxPolicy, onehot_features
 
 from conftest import (
     alphas_from_counts,
@@ -31,7 +31,7 @@ from conftest import (
 
 
 def make_buffer(env, policy, components, n_per_record, seed=0):
-    buffer = ReplayBuffer()
+    buffer = ReplayBuffer(env, policy)
     for i, (theta, omega) in enumerate(components):
         trajs = rollout_batch(env, policy, theta, omega, n_per_record, stream(seed, i), provenance=i + 1)
         buffer.append(BufferRecord(theta, omega, trajs, i + 1))
@@ -43,12 +43,12 @@ class TestMixtureWeights:
         # a window of 10 and 30 trajectories is the mixture 0.25 D_1 + 0.75 D_2
         env = TabularEnv(toy_mdp)
         components = [(0.5 * rng.standard_normal(tab_policy.param_dim), random_tensor(rng)) for _ in range(2)]
-        buffer = ReplayBuffer()
+        buffer = ReplayBuffer(env, tab_policy)
         for i, ((theta, omega), n) in enumerate(zip(components, (10, 30))):
             trajs = rollout_batch(env, tab_policy, theta, omega, n, stream(4, i), provenance=i + 1)
             buffer.append(BufferRecord(theta, omega, trajs, i + 1))
         diag = {}
-        mlr_gradient(buffer, *components[-1], 2, env, tab_policy, diag_out=diag)
+        mlr_gradient(buffer, *components[-1], 2, diag_out=diag)
         batch = TrajectoryBatch.concat([r.trajectories for r in buffer.records])
         want = mlr_ratios_batch(batch, components[-1], components, np.array([0.25, 0.75]), env, tab_policy)
         np.testing.assert_allclose(diag["ratios"], want, rtol=0, atol=1e-12)
@@ -59,7 +59,7 @@ class TestBufferStructure:
         env = TabularEnv(toy_mdp)
         theta = np.zeros(tab_policy.param_dim)
         trajs = rollout_batch(env, tab_policy, theta, toy_mdp.transition, 2, stream(1))
-        buffer = ReplayBuffer()
+        buffer = ReplayBuffer(env, tab_policy)
         with pytest.raises(ValueError):
             buffer.append(BufferRecord(theta, toy_mdp.transition, trajs, 5))
 
@@ -75,16 +75,33 @@ class TestBufferStructure:
         with pytest.raises(ValueError):
             BufferRecord(np.zeros(2), None, empty, 1)
 
-    def test_own_density_cache_matches_recompute(self, toy_mdp, tab_policy, rng):
+    def test_own_density_cache_matches_recompute(self, toy_mdp, tab_policy, rng, monkeypatch):
         env = TabularEnv(toy_mdp)
         theta = 0.3 * rng.standard_normal(tab_policy.param_dim)
         buffer = make_buffer(env, tab_policy, [(theta, toy_mdp.transition)], 5)
-        cached = buffer.own_logdensity(0, env, tab_policy)
-        again = buffer.own_logdensity(0, env, tab_policy)
-        assert cached is again  # memoized
-        batch = buffer.records[0].trajectories
-        direct = logdensity(batch, theta, toy_mdp.transition, env, tab_policy)
-        np.testing.assert_allclose(cached, direct, atol=1e-12)
+        calls = []
+        log_prob_batch = tab_policy.log_prob_batch
+
+        def counting(thetas, states, actions):
+            calls.append(len(thetas))
+            return log_prob_batch(thetas, states, actions)
+
+        monkeypatch.setattr(tab_policy, "log_prob_batch", counting)
+        cached = buffer.own_logdensities()
+        assert calls == [1]
+        again = buffer.own_logdensities()
+        assert calls == [1]  # memoized: the second call evaluates nothing
+        np.testing.assert_array_equal(again, cached)
+        # a new record is evaluated alone, in one call of its own
+        theta2, omega2 = 0.3 * rng.standard_normal(tab_policy.param_dim), random_tensor(rng)
+        trajs = rollout_batch(env, tab_policy, theta2, omega2, 4, stream(2), provenance=2)
+        buffer.append(BufferRecord(theta2, omega2, trajs, 2))
+        column = buffer.own_logdensities()
+        assert calls == [1, 1]
+        np.testing.assert_array_equal(column[:5], cached)
+        for record, part in zip(buffer.records, np.split(column, [5])):
+            direct = logdensity(record.trajectories, record.theta, record.omega, env, tab_policy)
+            np.testing.assert_array_equal(part, direct)
 
 
 class TestTrajRelLogdensity:
@@ -106,15 +123,15 @@ class TestTrajRelLogdensity:
         theta = np.zeros(tab_policy.param_dim)
         batch, probs = enumerate_trajectories(mdp, theta, tab_policy)
         assert batch.n_steps == 0 and len(batch) == 2
-        buffer = ReplayBuffer([BufferRecord(theta, mdp.transition, batch, 1)])
+        buffer = ReplayBuffer(env, tab_policy, [BufferRecord(theta, mdp.transition, batch, 1)])
         for grad in (
             pg_gradient(buffer.records[0], theta, tab_policy),
-            ilr_gradient(buffer, theta, mdp.transition, env, tab_policy),
-            mlr_gradient(buffer, theta, mdp.transition, 1, env, tab_policy),
-            tlr_gradient(buffer, theta, 1, tab_policy),
+            ilr_gradient(buffer, theta, mdp.transition),
+            mlr_gradient(buffer, theta, mdp.transition, 1),
+            tlr_gradient(buffer, theta, 1),
         ):
             np.testing.assert_array_equal(grad, np.zeros(tab_policy.param_dim))
-        assert ilr_mean_estimate(buffer, theta, mdp.transition, 1.0, env, tab_policy) == 0.0
+        assert ilr_mean_estimate(buffer, theta, mdp.transition, 1.0) == 0.0
 
     def test_uniform_closed_form(self, scn, env, mlp_policy):
         # uniform policy over 10 actions and Beta(1,1) fractions: each step
@@ -285,14 +302,14 @@ class TestReductionLattice:
         env = TabularEnv(toy_mdp)
         theta = 0.3 * rng.standard_normal(tab_policy.param_dim)
         buffer = make_buffer(env, tab_policy, [(theta, toy_mdp.transition)], n)
-        return env, theta, buffer
+        return theta, buffer
 
     def test_single_record_reductions(self, toy_mdp, tab_policy, rng):
-        env, theta, buffer = self.setup_case(toy_mdp, tab_policy, rng)
+        theta, buffer = self.setup_case(toy_mdp, tab_policy, rng)
         pg = pg_gradient(buffer.records[0], theta, tab_policy, 0.9)
-        ilr = ilr_gradient(buffer, theta, toy_mdp.transition, env, tab_policy, 0.9)
-        mlr = mlr_gradient(buffer, theta, toy_mdp.transition, 1, env, tab_policy, 0.9)
-        tlr = tlr_gradient(buffer, theta, 1, tab_policy, 0.9)
+        ilr = ilr_gradient(buffer, theta, toy_mdp.transition, 0.9)
+        mlr = mlr_gradient(buffer, theta, toy_mdp.transition, 1, 0.9)
+        tlr = tlr_gradient(buffer, theta, 1, 0.9)
         np.testing.assert_allclose(ilr, pg, atol=1e-10)
         np.testing.assert_allclose(mlr, pg, atol=1e-10)
         np.testing.assert_allclose(tlr, pg, atol=1e-10)
@@ -308,8 +325,8 @@ class TestReductionLattice:
         unowned = TrajectoryBatch(flat_all.states, flat_all.actions, flat_all.rewards)
         pooled = BufferRecord(theta, toy_mdp.transition, unowned, 1)
         pg = pg_gradient(pooled, theta, tab_policy, 0.9)
-        ilr = ilr_gradient(buffer, theta, toy_mdp.transition, env, tab_policy, 0.9)
-        mlr = mlr_gradient(buffer, theta, toy_mdp.transition, 3, env, tab_policy, 0.9)
+        ilr = ilr_gradient(buffer, theta, toy_mdp.transition, 0.9)
+        mlr = mlr_gradient(buffer, theta, toy_mdp.transition, 3, 0.9)
         np.testing.assert_allclose(ilr, pg, atol=1e-10)
         np.testing.assert_allclose(mlr, pg, atol=1e-10)
 
@@ -318,8 +335,8 @@ class TestReductionLattice:
         thetas = [0.3 * rng.standard_normal(tab_policy.param_dim) for _ in range(4)]
         components = [(th, toy_mdp.transition) for th in thetas]
         buffer = make_buffer(env, tab_policy, components, 8)
-        mlr = mlr_gradient(buffer, thetas[-1], toy_mdp.transition, 4, env, tab_policy, 0.9)
-        tlr = tlr_gradient(buffer, thetas[-1], 4, tab_policy, 0.9)
+        mlr = mlr_gradient(buffer, thetas[-1], toy_mdp.transition, 4, 0.9)
+        tlr = tlr_gradient(buffer, thetas[-1], 4, 0.9)
         np.testing.assert_allclose(tlr, mlr, atol=1e-10)
 
 
@@ -328,7 +345,7 @@ class TestIlrMeanEstimate:
         env = TabularEnv(toy_mdp)
         theta = 0.3 * rng.standard_normal(tab_policy.param_dim)
         buffer = make_buffer(env, tab_policy, [(theta, toy_mdp.transition)], 40)
-        est = ilr_mean_estimate(buffer, theta, toy_mdp.transition, 0.9, env, tab_policy)
+        est = ilr_mean_estimate(buffer, theta, toy_mdp.transition, 0.9)
         mc = np.mean(returns(buffer.records[0].trajectories.rewards, 0.9))
         assert est == pytest.approx(mc, abs=1e-12)
 
@@ -342,7 +359,7 @@ class TestIlrMeanEstimate:
         env = TabularEnv(mdp)
         theta = np.zeros(tab_policy.param_dim)
         buffer = make_buffer(env, tab_policy, [(theta, mdp.transition)], 10)
-        assert ilr_mean_estimate(buffer, theta, mdp.transition, 1.0, env, tab_policy) == 0.0
+        assert ilr_mean_estimate(buffer, theta, mdp.transition, 1.0) == 0.0
 
 
 class TestLogDomainSafety:
@@ -364,15 +381,15 @@ class TestLogDomainSafety:
         )
         env = TabularEnv(mdp)
         theta = 0.2 * rng.standard_normal(tab_policy.param_dim)
-        buffer = ReplayBuffer()
+        buffer = ReplayBuffer(env, tab_policy)
         r1 = rollout_batch(env, tab_policy, theta, t1, 10, stream(10), provenance=1)
         r2 = rollout_batch(env, tab_policy, theta, t2, 10, stream(11), provenance=2)
         buffer.append(BufferRecord(theta, t1, r1, 1))
         buffer.append(BufferRecord(theta, t2, r2, 2))
         for grad in (
-            mlr_gradient(buffer, theta, t2, 2, env, tab_policy),
-            tlr_gradient(buffer, theta, 2, tab_policy),
-            ilr_gradient(buffer, theta, t2, env, tab_policy),
+            mlr_gradient(buffer, theta, t2, 2),
+            tlr_gradient(buffer, theta, 2),
+            ilr_gradient(buffer, theta, t2),
         ):
             assert np.all(np.isfinite(grad))
 
@@ -411,12 +428,12 @@ def mixed_buffer(env, policy, rng, n_records, n_per_record):
     return make_buffer(env, policy, components, n_per_record, seed=20)
 
 
-def window_gradient(kind, buffer, window, env, policy, diag=None):
+def window_gradient(kind, buffer, window, diag=None):
     """The trainer's call: target is the newest record's own pair."""
     last = buffer.records[-1]
     if kind == "mlr":
-        return mlr_gradient(buffer, last.theta, last.omega, window, env, policy, 0.9, diag_out=diag)
-    return tlr_gradient(buffer, last.theta, window, policy, 0.9, diag_out=diag)
+        return mlr_gradient(buffer, last.theta, last.omega, window, 0.9, diag_out=diag)
+    return tlr_gradient(buffer, last.theta, window, 0.9, diag_out=diag)
 
 
 class TestWindowDensityMemo:
@@ -427,23 +444,23 @@ class TestWindowDensityMemo:
     def test_warm_buffer_matches_cold(self, kind, toy_mdp, tab_policy, rng):
         env = TabularEnv(toy_mdp)
         full = mixed_buffer(env, tab_policy, rng, len(self.WINDOWS), 6)
-        warm = ReplayBuffer()
+        warm = ReplayBuffer(env, tab_policy)
         for record, window in zip(full.records, self.WINDOWS):
             warm.append(record)
             got, want = {}, {}
-            warm_grad = window_gradient(kind, warm, window, env, tab_policy, got)
-            cold_grad = window_gradient(kind, ReplayBuffer(warm.records), window, env, tab_policy, want)
+            warm_grad = window_gradient(kind, warm, window, got)
+            cold_grad = window_gradient(kind, ReplayBuffer(env, tab_policy, warm.records), window, want)
             np.testing.assert_allclose(warm_grad, cold_grad, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got["ratios"], want["ratios"], rtol=0, atol=1e-12)
             assert got["ess"] == pytest.approx(want["ess"], abs=1e-12)
 
     def test_ratios_match_reference(self, toy_mdp, tab_policy, rng):
         env = TabularEnv(toy_mdp)
-        buffer = ReplayBuffer()
+        buffer = ReplayBuffer(env, tab_policy)
         for record, window in zip(mixed_buffer(env, tab_policy, rng, 9, 5).records, self.WINDOWS):
             buffer.append(record)
             diag = {}
-            window_gradient("mlr", buffer, window, env, tab_policy, diag)
+            window_gradient("mlr", buffer, window, diag)
             records = buffer.window(window)
             want = mlr_ratios_batch(
                 TrajectoryBatch.concat([r.trajectories for r in records]),
@@ -462,41 +479,26 @@ class TestWindowDensityMemo:
         # call per record's pair over the whole window
         window, policy_only = 3, kind == "tlr"
         omegas = [scn.true_model, bioenv.ModelParams(np.full((3, 10, 4), 2.0))]
-        buffer = ReplayBuffer()
+        buffer = ReplayBuffer(None if policy_only else env, mlp_policy)
         for k in range(1, 7):
             theta = mlp_policy.init_params(stream(30, k), 0.5)
             omega = omegas[k % 2]
             trajs = rollout_batch(env, mlp_policy, theta, omega, 4, stream(31, k), provenance=k)
             buffer.append(BufferRecord(theta, omega, trajs, k))
-            window_gradient(kind, buffer, window, None if policy_only else env, mlp_policy)
-            block = buffer._window_logdens[policy_only][4]
+            window_gradient(kind, buffer, window)
+            block = buffer._window_logdens[policy_only][2]
             want = window_block_reference(buffer.window(window), env, mlp_policy, policy_only)
             np.testing.assert_array_equal(block, want)
 
-    def test_swapped_env_or_policy_rebuilds(self, toy_mdp, tab_policy, rng):
-        env = TabularEnv(toy_mdp)
-        buffer = mixed_buffer(env, tab_policy, rng, 5, 6)
-        onehot = onehot_features(2)
-        sharper = LinearSoftmaxPolicy(FeatureMap(2, lambda s: 2.0 * onehot(s)), 2)
-        first = window_gradient("mlr", buffer, 4, env, tab_policy)
-        for env2, policy2 in [(TabularEnv(toy_mdp), tab_policy), (env, sharper)]:
-            again = window_gradient("mlr", buffer, 4, env2, policy2)
-            cold = window_gradient("mlr", ReplayBuffer(buffer.records), 4, env2, policy2)
-            np.testing.assert_allclose(again, cold, rtol=0, atol=1e-12)
-            entry = buffer._window_logdens[False]
-            assert entry[0] is env2 and entry[1] is policy2
-        # the sharper policy's densities differ, so a stale memo would show
-        assert not np.allclose(again, first)
-
     def test_memo_holds_only_window_records(self, toy_mdp, tab_policy, rng):
         env = TabularEnv(toy_mdp)
-        buffer = ReplayBuffer()
+        buffer = ReplayBuffer(env, tab_policy)
         for record in mixed_buffer(env, tab_policy, rng, 7, 4).records:
             buffer.append(record)
-            window_gradient("mlr", buffer, 3, env, tab_policy)
-            window_gradient("tlr", buffer, 2, None, tab_policy)
+            window_gradient("mlr", buffer, 3)
+            window_gradient("tlr", buffer, 2)
         for policy_only, window in [(False, 3), (True, 2)]:
-            _, _, lo, hi, block = buffer._window_logdens[policy_only]
+            lo, hi, block = buffer._window_logdens[policy_only]
             assert (lo, hi) == (7 - window, 7)
             assert block.shape == (window, 4 * window)
 
@@ -516,7 +518,7 @@ class TestWindowDensityMemo:
         theta = 0.3 * rng.standard_normal(tab_policy.param_dim)
         buffer = make_buffer(env, tab_policy, [(theta, random_tensor(rng)), (theta, deterministic)], 20)
         diag = {}
-        window_gradient("mlr", buffer, 2, env, tab_policy, diag)
+        window_gradient("mlr", buffer, 2, diag)
         dead = np.concatenate(
             [np.any(r.trajectories.states[:, 1:, 0] == 0, axis=1) for r in buffer.records]
         )
@@ -540,9 +542,9 @@ class TestWindowDensityMemo:
         env = TabularEnv(mdp)
         theta = np.zeros(tab_policy.param_dim)
         trajs = rollout_batch(env, tab_policy, theta, deterministic, 3, stream(13), provenance=1)
-        buffer = ReplayBuffer([BufferRecord(theta, other, trajs, 1)])
+        buffer = ReplayBuffer(env, tab_policy, [BufferRecord(theta, other, trajs, 1)])
         with pytest.raises(EstimatorError, match="mixture density is zero"):
-            mlr_gradient(buffer, theta, deterministic, 1, env, tab_policy)
+            mlr_gradient(buffer, theta, deterministic, 1)
 
     def test_record_theta_is_frozen(self, toy_mdp, tab_policy, rng):
         env = TabularEnv(toy_mdp)
@@ -578,12 +580,12 @@ class TestMixtureCostIsLinearInWindow:
 
         policy.log_prob_batch = counting
         env.transition_logpdf_batch = counting_env
-        buffer = ReplayBuffer()
+        buffer = ReplayBuffer(env if kind == "mlr" else None, policy)
         for record in records:
             buffer.append(record)
             policy_calls.append(0)
             env_calls.append(0)
-            window_gradient(kind, buffer, window, env if kind == "mlr" else None, policy)
+            window_gradient(kind, buffer, window)
         ks = np.arange(1, iterations + 1)
         w = np.minimum(ks, window)
         linear = int(np.sum(n * steps * (2 * w - 1)))
@@ -601,6 +603,6 @@ class TestDiagnostics:
         thetas = [0.3 * rng.standard_normal(tab_policy.param_dim) for _ in range(3)]
         buffer = make_buffer(env, tab_policy, [(th, toy_mdp.transition) for th in thetas], 10)
         diag = {}
-        mlr_gradient(buffer, thetas[-1], toy_mdp.transition, 3, env, tab_policy, diag_out=diag)
+        mlr_gradient(buffer, thetas[-1], toy_mdp.transition, 3, diag_out=diag)
         assert 0 < diag["max_ratio"] <= 3.0 + 1e-12  # bounded by 1/alpha
         assert 0 < diag["ess"] <= 30.0
