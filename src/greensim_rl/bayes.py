@@ -18,7 +18,11 @@ at once: one vectorised ``betaln`` over the proposals, a per-chain
 acceptance mask and per-chain step sizes and adaptation windows.  The
 randomness stays per channel: each channel draws its proposal increments
 and acceptance uniforms from its own child stream, so one channel's draws
-do not depend on the data held by any other channel.
+do not depend on the data held by any other channel.  A draw is named by
+a stream key ``(root_seed, *path)``, as :func:`~greensim_rl.core.substream`
+names a stream; channel ``c`` reads the key's child stream ``c``, whose
+PCG64 start state :func:`~greensim_rl.core.child_stream_states` computes
+without building the child generators.
 
 Channels with no observations are sampled by an independence proposal
 from the prior itself, which such a chain accepts with probability one --
@@ -37,6 +41,7 @@ import numpy as np
 from scipy.special import betaln
 
 from .bioenv import ETA_L, ETA_U, PSI_L, PSI_U, ModelParams
+from .core import child_stream_states
 
 __all__ = [
     "FractionDataset",
@@ -261,24 +266,34 @@ def _walk(ps: PosteriorState, live: np.ndarray, normals: np.ndarray, log_us: np.
     return out
 
 
-def mh_sample(ps: PosteriorState, n: int, rng: np.random.Generator) -> list[ModelParams]:
+def mh_sample(ps: PosteriorState, n: int, root_seed: int, *path: int) -> list[ModelParams]:
     """Draw ``n`` thinned post-burn-in joint posterior samples.
 
     A call first finishes burn-in, if the chains have made fewer than
-    ``burn_in`` moves, and then makes ``thin`` moves per draw.  Each channel
-    has its own child stream, spawned from ``rng`` in ``channel_keys()``
-    order, so the draw sequence of one channel is unaffected by the data
-    held by any other.  A data-backed channel draws from its stream, block
-    by block (burn-in, then each draw), the block's normal increments and
-    then its log acceptance uniforms; all data-backed chains then advance
-    together, one set of array operations per move (:func:`_walk`).  An
-    empty channel draws one prior point per block instead: the flat target
-    always accepts that independence proposal, so its draws are i.i.d.
-    Unif(0, 300].
+    ``burn_in`` moves, and then makes ``thin`` moves per draw.  Its
+    randomness is named by the stream key ``(root_seed, *path)``: channel
+    ``c`` (in ``channel_keys()`` order) draws from the key's child stream
+    ``substream(root_seed, *path).spawn(C)[c]``, so the draw sequence of
+    one channel is unaffected by the data held by any other, and a call is
+    a pure function of its key and the chains' state.  The child streams'
+    start states come from :func:`~greensim_rl.core.child_stream_states`;
+    one generator is set to each in turn.  A data-backed channel draws from
+    its stream, block by block (burn-in, then each draw), the block's
+    normal increments and then its log acceptance uniforms; all data-backed
+    chains then advance together, one set of array operations per move
+    (:func:`_walk`).  An empty channel draws one prior point per block
+    instead: the flat target always accepts that independence proposal, so
+    its draws are i.i.d. Unif(0, 300].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    streams = rng.spawn(ps.n_obs.size)
+    states = child_stream_states(ps.n_obs.size, root_seed, *path)
+    gen = np.random.Generator(np.random.PCG64(0))  # reseeded per channel before any draw
+
+    def stream(c: int) -> np.random.Generator:
+        gen.bit_generator.state = states[c]
+        return gen
+
     burn = max(ps.burn_in - ps.steps_taken, 0)
     blocks = ([burn] if burn else []) + [ps.thin] * n
     n_moves = sum(blocks)
@@ -289,10 +304,11 @@ def mh_sample(ps: PosteriorState, n: int, rng: np.random.Generator) -> list[Mode
         normals = np.empty((n_moves, live.size, 2))
         uniforms = np.empty((n_moves, live.size))
         for j, c in enumerate(live):
+            rng = stream(c)
             lo = 0
             for m in blocks:
-                normals[lo:lo + m, j] = streams[c].standard_normal((m, 2))
-                uniforms[lo:lo + m, j] = streams[c].random(m)
+                normals[lo:lo + m, j] = rng.standard_normal((m, 2))
+                uniforms[lo:lo + m, j] = rng.random(m)
                 lo += m
         stops = {burn + ps.thin * (d + 1) - 1 for d in range(n)}
         positions[:, live] = _walk(ps, live, normals, np.log(uniforms), stops)
@@ -300,7 +316,7 @@ def mh_sample(ps: PosteriorState, n: int, rng: np.random.Generator) -> list[Mode
         # One prior point per block stands in for the block's moves.  All blocks'
         # points come from one call (Generator.random fills in stream order);
         # the burn-in block's point is drawn only to keep the stream in step.
-        prior = np.stack([streams[c].random((len(blocks), 2))[-n:] for c in empty], axis=1)
+        prior = np.stack([stream(c).random((len(blocks), 2))[-n:] for c in empty], axis=1)
         positions[:, empty] = np.log(PRIOR_HIGH * (1.0 - prior))  # in (0, PRIOR_HIGH]
         ps.accepted[empty] += n_moves
         ps.proposed[empty] += n_moves

@@ -300,7 +300,7 @@ def _cmd_posterior_diag(args) -> int:
     else:
         # No data: every channel samples straight from the prior.
         posterior = bayes.make_posterior(bayes.FractionDataset(), n_actions=n_actions)
-    bayes.mh_sample(posterior, args.draws, substream(args.seed, 0))
+    bayes.mh_sample(posterior, args.draws, args.seed, 0)
     with open(args.out, "w", newline="") as fh:
         bayes.write_acceptance_csv(posterior, fh)
     print(f"wrote per-channel acceptance diagnostics to {args.out}")

@@ -239,7 +239,7 @@ def train(
             if cfg.estimator == "tlr":
                 omega_k = scn.true_model
             else:
-                omega_k = bayes.mh_sample(posterior, 1, substream(cfg.seed, macro, k, _POSTERIOR))[0]
+                omega_k = bayes.mh_sample(posterior, 1, cfg.seed, macro, k, _POSTERIOR)[0]
             sampled = time.perf_counter()
             trajectories = rollout_batch(
                 env,

@@ -59,8 +59,11 @@ def random_tensor(rng, n_states=2, n_actions=2):
     return raw / raw.sum(axis=2, keepdims=True)
 
 
+SEED = 987654321
+
+
 def stream(*path):
-    return substream(987654321, *path)
+    return substream(SEED, *path)
 
 
 def identity_features(dim):

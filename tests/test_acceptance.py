@@ -226,13 +226,13 @@ class TestCriterion5PosteriorConsistency:
             np.full(2000, 1), np.full(2000, 0), fractions, rng.beta(2.0, 2.0, size=2000)
         )
         posterior = bayes.make_posterior(dataset, n_steps=1, n_actions=1)
-        draws = bayes.mh_sample(posterior, 400, substream(510))
+        draws = bayes.mh_sample(posterior, 400, 510)
         eta = np.array([d.beta_shapes[0, 0, 2:] for d in draws]).mean(axis=0)
         rel_alpha = abs(eta[0] - 5.0) / 5.0
         rel_beta = abs(eta[1] - 3.0) / 3.0
 
         empty = bayes.make_posterior(bayes.FractionDataset(), n_steps=1, n_actions=1, burn_in=10, thin=1)
-        prior_draws = bayes.mh_sample(empty, 10_000, substream(511))
+        prior_draws = bayes.mh_sample(empty, 10_000, 511)
         alphas = np.array([d.beta_shapes[0, 0, 0] for d in prior_draws])
         se = 300.0 / np.sqrt(12) / np.sqrt(alphas.size)
         prior_err = abs(alphas.mean() - 150.0)

@@ -18,7 +18,7 @@ from greensim_rl.bayes import (
 )
 from greensim_rl.bioenv import ETA_L, ETA_U, PSI_L, PSI_U
 
-from conftest import stream
+from conftest import SEED, stream
 
 
 def dataset_from_fractions(step, action, h_values, psi_values):
@@ -155,7 +155,7 @@ class TestDataset:
 class TestMhSampler:
     def test_empty_dataset_prior_mean(self):
         posterior = make_posterior(FractionDataset(), n_steps=1, n_actions=1, burn_in=10, thin=1)
-        draws = mh_sample(posterior, 10_000, stream(20))
+        draws = mh_sample(posterior, 10_000, SEED, 20)
         alphas = np.array([d.beta_shapes[0, 0, 0] for d in draws])
         se = PRIOR_HIGH / np.sqrt(12) / np.sqrt(len(alphas))
         assert abs(alphas.mean() - 150.0) < 3 * se
@@ -166,7 +166,7 @@ class TestMhSampler:
         fractions = rng.beta(5.0, 3.0, size=2000)
         data = dataset_from_fractions(1, 0, fractions, rng.beta(2.0, 2.0, size=2000))
         posterior = make_posterior(data, n_steps=1, n_actions=1)
-        draws = mh_sample(posterior, 400, stream(22))
+        draws = mh_sample(posterior, 400, SEED, 22)
         eta = np.array([d.beta_shapes[0, 0, 2:] for d in draws])
         mean = eta.mean(axis=0)
         assert abs(mean[0] - 5.0) / 5.0 < 0.10
@@ -174,15 +174,23 @@ class TestMhSampler:
 
     def test_fixed_seed_identical_draws(self):
         data = dataset_from_fractions(1, 0, [0.5, 0.7, 0.6], [0.4, 0.5, 0.3])
-        a = mh_sample(make_posterior(data, 1, 2, burn_in=50), 5, stream(23))
-        b = mh_sample(make_posterior(data, 1, 2, burn_in=50), 5, stream(23))
+        a = mh_sample(make_posterior(data, 1, 2, burn_in=50), 5, SEED, 23)
+        b = mh_sample(make_posterior(data, 1, 2, burn_in=50), 5, SEED, 23)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.beta_shapes, y.beta_shapes)
+
+    def test_stream_key_not_generator(self):
+        # a draw is named by its key: a Generator or a negative entry is rejected before any move
+        ps = make_posterior(FractionDataset(), n_steps=1, n_actions=1, burn_in=5)
+        for key in [(stream(23),), (-1,), (SEED, -2)]:
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                mh_sample(ps, 1, *key)
+        assert ps.steps_taken == 0
 
     def test_all_draws_in_prior_support(self):
         data = dataset_from_fractions(1, 0, [0.9, 0.85, 0.95], [0.1, 0.2, 0.15])
         posterior = make_posterior(data, n_steps=2, n_actions=3, burn_in=100)
-        draws = mh_sample(posterior, 200, stream(24))
+        draws = mh_sample(posterior, 200, SEED, 24)
         for d in draws:
             assert np.all(d.beta_shapes > 0.0)
             assert np.all(d.beta_shapes <= PRIOR_HIGH)
@@ -192,8 +200,8 @@ class TestMhSampler:
         base = dataset_from_fractions(1, 0, [0.5, 0.6], [0.4, 0.3])
         other_a = base.union(dataset_from_fractions(2, 1, [0.7, 0.8], [0.2, 0.25]))
         other_b = base.union(dataset_from_fractions(2, 1, [0.8, 0.7], [0.25, 0.2]))
-        draws_a = mh_sample(make_posterior(other_a, 2, 2, burn_in=20), 20, stream(25))
-        draws_b = mh_sample(make_posterior(other_b, 2, 2, burn_in=20), 20, stream(25))
+        draws_a = mh_sample(make_posterior(other_a, 2, 2, burn_in=20), 20, SEED, 25)
+        draws_b = mh_sample(make_posterior(other_b, 2, 2, burn_in=20), 20, SEED, 25)
         for x, y in zip(draws_a, draws_b):
             np.testing.assert_array_equal(x.beta_shapes[0, 0], y.beta_shapes[0, 0])
             np.testing.assert_array_equal(x.beta_shapes[0, 1], y.beta_shapes[0, 1])
@@ -293,9 +301,11 @@ class ScalarReference:
                     ch["step"] = min(ch["step"] * 1.4, 10.0)
                 ch["w_acc"] = ch["w_prop"] = 0
 
-    def sample(self, n, rng):
+    def sample(self, n, root_seed, *path):
+        children = np.random.SeedSequence(root_seed, spawn_key=path).spawn(len(self.keys))
         per_channel = {}
-        for key, child in zip(self.keys, rng.spawn(len(self.keys))):
+        for key, seed_seq in zip(self.keys, children):
+            child = np.random.Generator(np.random.PCG64(seed_seq))
             ch, stats = self.chains[key], self.stats[key]
             if ch["steps"] < self.burn_in:
                 self._advance(ch, stats, self.burn_in - ch["steps"], child)
@@ -347,7 +357,22 @@ class TestLockstepMatchesScalarReference:
             if n is None:
                 ps, ref = update_dataset(ps, second), ref.update(second)
                 continue
-            self._assert_same(ps, ref, mh_sample(ps, n, stream(40, call)), ref.sample(n, stream(40, call)))
+            self._assert_same(ps, ref, mh_sample(ps, n, SEED, 40, call), ref.sample(n, SEED, 40, call))
+
+    @pytest.mark.parametrize(
+        "n_actions, cells",
+        [
+            (12, [(1, 0), (1, 11), (2, 10), (2, 4)]),  # 3 steps x 12 actions: C = 72
+            (10, []),  # only prior-only channels, as posterior-diag without --data
+        ],
+    )
+    def test_more_channel_counts(self, n_actions, cells):
+        data = self._data(34, cells, 4)
+        ps = make_posterior(data, 3, n_actions, burn_in=40, thin=3)
+        ref = ScalarReference(data, 3, n_actions, 40, 3)
+        assert ps.n_obs.size == 2 * 3 * n_actions
+        for call, n in enumerate([2, 1]):
+            self._assert_same(ps, ref, mh_sample(ps, n, SEED, 43, call), ref.sample(n, SEED, 43, call))
 
     def test_call_resumed_mid_burn_in(self):
         data = self._data(33, [(1, 0), (2, 1), (2, 2)], 5)
@@ -356,7 +381,7 @@ class TestLockstepMatchesScalarReference:
         ps.steps_taken = 23  # a restart part-way through burn-in: 38 moves of it remain
         for ch in ref.chains.values():
             ch["steps"] = 23
-        self._assert_same(ps, ref, mh_sample(ps, 3, stream(41)), ref.sample(3, stream(41)))
+        self._assert_same(ps, ref, mh_sample(ps, 3, SEED, 41), ref.sample(3, SEED, 41))
         assert ps.steps_taken == 61 + 3 * 4
 
 
@@ -374,7 +399,7 @@ class TestNoPerChainLoop:
         step, action = np.array(cells).T
         data = FractionDataset(step, action, 0.4 + 0.05 * action, 0.3 + 0.1 * step)
         ps = make_posterior(data, 2, 4, burn_in=500, thin=5)
-        mh_sample(ps, 1, stream(42))
+        mh_sample(ps, 1, SEED, 42)
         moves = 500 + 5
         assert int(np.sum(ps.n_obs > 0)) == 16
         # one vectorised call per move plus the start-of-call likelihood,
@@ -398,7 +423,7 @@ class TestUpdateDataset:
     def test_warm_start_positions_kept_stats_reset(self):
         data = dataset_from_fractions(1, 0, [0.5, 0.6, 0.7], [0.4, 0.3, 0.2])
         ps = make_posterior(data, 1, 1, burn_in=50)
-        mh_sample(ps, 5, stream(27))
+        mh_sample(ps, 5, SEED, 27)
         position, step_size = ps.log_shapes.copy(), ps.step_size.copy()
         assert ps.steps_taken == 50 + 5 * 5
         updated = update_dataset(ps, dataset_from_fractions(1, 0, [0.55], [0.35]))
@@ -417,11 +442,11 @@ class TestUpdateDataset:
         psi = rng.beta(2.0, 5.0, size=1500)
         small = dataset_from_fractions(1, 0, first, psi[:300])
         ps_small = make_posterior(small, 1, 1)
-        draws_small = mh_sample(ps_small, 400, stream(29))
+        draws_small = mh_sample(ps_small, 400, SEED, 29)
         ps_big = update_dataset(
             ps_small, dataset_from_fractions(1, 0, second, psi[:1500])
         )
-        draws_big = mh_sample(ps_big, 400, stream(29))
+        draws_big = mh_sample(ps_big, 400, SEED, 29)
         var_small = np.var([d.beta_shapes[0, 0, 2] for d in draws_small])
         var_big = np.var([d.beta_shapes[0, 0, 2] for d in draws_big])
         assert var_big <= var_small
@@ -430,7 +455,7 @@ class TestUpdateDataset:
 class TestDiagnostics:
     def test_acceptance_rows_cover_channels(self):
         ps = make_posterior(FractionDataset(), n_steps=2, n_actions=3, burn_in=5)
-        mh_sample(ps, 3, stream(30))
+        mh_sample(ps, 3, SEED, 30)
         rows = acceptance_rows(ps)
         assert len(rows) == 2 * 3 * 2
         assert all(0.0 <= row["accept_rate"] <= 1.0 for row in rows)

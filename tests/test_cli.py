@@ -490,7 +490,7 @@ class TestPosteriorDiagCommand:
         assert cli.main(argv) == 0
         # the same posterior the run's data builds, drawn on posterior-diag's stream
         ps = bayes.make_posterior(data)
-        bayes.mh_sample(ps, 2, substream(0, 0))
+        bayes.mh_sample(ps, 2, 0, 0)
         buf = io.StringIO(newline="")
         bayes.write_acceptance_csv(ps, buf)
         assert out.read_text() == buf.getvalue().replace("\r\n", "\n")

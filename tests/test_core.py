@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from greensim_rl.core import (
     Environment,
     TrajectoryBatch,
+    child_stream_states,
     read_trajectories_jsonl,
     returns,
     reward_to_go,
@@ -321,6 +322,20 @@ class TestSerialization:
         with pytest.raises(ValueError):
             read_trajectories_jsonl(io.StringIO(text), state_dim=3)
 
+    @pytest.mark.parametrize(
+        "line",
+        ['{"steps": [[1.0, 1.0, 1.0, 0.0, -8.0, 0.5, 0.5, 2.0]]}', "5", '{"provenance": 3, "steps": 7}'],
+        ids=["no provenance", "not an object", "steps not a list"],
+    )
+    def test_malformed_object_names_its_line(self, line):
+        text = PINNED_JSONL.splitlines()[0] + "\n\n" + line + "\n"
+        with pytest.raises(ValueError, match="^line 3: "):
+            read_trajectories_jsonl(io.StringIO(text), state_dim=3)
+
+    def test_non_numeric_step_entry_rejected(self):
+        with pytest.raises(ValueError, match="numbers"):
+            read_trajectories_jsonl(io.StringIO('{"provenance": 1, "steps": [[{}, 1, 1, 1, 1, 1, 1, 1]]}'), 3)
+
 
 class TestSubstream:
     def test_same_path_same_stream(self):
@@ -334,3 +349,26 @@ class TestSubstream:
         a = substream(5, 1, 2)
         a.random(1000)
         assert substream(5, 1, 3).random() == substream(5, 1, 3).random()
+
+    @pytest.mark.parametrize("seed", [0, 7, 987654321, 2**40 + 3, 2**64 + 5])
+    @pytest.mark.parametrize("path", [(), (0,), (3, 499, 2), (1, 2**33, 2)])
+    @pytest.mark.parametrize("n_children", [1, 60, 72])
+    def test_child_states_match_spawned_streams(self, seed, path, n_children):
+        children = np.random.SeedSequence(seed, spawn_key=path).spawn(n_children)
+        assert child_stream_states(n_children, seed, *path) == [np.random.PCG64(c).state for c in children]
+
+    def test_child_state_reproduces_the_stream(self):
+        gen = np.random.Generator(np.random.PCG64(0))
+        gen.bit_generator.state = child_stream_states(5, 11, 2, 9)[3]
+        child = np.random.SeedSequence(11, spawn_key=(2, 9)).spawn(5)[3]
+        np.testing.assert_array_equal(gen.random(7), np.random.Generator(np.random.PCG64(child)).random(7))
+
+    @pytest.mark.parametrize(
+        "key",
+        [(-1,), (0, -2), (4, 1, -(2**32)), (1.0,), (3, 2.5), ("3",), (None,), (True,), (np.int64(-1),)],
+        ids=repr,
+    )
+    def test_child_states_reject_bad_key_entries(self, key):
+        # rejected at the boundary, never wrapped into uint32 words
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            child_stream_states(3, *key)
