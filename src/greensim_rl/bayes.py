@@ -41,7 +41,7 @@ import numpy as np
 from scipy.special import betaln
 
 from .bioenv import ETA_L, ETA_U, PSI_L, PSI_U, ModelParams
-from .core import child_stream_states
+from .core import child_stream_states, write_csv
 
 __all__ = [
     "FractionDataset",
@@ -106,11 +106,9 @@ class FractionDataset:
         return FractionDataset(*(np.concatenate([getattr(self, c), getattr(other, c)]) for c in _COLUMNS))
 
 
-def write_fractions_csv(dataset: FractionDataset, fh: IO[str]) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["step", "action", "h_fraction", "psi_fraction"])
-    for t, a, h, psi in zip(*(getattr(dataset, c).tolist() for c in _COLUMNS)):
-        writer.writerow([t, a, repr(h), repr(psi)])
+def write_fractions_csv(dataset: FractionDataset, path) -> None:
+    columns = ["step", "action", "h_fraction", "psi_fraction"]
+    write_csv(path, columns, zip(*(getattr(dataset, c).tolist() for c in _COLUMNS)))
 
 
 def read_fractions_csv(fh: IO[str]) -> FractionDataset:
@@ -367,18 +365,6 @@ def acceptance_rows(ps: PosteriorState) -> list[dict]:
     return rows
 
 
-def write_acceptance_csv(ps: PosteriorState, fh: IO[str]) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["step", "action", "channel", "n_obs", "proposed", "accept_rate", "step_size"])
-    for row in acceptance_rows(ps):
-        writer.writerow(
-            [
-                row["step"],
-                row["action"],
-                row["channel"],
-                row["n_obs"],
-                row["proposed"],
-                repr(row["accept_rate"]),
-                repr(row["step_size"]),
-            ]
-        )
+def write_acceptance_csv(ps: PosteriorState, path) -> None:
+    columns = ["step", "action", "channel", "n_obs", "proposed", "accept_rate", "step_size"]
+    write_csv(path, columns, ([row[c] for c in columns] for row in acceptance_rows(ps)))

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -97,6 +98,14 @@ def beta_log_pdf(x, a, b, log_beta):
 # --- configuration types ----------------------------------------------------
 
 
+def _require_finite(params) -> None:
+    """ScenarioError for the first float field of the dataclass ``params`` that is NaN or infinite."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ScenarioError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class UpstreamParams:
     """Fed-batch fermentation model constants.
@@ -131,6 +140,7 @@ class UpstreamParams:
     harvest_to_mg: float = 778.0    # g/L -> mg bridge (calibrated, see default_scenario)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.V <= 0 or self.dt <= 0 or self.duration <= 0 or self.q_s_max <= 0:
             raise ScenarioError("V, dt, duration and q_s_max must be positive")
         for name in ("S_i_sd", "nu1_sd", "nu2_sd", "harvest_noise_sd"):
@@ -178,6 +188,7 @@ class RewardConfig:
     charge_terminal_op_cost: bool = False  # also charge op_cost at t=3
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0.0 < self.r_d < 1.0:
             raise ScenarioError("r_d must be in (0, 1)")
         for name in ("c_f", "c_l", "price", "p_d", "op_cost"):
@@ -196,6 +207,7 @@ class Scenario:
     i_bar: float = 30.0     # impurity state bound (mg)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.p_bar <= 0 or self.i_bar <= 0:
             raise ScenarioError("state bounds must be positive")
 

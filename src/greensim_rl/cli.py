@@ -1,9 +1,23 @@
 """Command-line interface.
 
-Subcommands: ``simulate`` (export trajectories), ``train`` (one training
-run), ``evaluate`` (score a checkpoint), ``compare`` (the estimator
-comparison grid), ``oracle-check`` (exactness invariants), and
-``posterior-diag`` (MCMC acceptance diagnostics).
+Subcommands and the files they write:
+
+- ``simulate``: true-model rollouts, one JSON trajectory per line of the
+  file ``--out``.
+- ``train``: one training run, into the directory ``--out``:
+  ``history.csv`` (per-iteration diagnostics), ``periods.csv``
+  (per-period dataset size and MCMC acceptance), ``timings.csv``
+  (per-phase wall seconds, the one file that differs between reruns),
+  ``fractions.csv`` (the real-world observations, which
+  ``posterior-diag --data`` reads), ``scenario.json``, ``manifest.json``
+  and ``ckpt/iter_<k>/params.json``.
+- ``evaluate``: scores a checkpoint; writes no file.
+- ``compare``: the estimator comparison grid, into the directory
+  ``--out``: ``curves/<estimator>_<n_i>.csv``, ``summary.csv`` and
+  ``manifest.json``.
+- ``oracle-check``: exactness invariants; writes no file.
+- ``posterior-diag``: per-channel MCMC acceptance diagnostics, the CSV
+  file ``--out``.
 
 Exit codes: 0 success, 2 usage error, 3 missing input file, 4 malformed
 scenario/config (a scenario whose upstream fermentation diverges too), 1
@@ -49,9 +63,7 @@ from .trainer import (
     TrainingError,
     load_train_config,
     train,
-    write_history_csv,
-    write_periods_csv,
-    write_timings_csv,
+    write_history,
 )
 
 EXIT_OK = 0
@@ -203,14 +215,8 @@ def _cmd_train(args) -> int:
         eval_fn, scoring = true_model_eval_fn(scn, args.r_test, cfg.gamma), {"r_test": args.r_test}
     with _atomic_out_dir(args.out) as tmp:
         history = train(scn, cfg, eval_fn=eval_fn, checkpoint_dir=tmp / "ckpt")
-        with open(tmp / "history.csv", "w", newline="") as fh:
-            write_history_csv(history, fh)
-        with open(tmp / "periods.csv", "w", newline="") as fh:
-            write_periods_csv(history, fh)
-        with open(tmp / "timings.csv", "w", newline="") as fh:
-            write_timings_csv(history, fh)
-        with open(tmp / "fractions.csv", "w", newline="") as fh:
-            bayes.write_fractions_csv(history.dataset, fh)
+        write_history(history, tmp)
+        bayes.write_fractions_csv(history.dataset, tmp / "fractions.csv")
         save_scenario(scn, tmp / "scenario.json")
         write_manifest(
             tmp,
@@ -301,8 +307,7 @@ def _cmd_posterior_diag(args) -> int:
         # No data: every channel samples straight from the prior.
         posterior = bayes.make_posterior(bayes.FractionDataset(), n_actions=n_actions)
     bayes.mh_sample(posterior, args.draws, args.seed, 0)
-    with open(args.out, "w", newline="") as fh:
-        bayes.write_acceptance_csv(posterior, fh)
+    bayes.write_acceptance_csv(posterior, args.out)
     print(f"wrote per-channel acceptance diagnostics to {args.out}")
     return EXIT_OK
 

@@ -28,10 +28,11 @@ compared configurations reduce to reusing the same stream path (see
 from __future__ import annotations
 
 import abc
+import csv
 import functools
 import json
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -41,11 +42,11 @@ __all__ = [
     "RolloutError",
     "TrajectoryBatch",
     "child_stream_states",
-    "read_trajectories_jsonl",
     "returns",
     "reward_to_go",
     "rollout_batch",
     "substream",
+    "write_csv",
     "write_trajectories_jsonl",
 ]
 
@@ -420,7 +421,21 @@ def rollout_batch(
 
 
 # --- serialization ---------------------------------------------------------
-#
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write the table ``header`` + ``rows`` to the CSV file at ``path``.
+
+    The package's one CSV writer.  ``csv`` writes every float, numpy's
+    included, as its shortest round-tripping repr, so ``float(cell)``
+    reads back the value written, bit for bit.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # One JSON object per trajectory, newline-delimited.  Each step is a flat
 # array of numbers: state, action, reward, next_state.
 
@@ -430,37 +445,3 @@ def write_trajectories_jsonl(batch: TrajectoryBatch, fh: IO[str]) -> None:
     rows = rows.reshape(len(batch), batch.n_steps, 2 * states.shape[1] + 2).tolist()
     for provenance, steps in zip(batch.provenance.tolist(), rows):
         fh.write(json.dumps({"provenance": provenance, "steps": steps}) + "\n")
-
-
-def read_trajectories_jsonl(fh: IO[str], state_dim: int) -> TrajectoryBatch:
-    """Read a JSONL file back into one batch; ValueError if the lines do not form one."""
-    provenance, rows = [], []
-    for number, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-            steps = obj["steps"]
-            provenance.append(int(obj["provenance"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"line {number}: not a trajectory with provenance and steps ({exc!r})") from exc
-        if not isinstance(steps, list) or not all(isinstance(row, list) for row in steps):
-            raise ValueError(f"line {number}: steps must be a list of step rows")
-        rows.append(steps)
-    if not rows:
-        raise ValueError("no trajectories in the file")
-    if len({len(steps) for steps in rows}) != 1:
-        raise ValueError("every trajectory in a batch must have the same number of steps")
-    if not rows[0]:
-        raise ValueError("cannot reconstruct a trajectory with no steps from JSON")
-    if {len(row) for steps in rows for row in steps} != {2 * state_dim + 2}:
-        raise ValueError(f"every step row must have length {2 * state_dim + 2} for state_dim={state_dim}")
-    try:
-        table = np.array(rows, dtype=np.float64)  # (n, H-1, 2d+2)
-    except TypeError as exc:
-        raise ValueError(f"step rows must hold numbers: {exc}") from exc
-    if not np.array_equal(table[:, 1:, :state_dim], table[:, :-1, state_dim + 2 :]):
-        raise ValueError("a step's state must be the previous step's next state")
-    states = np.concatenate([table[:, :1, :state_dim], table[:, :, state_dim + 2 :]], axis=1)
-    return TrajectoryBatch(states, table[:, :, state_dim], table[:, :, state_dim + 1], provenance)

@@ -14,7 +14,6 @@ whose bytes are a pure function of (scenario, config, seed).
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import json
@@ -33,7 +32,7 @@ from .bioenv import (
     _batch_final_biomass,
     scenario_to_jsonable,
 )
-from .core import Environment, Policy, returns, rollout_batch
+from .core import Environment, Policy, returns, rollout_batch, write_csv
 from .trainer import TrainConfig, train
 
 __all__ = [
@@ -46,9 +45,7 @@ __all__ = [
     "run_comparison",
     "summarize_last_window",
     "true_model_eval_fn",
-    "write_curve_csv",
     "write_manifest",
-    "write_summary_csv",
 ]
 
 
@@ -95,8 +92,6 @@ class MacroResult:
     estimator: str
     n_i: int
     rewards: np.ndarray  # (M, total_iterations)
-    seed: int
-    config_digest: str
 
 
 @dataclass(frozen=True)
@@ -238,9 +233,7 @@ def run_comparison(
                 errors.append(f"{kind}/n_i={n_i}: {failed[0]!r}")
                 continue
             rewards = np.stack(cell)
-            results.append(
-                MacroResult(estimator=kind, n_i=n_i, rewards=rewards, seed=seed, config_digest=digest)
-            )
+            results.append(MacroResult(estimator=kind, n_i=n_i, rewards=rewards))
             stats = aggregate_curves(rewards)
             rows.append(summarize_last_window(stats.mean, window, estimator=kind, n_i=n_i))
 
@@ -263,31 +256,18 @@ def run_comparison(
     return rows, results, errors
 
 
-def write_curve_csv(stats: CurveStats, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["iteration", "mean", "se", "lo", "hi"])
-    for k in range(stats.mean.shape[0]):
-        writer.writerow(
-            [k + 1, repr(stats.mean[k]), repr(stats.se[k]), repr(stats.lo[k]), repr(stats.hi[k])]
-        )
-
-
-def write_summary_csv(rows: list[SummaryRow], fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["estimator", "n_i", "mean", "se"])
-    for row in rows:
-        writer.writerow([row.estimator, row.n_i, repr(row.mean), repr(row.se)])
-
-
 def _write_outputs(out_dir: Path, results: list[MacroResult], rows: list[SummaryRow]) -> None:
     curves_dir = out_dir / "curves"
     curves_dir.mkdir(parents=True, exist_ok=True)
     for result in results:
         stats = aggregate_curves(result.rewards)
-        with open(curves_dir / f"{result.estimator}_{result.n_i}.csv", "w", newline="") as fh:
-            write_curve_csv(stats, fh)
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        write_summary_csv(rows, fh)
+        write_csv(
+            curves_dir / f"{result.estimator}_{result.n_i}.csv",
+            ["iteration", "mean", "se", "lo", "hi"],
+            zip(range(1, len(stats.mean) + 1), stats.mean, stats.se, stats.lo, stats.hi),
+        )
+    summary = ((row.estimator, row.n_i, row.mean, row.se) for row in rows)
+    write_csv(out_dir / "summary.csv", ["estimator", "n_i", "mean", "se"], summary)
 
 
 def write_manifest(out_dir: Path, fields: dict) -> None:

@@ -22,18 +22,18 @@ streams, and identical configurations reproduce byte-identical histories.
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import IO, Callable
+from typing import Callable
 
 import numpy as np
 
 from . import bayes, estimators
 from .bioenv import ChromatographyEnv, Scenario, collect_real_data
-from .core import Policy, returns, rollout_batch, substream
+from .core import Policy, returns, rollout_batch, substream, write_csv
 from .policy import POLICY_KINDS, make_policy, purification_features, save_params
 
 __all__ = [
@@ -46,9 +46,7 @@ __all__ = [
     "load_train_config",
     "policy_update",
     "train",
-    "write_history_csv",
-    "write_periods_csv",
-    "write_timings_csv",
+    "write_history",
 ]
 
 ESTIMATOR_KINDS = ("pg", "ilr", "mlr", "tlr")
@@ -92,6 +90,8 @@ class TrainConfig:
             kinds = _NUMERIC_FIELD_TYPES.get(f.type)
             if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in (
             "periods", "iterations_per_period", "replications", "real_data_per_period", "hidden_dim", "thin"
         ):
@@ -318,44 +318,38 @@ def train(
     return history
 
 
-def write_history_csv(history: TrainHistory, fh: IO[str]) -> None:
-    """Per-iteration diagnostics; wall times stay out so the file is deterministic.
+def write_history(history: TrainHistory, out_dir: Path) -> None:
+    """Write the run's ``history.csv``, ``periods.csv`` and ``timings.csv`` into ``out_dir``.
 
-    An ``eval_reward`` column is added when the run scored its iterations
-    (an ``eval_fn`` was given).
+    ``history.csv`` holds the per-iteration diagnostics, with an
+    ``eval_reward`` column when the run scored its iterations (an
+    ``eval_fn`` was given); ``periods.csv`` the per-period dataset size and
+    mean MCMC acceptance of the data-backed channels.  Wall seconds of each
+    phase and of the whole iteration go to ``timings.csv``, the one
+    non-deterministic output, so the other two stay byte-identical across
+    reruns.
     """
     with_eval = any(rec.eval_reward is not None for rec in history.iterations)
-    writer = csv.writer(fh)
     header = ["iteration", "estimator", "grad_norm", "return_estimate", "max_ratio", "ess"]
-    writer.writerow(header + ["eval_reward"] if with_eval else header)
-    for rec in history.iterations:
-        row = [
-            rec.iteration,
-            history.config.estimator,
-            repr(rec.grad_norm),
-            repr(rec.return_estimate),
-            repr(rec.max_ratio),
-            repr(rec.ess),
-        ]
-        writer.writerow(row + [repr(rec.eval_reward)] if with_eval else row)
-
-
-def write_timings_csv(history: TrainHistory, fh: IO[str]) -> None:
-    """Per-iteration wall seconds of each phase and of the whole iteration.
-
-    The one non-deterministic output of a run, kept apart from
-    ``history.csv`` so that file stays byte-identical across reruns.
-    """
-    writer = csv.writer(fh)
-    writer.writerow(["iteration", "posterior_s", "rollout_s", "gradient_s", "eval_s", "wall_s"])
-    for rec in history.iterations:
-        times = (rec.posterior_s, rec.rollout_s, rec.gradient_s, rec.eval_s, rec.wall_time)
-        writer.writerow([rec.iteration, *map(repr, times)])
-
-
-def write_periods_csv(history: TrainHistory, fh: IO[str]) -> None:
-    """Per-period dataset size and mean MCMC acceptance of the data-backed channels."""
-    writer = csv.writer(fh)
-    writer.writerow(["period", "dataset_size", "mean_acceptance"])
-    for rec in history.periods:
-        writer.writerow([rec.period, rec.dataset_size, repr(rec.mean_acceptance)])
+    write_csv(
+        out_dir / "history.csv",
+        header + ["eval_reward"] if with_eval else header,
+        (
+            [rec.iteration, history.config.estimator, rec.grad_norm, rec.return_estimate, rec.max_ratio, rec.ess]
+            + ([rec.eval_reward] if with_eval else [])
+            for rec in history.iterations
+        ),
+    )
+    write_csv(
+        out_dir / "periods.csv",
+        ["period", "dataset_size", "mean_acceptance"],
+        ((rec.period, rec.dataset_size, rec.mean_acceptance) for rec in history.periods),
+    )
+    write_csv(
+        out_dir / "timings.csv",
+        ["iteration", "posterior_s", "rollout_s", "gradient_s", "eval_s", "wall_s"],
+        (
+            (rec.iteration, rec.posterior_s, rec.rollout_s, rec.gradient_s, rec.eval_s, rec.wall_time)
+            for rec in history.iterations
+        ),
+    )

@@ -9,9 +9,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "greensim_rl"
 
 # Exported names kept without a caller in src/ or perfbench/, with the reason.
-ALLOWED = {
-    ("core", "read_trajectories_jsonl"): "reader paired with the JSONL export of `greensim simulate`",
-}
+ALLOWED: dict[tuple[str, str], str] = {}
 
 
 def exported_names():
@@ -58,3 +56,22 @@ def test_allow_list_is_current():
     exported = set(exported_names())
     for module, name in ALLOWED:
         assert (module, name) in exported and name not in used
+
+
+def test_one_csv_writer():
+    # every table the program writes goes through core.write_csv
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tokens = [
+            tok
+            for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+            if tok.type in (tokenize.NAME, tokenize.OP)
+        ]
+        for first, dot, attr in zip(tokens, tokens[1:], tokens[2:]):
+            if (first.string, dot.string, attr.string) == ("csv", ".", "writer"):
+                sites.append((path.stem, first.start[0]))
+    tree = ast.parse((PACKAGE / "core.py").read_text())
+    (writer,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "write_csv"]
+    assert sites and all(
+        module == "core" and writer.lineno <= line <= writer.end_lineno for module, line in sites
+    ), f"csv.writer outside core.write_csv: {sites}"

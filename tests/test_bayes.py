@@ -1,7 +1,5 @@
 """Posterior over the transition model: dataset, prior, MH sampler."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -124,18 +122,17 @@ class TestDataset:
             with pytest.raises(ValueError):
                 getattr(data, column)[0] = 0
 
-    def test_csv_format_pinned(self):
+    def test_csv_format_pinned(self, tmp_path):
         # the exact text the per-observation writer produced for these three rows
         data = FractionDataset(
             [1, 2, 1], [7, 0, 3], [0.9473285161039607, 0.5, 0.1], [1e-05, 0.3333333333333333, 0.25]
         )
-        buf = io.StringIO()
-        write_fractions_csv(data, buf)
-        assert buf.getvalue() == (
-            "step,action,h_fraction,psi_fraction\r\n"
-            "1,7,0.9473285161039607,1e-05\r\n"
-            "2,0,0.5,0.3333333333333333\r\n"
-            "1,3,0.1,0.25\r\n"
+        write_fractions_csv(data, tmp_path / "fractions.csv")
+        assert (tmp_path / "fractions.csv").read_bytes() == (
+            b"step,action,h_fraction,psi_fraction\r\n"
+            b"1,7,0.9473285161039607,1e-05\r\n"
+            b"2,0,0.5,0.3333333333333333\r\n"
+            b"1,3,0.1,0.25\r\n"
         )
 
     def test_observation_outside_channel_grid_rejected(self):
@@ -144,12 +141,11 @@ class TestDataset:
         with pytest.raises(ValueError, match="outside"):
             make_posterior(dataset_from_fractions(1, 3, [0.5], [0.4]), n_steps=2, n_actions=3)
 
-    def test_csv_round_trip(self):
+    def test_csv_round_trip(self, tmp_path):
         data = dataset_from_fractions(1, 2, [0.51234567890123, 0.6], [0.4, 0.311111111111])
-        buf = io.StringIO()
-        write_fractions_csv(data, buf)
-        buf.seek(0)
-        assert_same_dataset(read_fractions_csv(buf), data)
+        write_fractions_csv(data, tmp_path / "fractions.csv")
+        with open(tmp_path / "fractions.csv", newline="") as fh:
+            assert_same_dataset(read_fractions_csv(fh), data)
 
 
 class TestMhSampler:
@@ -460,8 +456,23 @@ class TestDiagnostics:
         assert len(rows) == 2 * 3 * 2
         assert all(0.0 <= row["accept_rate"] <= 1.0 for row in rows)
 
-    def test_csv_header(self):
+    def test_csv_header(self, tmp_path):
         ps = make_posterior(FractionDataset(), n_steps=1, n_actions=1)
-        buf = io.StringIO()
-        bayes.write_acceptance_csv(ps, buf)
-        assert buf.getvalue().splitlines()[0] == "step,action,channel,n_obs,proposed,accept_rate,step_size"
+        bayes.write_acceptance_csv(ps, tmp_path / "diag.csv")
+        lines = (tmp_path / "diag.csv").read_text().splitlines()
+        assert lines[0] == "step,action,channel,n_obs,proposed,accept_rate,step_size"
+
+    def test_csv_format_pinned(self, tmp_path):
+        # the exact text the diagnostics writer produces for hand-set chain totals
+        ps = make_posterior(dataset_from_fractions(1, 0, [0.5], [0.4]), n_steps=1, n_actions=2)
+        ps.accepted[:] = [1, 0, 2, 0]
+        ps.proposed[:] = [3, 0, 8, 0]
+        ps.step_size[:] = [0.1, 0.5, 1.2345678901234567, 1e-05]
+        bayes.write_acceptance_csv(ps, tmp_path / "diag.csv")
+        assert (tmp_path / "diag.csv").read_bytes() == (
+            b"step,action,channel,n_obs,proposed,accept_rate,step_size\r\n"
+            b"1,0,eta,1,3,0.3333333333333333,0.1\r\n"
+            b"1,0,psi,1,0,0.0,0.5\r\n"
+            b"1,1,eta,0,8,0.25,1.2345678901234567\r\n"
+            b"1,1,psi,0,0,0.0,1e-05\r\n"
+        )

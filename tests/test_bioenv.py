@@ -107,8 +107,10 @@ class TestIntegrateUpstream:
     @pytest.mark.parametrize("s_i", [780.0, np.array([780.0, 700.0])], ids=["scalar", "batch"])
     def test_nan_substrate_raises(self, s_i):
         # a clamp that mapped NaN to 0 would starve the culture into a finite answer
+        params = upstream(F=0.5, duration=10.0)
+        object.__setattr__(params, "S0", float("nan"))  # past the constructor's finite check
         with pytest.raises(bioenv.IntegrationError, match="non-finite"):
-            bioenv._integrate_biomass(upstream(S0=float("nan"), F=0.5, duration=10.0), s_i)
+            bioenv._integrate_biomass(params, s_i)
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -475,3 +477,33 @@ class TestScenarioIO:
         assert bioenv.scenario_to_jsonable(packaged) == bioenv.scenario_to_jsonable(
             default_scenario()
         )
+
+
+NON_FINITE = (float("nan"), float("inf"), -float("inf"))
+
+
+def float_fields(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls) if f.type == "float"]
+
+
+class TestNonFiniteFieldsRejected:
+    # json reads NaN and Infinity, and comparisons such as `<= 0` let them through
+
+    def test_upstream_params(self):
+        for name in float_fields(UpstreamParams):
+            for value in NON_FINITE:
+                with pytest.raises(ScenarioError, match=f"^{name} must be finite"):
+                    UpstreamParams(**{name: value})
+
+    def test_reward_config(self):
+        for name in float_fields(RewardConfig):
+            for value in NON_FINITE:
+                with pytest.raises(ScenarioError, match=f"^{name} must be finite"):
+                    RewardConfig(**{name: value})
+
+    def test_scenario(self, scn):
+        assert float_fields(Scenario) == ["p_bar", "i_bar"]
+        for name in float_fields(Scenario):
+            for value in NON_FINITE:
+                with pytest.raises(ScenarioError, match=f"^{name} must be finite"):
+                    dataclasses.replace(scn, **{name: value})

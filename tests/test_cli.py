@@ -1,7 +1,6 @@
 """Command-line surface: dispatch, exit codes, atomic outputs."""
 
 import dataclasses
-import io
 import json
 import os
 import subprocess
@@ -13,7 +12,7 @@ import pytest
 
 import greensim_rl
 from greensim_rl import bayes, cli
-from greensim_rl.bioenv import ModelParams, default_scenario, save_scenario
+from greensim_rl.bioenv import ModelParams, default_scenario, save_scenario, scenario_to_jsonable
 from greensim_rl.core import substream
 from greensim_rl.harness import evaluate_policy
 from greensim_rl.policy import load_params
@@ -109,6 +108,30 @@ class TestErrors:
         code = cli.main(["train", "--scenario", str(scenario_file), "--config", str(bad), "--out", str(out)])
         assert code == cli.EXIT_BAD_CONFIG
         assert next(iter(config)) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [
+            ("reward", "c_f", "nan"),
+            ("reward", "price", "inf"),
+            ("upstream", "harvest_to_mg", "inf"),
+            ("bounds", "p_bar", "inf"),
+            ("config", "grad_clip", "nan"),
+            ("config", "learning_rate", "inf"),
+        ],
+    )
+    def test_non_finite_number_exits_4(self, tmp_path, tiny_config_file, section, name, value, capsys):
+        # json reads NaN and Infinity; they must not reach a run
+        scenario = scenario_to_jsonable(default_scenario())
+        config = json.loads(tiny_config_file.read_text())
+        (config if section == "config" else scenario[section])[name] = float(value)
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        tiny_config_file.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        argv = ["--scenario", str(tmp_path / "scenario.json"), "--config", str(tiny_config_file), "--out", str(out)]
+        assert cli.main(["train", *argv]) == cli.EXIT_BAD_CONFIG
+        assert f"{name} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_exits_2(self, tmp_path, scenario_file, tiny_config_file, capsys):
@@ -491,9 +514,8 @@ class TestPosteriorDiagCommand:
         # the same posterior the run's data builds, drawn on posterior-diag's stream
         ps = bayes.make_posterior(data)
         bayes.mh_sample(ps, 2, 0, 0)
-        buf = io.StringIO(newline="")
-        bayes.write_acceptance_csv(ps, buf)
-        assert out.read_text() == buf.getvalue().replace("\r\n", "\n")
+        bayes.write_acceptance_csv(ps, tmp_path / "want.csv")
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_replays_a_run_on_a_wider_scenario(self, tmp_path, tiny_config_file, capsys):
         # the default scenario widened to 12 pooling windows (two copies of the last one)

@@ -1,10 +1,14 @@
 """Evaluation protocol, curve statistics, comparison grid."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from greensim_rl import harness
 from greensim_rl.harness import (
+    MacroResult,
+    SummaryRow,
     aggregate_curves,
     evaluate_policy,
     run_comparison,
@@ -125,6 +129,13 @@ class TestRunComparison:
         assert len(lines) == 5
         assert (tmp_path / "summary.csv").exists()
         assert (tmp_path / "manifest.json").exists()
+        # every cell reads back, with float, as the value aggregate_curves computed
+        for result in results:
+            stats = aggregate_curves(result.rewards)
+            with open(tmp_path / "curves" / f"{result.estimator}_3.csv", newline="") as fh:
+                cells = [[float(cell) for cell in row] for row in list(csv.reader(fh))[1:]]
+            want = np.column_stack([np.arange(1.0, 5.0), stats.mean, stats.se, stats.lo, stats.hi])
+            assert np.array(cells).tobytes() == want.tobytes()
 
     def test_duplicate_estimator_cells_identical(self, scn):
         args = self.small_args(scn)
@@ -215,3 +226,21 @@ class TestRunComparison:
         assert rows_serial == rows_par
         for a, b in zip(results_serial, results_par):
             np.testing.assert_array_equal(a.rewards, b.rewards)
+
+
+class TestOutputFiles:
+    def test_format_pinned(self, tmp_path):
+        # the exact text written for hand-built cells: plain numbers, as csv writes floats
+        result = MacroResult("pg", 3, np.array([[1.0, 2.0], [2.0, 4.5]]))
+        rows = [SummaryRow("pg", 3, 1 / 3, 1e-05), SummaryRow("mlr", 25, -12.5, 0.0)]
+        harness._write_outputs(tmp_path, [result], rows)
+        assert (tmp_path / "summary.csv").read_bytes() == (
+            b"estimator,n_i,mean,se\r\n"
+            b"pg,3,0.3333333333333333,1e-05\r\n"
+            b"mlr,25,-12.5,0.0\r\n"
+        )
+        assert (tmp_path / "curves" / "pg_3.csv").read_bytes() == (
+            b"iteration,mean,se,lo,hi\r\n"
+            b"1,1.5,0.5,0.52,2.48\r\n"
+            b"2,3.25,1.25,0.7999999999999998,5.7\r\n"
+        )

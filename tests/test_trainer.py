@@ -1,7 +1,5 @@
 """Training loop: schedule, updates, determinism, buffer bookkeeping."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -12,9 +10,7 @@ from greensim_rl.trainer import (
     load_train_config,
     policy_update,
     train,
-    write_history_csv,
-    write_periods_csv,
-    write_timings_csv,
+    write_history,
 )
 
 
@@ -96,6 +92,12 @@ class TestConfig:
     def test_rejects_mistyped_and_out_of_range_fields(self, overrides):
         with pytest.raises(ValueError):
             TrainConfig(**overrides)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "gamma", "init_scale", "grad_clip"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_floats(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            TrainConfig(**{name: value})
 
     def test_accepts_boundary_sampler_settings(self):
         cfg = TrainConfig(burn_in=0, thin=1, learning_rate=1, grad_clip=2)
@@ -187,11 +189,10 @@ class TestTrainLoop:
 
 
 class TestHistoryExport:
-    def test_csv_shape(self, scn):
+    def test_csv_shape(self, scn, tmp_path):
         history = train(scn, tiny_cfg(estimator="tlr"))
-        buf = io.StringIO()
-        write_history_csv(history, buf)
-        lines = buf.getvalue().splitlines()
+        write_history(history, tmp_path)
+        lines = (tmp_path / "history.csv").read_text().splitlines()
         assert lines[0] == "iteration,estimator,grad_norm,return_estimate,max_ratio,ess"
         assert len(lines) == 1 + len(history.iterations)
         assert lines[1].split(",")[1] == "tlr"
@@ -199,25 +200,23 @@ class TestHistoryExport:
         assert float(last[4]) == history.iterations[-1].max_ratio
         assert float(last[5]) == history.iterations[-1].ess
 
-    def test_periods_csv(self, scn):
+    def test_periods_csv(self, scn, tmp_path):
         history = train(scn, tiny_cfg(estimator="pg"))
-        buf = io.StringIO()
-        write_periods_csv(history, buf)
-        lines = buf.getvalue().splitlines()
+        write_history(history, tmp_path)
+        lines = (tmp_path / "periods.csv").read_text().splitlines()
         assert lines[0] == "period,dataset_size,mean_acceptance"
         assert [line.split(",")[:2] for line in lines[1:]] == [["1", "12"], ["2", "18"]]
         assert [float(line.split(",")[2]) for line in lines[1:]] == [
             p.mean_acceptance for p in history.periods
         ]
 
-    def test_files_are_deterministic(self, scn):
+    def test_files_are_deterministic(self, scn, tmp_path):
         outputs = []
-        for _ in range(2):
+        for run in ("a", "b"):
             history = train(scn, tiny_cfg(estimator="mlr"))
-            buf = io.StringIO()
-            write_history_csv(history, buf)
-            write_periods_csv(history, buf)
-            outputs.append(buf.getvalue())
+            (tmp_path / run).mkdir()
+            write_history(history, tmp_path / run)
+            outputs.append([(tmp_path / run / name).read_bytes() for name in ("history.csv", "periods.csv")])
         assert outputs[0] == outputs[1]
 
 
@@ -236,11 +235,10 @@ class TestPhaseTimings:
         history = train(scn, tiny_cfg(estimator="pg"))
         assert all(rec.eval_s == 0.0 for rec in history.iterations)
 
-    def test_timings_csv(self, scn):
+    def test_timings_csv(self, scn, tmp_path):
         history = train(scn, tiny_cfg(estimator="pg"))
-        buf = io.StringIO()
-        write_timings_csv(history, buf)
-        lines = buf.getvalue().splitlines()
+        write_history(history, tmp_path)
+        lines = (tmp_path / "timings.csv").read_text().splitlines()
         assert lines[0] == "iteration,posterior_s,rollout_s,gradient_s,eval_s,wall_s"
         assert len(lines) == 1 + len(history.iterations)
         for line, rec in zip(lines[1:], history.iterations):
