@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import functools
 import json
-import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import betaln
 
-from .core import Environment, rollout_batch
+from .core import Environment, check_fields, check_typed, rollout_batch
 
 if TYPE_CHECKING:
     from .bayes import FractionDataset
@@ -91,19 +90,10 @@ def beta_log_pdf(x, a, b, log_beta):
     inside = (x > 0.0) & (x < 1.0)
     xs = np.where(inside, x, 0.5)  # dummy value, masked below
     logpdf = (a - 1.0) * np.log(xs) + (b - 1.0) * np.log1p(-xs) - log_beta
-    result = np.where(inside, logpdf, -np.inf)
-    return result if result.ndim else float(result)
+    return np.where(inside, logpdf, -np.inf)
 
 
 # --- configuration types ----------------------------------------------------
-
-
-def _require_finite(params) -> None:
-    """ScenarioError for the first float field of the dataclass ``params`` that is NaN or infinite."""
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ScenarioError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +130,7 @@ class UpstreamParams:
     harvest_to_mg: float = 778.0    # g/L -> mg bridge (calibrated, see default_scenario)
 
     def __post_init__(self):
-        _require_finite(self)
+        check_fields(self, ScenarioError)
         if self.V <= 0 or self.dt <= 0 or self.duration <= 0 or self.q_s_max <= 0:
             raise ScenarioError("V, dt, duration and q_s_max must be positive")
         for name in ("S_i_sd", "nu1_sd", "nu2_sd", "harvest_noise_sd"):
@@ -188,7 +178,7 @@ class RewardConfig:
     charge_terminal_op_cost: bool = False  # also charge op_cost at t=3
 
     def __post_init__(self):
-        _require_finite(self)
+        check_fields(self, ScenarioError)
         if not 0.0 < self.r_d < 1.0:
             raise ScenarioError("r_d must be in (0, 1)")
         for name in ("c_f", "c_l", "price", "p_d", "op_cost"):
@@ -207,7 +197,7 @@ class Scenario:
     i_bar: float = 30.0     # impurity state bound (mg)
 
     def __post_init__(self):
-        _require_finite(self)
+        check_fields(self, ScenarioError)
         if self.p_bar <= 0 or self.i_bar <= 0:
             raise ScenarioError("state bounds must be positive")
 
@@ -503,14 +493,16 @@ def scenario_from_jsonable(obj: dict) -> Scenario:
         reward_cfg = RewardConfig(**obj["reward"])
     except TypeError as exc:
         raise ScenarioError(f"unknown or missing scenario field: {exc}") from exc
-    model = ModelParams(np.array(obj["true_model"]["beta_shapes"], dtype=np.float64))
+    shapes = obj["true_model"]["beta_shapes"]
+    # np.array would read "2.5" and true as numbers: every entry must be a JSON number
+    check_typed(ScenarioError, (("beta_shapes", v, "float") for v in np.array(shapes, dtype=object).flat))
     bounds = obj["bounds"]
     return Scenario(
         upstream=upstream,
-        true_model=model,
+        true_model=ModelParams(np.array(shapes, dtype=np.float64)),
         reward=reward_cfg,
-        p_bar=float(bounds["p_bar"]),
-        i_bar=float(bounds["i_bar"]),
+        p_bar=bounds["p_bar"],
+        i_bar=bounds["i_bar"],
     )
 
 

@@ -2,8 +2,9 @@
 
 Subcommands and the files they write:
 
-- ``simulate``: true-model rollouts, one JSON trajectory per line of the
-  file ``--out``.
+- ``simulate``: true-model rollouts into the file ``--out``, one JSON
+  object ``{"steps": [...]}`` per trajectory and line; each step is the
+  flat array ``state..., action, reward, next_state...``.
 - ``train``: one training run, into the directory ``--out``:
   ``history.csv`` (per-iteration diagnostics), ``periods.csv``
   (per-period dataset size and MCMC acceptance), ``timings.csv``
@@ -56,12 +57,13 @@ from .harness import (
     true_model_eval_fn,
     write_manifest,
 )
-from .policy import load_params, make_policy, purification_features
+from .policy import load_params
 from .trainer import (
     ESTIMATOR_KINDS,
     TrainConfig,
     TrainingError,
     load_train_config,
+    scenario_policy,
     train,
     write_history,
 )
@@ -161,12 +163,6 @@ def _atomic_out_dir(path: str):
     os.replace(tmp, final)
 
 
-def _build_policy_for(scn, kind: str, hidden_dim: int = 16):
-    env = ChromatographyEnv(scn)
-    features = purification_features(scn.p_bar, scn.i_bar, env.horizon())
-    return env, make_policy(kind, features, env.action_count(), hidden_dim)
-
-
 def _load_checkpoint(path: str, scn):
     """Environment, policy and parameters of a checkpoint, rebuilt from its own architecture."""
     if not Path(path).exists():
@@ -174,7 +170,7 @@ def _load_checkpoint(path: str, scn):
     try:
         theta, kind, meta = load_params(path)
         hidden_dim = meta.get("hidden_dim", 16)
-        env, policy = _build_policy_for(scn, kind, hidden_dim)
+        env, policy = scenario_policy(scn, kind, hidden_dim)
     except ValueError as exc:
         raise CliError(EXIT_BAD_CONFIG, f"invalid checkpoint {path}: {exc}")
     if theta.shape[0] != policy.param_dim:
@@ -194,7 +190,8 @@ def _cmd_simulate(args) -> int:
     if args.checkpoint:
         env, policy, theta = _load_checkpoint(args.checkpoint, scn)
     else:
-        env, policy = _build_policy_for(scn, "mlp")
+        cfg = TrainConfig()
+        env, policy = scenario_policy(scn, cfg.policy_kind, cfg.hidden_dim)
         theta = policy.init_params(substream(args.seed, 0))
     batch = rollout_batch(env, policy, theta, scn.true_model, args.n, substream(args.seed, 1))
     with open(args.out, "w") as fh:

@@ -16,7 +16,10 @@ models) and return an ``(R, n)`` array, so the estimators evaluate many
 (policy, model) pairs over the same rows in one call.  Per-trajectory
 quantities are row reductions over the ``(n, H-1)`` matrices; step-level
 arrays are the batch's rows in trajectory-major order
-(:attr:`TrajectoryBatch.step_arrays`).
+(:attr:`TrajectoryBatch.step_arrays`).  A batch may hold views: the replay
+buffer copies its records into one append-only store and hands out runs of
+records as batches of views into it.  A batch exports as JSONL, one
+``{"steps": [...]}`` object per trajectory (:func:`write_trajectories_jsonl`).
 
 All randomness flows through explicitly passed ``numpy.random.Generator``
 instances, or stream keys ``(root_seed, *path)`` that name them.  Nothing
@@ -31,7 +34,8 @@ import abc
 import csv
 import functools
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -41,6 +45,8 @@ __all__ = [
     "Policy",
     "RolloutError",
     "TrajectoryBatch",
+    "check_fields",
+    "check_typed",
     "child_stream_states",
     "returns",
     "reward_to_go",
@@ -53,6 +59,30 @@ __all__ = [
 
 class RolloutError(RuntimeError):
     """Environment sampling produced an unusable state during a rollout."""
+
+
+# Python types a field annotation (a string under ``from __future__ import annotations``) admits.
+_FIELD_TYPES = {
+    "int": (int,), "float": (int, float), "float | None": (int, float, type(None)), "bool": (bool,)
+}
+
+
+def check_typed(error: type[Exception], entries: Iterable[tuple[str, object, str]]) -> None:
+    """Raise ``error`` naming the first ``(name, value, annotation)`` whose value is mistyped or not finite.
+
+    Only a ``bool`` annotation admits a bool (JSON's ``true``), and a float value must be finite.
+    """
+    for name, value, kind in entries:
+        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _FIELD_TYPES[kind]):
+            raise error(f"{name} must be of type {kind}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value!r}")
+
+
+def check_fields(obj, error: type[Exception]) -> None:
+    """:func:`check_typed` on every field of the dataclass ``obj`` with an annotation it knows."""
+    entries = ((f.name, getattr(obj, f.name), f.type) for f in fields(obj))
+    check_typed(error, (entry for entry in entries if entry[2] in _FIELD_TYPES))
 
 
 def substream(root_seed: int, *path: int) -> np.random.Generator:
@@ -168,9 +198,6 @@ class TrajectoryBatch:
     ``states`` has shape ``(n, H, d)``; ``actions`` and ``rewards`` have
     shape ``(n, H-1)``.  Step ``t`` (0-based) of trajectory ``j`` is
     ``(states[j, t], actions[j, t], rewards[j, t], states[j, t+1])``.
-    ``provenance`` holds, per trajectory, the replay-buffer iteration index
-    of the (policy, transition-model) pair that produced it, or -1 for
-    trajectories generated outside a training loop; a scalar is broadcast.
 
     Shapes are validated at construction and every array is made
     read-only in place, so batches are safe to share across threads.
@@ -179,7 +206,6 @@ class TrajectoryBatch:
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
-    provenance: np.ndarray | int = -1
 
     def __post_init__(self) -> None:
         states = np.asarray(self.states, dtype=np.float64)
@@ -194,12 +220,7 @@ class TrajectoryBatch:
                     f"{name} must have shape {(n, horizon - 1)} to match states {states.shape}, "
                     f"got {arr.shape}"
                 )
-        provenance = np.asarray(self.provenance, dtype=np.int64)
-        if provenance.ndim > 1 or provenance.size not in (1, n):
-            raise ValueError(f"provenance must be a scalar or one per trajectory, got {provenance.shape}")
-        provenance = np.broadcast_to(provenance, (n,)).copy()
-        fields = {"states": states, "actions": actions, "rewards": rewards, "provenance": provenance}
-        for name, arr in fields.items():
+        for name, arr in (("states", states), ("actions", actions), ("rewards", rewards)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -227,18 +248,6 @@ class TrajectoryBatch:
         for arr in out:
             arr.setflags(write=False)
         return out
-
-    @classmethod
-    def concat(cls, batches: Sequence["TrajectoryBatch"]) -> "TrajectoryBatch":
-        """One batch holding ``batches``' trajectories in order."""
-        if len(batches) == 1:
-            return batches[0]
-        return cls(
-            np.concatenate([b.states for b in batches]),
-            np.concatenate([b.actions for b in batches]),
-            np.concatenate([b.rewards for b in batches]),
-            np.concatenate([b.provenance for b in batches]),
-        )
 
 
 def _check_gamma(gamma: float) -> None:
@@ -385,7 +394,6 @@ def rollout_batch(
     omega,
     n: int,
     rng: np.random.Generator,
-    provenance: int = -1,
 ) -> TrajectoryBatch:
     """Generate ``n`` episodes under ``(policy(theta), omega)``.
 
@@ -416,7 +424,6 @@ def rollout_batch(
         np.stack(all_states, axis=1),
         np.stack(all_actions, axis=1) if all_actions else np.zeros((n, 0), dtype=np.int64),
         np.stack(all_rewards, axis=1) if all_rewards else np.zeros((n, 0)),
-        provenance,
     )
 
 
@@ -436,12 +443,12 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer.writerows(rows)
 
 
-# One JSON object per trajectory, newline-delimited.  Each step is a flat
-# array of numbers: state, action, reward, next_state.
+# One JSON object per trajectory, newline-delimited: ``{"steps": [...]}``,
+# each step a flat array of numbers: state, action, reward, next_state.
 
 def write_trajectories_jsonl(batch: TrajectoryBatch, fh: IO[str]) -> None:
     states, actions, next_states = batch.step_arrays
     rows = np.column_stack([states, actions, batch.rewards.reshape(-1), next_states])
     rows = rows.reshape(len(batch), batch.n_steps, 2 * states.shape[1] + 2).tolist()
-    for provenance, steps in zip(batch.provenance.tolist(), rows):
-        fh.write(json.dumps({"provenance": provenance, "steps": steps}) + "\n")
+    for steps in rows:
+        fh.write(json.dumps({"steps": steps}) + "\n")

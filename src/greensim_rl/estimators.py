@@ -29,13 +29,15 @@ mixture block by one record takes two density calls, whatever the
 window size.
 
 A :class:`ReplayBuffer` is bound to one environment and one policy when
-it is built.  Every density it memoizes (each record's density under its
-own pair, and the rolling window's mixture block) is under those two
-objects, so the reuse estimators take only the buffer and the target pair.
+it is built, so the reuse estimators take only the buffer and the target
+pair.  It holds its records' trajectories in one append-only store: the
+individual-ratio history and the mixture window are batches of views into
+it (:meth:`ReplayBuffer.trajectories`), never concatenations.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -59,40 +61,29 @@ class EstimatorError(RuntimeError):
     """A density or buffer precondition was violated."""
 
 
-class BufferRecord:
-    """One iteration's policy, model draw and generated trajectory batch."""
+_BATCH_COLUMNS = ("states", "actions", "rewards")
 
-    def __init__(self, theta, omega, trajectories: TrajectoryBatch, iteration: int):
-        if len(trajectories) == 0:
-            raise ValueError("a buffer record needs at least one trajectory")
-        foreign = trajectories.provenance[
-            (trajectories.provenance != -1) & (trajectories.provenance != iteration)
-        ]
-        if foreign.size:
-            raise ValueError(
-                f"trajectory provenance {foreign[0]} does not match record iteration {iteration}"
-            )
-        # Frozen in place: the buffer's density memos assume a record's
-        # pair never changes, and the trainer's identity shortcut needs the
-        # caller's array itself, not a copy.
-        self.theta = np.asarray(theta, dtype=np.float64)
-        self.theta.setflags(write=False)
-        self.omega = omega
-        self.trajectories = trajectories
-        self.iteration = int(iteration)
+
+@dataclass(frozen=True, eq=False)
+class BufferRecord:
+    """One iteration's policy, model draw and generated trajectories (a view into the buffer's store)."""
+
+    theta: np.ndarray
+    omega: object
+    trajectories: TrajectoryBatch
 
     @property
     def n_i(self) -> int:
         return len(self.trajectories)
 
 
-def _batch_of(records: Sequence[BufferRecord]) -> TrajectoryBatch:
-    return TrajectoryBatch.concat([r.trajectories for r in records])
-
-
 class ReplayBuffer:
-    """Ordered records with contiguous iteration indices 1..k, bound to one
-    environment and one policy.
+    """Records numbered by append order, bound to one environment and one policy.
+
+    The buffer owns its records' trajectories: :meth:`append` copies each
+    batch into an append-only store of columns (states, actions, rewards,
+    own log density) that doubles in capacity when full, and record ``i``
+    holds its rows ``_offsets[i]:_offsets[i + 1]``.
 
     Every density the buffer computes is under ``env`` and ``policy``, and
     it memoizes the densities that never change once a record is written,
@@ -107,24 +98,53 @@ class ReplayBuffer:
       recomputing.
     """
 
-    def __init__(self, env: Environment | None, policy: Policy, records: Sequence[BufferRecord] = ()):
+    def __init__(self, env: Environment | None, policy: Policy):
         self.env = env
         self.policy = policy
         self.records: list[BufferRecord] = []
-        self._own_logdens: list[np.ndarray] = []  # one per record, in record order
+        self._offsets = [0]
+        self._store: dict[str, np.ndarray] = {}  # column name -> rows, allocated by the first append
+        self._own_filled = 0  # records whose own log densities are in the store
         # policy_only -> (lo, hi, block over records[lo:hi])
         self._window_logdens: dict[bool, tuple[int, int, np.ndarray]] = {}
-        for record in records:
-            self.append(record)
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def append(self, record: BufferRecord) -> None:
-        expected = len(self.records) + 1
-        if record.iteration != expected:
-            raise ValueError(f"expected iteration {expected}, got {record.iteration}")
-        self.records.append(record)
+    def append(self, theta, omega, trajectories: TrajectoryBatch) -> None:
+        """Copy ``trajectories``, generated under ``(theta, omega)``, into the store as the next record.
+
+        A batch with no trajectory, or of another horizon or state dimension
+        than the stored ones, raises ``ValueError``.  ``theta`` is frozen in
+        place, not copied: the density memos assume a record's pair never
+        changes, and the trainer's identity shortcut needs the caller's array.
+        """
+        theta = np.asarray(theta, dtype=np.float64)
+        if len(trajectories) == 0:
+            raise ValueError("a buffer record needs at least one trajectory")
+        if self._store and trajectories.states.shape[1:] != self._store["states"].shape[1:]:
+            raise ValueError(
+                f"trajectories of shape {trajectories.states.shape} do not match the buffer's "
+                f"(horizon, state dim) {self._store['states'].shape[1:]}"
+            )
+        new = {name: getattr(trajectories, name) for name in _BATCH_COLUMNS}
+        new["own_logdens"] = np.full(len(trajectories), np.nan)  # filled by own_logdensities
+        lo, hi = self._offsets[-1], self._offsets[-1] + len(trajectories)
+        for name, rows in new.items():
+            column = self._store.get(name, rows[:0])
+            if hi > len(column):
+                grown = np.empty((max(hi, 2 * len(column)), *rows.shape[1:]), dtype=rows.dtype)
+                grown[:lo] = column[:lo]
+                self._store[name] = column = grown
+            column[lo:hi] = rows
+        self._offsets.append(hi)
+        theta.setflags(write=False)
+        self.records.append(BufferRecord(theta, omega, self.trajectories(len(self), len(self) + 1)))
+
+    def trajectories(self, lo: int, hi: int) -> TrajectoryBatch:
+        """The trajectories of ``records[lo:hi]``, in record order, as views into the store."""
+        rows = slice(self._offsets[lo], self._offsets[hi])
+        return TrajectoryBatch(*(self._store[name][rows] for name in _BATCH_COLUMNS))
 
     def window(self, size: int) -> list[BufferRecord]:
         if size < 1:
@@ -132,7 +152,7 @@ class ReplayBuffer:
         return self.records[-size:]
 
     def total_trajectories(self) -> int:
-        return sum(r.n_i for r in self.records)
+        return self._offsets[-1]
 
     def _logdensity(
         self, batch: TrajectoryBatch, records: Sequence[BufferRecord], policy_only: bool
@@ -146,11 +166,16 @@ class ReplayBuffer:
         """Every trajectory's log density under its own record's pair, in record order.
 
         Only the records appended since the last call are evaluated, one
-        density call each.
+        density call each; the result is a read-only view of the store.
         """
-        for record in self.records[len(self._own_logdens) :]:
-            self._own_logdens.append(self._logdensity(record.trajectories, [record], False)[0])
-        return np.concatenate(self._own_logdens)
+        own = self._store["own_logdens"]
+        for i in range(self._own_filled, len(self)):
+            rows = slice(self._offsets[i], self._offsets[i + 1])
+            own[rows] = self._logdensity(self.records[i].trajectories, self.records[i : i + 1], False)[0]
+        self._own_filled = len(self)
+        own = own[: self._offsets[-1]]
+        own.setflags(write=False)
+        return own
 
     def window_logdensities(self, size: int, policy_only: bool) -> tuple[TrajectoryBatch, np.ndarray]:
         """The trajectories of ``window(size)`` as one batch, and ``log D_i(tau_j)`` over them.
@@ -167,12 +192,11 @@ class ReplayBuffer:
         """
         hi = len(self.records)
         lo = hi - len(self.window(size))
-        batch = _batch_of(self.records[lo:hi])
+        batch = self.trajectories(lo, hi)
         entry = self._window_logdens.get(policy_only)
         if entry is not None and entry[0] <= lo < entry[1]:
             old_lo, mid, block = entry
-            dropped = sum(r.n_i for r in self.records[old_lo:lo])
-            block = block[lo - old_lo :, dropped:]
+            block = block[lo - old_lo :, self._offsets[lo] - self._offsets[old_lo] :]
         else:
             mid, block = lo, np.zeros((0, 0))
         if mid < hi:
@@ -181,7 +205,7 @@ class ReplayBuffer:
             grown = np.empty((hi - lo, len(batch)))
             grown[: len(old), :n_old] = block
             if old:
-                grown[: len(old), n_old:] = self._logdensity(_batch_of(new), old, policy_only)
+                grown[: len(old), n_old:] = self._logdensity(self.trajectories(mid, hi), old, policy_only)
             grown[len(old) :] = self._logdensity(batch, new, policy_only)
             block = grown
         block.setflags(write=False)
@@ -286,33 +310,30 @@ def _fill_diag(diag_out: dict | None, ratios: np.ndarray) -> None:
 
 def pg_gradient(
     record: BufferRecord,
-    theta,
     policy: Policy,
     gamma: float = 1.0,
     traj_weights: np.ndarray | None = None,
     diag_out: dict | None = None,
 ) -> np.ndarray:
-    """On-policy gradient: average of score times reward-to-go."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if not np.array_equal(theta, record.theta):
-        raise EstimatorError("pg_gradient requires the record's own policy parameters")
+    """On-policy gradient at the record's own parameters: average of score times reward-to-go."""
     coef = _per_traj_weights([record], None if traj_weights is None else [traj_weights])
     _fill_diag(diag_out, np.ones(record.n_i))
-    return _score_weighted_gradient(record.trajectories, gamma, theta, policy, coef)
+    return _score_weighted_gradient(record.trajectories, gamma, record.theta, policy, coef)
 
 
-def _individual_ratios(buffer: ReplayBuffer, theta_k, omega_k):
-    """Every record's trajectories as one batch, and their ratios ``D_k / D_i``."""
+def _individual_ratios(buffer: ReplayBuffer, theta_k, omega_k, traj_weights):
+    """All records' trajectories as one batch, their ratios ``D_k / D_i``, and ``weight * ratio / K``."""
     if len(buffer) == 0:
         raise EstimatorError("buffer is empty")
     own = buffer.own_logdensities()
     if np.any(own == -np.inf):
         raise EstimatorError("a record assigns zero density to its own trajectory")
-    batch = _batch_of(buffer.records)
+    batch = buffer.trajectories(0, len(buffer))
     target = trajectory_logdensity(
         batch, np.asarray(theta_k)[None], [omega_k], buffer.env, buffer.policy
     )[0]
-    return batch, np.exp(target - own)
+    ratios = np.exp(target - own)
+    return batch, ratios, (1.0 / len(buffer)) * _per_traj_weights(buffer.records, traj_weights) * ratios
 
 
 def ilr_gradient(
@@ -324,9 +345,7 @@ def ilr_gradient(
     diag_out: dict | None = None,
 ) -> np.ndarray:
     """Individual-ratio gradient over every record in the buffer."""
-    batch, ratios = _individual_ratios(buffer, theta_k, omega_k)
-    records = buffer.records
-    coef = (1.0 / len(records)) * _per_traj_weights(records, traj_weights) * ratios
+    batch, ratios, coef = _individual_ratios(buffer, theta_k, omega_k, traj_weights)
     _fill_diag(diag_out, ratios)
     return _score_weighted_gradient(batch, gamma, theta_k, buffer.policy, coef)
 
@@ -339,10 +358,8 @@ def ilr_mean_estimate(
     traj_weights: Sequence[np.ndarray] | None = None,
 ) -> float:
     """Individual-ratio estimate of the expected return at ``(theta_k, omega_k)``."""
-    batch, ratios = _individual_ratios(buffer, theta_k, omega_k)
-    records = buffer.records
-    weights = _per_traj_weights(records, traj_weights)
-    return float(np.sum((1.0 / len(records)) * weights * ratios * returns(batch.rewards, gamma)))
+    batch, _, coef = _individual_ratios(buffer, theta_k, omega_k, traj_weights)
+    return float(np.sum(coef * returns(batch.rewards, gamma)))
 
 
 def _mixture_window_gradient(

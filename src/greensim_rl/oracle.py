@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import Environment, Policy, TrajectoryBatch, returns, reward_to_go
 from .estimators import (
-    BufferRecord,
     ReplayBuffer,
     ilr_gradient,
     ilr_mean_estimate,
@@ -198,9 +197,9 @@ def _enumerated_buffer(
     component i, plus the matching probability weights."""
     buffer = ReplayBuffer(TabularEnv(mdp), policy)
     weights = []
-    for i, (theta_i, omega_i) in enumerate(components):
+    for theta_i, omega_i in components:
         batch, probs = enumerate_trajectories(mdp, theta_i, policy, omega=omega_i)
-        buffer.append(BufferRecord(theta_i, omega_i, batch, i + 1))
+        buffer.append(theta_i, omega_i, batch)
         weights.append(probs)
     return buffer, weights
 
@@ -226,7 +225,7 @@ def estimator_exact_expectation(
     theta_k, omega_k = buffer.records[-1].theta, buffer.records[-1].omega
     window = rolling_window if rolling_window is not None else len(components)
     if kind == "pg":
-        return pg_gradient(buffer.records[-1], theta_k, policy, gamma, traj_weights=weights[-1])
+        return pg_gradient(buffer.records[-1], policy, gamma, traj_weights=weights[-1])
     if kind == "ilr":
         return ilr_gradient(buffer, theta_k, omega_k, gamma, traj_weights=weights)
     if kind == "ilr_mean":

@@ -23,9 +23,8 @@ streams, and identical configurations reproduce byte-identical histories.
 from __future__ import annotations
 
 import json
-import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import bayes, estimators
 from .bioenv import ChromatographyEnv, Scenario, collect_real_data
-from .core import Policy, returns, rollout_batch, substream, write_csv
+from .core import Policy, check_fields, returns, rollout_batch, substream, write_csv
 from .policy import POLICY_KINDS, make_policy, purification_features, save_params
 
 __all__ = [
@@ -45,6 +44,7 @@ __all__ = [
     "TrainingError",
     "load_train_config",
     "policy_update",
+    "scenario_policy",
     "train",
     "write_history",
 ]
@@ -54,10 +54,6 @@ ESTIMATOR_KINDS = ("pg", "ilr", "mlr", "tlr")
 # Stream purposes within an iteration (the third path component is the
 # iteration index, or the period index for real-world data collection).
 _INIT, _REAL_DATA, _POSTERIOR, _ROLLOUT, _EVAL = 0, 1, 2, 3, 4
-
-
-# Accepted Python types per annotated numeric TrainConfig field (bool is rejected separately).
-_NUMERIC_FIELD_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None))}
 
 
 class TrainingError(RuntimeError):
@@ -85,13 +81,7 @@ class TrainConfig:
     thin: int = 5
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kinds = _NUMERIC_FIELD_TYPES.get(f.type)
-            if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
-                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        check_fields(self, ValueError)
         for name in (
             "periods", "iterations_per_period", "replications", "real_data_per_period", "hidden_dim", "thin"
         ):
@@ -170,6 +160,13 @@ class TrainHistory:
         return np.array([rec.eval_reward for rec in self.iterations], dtype=np.float64)
 
 
+def scenario_policy(scn: Scenario, kind: str, hidden_dim: int) -> tuple[ChromatographyEnv, Policy]:
+    """The scenario's environment, and a ``kind`` policy over its purification features and actions."""
+    env = ChromatographyEnv(scn)
+    features = purification_features(scn.p_bar, scn.i_bar, env.horizon())
+    return env, make_policy(kind, features, env.action_count(), hidden_dim)
+
+
 def policy_update(theta: np.ndarray, grad: np.ndarray, learning_rate: float) -> np.ndarray:
     """One ascent step ``theta + learning_rate * grad``."""
     if learning_rate <= 0:
@@ -189,7 +186,7 @@ def _compute_gradient(
     cfg: TrainConfig, buffer: estimators.ReplayBuffer, theta: np.ndarray, omega_k, diag: dict
 ) -> np.ndarray:
     if cfg.estimator == "pg":
-        return estimators.pg_gradient(buffer.records[-1], theta, buffer.policy, cfg.gamma, diag_out=diag)
+        return estimators.pg_gradient(buffer.records[-1], buffer.policy, cfg.gamma, diag_out=diag)
     if cfg.estimator == "ilr":
         return estimators.ilr_gradient(buffer, theta, omega_k, cfg.gamma, diag_out=diag)
     if cfg.estimator == "mlr":
@@ -211,13 +208,7 @@ def train(
     true-model evaluation in here).  ``checkpoint_dir`` persists per-
     iteration parameters under ``iter_<k>/params.json``.
     """
-    env = ChromatographyEnv(scn)
-    policy = make_policy(
-        cfg.policy_kind,
-        purification_features(scn.p_bar, scn.i_bar, env.horizon()),
-        env.action_count(),
-        cfg.hidden_dim,
-    )
+    env, policy = scenario_policy(scn, cfg.policy_kind, cfg.hidden_dim)
     theta = policy.init_params(substream(cfg.seed, macro, 0, _INIT), cfg.init_scale)
 
     data = collect_real_data(
@@ -242,15 +233,9 @@ def train(
                 omega_k = bayes.mh_sample(posterior, 1, cfg.seed, macro, k, _POSTERIOR)[0]
             sampled = time.perf_counter()
             trajectories = rollout_batch(
-                env,
-                policy,
-                theta,
-                omega_k,
-                cfg.replications,
-                substream(cfg.seed, macro, k, _ROLLOUT),
-                provenance=k,
+                env, policy, theta, omega_k, cfg.replications, substream(cfg.seed, macro, k, _ROLLOUT)
             )
-            buffer.append(estimators.BufferRecord(theta, omega_k, trajectories, k))
+            buffer.append(theta, omega_k, trajectories)
             rolled_out = time.perf_counter()
 
             diag: dict = {}

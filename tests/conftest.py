@@ -3,7 +3,7 @@ import pytest
 
 from greensim_rl import bioenv
 from greensim_rl.core import TrajectoryBatch, substream
-from greensim_rl.estimators import _mixture_ratios, trajectory_logdensity
+from greensim_rl.estimators import ReplayBuffer, _mixture_ratios, trajectory_logdensity
 from greensim_rl.oracle import TabularMDP
 from greensim_rl.policy import (
     FeatureMap,
@@ -81,9 +81,24 @@ def logdensity(batch, theta, omega, env, policy, policy_only=False):
     return trajectory_logdensity(batch, np.asarray(theta)[None], [omega], env, policy, policy_only)[0]
 
 
+def concat_batches(batches):
+    """One batch holding ``batches``' trajectories in order, built by ``np.concatenate``."""
+    return TrajectoryBatch(
+        *(np.concatenate([getattr(b, name) for b in batches]) for name in ("states", "actions", "rewards"))
+    )
+
+
+def buffer_of(env, policy, records):
+    """A fresh buffer holding ``records``' pairs and trajectories, appended in order."""
+    buffer = ReplayBuffer(env, policy)
+    for record in records:
+        buffer.append(record.theta, record.omega, record.trajectories)
+    return buffer
+
+
 def window_block_reference(records, env, policy, policy_only=False):
     """``log D_i(tau_j)`` over a window of records, one density call per record's pair."""
-    batch = TrajectoryBatch.concat([r.trajectories for r in records])
+    batch = concat_batches([r.trajectories for r in records])
     return np.stack([logdensity(batch, r.theta, r.omega, env, policy, policy_only) for r in records])
 
 

@@ -130,7 +130,6 @@ class TestCriterion2MlrBound:
 class TestCriterion3ReductionLattice:
     def test_reductions(self, scn):
         from greensim_rl.estimators import (
-            BufferRecord,
             ReplayBuffer,
             ilr_gradient,
             mlr_gradient,
@@ -142,9 +141,10 @@ class TestCriterion3ReductionLattice:
         env = ChromatographyEnv(scn)
         policy = MlpSoftmaxPolicy(purification_features(scn.p_bar, scn.i_bar, 3), 10)
         theta = policy.init_params(substream(310))
-        trajs = rollout_batch(env, policy, theta, scn.true_model, 25, substream(311), provenance=1)
-        buffer = ReplayBuffer(env, policy, [BufferRecord(theta, scn.true_model, trajs, 1)])
-        pg = pg_gradient(buffer.records[0], theta, policy)
+        buffer = ReplayBuffer(env, policy)
+        trajs = rollout_batch(env, policy, theta, scn.true_model, 25, substream(311))
+        buffer.append(theta, scn.true_model, trajs)
+        pg = pg_gradient(buffer.records[0], policy)
         ilr = ilr_gradient(buffer, theta, scn.true_model)
         mlr = mlr_gradient(buffer, theta, scn.true_model, 1)
         err_a = max(
@@ -155,8 +155,8 @@ class TestCriterion3ReductionLattice:
         thetas = [policy.init_params(substream(312, i)) for i in range(4)]
         shared_buffer = ReplayBuffer(env, policy)
         for i, th in enumerate(thetas):
-            t = rollout_batch(env, policy, th, scn.true_model, 10, substream(313, i), provenance=i + 1)
-            shared_buffer.append(BufferRecord(th, scn.true_model, t, i + 1))
+            t = rollout_batch(env, policy, th, scn.true_model, 10, substream(313, i))
+            shared_buffer.append(th, scn.true_model, t)
         mlr_shared = mlr_gradient(shared_buffer, thetas[-1], scn.true_model, 4)
         tlr_shared = tlr_gradient(shared_buffer, thetas[-1], 4)
         err_b = float(np.max(np.abs(mlr_shared - tlr_shared)))

@@ -314,7 +314,8 @@ class TestTransitionLogpdf:
             norm, _ = integrate.quad(lambda x: x ** (a - 1) * (1 - x) ** (b - 1), 0.0, 1.0)
             x = rng.uniform(0.05, 0.95)
             expected = np.log(x ** (a - 1) * (1 - x) ** (b - 1) / norm)
-            assert beta_log_pdf(x, a, b, betaln(a, b)) == pytest.approx(expected, abs=1e-8)
+            got = beta_log_pdf(np.array([x]), np.array([a]), np.array([b]), betaln(a, b))
+            assert got.shape == (1,) and got[0] == pytest.approx(expected, abs=1e-8)
 
     def test_density_matches_sampler_histogram(self, scn):
         # chi-square GOF at significance 0.001 between sampled protein
@@ -507,3 +508,35 @@ class TestNonFiniteFieldsRejected:
             for value in NON_FINITE:
                 with pytest.raises(ScenarioError, match=f"^{name} must be finite"):
                     dataclasses.replace(scn, **{name: value})
+
+
+class TestMistypedFieldsRejected:
+    # json hands over strings, bools and lists as they are; a float field takes a number only
+
+    @pytest.mark.parametrize("cls", [UpstreamParams, RewardConfig])
+    @pytest.mark.parametrize("value", [True, "1.0", [1.0], None])
+    def test_float_fields(self, cls, value):
+        for name in float_fields(cls):
+            with pytest.raises(ScenarioError, match=f"^{name} must be of type float"):
+                cls(**{name: value})
+
+    @pytest.mark.parametrize("value", [True, "30"])
+    def test_scenario_bounds(self, scn, value):
+        for name in float_fields(Scenario):
+            with pytest.raises(ScenarioError, match=f"^{name} must be of type float"):
+                dataclasses.replace(scn, **{name: value})
+
+    @pytest.mark.parametrize("value", [1, 1.5, "true", None])
+    def test_bool_field(self, value):
+        with pytest.raises(ScenarioError, match="^charge_terminal_op_cost must be of type bool"):
+            RewardConfig(charge_terminal_op_cost=value)
+
+    def test_integers_accepted_as_floats(self):
+        assert RewardConfig(c_f=48, op_cost=0).c_f == 48
+
+    @pytest.mark.parametrize("entry", ["2.0", True, None, [2.0]])
+    def test_beta_shape_entries(self, entry):
+        obj = bioenv.scenario_to_jsonable(default_scenario())
+        obj["true_model"]["beta_shapes"][1][4][2] = entry
+        with pytest.raises(ScenarioError, match="^beta_shapes must be of type float"):
+            bioenv.scenario_from_jsonable(obj)

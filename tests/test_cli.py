@@ -16,7 +16,7 @@ from greensim_rl.bioenv import ModelParams, default_scenario, save_scenario, sce
 from greensim_rl.core import substream
 from greensim_rl.harness import evaluate_policy
 from greensim_rl.policy import load_params
-from greensim_rl.trainer import TrainingError, load_train_config, train
+from greensim_rl.trainer import TrainingError, load_train_config, scenario_policy, train
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -134,6 +134,29 @@ class TestErrors:
         assert f"{name} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [
+            ("reward", "c_f", True),
+            ("bounds", "p_bar", "30"),
+            ("reward", "charge_terminal_op_cost", 1.5),
+            ("upstream", "harvest_to_mg", "778"),
+            ("upstream", "nu1_mean", [0.11]),
+            ("reward", "op_cost", "8"),
+            ("true_model", "beta_shapes", [[["2.0", 1.0, 1.0, 1.0]]]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_mistyped_scenario_field_exits_4(self, tmp_path, section, name, value, capsys):
+        scenario = scenario_to_jsonable(default_scenario())
+        scenario[section][name] = value
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        out = tmp_path / "trajs.jsonl"
+        argv = ["simulate", "--scenario", str(tmp_path / "scenario.json"), "--n", "3", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_BAD_CONFIG
+        assert f"{name} must be of type" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_exits_2(self, tmp_path, scenario_file, tiny_config_file, capsys):
         out = tmp_path / "run"
         with pytest.raises(SystemExit) as exc:
@@ -220,7 +243,7 @@ class TestSimulate:
         lines = [l for l in out.read_text().splitlines() if l]
         assert len(lines) == 7
         obj = json.loads(lines[0])
-        assert set(obj) == {"provenance", "steps"}
+        assert set(obj) == {"steps"}
 
     def test_fresh_interpreter(self, tmp_path):
         # in-process tests share the warm upstream cache; a new process pays the
@@ -289,7 +312,7 @@ class TestTrainCommand:
         for row in scored[1:]:
             k = int(row.split(",")[0])
             theta, kind, meta = load_params(tmp_path / "scored" / "ckpt" / f"iter_{k}" / "params.json")
-            env, policy = cli._build_policy_for(scn, kind, meta["hidden_dim"])
+            env, policy = scenario_policy(scn, kind, meta["hidden_dim"])
             # the _EVAL stream (purpose 4) of macro 0, iteration k, as compare scores it
             expected = evaluate_policy(theta, env, scn.true_model, policy, 6, substream(5, 0, k, 4))
             assert float(row.rsplit(",", 1)[1]) == expected

@@ -19,7 +19,6 @@ from greensim_rl.core import (
     write_trajectories_jsonl,
 )
 from greensim_rl.estimators import (
-    BufferRecord,
     ReplayBuffer,
     ilr_gradient,
     mlr_gradient,
@@ -31,16 +30,16 @@ from greensim_rl.policy import LinearSoftmaxPolicy, onehot_features
 from conftest import stream
 
 
-def make_batch(rewards, provenance=-1):
+def make_batch(rewards):
     """One trajectory over a counting chain of 1-d states, with the given rewards."""
     n = len(rewards)
     states = np.arange(n + 1, dtype=np.float64).reshape(1, n + 1, 1)
     rewards = np.array(rewards, dtype=float).reshape(1, n)
-    return TrajectoryBatch(states, np.zeros((1, n), dtype=int), rewards, provenance)
+    return TrajectoryBatch(states, np.zeros((1, n), dtype=int), rewards)
 
 
 def assert_batches_equal(a: TrajectoryBatch, b: TrajectoryBatch) -> None:
-    for name in ("states", "actions", "rewards", "provenance"):
+    for name in ("states", "actions", "rewards"):
         got, want = getattr(a, name), getattr(b, name)
         assert got.dtype == want.dtype, name
         np.testing.assert_array_equal(got, want, err_msg=name)
@@ -143,48 +142,25 @@ class TestTrajectoryInvariants:
 
     def test_arrays_frozen(self):
         batch = make_batch([1.0, 2.0])
-        for arr in (batch.states, batch.actions, batch.rewards, batch.provenance, *batch.step_arrays):
+        for arr in (batch.states, batch.actions, batch.rewards, *batch.step_arrays):
             with pytest.raises(ValueError):
                 arr.flat[0] = 99
 
     @pytest.mark.parametrize(
-        "states, actions, rewards, provenance",
+        "states, actions, rewards, case",
         [
-            (np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 2)), -1),  # states not (n, H, d)
-            (np.zeros((2, 0, 1)), np.zeros((2, 0)), np.zeros((2, 0)), -1),  # no state at all
-            (np.zeros((2, 3, 1)), np.zeros((3, 2)), np.zeros((2, 2)), -1),  # actions: wrong n
-            (np.zeros((2, 3, 1)), np.zeros((2, 2)), np.zeros((2, 3)), -1),  # rewards: wrong H
-            (np.zeros((2, 3, 1)), np.zeros(4), np.zeros((2, 2)), -1),  # actions flattened
-            (np.zeros((2, 3, 1)), np.zeros((2, 2)), np.zeros((2, 2)), [1, 2, 3]),  # provenance per 3
-            (np.zeros((2, 3, 1)), np.zeros((2, 2)), np.zeros((2, 2)), [[1, 2]]),  # provenance 2-d
+            (np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 2)), "states not (n, H, d)"),
+            (np.zeros((2, 0, 1)), np.zeros((2, 0)), np.zeros((2, 0)), "no state at all"),
+            (np.zeros((2, 3, 1)), np.zeros((3, 2)), np.zeros((2, 2)), "actions: wrong n"),
+            (np.zeros((2, 3, 1)), np.zeros((2, 2)), np.zeros((2, 3)), "rewards: wrong H"),
+            (np.zeros((2, 3, 1)), np.zeros(4), np.zeros((2, 2)), "actions flattened"),
+            (np.zeros((2, 3, 1)), np.zeros((2, 3)), np.zeros((2, 2)), "actions: wrong H"),
+            (np.zeros((2, 3, 1)), np.zeros((2, 2)), np.zeros((1, 2)), "rewards: wrong n"),
         ],
     )
-    def test_mismatched_shapes_rejected(self, states, actions, rewards, provenance):
+    def test_mismatched_shapes_rejected(self, states, actions, rewards, case):
         with pytest.raises(ValueError):
-            TrajectoryBatch(states, actions, rewards, provenance)
-
-    def test_scalar_provenance_broadcast(self):
-        batch = TrajectoryBatch(np.zeros((3, 2, 1)), np.zeros((3, 1)), np.zeros((3, 1)), 7)
-        np.testing.assert_array_equal(batch.provenance, [7, 7, 7])
-        assert len(batch) == 3 and batch.n_steps == 1
-
-    def test_concat_keeps_order_and_provenance(self):
-        a = TrajectoryBatch(np.zeros((2, 3, 1)), np.zeros((2, 2)), np.ones((2, 2)), 1)
-        b = TrajectoryBatch(np.ones((1, 3, 1)), np.ones((1, 2)), np.full((1, 2), 2.0), 2)
-        both = TrajectoryBatch.concat([a, b])
-        np.testing.assert_array_equal(both.provenance, [1, 1, 2])
-        np.testing.assert_array_equal(both.rewards[:, 0], [1.0, 1.0, 2.0])
-        assert TrajectoryBatch.concat([a]) is a
-        with pytest.raises(ValueError):
-            shorter = TrajectoryBatch(np.zeros((1, 2, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
-            TrajectoryBatch.concat([a, shorter])
-
-    def test_record_rejects_foreign_provenance(self):
-        batch = TrajectoryBatch(np.zeros((3, 2, 1)), np.zeros((3, 1)), np.zeros((3, 1)), [4, -1, 5])
-        with pytest.raises(ValueError, match="provenance 5"):
-            BufferRecord(np.zeros(1), None, batch, 4)
-        ok = TrajectoryBatch(np.zeros((2, 2, 1)), np.zeros((2, 1)), np.zeros((2, 1)), [4, -1])
-        assert BufferRecord(np.zeros(1), None, ok, 4).n_i == 2
+            TrajectoryBatch(states, actions, rewards)
 
 
 class TestBatchOnlyEnvironment:
@@ -196,19 +172,20 @@ class TestBatchOnlyEnvironment:
         self.theta = np.zeros(self.policy.param_dim)
 
     def test_no_terminal_hook_needed(self):
-        batch = rollout_batch(self.env, self.policy, self.theta, None, 4, stream(0), provenance=1)
+        batch = rollout_batch(self.env, self.policy, self.theta, None, 4, stream(0))
         np.testing.assert_array_equal(batch.states[:, :, 0], np.tile([0.0, 1.0, 2.0], (4, 1)))
         np.testing.assert_array_equal(batch.rewards, np.full((4, 2), 3.0))
 
     def test_estimators_run_on_it(self):
         # one action: every score is zero, so every estimator's gradient is zero
-        batch = rollout_batch(self.env, self.policy, self.theta, None, 5, stream(1), provenance=1)
-        buffer = ReplayBuffer(self.env, self.policy, [BufferRecord(self.theta, None, batch, 1)])
+        batch = rollout_batch(self.env, self.policy, self.theta, None, 5, stream(1))
+        buffer = ReplayBuffer(self.env, self.policy)
+        buffer.append(self.theta, None, batch)
         logdens = trajectory_logdensity(batch, self.theta[None], [None], self.env, self.policy)
         np.testing.assert_array_equal(logdens, np.zeros((1, 5)))
         diag = {}
         for grad in (
-            pg_gradient(buffer.records[0], self.theta, self.policy),
+            pg_gradient(buffer.records[0], self.policy),
             ilr_gradient(buffer, self.theta, None),
             mlr_gradient(buffer, self.theta, None, 1, diag_out=diag),
         ):
@@ -244,18 +221,13 @@ class TestRollout:
         assert np.all(masses > 0)
         assert np.all(np.diff(masses, axis=1) < 0)
 
-    def test_provenance_recorded(self, env, mlp_policy, scn):
-        theta = mlp_policy.init_params(stream(1))
-        batch = rollout_batch(env, mlp_policy, theta, scn.true_model, 3, stream(5), provenance=12)
-        np.testing.assert_array_equal(batch.provenance, [12, 12, 12])
-
 
 # The exact text the list-of-trajectories writer produced for this batch; the
 # file format may not change.
 PINNED_JSONL = (
-    '{"provenance": 3, "steps": [[12.5, 7.25, 1.0, 4.0, -8.0, 10.0, 2.5, 2.0], '
+    '{"steps": [[12.5, 7.25, 1.0, 4.0, -8.0, 10.0, 2.5, 2.0], '
     '[10.0, 2.5, 2.0, 7.0, 32.0, 9.1, 0.3, 3.0]]}\n'
-    '{"provenance": -1, "steps": [[0.1, 1e-06, 1.0, 0.0, -8.0, 0.07, 3.3e-07, 2.0], '
+    '{"steps": [[0.1, 1e-06, 1.0, 0.0, -8.0, 0.07, 3.3e-07, 2.0], '
     '[0.07, 3.3e-07, 2.0, 9.0, -56.0, 0.05, 1.25e-07, 3.0]]}\n'
 )
 
@@ -270,7 +242,6 @@ def pinned_batch() -> TrajectoryBatch:
         ),
         np.array([[4, 7], [0, 9]]),
         np.array([[-8.0, 32.0], [-8.0, -56.0]]),
-        [3, -1],
     )
 
 
@@ -278,7 +249,6 @@ def jsonl_objects(batch: TrajectoryBatch) -> list[dict]:
     """Each trajectory's JSON object, built step by step from the batch's arrays."""
     return [
         {
-            "provenance": int(batch.provenance[j]),
             "steps": [
                 [
                     *batch.states[j, t].tolist(),
@@ -296,7 +266,7 @@ def jsonl_objects(batch: TrajectoryBatch) -> list[dict]:
 class TestSerialization:
     def test_jsonl_round_trip(self, env, mlp_policy, scn):
         theta = mlp_policy.init_params(stream(1))
-        batch = rollout_batch(env, mlp_policy, theta, scn.true_model, 5, stream(6), provenance=4)
+        batch = rollout_batch(env, mlp_policy, theta, scn.true_model, 5, stream(6))
         buf = io.StringIO()
         write_trajectories_jsonl(batch, buf)
         back = [json.loads(line) for line in buf.getvalue().splitlines()]

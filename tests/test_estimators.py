@@ -6,7 +6,6 @@ import pytest
 from greensim_rl import bioenv
 from greensim_rl.core import TrajectoryBatch, returns, rollout_batch
 from greensim_rl.estimators import (
-    BufferRecord,
     EstimatorError,
     ReplayBuffer,
     _log_mixture,
@@ -22,6 +21,8 @@ from greensim_rl.policy import LinearSoftmaxPolicy, onehot_features
 
 from conftest import (
     alphas_from_counts,
+    buffer_of,
+    concat_batches,
     logdensity,
     mlr_ratios_batch,
     random_tensor,
@@ -33,8 +34,7 @@ from conftest import (
 def make_buffer(env, policy, components, n_per_record, seed=0):
     buffer = ReplayBuffer(env, policy)
     for i, (theta, omega) in enumerate(components):
-        trajs = rollout_batch(env, policy, theta, omega, n_per_record, stream(seed, i), provenance=i + 1)
-        buffer.append(BufferRecord(theta, omega, trajs, i + 1))
+        buffer.append(theta, omega, rollout_batch(env, policy, theta, omega, n_per_record, stream(seed, i)))
     return buffer
 
 
@@ -45,35 +45,60 @@ class TestMixtureWeights:
         components = [(0.5 * rng.standard_normal(tab_policy.param_dim), random_tensor(rng)) for _ in range(2)]
         buffer = ReplayBuffer(env, tab_policy)
         for i, ((theta, omega), n) in enumerate(zip(components, (10, 30))):
-            trajs = rollout_batch(env, tab_policy, theta, omega, n, stream(4, i), provenance=i + 1)
-            buffer.append(BufferRecord(theta, omega, trajs, i + 1))
+            buffer.append(theta, omega, rollout_batch(env, tab_policy, theta, omega, n, stream(4, i)))
         diag = {}
         mlr_gradient(buffer, *components[-1], 2, diag_out=diag)
-        batch = TrajectoryBatch.concat([r.trajectories for r in buffer.records])
+        batch = concat_batches([r.trajectories for r in buffer.records])
         want = mlr_ratios_batch(batch, components[-1], components, np.array([0.25, 0.75]), env, tab_policy)
         np.testing.assert_allclose(diag["ratios"], want, rtol=0, atol=1e-12)
 
 
+def zero_batch(n, horizon, dim):
+    """``n`` all-zero trajectories of ``horizon`` states of dimension ``dim``."""
+    return TrajectoryBatch(np.zeros((n, horizon, dim)), np.zeros((n, horizon - 1)), np.zeros((n, horizon - 1)))
+
+
 class TestBufferStructure:
-    def test_iteration_contiguity_enforced(self, toy_mdp, tab_policy):
+    def test_empty_record_rejected(self, tab_policy):
+        with pytest.raises(ValueError):
+            ReplayBuffer(None, tab_policy).append(np.zeros(2), None, zero_batch(0, 3, 1))
+
+    @pytest.mark.parametrize("horizon, dim", [(2, 1), (3, 2)], ids=["horizon", "state-dim"])
+    def test_append_rejects_mismatched_shape(self, tab_policy, horizon, dim):
+        buffer = ReplayBuffer(None, tab_policy)
+        buffer.append(np.zeros(2), None, zero_batch(2, 3, 1))
+        with pytest.raises(ValueError, match="do not match"):
+            buffer.append(np.zeros(2), None, zero_batch(1, horizon, dim))
+        assert len(buffer) == 1 and buffer.total_trajectories() == 2
+
+    def test_store_views_equal_concatenation(self, toy_mdp, tab_policy, rng):
+        # varying n_i grow the store three times; own densities filled before
+        # a growth must be carried over with the trajectories
         env = TabularEnv(toy_mdp)
-        theta = np.zeros(tab_policy.param_dim)
-        trajs = rollout_batch(env, tab_policy, theta, toy_mdp.transition, 2, stream(1))
+        batches, pairs, capacities = [], [], []
         buffer = ReplayBuffer(env, tab_policy)
-        with pytest.raises(ValueError):
-            buffer.append(BufferRecord(theta, toy_mdp.transition, trajs, 5))
-
-    def test_provenance_mismatch_rejected(self, toy_mdp, tab_policy):
-        env = TabularEnv(toy_mdp)
-        theta = np.zeros(tab_policy.param_dim)
-        trajs = rollout_batch(env, tab_policy, theta, toy_mdp.transition, 2, stream(1), provenance=9)
-        with pytest.raises(ValueError):
-            BufferRecord(theta, toy_mdp.transition, trajs, 1)
-
-    def test_empty_record_rejected(self):
-        empty = TrajectoryBatch(np.zeros((0, 3, 1)), np.zeros((0, 2)), np.zeros((0, 2)))
-        with pytest.raises(ValueError):
-            BufferRecord(np.zeros(2), None, empty, 1)
+        for i, n in enumerate([3, 2, 4, 1, 5, 2]):
+            theta, omega = 0.4 * rng.standard_normal(tab_policy.param_dim), random_tensor(rng)
+            batches.append(rollout_batch(env, tab_policy, theta, omega, n, stream(40, i)))
+            pairs.append((theta, omega))
+            buffer.append(theta, omega, batches[-1])
+            capacities.append(len(buffer._store["own_logdens"]))
+            if i == 2:
+                buffer.own_logdensities()
+        assert len(set(capacities)) == 4
+        own = np.concatenate(
+            [logdensity(b, theta, omega, env, tab_policy) for b, (theta, omega) in zip(batches, pairs)]
+        )
+        assert buffer.own_logdensities().tobytes() == own.tobytes()
+        assert buffer.total_trajectories() == len(own)
+        spans = [(lo, hi) for lo in range(len(batches)) for hi in range(lo + 1, len(batches) + 1)]
+        checks = [(buffer.trajectories(lo, hi), concat_batches(batches[lo:hi])) for lo, hi in spans]
+        # each record's own view was taken before later growths moved the store
+        checks += [(record.trajectories, batch) for record, batch in zip(buffer.records, batches)]
+        for view, want in checks:
+            for name in ("states", "actions", "rewards"):
+                got, ref = getattr(view, name), getattr(want, name)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
 
     def test_own_density_cache_matches_recompute(self, toy_mdp, tab_policy, rng, monkeypatch):
         env = TabularEnv(toy_mdp)
@@ -94,8 +119,7 @@ class TestBufferStructure:
         np.testing.assert_array_equal(again, cached)
         # a new record is evaluated alone, in one call of its own
         theta2, omega2 = 0.3 * rng.standard_normal(tab_policy.param_dim), random_tensor(rng)
-        trajs = rollout_batch(env, tab_policy, theta2, omega2, 4, stream(2), provenance=2)
-        buffer.append(BufferRecord(theta2, omega2, trajs, 2))
+        buffer.append(theta2, omega2, rollout_batch(env, tab_policy, theta2, omega2, 4, stream(2)))
         column = buffer.own_logdensities()
         assert calls == [1, 1]
         np.testing.assert_array_equal(column[:5], cached)
@@ -123,9 +147,10 @@ class TestTrajRelLogdensity:
         theta = np.zeros(tab_policy.param_dim)
         batch, probs = enumerate_trajectories(mdp, theta, tab_policy)
         assert batch.n_steps == 0 and len(batch) == 2
-        buffer = ReplayBuffer(env, tab_policy, [BufferRecord(theta, mdp.transition, batch, 1)])
+        buffer = ReplayBuffer(env, tab_policy)
+        buffer.append(theta, mdp.transition, batch)
         for grad in (
-            pg_gradient(buffer.records[0], theta, tab_policy),
+            pg_gradient(buffer.records[0], tab_policy),
             ilr_gradient(buffer, theta, mdp.transition),
             mlr_gradient(buffer, theta, mdp.transition, 1),
             tlr_gradient(buffer, theta, 1),
@@ -242,7 +267,7 @@ class TestMlrRatio:
         ]
         alphas = alphas_from_counts([2, 1, 2])
         target = components[-1]
-        pooled = TrajectoryBatch.concat(
+        pooled = concat_batches(
             [enumerate_trajectories(toy_mdp, th, tab_policy, omega=om)[0] for th, om in components]
         )
         first_seen = {}
@@ -268,7 +293,7 @@ class TestPgGradient:
         env = TabularEnv(mdp)
         theta = 0.3 * rng.standard_normal(tab_policy.param_dim)
         buffer = make_buffer(env, tab_policy, [(theta, mdp.transition)], 50)
-        grad = pg_gradient(buffer.records[0], theta, tab_policy)
+        grad = pg_gradient(buffer.records[0], tab_policy)
         np.testing.assert_allclose(grad, 0.0, atol=1e-14)
 
     def test_one_step_analytic_gradient(self):
@@ -284,17 +309,10 @@ class TestPgGradient:
         env = TabularEnv(mdp)
         theta = np.zeros(2)
         buffer = make_buffer(env, policy, [(theta, mdp.transition)], 100_000)
-        grad = pg_gradient(buffer.records[0], theta, policy)
+        grad = pg_gradient(buffer.records[0], policy)
         # SE of the estimator: scores are +-1/2, rewards 0/1 -> var <= 1/4
         assert abs(grad[0] - 0.25) < 3 * 0.5 / np.sqrt(100_000)
         assert abs(grad[0] + grad[1]) < 1e-12  # logit shift symmetry
-
-    def test_requires_matching_theta(self, toy_mdp, tab_policy, rng):
-        env = TabularEnv(toy_mdp)
-        theta = 0.3 * rng.standard_normal(tab_policy.param_dim)
-        buffer = make_buffer(env, tab_policy, [(theta, toy_mdp.transition)], 5)
-        with pytest.raises(EstimatorError):
-            pg_gradient(buffer.records[0], theta + 0.1, tab_policy)
 
 
 class TestReductionLattice:
@@ -306,7 +324,7 @@ class TestReductionLattice:
 
     def test_single_record_reductions(self, toy_mdp, tab_policy, rng):
         theta, buffer = self.setup_case(toy_mdp, tab_policy, rng)
-        pg = pg_gradient(buffer.records[0], theta, tab_policy, 0.9)
+        pg = pg_gradient(buffer.records[0], tab_policy, 0.9)
         ilr = ilr_gradient(buffer, theta, toy_mdp.transition, 0.9)
         mlr = mlr_gradient(buffer, theta, toy_mdp.transition, 1, 0.9)
         tlr = tlr_gradient(buffer, theta, 1, 0.9)
@@ -321,10 +339,9 @@ class TestReductionLattice:
             env, tab_policy, [(theta, toy_mdp.transition)] * 3, 10
         )
         # pooled PG over all records
-        flat_all = TrajectoryBatch.concat([r.trajectories for r in buffer.records])
-        unowned = TrajectoryBatch(flat_all.states, flat_all.actions, flat_all.rewards)
-        pooled = BufferRecord(theta, toy_mdp.transition, unowned, 1)
-        pg = pg_gradient(pooled, theta, tab_policy, 0.9)
+        pooled = ReplayBuffer(env, tab_policy)
+        pooled.append(theta, toy_mdp.transition, buffer.trajectories(0, 3))
+        pg = pg_gradient(pooled.records[0], tab_policy, 0.9)
         ilr = ilr_gradient(buffer, theta, toy_mdp.transition, 0.9)
         mlr = mlr_gradient(buffer, theta, toy_mdp.transition, 3, 0.9)
         np.testing.assert_allclose(ilr, pg, atol=1e-10)
@@ -382,10 +399,8 @@ class TestLogDomainSafety:
         env = TabularEnv(mdp)
         theta = 0.2 * rng.standard_normal(tab_policy.param_dim)
         buffer = ReplayBuffer(env, tab_policy)
-        r1 = rollout_batch(env, tab_policy, theta, t1, 10, stream(10), provenance=1)
-        r2 = rollout_batch(env, tab_policy, theta, t2, 10, stream(11), provenance=2)
-        buffer.append(BufferRecord(theta, t1, r1, 1))
-        buffer.append(BufferRecord(theta, t2, r2, 2))
+        buffer.append(theta, t1, rollout_batch(env, tab_policy, theta, t1, 10, stream(10)))
+        buffer.append(theta, t2, rollout_batch(env, tab_policy, theta, t2, 10, stream(11)))
         for grad in (
             mlr_gradient(buffer, theta, t2, 2),
             tlr_gradient(buffer, theta, 2),
@@ -446,10 +461,10 @@ class TestWindowDensityMemo:
         full = mixed_buffer(env, tab_policy, rng, len(self.WINDOWS), 6)
         warm = ReplayBuffer(env, tab_policy)
         for record, window in zip(full.records, self.WINDOWS):
-            warm.append(record)
+            warm.append(record.theta, record.omega, record.trajectories)
             got, want = {}, {}
             warm_grad = window_gradient(kind, warm, window, got)
-            cold_grad = window_gradient(kind, ReplayBuffer(env, tab_policy, warm.records), window, want)
+            cold_grad = window_gradient(kind, buffer_of(env, tab_policy, warm.records), window, want)
             np.testing.assert_allclose(warm_grad, cold_grad, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got["ratios"], want["ratios"], rtol=0, atol=1e-12)
             assert got["ess"] == pytest.approx(want["ess"], abs=1e-12)
@@ -458,12 +473,12 @@ class TestWindowDensityMemo:
         env = TabularEnv(toy_mdp)
         buffer = ReplayBuffer(env, tab_policy)
         for record, window in zip(mixed_buffer(env, tab_policy, rng, 9, 5).records, self.WINDOWS):
-            buffer.append(record)
+            buffer.append(record.theta, record.omega, record.trajectories)
             diag = {}
             window_gradient("mlr", buffer, window, diag)
             records = buffer.window(window)
             want = mlr_ratios_batch(
-                TrajectoryBatch.concat([r.trajectories for r in records]),
+                concat_batches([r.trajectories for r in records]),
                 (records[-1].theta, records[-1].omega),
                 [(r.theta, r.omega) for r in records],
                 alphas_from_counts([r.n_i for r in records]),
@@ -483,8 +498,7 @@ class TestWindowDensityMemo:
         for k in range(1, 7):
             theta = mlp_policy.init_params(stream(30, k), 0.5)
             omega = omegas[k % 2]
-            trajs = rollout_batch(env, mlp_policy, theta, omega, 4, stream(31, k), provenance=k)
-            buffer.append(BufferRecord(theta, omega, trajs, k))
+            buffer.append(theta, omega, rollout_batch(env, mlp_policy, theta, omega, 4, stream(31, k)))
             window_gradient(kind, buffer, window)
             block = buffer._window_logdens[policy_only][2]
             want = window_block_reference(buffer.window(window), env, mlp_policy, policy_only)
@@ -494,7 +508,7 @@ class TestWindowDensityMemo:
         env = TabularEnv(toy_mdp)
         buffer = ReplayBuffer(env, tab_policy)
         for record in mixed_buffer(env, tab_policy, rng, 7, 4).records:
-            buffer.append(record)
+            buffer.append(record.theta, record.omega, record.trajectories)
             window_gradient("mlr", buffer, 3)
             window_gradient("tlr", buffer, 2)
         for policy_only, window in [(False, 3), (True, 2)]:
@@ -541,8 +555,8 @@ class TestWindowDensityMemo:
         )
         env = TabularEnv(mdp)
         theta = np.zeros(tab_policy.param_dim)
-        trajs = rollout_batch(env, tab_policy, theta, deterministic, 3, stream(13), provenance=1)
-        buffer = ReplayBuffer(env, tab_policy, [BufferRecord(theta, other, trajs, 1)])
+        buffer = ReplayBuffer(env, tab_policy)
+        buffer.append(theta, other, rollout_batch(env, tab_policy, theta, deterministic, 3, stream(13)))
         with pytest.raises(EstimatorError, match="mixture density is zero"):
             mlr_gradient(buffer, theta, deterministic, 1)
 
@@ -582,7 +596,7 @@ class TestMixtureCostIsLinearInWindow:
         env.transition_logpdf_batch = counting_env
         buffer = ReplayBuffer(env if kind == "mlr" else None, policy)
         for record in records:
-            buffer.append(record)
+            buffer.append(record.theta, record.omega, record.trajectories)
             policy_calls.append(0)
             env_calls.append(0)
             window_gradient(kind, buffer, window)
