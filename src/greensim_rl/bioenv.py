@@ -164,6 +164,18 @@ class ModelParams:
     def n_actions(self) -> int:
         return self.beta_shapes.shape[1]
 
+    @functools.cached_property
+    def log_beta(self) -> np.ndarray:
+        """``betaln`` of each entry's (eta, psi) shape pairs, shape ``(steps, actions, 2)``, read-only.
+
+        Taken on first use and kept: a model draw never changes, and a draw
+        that never reaches a density never pays for it.
+        """
+        shapes = self.beta_shapes
+        out = betaln(shapes[..., [ETA_L, PSI_L]], shapes[..., [ETA_U, PSI_U]])
+        out.setflags(write=False)
+        return out
+
 
 @dataclass(frozen=True)
 class RewardConfig:
@@ -370,13 +382,13 @@ class ChromatographyEnv(Environment):
         is a value, not an error.  Rows may be at different steps.
 
         The states are checked and the fractions' logs taken once for all
-        R models; ``betaln`` runs on the stacked ``(R, steps, actions)``
-        shape tables before the rows gather from them.  Shape ``(R, n)``.
+        R models; the rows gather the normalisers from each model's cached
+        :attr:`ModelParams.log_beta` table.  Shape ``(R, n)``.
         """
         t_idx = _batch_step_indices(states)
         actions = np.asarray(actions, dtype=np.int64)
         tables = np.stack([omega.beta_shapes for omega in omegas])  # (R, steps, actions, 4)
-        log_beta = betaln(tables[..., [ETA_L, PSI_L]], tables[..., [ETA_U, PSI_U]])[:, t_idx, actions]
+        log_beta = np.stack([omega.log_beta for omega in omegas])[:, t_idx, actions]
         shapes = tables[:, t_idx, actions]  # (R, n, 4)
         h = next_states[:, 0] / states[:, 0]
         psi = next_states[:, 1] / states[:, 1]
@@ -484,7 +496,23 @@ def scenario_to_jsonable(scn: Scenario) -> dict:
     }
 
 
+def _scenario_section(obj: dict, section: str, keys: tuple[str, ...]) -> dict:
+    """``obj[section]``, which must be a JSON object with exactly the fields ``keys``."""
+    value = obj[section]
+    if not isinstance(value, dict):
+        raise ScenarioError(f"scenario section '{section}' must be an object, got {value!r}")
+    for key in keys:
+        if key not in value:
+            raise ScenarioError(f"scenario is missing the field '{section}.{key}'")
+    for key in value:
+        if key not in keys:
+            raise ScenarioError(f"unknown scenario field '{section}.{key}'")
+    return value
+
+
 def scenario_from_jsonable(obj: dict) -> Scenario:
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"a scenario must be a JSON object, got {obj!r}")
     for section in ("upstream", "true_model", "reward", "bounds"):
         if section not in obj:
             raise ScenarioError(f"scenario is missing the '{section}' section")
@@ -493,10 +521,10 @@ def scenario_from_jsonable(obj: dict) -> Scenario:
         reward_cfg = RewardConfig(**obj["reward"])
     except TypeError as exc:
         raise ScenarioError(f"unknown or missing scenario field: {exc}") from exc
-    shapes = obj["true_model"]["beta_shapes"]
+    shapes = _scenario_section(obj, "true_model", ("beta_shapes",))["beta_shapes"]
     # np.array would read "2.5" and true as numbers: every entry must be a JSON number
     check_typed(ScenarioError, (("beta_shapes", v, "float") for v in np.array(shapes, dtype=object).flat))
-    bounds = obj["bounds"]
+    bounds = _scenario_section(obj, "bounds", ("p_bar", "i_bar"))
     return Scenario(
         upstream=upstream,
         true_model=ModelParams(np.array(shapes, dtype=np.float64)),

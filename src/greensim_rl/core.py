@@ -36,7 +36,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -338,7 +338,9 @@ class Policy(abc.ABC):
     and layer shapes) needed to interpret it.  Every method takes a stack
     of state rows (and one action per row); :meth:`log_prob_batch` also
     takes a stack of parameter vectors.  Derivatives enter only through
-    :meth:`weighted_score_sum`, the score hook.
+    :meth:`score_pass`, the score hook, which also gives the rows' log
+    probabilities from its one forward pass; :meth:`weighted_score_sum`
+    is a shorthand over it.
     """
 
     @property
@@ -366,14 +368,27 @@ class Policy(abc.ABC):
         """
 
     @abc.abstractmethod
-    def weighted_score_sum(self, theta, states, actions, weights) -> np.ndarray:
-        """``sum_n weights[n] * d/dtheta log pi(actions[n] | states[n])``, shape ``(param_dim,)``.
+    def score_pass(
+        self, theta, states, actions
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """One forward pass at ``theta``: ``(log_prob, weighted_sum)``.
+
+        ``log_prob[n]`` is ``log pi(actions[n] | states[n])``, with the bits
+        of ``log_prob_batch(theta[None], states, actions)[0]``.
+        ``weighted_sum(weights)`` is ``sum_n weights[n] * d/dtheta log
+        pi(actions[n] | states[n])``, shape ``(param_dim,)``, from the same
+        forward pass.
 
         The policy's one score hook: every gradient estimator is a weighted
         sum of per-row scores, so policies compute the sum directly (as
         matrix products) and never materialize the ``(n, param_dim)`` score
-        matrix.  One-hot ``weights`` select the score of a single row.
+        matrix.  A reuse estimator needs the target's log probabilities to
+        form the weights, so both come from one pass.
         """
+
+    def weighted_score_sum(self, theta, states, actions, weights) -> np.ndarray:
+        """:meth:`score_pass`'s weighted sum; one-hot ``weights`` select the score of a single row."""
+        return self.score_pass(theta, states, actions)[1](weights)
 
     def sample_actions_batch(self, theta, states, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF sampling; one uniform draw per row."""

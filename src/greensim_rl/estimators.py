@@ -24,9 +24,14 @@ omitted, which leaves every ratio exact.  Densities, returns and
 reward-to-go are computed per step over a whole
 :class:`~greensim_rl.core.TrajectoryBatch` and summed along its rows.
 Densities are evaluated for a stack of (policy, model) pairs at once
-(:func:`trajectory_logdensity`), so extending the rolling window's
-mixture block by one record takes two density calls, whatever the
-window size.
+(:func:`trajectory_logdensity`).  Each reuse gradient runs one policy
+forward pass at the target ``theta_k``
+(:meth:`~greensim_rl.core.Policy.score_pass`), which gives both the
+target's action log probabilities for the ratios and the score sum they
+weight; in the mixture estimators it is also the policy part of the
+newest record's block row.  Extending the rolling window's block by one
+record therefore takes one policy call and two environment calls (none
+for the policy-only kind), whatever the window size.
 
 A :class:`ReplayBuffer` is bound to one environment and one policy when
 it is built, so the reuse estimators take only the buffer and the target
@@ -38,7 +43,7 @@ it (:meth:`ReplayBuffer.trajectories`), never concatenations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -177,22 +182,33 @@ class ReplayBuffer:
         own.setflags(write=False)
         return own
 
-    def window_logdensities(self, size: int, policy_only: bool) -> tuple[TrajectoryBatch, np.ndarray]:
-        """The trajectories of ``window(size)`` as one batch, and ``log D_i(tau_j)`` over them.
+    def window_logdensities(
+        self, size: int, policy_only: bool, theta_k
+    ) -> tuple[TrajectoryBatch, np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """The window's batch, its block ``log D_i(tau_j)``, and the policy's pass at ``theta_k`` over it.
 
-        The block has shape (records, trajectories): row ``i`` is the
-        ``i``-th window record's pair, and columns are the window's
-        trajectories in record order.  Only records appended since the last
-        call are evaluated, in two density calls: the older records'
-        columns over the new trajectories, and the new records' rows over
-        every window trajectory.  Appending one record to a window of ``w``
-        evaluates ``2w - 1`` record-by-record blocks instead of ``w**2``.
-        Records that left the window are sliced off; a window start left of
-        the memo's rebuilds the block.
+        The trajectories of ``window(size)`` form one batch.  The block has
+        shape (records, trajectories): row ``i`` is the ``i``-th window
+        record's pair, and columns are the window's trajectories in record
+        order.  The last two values are :meth:`Policy.score_pass` at
+        ``theta_k`` over the batch's steps: per-step log probabilities and
+        the weighted score sum.
+
+        Only records appended since the last call are evaluated.  The older
+        records' columns over the new trajectories take one density call,
+        and the new records' rows over every window trajectory another.  A
+        newest record generated at ``theta_k`` itself (the same array) takes
+        its row's policy part from the pass, so its row costs only a
+        transition call, and nothing when ``policy_only``.  Appending one
+        record to a window of ``w`` evaluates ``2w - 1`` record-by-record
+        blocks instead of ``w**2``.  Records that left the window are
+        sliced off; a window start left of the memo's rebuilds the block.
         """
         hi = len(self.records)
         lo = hi - len(self.window(size))
         batch = self.trajectories(lo, hi)
+        states, actions, _ = batch.step_arrays
+        logp_k, score_sum = self.policy.score_pass(theta_k, states, actions)
         entry = self._window_logdens.get(policy_only)
         if entry is not None and entry[0] <= lo < entry[1]:
             old_lo, mid, block = entry
@@ -206,11 +222,15 @@ class ReplayBuffer:
             grown[: len(old), :n_old] = block
             if old:
                 grown[: len(old), n_old:] = self._logdensity(self.trajectories(mid, hi), old, policy_only)
-            grown[len(old) :] = self._logdensity(batch, new, policy_only)
+            if new[-1].theta is theta_k:
+                grown[-1] = _step_sums(batch, logp_k[None], [new[-1].omega], self.env, policy_only)[0]
+                new = new[:-1]
+            if new:
+                grown[len(old) : len(old) + len(new)] = self._logdensity(batch, new, policy_only)
             block = grown
         block.setflags(write=False)
         self._window_logdens[policy_only] = (lo, hi, block)
-        return batch, block
+        return batch, block, logp_k, score_sum
 
 
 # --- densities -----------------------------------------------------------------
@@ -234,13 +254,22 @@ def trajectory_logdensity(
     environment call serve all R pairs.  ``-inf`` where a step has zero
     density; a stepless trajectory has relative log density 0.
     """
-    states, actions, next_states = batch.step_arrays
-    if states.shape[0] == 0:
-        return np.zeros((len(thetas), len(batch)))
-    lp = policy.log_prob_batch(thetas, states, actions)
+    states, actions, _ = batch.step_arrays
+    return _step_sums(batch, policy.log_prob_batch(thetas, states, actions), omegas, env, policy_only)
+
+
+def _step_sums(batch: TrajectoryBatch, step_logp: np.ndarray, omegas, env, policy_only: bool) -> np.ndarray:
+    """Per-trajectory sums of the policy's step log probabilities ``step_logp``, shape ``(R, n)``.
+
+    ``step_logp`` has one row per pair, ``(R, steps)``; unless ``policy_only``,
+    the transition log densities under ``omegas`` are added per step first.
+    """
+    if step_logp.shape[1] == 0:
+        return np.zeros((step_logp.shape[0], len(batch)))
     if not policy_only:
-        lp = lp + env.transition_logpdf_batch(states, actions, next_states, omegas)
-    return lp.reshape(lp.shape[0], len(batch), batch.n_steps).sum(axis=2)
+        states, actions, next_states = batch.step_arrays
+        step_logp = step_logp + env.transition_logpdf_batch(states, actions, next_states, omegas)
+    return step_logp.reshape(step_logp.shape[0], len(batch), batch.n_steps).sum(axis=2)
 
 
 def _log_mixture(log_densities: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -269,32 +298,28 @@ def _mixture_ratios(log_target: np.ndarray, log_dens: np.ndarray, alphas: np.nda
 # --- gradient estimators -----------------------------------------------------
 
 
-def _per_traj_weights(
-    records: Sequence[BufferRecord], traj_weights: Sequence[np.ndarray] | None
-) -> np.ndarray:
-    """Within-record trajectory weights, default 1/n_i, concatenated."""
+def _record_counts(records: Sequence[BufferRecord]) -> np.ndarray:
+    return np.array([r.n_i for r in records], dtype=np.int64)
+
+
+def _per_traj_weights(counts: np.ndarray, traj_weights: Sequence[np.ndarray] | None) -> np.ndarray:
+    """Within-record trajectory weights for records of ``counts`` trajectories, default 1/n_i, concatenated."""
     if traj_weights is None:
-        return np.concatenate([np.full(r.n_i, 1.0 / r.n_i) for r in records])
-    if len(traj_weights) != len(records):
+        return np.repeat(1.0 / counts, counts)
+    if len(traj_weights) != len(counts):
         raise ValueError("one weight array per record required")
     parts = []
-    for record, w in zip(records, traj_weights):
+    for n_i, w in zip(counts, traj_weights):
         w = np.asarray(w, dtype=np.float64)
-        if w.shape != (record.n_i,):
+        if w.shape != (n_i,):
             raise ValueError("weight array shape must match the record's trajectory count")
         parts.append(w)
     return np.concatenate(parts)
 
 
-def _score_weighted_gradient(
-    batch: TrajectoryBatch, gamma: float, theta_k, policy: Policy, traj_coef: np.ndarray
-) -> np.ndarray:
-    """``sum_j traj_coef[j] sum_t rtg[j, t] score[j, t]`` over the trajectories ``j`` of ``batch``."""
-    states, actions, _ = batch.step_arrays
-    if states.shape[0] == 0:
-        return np.zeros(policy.param_dim)
-    step_weight = (traj_coef[:, None] * reward_to_go(batch.rewards, gamma)).reshape(-1)
-    return policy.weighted_score_sum(theta_k, states, actions, step_weight)
+def _step_weights(batch: TrajectoryBatch, gamma: float, traj_coef: np.ndarray) -> np.ndarray:
+    """``traj_coef[j] * rtg[j, t]`` per step row of ``batch``: the weights of its score sum."""
+    return (traj_coef[:, None] * reward_to_go(batch.rewards, gamma)).reshape(-1)
 
 
 def _fill_diag(diag_out: dict | None, ratios: np.ndarray) -> None:
@@ -316,24 +341,31 @@ def pg_gradient(
     diag_out: dict | None = None,
 ) -> np.ndarray:
     """On-policy gradient at the record's own parameters: average of score times reward-to-go."""
-    coef = _per_traj_weights([record], None if traj_weights is None else [traj_weights])
+    coef = _per_traj_weights(_record_counts([record]), None if traj_weights is None else [traj_weights])
     _fill_diag(diag_out, np.ones(record.n_i))
-    return _score_weighted_gradient(record.trajectories, gamma, record.theta, policy, coef)
+    states, actions, _ = record.trajectories.step_arrays
+    step_weight = _step_weights(record.trajectories, gamma, coef)
+    return policy.weighted_score_sum(record.theta, states, actions, step_weight)
 
 
 def _individual_ratios(buffer: ReplayBuffer, theta_k, omega_k, traj_weights):
-    """All records' trajectories as one batch, their ratios ``D_k / D_i``, and ``weight * ratio / K``."""
+    """All records' trajectories as one batch, their ratios ``D_k / D_i``, and ``weight * ratio / K``.
+
+    The fourth value is the score sum of the policy pass at ``theta_k`` that
+    gave the target densities.
+    """
     if len(buffer) == 0:
         raise EstimatorError("buffer is empty")
     own = buffer.own_logdensities()
     if np.any(own == -np.inf):
         raise EstimatorError("a record assigns zero density to its own trajectory")
     batch = buffer.trajectories(0, len(buffer))
-    target = trajectory_logdensity(
-        batch, np.asarray(theta_k)[None], [omega_k], buffer.env, buffer.policy
-    )[0]
+    states, actions, _ = batch.step_arrays
+    logp_k, score_sum = buffer.policy.score_pass(theta_k, states, actions)
+    target = _step_sums(batch, logp_k[None], [omega_k], buffer.env, False)[0]
     ratios = np.exp(target - own)
-    return batch, ratios, (1.0 / len(buffer)) * _per_traj_weights(buffer.records, traj_weights) * ratios
+    weights = _per_traj_weights(_record_counts(buffer.records), traj_weights)
+    return batch, ratios, (1.0 / len(buffer)) * weights * ratios, score_sum
 
 
 def ilr_gradient(
@@ -345,9 +377,9 @@ def ilr_gradient(
     diag_out: dict | None = None,
 ) -> np.ndarray:
     """Individual-ratio gradient over every record in the buffer."""
-    batch, ratios, coef = _individual_ratios(buffer, theta_k, omega_k, traj_weights)
+    batch, ratios, coef, score_sum = _individual_ratios(buffer, theta_k, omega_k, traj_weights)
     _fill_diag(diag_out, ratios)
-    return _score_weighted_gradient(batch, gamma, theta_k, buffer.policy, coef)
+    return score_sum(_step_weights(batch, gamma, coef))
 
 
 def ilr_mean_estimate(
@@ -358,7 +390,7 @@ def ilr_mean_estimate(
     traj_weights: Sequence[np.ndarray] | None = None,
 ) -> float:
     """Individual-ratio estimate of the expected return at ``(theta_k, omega_k)``."""
-    batch, _, coef = _individual_ratios(buffer, theta_k, omega_k, traj_weights)
+    batch, _, coef, _ = _individual_ratios(buffer, theta_k, omega_k, traj_weights)
     return float(np.sum(coef * returns(batch.rewards, gamma)))
 
 
@@ -377,20 +409,18 @@ def _mixture_window_gradient(
     if rolling_window < 1:
         raise EstimatorError("rolling window must be >= 1")
     records = buffer.window(rolling_window)
-    counts = np.array([r.n_i for r in records], dtype=np.float64)
+    counts = _record_counts(records)
     alphas = counts / np.sum(counts)
-    batch, log_dens = buffer.window_logdensities(rolling_window, policy_only)
+    batch, log_dens, logp_k, score_sum = buffer.window_logdensities(rolling_window, policy_only, theta_k)
     last = records[-1]
     if theta_k is last.theta and (policy_only or omega_k is last.omega):
         log_target = log_dens[-1]
     else:
-        log_target = trajectory_logdensity(
-            batch, np.asarray(theta_k)[None], [omega_k], buffer.env, buffer.policy, policy_only
-        )[0]
+        log_target = _step_sums(batch, logp_k[None], [omega_k], buffer.env, policy_only)[0]
     f = _mixture_ratios(log_target, log_dens, alphas)
-    coef = (1.0 / len(records)) * _per_traj_weights(records, traj_weights) * f
+    coef = (1.0 / len(records)) * _per_traj_weights(counts, traj_weights) * f
     _fill_diag(diag_out, f)
-    return _score_weighted_gradient(batch, gamma, theta_k, buffer.policy, coef)
+    return score_sum(_step_weights(batch, gamma, coef))
 
 
 def mlr_gradient(

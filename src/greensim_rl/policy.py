@@ -11,11 +11,13 @@ Two softmax policies over discrete actions:
 
 Both implement the batch-only :class:`~greensim_rl.core.Policy` contract:
 forward passes over a stack of state rows, and one score hook,
-``weighted_score_sum``, that returns the weighted sum of the rows' score
-vectors without forming them one by one.  ``log_prob_batch`` also takes a
-stack of parameter vectors: the features are computed once and the
-forward pass broadcasts over the leading parameter axis, one matrix
-product per parameter set with the shapes of a single-set call.
+``score_pass``, that runs the forward pass once at ``theta`` and returns
+the rows' log probabilities together with a function that forms the
+weighted sum of the rows' score vectors from that same pass, without
+forming them one by one.  ``log_prob_batch`` also takes a stack of
+parameter vectors: the features are computed once and the forward pass
+broadcasts over the leading parameter axis, one matrix product per
+parameter set with the shapes of a single-set call.
 """
 
 from __future__ import annotations
@@ -65,6 +67,19 @@ def _parameter_stack(thetas, param_dim: int) -> np.ndarray:
     if thetas.ndim != 2 or thetas.shape[1] != param_dim:
         raise ValueError(f"thetas must have shape (R, {param_dim}), got {thetas.shape}")
     return thetas
+
+
+def _log_probs_and_probs(logits: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``log_softmax(logits)[n, actions[n]]`` and ``softmax_probs(logits)`` of ``(n, A)`` logits.
+
+    Both come from one shared shift, ``exp`` and sum, each in the order
+    those two functions use, so the values keep their bits.
+    """
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = np.sum(e, axis=-1, keepdims=True)
+    rows = np.arange(logits.shape[0])
+    return shifted[rows, actions] - np.log(total[:, 0]), e / total
 
 
 def _stacked_log_probs(logits: np.ndarray, actions) -> np.ndarray:
@@ -137,14 +152,18 @@ class LinearSoftmaxPolicy(Policy):
         _, logits = self._logits(_parameter_stack(thetas, self.param_dim), states)
         return _stacked_log_probs(logits, actions)
 
-    def weighted_score_sum(self, theta, states, actions, weights) -> np.ndarray:
+    def score_pass(self, theta, states, actions):
         phi, logits = self._logits(theta, states)
-        probs = softmax_probs(logits)
-        n = phi.shape[0]
-        residual = -probs
-        residual[np.arange(n), np.asarray(actions, dtype=np.int64)] += 1.0
-        # score block a' of row n is phi(s_n) * (1{a'=a_n} - pi(a'|s_n))
-        return ((residual * weights[:, None]).T @ phi).reshape(self.param_dim)
+        actions = np.asarray(actions, dtype=np.int64)
+        log_prob, probs = _log_probs_and_probs(logits, actions)
+
+        def weighted_sum(weights) -> np.ndarray:
+            residual = -probs
+            residual[np.arange(phi.shape[0]), actions] += 1.0
+            # score block a' of row n is phi(s_n) * (1{a'=a_n} - pi(a'|s_n))
+            return ((residual * weights[:, None]).T @ phi).reshape(self.param_dim)
+
+        return log_prob, weighted_sum
 
 
 class MlpSoftmaxPolicy(Policy):
@@ -204,21 +223,26 @@ class MlpSoftmaxPolicy(Policy):
         logits = self._forward(_parameter_stack(thetas, self.param_dim), states)[2]
         return _stacked_log_probs(logits, actions)
 
-    def weighted_score_sum(self, theta, states, actions, weights) -> np.ndarray:
-        # Reverse mode through softmax and the sigmoid layer; summing over rows
-        # collapses each layer's per-row outer products into one matrix product.
+    def score_pass(self, theta, states, actions):
         _, b = self.unpack(theta)
         phi, hidden, logits = self._forward(theta, states)
-        probs = softmax_probs(logits)
-        n = phi.shape[0]
-        dlogits = -probs
-        dlogits[np.arange(n), np.asarray(actions, dtype=np.int64)] += 1.0
-        hidden_ext = np.concatenate([np.ones((n, 1)), hidden], axis=1)
-        dhidden = (dlogits @ b[:, 1:]) * hidden * (1.0 - hidden)
-        phi_ext = np.concatenate([np.ones((n, 1)), phi], axis=1)
-        grad_b = (dlogits * weights[:, None]).T @ hidden_ext
-        grad_w = (dhidden * weights[:, None]).T @ phi_ext
-        return np.concatenate([grad_w.reshape(-1), grad_b.reshape(-1)])
+        actions = np.asarray(actions, dtype=np.int64)
+        log_prob, probs = _log_probs_and_probs(logits, actions)
+
+        def weighted_sum(weights) -> np.ndarray:
+            # Reverse mode through softmax and the sigmoid layer; summing over rows
+            # collapses each layer's per-row outer products into one matrix product.
+            n = phi.shape[0]
+            dlogits = -probs
+            dlogits[np.arange(n), actions] += 1.0
+            hidden_ext = np.concatenate([np.ones((n, 1)), hidden], axis=1)
+            dhidden = (dlogits @ b[:, 1:]) * hidden * (1.0 - hidden)
+            phi_ext = np.concatenate([np.ones((n, 1)), phi], axis=1)
+            grad_b = (dlogits * weights[:, None]).T @ hidden_ext
+            grad_w = (dhidden * weights[:, None]).T @ phi_ext
+            return np.concatenate([grad_w.reshape(-1), grad_b.reshape(-1)])
+
+        return log_prob, weighted_sum
 
 
 def make_policy(kind: str, features: FeatureMap, n_actions: int, hidden_dim: int = 16) -> Policy:

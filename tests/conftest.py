@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from greensim_rl import bioenv
-from greensim_rl.core import TrajectoryBatch, substream
+from greensim_rl.core import TrajectoryBatch, reward_to_go, substream
 from greensim_rl.estimators import ReplayBuffer, _mixture_ratios, trajectory_logdensity
 from greensim_rl.oracle import TabularMDP
 from greensim_rl.policy import (
@@ -11,6 +11,7 @@ from greensim_rl.policy import (
     MlpSoftmaxPolicy,
     onehot_features,
     purification_features,
+    softmax_probs,
 )
 
 
@@ -118,3 +119,51 @@ def mlr_ratios_batch(batch, target, components, alphas, env, policy):
 def scores(policy, theta, states, actions):
     """Per-row score vectors, shape ``(n, param_dim)``: the score hook with one-hot weights."""
     return np.stack([policy.weighted_score_sum(theta, states, actions, w) for w in np.eye(len(states))])
+
+
+def score_sum_reference(policy, theta, states, actions, weights):
+    """The score hook as it was before it shared its forward pass: ``sum_n weights[n] * score[n]``.
+
+    Its own forward pass at ``theta``, ``softmax_probs``, then reverse mode.
+    """
+    actions = np.asarray(actions, dtype=np.int64)
+    n = len(states)
+    if isinstance(policy, LinearSoftmaxPolicy):
+        phi, logits = policy._logits(theta, states)
+        residual = -softmax_probs(logits)
+        residual[np.arange(n), actions] += 1.0
+        return ((residual * weights[:, None]).T @ phi).reshape(policy.param_dim)
+    _, b = policy.unpack(theta)
+    phi, hidden, logits = policy._forward(theta, states)
+    dlogits = -softmax_probs(logits)
+    dlogits[np.arange(n), actions] += 1.0
+    hidden_ext = np.concatenate([np.ones((n, 1)), hidden], axis=1)
+    dhidden = (dlogits @ b[:, 1:]) * hidden * (1.0 - hidden)
+    phi_ext = np.concatenate([np.ones((n, 1)), phi], axis=1)
+    grad_b = (dlogits * weights[:, None]).T @ hidden_ext
+    grad_w = (dhidden * weights[:, None]).T @ phi_ext
+    return np.concatenate([grad_w.reshape(-1), grad_b.reshape(-1)])
+
+
+def reuse_gradient_reference(kind, records, theta_k, omega_k, env, policy, window, gamma):
+    """The ``ilr``, ``mlr`` or ``tlr`` gradient at ``(theta_k, omega_k)`` from scratch.
+
+    Densities come from one-pair :func:`logdensity` calls, each with its own
+    policy forward pass, and the score sum from :func:`score_sum_reference`;
+    ``window`` is ignored for ``ilr``, which reweights every record.
+    """
+    used = records if kind == "ilr" else records[-window:]
+    batch = concat_batches([r.trajectories for r in used])
+    counts = [r.n_i for r in used]
+    if kind == "ilr":
+        own = np.concatenate([logdensity(r.trajectories, r.theta, r.omega, env, policy) for r in used])
+        ratios = np.exp(logdensity(batch, theta_k, omega_k, env, policy) - own)
+    else:
+        policy_only = kind == "tlr"
+        block = window_block_reference(used, env, policy, policy_only)
+        target = logdensity(batch, theta_k, omega_k, env, policy, policy_only)
+        ratios = _mixture_ratios(target, block, alphas_from_counts(counts))
+    coef = (1.0 / len(used)) * np.concatenate([np.full(n, 1.0 / n) for n in counts]) * ratios
+    states, actions, _ = batch.step_arrays
+    step_weight = (coef[:, None] * reward_to_go(batch.rewards, gamma)).reshape(-1)
+    return score_sum_reference(policy, theta_k, states, actions, step_weight)

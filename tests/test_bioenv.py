@@ -317,6 +317,17 @@ class TestTransitionLogpdf:
             got = beta_log_pdf(np.array([x]), np.array([a]), np.array([b]), betaln(a, b))
             assert got.shape == (1,) and got[0] == pytest.approx(expected, abs=1e-8)
 
+    def test_log_beta_table_is_cached_and_read_only(self, scn):
+        omega = ModelParams(scn.true_model.beta_shapes * 1.5)
+        assert "log_beta" not in vars(omega)  # nothing is taken until a density needs it
+        shapes = omega.beta_shapes
+        want = betaln(shapes[..., [bioenv.ETA_L, bioenv.PSI_L]], shapes[..., [bioenv.ETA_U, bioenv.PSI_U]])
+        table = omega.log_beta
+        np.testing.assert_array_equal(table, want)
+        assert omega.log_beta is table
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0.0
+
     def test_density_matches_sampler_histogram(self, scn):
         # chi-square GOF at significance 0.001 between sampled protein
         # fractions and the density the environment reports for them

@@ -157,6 +157,31 @@ class TestErrors:
         assert f"{name} must be of type" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda s: {**s, "bounds": {"i_bar": 30.0}}, "bounds.p_bar"),
+            (lambda s: {**s, "true_model": {}}, "true_model.beta_shapes"),
+            (lambda s: {**s, "true_model": [1]}, "'true_model'"),
+            (lambda s: {**s, "bounds": 5}, "'bounds'"),
+            (lambda s: {**s, "bounds": {**s["bounds"], "extra": 1.0}}, "bounds.extra"),
+            (lambda s: {**s, "true_model": {**s["true_model"], "extra": 1.0}}, "true_model.extra"),
+            (lambda s: 5, "JSON object"),
+        ],
+        ids=[
+            "missing-key", "empty-section", "list-section", "number-section", "unknown-key",
+            "unknown-model-key", "not-an-object",
+        ],
+    )
+    def test_malformed_scenario_section_exits_4(self, tmp_path, edit, field, capsys):
+        scenario = edit(scenario_to_jsonable(default_scenario()))
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        out = tmp_path / "trajs.jsonl"
+        argv = ["simulate", "--scenario", str(tmp_path / "scenario.json"), "--n", "3", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_BAD_CONFIG
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_exits_2(self, tmp_path, scenario_file, tiny_config_file, capsys):
         out = tmp_path / "run"
         with pytest.raises(SystemExit) as exc:

@@ -26,6 +26,7 @@ from conftest import (
     logdensity,
     mlr_ratios_batch,
     random_tensor,
+    reuse_gradient_reference,
     stream,
     window_block_reference,
 )
@@ -579,8 +580,9 @@ class TestMixtureCostIsLinearInWindow:
         env = TabularEnv(toy_mdp)
         policy = LinearSoftmaxPolicy(onehot_features(2), 2)
         records = mixed_buffer(env, policy, rng, iterations, n).records
-        rows, policy_calls, env_calls = [], [], []
+        rows, pass_rows, policy_calls, env_calls = [], [], [], []
         log_prob_batch = policy.log_prob_batch
+        score_pass = policy.score_pass
         transition_logpdf_batch = env.transition_logpdf_batch
 
         def counting(thetas, states, actions):
@@ -588,11 +590,16 @@ class TestMixtureCostIsLinearInWindow:
             policy_calls[-1] += 1
             return log_prob_batch(thetas, states, actions)
 
+        def counting_pass(theta, states, actions):
+            pass_rows.append(states.shape[0])
+            return score_pass(theta, states, actions)
+
         def counting_env(states, actions, next_states, omegas):
             env_calls[-1] += 1
             return transition_logpdf_batch(states, actions, next_states, omegas)
 
         policy.log_prob_batch = counting
+        policy.score_pass = counting_pass
         env.transition_logpdf_batch = counting_env
         buffer = ReplayBuffer(env if kind == "mlr" else None, policy)
         for record in records:
@@ -605,10 +612,57 @@ class TestMixtureCostIsLinearInWindow:
         linear = int(np.sum(n * steps * (2 * w - 1)))
         quadratic = int(np.sum(n * steps * w**2))
         assert (linear, quadratic) == (372_500, 8_396_250)
-        assert sum(rows) == linear
-        # two stacked calls per mixture call, whatever the window holds
-        assert max(policy_calls) == 2 and policy_calls[0] == 1
+        assert sum(rows) + sum(pass_rows) == linear
+        # one pass at theta_k over the window per call serves the newest row and the score
+        assert pass_rows == list(n * steps * w)
+        # one stacked call (the older records' columns), whatever the window holds
+        assert max(policy_calls) == 1 and policy_calls[0] == 0
         assert max(env_calls) == (2 if kind == "mlr" else 0)
+
+
+class TestGradientsKeepTheirBits:
+    """Each reuse gradient equals a from-scratch reference, one forward pass per density, bit for bit."""
+
+    # (estimator, window); None is the whole buffer
+    CASES = [("ilr", None), ("mlr", 1), ("mlr", 3), ("mlr", None), ("tlr", 3)]
+
+    def gradient(self, kind, buffer, theta_k, omega_k, window):
+        if kind == "ilr":
+            return ilr_gradient(buffer, theta_k, omega_k, 0.9)
+        if kind == "mlr":
+            return mlr_gradient(buffer, theta_k, omega_k, window or len(buffer), 0.9)
+        return tlr_gradient(buffer, theta_k, window, 0.9)
+
+    @pytest.mark.parametrize("setting", ["chromatography-mlp", "tabular-linear"])
+    def test_equal_to_reference(self, setting, scn, env, mlp_policy, toy_mdp, tab_policy):
+        if setting == "chromatography-mlp":
+            policy, omegas = mlp_policy, [scn.true_model, bioenv.ModelParams(np.full((3, 10, 4), 2.0))]
+        else:
+            env, policy = TabularEnv(toy_mdp), tab_policy
+            omegas = [toy_mdp.transition, random_tensor(stream(50))]
+        # one buffer per case, grown record by record, so each memo extends as in training
+        buffers = {case: ReplayBuffer(env, policy) for case in self.CASES}
+        for k in range(5):
+            theta = policy.init_params(stream(51, k), 0.5)
+            omega = omegas[k % 2]
+            batch = rollout_batch(env, policy, theta, omega, 6, stream(52, k))
+            for (kind, window), buffer in buffers.items():
+                buffer.append(theta, omega, batch)
+                # the trainer's call: theta_k is the newest record's own array
+                # (the newest block row shares the target's pass); then an
+                # equal copy, another theta, and another model
+                targets = [
+                    (theta, omega),
+                    (theta.copy(), omega),
+                    (policy.init_params(stream(53, k), 0.5), omega),
+                    (theta, omegas[(k + 1) % 2]),
+                ]
+                for theta_k, omega_k in targets:
+                    got = self.gradient(kind, buffer, theta_k, omega_k, window)
+                    want = reuse_gradient_reference(
+                        kind, buffer.records, theta_k, omega_k, env, policy, window or len(buffer), 0.9
+                    )
+                    np.testing.assert_array_equal(got, want, err_msg=f"{kind} W={window} k={k}")
 
 
 class TestDiagnostics:

@@ -15,7 +15,7 @@ from greensim_rl.policy import (
     softmax_probs,
 )
 
-from conftest import identity_features, scores, stream
+from conftest import identity_features, score_sum_reference, scores, stream
 
 
 # One-row calls into the batch contract.
@@ -219,6 +219,25 @@ class TestStackedLogProb:
         for bad in (np.zeros(policy.param_dim), np.zeros((2, policy.param_dim + 1))):
             with pytest.raises(ValueError, match="thetas must have shape"):
                 policy.log_prob_batch(bad, states, actions)
+
+
+class TestScorePass:
+    @pytest.mark.parametrize("n", [1, 40, 3000])
+    @pytest.mark.parametrize("kind", list(STACKED_POLICIES))
+    def test_one_pass_keeps_the_bits(self, kind, n, rng):
+        # the fused pass's log probabilities are the stacked call's, and its
+        # weighted sum is the score hook's as it was with a pass of its own
+        policy = STACKED_POLICIES[kind]
+        theta = policy.init_params(rng, scale=0.5)
+        states = rng.normal(size=(n, 3))
+        actions = rng.integers(0, 10, size=n)
+        weights = rng.normal(size=n)
+        log_prob, weighted_sum = policy.score_pass(theta, states, actions)
+        np.testing.assert_array_equal(log_prob, policy.log_prob_batch(theta[None], states, actions)[0])
+        want = score_sum_reference(policy, theta, states, actions, weights)
+        np.testing.assert_array_equal(weighted_sum(weights), want)
+        np.testing.assert_array_equal(weighted_sum(weights), want)  # the pass is not consumed
+        np.testing.assert_array_equal(policy.weighted_score_sum(theta, states, actions, weights), want)
 
 
 class TestSampling:

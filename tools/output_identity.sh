@@ -9,7 +9,8 @@
 # directory and must not hold either yet):
 #
 #   - greensim train --seed 3 --r-test 7 for pg, ilr, mlr and tlr, on a
-#     config of 2 periods x 8 iterations with 5 replications;
+#     config of 2 periods x 8 iterations with 5 replications, and for ilr
+#     and mlr on the same config with the linear policy;
 #   - greensim compare on that config: n_i 3 and 5, 2 macros, r_test 4,
 #     window 5;
 #   - greensim posterior-diag --draws 20 --seed 2, on the prior and on the
@@ -36,9 +37,15 @@ run_tree() {
     cli() { PYTHONPATH="$tree/src" PYTHONDONTWRITEBYTECODE=1 python3 -m greensim_rl.cli "$@"; }
     greensim() { cli "$@" >/dev/null; }
     echo '{"periods": 2, "iterations_per_period": 8, "replications": 5}' >"$out/config.json"
+    echo '{"periods": 2, "iterations_per_period": 8, "replications": 5, "policy_kind": "linear"}' \
+        >"$out/config_linear.json"
     for estimator in pg ilr mlr tlr; do
         greensim train --config "$out/config.json" --estimator "$estimator" --seed 3 --r-test 7 \
             --out "$out/train_$estimator"
+    done
+    for estimator in ilr mlr; do
+        greensim train --config "$out/config_linear.json" --estimator "$estimator" --seed 3 --r-test 7 \
+            --out "$out/train_linear_$estimator"
     done
     greensim compare --config "$out/config.json" --seed 3 --n-i 3,5 --macros 2 --r-test 4 --window 5 \
         --out "$out/compare"
