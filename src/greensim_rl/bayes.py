@@ -15,14 +15,14 @@ assembled into full model parameter tables.
 The chains advance in lockstep.  :class:`PosteriorState` holds them as
 arrays, one row per channel, and every move updates all data-backed chains
 at once: one vectorised ``betaln`` over the proposals, a per-chain
-acceptance mask and per-chain step sizes and adaptation windows.  The
-randomness stays per channel: each channel draws its proposal increments
-and acceptance uniforms from its own child stream, so one channel's draws
-do not depend on the data held by any other channel.  A draw is named by
-a stream key ``(root_seed, *path)``, as :func:`~greensim_rl.core.substream`
-names a stream; channel ``c`` reads the key's child stream ``c``, whose
-PCG64 start state :func:`~greensim_rl.core.child_stream_states` computes
-without building the child generators.
+acceptance mask and per-chain step sizes and adaptation windows.  A draw
+is named by a stream key ``(root_seed, *path)``, as
+:func:`~greensim_rl.core.substream` names a stream, and takes all of its
+randomness from that one stream: each array it draws has one column per
+channel, for every channel, and channel ``c`` reads column ``c``.  So one
+channel's draws do not depend on the data held by any other channel
+(the counter-based layout of Salmon et al. 2011, "Parallel random
+numbers: as easy as 1, 2, 3").
 
 Channels with no observations are sampled by an independence proposal
 from the prior itself, which such a chain accepts with probability one --
@@ -41,7 +41,7 @@ import numpy as np
 from scipy.special import betaln
 
 from .bioenv import ETA_L, ETA_U, PSI_L, PSI_U, ModelParams
-from .core import child_stream_states, write_csv
+from .core import substream, write_csv
 
 __all__ = [
     "FractionDataset",
@@ -63,6 +63,8 @@ ACCEPT_LOW, ACCEPT_HIGH = 0.3, 0.5
 
 # FractionDataset columns and their dtypes, in CSV column order.
 _COLUMNS = {"step": np.int64, "action": np.int64, "h": np.float64, "psi": np.float64}
+# The same columns' headers in the fractions CSV file.
+_CSV_COLUMNS = ("step", "action", "h_fraction", "psi_fraction")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,14 +109,19 @@ class FractionDataset:
 
 
 def write_fractions_csv(dataset: FractionDataset, path) -> None:
-    columns = ["step", "action", "h_fraction", "psi_fraction"]
-    write_csv(path, columns, zip(*(getattr(dataset, c).tolist() for c in _COLUMNS)))
+    write_csv(path, _CSV_COLUMNS, zip(*(getattr(dataset, c).tolist() for c in _COLUMNS)))
 
 
 def read_fractions_csv(fh: IO[str]) -> FractionDataset:
+    """Read what :func:`write_fractions_csv` writes; a header missing a column raises ``ValueError``."""
+    reader = csv.DictReader(fh)
+    header = reader.fieldnames or []
+    for column in _CSV_COLUMNS:
+        if column not in header:
+            raise ValueError(f"fraction data has no {column!r} column")
     rows = [
         (int(row["step"]), int(row["action"]), float(row["h_fraction"]), float(row["psi_fraction"]))
-        for row in csv.DictReader(fh)
+        for row in reader
     ]
     return FractionDataset(*zip(*rows)) if rows else FractionDataset()
 
@@ -268,54 +275,45 @@ def mh_sample(ps: PosteriorState, n: int, root_seed: int, *path: int) -> list[Mo
     """Draw ``n`` thinned post-burn-in joint posterior samples.
 
     A call first finishes burn-in, if the chains have made fewer than
-    ``burn_in`` moves, and then makes ``thin`` moves per draw.  Its
-    randomness is named by the stream key ``(root_seed, *path)``: channel
-    ``c`` (in ``channel_keys()`` order) draws from the key's child stream
-    ``substream(root_seed, *path).spawn(C)[c]``, so the draw sequence of
-    one channel is unaffected by the data held by any other, and a call is
-    a pure function of its key and the chains' state.  The child streams'
-    start states come from :func:`~greensim_rl.core.child_stream_states`;
-    one generator is set to each in turn.  A data-backed channel draws from
-    its stream, block by block (burn-in, then each draw), the block's
-    normal increments and then its log acceptance uniforms; all data-backed
-    chains then advance together, one set of array operations per move
-    (:func:`_walk`).  An empty channel draws one prior point per block
-    instead: the flat target always accepts that independence proposal, so
-    its draws are i.i.d. Unif(0, 300].
+    ``burn_in`` moves, and then makes ``thin`` moves per draw.  All of its
+    randomness comes from one generator, ``substream(root_seed, *path)``,
+    so a call is a pure function of its key and the chains' state.  For
+    each block of moves (burn-in, then each draw's ``thin``) the generator
+    gives the block's normal increments ``(m, C, 2)`` and then its
+    acceptance uniforms ``(m, C)``; after the last block it gives one prior
+    point per block ``(blocks, C, 2)``.  Every array has a column for every
+    one of the C channels (in ``channel_keys()`` order), empty channels
+    included, so channel ``c`` always reads column ``c`` at the same stream
+    positions and its draws are unaffected by the data held by any other
+    channel.  The data-backed chains advance together on their columns,
+    one set of array operations per move (:func:`_walk`).  An empty channel
+    instead takes its column's prior point of each draw's block: the flat
+    target always accepts that independence proposal, so its draws are
+    i.i.d. Unif(0, 300].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    states = child_stream_states(ps.n_obs.size, root_seed, *path)
-    gen = np.random.Generator(np.random.PCG64(0))  # reseeded per channel before any draw
-
-    def stream(c: int) -> np.random.Generator:
-        gen.bit_generator.state = states[c]
-        return gen
-
+    rng = substream(root_seed, *path)
     burn = max(ps.burn_in - ps.steps_taken, 0)
     blocks = ([burn] if burn else []) + [ps.thin] * n
     n_moves = sum(blocks)
+    n_chains = ps.n_obs.size
+    normals, uniforms = [], []
+    for m in blocks:
+        normals.append(rng.standard_normal((m, n_chains, 2)))
+        uniforms.append(rng.random((m, n_chains)))
+    # a burn-in block's prior points are drawn only to keep the layout; the draws read the last n
+    prior = rng.random((len(blocks), n_chains, 2))[-n:]
     live = np.flatnonzero(ps.n_obs > 0)
     empty = np.flatnonzero(ps.n_obs == 0)
-    positions = np.empty((n, ps.n_obs.size, 2))
+    positions = np.empty((n, n_chains, 2))
     if live.size:
-        normals = np.empty((n_moves, live.size, 2))
-        uniforms = np.empty((n_moves, live.size))
-        for j, c in enumerate(live):
-            rng = stream(c)
-            lo = 0
-            for m in blocks:
-                normals[lo:lo + m, j] = rng.standard_normal((m, 2))
-                uniforms[lo:lo + m, j] = rng.random(m)
-                lo += m
         stops = {burn + ps.thin * (d + 1) - 1 for d in range(n)}
-        positions[:, live] = _walk(ps, live, normals, np.log(uniforms), stops)
+        live_normals = np.concatenate(normals)[:, live]
+        live_log_us = np.log(np.concatenate(uniforms)[:, live])
+        positions[:, live] = _walk(ps, live, live_normals, live_log_us, stops)
     if empty.size:
-        # One prior point per block stands in for the block's moves.  All blocks'
-        # points come from one call (Generator.random fills in stream order);
-        # the burn-in block's point is drawn only to keep the stream in step.
-        prior = np.stack([stream(c).random((len(blocks), 2))[-n:] for c in empty], axis=1)
-        positions[:, empty] = np.log(PRIOR_HIGH * (1.0 - prior))  # in (0, PRIOR_HIGH]
+        positions[:, empty] = np.log(PRIOR_HIGH * (1.0 - prior[:, empty]))  # in (0, PRIOR_HIGH]
         ps.accepted[empty] += n_moves
         ps.proposed[empty] += n_moves
     ps.steps_taken += n_moves

@@ -25,7 +25,7 @@ All randomness flows through explicitly passed ``numpy.random.Generator``
 instances, or stream keys ``(root_seed, *path)`` that name them.  Nothing
 in this package touches global RNG state, so common random numbers across
 compared configurations reduce to reusing the same stream path (see
-:func:`substream` and :func:`child_stream_states`).
+:func:`substream`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "TrajectoryBatch",
     "check_fields",
     "check_typed",
-    "child_stream_states",
     "returns",
     "reward_to_go",
     "rollout_batch",
@@ -91,104 +90,16 @@ def substream(root_seed: int, *path: int) -> np.random.Generator:
     Streams are counter-based: the generator for a key is a pure function
     of the key, never of how many draws any other stream consumed.  This
     is what makes common random numbers hold exactly across
-    configurations that consume different amounts of randomness.  The
-    key's streams one level down, ``substream(root_seed, *path).spawn(n)``,
-    are computed directly by :func:`child_stream_states`.
+    configurations that consume different amounts of randomness.  A key
+    entry that is not a nonnegative integer (a bool, float, string or
+    Generator included) raises ``ValueError``.
     """
+    for entry in (root_seed, *path):
+        if isinstance(entry, bool) or not isinstance(entry, (int, np.integer)) or entry < 0:
+            raise ValueError(f"stream key entries must be nonnegative integers, got {entry!r}")
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(root_seed, spawn_key=tuple(path)))
     )
-
-
-# numpy's SeedSequence hash (O'Neill's seed_seq_fe): a pool of four 32-bit words.
-_POOL_SIZE = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _uint32_words(value) -> list[int]:
-    """A stream key entry as SeedSequence reads it: little-endian 32-bit words, at least one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"stream key entries must be nonnegative integers, got {value!r}")
-    value = int(value)
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-def _hashmix(value, h: int, mult: int):
-    """One step of SeedSequence's hash on a word (a Python int or a uint32 array).
-
-    Returns the mixed word and the next hash constant.
-    """
-    h_next = (h * mult) & _MASK32
-    value = ((value ^ h) * h_next) & _MASK32
-    return value ^ (value >> 16), h_next
-
-
-def _mix(x, y):
-    r = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
-    return r ^ (r >> 16)
-
-
-def _absorb(pool: list, word, h: int):
-    """Fold one entropy word past the pool's size into every pool word."""
-    out = []
-    for p in pool:
-        mixed, h = _hashmix(word, h, _MULT_A)
-        out.append(_mix(p, mixed))
-    return out, h
-
-
-def child_stream_states(n_children: int, root_seed: int, *path: int) -> list[dict]:
-    """PCG64 start states of the key's child streams, without building them.
-
-    Entry ``c`` equals ``substream(root_seed, *path).spawn(n_children)[c]
-    .bit_generator.state``, bit for bit, so setting a generator's
-    ``bit_generator.state`` to it reproduces that child stream.  Child
-    ``c``'s seed material is the root seed's words (padded to the pool
-    size), then the path's words, then ``c``.  Only the last word differs
-    between children, so the shared prefix is hashed once and the child
-    index and output words are hashed for all children at once, in uint32
-    arithmetic.  PCG64 then seeds from the four 64-bit output words
-    ``(s0, s1, q0, q1)``: ``inc = (q << 1) | 1`` and ``state = (s + inc) *
-    MULT + inc`` modulo 2**128, with ``s = s0 << 64 | s1`` and ``q = q0 <<
-    64 | q1``.  A key entry that is not a nonnegative integer raises
-    ``ValueError``.
-    """
-    run = _uint32_words(root_seed)
-    entropy = run + [0] * (_POOL_SIZE - len(run)) + [w for p in path for w in _uint32_words(p)]
-    h = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        word, h = _hashmix(word, h, _MULT_A)
-        pool.append(word)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixed, h = _hashmix(pool[src], h, _MULT_A)
-                pool[dst] = _mix(pool[dst], mixed)
-    for word in entropy[_POOL_SIZE:]:
-        pool, h = _absorb(pool, word, h)
-    pool, _ = _absorb(pool, np.arange(n_children, dtype=np.uint32), h)
-    out = np.empty((n_children, 2 * _POOL_SIZE), dtype=np.uint32)
-    h = _INIT_B
-    for i in range(2 * _POOL_SIZE):
-        out[:, i], h = _hashmix(pool[i % _POOL_SIZE], h, _MULT_B)
-    states = []
-    for s0, s1, q0, q1 in out.astype("<u4").view("<u8").tolist():
-        inc = ((((q0 << 64) | q1) << 1) | 1) & _MASK128
-        state = ((((s0 << 64) | s1) + inc) * _PCG64_MULT + inc) & _MASK128
-        states.append(
-            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-        )
-    return states
 
 
 @dataclass(frozen=True, eq=False)

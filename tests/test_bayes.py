@@ -15,6 +15,7 @@ from greensim_rl.bayes import (
     write_fractions_csv,
 )
 from greensim_rl.bioenv import ETA_L, ETA_U, PSI_L, PSI_U
+from greensim_rl.core import substream
 
 from conftest import SEED, stream
 
@@ -202,6 +203,21 @@ class TestMhSampler:
             np.testing.assert_array_equal(x.beta_shapes[0, 0], y.beta_shapes[0, 0])
             np.testing.assert_array_equal(x.beta_shapes[0, 1], y.beta_shapes[0, 1])
 
+    def test_live_channel_unmoved_when_empty_channel_gains_data(self):
+        # channel (2, 1) goes from prior-only to data-backed; (1, 0)'s chain reads the same columns
+        base = dataset_from_fractions(1, 0, [0.5, 0.6], [0.4, 0.3])
+        grown = base.union(dataset_from_fractions(2, 1, [0.7, 0.8], [0.2, 0.25]))
+        ps_base, ps_grown = make_posterior(base, 2, 2, burn_in=20), make_posterior(grown, 2, 2, burn_in=20)
+        for call in range(2):
+            draws_base = mh_sample(ps_base, 3, SEED, 25, call)
+            draws_grown = mh_sample(ps_grown, 3, SEED, 25, call)
+            for x, y in zip(draws_base, draws_grown):
+                np.testing.assert_array_equal(x.beta_shapes[0, 0], y.beta_shapes[0, 0])
+                assert not np.array_equal(x.beta_shapes[1, 1], y.beta_shapes[1, 1])
+        np.testing.assert_array_equal(ps_base.log_shapes[:2], ps_grown.log_shapes[:2])
+        np.testing.assert_array_equal(ps_base.step_size[:2], ps_grown.step_size[:2])
+        assert ps_base.n_obs[6] == 0 and ps_grown.n_obs[6] == 2
+
     def test_random_walk_targets_flat_prior(self):
         # walk (not the independence shortcut) against a flat target, i.e.
         # zero sufficient statistics: the log-transform Jacobian is what
@@ -223,7 +239,8 @@ class ScalarReference:
     """Per-channel scalar Metropolis-Hastings sampler: one Python loop per chain and move.
 
     Written out move by move as the arithmetic the lockstep sampler must
-    reproduce bit for bit: the same stream draws per channel, the same
+    reproduce bit for bit: the same stream draws per channel (column ``c``
+    of each array drawn from the call's one stream), the same
     floating-point operation order and the same adaptation rule.
     """
 
@@ -263,15 +280,15 @@ class ScalarReference:
         alpha, beta = shapes[0], shapes[1]
         return (alpha - 1.0) * sum_log + (beta - 1.0) * sum_log1m - n * float(bayes.betaln(alpha, beta))
 
-    def _advance(self, ch, stats, n_moves, rng):
+    def _advance(self, ch, stats, normals, uniforms, prior_point):
+        n_moves = len(uniforms)
         if stats[0] == 0:
-            ch["pos"] = np.log(PRIOR_HIGH * (1.0 - rng.random(2)))
+            ch["pos"] = np.log(PRIOR_HIGH * (1.0 - prior_point))
             ch["accepted"] += n_moves
             ch["proposed"] += n_moves
             ch["steps"] += n_moves
             return
-        normals = rng.standard_normal((n_moves, 2))
-        log_us = np.log(rng.random(n_moves))
+        log_us = np.log(uniforms)
         if ch["ll"] is None:
             ch["ll"] = self._loglik(np.exp(ch["pos"]), stats)
         for m in range(n_moves):
@@ -298,17 +315,24 @@ class ScalarReference:
                 ch["w_acc"] = ch["w_prop"] = 0
 
     def sample(self, n, root_seed, *path):
-        children = np.random.SeedSequence(root_seed, spawn_key=path).spawn(len(self.keys))
+        # one stream per call; each block array has a column per channel, drawn in
+        # the order normals, uniforms (per block), then the prior points of every block
+        rng = substream(root_seed, *path)
+        n_chains = len(self.keys)
+        steps = {ch["steps"] for ch in self.chains.values()}
+        assert len(steps) == 1  # every chain has made the same number of moves
+        burn = max(self.burn_in - steps.pop(), 0)
+        blocks = ([burn] if burn else []) + [self.thin] * n
+        arrays = [(rng.standard_normal((m, n_chains, 2)), rng.random((m, n_chains))) for m in blocks]
+        prior = rng.random((len(blocks), n_chains, 2))
         per_channel = {}
-        for key, seed_seq in zip(self.keys, children):
-            child = np.random.Generator(np.random.PCG64(seed_seq))
+        for c, key in enumerate(self.keys):
             ch, stats = self.chains[key], self.stats[key]
-            if ch["steps"] < self.burn_in:
-                self._advance(ch, stats, self.burn_in - ch["steps"], child)
             per_channel[key] = []
-            for _ in range(n):
-                self._advance(ch, stats, self.thin, child)
-                per_channel[key].append(np.exp(ch["pos"]))
+            for b, (normals, uniforms) in enumerate(arrays):
+                self._advance(ch, stats, normals[:, c], uniforms[:, c], prior[b, c])
+                if b >= len(blocks) - n:
+                    per_channel[key].append(np.exp(ch["pos"]))
         tables = []
         for d in range(n):
             table = np.zeros((self.n_steps, self.n_actions, 4))

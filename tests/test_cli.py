@@ -575,16 +575,21 @@ class TestPosteriorDiagCommand:
         run = tmp_path / "run"
         train_argv = ["train", "--scenario", str(scenario), "--config", str(tiny_config_file), "--out", str(run)]
         assert cli.main(train_argv) == 0
+        # the run's data plus one observation in the widened grid's last window,
+        # so the data reaches past the default 10 windows whatever the run's actions
         with open(run / "fractions.csv") as fh:
-            assert bayes.read_fractions_csv(fh).action.max() >= 10
+            data = bayes.read_fractions_csv(fh).union(bayes.FractionDataset([1], [11], [0.6], [0.3]))
+        fractions = tmp_path / "fractions.csv"
+        bayes.write_fractions_csv(data, fractions)
         out = tmp_path / "diag.csv"
-        argv = ["posterior-diag", "--data", str(run / "fractions.csv"), "--out", str(out), "--draws", "2"]
+        argv = ["posterior-diag", "--data", str(fractions), "--out", str(out), "--draws", "2"]
         assert cli.main(argv) == cli.EXIT_BAD_CONFIG  # the default 10-window grid
         assert "outside 3 steps x 10 actions" in capsys.readouterr().err
         assert cli.main([*argv, "--scenario", str(scenario)]) == 0
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 3 * 12 * 2
-        assert sum(int(r.split(",")[3]) for r in rows) == 2 * 12  # each observation feeds eta and psi
+        assert sum(int(r.split(",")[3]) for r in rows) == 2 * len(data)  # each observation feeds eta and psi
+        assert len(data) == 13
 
     @pytest.mark.parametrize(
         "rows",
@@ -600,6 +605,23 @@ class TestPosteriorDiagCommand:
         data.write_text(rows)
         code = cli.main(["posterior-diag", "--data", str(data), "--out", str(tmp_path / "diag.csv")])
         assert code == cli.EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize(
+        "text, missing",
+        [
+            ("5\n", "step"),  # no header at all, and no data rows
+            ("step,action,h,psi\n", "h_fraction"),  # the dataset's column names, not the file's
+            ("", "step"),  # an empty file
+        ],
+        ids=["number-only", "header-without-rows", "empty-file"],
+    )
+    def test_header_checked_without_data_rows(self, tmp_path, capsys, text, missing):
+        data = tmp_path / "fractions.csv"
+        data.write_text(text)
+        out = tmp_path / "diag.csv"
+        assert cli.main(["posterior-diag", "--data", str(data), "--out", str(out)]) == cli.EXIT_BAD_CONFIG
+        assert f"no {missing!r} column" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNumericArguments:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from greensim_rl.core import (
     Environment,
     TrajectoryBatch,
-    child_stream_states,
     returns,
     reward_to_go,
     rollout_batch,
@@ -303,14 +302,17 @@ class TestSubstream:
     @pytest.mark.parametrize("path", [(), (0,), (3, 499, 2), (1, 2**33, 2)])
     @pytest.mark.parametrize("n_children", [1, 60, 72])
     def test_child_states_match_spawned_streams(self, seed, path, n_children):
+        # extending a key by one entry c gives the c-th spawned child stream
         children = np.random.SeedSequence(seed, spawn_key=path).spawn(n_children)
-        assert child_stream_states(n_children, seed, *path) == [np.random.PCG64(c).state for c in children]
+        assert [substream(seed, *path, c).bit_generator.state for c in range(n_children)] == [
+            np.random.PCG64(c).state for c in children
+        ]
 
     def test_child_state_reproduces_the_stream(self):
-        gen = np.random.Generator(np.random.PCG64(0))
-        gen.bit_generator.state = child_stream_states(5, 11, 2, 9)[3]
         child = np.random.SeedSequence(11, spawn_key=(2, 9)).spawn(5)[3]
-        np.testing.assert_array_equal(gen.random(7), np.random.Generator(np.random.PCG64(child)).random(7))
+        np.testing.assert_array_equal(
+            substream(11, 2, 9, 3).random(7), np.random.Generator(np.random.PCG64(child)).random(7)
+        )
 
     @pytest.mark.parametrize(
         "key",
@@ -318,6 +320,6 @@ class TestSubstream:
         ids=repr,
     )
     def test_child_states_reject_bad_key_entries(self, key):
-        # rejected at the boundary, never wrapped into uint32 words
+        # rejected at the boundary, before numpy sees the key
         with pytest.raises(ValueError, match="nonnegative integers"):
-            child_stream_states(3, *key)
+            substream(*key)
