@@ -15,7 +15,9 @@ assembled into full model parameter tables.
 The chains advance in lockstep.  :class:`PosteriorState` holds them as
 arrays, one row per channel, and every move updates all data-backed chains
 at once: one vectorised ``betaln`` over the proposals, a per-chain
-acceptance mask and per-chain step sizes and adaptation windows.  A draw
+acceptance mask and per-chain step sizes and adaptation windows.  Step
+sizes change only where a burn-in window fills, so the moves run in
+segments between those points, each scaling its increments at once.  A draw
 is named by a stream key ``(root_seed, *path)``, as
 :func:`~greensim_rl.core.substream` names a stream, and takes all of its
 randomness from that one stream: each array it draws has one column per
@@ -40,7 +42,7 @@ from typing import IO
 import numpy as np
 from scipy.special import betaln
 
-from .bioenv import ETA_L, ETA_U, PSI_L, PSI_U, ModelParams
+from .bioenv import ModelParams
 from .core import substream, write_csv
 
 __all__ = [
@@ -228,31 +230,46 @@ def _walk(ps: PosteriorState, live: np.ndarray, normals: np.ndarray, log_us: np.
     chain whose window holds ``ADAPT_EVERY`` proposals nudges its step size
     toward the target acceptance band.  Returns the positions after each
     move index in ``stops``.
+
+    The moves run in segments of fixed step sizes: within burn-in a segment
+    ends at the next move where a window fills, else at the end of the call.
+    It scales its increments in one product and sums its moves' rows of an
+    ``(M, L)`` acceptance mask into the window counts at its end.
     """
     pos = ps.log_shapes[live]
+    pos_sum = pos.sum(axis=1)
     step = ps.step_size[live]
     n_obs, sum_log, sum_log1m = ps.n_obs[live], ps.sum_log[live], ps.sum_log1m[live]
     alpha, beta = np.exp(pos).T
     cur_ll = _log_lik(alpha, beta, n_obs, sum_log, sum_log1m)
-    accepted = np.zeros(live.size, dtype=np.int64)
     w_acc, w_prop = ps.window_accepted[live], ps.window_proposed[live]
+    n_moves = normals.shape[0]
+    takes = np.empty((n_moves, live.size), dtype=bool)
     steps = ps.steps_taken
     out = []
+    m0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(normals.shape[0]):
-            prop = pos + step[:, None] * normals[m]
-            alpha, beta = np.exp(prop).T
-            inside = (alpha <= PRIOR_HIGH) & (beta <= PRIOR_HIGH)
-            prop_ll = _log_lik(alpha, beta, n_obs, sum_log, sum_log1m)
-            # the sum difference is the Jacobian of the log transform
-            log_ratio = np.where(inside, (prop_ll - cur_ll) + (prop.sum(axis=1) - pos.sum(axis=1)), -np.inf)
-            take = log_us[m] < log_ratio
-            pos = np.where(take[:, None], prop, pos)
-            cur_ll = np.where(take, prop_ll, cur_ll)
-            accepted += take
-            w_acc += take
-            w_prop += 1
-            steps += 1
+        while m0 < n_moves:
+            fills = max(1, ADAPT_EVERY - int(w_prop.max()))  # moves until a window is full
+            m1 = min(m0 + fills, n_moves) if steps + fills <= ps.burn_in else n_moves
+            increments = step[:, None] * normals[m0:m1]
+            for m in range(m0, m1):
+                prop = pos + increments[m - m0]
+                alpha, beta = np.exp(prop).T
+                inside = np.maximum(alpha, beta) <= PRIOR_HIGH
+                prop_ll = _log_lik(alpha, beta, n_obs, sum_log, sum_log1m)
+                prop_sum = prop.sum(axis=1)
+                # the sum difference is the Jacobian of the log transform
+                log_ratio = np.where(inside, (prop_ll - cur_ll) + (prop_sum - pos_sum), -np.inf)
+                take = np.less(log_us[m], log_ratio, out=takes[m])
+                pos = np.where(take[:, None], prop, pos)
+                pos_sum = np.where(take, prop_sum, pos_sum)
+                cur_ll = np.where(take, prop_ll, cur_ll)
+                if m in stops:
+                    out.append(pos)
+            w_acc += takes[m0:m1].sum(axis=0)
+            w_prop += m1 - m0
+            steps += m1 - m0
             if steps <= ps.burn_in:
                 full = w_prop >= ADAPT_EVERY
                 if full.any():
@@ -261,11 +278,10 @@ def _walk(ps: PosteriorState, live: np.ndarray, normals: np.ndarray, log_us: np.
                     step = np.where(full & (rate > ACCEPT_HIGH), np.minimum(step * 1.4, 10.0), step)
                     w_acc[full] = 0
                     w_prop[full] = 0
-            if m in stops:
-                out.append(pos)
+            m0 = m1
     ps.step_size[live] = step
-    ps.accepted[live] += accepted
-    ps.proposed[live] += normals.shape[0]
+    ps.accepted[live] += takes.sum(axis=0)
+    ps.proposed[live] += n_moves
     ps.window_accepted[live] = w_acc
     ps.window_proposed[live] = w_prop
     return out
@@ -286,10 +302,10 @@ def mh_sample(ps: PosteriorState, n: int, root_seed: int, *path: int) -> list[Mo
     included, so channel ``c`` always reads column ``c`` at the same stream
     positions and its draws are unaffected by the data held by any other
     channel.  The data-backed chains advance together on their columns,
-    one set of array operations per move (:func:`_walk`).  An empty channel
-    instead takes its column's prior point of each draw's block: the flat
-    target always accepts that independence proposal, so its draws are
-    i.i.d. Unif(0, 300].
+    one set of array operations per move, in segments of fixed step sizes
+    (:func:`_walk`).  An empty channel instead takes its column's prior
+    point of each draw's block: the flat target always accepts that
+    independence proposal, so its draws are i.i.d. Unif(0, 300].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -319,15 +335,10 @@ def mh_sample(ps: PosteriorState, n: int, root_seed: int, *path: int) -> list[Mo
     ps.steps_taken += n_moves
     ps.log_shapes = positions[-1].copy()
 
-    rows = np.arange(ps.n_obs.size)[:, None] // 2
-    cols = np.tile([[ETA_L, ETA_U], [PSI_L, PSI_U]], (ps.n_obs.size // 2, 1))
-    shapes = np.exp(positions)
-    out = []
-    for d in range(n):
-        table = np.zeros((ps.n_steps * ps.n_actions, 4))
-        table[rows, cols] = shapes[d]
-        out.append(ModelParams(table.reshape(ps.n_steps, ps.n_actions, 4)))
-    return out
+    # chain rows 2j and 2j+1 are table row j's eta and psi pairs; a table row holds
+    # (PSI_L, PSI_U, ETA_L, ETA_U), so the (eta, psi) axis is reversed
+    shapes = np.exp(positions).reshape(n, ps.n_steps, ps.n_actions, 2, 2)[:, :, :, ::-1]
+    return [ModelParams(table) for table in shapes.reshape(n, ps.n_steps, ps.n_actions, 4)]
 
 
 def update_dataset(ps: PosteriorState, new_data: FractionDataset) -> PosteriorState:

@@ -290,26 +290,6 @@ def _batch_final_biomass(p: UpstreamParams) -> float:
     return _integrate_biomass(p, p.S_i_mean)
 
 
-def _harvest_masses(scn: Scenario, n: int, rng: np.random.Generator):
-    """Vectorized noisy harvest: n draws of (p1, i1), clamped to the state box."""
-    up = scn.upstream
-    nu1 = rng.normal(up.nu1_mean, up.nu1_sd, size=n)
-    nu2 = rng.normal(up.nu2_mean, up.nu2_sd, size=n)
-    s_i = rng.normal(up.S_i_mean, up.S_i_sd, size=n)
-    if up.F == 0.0:
-        x_end = _batch_final_biomass(up)
-    else:
-        x_end = _integrate_biomass(up, s_i)
-    p_u = nu1 * x_end * up.harvest_to_mg
-    i_u = nu2 * x_end * up.harvest_to_mg
-    p1 = p_u + rng.normal(0.0, up.harvest_noise_sd, size=n)
-    i1 = i_u + rng.normal(0.0, up.harvest_noise_sd, size=n)
-    return (
-        np.clip(p1, EPS_MASS, scn.p_bar),
-        np.clip(i1, EPS_MASS, scn.i_bar),
-    )
-
-
 # --- chromatography transitions and rewards ---------------------------------
 
 
@@ -351,8 +331,18 @@ class ChromatographyEnv(Environment):
         return self.scenario.true_model.n_actions
 
     def sample_initial_batch(self, n, rng) -> np.ndarray:
-        p1, i1 = _harvest_masses(self.scenario, n, rng)
-        return np.column_stack([p1, i1, np.ones(n)])
+        """Noisy harvests at step 1: ``n`` rows ``(p1, i1, 1)``, masses clamped to the state box."""
+        scn, up = self.scenario, self.scenario.upstream
+        nu1 = rng.normal(up.nu1_mean, up.nu1_sd, size=n)
+        nu2 = rng.normal(up.nu2_mean, up.nu2_sd, size=n)
+        s_i = rng.normal(up.S_i_mean, up.S_i_sd, size=n)
+        x_end = _batch_final_biomass(up) if up.F == 0.0 else _integrate_biomass(up, s_i)
+        out = np.empty((n, 3))
+        for col, nu, high in ((0, nu1, scn.p_bar), (1, nu2, scn.i_bar)):  # protein, then impurity noise
+            mass = nu * x_end * up.harvest_to_mg + rng.normal(0.0, up.harvest_noise_sd, size=n)
+            out[:, col] = np.minimum(np.maximum(mass, EPS_MASS), high)
+        out[:, 2] = 1.0
+        return out
 
     def sample_transition_batch(self, states, actions, omega, rng) -> np.ndarray:
         """Apply one chromatography column per row: retain Beta fractions of each mass.
@@ -365,11 +355,12 @@ class ChromatographyEnv(Environment):
             raise InvalidStateError(f"batch rows must share one step index, got {steps}")
         t = int(t_idx[0]) + 1
         shapes = omega.beta_shapes[t - 1, np.asarray(actions, dtype=np.int64)]
-        h = np.clip(rng.beta(shapes[:, ETA_L], shapes[:, ETA_U]), _FRACTION_EPS, 1.0 - _FRACTION_EPS)
-        psi = np.clip(rng.beta(shapes[:, PSI_L], shapes[:, PSI_U]), _FRACTION_EPS, 1.0 - _FRACTION_EPS)
-        return np.column_stack(
-            [h * states[:, 0], psi * states[:, 1], np.full(states.shape[0], float(t + 1))]
-        )
+        out = np.empty((states.shape[0], 3))
+        for col, (lo, hi) in enumerate([(ETA_L, ETA_U), (PSI_L, PSI_U)]):  # h, then psi
+            fraction = rng.beta(shapes[:, lo], shapes[:, hi])
+            out[:, col] = np.minimum(np.maximum(fraction, _FRACTION_EPS), 1 - _FRACTION_EPS) * states[:, col]
+        out[:, 2] = t + 1
+        return out
 
     def transition_logpdf_batch(self, states, actions, next_states, omegas) -> np.ndarray:
         """Relative log density of each row's transition under each model of ``omegas``.

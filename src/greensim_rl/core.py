@@ -307,7 +307,7 @@ class Policy(abc.ABC):
         u = rng.random(states.shape[0])
         cum = np.cumsum(probs, axis=1)
         cum[:, -1] = 1.0  # guard against cumulative rounding shortfall
-        return np.argmax(cum >= u[:, None], axis=1).astype(np.int64)
+        return (cum >= u[:, None]).argmax(axis=1).astype(np.int64)
 
     def init_params(self, rng: np.random.Generator, scale: float = 0.1) -> np.ndarray:
         return scale * rng.standard_normal(self.param_dim)
@@ -326,31 +326,29 @@ def rollout_batch(
     All episodes advance in lockstep.  Per step: sample the actions,
     record the step rewards, sample the next states.  The terminal payout
     is added to the final step's reward.  Deterministic given the rng
-    state.
+    state.  The batch's arrays are allocated once, sized by the initial
+    states, and each step is written into them; ``n < 1`` is a ValueError.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     horizon = env.horizon()
-    states = np.asarray(env.sample_initial_batch(n, rng), dtype=np.float64)
-    if not np.all(np.isfinite(states)):
+    current = np.asarray(env.sample_initial_batch(n, rng), dtype=np.float64)
+    if not np.all(np.isfinite(current)):
         raise RolloutError("non-finite initial state in batch")
-    all_states = [states]
-    all_actions = []
-    all_rewards = []
+    states = np.empty((n, horizon, current.shape[1]))
+    actions = np.empty((n, horizon - 1), dtype=np.int64)
+    rewards = np.empty((n, horizon - 1))
+    states[:, 0] = current
     for t in range(1, horizon):
-        actions = policy.sample_actions_batch(theta, states, rng)
-        rewards = env.reward_batch(states, actions, t)
-        states = np.asarray(env.sample_transition_batch(states, actions, omega, rng), dtype=np.float64)
-        if not np.all(np.isfinite(states)):
+        step_actions = actions[:, t - 1] = policy.sample_actions_batch(theta, current, rng)
+        rewards[:, t - 1] = env.reward_batch(current, step_actions, t)
+        current = np.asarray(env.sample_transition_batch(current, step_actions, omega, rng), dtype=np.float64)
+        if not np.all(np.isfinite(current)):
             raise RolloutError(f"non-finite state in batch at step {t}")
-        if t == horizon - 1:
-            rewards = rewards + env.terminal_reward_batch(states)
-        all_states.append(states)
-        all_actions.append(actions)
-        all_rewards.append(rewards)
-    return TrajectoryBatch(
-        np.stack(all_states, axis=1),
-        np.stack(all_actions, axis=1) if all_actions else np.zeros((n, 0), dtype=np.int64),
-        np.stack(all_rewards, axis=1) if all_rewards else np.zeros((n, 0)),
-    )
+        states[:, t] = current
+    if horizon > 1:
+        rewards[:, -1] += env.terminal_reward_batch(current)
+    return TrajectoryBatch(states, actions, rewards)
 
 
 # --- serialization ---------------------------------------------------------

@@ -50,9 +50,9 @@ POLICY_KINDS = ("linear", "mlp")
 def softmax_probs(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-shifted softmax; output sums to 1 along ``axis``."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
+    shifted = logits - logits.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

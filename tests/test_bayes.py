@@ -365,8 +365,15 @@ class TestLockstepMatchesScalarReference:
         assert rows == [(n, p, a / p if p else 0.0, s) for n, p, a, s in ref.rows()]
         np.testing.assert_array_equal(ps.step_size, [ch["step"] for ch in ref.chains.values()])
         np.testing.assert_array_equal(ps.log_shapes, [ch["pos"] for ch in ref.chains.values()])
+        np.testing.assert_array_equal(ps.window_accepted, [ch["w_acc"] for ch in ref.chains.values()])
+        np.testing.assert_array_equal(ps.window_proposed, [ch["w_prop"] for ch in ref.chains.values()])
 
-    @pytest.mark.parametrize("burn_in, thin", [(37, 4), (500, 5), (0, 3)])
+    @pytest.mark.parametrize(
+        "burn_in, thin",
+        # (60, 30): a draw's thin moves hold a whole adaptation window; burn-ins of 1,
+        # 24 and 26 end before, just before and just after the first window fills
+        [(37, 4), (500, 5), (0, 3), (60, 30), (1, 3), (24, 4), (26, 4)],
+    )
     def test_draws_rows_and_step_sizes_bit_identical(self, burn_in, thin):
         first = self._data(31, [(1, 0), (1, 2), (2, 1), (2, 2)], 4)
         second = self._data(32, [(1, 0), (1, 1), (2, 2)], 3)
@@ -403,6 +410,23 @@ class TestLockstepMatchesScalarReference:
             ch["steps"] = 23
         self._assert_same(ps, ref, mh_sample(ps, 3, SEED, 41), ref.sample(3, SEED, 41))
         assert ps.steps_taken == 61 + 3 * 4
+
+    def test_call_resumed_mid_burn_in_with_open_windows(self):
+        # uneven windows, one already past ADAPT_EVERY: the fullest window sets where
+        # the step sizes next change, and each chain adapts when its own window fills
+        data = self._data(35, [(1, 0), (1, 2), (2, 1), (2, 2)], 5)
+        ps = make_posterior(data, 2, 3, burn_in=90, thin=4)
+        ref = ScalarReference(data, 2, 3, 90, 4)
+        ps.steps_taken = 17
+        live = np.flatnonzero(ps.n_obs > 0)
+        ps.window_proposed[live] = (np.arange(live.size) * 7) % 31
+        ps.window_accepted[live] = ps.window_proposed[live] // 3
+        assert ps.window_proposed.max() > bayes.ADAPT_EVERY
+        for c, ch in enumerate(ref.chains.values()):
+            ch["steps"] = 17
+            ch["w_prop"], ch["w_acc"] = int(ps.window_proposed[c]), int(ps.window_accepted[c])
+        for call, n in enumerate([2, 3]):
+            self._assert_same(ps, ref, mh_sample(ps, n, SEED, 44, call), ref.sample(n, SEED, 44, call))
 
 
 class TestNoPerChainLoop:

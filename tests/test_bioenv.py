@@ -14,6 +14,10 @@ from scipy.stats import beta as beta_dist
 
 from greensim_rl import bioenv
 from greensim_rl.bioenv import (
+    ETA_L,
+    ETA_U,
+    PSI_L,
+    PSI_U,
     ChromatographyEnv,
     InvalidStateError,
     ModelParams,
@@ -28,7 +32,8 @@ from greensim_rl.bioenv import (
     save_scenario,
 )
 from greensim_rl.core import rollout_batch
-from greensim_rl.policy import LinearSoftmaxPolicy, purification_features
+from greensim_rl.policy import POLICY_KINDS, LinearSoftmaxPolicy, purification_features
+from greensim_rl.trainer import scenario_policy
 
 from conftest import stream
 
@@ -217,6 +222,56 @@ class TestTransition:
             transition(np.array([0.0, 1.0, 1.0]), 0, scn.true_model, rng)
         with pytest.raises(InvalidStateError):
             transition(np.array([1.0, 1.0, 3.0]), 0, scn.true_model, rng)
+
+
+def harvest_reference(scn, n, rng):
+    """``sample_initial_batch`` as ``np.clip`` and ``np.column_stack`` formulas, on the same stream."""
+    up = scn.upstream
+    nu1 = rng.normal(up.nu1_mean, up.nu1_sd, size=n)
+    nu2 = rng.normal(up.nu2_mean, up.nu2_sd, size=n)
+    rng.normal(up.S_i_mean, up.S_i_sd, size=n)  # S_i is drawn, but a batch (F = 0) harvest ignores it
+    x_end = bioenv._batch_final_biomass(up)
+    p1 = nu1 * x_end * up.harvest_to_mg + rng.normal(0.0, up.harvest_noise_sd, size=n)
+    i1 = nu2 * x_end * up.harvest_to_mg + rng.normal(0.0, up.harvest_noise_sd, size=n)
+    return np.column_stack(
+        [np.clip(p1, bioenv.EPS_MASS, scn.p_bar), np.clip(i1, bioenv.EPS_MASS, scn.i_bar), np.ones(n)]
+    )
+
+
+def transition_reference(states, actions, omega, rng):
+    """``sample_transition_batch`` as ``np.clip`` and ``np.column_stack`` formulas, on the same stream."""
+    t = int(states[0, 2])
+    shapes = omega.beta_shapes[t - 1, actions]
+    eps = bioenv._FRACTION_EPS
+    h = np.clip(rng.beta(shapes[:, ETA_L], shapes[:, ETA_U]), eps, 1.0 - eps)
+    psi = np.clip(rng.beta(shapes[:, PSI_L], shapes[:, PSI_U]), eps, 1.0 - eps)
+    return np.column_stack([h * states[:, 0], psi * states[:, 1], np.full(states.shape[0], float(t + 1))])
+
+
+class TestHooksMatchClipReference:
+    def test_initial_batch(self, scn):
+        # harvest noise wide enough that both ends of the state box clamp
+        noisy = dataclasses.replace(scn, upstream=dataclasses.replace(scn.upstream, harvest_noise_sd=40.0))
+        got = ChromatographyEnv(noisy).sample_initial_batch(500, stream(8))
+        np.testing.assert_array_equal(got, harvest_reference(noisy, 500, stream(8)))
+        for col, high in ((0, noisy.p_bar), (1, noisy.i_bar)):
+            assert (got[:, col] == bioenv.EPS_MASS).any() and (got[:, col] == high).any()
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_transition_batch_on_policy_actions(self, scn, kind):
+        env, policy = scenario_policy(scn, kind, 16)
+        theta = policy.init_params(stream(9))
+        # near-zero shapes on the even actions put many Beta draws below the fraction clamp
+        shapes = np.array(scn.true_model.beta_shapes)
+        shapes[:, ::2] = 0.02
+        omega = ModelParams(shapes)
+        states = env.sample_initial_batch(300, stream(10))
+        for t in (1, 2):
+            actions = policy.sample_actions_batch(theta, states, stream(11, t))
+            got = env.sample_transition_batch(states, actions, omega, stream(12, t))
+            np.testing.assert_array_equal(got, transition_reference(states, actions, omega, stream(12, t)))
+            assert (got[:, 0] == bioenv._FRACTION_EPS * states[:, 0]).any()
+            states = got
 
 
 BAD_STATES = {

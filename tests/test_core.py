@@ -24,7 +24,8 @@ from greensim_rl.estimators import (
     pg_gradient,
     trajectory_logdensity,
 )
-from greensim_rl.policy import LinearSoftmaxPolicy, onehot_features
+from greensim_rl.policy import POLICY_KINDS, LinearSoftmaxPolicy, onehot_features
+from greensim_rl.trainer import scenario_policy
 
 from conftest import stream
 
@@ -219,6 +220,35 @@ class TestRollout:
         masses = batch.states[:, :, :2]
         assert np.all(masses > 0)
         assert np.all(np.diff(masses, axis=1) < 0)
+
+
+class TestRolloutMatchesHookReference:
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_batch_equals_hooks_called_one_by_one(self, scn, kind):
+        env, policy = scenario_policy(scn, kind, 16)
+        theta = policy.init_params(stream(5))
+        omega, n = scn.true_model, 40
+        got = rollout_batch(env, policy, theta, omega, n, stream(6))
+        rng = stream(6)
+        states, actions, rewards = [env.sample_initial_batch(n, rng)], [], []
+        for t in range(1, env.horizon()):
+            actions.append(policy.sample_actions_batch(theta, states[-1], rng))
+            rewards.append(env.reward_batch(states[-1], actions[-1], t))
+            states.append(env.sample_transition_batch(states[-1], actions[-1], omega, rng))
+        rewards[-1] = rewards[-1] + env.terminal_reward_batch(states[-1])
+        want = TrajectoryBatch(np.stack(states, axis=1), np.stack(actions, axis=1), np.stack(rewards, axis=1))
+        assert_batches_equal(got, want)
+
+    def test_horizon_one_has_no_steps(self):
+        policy = LinearSoftmaxPolicy(onehot_features(4), 1)
+        batch = rollout_batch(ConstEnv(horizon=1), policy, np.zeros(policy.param_dim), None, 3, stream(0))
+        assert batch.states.shape == (3, 1, 1) and batch.actions.shape == batch.rewards.shape == (3, 0)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_episode_rejected(self, n):
+        policy = LinearSoftmaxPolicy(onehot_features(4), 1)
+        with pytest.raises(ValueError, match=rf"n must be >= 1, got {n}"):
+            rollout_batch(ConstEnv(), policy, np.zeros(policy.param_dim), None, n, stream(0))
 
 
 # The exact text the list-of-trajectories writer produced for this batch; the

@@ -9,8 +9,14 @@
 # directory and must not hold either yet):
 #
 #   - greensim train --seed 3 --r-test 7 for pg, ilr, mlr and tlr, on a
-#     config of 2 periods x 8 iterations with 5 replications, and for ilr
-#     and mlr on the same config with the linear policy;
+#     config of 2 periods x 8 iterations with 5 replications, for ilr
+#     and mlr on the same config with the linear policy, and for mlr with
+#     burn_in 37 and thin 3 (a burn-in that is not a multiple of the
+#     sampler's 25-move adaptation window);
+#   - greensim simulate --n 20 --seed 4, from a fresh init and from the
+#     mlr run's last checkpoint;
+#   - greensim evaluate --r-test 9 --seed 4 on that checkpoint, its
+#     report kept as evaluate.txt;
 #   - greensim compare on that config: n_i 3 and 5, 2 macros, r_test 4,
 #     window 5;
 #   - greensim posterior-diag --draws 20 --seed 2, on the prior and on the
@@ -47,6 +53,14 @@ run_tree() {
         greensim train --config "$out/config_linear.json" --estimator "$estimator" --seed 3 --r-test 7 \
             --out "$out/train_linear_$estimator"
     done
+    echo '{"periods": 2, "iterations_per_period": 8, "replications": 5, "burn_in": 37, "thin": 3}' \
+        >"$out/config_burn_in.json"
+    greensim train --config "$out/config_burn_in.json" --estimator mlr --seed 3 --r-test 7 \
+        --out "$out/train_burn_in_mlr"
+    local checkpoint="$out/train_mlr/ckpt/iter_16/params.json"
+    greensim simulate --n 20 --seed 4 --out "$out/simulate_init.jsonl"
+    greensim simulate --n 20 --seed 4 --checkpoint "$checkpoint" --out "$out/simulate_checkpoint.jsonl"
+    cli evaluate --checkpoint "$checkpoint" --r-test 9 --seed 4 >"$out/evaluate.txt"
     greensim compare --config "$out/config.json" --seed 3 --n-i 3,5 --macros 2 --r-test 4 --window 5 \
         --out "$out/compare"
     greensim posterior-diag --draws 20 --seed 2 --out "$out/diag_prior.csv"
