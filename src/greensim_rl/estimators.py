@@ -37,7 +37,10 @@ A :class:`ReplayBuffer` is bound to one environment and one policy when
 it is built, so the reuse estimators take only the buffer and the target
 pair.  It holds its records' trajectories in one append-only store: the
 individual-ratio history and the mixture window are batches of views into
-it (:meth:`ReplayBuffer.trajectories`), never concatenations.
+it (:meth:`ReplayBuffer.trajectories`), never concatenations.  The store
+also holds each trajectory's within-record weight, ``1/n_i`` unless the
+caller gives others when it appends (the enumeration oracle gives exact
+generating probabilities); every estimator reads the weights from there.
 """
 
 from __future__ import annotations
@@ -71,11 +74,12 @@ _BATCH_COLUMNS = ("states", "actions", "rewards")
 
 @dataclass(frozen=True, eq=False)
 class BufferRecord:
-    """One iteration's policy, model draw and generated trajectories (a view into the buffer's store)."""
+    """One iteration's policy, model draw, trajectories and their weights (views into the buffer's store)."""
 
     theta: np.ndarray
     omega: object
     trajectories: TrajectoryBatch
+    weights: np.ndarray
 
     @property
     def n_i(self) -> int:
@@ -87,8 +91,10 @@ class ReplayBuffer:
 
     The buffer owns its records' trajectories: :meth:`append` copies each
     batch into an append-only store of columns (states, actions, rewards,
-    own log density) that doubles in capacity when full, and record ``i``
-    holds its rows ``_offsets[i]:_offsets[i + 1]``.
+    weights, own log density) that doubles in capacity when full, and
+    record ``i`` holds its rows ``_offsets[i]:_offsets[i + 1]``.  The
+    weights column holds each trajectory's weight within its record, by
+    default ``1/n_i`` for a record of ``n_i`` trajectories.
 
     Every density the buffer computes is under ``env`` and ``policy``, and
     it memoizes the densities that never change once a record is written,
@@ -116,25 +122,34 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return len(self.records)
 
-    def append(self, theta, omega, trajectories: TrajectoryBatch) -> None:
-        """Copy ``trajectories``, generated under ``(theta, omega)``, into the store as the next record.
+    def append(self, theta, omega, trajectories: TrajectoryBatch, weights=None) -> None:
+        """Copy ``trajectories``, generated under ``(theta, omega)``, and their weights in as the next record.
 
+        ``weights`` gives each trajectory's weight in the estimators' sums,
+        by default ``1/n_i`` for each of the record's ``n_i`` trajectories.
         A batch with no trajectory, or of another horizon or state dimension
-        than the stored ones, raises ``ValueError``.  ``theta`` is frozen in
-        place, not copied: the density memos assume a record's pair never
-        changes, and the trainer's identity shortcut needs the caller's array.
+        than the stored ones, or weights that are not ``n_i`` finite
+        numbers, raises ``ValueError`` before the buffer changes.  ``theta``
+        is frozen in place, not copied: the density memos assume a record's
+        pair never changes, and the trainer's identity shortcut needs the
+        caller's array.
         """
         theta = np.asarray(theta, dtype=np.float64)
-        if len(trajectories) == 0:
+        n = len(trajectories)
+        if n == 0:
             raise ValueError("a buffer record needs at least one trajectory")
         if self._store and trajectories.states.shape[1:] != self._store["states"].shape[1:]:
             raise ValueError(
                 f"trajectories of shape {trajectories.states.shape} do not match the buffer's "
                 f"(horizon, state dim) {self._store['states'].shape[1:]}"
             )
+        weights = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
+        if weights.shape != (n,) or not np.all(np.isfinite(weights)):
+            raise ValueError(f"need {n} finite weights, one per trajectory, not shape {weights.shape}")
         new = {name: getattr(trajectories, name) for name in _BATCH_COLUMNS}
-        new["own_logdens"] = np.full(len(trajectories), np.nan)  # filled by own_logdensities
-        lo, hi = self._offsets[-1], self._offsets[-1] + len(trajectories)
+        new["weights"] = weights
+        new["own_logdens"] = np.full(n, np.nan)  # filled by own_logdensities
+        lo, hi = self._offsets[-1], self._offsets[-1] + n
         for name, rows in new.items():
             column = self._store.get(name, rows[:0])
             if hi > len(column):
@@ -144,12 +159,17 @@ class ReplayBuffer:
             column[lo:hi] = rows
         self._offsets.append(hi)
         theta.setflags(write=False)
-        self.records.append(BufferRecord(theta, omega, self.trajectories(len(self), len(self) + 1)))
+        i = len(self)
+        self.records.append(BufferRecord(theta, omega, self.trajectories(i, i + 1), self.weights(i, i + 1)))
 
     def trajectories(self, lo: int, hi: int) -> TrajectoryBatch:
         """The trajectories of ``records[lo:hi]``, in record order, as views into the store."""
         rows = slice(self._offsets[lo], self._offsets[hi])
         return TrajectoryBatch(*(self._store[name][rows] for name in _BATCH_COLUMNS))
+
+    def weights(self, lo: int, hi: int) -> np.ndarray:
+        """The trajectory weights of ``records[lo:hi]``, in record order, as a view into the store."""
+        return self._store["weights"][self._offsets[lo] : self._offsets[hi]]
 
     def window(self, size: int) -> list[BufferRecord]:
         if size < 1:
@@ -298,25 +318,6 @@ def _mixture_ratios(log_target: np.ndarray, log_dens: np.ndarray, alphas: np.nda
 # --- gradient estimators -----------------------------------------------------
 
 
-def _record_counts(records: Sequence[BufferRecord]) -> np.ndarray:
-    return np.array([r.n_i for r in records], dtype=np.int64)
-
-
-def _per_traj_weights(counts: np.ndarray, traj_weights: Sequence[np.ndarray] | None) -> np.ndarray:
-    """Within-record trajectory weights for records of ``counts`` trajectories, default 1/n_i, concatenated."""
-    if traj_weights is None:
-        return np.repeat(1.0 / counts, counts)
-    if len(traj_weights) != len(counts):
-        raise ValueError("one weight array per record required")
-    parts = []
-    for n_i, w in zip(counts, traj_weights):
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (n_i,):
-            raise ValueError("weight array shape must match the record's trajectory count")
-        parts.append(w)
-    return np.concatenate(parts)
-
-
 def _step_weights(batch: TrajectoryBatch, gamma: float, traj_coef: np.ndarray) -> np.ndarray:
     """``traj_coef[j] * rtg[j, t]`` per step row of ``batch``: the weights of its score sum."""
     return (traj_coef[:, None] * reward_to_go(batch.rewards, gamma)).reshape(-1)
@@ -337,18 +338,16 @@ def pg_gradient(
     record: BufferRecord,
     policy: Policy,
     gamma: float = 1.0,
-    traj_weights: np.ndarray | None = None,
     diag_out: dict | None = None,
 ) -> np.ndarray:
-    """On-policy gradient at the record's own parameters: average of score times reward-to-go."""
-    coef = _per_traj_weights(_record_counts([record]), None if traj_weights is None else [traj_weights])
+    """On-policy gradient at the record's own parameters: the weighted sum of score times reward-to-go."""
     _fill_diag(diag_out, np.ones(record.n_i))
     states, actions, _ = record.trajectories.step_arrays
-    step_weight = _step_weights(record.trajectories, gamma, coef)
+    step_weight = _step_weights(record.trajectories, gamma, record.weights)
     return policy.weighted_score_sum(record.theta, states, actions, step_weight)
 
 
-def _individual_ratios(buffer: ReplayBuffer, theta_k, omega_k, traj_weights):
+def _individual_ratios(buffer: ReplayBuffer, theta_k, omega_k):
     """All records' trajectories as one batch, their ratios ``D_k / D_i``, and ``weight * ratio / K``.
 
     The fourth value is the score sum of the policy pass at ``theta_k`` that
@@ -364,8 +363,7 @@ def _individual_ratios(buffer: ReplayBuffer, theta_k, omega_k, traj_weights):
     logp_k, score_sum = buffer.policy.score_pass(theta_k, states, actions)
     target = _step_sums(batch, logp_k[None], [omega_k], buffer.env, False)[0]
     ratios = np.exp(target - own)
-    weights = _per_traj_weights(_record_counts(buffer.records), traj_weights)
-    return batch, ratios, (1.0 / len(buffer)) * weights * ratios, score_sum
+    return batch, ratios, (1.0 / len(buffer)) * buffer.weights(0, len(buffer)) * ratios, score_sum
 
 
 def ilr_gradient(
@@ -373,24 +371,17 @@ def ilr_gradient(
     theta_k,
     omega_k,
     gamma: float = 1.0,
-    traj_weights: Sequence[np.ndarray] | None = None,
     diag_out: dict | None = None,
 ) -> np.ndarray:
     """Individual-ratio gradient over every record in the buffer."""
-    batch, ratios, coef, score_sum = _individual_ratios(buffer, theta_k, omega_k, traj_weights)
+    batch, ratios, coef, score_sum = _individual_ratios(buffer, theta_k, omega_k)
     _fill_diag(diag_out, ratios)
     return score_sum(_step_weights(batch, gamma, coef))
 
 
-def ilr_mean_estimate(
-    buffer: ReplayBuffer,
-    theta_k,
-    omega_k,
-    gamma: float,
-    traj_weights: Sequence[np.ndarray] | None = None,
-) -> float:
+def ilr_mean_estimate(buffer: ReplayBuffer, theta_k, omega_k, gamma: float) -> float:
     """Individual-ratio estimate of the expected return at ``(theta_k, omega_k)``."""
-    batch, _, coef, _ = _individual_ratios(buffer, theta_k, omega_k, traj_weights)
+    batch, _, coef, _ = _individual_ratios(buffer, theta_k, omega_k)
     return float(np.sum(coef * returns(batch.rewards, gamma)))
 
 
@@ -400,7 +391,6 @@ def _mixture_window_gradient(
     omega_k,
     rolling_window: int,
     gamma: float,
-    traj_weights: Sequence[np.ndarray] | None,
     diag_out: dict | None,
     policy_only: bool,
 ) -> np.ndarray:
@@ -409,7 +399,8 @@ def _mixture_window_gradient(
     if rolling_window < 1:
         raise EstimatorError("rolling window must be >= 1")
     records = buffer.window(rolling_window)
-    counts = _record_counts(records)
+    lo = len(buffer) - len(records)
+    counts = np.diff(buffer._offsets[lo:])
     alphas = counts / np.sum(counts)
     batch, log_dens, logp_k, score_sum = buffer.window_logdensities(rolling_window, policy_only, theta_k)
     last = records[-1]
@@ -418,7 +409,7 @@ def _mixture_window_gradient(
     else:
         log_target = _step_sums(batch, logp_k[None], [omega_k], buffer.env, policy_only)[0]
     f = _mixture_ratios(log_target, log_dens, alphas)
-    coef = (1.0 / len(records)) * _per_traj_weights(counts, traj_weights) * f
+    coef = (1.0 / len(records)) * buffer.weights(lo, len(buffer)) * f
     _fill_diag(diag_out, f)
     return score_sum(_step_weights(batch, gamma, coef))
 
@@ -429,7 +420,6 @@ def mlr_gradient(
     omega_k,
     rolling_window: int,
     gamma: float = 1.0,
-    traj_weights: Sequence[np.ndarray] | None = None,
     diag_out: dict | None = None,
 ) -> np.ndarray:
     """Mixture-ratio gradient over the most recent window of records.
@@ -441,9 +431,7 @@ def mlr_gradient(
     ratios themselves are formed against the current target pair on every
     call.
     """
-    return _mixture_window_gradient(
-        buffer, theta_k, omega_k, rolling_window, gamma, traj_weights, diag_out, False
-    )
+    return _mixture_window_gradient(buffer, theta_k, omega_k, rolling_window, gamma, diag_out, False)
 
 
 def tlr_gradient(
@@ -451,7 +439,6 @@ def tlr_gradient(
     theta_k,
     rolling_window: int,
     gamma: float = 1.0,
-    traj_weights: Sequence[np.ndarray] | None = None,
     diag_out: dict | None = None,
 ) -> np.ndarray:
     """Mixture-ratio gradient when all records share one transition model.
@@ -460,6 +447,4 @@ def tlr_gradient(
     between numerator and denominator, so ratios reduce to products of
     policy probabilities; no transition model is needed at all.
     """
-    return _mixture_window_gradient(
-        buffer, theta_k, None, rolling_window, gamma, traj_weights, diag_out, True
-    )
+    return _mixture_window_gradient(buffer, theta_k, None, rolling_window, gamma, diag_out, True)

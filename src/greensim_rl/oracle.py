@@ -4,8 +4,9 @@ Full trajectory enumeration gives exact expected returns and exact policy
 gradients on problems small enough to enumerate, which is what the
 likelihood-ratio estimators are verified against: every estimator's exact
 expectation (computed by replacing each buffer record's sampled
-trajectories with the full enumeration, weighted by generating
-probabilities) must reproduce the exact gradient.
+trajectories with the full enumeration, whose generating probabilities
+travel into the buffer as the record's trajectory weights) must reproduce
+the exact gradient.
 
 States are single-coordinate vectors holding the state index as a float;
 policies featurize them however they like (one-hot works well).
@@ -192,16 +193,13 @@ def exact_policy_gradient(mdp: TabularMDP, theta, gamma: float, policy: Policy) 
 
 def _enumerated_buffer(
     mdp: TabularMDP, components: Sequence[tuple[np.ndarray, np.ndarray]], policy: Policy
-) -> tuple[ReplayBuffer, list[np.ndarray]]:
+) -> ReplayBuffer:
     """Replay buffer whose record i holds the full enumeration under
-    component i, plus the matching probability weights."""
+    component i, weighted by the trajectories' generating probabilities."""
     buffer = ReplayBuffer(TabularEnv(mdp), policy)
-    weights = []
     for theta_i, omega_i in components:
-        batch, probs = enumerate_trajectories(mdp, theta_i, policy, omega=omega_i)
-        buffer.append(theta_i, omega_i, batch)
-        weights.append(probs)
-    return buffer, weights
+        buffer.append(theta_i, omega_i, *enumerate_trajectories(mdp, theta_i, policy, omega=omega_i))
+    return buffer
 
 
 def estimator_exact_expectation(
@@ -217,23 +215,25 @@ def estimator_exact_expectation(
     Every estimator here is linear in each record's empirical trajectory
     measure, so replacing sampled trajectories with the enumerated support
     weighted by exact generating probabilities yields the estimator's
-    expectation exactly.  The target pair is the last component.  ``kind``
-    is one of ``pg | ilr | mlr | tlr`` (or ``ilr_mean`` for the
-    mean-response estimator).
+    expectation exactly.  The probabilities travel as the records' weights
+    in the buffer, so the estimators are called as training calls them.
+    The target pair is the last component.  ``kind`` is one of
+    ``pg | ilr | mlr | tlr`` (or ``ilr_mean`` for the mean-response
+    estimator).
     """
-    buffer, weights = _enumerated_buffer(mdp, components, policy)
+    buffer = _enumerated_buffer(mdp, components, policy)
     theta_k, omega_k = buffer.records[-1].theta, buffer.records[-1].omega
     window = rolling_window if rolling_window is not None else len(components)
     if kind == "pg":
-        return pg_gradient(buffer.records[-1], policy, gamma, traj_weights=weights[-1])
+        return pg_gradient(buffer.records[-1], policy, gamma)
     if kind == "ilr":
-        return ilr_gradient(buffer, theta_k, omega_k, gamma, traj_weights=weights)
+        return ilr_gradient(buffer, theta_k, omega_k, gamma)
     if kind == "ilr_mean":
-        return ilr_mean_estimate(buffer, theta_k, omega_k, gamma, traj_weights=weights)
+        return ilr_mean_estimate(buffer, theta_k, omega_k, gamma)
     if kind == "mlr":
-        return mlr_gradient(buffer, theta_k, omega_k, window, gamma, traj_weights=weights[-window:])
+        return mlr_gradient(buffer, theta_k, omega_k, window, gamma)
     if kind == "tlr":
-        return tlr_gradient(buffer, theta_k, window, gamma, traj_weights=weights[-window:])
+        return tlr_gradient(buffer, theta_k, window, gamma)
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 

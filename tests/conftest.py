@@ -145,14 +145,19 @@ def score_sum_reference(policy, theta, states, actions, weights):
     return np.concatenate([grad_w.reshape(-1), grad_b.reshape(-1)])
 
 
-def reuse_gradient_reference(kind, records, theta_k, omega_k, env, policy, window, gamma):
+def reuse_gradient_reference(kind, records, theta_k, omega_k, env, policy, window, gamma, weights=None):
     """The ``ilr``, ``mlr`` or ``tlr`` gradient at ``(theta_k, omega_k)`` from scratch.
 
     Densities come from one-pair :func:`logdensity` calls, each with its own
     policy forward pass, and the score sum from :func:`score_sum_reference`;
     ``window`` is ignored for ``ilr``, which reweights every record.
+    ``weights`` holds one array of trajectory weights per record, by default
+    ``np.full(n_i, 1.0 / n_i)``.
     """
+    if weights is None:
+        weights = [np.full(r.n_i, 1.0 / r.n_i) for r in records]
     used = records if kind == "ilr" else records[-window:]
+    used_weights = weights if kind == "ilr" else weights[-window:]
     batch = concat_batches([r.trajectories for r in used])
     counts = [r.n_i for r in used]
     if kind == "ilr":
@@ -163,7 +168,7 @@ def reuse_gradient_reference(kind, records, theta_k, omega_k, env, policy, windo
         block = window_block_reference(used, env, policy, policy_only)
         target = logdensity(batch, theta_k, omega_k, env, policy, policy_only)
         ratios = _mixture_ratios(target, block, alphas_from_counts(counts))
-    coef = (1.0 / len(used)) * np.concatenate([np.full(n, 1.0 / n) for n in counts]) * ratios
+    coef = (1.0 / len(used)) * np.concatenate(used_weights) * ratios
     states, actions, _ = batch.step_arrays
     step_weight = (coef[:, None] * reward_to_go(batch.rewards, gamma)).reshape(-1)
     return score_sum_reference(policy, theta_k, states, actions, step_weight)

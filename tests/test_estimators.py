@@ -72,17 +72,39 @@ class TestBufferStructure:
             buffer.append(np.zeros(2), None, zero_batch(1, horizon, dim))
         assert len(buffer) == 1 and buffer.total_trajectories() == 2
 
+    @pytest.mark.parametrize(
+        "weights",
+        [np.full(3, 0.5), np.full((2, 1), 0.5), np.array([0.5, np.nan]), np.array([np.inf, 0.5])],
+        ids=["length", "shape", "nan", "inf"],
+    )
+    def test_append_rejects_bad_weights(self, tab_policy, weights):
+        buffer = ReplayBuffer(None, tab_policy)
+        buffer.append(np.zeros(2), None, zero_batch(3, 3, 1))
+        before = {name: column.copy() for name, column in buffer._store.items()}
+        with pytest.raises(ValueError, match="finite weights"):
+            buffer.append(np.zeros(2), None, zero_batch(2, 3, 1), weights)
+        assert len(buffer) == 1 and buffer.total_trajectories() == 3
+        assert buffer._store.keys() == before.keys()
+        for name, column in buffer._store.items():
+            assert column.tobytes() == before[name].tobytes(), name
+
     def test_store_views_equal_concatenation(self, toy_mdp, tab_policy, rng):
         # varying n_i grow the store three times; own densities filled before
-        # a growth must be carried over with the trajectories
+        # a growth, and the weights, must be carried over with the trajectories.
+        # Odd records get weights of their own, even ones the default 1/n_i.
         env = TabularEnv(toy_mdp)
-        batches, pairs, capacities = [], [], []
+        batches, weights, pairs, capacities = [], [], [], []
         buffer = ReplayBuffer(env, tab_policy)
         for i, n in enumerate([3, 2, 4, 1, 5, 2]):
             theta, omega = 0.4 * rng.standard_normal(tab_policy.param_dim), random_tensor(rng)
             batches.append(rollout_batch(env, tab_policy, theta, omega, n, stream(40, i)))
             pairs.append((theta, omega))
-            buffer.append(theta, omega, batches[-1])
+            if i % 2:
+                weights.append(stream(41, i).uniform(0.1, 1.0, n))
+                buffer.append(theta, omega, batches[-1], weights[-1])
+            else:
+                weights.append(np.full(n, 1.0 / n))
+                buffer.append(theta, omega, batches[-1])
             capacities.append(len(buffer._store["own_logdens"]))
             if i == 2:
                 buffer.own_logdensities()
@@ -100,6 +122,10 @@ class TestBufferStructure:
             for name in ("states", "actions", "rewards"):
                 got, ref = getattr(view, name), getattr(want, name)
                 assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+        weight_checks = [(buffer.weights(lo, hi), np.concatenate(weights[lo:hi])) for lo, hi in spans]
+        weight_checks += [(record.weights, w) for record, w in zip(buffer.records, weights)]
+        for got, want in weight_checks:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_own_density_cache_matches_recompute(self, toy_mdp, tab_policy, rng, monkeypatch):
         env = TabularEnv(toy_mdp)
@@ -633,21 +659,28 @@ class TestGradientsKeepTheirBits:
             return mlr_gradient(buffer, theta_k, omega_k, window or len(buffer), 0.9)
         return tlr_gradient(buffer, theta_k, window, 0.9)
 
-    @pytest.mark.parametrize("setting", ["chromatography-mlp", "tabular-linear"])
+    @pytest.mark.parametrize("setting", ["chromatography-mlp", "tabular-linear", "tabular-enumerated"])
     def test_equal_to_reference(self, setting, scn, env, mlp_policy, toy_mdp, tab_policy):
         if setting == "chromatography-mlp":
             policy, omegas = mlp_policy, [scn.true_model, bioenv.ModelParams(np.full((3, 10, 4), 2.0))]
         else:
             env, policy = TabularEnv(toy_mdp), tab_policy
             omegas = [toy_mdp.transition, random_tensor(stream(50))]
+        # enumerated records carry their generating probabilities as weights;
+        # sampled ones take the default
+        weights = [] if setting == "tabular-enumerated" else None
         # one buffer per case, grown record by record, so each memo extends as in training
         buffers = {case: ReplayBuffer(env, policy) for case in self.CASES}
         for k in range(5):
             theta = policy.init_params(stream(51, k), 0.5)
             omega = omegas[k % 2]
-            batch = rollout_batch(env, policy, theta, omega, 6, stream(52, k))
+            if weights is None:
+                batch, probs = rollout_batch(env, policy, theta, omega, 6, stream(52, k)), None
+            else:
+                batch, probs = enumerate_trajectories(toy_mdp, theta, policy, omega)
+                weights.append(probs)
             for (kind, window), buffer in buffers.items():
-                buffer.append(theta, omega, batch)
+                buffer.append(theta, omega, batch, probs)
                 # the trainer's call: theta_k is the newest record's own array
                 # (the newest block row shares the target's pass); then an
                 # equal copy, another theta, and another model
@@ -660,7 +693,8 @@ class TestGradientsKeepTheirBits:
                 for theta_k, omega_k in targets:
                     got = self.gradient(kind, buffer, theta_k, omega_k, window)
                     want = reuse_gradient_reference(
-                        kind, buffer.records, theta_k, omega_k, env, policy, window or len(buffer), 0.9
+                        kind, buffer.records, theta_k, omega_k, env, policy, window or len(buffer), 0.9,
+                        weights,
                     )
                     np.testing.assert_array_equal(got, want, err_msg=f"{kind} W={window} k={k}")
 

@@ -16,12 +16,19 @@
 #   - greensim simulate --n 20 --seed 4, from a fresh init and from the
 #     mlr run's last checkpoint;
 #   - greensim evaluate --r-test 9 --seed 4 on that checkpoint, its
-#     report kept as evaluate.txt;
+#     report kept as evaluate.txt (the mean rounded to 4 decimals);
 #   - greensim compare on that config: n_i 3 and 5, 2 macros, r_test 4,
 #     window 5;
 #   - greensim posterior-diag --draws 20 --seed 2, on the prior and on the
 #     mlr run's fractions.csv;
-#   - greensim oracle-check, its report kept as oracle.txt.
+#   - greensim oracle-check, its report kept as oracle.txt (errors at 2
+#     significant digits);
+#   - one Python step that writes full_precision.txt: the repr of the mean
+#     that evaluate prints (same checkpoint, r_test 9, seed 4, loaded and
+#     run as the CLI does), and of each estimator's exact expectation on
+#     oracle-check's setup (pg, ilr, ilr_mean, mlr over the whole buffer
+#     and over a window of 2, and tlr on components that share the last
+#     model), so that a change below the reports' rounding still differs.
 #
 # Then `diff -r` compares the two output trees, ignoring only timings.csv
 # (per-phase wall seconds, the one output that differs between reruns).
@@ -66,6 +73,22 @@ run_tree() {
     greensim posterior-diag --draws 20 --seed 2 --out "$out/diag_prior.csv"
     greensim posterior-diag --draws 20 --seed 2 --data "$out/train_mlr/fractions.csv" --out "$out/diag_data.csv"
     cli oracle-check >"$out/oracle.txt"
+    PYTHONPATH="$tree/src" PYTHONDONTWRITEBYTECODE=1 python3 - "$checkpoint" >"$out/full_precision.txt" <<'PY'
+import sys
+
+from greensim_rl import cli, oracle
+
+scn = cli._load_scenario_arg(None)
+env, policy, theta = cli._load_checkpoint(sys.argv[1], scn)
+print("evaluate", repr(cli.evaluate_policy(theta, env, scn.true_model, policy, 9, cli.substream(4, 0))))
+mdp, policy, components, _ = oracle._check_setup()
+shared = [(theta, components[-1][1]) for theta, _ in components]
+cases = [("pg", components, None), ("ilr", components, None), ("ilr_mean", components, None),
+         ("mlr", components, None), ("mlr", components, 2), ("tlr", shared, None)]
+for kind, parts, window in cases:
+    value = oracle.estimator_exact_expectation(kind, mdp, parts, 0.9, policy, window)
+    print(kind, window, repr(value if kind == "ilr_mean" else value.tolist()))
+PY
 }
 
 run_tree "$1" "$work/old"
