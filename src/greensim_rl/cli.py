@@ -248,9 +248,6 @@ def _cmd_compare(args) -> int:
     scn = _load_scenario_arg(args.scenario)
     cfg = _load_config_arg(args.config)
     estimator_kinds = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    for kind in estimator_kinds:
-        if kind not in ESTIMATOR_KINDS:
-            raise CliError(EXIT_BAD_CONFIG, f"unknown estimator {kind!r}")
     threads = args.threads if args.threads is not None else _default_threads()
     with _atomic_out_dir(args.out) as tmp:
         try:

@@ -1,8 +1,8 @@
 """Finite-horizon decision process primitives.
 
 Shared language for the whole package: trajectory batches, discounted
-returns, the environment and policy contracts, rollouts, and hierarchical
-RNG streams.  States are dense float vectors (environments document the
+returns, the environment contract, the softmax policy head, rollouts, and
+hierarchical RNG streams.  States are dense float vectors (environments document the
 meaning of each coordinate, including the step index stored as a float);
 actions are integers in ``[0, action_count)``.
 
@@ -13,7 +13,11 @@ are batch-only: each hook takes a stack of rows (one row per trajectory,
 or per step) and returns one value per row.  The two density hooks also
 take a stack of R parameter sets (policy parameters, or transition
 models) and return an ``(R, n)`` array, so the estimators evaluate many
-(policy, model) pairs over the same rows in one call.  Per-trajectory
+(policy, model) pairs over the same rows in one call.  A policy
+architecture subclasses :class:`Policy` with only ``param_dim``, a forward
+pass ``_forward`` to its logits and a backward pass ``_backward`` from
+them; the softmax, its log probabilities and the score hook are
+:class:`Policy`'s, one implementation for every policy.  Per-trajectory
 quantities are row reductions over the ``(n, H-1)`` matrices; step-level
 arrays are the batch's rows in trajectory-major order
 (:attr:`TrajectoryBatch.step_arrays`).  A batch may hold views: the replay
@@ -50,6 +54,7 @@ __all__ = [
     "returns",
     "reward_to_go",
     "rollout_batch",
+    "softmax_probs",
     "substream",
     "write_csv",
     "write_trajectories_jsonl",
@@ -241,34 +246,74 @@ class Environment(abc.ABC):
         return np.zeros(states.shape[0])
 
 
+def softmax_probs(logits: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax over the last axis; each row sums to 1."""
+    logits = np.asarray(logits, dtype=np.float64)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _log_softmax_at(logits: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``log softmax(logits)[..., n, actions[n]]`` of ``(..., n, A)`` logits, then ``e`` and ``total``.
+
+    One max shift, ``exp`` and sum in :func:`softmax_probs`' order, so
+    ``e / total`` has its bits; only the caller that needs them divides.
+    """
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    return shifted[..., np.arange(logits.shape[-2]), actions] - np.log(total[..., 0]), e, total
+
+
 class Policy(abc.ABC):
-    """Batch-only contract of a differentiable stochastic policy over discrete actions.
+    """A differentiable softmax policy over discrete actions, batch-only.
 
     Parameters travel as a flat float vector ``theta`` of length
-    ``param_dim``; the policy object owns the architecture (feature map
-    and layer shapes) needed to interpret it.  Every method takes a stack
-    of state rows (and one action per row); :meth:`log_prob_batch` also
-    takes a stack of parameter vectors.  Derivatives enter only through
+    :attr:`param_dim`.  This class is the softmax head every policy shares;
+    a subclass gives only :attr:`param_dim`, :meth:`_forward` (its layers
+    and logits over ``features(states)``) and :meth:`_backward` (its reverse
+    pass from the logits' gradients).  Every method takes a stack of state
+    rows (and one action per row); :meth:`log_prob_batch` also takes a
+    stack of parameter vectors.  Derivatives enter only through
     :meth:`score_pass`, the score hook, which also gives the rows' log
-    probabilities from its one forward pass; :meth:`weighted_score_sum`
-    is a shorthand over it.
+    probabilities from its one forward pass; :meth:`weighted_score_sum` is
+    a shorthand over it.
     """
+
+    def __init__(self, features: Callable[[np.ndarray], np.ndarray], n_actions: int):
+        self.features = features
+        self.n_actions = n_actions
 
     @property
     @abc.abstractmethod
     def param_dim(self) -> int:
         ...
 
-    @property
     @abc.abstractmethod
-    def n_actions(self) -> int:
-        ...
+    def _forward(self, theta: np.ndarray, states) -> tuple[np.ndarray, ...]:
+        """``(*layers, logits)`` over the state rows, logits of shape ``(n, n_actions)``.
+
+        A stack ``theta`` of shape ``(R, param_dim)`` gives the logits, and
+        each layer that depends on ``theta``, a leading axis of R.
+        """
 
     @abc.abstractmethod
-    def action_probs_batch(self, theta: np.ndarray, states: np.ndarray) -> np.ndarray:
+    def _backward(self, theta: np.ndarray, layers, dlogits: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """``sum_n weights[n] * dlogits[n] . d logits[n] / dtheta`` at one ``theta``, shape ``(param_dim,)``."""
+
+    def _params(self, theta, stacked: bool) -> np.ndarray:
+        """``theta`` as floats of shape ``(param_dim,)``, or ``(R, param_dim)`` if ``stacked``; ValueError otherwise."""
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.ndim != 1 + stacked or theta.shape[-1] != self.param_dim:
+            name, shape = ("thetas", f"(R, {self.param_dim})") if stacked else ("theta", f"({self.param_dim},)")
+            raise ValueError(f"{name} must have shape {shape}, got {theta.shape}")
+        return theta
+
+    def action_probs_batch(self, theta, states) -> np.ndarray:
         """Action probabilities, shape ``(n, n_actions)``; rows sum to 1."""
+        return softmax_probs(self._forward(self._params(theta, False), states)[-1])
 
-    @abc.abstractmethod
     def log_prob_batch(self, thetas, states, actions) -> np.ndarray:
         """``log pi(a_n|s_n)`` under each parameter vector of ``thetas``, shape ``(R, n)``.
 
@@ -277,11 +322,10 @@ class Policy(abc.ABC):
         ``thetas[r:r+1]`` gives.  Work that depends on the rows only (the
         state features) is done once per call.
         """
+        logits = self._forward(self._params(thetas, True), states)[-1]
+        return _log_softmax_at(logits, np.asarray(actions, dtype=np.int64))[0]
 
-    @abc.abstractmethod
-    def score_pass(
-        self, theta, states, actions
-    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    def score_pass(self, theta, states, actions) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
         """One forward pass at ``theta``: ``(log_prob, weighted_sum)``.
 
         ``log_prob[n]`` is ``log pi(actions[n] | states[n])``, with the bits
@@ -296,6 +340,19 @@ class Policy(abc.ABC):
         matrix.  A reuse estimator needs the target's log probabilities to
         form the weights, so both come from one pass.
         """
+        theta = self._params(theta, False)
+        *layers, logits = self._forward(theta, states)
+        actions = np.asarray(actions, dtype=np.int64)
+        log_prob, e, total = _log_softmax_at(logits, actions)
+        probs = e / total
+
+        def weighted_sum(weights) -> np.ndarray:
+            # d log pi(a_n|s_n) / d logits[n] is onehot(a_n) - pi(.|s_n)
+            dlogits = -probs
+            dlogits[np.arange(len(actions)), actions] += 1.0
+            return self._backward(theta, layers, dlogits, weights)
+
+        return log_prob, weighted_sum
 
     def weighted_score_sum(self, theta, states, actions, weights) -> np.ndarray:
         """:meth:`score_pass`'s weighted sum; one-hot ``weights`` select the score of a single row."""

@@ -56,6 +56,7 @@ __all__ = [
     "BufferRecord",
     "EstimatorError",
     "ReplayBuffer",
+    "gradient",
     "ilr_gradient",
     "ilr_mean_estimate",
     "mlr_gradient",
@@ -448,3 +449,31 @@ def tlr_gradient(
     policy probabilities; no transition model is needed at all.
     """
     return _mixture_window_gradient(buffer, theta_k, None, rolling_window, gamma, diag_out, True)
+
+
+def gradient(
+    kind: str,
+    buffer: ReplayBuffer,
+    theta_k,
+    omega_k,
+    rolling_window: int,
+    gamma: float = 1.0,
+    diag_out: dict | None = None,
+) -> np.ndarray:
+    """The ``kind`` estimator's gradient at the target pair ``(theta_k, omega_k)``, as training calls it.
+
+    ``kind`` is one of ``pg | ilr | mlr | tlr``.  ``pg`` is on-policy: it
+    reads only the newest record, whose pair the target must be.  ``ilr``
+    reweights every record, ``mlr`` and ``tlr`` the newest
+    ``rolling_window`` ones (``tlr`` ignores ``omega_k``).  Every kind fills
+    ``diag_out`` with its ratios, ``max_ratio`` and ``ess``.
+    """
+    if kind == "pg":
+        return pg_gradient(buffer.records[-1], buffer.policy, gamma, diag_out=diag_out)
+    if kind == "ilr":
+        return ilr_gradient(buffer, theta_k, omega_k, gamma, diag_out=diag_out)
+    if kind == "mlr":
+        return mlr_gradient(buffer, theta_k, omega_k, rolling_window, gamma, diag_out=diag_out)
+    if kind == "tlr":
+        return tlr_gradient(buffer, theta_k, rolling_window, gamma, diag_out=diag_out)
+    raise ValueError(f"unknown estimator kind {kind!r}")

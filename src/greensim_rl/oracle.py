@@ -20,14 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Environment, Policy, TrajectoryBatch, returns, reward_to_go
-from .estimators import (
-    ReplayBuffer,
-    ilr_gradient,
-    ilr_mean_estimate,
-    mlr_gradient,
-    pg_gradient,
-    tlr_gradient,
-)
+from .estimators import ReplayBuffer, gradient, ilr_mean_estimate
 
 __all__ = [
     "EnumerationSizeError",
@@ -224,17 +217,9 @@ def estimator_exact_expectation(
     buffer = _enumerated_buffer(mdp, components, policy)
     theta_k, omega_k = buffer.records[-1].theta, buffer.records[-1].omega
     window = rolling_window if rolling_window is not None else len(components)
-    if kind == "pg":
-        return pg_gradient(buffer.records[-1], policy, gamma)
-    if kind == "ilr":
-        return ilr_gradient(buffer, theta_k, omega_k, gamma)
     if kind == "ilr_mean":
         return ilr_mean_estimate(buffer, theta_k, omega_k, gamma)
-    if kind == "mlr":
-        return mlr_gradient(buffer, theta_k, omega_k, window, gamma)
-    if kind == "tlr":
-        return tlr_gradient(buffer, theta_k, window, gamma)
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    return gradient(kind, buffer, theta_k, omega_k, window, gamma)
 
 
 # --- self-check suite (CLI `oracle-check`) ------------------------------------

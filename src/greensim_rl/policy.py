@@ -1,23 +1,12 @@
-"""Differentiable stochastic policies.
+"""The two softmax policy architectures over discrete actions.
 
-Two softmax policies over discrete actions:
+* :class:`LinearSoftmaxPolicy` -- logits linear in the state features;
+  the tabular oracle uses it.
+* :class:`MlpSoftmaxPolicy` -- one sigmoid hidden layer feeding the
+  logits; the training loop uses it.
 
-* :class:`LinearSoftmaxPolicy` -- logits are linear in state features with
-  an action-block one-hot layout, so the score has the closed form
-  ``phi(s,a) - sum_a' phi(s,a') pi(a'|s)``.  The tabular oracle uses it.
-* :class:`MlpSoftmaxPolicy` -- one sigmoid hidden layer feeding a softmax
-  output layer, with exact reverse-mode score gradients.  This is the
-  policy the training loop uses.
-
-Both implement the batch-only :class:`~greensim_rl.core.Policy` contract:
-forward passes over a stack of state rows, and one score hook,
-``score_pass``, that runs the forward pass once at ``theta`` and returns
-the rows' log probabilities together with a function that forms the
-weighted sum of the rows' score vectors from that same pass, without
-forming them one by one.  ``log_prob_batch`` also takes a stack of
-parameter vectors: the features are computed once and the forward pass
-broadcasts over the leading parameter axis, one matrix product per
-parameter set with the shapes of a single-set call.
+Each gives its forward and backward pass; the softmax head they share is
+:class:`~greensim_rl.core.Policy`.
 """
 
 from __future__ import annotations
@@ -41,51 +30,9 @@ __all__ = [
     "onehot_features",
     "purification_features",
     "save_params",
-    "softmax_probs",
 ]
 
 POLICY_KINDS = ("linear", "mlp")
-
-
-def softmax_probs(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-shifted softmax; output sums to 1 along ``axis``."""
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def _parameter_stack(thetas, param_dim: int) -> np.ndarray:
-    """``thetas`` as a float array of shape ``(R, param_dim)``; ValueError otherwise."""
-    thetas = np.asarray(thetas, dtype=np.float64)
-    if thetas.ndim != 2 or thetas.shape[1] != param_dim:
-        raise ValueError(f"thetas must have shape (R, {param_dim}), got {thetas.shape}")
-    return thetas
-
-
-def _log_probs_and_probs(logits: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``log_softmax(logits)[n, actions[n]]`` and ``softmax_probs(logits)`` of ``(n, A)`` logits.
-
-    Both come from one shared shift, ``exp`` and sum, each in the order
-    those two functions use, so the values keep their bits.
-    """
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    total = np.sum(e, axis=-1, keepdims=True)
-    rows = np.arange(logits.shape[0])
-    return shifted[rows, actions] - np.log(total[:, 0]), e / total
-
-
-def _stacked_log_probs(logits: np.ndarray, actions) -> np.ndarray:
-    """``log_softmax(logits)[r, n, actions[n]]`` of ``(R, n, A)`` logits, shape ``(R, n)``."""
-    logp = log_softmax(logits)
-    return logp[:, np.arange(logp.shape[1]), np.asarray(actions, dtype=np.int64)]
 
 
 @dataclass(frozen=True)
@@ -122,48 +69,24 @@ class LinearSoftmaxPolicy(Policy):
 
     ``theta`` has length ``n_actions * features.dim``, laid out as one
     feature block per action; the implied state-action feature vector
-    ``phi(s, a)`` is ``phi(s)`` placed in block ``a`` with zeros elsewhere.
+    ``phi(s, a)`` is ``phi(s)`` placed in block ``a`` with zeros elsewhere,
+    so the score has the closed form ``phi(s,a) - sum_a' phi(s,a') pi(a'|s)``.
     """
-
-    def __init__(self, features: FeatureMap, n_actions: int):
-        self.features = features
-        self._n_actions = n_actions
 
     @property
     def param_dim(self) -> int:
-        return self._n_actions * self.features.dim
+        return self.n_actions * self.features.dim
 
-    @property
-    def n_actions(self) -> int:
-        return self._n_actions
-
-    def _logits(self, theta: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Features and logits; a leading axis of ``theta`` stacks parameter sets."""
+    def _forward(self, theta, states) -> tuple[np.ndarray, np.ndarray]:
+        """Features and logits."""
         phi = self.features(states)
-        theta = np.asarray(theta, dtype=np.float64)
-        weights = theta.reshape(*theta.shape[:-1], self._n_actions, self.features.dim)
+        weights = theta.reshape(*theta.shape[:-1], self.n_actions, self.features.dim)
         return phi, phi @ weights.swapaxes(-1, -2)
 
-    def action_probs_batch(self, theta, states) -> np.ndarray:
-        _, logits = self._logits(theta, states)
-        return softmax_probs(logits)
-
-    def log_prob_batch(self, thetas, states, actions) -> np.ndarray:
-        _, logits = self._logits(_parameter_stack(thetas, self.param_dim), states)
-        return _stacked_log_probs(logits, actions)
-
-    def score_pass(self, theta, states, actions):
-        phi, logits = self._logits(theta, states)
-        actions = np.asarray(actions, dtype=np.int64)
-        log_prob, probs = _log_probs_and_probs(logits, actions)
-
-        def weighted_sum(weights) -> np.ndarray:
-            residual = -probs
-            residual[np.arange(phi.shape[0]), actions] += 1.0
-            # score block a' of row n is phi(s_n) * (1{a'=a_n} - pi(a'|s_n))
-            return ((residual * weights[:, None]).T @ phi).reshape(self.param_dim)
-
-        return log_prob, weighted_sum
+    def _backward(self, theta, layers, dlogits, weights) -> np.ndarray:
+        (phi,) = layers
+        # score block a' of row n is phi(s_n) * (1{a'=a_n} - pi(a'|s_n))
+        return ((dlogits * weights[:, None]).T @ phi).reshape(self.param_dim)
 
 
 class MlpSoftmaxPolicy(Policy):
@@ -179,17 +102,12 @@ class MlpSoftmaxPolicy(Policy):
     def __init__(self, features: FeatureMap, n_actions: int, hidden_dim: int = 16):
         if not isinstance(hidden_dim, (int, np.integer)) or hidden_dim < 1:
             raise ValueError(f"hidden_dim must be a positive integer, got {hidden_dim!r}")
-        self.features = features
-        self._n_actions = n_actions
+        super().__init__(features, n_actions)
         self.hidden_dim = hidden_dim
 
     @property
     def param_dim(self) -> int:
-        return self.hidden_dim * (self.features.dim + 1) + self._n_actions * (self.hidden_dim + 1)
-
-    @property
-    def n_actions(self) -> int:
-        return self._n_actions
+        return self.hidden_dim * (self.features.dim + 1) + self.n_actions * (self.hidden_dim + 1)
 
     def unpack(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hidden and output weight matrices (bias in column 0) of ``theta``.
@@ -205,44 +123,29 @@ class MlpSoftmaxPolicy(Policy):
         lead = theta.shape[:-1]
         cut = self.hidden_dim * (self.features.dim + 1)
         w = theta[..., :cut].reshape(*lead, self.hidden_dim, self.features.dim + 1)
-        b = theta[..., cut:].reshape(*lead, self._n_actions, self.hidden_dim + 1)
+        b = theta[..., cut:].reshape(*lead, self.n_actions, self.hidden_dim + 1)
         return w, b
 
     def _forward(self, theta, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Features, hidden activations and logits; a leading axis of ``theta`` stacks parameter sets."""
+        """Features, hidden activations and logits."""
         w, b = self.unpack(theta)
         phi = self.features(states)
         hidden = expit(w[..., None, :, 0] + phi @ w[..., 1:].swapaxes(-1, -2))
         logits = b[..., None, :, 0] + hidden @ b[..., 1:].swapaxes(-1, -2)
         return phi, hidden, logits
 
-    def action_probs_batch(self, theta, states) -> np.ndarray:
-        return softmax_probs(self._forward(theta, states)[2])
-
-    def log_prob_batch(self, thetas, states, actions) -> np.ndarray:
-        logits = self._forward(_parameter_stack(thetas, self.param_dim), states)[2]
-        return _stacked_log_probs(logits, actions)
-
-    def score_pass(self, theta, states, actions):
+    def _backward(self, theta, layers, dlogits, weights) -> np.ndarray:
+        # Reverse mode through the sigmoid layer; summing over rows collapses
+        # each layer's per-row outer products into one matrix product.
+        phi, hidden = layers
         _, b = self.unpack(theta)
-        phi, hidden, logits = self._forward(theta, states)
-        actions = np.asarray(actions, dtype=np.int64)
-        log_prob, probs = _log_probs_and_probs(logits, actions)
-
-        def weighted_sum(weights) -> np.ndarray:
-            # Reverse mode through softmax and the sigmoid layer; summing over rows
-            # collapses each layer's per-row outer products into one matrix product.
-            n = phi.shape[0]
-            dlogits = -probs
-            dlogits[np.arange(n), actions] += 1.0
-            hidden_ext = np.concatenate([np.ones((n, 1)), hidden], axis=1)
-            dhidden = (dlogits @ b[:, 1:]) * hidden * (1.0 - hidden)
-            phi_ext = np.concatenate([np.ones((n, 1)), phi], axis=1)
-            grad_b = (dlogits * weights[:, None]).T @ hidden_ext
-            grad_w = (dhidden * weights[:, None]).T @ phi_ext
-            return np.concatenate([grad_w.reshape(-1), grad_b.reshape(-1)])
-
-        return log_prob, weighted_sum
+        n = phi.shape[0]
+        hidden_ext = np.concatenate([np.ones((n, 1)), hidden], axis=1)
+        dhidden = (dlogits @ b[:, 1:]) * hidden * (1.0 - hidden)
+        phi_ext = np.concatenate([np.ones((n, 1)), phi], axis=1)
+        grad_b = (dlogits * weights[:, None]).T @ hidden_ext
+        grad_w = (dhidden * weights[:, None]).T @ phi_ext
+        return np.concatenate([grad_w.reshape(-1), grad_b.reshape(-1)])
 
 
 def make_policy(kind: str, features: FeatureMap, n_actions: int, hidden_dim: int = 16) -> Policy:

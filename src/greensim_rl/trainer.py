@@ -182,18 +182,6 @@ def policy_update(theta: np.ndarray, grad: np.ndarray, learning_rate: float) -> 
     return out
 
 
-def _compute_gradient(
-    cfg: TrainConfig, buffer: estimators.ReplayBuffer, theta: np.ndarray, omega_k, diag: dict
-) -> np.ndarray:
-    if cfg.estimator == "pg":
-        return estimators.pg_gradient(buffer.records[-1], buffer.policy, cfg.gamma, diag_out=diag)
-    if cfg.estimator == "ilr":
-        return estimators.ilr_gradient(buffer, theta, omega_k, cfg.gamma, diag_out=diag)
-    if cfg.estimator == "mlr":
-        return estimators.mlr_gradient(buffer, theta, omega_k, cfg.rolling_window, cfg.gamma, diag_out=diag)
-    return estimators.tlr_gradient(buffer, theta, cfg.rolling_window, cfg.gamma, diag_out=diag)
-
-
 def train(
     scn: Scenario,
     cfg: TrainConfig,
@@ -240,13 +228,15 @@ def train(
 
             diag: dict = {}
             try:
-                grad = _compute_gradient(cfg, buffer, theta, omega_k, diag)
+                grad = estimators.gradient(
+                    cfg.estimator, buffer, theta, omega_k, cfg.rolling_window, cfg.gamma, diag_out=diag
+                )
             except estimators.EstimatorError as exc:
                 raise TrainingError(f"iteration {k}: estimator failed: {exc}") from exc
             if not np.all(np.isfinite(grad)):
                 raise TrainingError(
                     f"iteration {k}: non-finite gradient "
-                    f"(max ratio {diag.get('max_ratio')}, ess {diag.get('ess')})"
+                    f"(max ratio {diag['max_ratio']}, ess {diag['ess']})"
                 )
             grad_norm = float(np.linalg.norm(grad))
             if cfg.grad_clip is not None and grad_norm > cfg.grad_clip:
@@ -265,8 +255,8 @@ def train(
                     theta=theta,
                     grad_norm=grad_norm,
                     return_estimate=float(np.mean(returns(trajectories.rewards, cfg.gamma))),
-                    max_ratio=float(diag.get("max_ratio", 1.0)),
-                    ess=float(diag.get("ess", cfg.replications)),
+                    max_ratio=diag["max_ratio"],
+                    ess=diag["ess"],
                     wall_time=finished - started,
                     posterior_s=0.0 if cfg.estimator == "tlr" else sampled - started,
                     rollout_s=rolled_out - sampled,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from greensim_rl import bioenv
-from greensim_rl.core import TrajectoryBatch, reward_to_go, substream
+from greensim_rl.core import TrajectoryBatch, reward_to_go, softmax_probs, substream
 from greensim_rl.estimators import ReplayBuffer, _mixture_ratios, trajectory_logdensity
 from greensim_rl.oracle import TabularMDP
 from greensim_rl.policy import (
@@ -11,7 +11,6 @@ from greensim_rl.policy import (
     MlpSoftmaxPolicy,
     onehot_features,
     purification_features,
-    softmax_probs,
 )
 
 
@@ -129,7 +128,7 @@ def score_sum_reference(policy, theta, states, actions, weights):
     actions = np.asarray(actions, dtype=np.int64)
     n = len(states)
     if isinstance(policy, LinearSoftmaxPolicy):
-        phi, logits = policy._logits(theta, states)
+        phi, logits = policy._forward(theta, states)
         residual = -softmax_probs(logits)
         residual[np.arange(n), actions] += 1.0
         return ((residual * weights[:, None]).T @ phi).reshape(policy.param_dim)

@@ -75,3 +75,18 @@ def test_one_csv_writer():
     assert sites and all(
         module == "core" and writer.lineno <= line <= writer.end_lineno for module, line in sites
     ), f"csv.writer outside core.write_csv: {sites}"
+
+
+def test_one_softmax_head():
+    # every policy's softmax, log probabilities and score hook are core.Policy's
+    head = {"action_probs_batch", "log_prob_batch", "score_pass"}
+    definers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                definers |= {
+                    (path.stem, node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name in head
+                }
+    assert definers == {("core", "Policy", name) for name in head}, f"softmax head defined in {sorted(definers)}"

@@ -16,7 +16,7 @@ from greensim_rl.bioenv import ModelParams, default_scenario, save_scenario, sce
 from greensim_rl.core import substream
 from greensim_rl.harness import evaluate_policy
 from greensim_rl.policy import load_params
-from greensim_rl.trainer import TrainingError, load_train_config, scenario_policy, train
+from greensim_rl.trainer import ESTIMATOR_KINDS, TrainingError, load_train_config, scenario_policy, train
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -512,12 +512,13 @@ class TestCompareCommand:
         assert len(manifest["config_digest"]) == 64
         assert (out / "curves" / "pg_3.csv").exists()
 
-    def test_unknown_estimator_rejected(self, tmp_path, scenario_file):
+    def test_unknown_estimator_rejected(self, tmp_path, scenario_file, capsys):
         code = cli.main(
             ["compare", "--scenario", str(scenario_file), "--out", str(tmp_path / "x"), "--estimators", "zzz"]
         )
         assert code == cli.EXIT_BAD_CONFIG
         assert not (tmp_path / "x").exists()
+        assert str(ESTIMATOR_KINDS) in capsys.readouterr().err
 
 
 class TestOracleCheckCommand:

@@ -9,6 +9,7 @@ from greensim_rl.estimators import (
     EstimatorError,
     ReplayBuffer,
     _log_mixture,
+    gradient,
     ilr_gradient,
     ilr_mean_estimate,
     mlr_gradient,
@@ -473,9 +474,7 @@ def mixed_buffer(env, policy, rng, n_records, n_per_record):
 def window_gradient(kind, buffer, window, diag=None):
     """The trainer's call: target is the newest record's own pair."""
     last = buffer.records[-1]
-    if kind == "mlr":
-        return mlr_gradient(buffer, last.theta, last.omega, window, 0.9, diag_out=diag)
-    return tlr_gradient(buffer, last.theta, window, 0.9, diag_out=diag)
+    return gradient(kind, buffer, last.theta, last.omega, window, 0.9, diag_out=diag)
 
 
 class TestWindowDensityMemo:
@@ -652,13 +651,6 @@ class TestGradientsKeepTheirBits:
     # (estimator, window); None is the whole buffer
     CASES = [("ilr", None), ("mlr", 1), ("mlr", 3), ("mlr", None), ("tlr", 3)]
 
-    def gradient(self, kind, buffer, theta_k, omega_k, window):
-        if kind == "ilr":
-            return ilr_gradient(buffer, theta_k, omega_k, 0.9)
-        if kind == "mlr":
-            return mlr_gradient(buffer, theta_k, omega_k, window or len(buffer), 0.9)
-        return tlr_gradient(buffer, theta_k, window, 0.9)
-
     @pytest.mark.parametrize("setting", ["chromatography-mlp", "tabular-linear", "tabular-enumerated"])
     def test_equal_to_reference(self, setting, scn, env, mlp_policy, toy_mdp, tab_policy):
         if setting == "chromatography-mlp":
@@ -691,7 +683,7 @@ class TestGradientsKeepTheirBits:
                     (theta, omegas[(k + 1) % 2]),
                 ]
                 for theta_k, omega_k in targets:
-                    got = self.gradient(kind, buffer, theta_k, omega_k, window)
+                    got = gradient(kind, buffer, theta_k, omega_k, window or len(buffer), 0.9)
                     want = reuse_gradient_reference(
                         kind, buffer.records, theta_k, omega_k, env, policy, window or len(buffer), 0.9,
                         weights,
@@ -708,3 +700,16 @@ class TestDiagnostics:
         mlr_gradient(buffer, thetas[-1], toy_mdp.transition, 3, diag_out=diag)
         assert 0 < diag["max_ratio"] <= 3.0 + 1e-12  # bounded by 1/alpha
         assert 0 < diag["ess"] <= 30.0
+
+    def test_every_kind_fills_ratio_and_ess(self, toy_mdp, tab_policy, rng):
+        # the trainer reads both fields of every estimator's diagnostics
+        env = TabularEnv(toy_mdp)
+        thetas = [0.3 * rng.standard_normal(tab_policy.param_dim) for _ in range(3)]
+        buffer = make_buffer(env, tab_policy, [(th, toy_mdp.transition) for th in thetas], 10)
+        last = buffer.records[-1]
+        for kind in ("pg", "ilr", "mlr", "tlr"):
+            diag = {}
+            gradient(kind, buffer, last.theta, last.omega, 2, diag_out=diag)
+            assert diag["max_ratio"] > 0 and 0 < diag["ess"] <= buffer.total_trajectories(), kind
+        with pytest.raises(ValueError, match="unknown estimator kind 'zzz'"):
+            gradient("zzz", buffer, last.theta, last.omega, 2)

@@ -1,10 +1,13 @@
 """Softmax policies: forwards, score gradients, checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greensim_rl.core import softmax_probs
 from greensim_rl.policy import (
     LinearSoftmaxPolicy,
     MlpSoftmaxPolicy,
@@ -12,7 +15,6 @@ from greensim_rl.policy import (
     make_policy,
     onehot_features,
     save_params,
-    softmax_probs,
 )
 
 from conftest import identity_features, score_sum_reference, scores, stream
@@ -219,6 +221,21 @@ class TestStackedLogProb:
         for bad in (np.zeros(policy.param_dim), np.zeros((2, policy.param_dim + 1))):
             with pytest.raises(ValueError, match="thetas must have shape"):
                 policy.log_prob_batch(bad, states, actions)
+
+
+class TestParameterVectorChecked:
+    @pytest.mark.parametrize("stacked", [True, False])
+    @pytest.mark.parametrize("kind", list(STACKED_POLICIES))
+    def test_one_vector_of_param_dim(self, kind, stacked):
+        # a one-vector stack, or a vector of the wrong length, is not a parameter vector
+        policy = STACKED_POLICIES[kind]
+        theta = np.zeros((1, policy.param_dim)) if stacked else np.zeros(policy.param_dim + 1)
+        states, actions = np.zeros((2, 3)), np.zeros(2, dtype=np.int64)
+        message = re.escape(f"theta must have shape ({policy.param_dim},), got {theta.shape}")
+        with pytest.raises(ValueError, match=message):
+            policy.action_probs_batch(theta, states)
+        with pytest.raises(ValueError, match=message):
+            policy.score_pass(theta, states, actions)
 
 
 class TestScorePass:

@@ -9,10 +9,11 @@
 # directory and must not hold either yet):
 #
 #   - greensim train --seed 3 --r-test 7 for pg, ilr, mlr and tlr, on a
-#     config of 2 periods x 8 iterations with 5 replications, for ilr
-#     and mlr on the same config with the linear policy, and for mlr with
-#     burn_in 37 and thin 3 (a burn-in that is not a multiple of the
-#     sampler's 25-move adaptation window);
+#     config of 2 periods x 8 iterations with 5 replications, once with
+#     the default MLP policy and once with the linear policy (so every
+#     estimator runs through both policies' forward and backward passes),
+#     and for mlr with burn_in 37 and thin 3 (a burn-in that is not a
+#     multiple of the sampler's 25-move adaptation window);
 #   - greensim simulate --n 20 --seed 4, from a fresh init and from the
 #     mlr run's last checkpoint;
 #   - greensim evaluate --r-test 9 --seed 4 on that checkpoint, its
@@ -56,7 +57,7 @@ run_tree() {
         greensim train --config "$out/config.json" --estimator "$estimator" --seed 3 --r-test 7 \
             --out "$out/train_$estimator"
     done
-    for estimator in ilr mlr; do
+    for estimator in pg ilr mlr tlr; do
         greensim train --config "$out/config_linear.json" --estimator "$estimator" --seed 3 --r-test 7 \
             --out "$out/train_linear_$estimator"
     done
