@@ -354,11 +354,10 @@ class ChromatographyEnv(Environment):
             steps = sorted(set((t_idx + 1).tolist()))
             raise InvalidStateError(f"batch rows must share one step index, got {steps}")
         t = int(t_idx[0]) + 1
-        shapes = omega.beta_shapes[t - 1, np.asarray(actions, dtype=np.int64)]
+        shapes = omega.beta_shapes[t - 1, np.asarray(actions, dtype=np.int64)].T
+        fractions = rng.beta(shapes[[ETA_L, PSI_L]], shapes[[ETA_U, PSI_U]])  # (2, n): every h, then every psi
         out = np.empty((states.shape[0], 3))
-        for col, (lo, hi) in enumerate([(ETA_L, ETA_U), (PSI_L, PSI_U)]):  # h, then psi
-            fraction = rng.beta(shapes[:, lo], shapes[:, hi])
-            out[:, col] = np.minimum(np.maximum(fraction, _FRACTION_EPS), 1 - _FRACTION_EPS) * states[:, col]
+        out[:, :2] = np.minimum(np.maximum(fractions.T, _FRACTION_EPS), 1 - _FRACTION_EPS) * states[:, :2]
         out[:, 2] = t + 1
         return out
 

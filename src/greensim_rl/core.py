@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import abc
 import csv
+import ctypes
 import functools
 import json
 import math
@@ -246,10 +247,48 @@ class Environment(abc.ABC):
         return np.zeros(states.shape[0])
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, from glibc's <malloc.h>
+
+
+@functools.cache
+def _keep_large_blocks() -> bool:
+    """Keep blocks up to 32 MiB in glibc's heap instead of fresh ``mmap`` pages; True if both settings took.
+
+    glibc serves each block of 128 KiB or more by ``mmap`` and trims the
+    heap top back to the kernel, so the reuse passes' per-call arrays
+    (hidden layers, mixture blocks, ILR's step rows) are page-faulted in
+    afresh on every call.  This sets ``M_MMAP_THRESHOLD`` and
+    ``M_TRIM_THRESHOLD`` to 32 MiB, the threshold's documented maximum on
+    64-bit (mallopt(3)); setting both also turns off glibc's dynamic
+    threshold.  The setting is process-wide and forked workers inherit
+    it.  Allocation never changes arithmetic, so no result bit moves.
+    Without glibc (no ``libc.so.6``, no ``mallopt``, or a call that
+    returns 0) it does nothing and returns False.  Runs once per process.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    limit = 32 << 20
+    return all(mallopt(param, limit) != 0 for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD))
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)`` with the same bits, reduced over a transposed copy.
+
+    numpy reduces a short last axis one row at a time; over the copy the
+    reduction runs along whole rows of ``x.T``, several times faster for
+    the policies' few action columns.
+    """
+    return x.T.copy().max(axis=0).T[..., None]
+
+
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
     """Max-shifted softmax over the last axis; each row sums to 1."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - _row_max(logits)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -260,7 +299,7 @@ def _log_softmax_at(logits: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray
     One max shift, ``exp`` and sum in :func:`softmax_probs`' order, so
     ``e / total`` has its bits; only the caller that needs them divides.
     """
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - _row_max(logits)
     e = np.exp(shifted)
     total = e.sum(axis=-1, keepdims=True)
     return shifted[..., np.arange(logits.shape[-2]), actions] - np.log(total[..., 0]), e, total

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import bayes, estimators
 from .bioenv import ChromatographyEnv, Scenario, collect_real_data
-from .core import Policy, check_fields, returns, rollout_batch, substream, write_csv
+from .core import Policy, _keep_large_blocks, check_fields, returns, rollout_batch, substream, write_csv
 from .policy import POLICY_KINDS, make_policy, purification_features, save_params
 
 __all__ = [
@@ -195,7 +195,14 @@ def train(
     parameters each iteration on a dedicated stream (the harness plugs the
     true-model evaluation in here).  ``checkpoint_dir`` persists per-
     iteration parameters under ``iter_<k>/params.json``.
+
+    First it keeps blocks up to 32 MiB in glibc's heap
+    (:func:`core._keep_large_blocks`), so the reuse estimators' large
+    per-call arrays are not page-faulted in afresh on every iteration.
+    That allocator setting is process-wide and stays after ``train``
+    returns; without glibc nothing is set.  No result bit depends on it.
     """
+    _keep_large_blocks()
     env, policy = scenario_policy(scn, cfg.policy_kind, cfg.hidden_dim)
     theta = policy.init_params(substream(cfg.seed, macro, 0, _INIT), cfg.init_scale)
 

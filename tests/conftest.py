@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from greensim_rl import bioenv
-from greensim_rl.core import TrajectoryBatch, reward_to_go, softmax_probs, substream
+from greensim_rl.core import TrajectoryBatch, reward_to_go, substream
 from greensim_rl.estimators import ReplayBuffer, _mixture_ratios, trajectory_logdensity
 from greensim_rl.oracle import TabularMDP
 from greensim_rl.policy import (
@@ -120,21 +120,34 @@ def scores(policy, theta, states, actions):
     return np.stack([policy.weighted_score_sum(theta, states, actions, w) for w in np.eye(len(states))])
 
 
+def plain_softmax(logits):
+    """Max-shifted softmax over the last axis in plain numpy, independent of the package's head."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def plain_log_prob(logits, actions):
+    """``log softmax(logits)[..., n, actions[n]]`` of ``(..., n, A)`` logits in plain numpy."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    total = np.exp(shifted).sum(axis=-1, keepdims=True)
+    return shifted[..., np.arange(logits.shape[-2]), actions] - np.log(total[..., 0])
+
+
 def score_sum_reference(policy, theta, states, actions, weights):
     """The score hook as it was before it shared its forward pass: ``sum_n weights[n] * score[n]``.
 
-    Its own forward pass at ``theta``, ``softmax_probs``, then reverse mode.
+    Its own forward pass at ``theta``, :func:`plain_softmax`, then reverse mode.
     """
     actions = np.asarray(actions, dtype=np.int64)
     n = len(states)
     if isinstance(policy, LinearSoftmaxPolicy):
         phi, logits = policy._forward(theta, states)
-        residual = -softmax_probs(logits)
+        residual = -plain_softmax(logits)
         residual[np.arange(n), actions] += 1.0
         return ((residual * weights[:, None]).T @ phi).reshape(policy.param_dim)
     _, b = policy.unpack(theta)
     phi, hidden, logits = policy._forward(theta, states)
-    dlogits = -softmax_probs(logits)
+    dlogits = -plain_softmax(logits)
     dlogits[np.arange(n), actions] += 1.0
     hidden_ext = np.concatenate([np.ones((n, 1)), hidden], axis=1)
     dhidden = (dlogits @ b[:, 1:]) * hidden * (1.0 - hidden)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greensim_rl.core import softmax_probs
+from greensim_rl.core import _row_max, softmax_probs
 from greensim_rl.policy import (
     LinearSoftmaxPolicy,
     MlpSoftmaxPolicy,
@@ -17,7 +17,7 @@ from greensim_rl.policy import (
     save_params,
 )
 
-from conftest import identity_features, score_sum_reference, scores, stream
+from conftest import identity_features, plain_log_prob, plain_softmax, score_sum_reference, scores, stream
 
 
 # One-row calls into the batch contract.
@@ -71,6 +71,29 @@ class TestSoftmax:
         probs = softmax_probs(np.array(logits))
         assert abs(probs.sum() - 1.0) < 1e-12
         assert np.all(probs >= 0)
+
+
+class TestRowMax:
+    @pytest.mark.parametrize(
+        "shape", [(7,), (1,), (40, 10), (40, 1), (0, 10), (3, 40, 10), (3, 40, 1)]
+    )
+    def test_bytes_match_numpy_max(self, shape, rng):
+        x = rng.normal(scale=30.0, size=shape)
+        assert _row_max(x).tobytes() == x.max(axis=-1, keepdims=True).tobytes()
+        assert _row_max(x).shape == x.max(axis=-1, keepdims=True).shape
+
+    def test_infinities_and_nan(self):
+        x = np.array(
+            [
+                [-np.inf, -np.inf, -np.inf],
+                [-np.inf, 0.5, -1.0],
+                [np.inf, 0.5, -np.inf],
+                [1.0, np.nan, 2.0],
+                [np.nan, -np.inf, np.inf],
+            ]
+        )
+        for arr in (x, x[3], np.stack([x, x[::-1]])):
+            assert _row_max(arr).tobytes() == arr.max(axis=-1, keepdims=True).tobytes()
 
 
 class TestLinearSoftmax:
@@ -255,6 +278,25 @@ class TestScorePass:
         np.testing.assert_array_equal(weighted_sum(weights), want)
         np.testing.assert_array_equal(weighted_sum(weights), want)  # the pass is not consumed
         np.testing.assert_array_equal(policy.weighted_score_sum(theta, states, actions, weights), want)
+
+
+class TestPlainNumpyReference:
+    @pytest.mark.parametrize("kind", list(STACKED_POLICIES))
+    def test_head_matches_plain_numpy(self, kind, rng):
+        # the head's bits are those of a plain max, exp, sum and divide over the forward logits
+        policy = STACKED_POLICIES[kind]
+        thetas = np.stack([policy.init_params(rng, scale=2.0) for _ in range(3)])
+        states = rng.normal(size=(300, 3))
+        actions = rng.integers(0, 10, size=300)
+        weights = rng.normal(size=300)
+        logits = policy._forward(thetas, states)[-1]
+        np.testing.assert_array_equal(policy.log_prob_batch(thetas, states, actions), plain_log_prob(logits, actions))
+        np.testing.assert_array_equal(policy.action_probs_batch(thetas[0], states), plain_softmax(logits[0]))
+        log_prob, weighted_sum = policy.score_pass(thetas[0], states, actions)
+        np.testing.assert_array_equal(log_prob, plain_log_prob(logits[0], actions))
+        np.testing.assert_array_equal(
+            weighted_sum(weights), score_sum_reference(policy, thetas[0], states, actions, weights)
+        )
 
 
 class TestSampling:
