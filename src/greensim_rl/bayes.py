@@ -115,16 +115,17 @@ def write_fractions_csv(dataset: FractionDataset, path) -> None:
 
 
 def read_fractions_csv(fh: IO[str]) -> FractionDataset:
-    """Read what :func:`write_fractions_csv` writes; a header missing a column raises ``ValueError``."""
+    """Read what :func:`write_fractions_csv` writes; a missing column or cell raises ``ValueError``."""
     reader = csv.DictReader(fh)
     header = reader.fieldnames or []
     for column in _CSV_COLUMNS:
         if column not in header:
             raise ValueError(f"fraction data has no {column!r} column")
-    rows = [
-        (int(row["step"]), int(row["action"]), float(row["h_fraction"]), float(row["psi_fraction"]))
-        for row in reader
-    ]
+    rows = []
+    for row in reader:
+        if None in row or None in row.values():
+            raise ValueError(f"fraction data line {reader.line_num} does not have one cell per header column")
+        rows.append((int(row["step"]), int(row["action"]), float(row["h_fraction"]), float(row["psi_fraction"])))
     return FractionDataset(*zip(*rows)) if rows else FractionDataset()
 
 

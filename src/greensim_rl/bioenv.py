@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import betaln
 
-from .core import Environment, check_fields, check_typed, rollout_batch
+from .core import Environment, check_fields, check_object, check_typed, read_json, rollout_batch
 
 if TYPE_CHECKING:
     from .bayes import FractionDataset
@@ -212,6 +212,10 @@ class Scenario:
         check_fields(self, ScenarioError)
         if self.p_bar <= 0 or self.i_bar <= 0:
             raise ScenarioError("state bounds must be positive")
+        rows = self.true_model.beta_shapes.shape[0]
+        if rows < 2:
+            # the transitions from steps 1 and 2 read rows 0 and 1
+            raise ScenarioError(f"true_model.beta_shapes needs a row for each of steps 1 and 2, got {rows}")
 
 
 # --- upstream fermentation ---------------------------------------------------
@@ -486,39 +490,25 @@ def scenario_to_jsonable(scn: Scenario) -> dict:
     }
 
 
-def _scenario_section(obj: dict, section: str, keys: tuple[str, ...]) -> dict:
-    """``obj[section]``, which must be a JSON object with exactly the fields ``keys``."""
-    value = obj[section]
-    if not isinstance(value, dict):
-        raise ScenarioError(f"scenario section '{section}' must be an object, got {value!r}")
-    for key in keys:
-        if key not in value:
-            raise ScenarioError(f"scenario is missing the field '{section}.{key}'")
-    for key in value:
-        if key not in keys:
-            raise ScenarioError(f"unknown scenario field '{section}.{key}'")
-    return value
+_SECTIONS = ("upstream", "true_model", "reward", "bounds")
 
 
-def scenario_from_jsonable(obj: dict) -> Scenario:
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"a scenario must be a JSON object, got {obj!r}")
-    for section in ("upstream", "true_model", "reward", "bounds"):
+def scenario_from_jsonable(obj) -> Scenario:
+    check_object(obj, ScenarioError, "scenario", _SECTIONS)
+    for section in _SECTIONS:
         if section not in obj:
             raise ScenarioError(f"scenario is missing the '{section}' section")
-    try:
-        upstream = UpstreamParams(**obj["upstream"])
-        reward_cfg = RewardConfig(**obj["reward"])
-    except TypeError as exc:
-        raise ScenarioError(f"unknown or missing scenario field: {exc}") from exc
-    shapes = _scenario_section(obj, "true_model", ("beta_shapes",))["beta_shapes"]
+    upstream = check_object(obj["upstream"], ScenarioError, "upstream", UpstreamParams.__dataclass_fields__)
+    reward = check_object(obj["reward"], ScenarioError, "reward", RewardConfig.__dataclass_fields__)
+    model = check_object(obj["true_model"], ScenarioError, "true_model", ("beta_shapes",), ("beta_shapes",))
+    bounds = check_object(obj["bounds"], ScenarioError, "bounds", ("p_bar", "i_bar"), ("p_bar", "i_bar"))
+    shapes = np.array(model["beta_shapes"], dtype=object)
     # np.array would read "2.5" and true as numbers: every entry must be a JSON number
-    check_typed(ScenarioError, (("beta_shapes", v, "float") for v in np.array(shapes, dtype=object).flat))
-    bounds = _scenario_section(obj, "bounds", ("p_bar", "i_bar"))
+    check_typed(ScenarioError, (("beta_shapes", v, "float") for v in shapes.flat))
     return Scenario(
-        upstream=upstream,
-        true_model=ModelParams(np.array(shapes, dtype=np.float64)),
-        reward=reward_cfg,
+        upstream=UpstreamParams(**upstream),
+        true_model=ModelParams(shapes.astype(np.float64)),
+        reward=RewardConfig(**reward),
         p_bar=bounds["p_bar"],
         i_bar=bounds["i_bar"],
     )
@@ -531,9 +521,4 @@ def save_scenario(scn: Scenario, path) -> None:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
-    return scenario_from_jsonable(obj)
+    return scenario_from_jsonable(read_json(path, ScenarioError))

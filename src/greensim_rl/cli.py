@@ -20,11 +20,12 @@ Subcommands and the files they write:
 - ``posterior-diag``: per-channel MCMC acceptance diagnostics, the CSV
   file ``--out``.
 
-Exit codes: 0 success, 2 usage error, 3 missing input file, 4 malformed
-scenario/config (a scenario whose upstream fermentation diverges too), 1
-runtime failure.  Output directories are populated in a temporary sibling
-and renamed into place on success, so a failed run never leaves a partial
-directory behind.
+Exit codes: 0 success, 2 usage error, 3 an input path (scenario, config,
+checkpoint or fraction data) that is not a file, 4 a malformed scenario,
+config, checkpoint or fraction file (a scenario whose upstream fermentation
+diverges too), 1 runtime failure.  Output directories are populated in a
+temporary sibling and renamed into place on success, so a failed run never
+leaves a partial directory behind.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from . import __version__, bayes
 from .bioenv import (
     ChromatographyEnv,
     IntegrationError,
-    ScenarioError,
     _batch_final_biomass,
     default_scenario,
     load_scenario,
@@ -57,7 +57,7 @@ from .harness import (
     true_model_eval_fn,
     write_manifest,
 )
-from .policy import load_params
+from .policy import load_params, save_params
 from .trainer import (
     ESTIMATOR_KINDS,
     TrainConfig,
@@ -112,6 +112,16 @@ def _replication_counts(text: str) -> list[int]:
     return counts
 
 
+def _read_input(what: str, path: str, read):
+    """``read(path)``; exit 3 if ``path`` is not a file, exit 4 if ``read`` raises ValueError."""
+    if not Path(path).is_file():
+        raise CliError(EXIT_MISSING_FILE, f"no {what} file at {path}")
+    try:
+        return read(path)
+    except ValueError as exc:
+        raise CliError(EXIT_BAD_CONFIG, f"invalid {what} {path}: {exc}") from exc
+
+
 def _load_scenario_arg(path: str | None):
     """The scenario at ``path`` (default: built-in), its batch fermentation integrated up front.
 
@@ -119,29 +129,14 @@ def _load_scenario_arg(path: str | None):
     that diverges raises :class:`IntegrationError` here, before any output
     is written.  With F > 0 it raises at the first harvest.
     """
-    if path is None:
-        scn = default_scenario()
-    elif not Path(path).exists():
-        raise CliError(EXIT_MISSING_FILE, f"scenario file not found: {path}")
-    else:
-        try:
-            scn = load_scenario(path)
-        except ScenarioError as exc:
-            raise CliError(EXIT_BAD_CONFIG, f"invalid scenario {path}: {exc}")
+    scn = default_scenario() if path is None else _read_input("scenario", path, load_scenario)
     if scn.upstream.F == 0.0:
         _batch_final_biomass(scn.upstream)
     return scn
 
 
 def _load_config_arg(path: str | None) -> TrainConfig:
-    if path is None:
-        return TrainConfig()
-    if not Path(path).exists():
-        raise CliError(EXIT_MISSING_FILE, f"config file not found: {path}")
-    try:
-        return load_train_config(path)
-    except ValueError as exc:
-        raise CliError(EXIT_BAD_CONFIG, f"invalid config {path}: {exc}")
+    return TrainConfig() if path is None else _read_input("config", path, load_train_config)
 
 
 @contextlib.contextmanager
@@ -165,21 +160,19 @@ def _atomic_out_dir(path: str):
 
 def _load_checkpoint(path: str, scn):
     """Environment, policy and parameters of a checkpoint, rebuilt from its own architecture."""
-    if not Path(path).exists():
-        raise CliError(EXIT_MISSING_FILE, f"checkpoint not found: {path}")
-    try:
+
+    def read(path):
         theta, kind, meta = load_params(path)
         hidden_dim = meta.get("hidden_dim", 16)
         env, policy = scenario_policy(scn, kind, hidden_dim)
-    except ValueError as exc:
-        raise CliError(EXIT_BAD_CONFIG, f"invalid checkpoint {path}: {exc}")
-    if theta.shape[0] != policy.param_dim:
-        raise CliError(
-            EXIT_BAD_CONFIG,
-            f"checkpoint {path} holds {theta.shape[0]} parameters, but a {kind!r} policy "
-            f"(hidden_dim {hidden_dim}) on this scenario has {policy.param_dim}",
-        )
-    return env, policy, theta
+        if theta.shape[0] != policy.param_dim:
+            raise ValueError(
+                f"it holds {theta.shape[0]} parameters, but a {kind!r} policy "
+                f"(hidden_dim {hidden_dim}) on this scenario has {policy.param_dim}"
+            )
+        return env, policy, theta
+
+    return _read_input("checkpoint", path, read)
 
 
 # --- subcommands --------------------------------------------------------------
@@ -211,7 +204,11 @@ def _cmd_train(args) -> int:
     if args.r_test is not None:
         eval_fn, scoring = true_model_eval_fn(scn, args.r_test, cfg.gamma), {"r_test": args.r_test}
     with _atomic_out_dir(args.out) as tmp:
-        history = train(scn, cfg, eval_fn=eval_fn, checkpoint_dir=tmp / "ckpt")
+        history = train(scn, cfg, eval_fn=eval_fn)
+        for rec in history.iterations:
+            step_dir = tmp / "ckpt" / f"iter_{rec.iteration}"
+            step_dir.mkdir(parents=True)
+            save_params(step_dir / "params.json", rec.theta, cfg.policy_kind, meta={"hidden_dim": cfg.hidden_dim})
         write_history(history, tmp)
         bayes.write_fractions_csv(history.dataset, tmp / "fractions.csv")
         save_scenario(scn, tmp / "scenario.json")
@@ -290,13 +287,12 @@ def _cmd_posterior_diag(args) -> int:
     # the step x action grid trainer.train builds its posterior on for this scenario
     n_actions = ChromatographyEnv(_load_scenario_arg(args.scenario)).action_count()
     if args.data:
-        if not Path(args.data).exists():
-            raise CliError(EXIT_MISSING_FILE, f"data file not found: {args.data}")
-        try:
-            with open(args.data) as fh:
-                posterior = bayes.make_posterior(bayes.read_fractions_csv(fh), n_actions=n_actions)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(EXIT_BAD_CONFIG, f"invalid fraction data {args.data}: {exc!r}")
+
+        def read(path):
+            with open(path) as fh:
+                return bayes.make_posterior(bayes.read_fractions_csv(fh), n_actions=n_actions)
+
+        posterior = _read_input("fraction data", args.data, read)
     else:
         # No data: every channel samples straight from the prior.
         posterior = bayes.make_posterior(bayes.FractionDataset(), n_actions=n_actions)

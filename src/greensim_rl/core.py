@@ -24,6 +24,8 @@ arrays are the batch's rows in trajectory-major order
 buffer copies its records into one append-only store and hands out runs of
 records as batches of views into it.  A batch exports as JSONL, one
 ``{"steps": [...]}`` object per trajectory (:func:`write_trajectories_jsonl`).
+Every JSON input file is parsed by :func:`read_json`, and each JSON object
+in it is checked by :func:`check_object`.
 
 All randomness flows through explicitly passed ``numpy.random.Generator``
 instances, or stream keys ``(root_seed, *path)`` that name them.  Nothing
@@ -51,7 +53,9 @@ __all__ = [
     "RolloutError",
     "TrajectoryBatch",
     "check_fields",
+    "check_object",
     "check_typed",
+    "read_json",
     "returns",
     "reward_to_go",
     "rollout_batch",
@@ -88,6 +92,37 @@ def check_fields(obj, error: type[Exception]) -> None:
     """:func:`check_typed` on every field of the dataclass ``obj`` with an annotation it knows."""
     entries = ((f.name, getattr(obj, f.name), f.type) for f in fields(obj))
     check_typed(error, (entry for entry in entries if entry[2] in _FIELD_TYPES))
+
+
+def read_json(path, error: type[ValueError]):
+    """The JSON value in the UTF-8 file at ``path``: the package's one JSON parser.
+
+    Bytes that are not UTF-8, or text that is not JSON, raise ``error``.
+    Python's ``json`` reads ``NaN`` and ``Infinity`` as floats; the caller's
+    checks reject them where a number must be finite.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"not valid JSON: {exc}") from exc
+
+
+def check_object(value, error: type[Exception], name: str, fields, required=()) -> dict:
+    """``value`` if it is a JSON object whose keys are all in ``fields`` and include every ``required`` one.
+
+    Otherwise raises ``error``, naming the object ``'name'`` and a key
+    ``'name.key'``.
+    """
+    if not isinstance(value, dict):
+        raise error(f"'{name}' must be a JSON object, got {value!r}")
+    for key in required:
+        if key not in value:
+            raise error(f"missing the field '{name}.{key}'")
+    for key in value:
+        if key not in fields:
+            raise error(f"unknown field '{name}.{key}'")
+    return value
 
 
 def substream(root_seed: int, *path: int) -> np.random.Generator:
@@ -305,6 +340,14 @@ def _log_softmax_at(logits: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray
     return shifted[..., np.arange(logits.shape[-2]), actions] - np.log(total[..., 0]), e, total
 
 
+def _sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One index per row of the ``(n, K)`` probabilities, by inverse CDF from one uniform per row."""
+    u = rng.random(probs.shape[0])
+    cum = np.cumsum(probs, axis=1)
+    cum[:, -1] = 1.0  # guard against cumulative rounding shortfall
+    return (cum >= u[:, None]).argmax(axis=1).astype(np.int64)
+
+
 class Policy(abc.ABC):
     """A differentiable softmax policy over discrete actions, batch-only.
 
@@ -398,12 +441,8 @@ class Policy(abc.ABC):
         return self.score_pass(theta, states, actions)[1](weights)
 
     def sample_actions_batch(self, theta, states, rng: np.random.Generator) -> np.ndarray:
-        """Inverse-CDF sampling; one uniform draw per row."""
-        probs = self.action_probs_batch(theta, states)
-        u = rng.random(states.shape[0])
-        cum = np.cumsum(probs, axis=1)
-        cum[:, -1] = 1.0  # guard against cumulative rounding shortfall
-        return (cum >= u[:, None]).argmax(axis=1).astype(np.int64)
+        """One action per state row, drawn by :func:`_sample_categorical`."""
+        return _sample_categorical(self.action_probs_batch(theta, states), rng)
 
     def init_params(self, rng: np.random.Generator, scale: float = 0.1) -> np.ndarray:
         return scale * rng.standard_normal(self.param_dim)

@@ -32,7 +32,7 @@ from .bioenv import (
     _batch_final_biomass,
     scenario_to_jsonable,
 )
-from .core import Environment, Policy, returns, rollout_batch, write_csv
+from .core import Environment, Policy, read_json, returns, rollout_batch, write_csv
 from .trainer import TrainConfig, train
 
 __all__ = [
@@ -277,7 +277,7 @@ def write_manifest(out_dir: Path, fields: dict) -> None:
     included) and a caller such as the CLI adds its own fields on top.
     """
     path = Path(out_dir) / "manifest.json"
-    manifest = json.loads(path.read_text()) if path.exists() else {}
+    manifest = read_json(path, ValueError) if path.exists() else {}
     manifest.update(fields, version=__version__)
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Environment, Policy, TrajectoryBatch, returns, reward_to_go
+from .core import Environment, Policy, TrajectoryBatch, _sample_categorical, returns, reward_to_go
 from .estimators import ReplayBuffer, gradient, ilr_mean_estimate
 
 __all__ = [
@@ -110,12 +110,8 @@ class TabularEnv(Environment):
         return rng.choice(self.mdp.n_states, size=n, p=self.mdp.initial).astype(np.float64)[:, None]
 
     def sample_transition_batch(self, states, actions, omega, rng) -> np.ndarray:
-        omega = np.asarray(omega)
-        u = rng.random(states.shape[0])
-        rows = omega[states[:, 0].astype(np.int64), np.asarray(actions, dtype=np.int64)]
-        cum = np.cumsum(rows, axis=1)
-        cum[:, -1] = 1.0
-        return np.argmax(cum >= u[:, None], axis=1).astype(np.float64)[:, None]
+        rows = np.asarray(omega)[states[:, 0].astype(np.int64), np.asarray(actions, dtype=np.int64)]
+        return _sample_categorical(rows, rng).astype(np.float64)[:, None]
 
     def transition_logpdf_batch(self, states, actions, next_states, omegas) -> np.ndarray:
         tensors = np.stack([np.asarray(omega) for omega in omegas])

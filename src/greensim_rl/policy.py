@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from .core import Policy
+from .core import Policy, check_object, check_typed, read_json
 
 __all__ = [
     "FeatureMap",
@@ -160,7 +160,7 @@ def make_policy(kind: str, features: FeatureMap, n_actions: int, hidden_dim: int
 #
 # JSON with a shape header plus the flat parameter vector.  Python's float
 # repr is the shortest round-tripping decimal, so load(save(theta)) is
-# bit-exact for finite values.
+# bit-exact; a value that is not finite is refused on load.
 
 def save_params(path, theta: np.ndarray, kind: str, meta: dict | None = None) -> None:
     payload = {
@@ -175,23 +175,17 @@ def save_params(path, theta: np.ndarray, kind: str, meta: dict | None = None) ->
 
 
 def load_params(path) -> tuple[np.ndarray, str, dict]:
-    """Read a checkpoint as ``(theta, kind, meta)``; ValueError if malformed."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or not {"kind", "length", "values"} <= payload.keys():
-        raise ValueError("expected a JSON object with 'kind', 'length' and 'values'")
+    """Read a checkpoint as ``(theta, kind, meta)``; ValueError if malformed or a value is not a finite number."""
+    payload = read_json(path, ValueError)
+    check_object(payload, ValueError, "checkpoint", ("kind", "length", "values", "meta"), ("kind", "length", "values"))
     meta = payload.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError("'meta' must be a JSON object")
-    try:
-        values = np.array(payload["values"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError("'values' must be a list of numbers") from exc
-    if values.ndim != 1 or values.shape[0] != payload["length"]:
-        raise ValueError(
-            f"checkpoint header says {payload['length']} values, file has {values.shape}"
-        )
-    return values, payload["kind"], meta
+    values = payload["values"]
+    if not isinstance(values, list):
+        raise ValueError(f"'values' must be a list of numbers, got {values!r}")
+    # np.array would read true as 1.0: every value must be a finite JSON number
+    check_typed(ValueError, (("checkpoint value", v, "float") for v in values))
+    if len(values) != payload["length"]:
+        raise ValueError(f"checkpoint header says {payload['length']} values, file has {len(values)}")
+    return np.array(values, dtype=np.float64), payload["kind"], meta

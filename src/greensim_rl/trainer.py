@@ -22,7 +22,6 @@ streams, and identical configurations reproduce byte-identical histories.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,8 +31,9 @@ import numpy as np
 
 from . import bayes, estimators
 from .bioenv import ChromatographyEnv, Scenario, collect_real_data
-from .core import Policy, _keep_large_blocks, check_fields, returns, rollout_batch, substream, write_csv
-from .policy import POLICY_KINDS, make_policy, purification_features, save_params
+from .core import Policy, _keep_large_blocks, check_fields, check_object, read_json, returns, rollout_batch
+from .core import substream, write_csv
+from .policy import POLICY_KINDS, make_policy, purification_features
 
 __all__ = [
     "ESTIMATOR_KINDS",
@@ -109,18 +109,8 @@ class TrainConfig:
 
 
 def load_train_config(path) -> TrainConfig:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValueError("training config must be a JSON object")
-    known = set(TrainConfig.__dataclass_fields__)
-    unknown = set(obj) - known
-    if unknown:
-        raise ValueError(f"unknown training config fields: {sorted(unknown)}")
-    return TrainConfig(**obj)
+    obj = read_json(path, ValueError)
+    return TrainConfig(**check_object(obj, ValueError, "config", TrainConfig.__dataclass_fields__))
 
 
 @dataclass
@@ -187,14 +177,13 @@ def train(
     cfg: TrainConfig,
     macro: int = 0,
     eval_fn: Callable[[np.ndarray, Policy, np.random.Generator], float] | None = None,
-    checkpoint_dir: str | Path | None = None,
 ) -> TrainHistory:
     """Run the full training loop and return its history.
 
     ``eval_fn(theta, policy, rng)``, when given, scores the post-update
     parameters each iteration on a dedicated stream (the harness plugs the
-    true-model evaluation in here).  ``checkpoint_dir`` persists per-
-    iteration parameters under ``iter_<k>/params.json``.
+    true-model evaluation in here).  ``train`` writes no file: the history
+    holds each iteration's parameters.
 
     First it keeps blocks up to 32 MiB in glibc's heap
     (:func:`core._keep_large_blocks`), so the reuse estimators' large
@@ -215,7 +204,6 @@ def train(
 
     buffer = estimators.ReplayBuffer(env, policy)
     history = TrainHistory(config=cfg, macro=macro)
-    ckpt_root = Path(checkpoint_dir) if checkpoint_dir is not None else None
 
     k = 0
     for period in range(1, cfg.periods + 1):
@@ -272,12 +260,6 @@ def train(
                     eval_reward=eval_reward,
                 )
             )
-            if ckpt_root is not None:
-                step_dir = ckpt_root / f"iter_{k}"
-                step_dir.mkdir(parents=True, exist_ok=True)
-                save_params(
-                    step_dir / "params.json", theta, cfg.policy_kind, meta={"hidden_dim": cfg.hidden_dim}
-                )
 
         # prior-only channels always accept their independence proposal: leave them out
         rates = [

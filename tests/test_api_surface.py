@@ -77,6 +77,25 @@ def test_one_csv_writer():
     ), f"csv.writer outside core.write_csv: {sites}"
 
 
+def test_one_json_reader():
+    # every JSON file the program reads is parsed by core.read_json
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tokens = [
+            tok
+            for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+            if tok.type in (tokenize.NAME, tokenize.OP)
+        ]
+        for first, dot, attr in zip(tokens, tokens[1:], tokens[2:]):
+            if (first.string, dot.string) == ("json", ".") and attr.string in ("load", "loads"):
+                sites.append((path.stem, first.start[0]))
+    tree = ast.parse((PACKAGE / "core.py").read_text())
+    (reader,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "read_json"]
+    assert sites and all(
+        module == "core" and reader.lineno <= line <= reader.end_lineno for module, line in sites
+    ), f"json.load or json.loads outside core.read_json: {sites}"
+
+
 def test_one_softmax_head():
     # every policy's softmax, log probabilities and score hook are core.Policy's
     head = {"action_probs_batch", "log_prob_batch", "score_pass"}

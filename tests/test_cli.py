@@ -167,10 +167,11 @@ class TestErrors:
             (lambda s: {**s, "bounds": {**s["bounds"], "extra": 1.0}}, "bounds.extra"),
             (lambda s: {**s, "true_model": {**s["true_model"], "extra": 1.0}}, "true_model.extra"),
             (lambda s: 5, "JSON object"),
+            (lambda s: {**s, "true_model": {"beta_shapes": s["true_model"]["beta_shapes"][:1]}}, "steps 1 and 2"),
         ],
         ids=[
             "missing-key", "empty-section", "list-section", "number-section", "unknown-key",
-            "unknown-model-key", "not-an-object",
+            "unknown-model-key", "not-an-object", "one-step-row",
         ],
     )
     def test_malformed_scenario_section_exits_4(self, tmp_path, edit, field, capsys):
@@ -241,6 +242,25 @@ class TestErrors:
         assert "negative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fault, code", [("directory", 3), ("not-utf8", 4)])
+    @pytest.mark.parametrize("what", ["scenario", "config", "checkpoint", "fraction-data"])
+    def test_input_that_is_not_a_readable_file(self, tmp_path, what, fault, code, capsys):
+        given = tmp_path / "input"
+        if fault == "directory":
+            given.mkdir()
+        else:
+            given.write_bytes(b'{"\xff\xfe": 1}\n')
+        out = tmp_path / "out"
+        argv = {
+            "scenario": ["simulate", "--scenario", str(given), "--n", "2"],
+            "config": ["train", "--config", str(given)],
+            "checkpoint": ["simulate", "--checkpoint", str(given), "--n", "2"],
+            "fraction-data": ["posterior-diag", "--data", str(given)],
+        }[what]
+        assert cli.main([*argv, "--out", str(out)]) == code
+        assert str(given) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["input"]
+
     def test_existing_out_dir_refused(self, tmp_path, scenario_file, tiny_config_file):
         out = tmp_path / "run"
         out.mkdir()
@@ -269,6 +289,14 @@ class TestSimulate:
         assert len(lines) == 7
         obj = json.loads(lines[0])
         assert set(obj) == {"steps"}
+
+    def test_two_step_rows_suffice(self, tmp_path):
+        # transitions read only the rows of steps 1 and 2
+        scn = default_scenario()
+        two_rows = ModelParams(scn.true_model.beta_shapes[:2])
+        save_scenario(dataclasses.replace(scn, true_model=two_rows), tmp_path / "s.json")
+        argv = ["simulate", "--scenario", str(tmp_path / "s.json"), "--n", "3", "--out", str(tmp_path / "t.jsonl")]
+        assert cli.main(argv) == 0
 
     def test_fresh_interpreter(self, tmp_path):
         # in-process tests share the warm upstream cache; a new process pays the
@@ -316,7 +344,14 @@ class TestTrainCommand:
         assert timings[0] == "iteration,posterior_s,rollout_s,gradient_s,eval_s,wall_s"
         assert [line.split(",")[0] for line in timings[1:]] == ["1", "2", "3"]
         assert 0.0 < float(periods[1].split(",")[2]) < 1.0
-        assert (out / "ckpt" / "iter_3" / "params.json").exists()
+        # one checkpoint per iteration, holding that iteration's parameters bit for bit
+        cfg = dataclasses.replace(load_train_config(tiny_config_file), estimator="pg", seed=5)
+        history = train(default_scenario(), cfg)
+        assert sorted(p.name for p in (out / "ckpt").iterdir()) == ["iter_1", "iter_2", "iter_3"]
+        for rec in history.iterations:
+            theta, kind, meta = load_params(out / "ckpt" / f"iter_{rec.iteration}" / "params.json")
+            assert theta.tobytes() == rec.theta.tobytes()
+            assert (kind, meta) == ("mlp", {"hidden_dim": 16})
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 5
         assert manifest["config"]["estimator"] == "pg"
@@ -426,6 +461,10 @@ class TestCheckpointArchitecture:
             '{"kind": "mlp", "length": 1, "values": ["x"]}',
             '{"kind": "tabular", "length": 1, "values": [0.0]}',
             '{"kind": "mlp", "length": 1, "values": [0.0], "meta": {"hidden_dim": -2}}',
+            # a linear policy on the default scenario has 30 parameters
+            '{"kind": "linear", "length": 30, "values": [NaN' + ", 0.0" * 29 + "]}",
+            '{"kind": "linear", "length": 30, "values": [Infinity' + ", 0.0" * 29 + "]}",
+            '{"kind": "linear", "length": 30, "values": [true' + ", 0.0" * 29 + "]}",
         ],
     )
     def test_malformed_checkpoint_exits_4(self, tmp_path, scenario_file, content, capsys):
@@ -599,6 +638,7 @@ class TestPosteriorDiagCommand:
             "step,action,h_fraction,psi_fraction\n1,2,1.5,0.3\n",  # fraction outside (0, 1)
             "step,action,h_fraction\n1,2,0.6\n",  # missing column
             "step,action,h_fraction,psi_fraction\n1,2,0.6\n",  # short row
+            "step,action,h_fraction,psi_fraction\n1,2,0.6,0.3,0.9\n",  # long row
         ],
     )
     def test_bad_fraction_data_exits_4(self, tmp_path, rows):

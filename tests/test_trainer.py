@@ -163,12 +163,6 @@ class TestTrainLoop:
             first[kind] = history.iterations[0].return_estimate
         assert first["pg"] == first["ilr"] == first["mlr"]
 
-    def test_checkpoints_written(self, scn, tmp_path):
-        cfg = tiny_cfg(periods=1, iterations_per_period=2)
-        train(scn, cfg, checkpoint_dir=tmp_path / "ckpt")
-        assert (tmp_path / "ckpt" / "iter_1" / "params.json").exists()
-        assert (tmp_path / "ckpt" / "iter_2" / "params.json").exists()
-
     def test_eval_hook_called_each_iteration(self, scn):
         calls = []
 
