@@ -1,9 +1,13 @@
 """Training loop: schedule, updates, determinism, buffer bookkeeping."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from greensim_rl import bayes, trainer
+from greensim_rl import bayes, cli, trainer
+from greensim_rl.bioenv import save_scenario
 from greensim_rl.trainer import (
     TrainConfig,
     TrainingError,
@@ -162,6 +166,16 @@ class TestTrainLoop:
             history = train(scn, tiny_cfg(estimator=kind, periods=1, iterations_per_period=1))
             first[kind] = history.iterations[0].return_estimate
         assert first["pg"] == first["ilr"] == first["mlr"]
+
+    def test_checkpoints_written(self, scn, tmp_path):
+        # train itself writes no files: the train command saves each iteration's checkpoint
+        save_scenario(scn, tmp_path / "scenario.json")
+        cfg = tiny_cfg(periods=1, iterations_per_period=2)
+        (tmp_path / "cfg.json").write_text(json.dumps(dataclasses.asdict(cfg)))
+        args = ["--scenario", str(tmp_path / "scenario.json"), "--config", str(tmp_path / "cfg.json")]
+        assert cli.main(["train", *args, "--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "ckpt" / "iter_1" / "params.json").exists()
+        assert (tmp_path / "run" / "ckpt" / "iter_2" / "params.json").exists()
 
     def test_eval_hook_called_each_iteration(self, scn):
         calls = []
