@@ -158,10 +158,10 @@ class PosteriorState:
     def __init__(
         self,
         dataset: FractionDataset,
-        n_steps: int = 3,
-        n_actions: int = 10,
-        burn_in: int = 500,
-        thin: int = 5,
+        n_steps: int,
+        n_actions: int,
+        burn_in: int,
+        thin: int,
     ):
         if thin < 1 or burn_in < 0:
             raise ValueError("thin must be >= 1 and burn_in >= 0")
@@ -213,11 +213,12 @@ class PosteriorState:
 
 def make_posterior(
     dataset: FractionDataset,
-    n_steps: int = 3,
-    n_actions: int = 10,
+    n_steps: int,
+    n_actions: int,
     burn_in: int = 500,
     thin: int = 5,
 ) -> PosteriorState:
+    """A posterior over the ``n_steps x n_actions`` grid of an environment's horizon and action count."""
     return PosteriorState(dataset, n_steps, n_actions, burn_in, thin)
 
 

@@ -14,10 +14,14 @@ terminal.
 
 The module also plays the role of the "real world": a configured true
 model ``omega_c`` generates the data that the posterior in
-:mod:`greensim_rl.bayes` learns from.  The shipped default scenario is
-synthetic -- calibrated so the harvest averages about 10 mg of each
-species and so that later pooling windows trade protein retention against
-impurity removal -- not a measurement of any real process.
+:mod:`greensim_rl.bayes` learns from.  The shipped default scenario, the
+packaged file ``data/default_scenario.json``, is synthetic -- calibrated
+so the harvest averages about 10 mg of each species -- not a measurement
+of any real process.  Its true model trades protein retention against
+impurity removal: each later pooling window strips more impurity and
+keeps less protein, the same at both steps, and a retained-fraction mean
+``m`` has the Beta shapes ``(12m, 12(1-m))``, each floored at 1 so that
+every density stays bounded.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -127,7 +132,7 @@ class UpstreamParams:
     duration: float = 1200.0        # fermentation time (h); 50 days
     dt: float = 0.02                # integrator step (h); resolves the substrate-depletion layer
     harvest_noise_sd: float = 5.0   # additive mass noise at harvest (mg)
-    harvest_to_mg: float = 778.0    # g/L -> mg bridge (calibrated, see default_scenario)
+    harvest_to_mg: float = 778.0    # g/L -> mg bridge (calibrated, see data/default_scenario.json)
 
     def __post_init__(self):
         check_fields(self, ScenarioError)
@@ -205,8 +210,8 @@ class Scenario:
     upstream: UpstreamParams
     true_model: ModelParams
     reward: RewardConfig
-    p_bar: float = 30.0     # protein state bound (mg)
-    i_bar: float = 30.0     # impurity state bound (mg)
+    p_bar: float            # protein state bound (mg)
+    i_bar: float            # impurity state bound (mg)
 
     def __post_init__(self):
         check_fields(self, ScenarioError)
@@ -442,43 +447,9 @@ def collect_real_data(
 # --- scenario construction and I/O -------------------------------------------
 
 
-# Mean retained fractions per pooling window in the shipped true model:
-# later windows strip more impurity but lose more protein.  The trade-off
-# places the best windows mid-table, close to where the purity requirement
-# starts to bite.
-_PROTEIN_RETENTION = [0.955, 0.945, 0.935, 0.925, 0.915, 0.905, 0.890, 0.865, 0.835, 0.800]
-_IMPURITY_RETENTION = [0.450, 0.360, 0.285, 0.225, 0.180, 0.145, 0.115, 0.085, 0.055, 0.030]
-_SHAPE_CONCENTRATION = 12.0
-
-
-def _tradeoff_shape_table() -> np.ndarray:
-    """Shape table realizing the retention curves above.
-
-    Each mean m becomes the pair (m*c, (1-m)*c) with a shared concentration
-    c; shapes are floored at 1 to keep every density bounded.
-    """
-    n_actions = len(_PROTEIN_RETENTION)
-    table = np.zeros((3, n_actions, 4))
-    c = _SHAPE_CONCENTRATION
-    for a in range(n_actions):
-        h_mean = _PROTEIN_RETENTION[a]
-        psi_mean = _IMPURITY_RETENTION[a]
-        table[:, a, PSI_L] = psi_mean * c
-        table[:, a, PSI_U] = (1.0 - psi_mean) * c
-        table[:, a, ETA_L] = h_mean * c
-        table[:, a, ETA_U] = (1.0 - h_mean) * c
-    return np.maximum(table, 1.0)
-
-
 def default_scenario() -> Scenario:
-    """The shipped synthetic scenario (also available as packaged JSON)."""
-    return Scenario(
-        upstream=UpstreamParams(),
-        true_model=ModelParams(_tradeoff_shape_table()),
-        reward=RewardConfig(),
-        p_bar=30.0,
-        i_bar=30.0,
-    )
+    """The shipped synthetic scenario, read from the packaged ``data/default_scenario.json``."""
+    return load_scenario(Path(__file__).parent / "data" / "default_scenario.json")
 
 
 def scenario_to_jsonable(scn: Scenario) -> dict:

@@ -285,17 +285,18 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_posterior_diag(args) -> int:
     # the step x action grid trainer.train builds its posterior on for this scenario
-    n_actions = ChromatographyEnv(_load_scenario_arg(args.scenario)).action_count()
+    env = ChromatographyEnv(_load_scenario_arg(args.scenario))
+    grid = {"n_steps": env.horizon(), "n_actions": env.action_count()}
     if args.data:
 
         def read(path):
             with open(path) as fh:
-                return bayes.make_posterior(bayes.read_fractions_csv(fh), n_actions=n_actions)
+                return bayes.make_posterior(bayes.read_fractions_csv(fh), **grid)
 
         posterior = _read_input("fraction data", args.data, read)
     else:
         # No data: every channel samples straight from the prior.
-        posterior = bayes.make_posterior(bayes.FractionDataset(), n_actions=n_actions)
+        posterior = bayes.make_posterior(bayes.FractionDataset(), **grid)
     bayes.mh_sample(posterior, args.draws, args.seed, 0)
     bayes.write_acceptance_csv(posterior, args.out)
     print(f"wrote per-channel acceptance diagnostics to {args.out}")

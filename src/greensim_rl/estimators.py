@@ -28,10 +28,11 @@ Densities are evaluated for a stack of (policy, model) pairs at once
 forward pass at the target ``theta_k``
 (:meth:`~greensim_rl.core.Policy.score_pass`), which gives both the
 target's action log probabilities for the ratios and the score sum they
-weight; in the mixture estimators it is also the policy part of the
-newest record's block row.  Extending the rolling window's block by one
-record therefore takes one policy call and two environment calls (none
-for the policy-only kind), whatever the window size.
+weight; in the mixture estimators the target's densities are also the
+block row of a newest record whose pair is the target.  Extending the
+rolling window's block by one record therefore takes one policy call and
+two environment calls (none for the policy-only kind), whatever the
+window size.
 
 A :class:`ReplayBuffer` is bound to one environment and one policy when
 it is built, so the reuse estimators take only the buffer and the target
@@ -204,32 +205,33 @@ class ReplayBuffer:
         return own
 
     def window_logdensities(
-        self, size: int, policy_only: bool, theta_k
+        self, size: int, policy_only: bool, theta_k, omega_k
     ) -> tuple[TrajectoryBatch, np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        """The window's batch, its block ``log D_i(tau_j)``, and the policy's pass at ``theta_k`` over it.
+        """The window's batch, its block ``log D_i(tau_j)``, the target's log densities, and the score sum.
 
         The trajectories of ``window(size)`` form one batch.  The block has
         shape (records, trajectories): row ``i`` is the ``i``-th window
         record's pair, and columns are the window's trajectories in record
-        order.  The last two values are :meth:`Policy.score_pass` at
-        ``theta_k`` over the batch's steps: per-step log probabilities and
-        the weighted score sum.
+        order.  The target is ``log D_k(tau_j)`` of the pair ``(theta_k,
+        omega_k)`` (``omega_k`` unused when ``policy_only``); it and the
+        weighted score sum come from one :meth:`Policy.score_pass` at
+        ``theta_k`` over the batch's steps.
 
         Only records appended since the last call are evaluated.  The older
         records' columns over the new trajectories take one density call,
         and the new records' rows over every window trajectory another.  A
-        newest record generated at ``theta_k`` itself (the same array) takes
-        its row's policy part from the pass, so its row costs only a
-        transition call, and nothing when ``policy_only``.  Appending one
-        record to a window of ``w`` evaluates ``2w - 1`` record-by-record
-        blocks instead of ``w**2``.  Records that left the window are
-        sliced off; a window start left of the memo's rebuilds the block.
+        newest record whose pair is the target's (the same arrays) takes the
+        target as its row.  Appending one record to a window of ``w``
+        evaluates ``2w - 1`` record-by-record blocks instead of ``w**2``.
+        Records that left the window are sliced off; a window start left of
+        the memo's rebuilds the block.
         """
         hi = len(self.records)
         lo = hi - len(self.window(size))
         batch = self.trajectories(lo, hi)
         states, actions, _ = batch.step_arrays
         logp_k, score_sum = self.policy.score_pass(theta_k, states, actions)
+        target = _step_sums(batch, logp_k[None], [omega_k], self.env, policy_only)[0]
         entry = self._window_logdens.get(policy_only)
         if entry is not None and entry[0] <= lo < entry[1]:
             old_lo, mid, block = entry
@@ -243,15 +245,15 @@ class ReplayBuffer:
             grown[: len(old), :n_old] = block
             if old:
                 grown[: len(old), n_old:] = self._logdensity(self.trajectories(mid, hi), old, policy_only)
-            if new[-1].theta is theta_k:
-                grown[-1] = _step_sums(batch, logp_k[None], [new[-1].omega], self.env, policy_only)[0]
+            if new[-1].theta is theta_k and (policy_only or new[-1].omega is omega_k):
+                grown[-1] = target
                 new = new[:-1]
             if new:
                 grown[len(old) : len(old) + len(new)] = self._logdensity(batch, new, policy_only)
             block = grown
         block.setflags(write=False)
         self._window_logdens[policy_only] = (lo, hi, block)
-        return batch, block, logp_k, score_sum
+        return batch, block, target, score_sum
 
 
 # --- densities -----------------------------------------------------------------
@@ -403,12 +405,9 @@ def _mixture_window_gradient(
     lo = len(buffer) - len(records)
     counts = np.diff(buffer._offsets[lo:])
     alphas = counts / np.sum(counts)
-    batch, log_dens, logp_k, score_sum = buffer.window_logdensities(rolling_window, policy_only, theta_k)
-    last = records[-1]
-    if theta_k is last.theta and (policy_only or omega_k is last.omega):
-        log_target = log_dens[-1]
-    else:
-        log_target = _step_sums(batch, logp_k[None], [omega_k], buffer.env, policy_only)[0]
+    batch, log_dens, log_target, score_sum = buffer.window_logdensities(
+        rolling_window, policy_only, theta_k, omega_k
+    )
     f = _mixture_ratios(log_target, log_dens, alphas)
     coef = (1.0 / len(records)) * buffer.weights(lo, len(buffer)) * f
     _fill_diag(diag_out, f)

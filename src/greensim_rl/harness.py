@@ -177,8 +177,9 @@ def run_comparison(
     is raised.  When
     ``out_dir`` is given, writes ``curves/<estimator>_<n_i>.csv``,
     ``summary.csv`` and ``manifest.json`` there.  Every argument is
-    checked before any cell trains (each cell's config too): bad input
-    raises ``ValueError``.  ``threads`` above 1 runs the cells in a pool of
+    checked before any cell trains (each cell's config too): bad input,
+    such as an estimator or replication count the grid repeats, raises
+    ``ValueError``.  ``threads`` above 1 runs the cells in a pool of
     at most ``threads`` worker processes, never more than there are cells.
     """
     if macros < 2:
@@ -191,6 +192,10 @@ def run_comparison(
         )
     if not estimator_kinds or not n_i_grid:
         raise ValueError("the grid needs at least one estimator and one replication count")
+    for name, values in (("estimator", estimator_kinds), ("replication count", n_i_grid)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"the grid repeats the {name} {repeated[0]!r}")
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     digest = config_digest(

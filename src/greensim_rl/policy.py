@@ -112,14 +112,10 @@ class MlpSoftmaxPolicy(Policy):
     def unpack(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hidden and output weight matrices (bias in column 0) of ``theta``.
 
-        ``theta`` is one vector ``(param_dim,)`` or a stack ``(R, param_dim)``,
-        which gives stacks of matrices.
+        ``theta`` is a float array that ``Policy._params`` has checked: one
+        vector ``(param_dim,)``, or a stack ``(R, param_dim)``, which gives
+        stacks of matrices.
         """
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.ndim not in (1, 2) or theta.shape[-1] != self.param_dim:
-            raise ValueError(
-                f"theta must have shape ({self.param_dim},) or (R, {self.param_dim}), got {theta.shape}"
-            )
         lead = theta.shape[:-1]
         cut = self.hidden_dim * (self.features.dim + 1)
         w = theta[..., :cut].reshape(*lead, self.hidden_dim, self.features.dim + 1)

@@ -199,7 +199,7 @@ def train(
         scn, policy, theta, cfg.real_data_per_period, substream(cfg.seed, macro, 0, _REAL_DATA)
     )
     posterior = bayes.make_posterior(
-        data, n_steps=3, n_actions=env.action_count(), burn_in=cfg.burn_in, thin=cfg.thin
+        data, n_steps=env.horizon(), n_actions=env.action_count(), burn_in=cfg.burn_in, thin=cfg.thin
     )
 
     buffer = estimators.ReplayBuffer(env, policy)

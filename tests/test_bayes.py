@@ -95,7 +95,7 @@ class TestDataset:
         order = rng.permutation(step.size)
         h, psi = rng.beta(5.0, 2.0, step.size), rng.beta(2.0, 5.0, step.size)
         data = FractionDataset(step[order], action[order], h, psi)
-        ps = make_posterior(data)
+        ps = make_posterior(data, n_steps=3, n_actions=10)
         for c, (t, a, channel) in enumerate(ps.channel_keys()):
             fr = (data.h if channel == "eta" else data.psi)[(data.step == t) & (data.action == a)]
             assert ps.n_obs[c] == fr.size

@@ -1,8 +1,10 @@
 """Upstream fermentation, chromatography transitions, rewards, scenario I/O."""
 
 import dataclasses
+import fnmatch
 import io
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -534,16 +536,36 @@ class TestScenarioIO:
         with pytest.raises(ScenarioError):
             ModelParams(np.zeros((3, 10, 4)))
 
-    def test_packaged_default_matches_builtin(self):
-        """Regenerate with ``save_scenario(default_scenario(), "src/greensim_rl/data/default_scenario.json")``."""
-        import json
-        from importlib import resources
+    def test_default_scenario_reads_the_packaged_file(self, tmp_path, monkeypatch):
+        # a package whose data file holds other shapes and bounds: default_scenario() returns that file
+        scn = default_scenario()
+        other = dataclasses.replace(scn, true_model=ModelParams(2.0 * scn.true_model.beta_shapes), p_bar=25.0)
+        (tmp_path / "data").mkdir()
+        save_scenario(other, tmp_path / "data" / "default_scenario.json")
+        monkeypatch.setattr(bioenv, "__file__", str(tmp_path / "bioenv.py"))
+        loaded = default_scenario()
+        assert loaded.true_model.beta_shapes.tobytes() == other.true_model.beta_shapes.tobytes()
+        assert bioenv.scenario_to_jsonable(loaded) == bioenv.scenario_to_jsonable(other)
 
-        with resources.files("greensim_rl").joinpath("data/default_scenario.json").open() as fh:
-            packaged = bioenv.scenario_from_jsonable(json.load(fh))
-        assert bioenv.scenario_to_jsonable(packaged) == bioenv.scenario_to_jsonable(
-            default_scenario()
-        )
+    def test_package_data_carries_the_packaged_file(self):
+        # default_scenario() reads package data, so an installed package must ship the file
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["greensim_rl"]
+        assert any(fnmatch.fnmatchcase("data/default_scenario.json", glob) for glob in globs)
+        assert (root / "src" / "greensim_rl" / "data" / "default_scenario.json").is_file()
+
+    def test_shipped_table_keeps_its_design(self, scn):
+        # later windows keep less protein and strip more impurity, the same at every step
+        shapes = scn.true_model.beta_shapes
+        assert shapes.shape == (3, 10, 4)
+        assert np.all(shapes >= 1.0)
+        assert np.array_equal(shapes[0], shapes[1]) and np.array_equal(shapes[0], shapes[2])
+        protein = shapes[0, :, ETA_L] / (shapes[0, :, ETA_L] + shapes[0, :, ETA_U])
+        impurity = shapes[0, :, PSI_L] / (shapes[0, :, PSI_L] + shapes[0, :, PSI_U])
+        assert np.all(np.diff(protein) < 0.0)
+        assert np.all(np.diff(impurity) < 0.0)
 
 
 NON_FINITE = (float("nan"), float("inf"), -float("inf"))

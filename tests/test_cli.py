@@ -313,6 +313,12 @@ class TestSimulate:
 
 
 class TestTrainCommand:
+    def test_default_scenario_written_as_packaged(self, tmp_path, tiny_config_file):
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(tiny_config_file), "--out", str(out)]) == 0
+        packaged = Path(greensim_rl.__file__).parent / "data" / "default_scenario.json"
+        assert (out / "scenario.json").read_bytes() == packaged.read_bytes()
+
     def test_outputs_and_manifest(self, tmp_path, scenario_file, tiny_config_file):
         out = tmp_path / "run"
         code = cli.main(
@@ -559,6 +565,17 @@ class TestCompareCommand:
         assert not (tmp_path / "x").exists()
         assert str(ESTIMATOR_KINDS) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid, repeat",
+        [(["--estimators", "pg,pg"], "estimator 'pg'"), (["--n-i", "3,3"], "replication count 3")],
+        ids=["estimators", "n-i"],
+    )
+    def test_repeated_grid_entry_rejected(self, tmp_path, scenario_file, capsys, grid, repeat):
+        argv = ["compare", "--scenario", str(scenario_file), "--out", str(tmp_path / "x"), *grid]
+        assert cli.main(argv) == cli.EXIT_BAD_CONFIG
+        assert not (tmp_path / "x").exists()
+        assert f"repeats the {repeat}" in capsys.readouterr().err
+
 
 class TestOracleCheckCommand:
     def test_passes_and_prints(self, capsys):
@@ -599,8 +616,9 @@ class TestPosteriorDiagCommand:
         out = tmp_path / "diag.csv"
         argv = ["posterior-diag", "--data", str(run / "fractions.csv"), "--out", str(out), "--draws", "2"]
         assert cli.main(argv) == 0
-        # the same posterior the run's data builds, drawn on posterior-diag's stream
-        ps = bayes.make_posterior(data)
+        # the same posterior the run's data builds on the scenario's 3-step, 10-window grid,
+        # drawn on posterior-diag's stream
+        ps = bayes.make_posterior(data, n_steps=3, n_actions=10)
         bayes.mh_sample(ps, 2, 0, 0)
         bayes.write_acceptance_csv(ps, tmp_path / "want.csv")
         assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -137,12 +137,14 @@ class TestRunComparison:
             want = np.column_stack([np.arange(1.0, 5.0), stats.mean, stats.se, stats.lo, stats.hi])
             assert np.array(cells).tobytes() == want.tobytes()
 
-    def test_duplicate_estimator_cells_identical(self, scn):
+    def test_cell_rewards_independent_of_the_other_cells(self, scn):
+        # common random numbers: the mlr cell draws the same streams whichever cells run beside it
         args = self.small_args(scn)
-        args["estimator_kinds"] = ["mlr", "mlr"]
-        rows, results, errors = run_comparison(**args)
+        _, alone, _ = run_comparison(**{**args, "estimator_kinds": ["mlr"]})
+        _, beside, errors = run_comparison(**args)
         assert errors == []
-        np.testing.assert_array_equal(results[0].rewards, results[1].rewards)
+        assert [r.estimator for r in beside] == ["pg", "mlr"]
+        assert alone[0].rewards.tobytes() == beside[1].rewards.tobytes()
 
     def test_macros_below_two_rejected(self, scn):
         args = self.small_args(scn)
@@ -159,8 +161,19 @@ class TestRunComparison:
             {"n_i_grid": [0]},
             {"n_i_grid": []},
             {"estimator_kinds": ["pg", "zzz"]},
+            {"estimator_kinds": ["pg", "mlr", "pg"]},
+            {"n_i_grid": [3, 3]},
         ],
-        ids=["window-1", "window-past-curve", "r-test-0", "n-i-0", "no-n-i", "unknown-estimator"],
+        ids=[
+            "window-1",
+            "window-past-curve",
+            "r-test-0",
+            "n-i-0",
+            "no-n-i",
+            "unknown-estimator",
+            "repeated-estimator",
+            "repeated-n-i",
+        ],
     )
     def test_bad_arguments_rejected_before_training(self, scn, change, monkeypatch):
         from greensim_rl import harness
