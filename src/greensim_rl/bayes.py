@@ -26,6 +26,15 @@ channel's draws do not depend on the data held by any other channel
 (the counter-based layout of Salmon et al. 2011, "Parallel random
 numbers: as easy as 1, 2, 3").
 
+A posterior's dataset never changes, so :class:`PosteriorState` works out
+its data-backed chains and their sufficient statistics once, when it is
+made.  Each call of the walk allocates one work block and takes its row
+views once; a move is then a fixed sequence of ufunc calls that write into
+those rows, so its cost is what numpy charges per call, not per chain.
+Every operation is the same IEEE operation, in the same order, as in a
+plain per-chain loop, so the draws do not depend on how the work is laid
+out.
+
 Channels with no observations are sampled by an independence proposal
 from the prior itself, which such a chain accepts with probability one --
 so their draws are exactly i.i.d. Unif(0, 300].  This covers both sparse
@@ -58,6 +67,10 @@ __all__ = [
 ]
 
 PRIOR_HIGH = 300.0
+
+# Upper bound on burn_in and on thin.  A call draws three doubles per move and
+# channel at once, so 100,000 moves at 60 channels take about 144 MB.
+MAX_MOVES = 100_000
 
 # Step-size adaptation (burn-in only): nudge toward the target acceptance band.
 ADAPT_EVERY = 25
@@ -132,9 +145,30 @@ def read_fractions_csv(fh: IO[str]) -> FractionDataset:
 # --- log likelihood ----------------------------------------------------------
 
 
-def _log_lik(alpha, beta, n, sum_log, sum_log1m):
-    """Beta log likelihood from sufficient statistics; broadcasts over chains."""
-    return (alpha - 1.0) * sum_log + (beta - 1.0) * sum_log1m - n * betaln(alpha, beta)
+def _log_lik(shapes: np.ndarray, stats: np.ndarray):
+    """The Beta log likelihood of each chain at ``shapes``, as a function that writes it into its argument.
+
+    ``shapes`` (2, L) holds the chains' ``alpha`` and ``beta`` rows, which
+    the caller refills between calls; ``stats`` (3, L) holds their ``n``,
+    ``sum log x`` and ``sum log(1-x)`` rows.  A call computes
+    ``(alpha - 1) * sum_log + (beta - 1) * sum_log1m - n * betaln(alpha, beta)``
+    in that order, each operation writing into a row allocated and viewed
+    here, once.
+    """
+    alpha, beta = shapes
+    n, sums = stats[0], stats[1:]
+    work = np.empty_like(shapes)
+    alpha_term, beta_term = work
+
+    def log_lik(out: np.ndarray) -> None:
+        np.subtract(shapes, 1.0, out=work)
+        np.multiply(work, sums, out=work)
+        np.add(alpha_term, beta_term, out=out)
+        norm = betaln(alpha, beta)
+        np.multiply(n, norm, out=norm)
+        np.subtract(out, norm, out=out)
+
+    return log_lik
 
 
 # --- chains ------------------------------------------------------------------
@@ -151,6 +185,11 @@ class PosteriorState:
     channels' sufficient statistics.  ``steps_taken`` is the move count,
     shared by every chain.
 
+    The dataset is fixed at construction, and so is everything drawn from
+    it, read-only: ``live`` and ``empty`` index the channels with and
+    without observations, and ``stats`` (3, C) stacks every channel's
+    ``n_obs`` (as floats), ``sum_log`` and ``sum_log1m`` for the walk.
+
     Single-writer: :func:`mh_sample` advances the chains in place.  The
     emitted :class:`~greensim_rl.bioenv.ModelParams` draws are immutable.
     """
@@ -163,8 +202,8 @@ class PosteriorState:
         burn_in: int,
         thin: int,
     ):
-        if thin < 1 or burn_in < 0:
-            raise ValueError("thin must be >= 1 and burn_in >= 0")
+        if not (1 <= thin <= MAX_MOVES and 0 <= burn_in <= MAX_MOVES):
+            raise ValueError(f"thin must be in [1, {MAX_MOVES}] and burn_in in [0, {MAX_MOVES}]")
         self.dataset = dataset
         self.n_steps = n_steps
         self.n_actions = n_actions
@@ -201,6 +240,12 @@ class PosteriorState:
         for c, lo, hi in zip(rows.tolist(), starts.tolist(), (starts + counts).tolist()):
             self.sum_log[c] = np.sum(log_x[lo:hi])
             self.sum_log1m[c] = np.sum(log1m_x[lo:hi])
+        # The dataset never changes after this point, so neither does anything drawn from it.
+        self.live = np.flatnonzero(self.n_obs > 0)
+        self.empty = np.flatnonzero(self.n_obs == 0)
+        self.stats = np.stack([self.n_obs.astype(np.float64), self.sum_log, self.sum_log1m])
+        for arr in (self.n_obs, self.sum_log, self.sum_log1m, self.live, self.empty, self.stats):
+            arr.setflags(write=False)
 
     def channel_keys(self) -> list[tuple[int, int, str]]:
         return [
@@ -218,35 +263,61 @@ def make_posterior(
     burn_in: int = 500,
     thin: int = 5,
 ) -> PosteriorState:
-    """A posterior over the ``n_steps x n_actions`` grid of an environment's horizon and action count."""
+    """A posterior over the ``n_steps x n_actions`` grid of an environment's horizon and action count.
+
+    ``burn_in`` and ``thin`` are move counts, each at most ``MAX_MOVES``
+    (100,000); a value outside ``[0, MAX_MOVES]`` or ``[1, MAX_MOVES]``
+    raises ``ValueError`` before anything is drawn.
+    """
     return PosteriorState(dataset, n_steps, n_actions, burn_in, thin)
 
 
 def _walk(ps: PosteriorState, live: np.ndarray, normals: np.ndarray, log_us: np.ndarray, stops) -> list:
-    """Advance the data-backed chains ``live`` through ``len(normals)`` moves in lockstep.
+    """Advance the chains ``live`` through ``len(normals)`` moves in lockstep.
 
     ``normals`` (M, L, 2) and ``log_us`` (M, L) hold each chain's random-walk
     increments and log acceptance uniforms.  The acceptance ratio carries
     the log-transform Jacobian, so each chain targets the posterior over the
     shapes themselves.  While the shared move count is within burn-in, every
     chain whose window holds ``ADAPT_EVERY`` proposals nudges its step size
-    toward the target acceptance band.  Returns the positions after each
-    move index in ``stops``.
+    toward the target acceptance band.  Returns the ``(L, 2)`` positions
+    after each move index in ``stops``.
 
     The moves run in segments of fixed step sizes: within burn-in a segment
     ends at the next move where a window fills, else at the end of the call.
     It scales its increments in one product and sums its moves' rows of an
     ``(M, L)`` acceptance mask into the window counts at its end.
+
+    Each move runs inside one work block, allocated once per call, whose
+    row views are also taken once.  The block holds the state's rows (log
+    alpha, log beta, their sum, log likelihood) and the proposal's same four
+    rows, one column per chain, and every operation of a move writes into a
+    row with ``out=``.  A proposal outside the prior support leaves its
+    chain's entry of the acceptance mask unset, and one ``np.copyto`` moves
+    the accepted proposals' rows into the state.  The sufficient statistics
+    are :attr:`PosteriorState.stats`, worked out once per posterior.
     """
-    pos = ps.log_shapes[live]
-    pos_sum = pos.sum(axis=1)
+    n_moves, n_live = log_us.shape
+    block = np.empty((8, n_live))
+    state, prop = block[:4], block[4:]
+    pos, (_, _, pos_sum, cur_ll) = state[:2], state
+    prop_pos, (prop_log_alpha, prop_log_beta, prop_sum, prop_ll) = prop[:2], prop
+    state_tail, prop_tail = state[2:], prop[2:]
+    shapes = np.empty((2, n_live))
+    alpha, beta = shapes
+    log_lik = _log_lik(shapes, ps.stats[:, live])
+    ratio = np.empty((2, n_live))
+    jacobian, log_ratio = ratio  # the rows of prop_tail - state_tail
+    larger, inside = np.empty(n_live), np.empty(n_live, dtype=bool)
+
+    pos[...] = ps.log_shapes[live].T
+    np.add(pos[0], pos[1], out=pos_sum)
+    np.exp(pos, out=shapes)
+    log_lik(cur_ll)
     step = ps.step_size[live]
-    n_obs, sum_log, sum_log1m = ps.n_obs[live], ps.sum_log[live], ps.sum_log1m[live]
-    alpha, beta = np.exp(pos).T
-    cur_ll = _log_lik(alpha, beta, n_obs, sum_log, sum_log1m)
     w_acc, w_prop = ps.window_accepted[live], ps.window_proposed[live]
-    n_moves = normals.shape[0]
-    takes = np.empty((n_moves, live.size), dtype=bool)
+    increments = np.empty((n_moves, 2, n_live))
+    takes = np.zeros((n_moves, n_live), dtype=bool)
     steps = ps.steps_taken
     out = []
     m0 = 0
@@ -254,21 +325,20 @@ def _walk(ps: PosteriorState, live: np.ndarray, normals: np.ndarray, log_us: np.
         while m0 < n_moves:
             fills = max(1, ADAPT_EVERY - int(w_prop.max()))  # moves until a window is full
             m1 = min(m0 + fills, n_moves) if steps + fills <= ps.burn_in else n_moves
-            increments = step[:, None] * normals[m0:m1]
-            for m in range(m0, m1):
-                prop = pos + increments[m - m0]
-                alpha, beta = np.exp(prop).T
-                inside = np.maximum(alpha, beta) <= PRIOR_HIGH
-                prop_ll = _log_lik(alpha, beta, n_obs, sum_log, sum_log1m)
-                prop_sum = prop.sum(axis=1)
+            np.multiply(step, normals[m0:m1].transpose(0, 2, 1), out=increments[m0:m1])
+            for m, increment, log_u, take in zip(range(m0, m1), increments[m0:m1], log_us[m0:m1], takes[m0:m1]):
+                np.add(pos, increment, out=prop_pos)
+                np.exp(prop_pos, out=shapes)
+                np.add(prop_log_alpha, prop_log_beta, out=prop_sum)
+                log_lik(prop_ll)
                 # the sum difference is the Jacobian of the log transform
-                log_ratio = np.where(inside, (prop_ll - cur_ll) + (prop_sum - pos_sum), -np.inf)
-                take = np.less(log_us[m], log_ratio, out=takes[m])
-                pos = np.where(take[:, None], prop, pos)
-                pos_sum = np.where(take, prop_sum, pos_sum)
-                cur_ll = np.where(take, prop_ll, cur_ll)
+                np.subtract(prop_tail, state_tail, out=ratio)
+                np.add(log_ratio, jacobian, out=log_ratio)
+                np.less_equal(np.maximum(alpha, beta, out=larger), PRIOR_HIGH, out=inside)
+                np.less(log_u, log_ratio, out=take, where=inside)
+                np.copyto(state, prop, where=take)
                 if m in stops:
-                    out.append(pos)
+                    out.append(pos.T.copy())
             w_acc += takes[m0:m1].sum(axis=0)
             w_prop += m1 - m0
             steps += m1 - m0
@@ -322,16 +392,17 @@ def mh_sample(ps: PosteriorState, n: int, root_seed: int, *path: int) -> list[Mo
         uniforms.append(rng.random((m, n_chains)))
     # a burn-in block's prior points are drawn only to keep the layout; the draws read the last n
     prior = rng.random((len(blocks), n_chains, 2))[-n:]
-    live = np.flatnonzero(ps.n_obs > 0)
-    empty = np.flatnonzero(ps.n_obs == 0)
-    positions = np.empty((n, n_chains, 2))
+    live, empty = ps.live, ps.empty
+    # every channel's prior point, in (0, PRIOR_HIGH]; the data-backed chains' walk then overwrites theirs
+    positions = np.subtract(1.0, prior, out=prior)
+    np.multiply(PRIOR_HIGH, positions, out=positions)
+    np.log(positions, out=positions)
     if live.size:
         stops = {burn + ps.thin * (d + 1) - 1 for d in range(n)}
-        live_normals = np.concatenate(normals)[:, live]
-        live_log_us = np.log(np.concatenate(uniforms)[:, live])
-        positions[:, live] = _walk(ps, live, live_normals, live_log_us, stops)
+        # a call of one block, as every single draw after burn-in is, needs no concatenation
+        normals, uniforms = (a[0] if len(a) == 1 else np.concatenate(a) for a in (normals, uniforms))
+        positions[:, live] = _walk(ps, live, normals[:, live], np.log(uniforms[:, live]), stops)
     if empty.size:
-        positions[:, empty] = np.log(PRIOR_HIGH * (1.0 - prior[:, empty]))  # in (0, PRIOR_HIGH]
         ps.accepted[empty] += n_moves
         ps.proposed[empty] += n_moves
     ps.steps_taken += n_moves

@@ -160,7 +160,7 @@ class ModelParams:
         shapes = np.asarray(self.beta_shapes, dtype=np.float64)
         if shapes.ndim != 3 or shapes.shape[2] != 4:
             raise ScenarioError(f"beta_shapes must have shape (steps, actions, 4), got {shapes.shape}")
-        if not np.all(np.isfinite(shapes)) or np.any(shapes <= 0.0):
+        if not np.isfinite(shapes).all() or (shapes <= 0.0).any():
             raise ScenarioError("all Beta shapes must be finite and strictly positive")
         shapes.setflags(write=False)
         object.__setattr__(self, "beta_shapes", shapes)
@@ -178,6 +178,21 @@ class ModelParams:
         """
         shapes = self.beta_shapes
         out = betaln(shapes[..., [ETA_L, PSI_L]], shapes[..., [ETA_U, PSI_U]])
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def beta_args(self) -> np.ndarray:
+        """The Beta shapes regrouped as draw arguments, shape ``(steps, 2, 2, actions)``, read-only.
+
+        ``beta_args[t-1, 0]`` holds the first shapes ``(eta_l, psi_l)`` of
+        step t and ``beta_args[t-1, 1]`` the second ``(eta_u, psi_u)``, one
+        column per pooling window.  So one gather along the last axis gives
+        both argument arrays of a batch's ``Generator.beta`` call, protein
+        row first.  Taken on first use and kept, as :attr:`log_beta` is.
+        """
+        shapes = self.beta_shapes[..., [[ETA_L, PSI_L], [ETA_U, PSI_U]]]  # (steps, actions, 2, 2)
+        out = np.ascontiguousarray(shapes.transpose(0, 2, 3, 1))
         out.setflags(write=False)
         return out
 
@@ -356,17 +371,26 @@ class ChromatographyEnv(Environment):
     def sample_transition_batch(self, states, actions, omega, rng) -> np.ndarray:
         """Apply one chromatography column per row: retain Beta fractions of each mass.
 
-        Every row must be at the same step (1 or 2).
+        Every row must be at the same step (1 or 2).  A batch whose masses
+        are all positive and whose step coordinates all equal 1.0, or all
+        equal 2.0, passes one scalar test.  Any other batch goes through
+        :func:`_batch_step_indices`, which raises on an invalid row and
+        accepts step coordinates within 1e-9 of an integer.
         """
-        t_idx = _batch_step_indices(states)
-        if not (t_idx == t_idx[0]).all():
-            steps = sorted(set((t_idx + 1).tolist()))
-            raise InvalidStateError(f"batch rows must share one step index, got {steps}")
-        t = int(t_idx[0]) + 1
-        shapes = omega.beta_shapes[t - 1, np.asarray(actions, dtype=np.int64)].T
-        fractions = rng.beta(shapes[[ETA_L, PSI_L]], shapes[[ETA_U, PSI_U]])  # (2, n): every h, then every psi
+        t = states[0, 2] if states.min() > 0.0 else 0.0  # min() raises on an empty batch, as the check does
+        if not ((t == 1.0 or t == 2.0) and (states[:, 2] == t).all()):
+            t_idx = _batch_step_indices(states)
+            if not (t_idx == t_idx[0]).all():
+                steps = sorted(set((t_idx + 1).tolist()))
+                raise InvalidStateError(f"batch rows must share one step index, got {steps}")
+            t = t_idx[0] + 1
+        t = int(t)
+        args = omega.beta_args[t - 1].take(np.asarray(actions, dtype=np.int64), axis=2)
+        fractions = rng.beta(args[0], args[1])  # (2, n): every h, then every psi
+        np.maximum(fractions, _FRACTION_EPS, out=fractions)
+        np.minimum(fractions, 1 - _FRACTION_EPS, out=fractions)
         out = np.empty((states.shape[0], 3))
-        out[:, :2] = np.minimum(np.maximum(fractions.T, _FRACTION_EPS), 1 - _FRACTION_EPS) * states[:, :2]
+        np.multiply(fractions.T, states[:, :2], out=out[:, :2])
         out[:, 2] = t + 1
         return out
 

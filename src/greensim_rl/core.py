@@ -468,7 +468,7 @@ def rollout_batch(
         raise ValueError(f"n must be >= 1, got {n}")
     horizon = env.horizon()
     current = np.asarray(env.sample_initial_batch(n, rng), dtype=np.float64)
-    if not np.all(np.isfinite(current)):
+    if not np.isfinite(current).all():
         raise RolloutError("non-finite initial state in batch")
     states = np.empty((n, horizon, current.shape[1]))
     actions = np.empty((n, horizon - 1), dtype=np.int64)
@@ -478,7 +478,7 @@ def rollout_batch(
         step_actions = actions[:, t - 1] = policy.sample_actions_batch(theta, current, rng)
         rewards[:, t - 1] = env.reward_batch(current, step_actions, t)
         current = np.asarray(env.sample_transition_batch(current, step_actions, omega, rng), dtype=np.float64)
-        if not np.all(np.isfinite(current)):
+        if not np.isfinite(current).all():
             raise RolloutError(f"non-finite state in batch at step {t}")
         states[:, t] = current
     if horizon > 1:

@@ -77,8 +77,8 @@ class TrainConfig:
     hidden_dim: int = 16
     init_scale: float = 0.1
     grad_clip: float | None = None  # max gradient norm; None disables
-    burn_in: int = 500
-    thin: int = 5
+    burn_in: int = 500              # MCMC moves before the first draw, at most bayes.MAX_MOVES
+    thin: int = 5                   # MCMC moves per draw, at most bayes.MAX_MOVES
 
     def __post_init__(self):
         check_fields(self, ValueError)
@@ -90,6 +90,9 @@ class TrainConfig:
         for name in ("seed", "burn_in"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        for name in ("burn_in", "thin"):
+            if getattr(self, name) > bayes.MAX_MOVES:
+                raise ValueError(f"{name} must be <= {bayes.MAX_MOVES} (bayes.MAX_MOVES)")
         if self.policy_kind not in POLICY_KINDS:
             raise ValueError(f"policy_kind must be one of {POLICY_KINDS}, got {self.policy_kind!r}")
         if self.learning_rate <= 0:

@@ -115,6 +115,25 @@ def mlr_ratios_batch(batch, target, components, alphas, env, policy):
     return _mixture_ratios(log_target, log_dens, np.asarray(alphas, dtype=np.float64))
 
 
+def sample_transition_reference(states, actions, omega, rng):
+    """``ChromatographyEnv.sample_transition_batch`` in plain numpy, on the same stream.
+
+    Each row's four shapes are gathered by fancy indexing, one ``rng.beta``
+    call draws every protein fraction and then every impurity fraction, and
+    the fractions are clipped into the open interval and multiplied into the
+    masses.  The step is the first row's, rounded: the caller passes a valid
+    one-step batch.
+    """
+    t = int(round(states[0, 2]))
+    shapes = omega.beta_shapes[t - 1, np.asarray(actions, dtype=np.int64)].T
+    fractions = rng.beta(shapes[[bioenv.ETA_L, bioenv.PSI_L]], shapes[[bioenv.ETA_U, bioenv.PSI_U]])
+    eps = bioenv._FRACTION_EPS
+    out = np.empty((states.shape[0], 3))
+    out[:, :2] = np.minimum(np.maximum(fractions.T, eps), 1 - eps) * states[:, :2]
+    out[:, 2] = t + 1
+    return out
+
+
 def scores(policy, theta, states, actions):
     """Per-row score vectors, shape ``(n, param_dim)``: the score hook with one-hot weights."""
     return np.stack([policy.weighted_score_sum(theta, states, actions, w) for w in np.eye(len(states))])

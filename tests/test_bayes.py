@@ -33,7 +33,9 @@ def assert_same_dataset(a, b):
 def log_lik(shapes, fractions):
     """Beta log likelihood of ``fractions`` from a one-channel posterior's sufficient statistics."""
     ps = make_posterior(dataset_from_fractions(1, 0, fractions, fractions), n_steps=1, n_actions=1)
-    return float(bayes._log_lik(shapes[0], shapes[1], ps.n_obs[0], ps.sum_log[0], ps.sum_log1m[0]))
+    out = np.empty(1)
+    bayes._log_lik(np.array(shapes, dtype=np.float64)[:, None], ps.stats[:, :1])(out)
+    return float(out[0])
 
 
 class TestLogPosteriorPair:
@@ -400,6 +402,39 @@ class TestLockstepMatchesScalarReference:
         assert ps.n_obs.size == 2 * 3 * n_actions
         for call, n in enumerate([2, 1]):
             self._assert_same(ps, ref, mh_sample(ps, n, SEED, 43, call), ref.sample(n, SEED, 43, call))
+
+    def test_every_channel_data_backed(self):
+        # no prior-only channel: the walk's work block covers every column
+        cells = [(t, a) for t in (1, 2) for a in range(3)]
+        data = self._data(36, cells, 4)
+        ps = make_posterior(data, 2, 3, burn_in=30, thin=4)
+        ref = ScalarReference(data, 2, 3, 30, 4)
+        assert ps.live.size == ps.n_obs.size and ps.empty.size == 0
+        for call, n in enumerate([1, 3]):
+            self._assert_same(ps, ref, mh_sample(ps, n, SEED, 45, call), ref.sample(n, SEED, 45, call))
+
+    @pytest.mark.parametrize("burn_in", [0, 30])
+    def test_single_chain_walk(self, burn_in):
+        # a work block of one column (L = 1): one data-backed chain walked alone, with
+        # and without burn-in adaptation, position by position against the reference
+        data = self._data(37, [(1, 1)], 5)
+        ps = make_posterior(data, 1, 2, burn_in=burn_in, thin=1)
+        ref = ScalarReference(data, 1, 2, burn_in, 1)
+        c = int(ps.live[0])
+        key, chain = ref.keys[c], ref.chains[ref.keys[c]]
+        rng = stream(46)
+        moves = 80
+        normals, uniforms = rng.standard_normal((moves, 1, 2)), rng.random((moves, 1))
+        path = bayes._walk(ps, ps.live[:1], normals, np.log(uniforms), set(range(moves)))
+        assert len(path) == moves
+        for m, pos in enumerate(path):
+            ref._advance(chain, ref.stats[key], normals[m : m + 1, 0], uniforms[m : m + 1, 0], None)
+            np.testing.assert_array_equal(pos, [chain["pos"]])
+        assert 0 < chain["accepted"] < moves
+        assert (ps.accepted[c], ps.proposed[c], ps.step_size[c]) == (chain["accepted"], moves, chain["step"])
+        assert (ps.window_accepted[c], ps.window_proposed[c]) == (chain["w_acc"], chain["w_prop"])
+        if burn_in:
+            assert chain["step"] != 0.5  # the window filled and the step size adapted
 
     def test_call_resumed_mid_burn_in(self):
         data = self._data(33, [(1, 0), (2, 1), (2, 2)], 5)

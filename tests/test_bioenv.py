@@ -14,7 +14,7 @@ from scipy import integrate
 from scipy.special import betaln
 from scipy.stats import beta as beta_dist
 
-from greensim_rl import bioenv
+from greensim_rl import bayes, bioenv
 from greensim_rl.bioenv import (
     ETA_L,
     ETA_U,
@@ -37,7 +37,7 @@ from greensim_rl.core import rollout_batch
 from greensim_rl.policy import POLICY_KINDS, LinearSoftmaxPolicy, purification_features
 from greensim_rl.trainer import scenario_policy
 
-from conftest import stream
+from conftest import SEED, sample_transition_reference, stream
 
 ENV = ChromatographyEnv(default_scenario())
 
@@ -342,6 +342,80 @@ class TestBatchStateValidation:
         nxt = env.sample_transition_batch(states, np.array([1, 2]), scn.true_model, stream(6))
         np.testing.assert_array_equal(nxt[:, 2], [3.0, 3.0])
         assert np.all(nxt[:, :2] < states[:, :2])
+
+
+def posterior_draws(scn, n):
+    """``n`` transition models drawn from a posterior on one real-data collection."""
+    env, policy = scenario_policy(scn, "mlp", 16)
+    theta = policy.init_params(stream(30))
+    data = bioenv.collect_real_data(scn, policy, theta, 20, stream(31))
+    ps = bayes.make_posterior(data, env.horizon(), env.action_count(), burn_in=50, thin=2)
+    return bayes.mh_sample(ps, n, SEED, 32)
+
+
+class TestTransitionMatchesPlainReference:
+    """The one-test fast path and the cached ``beta_args`` gather give the plain formula's bits."""
+
+    @pytest.mark.parametrize("n", [1, 25, 200])
+    def test_both_steps_bit_identical(self, scn, n):
+        env, policy = scenario_policy(scn, "mlp", 16)
+        theta = policy.init_params(stream(33))
+        for k, omega in enumerate([scn.true_model, *posterior_draws(scn, 2)]):
+            states = env.sample_initial_batch(n, stream(34, n, k))
+            for t in (1, 2):
+                actions = policy.sample_actions_batch(theta, states, stream(35, n, k, t))
+                got = env.sample_transition_batch(states, actions, omega, stream(36, n, k, t))
+                want = sample_transition_reference(states, actions, omega, stream(36, n, k, t))
+                np.testing.assert_array_equal(got, want)
+                assert np.all(got[:, 2] == t + 1)
+                states = got
+
+    @pytest.mark.parametrize("rows", ["all", "one"])
+    def test_step_within_tolerance_takes_exact_step_output(self, env, scn, rows):
+        # 5e-10 off an integer is inside the 1e-9 tolerance: the fallback accepts the
+        # batch and the output is the exact-step batch's, step coordinate included
+        exact = np.array([[10.0, 5.0, 2.0], [8.0, 1.0, 2.0], [6.0, 3.0, 2.0]])
+        near = exact.copy()
+        near[:, 2] += np.array([5e-10, -5e-10, 5e-10]) if rows == "all" else np.array([0.0, 5e-10, 0.0])
+        actions = np.array([1, 2, 9])
+        got = env.sample_transition_batch(near, actions, scn.true_model, stream(37))
+        np.testing.assert_array_equal(got, env.sample_transition_batch(exact, actions, scn.true_model, stream(37)))
+        np.testing.assert_array_equal(got, sample_transition_reference(exact, actions, scn.true_model, stream(37)))
+        np.testing.assert_array_equal(got[:, 2], [3.0, 3.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ([10.0, 5.0, 1.0 + 2e-9], "transitions only occur from integer steps 1 and 2, got t=1.000000002"),
+            ([10.0, 5.0, 2.0], r"batch rows must share one step index, got \[1, 2\]"),
+            ([0.0, 5.0, 1.0], r"masses must be positive, got p=0.0, i=5.0"),
+            ([10.0, -1.0, 1.0], r"masses must be positive, got p=10.0, i=-1.0"),
+            ([np.nan, 5.0, 1.0], r"masses must be positive, got p=nan, i=5.0"),
+        ],
+        ids=["step off by 2e-9", "mixed steps", "zero mass", "negative mass", "NaN mass"],
+    )
+    @pytest.mark.parametrize("first", [True, False], ids=["bad first row", "bad last row"])
+    def test_rejected_batches_keep_their_messages(self, env, scn, bad_row, message, first):
+        good = [10.0, 5.0, 1.0]
+        states = np.array([bad_row, good] if first else [good, bad_row])
+        with pytest.raises(InvalidStateError, match=f"^{message}$"):
+            env.sample_transition_batch(states, np.zeros(2, dtype=np.int64), scn.true_model, stream(38))
+
+    def test_empty_batch_raises(self, env, scn):
+        with pytest.raises(ValueError):
+            env.sample_transition_batch(np.empty((0, 3)), np.empty(0, dtype=np.int64), scn.true_model, stream(39))
+
+    def test_beta_args_table_is_cached_read_only_and_regroups_the_shapes(self, scn):
+        omega = ModelParams(scn.true_model.beta_shapes * 1.5)
+        assert "beta_args" not in vars(omega)  # nothing is taken until a transition needs it
+        table = omega.beta_args
+        shapes = omega.beta_shapes
+        assert table.shape == (shapes.shape[0], 2, 2, shapes.shape[1])
+        np.testing.assert_array_equal(table[:, 0], shapes[..., [ETA_L, PSI_L]].transpose(0, 2, 1))
+        np.testing.assert_array_equal(table[:, 1], shapes[..., [ETA_U, PSI_U]].transpose(0, 2, 1))
+        assert omega.beta_args is table
+        with pytest.raises(ValueError):
+            table[0, 0, 0, 0] = 1.0
 
 
 class TestTransitionLogpdf:

@@ -99,7 +99,16 @@ class TestErrors:
         assert code == cli.EXIT_BAD_CONFIG
 
     @pytest.mark.parametrize(
-        "config", [{"hidden_dim": "8"}, {"thin": 0}, {"burn_in": -1}, {"burn_in": 2.5}]
+        "config",
+        [
+            {"hidden_dim": "8"},
+            {"thin": 0},
+            {"burn_in": -1},
+            {"burn_in": 2.5},
+            # past bayes.MAX_MOVES: refused before the sampler would allocate ~900 GiB
+            {"thin": 1_000_000_000},
+            {"burn_in": 1_000_000_000},
+        ],
     )
     def test_bad_sampler_and_integer_fields_exit_4(self, tmp_path, scenario_file, config, capsys):
         bad = tmp_path / "cfg.json"

@@ -1,0 +1,148 @@
+"""Paired before/after runs of the training benchmark on two source trees.
+
+Usage, from anywhere:
+
+    python3 tools/bench_pairs.py OLD_TREE NEW_TREE --workload posterior_pg \
+        --pairs 8 --seed 4211 --seconds 25 --out BENCH_21.json
+
+OLD_TREE and NEW_TREE are checkouts of this repository.  For each workload
+(``--workload`` may be given more than once) the script makes ``--pairs``
+pairs of runs of each tree's own ``perfbench/run.py --trace 0``, the old tree
+first in even pairs and the new tree first in odd ones, so that a drift of
+host speed falls on both sides alike.  From each run it reads the last
+stdout line (the result JSON) and the eval curves' sha256.
+
+The output JSON holds, per workload, each side's eval curve digests and git
+commits, the environment the benchmark printed, and per end-to-end metric
+each side's values, median and quartiles and the number of pairs in which
+the new tree did better (by the metric's direction in NEW_TREE's
+``BENCHMARK.json``).
+It is written in every case.  The exit status is 1 if any run failed or
+reported ``correct: false``, or if the two trees' eval curves differ, and
+0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+DIGEST = re.compile(r"eval curves sha256 ([0-9a-f]{64})")
+SIDES = ("parent", "change")
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``--trace 0`` run of ``tree``'s benchmark: its result JSON, digest and environment."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", "0",
+    ]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}  # each tree imports its own src/
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, timeout=10 * seconds + 300)
+    lines = proc.stdout.strip().splitlines()
+    run = {"exit": proc.returncode, "correct": False, "metrics": {}, "digest": None, "env": {}}
+    if proc.returncode != 0 or not lines:
+        run["error"] = proc.stderr.strip().splitlines()[-1:] or ["no output"]
+        return run
+    result = json.loads(lines[-1])
+    run["correct"] = bool(result["correct"])
+    run["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
+    for line in lines:
+        if match := DIGEST.search(line):
+            run["digest"] = match.group(1)
+        if line.startswith("env "):
+            run["env"] = json.loads(line[4:])
+    return run
+
+
+def summary(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0], "values": values}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def compare(runs: dict, better: dict) -> dict:
+    """Per metric: each side's summary and the pairs in which the change did better."""
+    out = {}
+    for name, direction in better.items():
+        pairs = [
+            (a["metrics"][name], b["metrics"][name])
+            for a, b in zip(runs["parent"], runs["change"])
+            if name in a["metrics"] and name in b["metrics"]
+        ]
+        if not pairs:
+            continue
+        old, new = map(list, zip(*pairs))
+        wins = sum((n < o) if direction == "lower" else (n > o) for o, n in pairs)
+        out[name] = {
+            "better": direction,
+            "parent": summary(old),
+            "change": summary(new),
+            "change_better_pairs": wins,
+            "pairs": len(pairs),
+            "median_ratio": statistics.median(new) / statistics.median(old) if statistics.median(old) else None,
+        }
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_tree", type=Path)
+    parser.add_argument("new_tree", type=Path)
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or args.seconds <= 0:
+        parser.error("--pairs must be >= 1 and --seconds positive")
+    trees = {"parent": args.old_tree.resolve(), "change": args.new_tree.resolve()}
+    for tree in trees.values():
+        if not (tree / "perfbench" / "run.py").is_file():
+            parser.error(f"{tree} has no perfbench/run.py")
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    problems = []
+    report = {
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "workloads": {},
+    }
+    for workload in args.workload:
+        runs = {side: [] for side in SIDES}
+        for pair in range(args.pairs):
+            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                run = run_once(trees[side], workload, args.seed, args.seconds)
+                runs[side].append(run)
+                print(f"{workload} pair {pair} {side}: correct {run['correct']}, "
+                      f"wall_s {run['metrics'].get('wall_s')}", file=sys.stderr)
+                if not run["correct"]:
+                    problems.append(f"{workload} {side} pair {pair}: not correct ({run.get('error', 'correct: false')})")
+        digests = {side: sorted({r["digest"] for r in runs[side]} - {None}) for side in SIDES}
+        if digests["parent"] != digests["change"] or len(digests["parent"]) != 1:
+            problems.append(f"{workload}: eval curve digests differ: {digests}")
+        report["workloads"][workload] = {
+            "digests": digests,
+            "git_commits": {side: sorted({str(r["env"].get("git_commit")) for r in runs[side]}) for side in SIDES},
+            "env": {k: v for k, v in runs["change"][0]["env"].items() if k != "git_commit"},
+            "metrics": compare(runs, better),
+        }
+    report["problems"] = problems
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
+    for problem in problems:
+        print(f"CHECK FAILED: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
