@@ -28,12 +28,18 @@ numbers: as easy as 1, 2, 3").
 
 A posterior's dataset never changes, so :class:`PosteriorState` works out
 its data-backed chains and their sufficient statistics once, when it is
-made.  Each call of the walk allocates one work block and takes its row
-views once; a move is then a fixed sequence of ufunc calls that write into
-those rows, so its cost is what numpy charges per call, not per chain.
-Every operation is the same IEEE operation, in the same order, as in a
-plain per-chain loop, so the draws do not depend on how the work is laid
-out.
+made, and builds their walk state then too: one work block with its row
+views, the likelihood writer over the chains' statistics, the log
+likelihood of the start positions, and the step sizes and acceptance and
+window counts, one column per chain in walk order.  That state stays
+resident between draws, and every :func:`mh_sample` call advances it in
+place; the per-channel arrays a caller reads are copies assembled from it.
+A move is a fixed sequence of ufunc calls that write into the block's
+rows, so its cost is what numpy charges per call, not per chain, and a
+call adds to its moves only its random numbers, the gather of their
+data-backed columns and the assembly of its draws.  Every operation is the
+same IEEE operation, in the same order, as in a plain per-chain loop, so
+the draws do not depend on how the work is laid out.
 
 Channels with no observations are sampled by an independence proposal
 from the prior itself, which such a chain accepts with probability one --
@@ -174,21 +180,67 @@ def _log_lik(shapes: np.ndarray, stats: np.ndarray):
 # --- chains ------------------------------------------------------------------
 
 
+class _Chains:
+    """The data-backed chains' walk state, made once and advanced in place by :func:`_walk`.
+
+    Column ``j`` of every array is one chain, in walk order.  One work
+    block (8, L) holds ``state``, the rows log alpha, log beta, their sum
+    and log likelihood, and ``prop``, the proposal's same four rows; the
+    rows' views are taken here, once.  ``shapes`` (2, L) is the ``exp`` of
+    a position, read by ``log_lik``, the likelihood writer over the
+    chains' sufficient statistics ``stats`` (3, L).  ``step`` is each
+    chain's random-walk scale, ``accepted`` its accepted moves and
+    ``w_acc``/``w_prop`` its step-size adaptation window.  The state's log
+    likelihood is worked out here, once, from the start positions
+    ``log_shapes`` (L, 2); after that every accepted move carries its
+    proposal's.
+    """
+
+    def __init__(self, stats: np.ndarray, log_shapes: np.ndarray, step_size: np.ndarray, burn_in: int):
+        n_live = stats.shape[1]
+        self.burn_in = burn_in
+        block = np.empty((8, n_live))
+        self.state, self.prop = block[:4], block[4:]
+        self.pos, self.prop_pos = self.state[:2], self.prop[:2]
+        self.state_tail, self.prop_tail = self.state[2:], self.prop[2:]
+        self.shapes = np.empty((2, n_live))
+        self.log_lik = _log_lik(self.shapes, stats)
+        self.ratio = np.empty((2, n_live))  # the rows of prop_tail - state_tail
+        self.larger, self.inside = np.empty(n_live), np.empty(n_live, dtype=bool)
+        self.step = np.array(step_size, dtype=np.float64)
+        self.accepted = np.zeros(n_live, dtype=np.int64)
+        self.w_acc = np.zeros(n_live, dtype=np.int64)
+        self.w_prop = np.zeros(n_live, dtype=np.int64)
+        _, _, pos_sum, cur_ll = self.state
+        self.pos[...] = log_shapes.T
+        np.add(self.pos[0], self.pos[1], out=pos_sum)
+        np.exp(self.pos, out=self.shapes)
+        self.log_lik(cur_ll)
+
+
 class PosteriorState:
     """Dataset plus one MCMC chain per (step, action, species) channel, held as arrays.
 
-    Row ``c`` of every per-chain array belongs to ``channel_keys()[c]``:
+    Row ``c`` of every per-channel array belongs to ``channel_keys()[c]``:
     ``log_shapes`` (C, 2) is the position on log shapes, ``step_size`` the
-    random-walk scale, ``accepted``/``proposed`` the totals since the last
-    restart and ``window_accepted``/``window_proposed`` the step-size
-    adaptation window.  ``n_obs``, ``sum_log`` and ``sum_log1m`` are the
-    channels' sufficient statistics.  ``steps_taken`` is the move count,
-    shared by every chain.
+    random-walk scale, ``accepted``/``proposed`` the totals since the
+    posterior was made and ``window_accepted``/``window_proposed`` the
+    step-size adaptation window.  These six are read-only copies,
+    assembled when read: the data-backed chains live in one :class:`_Chains`
+    walk state, in walk order, which every :func:`mh_sample` call advances
+    in place.  ``n_obs``, ``sum_log`` and ``sum_log1m`` are the channels'
+    sufficient statistics.  ``steps_taken`` is the move count, shared by
+    every chain.
 
     The dataset is fixed at construction, and so is everything drawn from
     it, read-only: ``live`` and ``empty`` index the channels with and
     without observations, and ``stats`` (3, C) stacks every channel's
-    ``n_obs`` (as floats), ``sum_log`` and ``sum_log1m`` for the walk.
+    ``n_obs`` (as floats), ``sum_log`` and ``sum_log1m``.  So the walk
+    state is built here too, once per posterior: its work block, its
+    likelihood writer over ``stats[:, live]`` and the log likelihood of
+    the start positions.  The chains start at ``log_shapes`` and
+    ``step_size`` if given (a warm start, as :func:`update_dataset`
+    makes), else at shapes (10, 10) and step size 0.5.
 
     Single-writer: :func:`mh_sample` advances the chains in place.  The
     emitted :class:`~greensim_rl.bioenv.ModelParams` draws are immutable.
@@ -201,6 +253,8 @@ class PosteriorState:
         n_actions: int,
         burn_in: int,
         thin: int,
+        log_shapes: np.ndarray | None = None,
+        step_size: np.ndarray | None = None,
     ):
         if not (1 <= thin <= MAX_MOVES and 0 <= burn_in <= MAX_MOVES):
             raise ValueError(f"thin must be in [1, {MAX_MOVES}] and burn_in in [0, {MAX_MOVES}]")
@@ -210,12 +264,16 @@ class PosteriorState:
         self.burn_in = burn_in
         self.thin = thin
         n_chains = 2 * n_steps * n_actions
-        self.log_shapes = np.log(np.full((n_chains, 2), 10.0))
-        self.step_size = np.full(n_chains, 0.5)
-        self.accepted = np.zeros(n_chains, dtype=np.int64)
-        self.proposed = np.zeros(n_chains, dtype=np.int64)
-        self.window_accepted = np.zeros(n_chains, dtype=np.int64)
-        self.window_proposed = np.zeros(n_chains, dtype=np.int64)
+        if log_shapes is None:
+            log_shapes = np.log(np.full((n_chains, 2), 10.0))
+        if step_size is None:
+            step_size = np.full(n_chains, 0.5)
+        # every channel's last position; the data-backed chains' rows are stale once they move
+        self._positions = np.array(log_shapes, dtype=np.float64)
+        self._step_size = np.array(step_size, dtype=np.float64)
+        if self._positions.shape != (n_chains, 2) or self._step_size.shape != (n_chains,):
+            raise ValueError(f"log_shapes must have shape ({n_chains}, 2) and step_size ({n_chains},)")
+        self._proposed = 0  # moves since the posterior was made, proposed by every channel
         self.steps_taken = 0
         self.n_obs = np.zeros(n_chains, dtype=np.int64)
         self.sum_log = np.zeros(n_chains)
@@ -244,8 +302,42 @@ class PosteriorState:
         self.live = np.flatnonzero(self.n_obs > 0)
         self.empty = np.flatnonzero(self.n_obs == 0)
         self.stats = np.stack([self.n_obs.astype(np.float64), self.sum_log, self.sum_log1m])
-        for arr in (self.n_obs, self.sum_log, self.sum_log1m, self.live, self.empty, self.stats):
+        for arr in (self.n_obs, self.sum_log, self.sum_log1m, self.live, self.empty, self.stats, self._step_size):
             arr.setflags(write=False)
+        live = self.live
+        self._chains = _Chains(self.stats[:, live], self._positions[live], self._step_size[live], burn_in)
+
+    def _per_channel(self, base: np.ndarray, live_values: np.ndarray) -> np.ndarray:
+        """A read-only copy of ``base`` with the data-backed chains' ``live_values`` in their rows."""
+        out = np.array(base)
+        out[self.live] = live_values
+        out.setflags(write=False)
+        return out
+
+    @property
+    def log_shapes(self) -> np.ndarray:
+        return self._per_channel(self._positions, self._chains.pos.T)
+
+    @property
+    def step_size(self) -> np.ndarray:
+        return self._per_channel(self._step_size, self._chains.step)
+
+    @property
+    def proposed(self) -> np.ndarray:
+        return self._per_channel(np.full(self.n_obs.size, self._proposed), self._proposed)
+
+    @property
+    def accepted(self) -> np.ndarray:
+        # a prior-only channel accepts every independence proposal
+        return self._per_channel(np.full(self.n_obs.size, self._proposed), self._chains.accepted)
+
+    @property
+    def window_accepted(self) -> np.ndarray:
+        return self._per_channel(np.zeros(self.n_obs.size, dtype=np.int64), self._chains.w_acc)
+
+    @property
+    def window_proposed(self) -> np.ndarray:
+        return self._per_channel(np.zeros(self.n_obs.size, dtype=np.int64), self._chains.w_prop)
 
     def channel_keys(self) -> list[tuple[int, int, str]]:
         return [
@@ -272,59 +364,53 @@ def make_posterior(
     return PosteriorState(dataset, n_steps, n_actions, burn_in, thin)
 
 
-def _walk(ps: PosteriorState, live: np.ndarray, normals: np.ndarray, log_us: np.ndarray, stops) -> list:
-    """Advance the chains ``live`` through ``len(normals)`` moves in lockstep.
+def _walk(chains: _Chains, steps: int, normals: np.ndarray, log_us: np.ndarray, stops) -> list:
+    """Advance the walk state ``chains`` through ``len(normals)`` moves in lockstep, in place.
 
-    ``normals`` (M, L, 2) and ``log_us`` (M, L) hold each chain's random-walk
-    increments and log acceptance uniforms.  The acceptance ratio carries
-    the log-transform Jacobian, so each chain targets the posterior over the
-    shapes themselves.  While the shared move count is within burn-in, every
-    chain whose window holds ``ADAPT_EVERY`` proposals nudges its step size
-    toward the target acceptance band.  Returns the ``(L, 2)`` positions
-    after each move index in ``stops``.
+    ``steps`` is the chains' shared move count before the call.
+    ``normals`` (M, L, 2) and ``log_us`` (M, L) hold each chain's
+    random-walk increments and log acceptance uniforms, in walk order.  The
+    acceptance ratio carries the log-transform Jacobian, so each chain
+    targets the posterior over the shapes themselves.  While the shared
+    move count is within ``chains.burn_in``, every chain whose window holds
+    ``ADAPT_EVERY`` proposals nudges its step size toward the target
+    acceptance band.  Returns the ``(L, 2)`` positions after each move
+    index in ``stops``.
 
     The moves run in segments of fixed step sizes: within burn-in a segment
     ends at the next move where a window fills, else at the end of the call.
     It scales its increments in one product and sums its moves' rows of an
     ``(M, L)`` acceptance mask into the window counts at its end.
 
-    Each move runs inside one work block, allocated once per call, whose
-    row views are also taken once.  The block holds the state's rows (log
-    alpha, log beta, their sum, log likelihood) and the proposal's same four
-    rows, one column per chain, and every operation of a move writes into a
-    row with ``out=``.  A proposal outside the prior support leaves its
-    chain's entry of the acceptance mask unset, and one ``np.copyto`` moves
-    the accepted proposals' rows into the state.  The sufficient statistics
-    are :attr:`PosteriorState.stats`, worked out once per posterior.
+    Every move runs inside the walk state's work block, whose rows and
+    views were made with the posterior, and every operation of a move
+    writes into a row with ``out=``.  A proposal outside the prior support
+    leaves its chain's entry of the acceptance mask unset, and one
+    ``np.copyto`` moves the accepted proposals' rows into the state.  So a
+    call allocates only its increments and its mask, and reads and writes
+    no per-channel array: positions, log likelihoods, step sizes and counts
+    stay in the walk state from one call to the next.
     """
     n_moves, n_live = log_us.shape
-    block = np.empty((8, n_live))
-    state, prop = block[:4], block[4:]
-    pos, (_, _, pos_sum, cur_ll) = state[:2], state
-    prop_pos, (prop_log_alpha, prop_log_beta, prop_sum, prop_ll) = prop[:2], prop
-    state_tail, prop_tail = state[2:], prop[2:]
-    shapes = np.empty((2, n_live))
-    alpha, beta = shapes
-    log_lik = _log_lik(shapes, ps.stats[:, live])
-    ratio = np.empty((2, n_live))
-    jacobian, log_ratio = ratio  # the rows of prop_tail - state_tail
-    larger, inside = np.empty(n_live), np.empty(n_live, dtype=bool)
-
-    pos[...] = ps.log_shapes[live].T
-    np.add(pos[0], pos[1], out=pos_sum)
-    np.exp(pos, out=shapes)
-    log_lik(cur_ll)
-    step = ps.step_size[live]
-    w_acc, w_prop = ps.window_accepted[live], ps.window_proposed[live]
+    state, prop, pos, prop_pos = chains.state, chains.prop, chains.pos, chains.prop_pos
+    prop_log_alpha, prop_log_beta, prop_sum, prop_ll = prop
+    state_tail, prop_tail, ratio = chains.state_tail, chains.prop_tail, chains.ratio
+    jacobian, log_ratio = ratio
+    alpha, beta = shapes = chains.shapes
+    log_lik, larger, inside = chains.log_lik, chains.larger, chains.inside
+    step, accepted, w_acc, w_prop = chains.step, chains.accepted, chains.w_acc, chains.w_prop
+    burn_in = chains.burn_in
     increments = np.empty((n_moves, 2, n_live))
     takes = np.zeros((n_moves, n_live), dtype=bool)
-    steps = ps.steps_taken
     out = []
     m0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while m0 < n_moves:
-            fills = max(1, ADAPT_EVERY - int(w_prop.max()))  # moves until a window is full
-            m1 = min(m0 + fills, n_moves) if steps + fills <= ps.burn_in else n_moves
+            if steps < burn_in:
+                fills = max(1, ADAPT_EVERY - int(w_prop.max()))  # moves until a window is full
+                m1 = min(m0 + fills, n_moves) if steps + fills <= burn_in else n_moves
+            else:
+                m1 = n_moves
             np.multiply(step, normals[m0:m1].transpose(0, 2, 1), out=increments[m0:m1])
             for m, increment, log_u, take in zip(range(m0, m1), increments[m0:m1], log_us[m0:m1], takes[m0:m1]):
                 np.add(pos, increment, out=prop_pos)
@@ -339,10 +425,12 @@ def _walk(ps: PosteriorState, live: np.ndarray, normals: np.ndarray, log_us: np.
                 np.copyto(state, prop, where=take)
                 if m in stops:
                     out.append(pos.T.copy())
-            w_acc += takes[m0:m1].sum(axis=0)
+            segment_accepted = takes[m0:m1].sum(axis=0)
+            w_acc += segment_accepted
+            accepted += segment_accepted
             w_prop += m1 - m0
             steps += m1 - m0
-            if steps <= ps.burn_in:
+            if steps <= burn_in:
                 full = w_prop >= ADAPT_EVERY
                 if full.any():
                     rate = w_acc / w_prop
@@ -351,11 +439,7 @@ def _walk(ps: PosteriorState, live: np.ndarray, normals: np.ndarray, log_us: np.
                     w_acc[full] = 0
                     w_prop[full] = 0
             m0 = m1
-    ps.step_size[live] = step
-    ps.accepted[live] += takes.sum(axis=0)
-    ps.proposed[live] += n_moves
-    ps.window_accepted[live] = w_acc
-    ps.window_proposed[live] = w_prop
+    chains.step = step
     return out
 
 
@@ -363,24 +447,33 @@ def mh_sample(ps: PosteriorState, n: int, root_seed: int, *path: int) -> list[Mo
     """Draw ``n`` thinned post-burn-in joint posterior samples.
 
     A call first finishes burn-in, if the chains have made fewer than
-    ``burn_in`` moves, and then makes ``thin`` moves per draw.  All of its
-    randomness comes from one generator, ``substream(root_seed, *path)``,
-    so a call is a pure function of its key and the chains' state.  For
-    each block of moves (burn-in, then each draw's ``thin``) the generator
-    gives the block's normal increments ``(m, C, 2)`` and then its
-    acceptance uniforms ``(m, C)``; after the last block it gives one prior
-    point per block ``(blocks, C, 2)``.  Every array has a column for every
-    one of the C channels (in ``channel_keys()`` order), empty channels
-    included, so channel ``c`` always reads column ``c`` at the same stream
-    positions and its draws are unaffected by the data held by any other
-    channel.  The data-backed chains advance together on their columns,
-    one set of array operations per move, in segments of fixed step sizes
-    (:func:`_walk`).  An empty channel instead takes its column's prior
-    point of each draw's block: the flat target always accepts that
-    independence proposal, so its draws are i.i.d. Unif(0, 300].
+    ``burn_in`` moves, and then makes ``thin`` moves per draw; ``n * thin``
+    may be at most ``MAX_MOVES``, or the call raises ``ValueError`` before
+    it draws or moves anything.  All of its randomness comes from one
+    generator, ``substream(root_seed, *path)``, so a call is a pure
+    function of its key and the chains' state.  For each block of moves
+    (burn-in, then each draw's ``thin``) the generator gives the block's
+    normal increments ``(m, C, 2)`` and then its acceptance uniforms
+    ``(m, C)``; after the last block it gives one prior point per block
+    ``(blocks, C, 2)``.  Every array has a column for every one of the C
+    channels (in ``channel_keys()`` order), empty channels included, so
+    channel ``c`` always reads column ``c`` at the same stream positions
+    and its draws are unaffected by the data held by any other channel.
+    The data-backed chains advance together on their columns, one set of
+    array operations per move, in segments of fixed step sizes
+    (:func:`_walk`), in the walk state the posterior keeps between calls.
+    An empty channel instead takes its column's prior point of each draw's
+    block: the flat target always accepts that independence proposal, so
+    its draws are i.i.d. Unif(0, 300].
+
+    So what a call costs beyond its moves is drawing its random numbers,
+    gathering the data-backed columns of its increments and uniforms, and
+    assembling its draws' parameter tables.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n * ps.thin > MAX_MOVES:
+        raise ValueError(f"n * thin must be <= {MAX_MOVES} (bayes.MAX_MOVES), got {n} * {ps.thin}")
     rng = substream(root_seed, *path)
     burn = max(ps.burn_in - ps.steps_taken, 0)
     blocks = ([burn] if burn else []) + [ps.thin] * n
@@ -392,7 +485,7 @@ def mh_sample(ps: PosteriorState, n: int, root_seed: int, *path: int) -> list[Mo
         uniforms.append(rng.random((m, n_chains)))
     # a burn-in block's prior points are drawn only to keep the layout; the draws read the last n
     prior = rng.random((len(blocks), n_chains, 2))[-n:]
-    live, empty = ps.live, ps.empty
+    live = ps.live
     # every channel's prior point, in (0, PRIOR_HIGH]; the data-backed chains' walk then overwrites theirs
     positions = np.subtract(1.0, prior, out=prior)
     np.multiply(PRIOR_HIGH, positions, out=positions)
@@ -401,12 +494,10 @@ def mh_sample(ps: PosteriorState, n: int, root_seed: int, *path: int) -> list[Mo
         stops = {burn + ps.thin * (d + 1) - 1 for d in range(n)}
         # a call of one block, as every single draw after burn-in is, needs no concatenation
         normals, uniforms = (a[0] if len(a) == 1 else np.concatenate(a) for a in (normals, uniforms))
-        positions[:, live] = _walk(ps, live, normals[:, live], np.log(uniforms[:, live]), stops)
-    if empty.size:
-        ps.accepted[empty] += n_moves
-        ps.proposed[empty] += n_moves
+        positions[:, live] = _walk(ps._chains, ps.steps_taken, normals[:, live], np.log(uniforms[:, live]), stops)
+    ps._proposed += n_moves
     ps.steps_taken += n_moves
-    ps.log_shapes = positions[-1].copy()
+    ps._positions = positions[-1]
 
     # chain rows 2j and 2j+1 are table row j's eta and psi pairs; a table row holds
     # (PSI_L, PSI_U, ETA_L, ETA_U), so the (eta, psi) axis is reversed
@@ -417,31 +508,35 @@ def mh_sample(ps: PosteriorState, n: int, root_seed: int, *path: int) -> list[Mo
 def update_dataset(ps: PosteriorState, new_data: FractionDataset) -> PosteriorState:
     """Fold new observations in: union the datasets, warm-start the chains.
 
-    Chain positions and tuned step sizes carry over, but acceptance
-    statistics reset and burn-in (with adaptation) reruns against the new
-    posterior before the next draws are emitted.
+    Chain positions and tuned step sizes carry over into the new
+    posterior's walk state, but acceptance statistics reset and burn-in
+    (with adaptation) reruns against the new posterior before the next
+    draws are emitted.
     """
-    merged = PosteriorState(
-        ps.dataset.union(new_data), ps.n_steps, ps.n_actions, ps.burn_in, ps.thin
+    return PosteriorState(
+        ps.dataset.union(new_data),
+        ps.n_steps,
+        ps.n_actions,
+        ps.burn_in,
+        ps.thin,
+        log_shapes=ps.log_shapes,
+        step_size=ps.step_size,
     )
-    merged.log_shapes = ps.log_shapes.copy()
-    merged.step_size = ps.step_size.copy()
-    return merged
 
 
 def acceptance_rows(ps: PosteriorState) -> list[dict]:
+    proposed, accepted, step_size = ps.proposed.tolist(), ps.accepted.tolist(), ps.step_size.tolist()
     rows = []
     for c, (t, a, channel) in enumerate(ps.channel_keys()):
-        proposed = int(ps.proposed[c])
         rows.append(
             {
                 "step": t,
                 "action": a,
                 "channel": channel,
                 "n_obs": int(ps.n_obs[c]),
-                "proposed": proposed,
-                "accept_rate": int(ps.accepted[c]) / proposed if proposed else 0.0,
-                "step_size": float(ps.step_size[c]),
+                "proposed": proposed[c],
+                "accept_rate": accepted[c] / proposed[c] if proposed[c] else 0.0,
+                "step_size": step_size[c],
             }
         )
     return rows

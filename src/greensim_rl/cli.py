@@ -18,7 +18,8 @@ Subcommands and the files they write:
   ``manifest.json``.
 - ``oracle-check``: exactness invariants; writes no file.
 - ``posterior-diag``: per-channel MCMC acceptance diagnostics, the CSV
-  file ``--out``.
+  file ``--out``; ``--draws`` times the sampler's thin may be at most
+  ``bayes.MAX_MOVES``.
 
 Exit codes: 0 success, 2 usage error, 3 an input path (scenario, config,
 checkpoint or fraction data) that is not a file, 4 a malformed scenario,
@@ -297,6 +298,13 @@ def _cmd_posterior_diag(args) -> int:
     else:
         # No data: every channel samples straight from the prior.
         posterior = bayes.make_posterior(bayes.FractionDataset(), **grid)
+    most = bayes.MAX_MOVES // posterior.thin
+    if args.draws > most:
+        raise CliError(
+            EXIT_USAGE,
+            f"--draws must be <= {most} (bayes.MAX_MOVES = {bayes.MAX_MOVES} moves at thin {posterior.thin}), "
+            f"got {args.draws}",
+        )
     bayes.mh_sample(posterior, args.draws, args.seed, 0)
     bayes.write_acceptance_csv(posterior, args.out)
     print(f"wrote per-channel acceptance diagnostics to {args.out}")

@@ -315,17 +315,21 @@ def _row_max(x: np.ndarray) -> np.ndarray:
 
     numpy reduces a short last axis one row at a time; over the copy the
     reduction runs along whole rows of ``x.T``, several times faster for
-    the policies' few action columns.
+    the policies' few action columns.  The ufunc's own reduce skips the
+    method's dispatch, as the other reductions of the softmax head do.
     """
-    return x.T.copy().max(axis=0).T[..., None]
+    return np.maximum.reduce(x.T.copy(), axis=0).T[..., None]
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax over the last axis; each row sums to 1."""
+    """Max-shifted softmax over the last axis; each row sums to 1.
+
+    Works in place only on the array its shift allocates, never on ``logits``.
+    """
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - _row_max(logits)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(logits, _row_max(logits))
+    np.exp(e, out=e)
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
 
 
 def _log_softmax_at(logits: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -336,16 +340,21 @@ def _log_softmax_at(logits: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray
     """
     shifted = logits - _row_max(logits)
     e = np.exp(shifted)
-    total = e.sum(axis=-1, keepdims=True)
+    total = np.add.reduce(e, axis=-1, keepdims=True)
     return shifted[..., np.arange(logits.shape[-2]), actions] - np.log(total[..., 0]), e, total
 
 
 def _sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One index per row of the ``(n, K)`` probabilities, by inverse CDF from one uniform per row."""
+    """One index per row of the ``(n, K)`` probabilities, by inverse CDF from one uniform per row.
+
+    The indices are ``np.intp`` (int64 on 64-bit platforms).  ``probs`` is
+    only read: the caller's rows (a policy's or a transition table's) stay
+    as they are.
+    """
     u = rng.random(probs.shape[0])
-    cum = np.cumsum(probs, axis=1)
+    cum = np.add.accumulate(probs, axis=1)
     cum[:, -1] = 1.0  # guard against cumulative rounding shortfall
-    return (cum >= u[:, None]).argmax(axis=1).astype(np.int64)
+    return (cum >= u[:, None]).argmax(axis=1)
 
 
 class Policy(abc.ABC):

@@ -126,8 +126,12 @@ class MlpSoftmaxPolicy(Policy):
         """Features, hidden activations and logits."""
         w, b = self.unpack(theta)
         phi = self.features(states)
-        hidden = expit(w[..., None, :, 0] + phi @ w[..., 1:].swapaxes(-1, -2))
-        logits = b[..., None, :, 0] + hidden @ b[..., 1:].swapaxes(-1, -2)
+        # each bias is added to its matrix product in place (IEEE addition commutes)
+        hidden = phi @ w[..., 1:].swapaxes(-1, -2)
+        hidden += w[..., None, :, 0]
+        expit(hidden, out=hidden)
+        logits = hidden @ b[..., 1:].swapaxes(-1, -2)
+        logits += b[..., None, :, 0]
         return phi, hidden, logits
 
     def _backward(self, theta, layers, dlogits, weights) -> np.ndarray:

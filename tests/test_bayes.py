@@ -1,5 +1,7 @@
 """Posterior over the transition model: dataset, prior, MH sampler."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -48,13 +50,15 @@ class TestLogPosteriorPair:
     def test_outside_prior_support(self):
         # proposals above PRIOR_HIGH or at shape 0 have log posterior -inf: never
         # accepted, not even against a log uniform of -inf
-        ps = make_posterior(dataset_from_fractions(1, 0, [0.5], [0.5]), n_steps=1, n_actions=1)
+        data = dataset_from_fractions(1, 0, [0.5], [0.5])
         start = np.log([[299.0, 5.0]])
         for increment in ([np.log(350.0 / 299.0), 0.0], [0.0, -1e4]):
-            ps.log_shapes[:1] = start
-            ps.step_size[:] = 1.0
-            (pos,) = bayes._walk(ps, np.array([0]), np.array([[increment]]), np.array([[-np.inf]]), {0})
-            np.testing.assert_array_equal(pos, start)
+            # the eta chain warm-started at start, both chains at step size 1; the psi chain stays put
+            warm = np.concatenate([start, np.log([[10.0, 10.0]])])
+            ps = bayes.PosteriorState(data, 1, 1, burn_in=500, thin=5, log_shapes=warm, step_size=np.ones(2))
+            normals, log_us = np.array([[increment, [0.0, 0.0]]]), np.full((1, 2), -np.inf)
+            (pos,) = bayes._walk(ps._chains, 0, normals, log_us, {0})
+            np.testing.assert_array_equal(pos[:1], start)
             assert ps.accepted[0] == 0
 
     def test_additive_in_observations(self):
@@ -186,6 +190,22 @@ class TestMhSampler:
                 mh_sample(ps, 1, *key)
         assert ps.steps_taken == 0
 
+    @pytest.mark.parametrize("n", [bayes.MAX_MOVES // 5 + 1, 1_000_000_000])
+    def test_call_past_max_moves_rejected_before_drawing(self, n):
+        # n * thin past bayes.MAX_MOVES is refused before any random number is drawn or
+        # any chain moves: the next draws equal those of a twin that never saw the call
+        data = dataset_from_fractions(1, 0, [0.5, 0.7, 0.6], [0.4, 0.5, 0.3])
+        ps, twin = make_posterior(data, 1, 2, burn_in=30), make_posterior(data, 1, 2, burn_in=30)
+        mh_sample(ps, 2, SEED, 47, 0)
+        mh_sample(twin, 2, SEED, 47, 0)
+        with pytest.raises(ValueError, match=rf"^n \* thin must be <= {bayes.MAX_MOVES} \(bayes.MAX_MOVES\)"):
+            mh_sample(ps, n, SEED, 47, 1)
+        assert ps.steps_taken == twin.steps_taken == 30 + 2 * 5
+        for name in CHAIN_ARRAYS:
+            np.testing.assert_array_equal(getattr(ps, name), getattr(twin, name))
+        for x, y in zip(mh_sample(ps, 3, SEED, 47, 2), mh_sample(twin, 3, SEED, 47, 2), strict=True):
+            np.testing.assert_array_equal(x.beta_shapes, y.beta_shapes)
+
     def test_all_draws_in_prior_support(self):
         data = dataset_from_fractions(1, 0, [0.9, 0.85, 0.95], [0.1, 0.2, 0.15])
         posterior = make_posterior(data, n_steps=2, n_actions=3, burn_in=100)
@@ -224,17 +244,19 @@ class TestMhSampler:
         # walk (not the independence shortcut) against a flat target, i.e.
         # zero sufficient statistics: the log-transform Jacobian is what
         # keeps it uniform
-        ps = make_posterior(FractionDataset(), n_steps=1, n_actions=1, burn_in=0, thin=1)
-        ps.log_shapes[0] = np.log([150.0, 150.0])
+        chains = bayes._Chains(np.zeros((3, 1)), np.log([[150.0, 150.0]]), np.array([0.5]), burn_in=0)
         rng = stream(26)
         moves = 100_000
         normals = rng.standard_normal((moves, 1, 2))
         log_us = np.log(rng.random((moves, 1)))
-        path = bayes._walk(ps, np.array([0]), normals, log_us, set(range(moves)))
+        path = bayes._walk(chains, 0, normals, log_us, set(range(moves)))
         draws = np.exp(np.array([pos[0, 0] for pos in path]))
         hist, _ = np.histogram(draws, bins=20, range=(0.0, PRIOR_HIGH))
         tv = 0.5 * np.sum(np.abs(hist / draws.size - 1.0 / 20))
         assert tv < 0.05
+
+
+CHAIN_ARRAYS = ("log_shapes", "step_size", "accepted", "proposed", "window_accepted", "window_proposed")
 
 
 class ScalarReference:
@@ -351,6 +373,17 @@ class ScalarReference:
         ]
 
 
+def assert_matches_reference(ps, ref, draws, ref_draws):
+    for x, y in zip(draws, ref_draws, strict=True):
+        np.testing.assert_array_equal(x.beta_shapes, y)
+    rows = [(r["n_obs"], r["proposed"], r["accept_rate"], r["step_size"]) for r in acceptance_rows(ps)]
+    assert rows == [(n, p, a / p if p else 0.0, s) for n, p, a, s in ref.rows()]
+    np.testing.assert_array_equal(ps.step_size, [ch["step"] for ch in ref.chains.values()])
+    np.testing.assert_array_equal(ps.log_shapes, [ch["pos"] for ch in ref.chains.values()])
+    np.testing.assert_array_equal(ps.window_accepted, [ch["w_acc"] for ch in ref.chains.values()])
+    np.testing.assert_array_equal(ps.window_proposed, [ch["w_prop"] for ch in ref.chains.values()])
+
+
 class TestLockstepMatchesScalarReference:
     def _data(self, seed, cells, size):
         rng = np.random.default_rng(seed)
@@ -359,16 +392,6 @@ class TestLockstepMatchesScalarReference:
             k = int(rng.integers(1, size + 1))
             data = data.union(dataset_from_fractions(t, a, rng.beta(3.0, 2.0, k), rng.beta(2.0, 5.0, k)))
         return data
-
-    def _assert_same(self, ps, ref, draws, ref_draws):
-        for x, y in zip(draws, ref_draws, strict=True):
-            np.testing.assert_array_equal(x.beta_shapes, y)
-        rows = [(r["n_obs"], r["proposed"], r["accept_rate"], r["step_size"]) for r in acceptance_rows(ps)]
-        assert rows == [(n, p, a / p if p else 0.0, s) for n, p, a, s in ref.rows()]
-        np.testing.assert_array_equal(ps.step_size, [ch["step"] for ch in ref.chains.values()])
-        np.testing.assert_array_equal(ps.log_shapes, [ch["pos"] for ch in ref.chains.values()])
-        np.testing.assert_array_equal(ps.window_accepted, [ch["w_acc"] for ch in ref.chains.values()])
-        np.testing.assert_array_equal(ps.window_proposed, [ch["w_prop"] for ch in ref.chains.values()])
 
     @pytest.mark.parametrize(
         "burn_in, thin",
@@ -386,7 +409,7 @@ class TestLockstepMatchesScalarReference:
             if n is None:
                 ps, ref = update_dataset(ps, second), ref.update(second)
                 continue
-            self._assert_same(ps, ref, mh_sample(ps, n, SEED, 40, call), ref.sample(n, SEED, 40, call))
+            assert_matches_reference(ps, ref, mh_sample(ps, n, SEED, 40, call), ref.sample(n, SEED, 40, call))
 
     @pytest.mark.parametrize(
         "n_actions, cells",
@@ -401,7 +424,7 @@ class TestLockstepMatchesScalarReference:
         ref = ScalarReference(data, 3, n_actions, 40, 3)
         assert ps.n_obs.size == 2 * 3 * n_actions
         for call, n in enumerate([2, 1]):
-            self._assert_same(ps, ref, mh_sample(ps, n, SEED, 43, call), ref.sample(n, SEED, 43, call))
+            assert_matches_reference(ps, ref, mh_sample(ps, n, SEED, 43, call), ref.sample(n, SEED, 43, call))
 
     def test_every_channel_data_backed(self):
         # no prior-only channel: the walk's work block covers every column
@@ -411,7 +434,7 @@ class TestLockstepMatchesScalarReference:
         ref = ScalarReference(data, 2, 3, 30, 4)
         assert ps.live.size == ps.n_obs.size and ps.empty.size == 0
         for call, n in enumerate([1, 3]):
-            self._assert_same(ps, ref, mh_sample(ps, n, SEED, 45, call), ref.sample(n, SEED, 45, call))
+            assert_matches_reference(ps, ref, mh_sample(ps, n, SEED, 45, call), ref.sample(n, SEED, 45, call))
 
     @pytest.mark.parametrize("burn_in", [0, 30])
     def test_single_chain_walk(self, burn_in):
@@ -422,17 +445,20 @@ class TestLockstepMatchesScalarReference:
         ref = ScalarReference(data, 1, 2, burn_in, 1)
         c = int(ps.live[0])
         key, chain = ref.keys[c], ref.chains[ref.keys[c]]
+        # the eta chain's start position and step size, in a walk state of its own
+        one = slice(c, c + 1)
+        chains = bayes._Chains(ps.stats[:, one], ps.log_shapes[one], ps.step_size[one], burn_in)
         rng = stream(46)
         moves = 80
         normals, uniforms = rng.standard_normal((moves, 1, 2)), rng.random((moves, 1))
-        path = bayes._walk(ps, ps.live[:1], normals, np.log(uniforms), set(range(moves)))
+        path = bayes._walk(chains, 0, normals, np.log(uniforms), set(range(moves)))
         assert len(path) == moves
         for m, pos in enumerate(path):
             ref._advance(chain, ref.stats[key], normals[m : m + 1, 0], uniforms[m : m + 1, 0], None)
             np.testing.assert_array_equal(pos, [chain["pos"]])
         assert 0 < chain["accepted"] < moves
-        assert (ps.accepted[c], ps.proposed[c], ps.step_size[c]) == (chain["accepted"], moves, chain["step"])
-        assert (ps.window_accepted[c], ps.window_proposed[c]) == (chain["w_acc"], chain["w_prop"])
+        assert (chains.accepted[0], len(path), chains.step[0]) == (chain["accepted"], chain["proposed"], chain["step"])
+        assert (chains.w_acc[0], chains.w_prop[0]) == (chain["w_acc"], chain["w_prop"])
         if burn_in:
             assert chain["step"] != 0.5  # the window filled and the step size adapted
 
@@ -443,7 +469,7 @@ class TestLockstepMatchesScalarReference:
         ps.steps_taken = 23  # a restart part-way through burn-in: 38 moves of it remain
         for ch in ref.chains.values():
             ch["steps"] = 23
-        self._assert_same(ps, ref, mh_sample(ps, 3, SEED, 41), ref.sample(3, SEED, 41))
+        assert_matches_reference(ps, ref, mh_sample(ps, 3, SEED, 41), ref.sample(3, SEED, 41))
         assert ps.steps_taken == 61 + 3 * 4
 
     def test_call_resumed_mid_burn_in_with_open_windows(self):
@@ -453,15 +479,58 @@ class TestLockstepMatchesScalarReference:
         ps = make_posterior(data, 2, 3, burn_in=90, thin=4)
         ref = ScalarReference(data, 2, 3, 90, 4)
         ps.steps_taken = 17
-        live = np.flatnonzero(ps.n_obs > 0)
-        ps.window_proposed[live] = (np.arange(live.size) * 7) % 31
-        ps.window_accepted[live] = ps.window_proposed[live] // 3
+        # the data-backed chains' windows, set in the walk state, where they live in walk order
+        chains = ps._chains
+        chains.w_prop[:] = (np.arange(ps.live.size) * 7) % 31
+        chains.w_acc[:] = chains.w_prop // 3
         assert ps.window_proposed.max() > bayes.ADAPT_EVERY
         for c, ch in enumerate(ref.chains.values()):
             ch["steps"] = 17
             ch["w_prop"], ch["w_acc"] = int(ps.window_proposed[c]), int(ps.window_accepted[c])
         for call, n in enumerate([2, 3]):
-            self._assert_same(ps, ref, mh_sample(ps, n, SEED, 44, call), ref.sample(n, SEED, 44, call))
+            assert_matches_reference(ps, ref, mh_sample(ps, n, SEED, 44, call), ref.sample(n, SEED, 44, call))
+
+
+class TestResidentChains:
+    """The per-channel chain arrays are read-only copies of the walk state the posterior keeps."""
+
+    def test_per_channel_arrays_reject_writes(self):
+        data = dataset_from_fractions(1, 0, [0.5, 0.7], [0.4, 0.3])
+        ps = make_posterior(data, 2, 2, burn_in=10, thin=2)
+        mh_sample(ps, 2, SEED, 48)
+        for name in CHAIN_ARRAYS:
+            arr = getattr(ps, name)
+            assert arr.shape[0] == ps.n_obs.size
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+            with pytest.raises(AttributeError):
+                setattr(ps, name, arr.copy())
+            np.testing.assert_array_equal(getattr(ps, name), arr)
+
+    @pytest.mark.parametrize("burn_in, thin", [(30, 4), (0, 3)])
+    def test_reads_between_draws_change_nothing(self, burn_in, thin):
+        # every per-channel array and the acceptance rows read before and after every
+        # call, through a warm start that makes the empty channel (1, 1) data-backed:
+        # draws, rows and step sizes stay bit-identical to the scalar reference
+        first = dataset_from_fractions(1, 0, [0.5, 0.7], [0.4, 0.3]).union(
+            dataset_from_fractions(2, 2, [0.6], [0.2])
+        )
+        second = dataset_from_fractions(1, 1, [0.8, 0.75, 0.9], [0.1, 0.15, 0.05])
+        ps = make_posterior(first, 2, 3, burn_in=burn_in, thin=thin)
+        ref = ScalarReference(first, 2, 3, burn_in, thin)
+        c = ps.channel_keys().index((1, 1, "eta"))
+        for call, n in enumerate([1, 2, None, 1, 3]):
+            reads = [getattr(ps, name) for name in CHAIN_ARRAYS] + [acceptance_rows(ps)]
+            if n is None:
+                assert c in ps.empty
+                ps, ref = update_dataset(ps, second), ref.update(second)
+                assert c in ps.live
+                np.testing.assert_array_equal(ps.log_shapes[c], reads[0][c])  # the prior point it last took
+                continue
+            draws = mh_sample(ps, n, SEED, 49, call)
+            for name, before in zip(CHAIN_ARRAYS, reads):
+                assert getattr(ps, name) is not before
+            assert_matches_reference(ps, ref, draws, ref.sample(n, SEED, 49, call))
 
 
 class TestNoPerChainLoop:
@@ -546,12 +615,18 @@ class TestDiagnostics:
         assert lines[0] == "step,action,channel,n_obs,proposed,accept_rate,step_size"
 
     def test_csv_format_pinned(self, tmp_path):
-        # the exact text the diagnostics writer produces for hand-set chain totals
+        # the exact text the diagnostics writer produces for hand-set chain totals; every
+        # channel of a posterior proposes the same moves, so the totals sit on a stand-in
+        # with the posterior's channels
         ps = make_posterior(dataset_from_fractions(1, 0, [0.5], [0.4]), n_steps=1, n_actions=2)
-        ps.accepted[:] = [1, 0, 2, 0]
-        ps.proposed[:] = [3, 0, 8, 0]
-        ps.step_size[:] = [0.1, 0.5, 1.2345678901234567, 1e-05]
-        bayes.write_acceptance_csv(ps, tmp_path / "diag.csv")
+        totals = SimpleNamespace(
+            channel_keys=ps.channel_keys,
+            n_obs=ps.n_obs,
+            accepted=np.array([1, 0, 2, 0]),
+            proposed=np.array([3, 0, 8, 0]),
+            step_size=np.array([0.1, 0.5, 1.2345678901234567, 1e-05]),
+        )
+        bayes.write_acceptance_csv(totals, tmp_path / "diag.csv")
         assert (tmp_path / "diag.csv").read_bytes() == (
             b"step,action,channel,n_obs,proposed,accept_rate,step_size\r\n"
             b"1,0,eta,1,3,0.3333333333333333,0.1\r\n"

@@ -692,6 +692,17 @@ class TestPosteriorDiagCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("draws", [bayes.MAX_MOVES // 5 + 1, 1_000_000_000])
+    def test_draws_past_the_move_bound_exit_2(self, tmp_path, capsys, draws):
+        # --draws times the default thin of 5 may be at most bayes.MAX_MOVES
+        out = tmp_path / "diag.csv"
+        assert cli.main(["posterior-diag", "--out", str(out), "--draws", str(draws)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"--draws must be <= {bayes.MAX_MOVES // 5}" in err and f"got {draws}" in err
+        assert "bayes.MAX_MOVES" in err
+        assert not out.exists()
+
+
 class TestNumericArguments:
     """Values that are invalid on their own are usage errors (exit 2) before anything runs."""
 

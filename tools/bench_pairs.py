@@ -3,20 +3,29 @@
 Usage, from anywhere:
 
     python3 tools/bench_pairs.py OLD_TREE NEW_TREE --workload posterior_pg \
-        --pairs 8 --seed 4211 --seconds 25 --out BENCH_21.json
+        --workload posterior_pg:5303 --pairs 10 --seed 4211 --seconds 25 --out BENCH_22.json
 
 OLD_TREE and NEW_TREE are checkouts of this repository.  For each workload
-(``--workload`` may be given more than once) the script makes ``--pairs``
+(``--workload`` may be given more than once; ``NAME:SEED`` runs that
+workload at SEED instead of ``--seed``) the script makes ``--pairs``
 pairs of runs of each tree's own ``perfbench/run.py --trace 0``, the old tree
 first in even pairs and the new tree first in odd ones, so that a drift of
 host speed falls on both sides alike.  From each run it reads the last
 stdout line (the result JSON) and the eval curves' sha256.
 
-The output JSON holds, per workload, each side's eval curve digests and git
+The output JSON holds, per workload argument, its seed, each side's eval curve digests and git
 commits, the environment the benchmark printed, and per end-to-end metric
 each side's values, median and quartiles and the number of pairs in which
 the new tree did better (by the metric's direction in NEW_TREE's
-``BENCHMARK.json``).
+``BENCHMARK.json``).  Each metric also gets two verdicts, printed as well:
+
+- ``meets_claim_rule``: the new tree did better in at least 9 of every 10
+  pairs (ties count for neither side), and its median is better than the
+  old tree's by more than the distance between the old tree's quartiles;
+- ``worse_than_bound``: the new tree's median is worse than the old
+  tree's by more than the metric's ``bound`` in ``BENCHMARK.json``, taken
+  as a fraction of the old tree's median.
+
 It is written in every case.  The exit status is 1 if any run failed or
 reported ``correct: false``, or if the two trees' eval curves differ, and
 0 otherwise.
@@ -68,10 +77,10 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def compare(runs: dict, better: dict) -> dict:
-    """Per metric: each side's summary and the pairs in which the change did better."""
+def compare(runs: dict, spec: dict) -> dict:
+    """Per metric: each side's summary, the pairs in which the change did better, and both verdicts."""
     out = {}
-    for name, direction in better.items():
+    for name, (direction, bound) in spec.items():
         pairs = [
             (a["metrics"][name], b["metrics"][name])
             for a, b in zip(runs["parent"], runs["change"])
@@ -81,15 +90,35 @@ def compare(runs: dict, better: dict) -> dict:
             continue
         old, new = map(list, zip(*pairs))
         wins = sum((n < o) if direction == "lower" else (n > o) for o, n in pairs)
+        parent, change = summary(old), summary(new)
+        # how much better the change's median is than the parent's (negative: worse)
+        gain = (parent["median"] - change["median"]) * (1 if direction == "lower" else -1)
         out[name] = {
             "better": direction,
-            "parent": summary(old),
-            "change": summary(new),
+            "bound": bound,
+            "parent": parent,
+            "change": change,
             "change_better_pairs": wins,
             "pairs": len(pairs),
-            "median_ratio": statistics.median(new) / statistics.median(old) if statistics.median(old) else None,
+            "median_ratio": change["median"] / parent["median"] if parent["median"] else None,
+            "meets_claim_rule": 10 * wins >= 9 * len(pairs) and gain > parent["q3"] - parent["q1"],
+            "worse_than_bound": -gain > bound * abs(parent["median"]),
         }
     return out
+
+
+def verdict_lines(workload: str, metrics: dict) -> list[str]:
+    """One line per metric: both sides' medians, the parent's quartiles, the pairs won and both verdicts."""
+    lines = []
+    for name, m in metrics.items():
+        parent, change = m["parent"], m["change"]
+        lines.append(
+            f"{workload} {name}: parent {parent['median']:.4g} [{parent['q1']:.4g}, {parent['q3']:.4g}] "
+            f"-> change {change['median']:.4g}, better in {m['change_better_pairs']}/{m['pairs']} pairs; "
+            f"claim rule {'met' if m['meets_claim_rule'] else 'not met'}; "
+            f"{'WORSE' if m['worse_than_bound'] else 'not worse'} than the parent by more than {m['bound']:g}"
+        )
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -104,12 +133,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be >= 1 and --seconds positive")
+    entries = []
+    for entry in args.workload:
+        workload, _, seed = entry.partition(":")
+        if seed and not seed.isdigit():
+            parser.error(f"--workload {entry}: the seed after ':' must be a nonnegative integer")
+        entries.append((entry, workload, int(seed) if seed else args.seed))
     trees = {"parent": args.old_tree.resolve(), "change": args.new_tree.resolve()}
     for tree in trees.values():
         if not (tree / "perfbench" / "run.py").is_file():
             parser.error(f"{tree} has no perfbench/run.py")
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
     problems = []
     report = {
@@ -118,25 +153,28 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": args.pairs,
         "workloads": {},
     }
-    for workload in args.workload:
+    for entry, workload, seed in entries:
         runs = {side: [] for side in SIDES}
         for pair in range(args.pairs):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                run = run_once(trees[side], workload, args.seed, args.seconds)
+                run = run_once(trees[side], workload, seed, args.seconds)
                 runs[side].append(run)
-                print(f"{workload} pair {pair} {side}: correct {run['correct']}, "
+                print(f"{entry} pair {pair} {side}: correct {run['correct']}, "
                       f"wall_s {run['metrics'].get('wall_s')}", file=sys.stderr)
                 if not run["correct"]:
-                    problems.append(f"{workload} {side} pair {pair}: not correct ({run.get('error', 'correct: false')})")
+                    problems.append(f"{entry} {side} pair {pair}: not correct ({run.get('error', 'correct: false')})")
         digests = {side: sorted({r["digest"] for r in runs[side]} - {None}) for side in SIDES}
         if digests["parent"] != digests["change"] or len(digests["parent"]) != 1:
-            problems.append(f"{workload}: eval curve digests differ: {digests}")
-        report["workloads"][workload] = {
+            problems.append(f"{entry}: eval curve digests differ: {digests}")
+        report["workloads"][entry] = {
+            "seed": seed,
             "digests": digests,
             "git_commits": {side: sorted({str(r["env"].get("git_commit")) for r in runs[side]}) for side in SIDES},
             "env": {k: v for k, v in runs["change"][0]["env"].items() if k != "git_commit"},
-            "metrics": compare(runs, better),
+            "metrics": compare(runs, end_to_end),
         }
+        for line in verdict_lines(entry, report["workloads"][entry]["metrics"]):
+            print(line)
     report["problems"] = problems
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for problem in problems:
