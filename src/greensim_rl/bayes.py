@@ -233,14 +233,14 @@ class PosteriorState:
     every chain.
 
     The dataset is fixed at construction, and so is everything drawn from
-    it, read-only: ``live`` and ``empty`` index the channels with and
-    without observations, and ``stats`` (3, C) stacks every channel's
-    ``n_obs`` (as floats), ``sum_log`` and ``sum_log1m``.  So the walk
-    state is built here too, once per posterior: its work block, its
-    likelihood writer over ``stats[:, live]`` and the log likelihood of
-    the start positions.  The chains start at ``log_shapes`` and
-    ``step_size`` if given (a warm start, as :func:`update_dataset`
-    makes), else at shapes (10, 10) and step size 0.5.
+    it, read-only: ``live`` indexes the channels with observations, and
+    ``stats`` (3, C) stacks every channel's ``n_obs`` (as floats),
+    ``sum_log`` and ``sum_log1m``.  So the walk state is built here too,
+    once per posterior: its work block, its likelihood writer over
+    ``stats[:, live]`` and the log likelihood of the start positions.  The
+    chains start at ``log_shapes`` and ``step_size`` if given (a warm
+    start, as :func:`update_dataset` makes), else at shapes (10, 10) and
+    step size 0.5.
 
     Single-writer: :func:`mh_sample` advances the chains in place.  The
     emitted :class:`~greensim_rl.bioenv.ModelParams` draws are immutable.
@@ -300,9 +300,8 @@ class PosteriorState:
             self.sum_log1m[c] = np.sum(log1m_x[lo:hi])
         # The dataset never changes after this point, so neither does anything drawn from it.
         self.live = np.flatnonzero(self.n_obs > 0)
-        self.empty = np.flatnonzero(self.n_obs == 0)
         self.stats = np.stack([self.n_obs.astype(np.float64), self.sum_log, self.sum_log1m])
-        for arr in (self.n_obs, self.sum_log, self.sum_log1m, self.live, self.empty, self.stats, self._step_size):
+        for arr in (self.n_obs, self.sum_log, self.sum_log1m, self.live, self.stats, self._step_size):
             arr.setflags(write=False)
         live = self.live
         self._chains = _Chains(self.stats[:, live], self._positions[live], self._step_size[live], burn_in)

@@ -432,7 +432,7 @@ class TestLockstepMatchesScalarReference:
         data = self._data(36, cells, 4)
         ps = make_posterior(data, 2, 3, burn_in=30, thin=4)
         ref = ScalarReference(data, 2, 3, 30, 4)
-        assert ps.live.size == ps.n_obs.size and ps.empty.size == 0
+        assert ps.live.size == ps.n_obs.size and ps.n_obs.all()
         for call, n in enumerate([1, 3]):
             assert_matches_reference(ps, ref, mh_sample(ps, n, SEED, 45, call), ref.sample(n, SEED, 45, call))
 
@@ -522,7 +522,7 @@ class TestResidentChains:
         for call, n in enumerate([1, 2, None, 1, 3]):
             reads = [getattr(ps, name) for name in CHAIN_ARRAYS] + [acceptance_rows(ps)]
             if n is None:
-                assert c in ps.empty
+                assert ps.n_obs[c] == 0
                 ps, ref = update_dataset(ps, second), ref.update(second)
                 assert c in ps.live
                 np.testing.assert_array_equal(ps.log_shapes[c], reads[0][c])  # the prior point it last took

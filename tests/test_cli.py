@@ -691,7 +691,6 @@ class TestPosteriorDiagCommand:
         assert f"no {missing!r} column" in capsys.readouterr().err
         assert not out.exists()
 
-
     @pytest.mark.parametrize("draws", [bayes.MAX_MOVES // 5 + 1, 1_000_000_000])
     def test_draws_past_the_move_bound_exit_2(self, tmp_path, capsys, draws):
         # --draws times the default thin of 5 may be at most bayes.MAX_MOVES

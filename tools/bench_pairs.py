@@ -13,11 +13,11 @@ first in even pairs and the new tree first in odd ones, so that a drift of
 host speed falls on both sides alike.  From each run it reads the last
 stdout line (the result JSON) and the eval curves' sha256.
 
-The output JSON holds, per workload argument, its seed, each side's eval curve digests and git
-commits, the environment the benchmark printed, and per end-to-end metric
-each side's values, median and quartiles and the number of pairs in which
-the new tree did better (by the metric's direction in NEW_TREE's
-``BENCHMARK.json``).  Each metric also gets two verdicts, printed as well:
+The output JSON holds, per workload argument, its seed, each side's eval
+curve digests and git commits, the environment the benchmark printed, and
+per end-to-end metric each side's values, median and quartiles and the
+number of pairs in which the new tree did better (by the metric's
+direction in NEW_TREE's ``BENCHMARK.json``).  Each metric also gets two verdicts, printed as well:
 
 - ``meets_claim_rule``: the new tree did better in at least 9 of every 10
   pairs (ties count for neither side), and its median is better than the
