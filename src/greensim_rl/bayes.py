@@ -15,10 +15,13 @@ assembled into full model parameter tables.
 The chains advance in lockstep.  :class:`PosteriorState` holds them as
 arrays, one row per channel, and every move updates all data-backed chains
 at once: one vectorised ``betaln`` over the proposals, a per-chain
-acceptance mask and per-chain step sizes and adaptation windows.  Step
-sizes change only where a burn-in window fills, so the moves run in
-segments between those points, each scaling its increments at once.  A draw
-is named by a stream key ``(root_seed, *path)``, as
+acceptance mask and per-chain step sizes.  Step sizes adapt only in
+burn-in, which a posterior's first draw runs: after each whole window of
+burn-in moves every chain nudges its step size, and the moves between
+those points run in segments of fixed step sizes, each scaling its
+increments at once.  Fixing the step sizes before the draws keeps them a
+valid Metropolis-Hastings chain (Roberts & Rosenthal 2009, "Examples of
+adaptive MCMC").  A draw is named by a stream key ``(root_seed, *path)``, as
 :func:`~greensim_rl.core.substream` names a stream, and takes all of its
 randomness from that one stream: each array it draws has one column per
 channel, for every channel, and channel ``c`` reads column ``c``.  So one
@@ -30,10 +33,9 @@ A posterior's dataset never changes, so :class:`PosteriorState` works out
 its data-backed chains and their sufficient statistics once, when it is
 made, and builds their walk state then too: one work block with its row
 views, the likelihood writer over the chains' statistics, the log
-likelihood of the start positions, and the step sizes and acceptance and
-window counts, one column per chain in walk order.  That state stays
-resident between draws, and every :func:`mh_sample` call advances it in
-place; the per-channel arrays a caller reads are copies assembled from it.
+likelihood of the start positions, and the step sizes and acceptance
+counts, one column per chain in walk order.  That state stays resident
+between draws, and every :func:`mh_sample` call advances it in place.
 A move is a fixed sequence of ufunc calls that write into the block's
 rows, so its cost is what numpy charges per call, not per chain, and a
 call adds to its moves only its random numbers, the gather of their
@@ -74,11 +76,12 @@ __all__ = [
 
 PRIOR_HIGH = 300.0
 
-# Upper bound on burn_in and on thin.  A call draws three doubles per move and
-# channel at once, so 100,000 moves at 60 channels take about 144 MB.
+# Upper bound on burn_in and on n * thin.  A call draws three doubles per move and
+# channel at once, and a posterior's first call makes burn_in + n * thin <= 2 * MAX_MOVES
+# moves, so at 60 channels it takes up to about 288 MB.
 MAX_MOVES = 100_000
 
-# Step-size adaptation (burn-in only): nudge toward the target acceptance band.
+# Step-size adaptation (burn-in only): after each ADAPT_EVERY moves, nudge toward the target band.
 ADAPT_EVERY = 25
 ACCEPT_LOW, ACCEPT_HIGH = 0.3, 0.5
 
@@ -189,16 +192,14 @@ class _Chains:
     rows' views are taken here, once.  ``shapes`` (2, L) is the ``exp`` of
     a position, read by ``log_lik``, the likelihood writer over the
     chains' sufficient statistics ``stats`` (3, L).  ``step`` is each
-    chain's random-walk scale, ``accepted`` its accepted moves and
-    ``w_acc``/``w_prop`` its step-size adaptation window.  The state's log
-    likelihood is worked out here, once, from the start positions
-    ``log_shapes`` (L, 2); after that every accepted move carries its
-    proposal's.
+    chain's random-walk scale and ``accepted`` its accepted moves.  The
+    state's log likelihood is worked out here, once, from the start
+    positions ``log_shapes`` (L, 2); after that every accepted move carries
+    its proposal's.
     """
 
-    def __init__(self, stats: np.ndarray, log_shapes: np.ndarray, step_size: np.ndarray, burn_in: int):
+    def __init__(self, stats: np.ndarray, log_shapes: np.ndarray, step_size: np.ndarray):
         n_live = stats.shape[1]
-        self.burn_in = burn_in
         block = np.empty((8, n_live))
         self.state, self.prop = block[:4], block[4:]
         self.pos, self.prop_pos = self.state[:2], self.prop[:2]
@@ -209,8 +210,6 @@ class _Chains:
         self.larger, self.inside = np.empty(n_live), np.empty(n_live, dtype=bool)
         self.step = np.array(step_size, dtype=np.float64)
         self.accepted = np.zeros(n_live, dtype=np.int64)
-        self.w_acc = np.zeros(n_live, dtype=np.int64)
-        self.w_prop = np.zeros(n_live, dtype=np.int64)
         _, _, pos_sum, cur_ll = self.state
         self.pos[...] = log_shapes.T
         np.add(self.pos[0], self.pos[1], out=pos_sum)
@@ -223,14 +222,14 @@ class PosteriorState:
 
     Row ``c`` of every per-channel array belongs to ``channel_keys()[c]``:
     ``log_shapes`` (C, 2) is the position on log shapes, ``step_size`` the
-    random-walk scale, ``accepted``/``proposed`` the totals since the
-    posterior was made and ``window_accepted``/``window_proposed`` the
-    step-size adaptation window.  These six are read-only copies,
-    assembled when read: the data-backed chains live in one :class:`_Chains`
-    walk state, in walk order, which every :func:`mh_sample` call advances
-    in place.  ``n_obs``, ``sum_log`` and ``sum_log1m`` are the channels'
-    sufficient statistics.  ``steps_taken`` is the move count, shared by
-    every chain.
+    random-walk scale and ``accepted``/``proposed`` the totals since the
+    posterior was made.  These four are read-only.  ``log_shapes`` is the
+    last call's final positions; the other three are assembled when read
+    from the data-backed chains' :class:`_Chains` walk state, in walk
+    order, which every :func:`mh_sample` call advances in place.  ``n_obs``,
+    ``sum_log`` and ``sum_log1m`` are the channels' sufficient statistics.
+    ``steps_taken`` is the move count, shared by every chain: 0 before the
+    first :func:`mh_sample` call, past ``burn_in`` after it.
 
     The dataset is fixed at construction, and so is everything drawn from
     it, read-only: ``live`` indexes the channels with observations, and
@@ -268,12 +267,11 @@ class PosteriorState:
             log_shapes = np.log(np.full((n_chains, 2), 10.0))
         if step_size is None:
             step_size = np.full(n_chains, 0.5)
-        # every channel's last position; the data-backed chains' rows are stale once they move
+        # every channel's last position, replaced by each mh_sample call
         self._positions = np.array(log_shapes, dtype=np.float64)
         self._step_size = np.array(step_size, dtype=np.float64)
         if self._positions.shape != (n_chains, 2) or self._step_size.shape != (n_chains,):
             raise ValueError(f"log_shapes must have shape ({n_chains}, 2) and step_size ({n_chains},)")
-        self._proposed = 0  # moves since the posterior was made, proposed by every channel
         self.steps_taken = 0
         self.n_obs = np.zeros(n_chains, dtype=np.int64)
         self.sum_log = np.zeros(n_chains)
@@ -301,10 +299,10 @@ class PosteriorState:
         # The dataset never changes after this point, so neither does anything drawn from it.
         self.live = np.flatnonzero(self.n_obs > 0)
         self.stats = np.stack([self.n_obs.astype(np.float64), self.sum_log, self.sum_log1m])
-        for arr in (self.n_obs, self.sum_log, self.sum_log1m, self.live, self.stats, self._step_size):
+        for arr in (self.n_obs, self.sum_log, self.sum_log1m, self.live, self.stats, self._positions, self._step_size):
             arr.setflags(write=False)
         live = self.live
-        self._chains = _Chains(self.stats[:, live], self._positions[live], self._step_size[live], burn_in)
+        self._chains = _Chains(self.stats[:, live], self._positions[live], self._step_size[live])
 
     def _per_channel(self, base: np.ndarray, live_values: np.ndarray) -> np.ndarray:
         """A read-only copy of ``base`` with the data-backed chains' ``live_values`` in their rows."""
@@ -315,7 +313,7 @@ class PosteriorState:
 
     @property
     def log_shapes(self) -> np.ndarray:
-        return self._per_channel(self._positions, self._chains.pos.T)
+        return self._positions
 
     @property
     def step_size(self) -> np.ndarray:
@@ -323,20 +321,14 @@ class PosteriorState:
 
     @property
     def proposed(self) -> np.ndarray:
-        return self._per_channel(np.full(self.n_obs.size, self._proposed), self._proposed)
+        proposed = np.full(self.n_obs.size, self.steps_taken)
+        proposed.setflags(write=False)
+        return proposed
 
     @property
     def accepted(self) -> np.ndarray:
         # a prior-only channel accepts every independence proposal
-        return self._per_channel(np.full(self.n_obs.size, self._proposed), self._chains.accepted)
-
-    @property
-    def window_accepted(self) -> np.ndarray:
-        return self._per_channel(np.zeros(self.n_obs.size, dtype=np.int64), self._chains.w_acc)
-
-    @property
-    def window_proposed(self) -> np.ndarray:
-        return self._per_channel(np.zeros(self.n_obs.size, dtype=np.int64), self._chains.w_prop)
+        return self._per_channel(self.proposed, self._chains.accepted)
 
     def channel_keys(self) -> list[tuple[int, int, str]]:
         return [
@@ -363,23 +355,23 @@ def make_posterior(
     return PosteriorState(dataset, n_steps, n_actions, burn_in, thin)
 
 
-def _walk(chains: _Chains, steps: int, normals: np.ndarray, log_us: np.ndarray, stops) -> list:
+def _walk(chains: _Chains, burn: int, normals: np.ndarray, log_us: np.ndarray, stops) -> list:
     """Advance the walk state ``chains`` through ``len(normals)`` moves in lockstep, in place.
 
-    ``steps`` is the chains' shared move count before the call.
-    ``normals`` (M, L, 2) and ``log_us`` (M, L) hold each chain's
-    random-walk increments and log acceptance uniforms, in walk order.  The
-    acceptance ratio carries the log-transform Jacobian, so each chain
-    targets the posterior over the shapes themselves.  While the shared
-    move count is within ``chains.burn_in``, every chain whose window holds
-    ``ADAPT_EVERY`` proposals nudges its step size toward the target
-    acceptance band.  Returns the ``(L, 2)`` positions after each move
-    index in ``stops``.
+    ``burn`` is the length of the call's burn-in block, fewer moves than the
+    call makes.  ``normals`` (M, L, 2) and ``log_us`` (M, L) hold each
+    chain's random-walk increments and log acceptance uniforms, in walk
+    order.  The acceptance ratio carries the log-transform Jacobian, so each
+    chain targets the posterior over the shapes themselves.  Returns the
+    ``(L, 2)`` positions after each move index in ``stops``.
 
-    The moves run in segments of fixed step sizes: within burn-in a segment
-    ends at the next move where a window fills, else at the end of the call.
-    It scales its increments in one product and sums its moves' rows of an
-    ``(M, L)`` acceptance mask into the window counts at its end.
+    The moves run in segments of fixed step sizes.  The burn-in block's
+    first ``burn // ADAPT_EVERY`` whole windows of ``ADAPT_EVERY`` moves
+    are one segment each, after which every chain nudges its step size
+    toward the target acceptance band from its acceptance rate in that
+    window.  The rest of the call is one segment with no adaptation.  A
+    segment scales its increments in one product and sums its moves' rows
+    of an ``(M, L)`` acceptance mask into the accepted counts at its end.
 
     Every move runs inside the walk state's work block, whose rows and
     views were made with the posterior, and every operation of a move
@@ -397,19 +389,15 @@ def _walk(chains: _Chains, steps: int, normals: np.ndarray, log_us: np.ndarray, 
     jacobian, log_ratio = ratio
     alpha, beta = shapes = chains.shapes
     log_lik, larger, inside = chains.log_lik, chains.larger, chains.inside
-    step, accepted, w_acc, w_prop = chains.step, chains.accepted, chains.w_acc, chains.w_prop
-    burn_in = chains.burn_in
+    step, accepted = chains.step, chains.accepted
     increments = np.empty((n_moves, 2, n_live))
     takes = np.zeros((n_moves, n_live), dtype=bool)
     out = []
-    m0 = 0
+    windows = burn // ADAPT_EVERY
     with np.errstate(over="ignore", invalid="ignore"):
-        while m0 < n_moves:
-            if steps < burn_in:
-                fills = max(1, ADAPT_EVERY - int(w_prop.max()))  # moves until a window is full
-                m1 = min(m0 + fills, n_moves) if steps + fills <= burn_in else n_moves
-            else:
-                m1 = n_moves
+        for window in range(windows + 1):
+            m0 = window * ADAPT_EVERY
+            m1 = m0 + ADAPT_EVERY if window < windows else n_moves
             np.multiply(step, normals[m0:m1].transpose(0, 2, 1), out=increments[m0:m1])
             for m, increment, log_u, take in zip(range(m0, m1), increments[m0:m1], log_us[m0:m1], takes[m0:m1]):
                 np.add(pos, increment, out=prop_pos)
@@ -425,19 +413,11 @@ def _walk(chains: _Chains, steps: int, normals: np.ndarray, log_us: np.ndarray, 
                 if m in stops:
                     out.append(pos.T.copy())
             segment_accepted = takes[m0:m1].sum(axis=0)
-            w_acc += segment_accepted
             accepted += segment_accepted
-            w_prop += m1 - m0
-            steps += m1 - m0
-            if steps <= burn_in:
-                full = w_prop >= ADAPT_EVERY
-                if full.any():
-                    rate = w_acc / w_prop
-                    step = np.where(full & (rate < ACCEPT_LOW), np.maximum(step * 0.7, 1e-3), step)
-                    step = np.where(full & (rate > ACCEPT_HIGH), np.minimum(step * 1.4, 10.0), step)
-                    w_acc[full] = 0
-                    w_prop[full] = 0
-            m0 = m1
+            if window < windows:
+                rate = segment_accepted / ADAPT_EVERY
+                step = np.where(rate < ACCEPT_LOW, np.maximum(step * 0.7, 1e-3), step)
+                step = np.where(rate > ACCEPT_HIGH, np.minimum(step * 1.4, 10.0), step)
     chains.step = step
     return out
 
@@ -445,21 +425,21 @@ def _walk(chains: _Chains, steps: int, normals: np.ndarray, log_us: np.ndarray, 
 def mh_sample(ps: PosteriorState, n: int, root_seed: int, *path: int) -> list[ModelParams]:
     """Draw ``n`` thinned post-burn-in joint posterior samples.
 
-    A call first finishes burn-in, if the chains have made fewer than
-    ``burn_in`` moves, and then makes ``thin`` moves per draw; ``n * thin``
-    may be at most ``MAX_MOVES``, or the call raises ``ValueError`` before
-    it draws or moves anything.  All of its randomness comes from one
-    generator, ``substream(root_seed, *path)``, so a call is a pure
-    function of its key and the chains' state.  For each block of moves
-    (burn-in, then each draw's ``thin``) the generator gives the block's
-    normal increments ``(m, C, 2)`` and then its acceptance uniforms
-    ``(m, C)``; after the last block it gives one prior point per block
-    ``(blocks, C, 2)``.  Every array has a column for every one of the C
-    channels (in ``channel_keys()`` order), empty channels included, so
-    channel ``c`` always reads column ``c`` at the same stream positions
-    and its draws are unaffected by the data held by any other channel.
-    The data-backed chains advance together on their columns, one set of
-    array operations per move, in segments of fixed step sizes
+    A posterior's first call makes ``burn_in`` moves of burn-in, in which
+    the step sizes adapt, and then, like every later call, ``thin`` moves
+    per draw; ``n * thin`` may be at most ``MAX_MOVES``, or the call raises
+    ``ValueError`` before it draws or moves anything.  All of its
+    randomness comes from one generator, ``substream(root_seed, *path)``,
+    so a call is a pure function of its key and the chains' state.  For
+    each block of moves (burn-in, then each draw's ``thin``) the generator
+    gives the block's normal increments ``(m, C, 2)`` and then its
+    acceptance uniforms ``(m, C)``; after the last block it gives one prior
+    point per block ``(blocks, C, 2)``.  Every array has a column for every
+    one of the C channels (in ``channel_keys()`` order), empty channels
+    included, so channel ``c`` always reads column ``c`` at the same stream
+    positions and its draws are unaffected by the data held by any other
+    channel.  The data-backed chains advance together on their columns, one
+    set of array operations per move, in segments of fixed step sizes
     (:func:`_walk`), in the walk state the posterior keeps between calls.
     An empty channel instead takes its column's prior point of each draw's
     block: the flat target always accepts that independence proposal, so
@@ -474,7 +454,7 @@ def mh_sample(ps: PosteriorState, n: int, root_seed: int, *path: int) -> list[Mo
     if n * ps.thin > MAX_MOVES:
         raise ValueError(f"n * thin must be <= {MAX_MOVES} (bayes.MAX_MOVES), got {n} * {ps.thin}")
     rng = substream(root_seed, *path)
-    burn = max(ps.burn_in - ps.steps_taken, 0)
+    burn = 0 if ps.steps_taken else ps.burn_in
     blocks = ([burn] if burn else []) + [ps.thin] * n
     n_moves = sum(blocks)
     n_chains = ps.n_obs.size
@@ -493,10 +473,10 @@ def mh_sample(ps: PosteriorState, n: int, root_seed: int, *path: int) -> list[Mo
         stops = {burn + ps.thin * (d + 1) - 1 for d in range(n)}
         # a call of one block, as every single draw after burn-in is, needs no concatenation
         normals, uniforms = (a[0] if len(a) == 1 else np.concatenate(a) for a in (normals, uniforms))
-        positions[:, live] = _walk(ps._chains, ps.steps_taken, normals[:, live], np.log(uniforms[:, live]), stops)
-    ps._proposed += n_moves
+        positions[:, live] = _walk(ps._chains, burn, normals[:, live], np.log(uniforms[:, live]), stops)
     ps.steps_taken += n_moves
     ps._positions = positions[-1]
+    ps._positions.setflags(write=False)
 
     # chain rows 2j and 2j+1 are table row j's eta and psi pairs; a table row holds
     # (PSI_L, PSI_U, ETA_L, ETA_U), so the (eta, psi) axis is reversed

@@ -100,7 +100,8 @@ class MlpSoftmaxPolicy(Policy):
     """
 
     def __init__(self, features: FeatureMap, n_actions: int, hidden_dim: int = 16):
-        if not isinstance(hidden_dim, (int, np.integer)) or hidden_dim < 1:
+        # a bool is an int to isinstance, but JSON's true is no layer width
+        if isinstance(hidden_dim, bool) or not isinstance(hidden_dim, (int, np.integer)) or hidden_dim < 1:
             raise ValueError(f"hidden_dim must be a positive integer, got {hidden_dim!r}")
         super().__init__(features, n_actions)
         self.hidden_dim = hidden_dim

@@ -244,7 +244,7 @@ class TestMhSampler:
         # walk (not the independence shortcut) against a flat target, i.e.
         # zero sufficient statistics: the log-transform Jacobian is what
         # keeps it uniform
-        chains = bayes._Chains(np.zeros((3, 1)), np.log([[150.0, 150.0]]), np.array([0.5]), burn_in=0)
+        chains = bayes._Chains(np.zeros((3, 1)), np.log([[150.0, 150.0]]), np.array([0.5]))
         rng = stream(26)
         moves = 100_000
         normals = rng.standard_normal((moves, 1, 2))
@@ -256,7 +256,7 @@ class TestMhSampler:
         assert tv < 0.05
 
 
-CHAIN_ARRAYS = ("log_shapes", "step_size", "accepted", "proposed", "window_accepted", "window_proposed")
+CHAIN_ARRAYS = ("log_shapes", "step_size", "accepted", "proposed")
 
 
 class ScalarReference:
@@ -380,8 +380,6 @@ def assert_matches_reference(ps, ref, draws, ref_draws):
     assert rows == [(n, p, a / p if p else 0.0, s) for n, p, a, s in ref.rows()]
     np.testing.assert_array_equal(ps.step_size, [ch["step"] for ch in ref.chains.values()])
     np.testing.assert_array_equal(ps.log_shapes, [ch["pos"] for ch in ref.chains.values()])
-    np.testing.assert_array_equal(ps.window_accepted, [ch["w_acc"] for ch in ref.chains.values()])
-    np.testing.assert_array_equal(ps.window_proposed, [ch["w_prop"] for ch in ref.chains.values()])
 
 
 class TestLockstepMatchesScalarReference:
@@ -447,52 +445,23 @@ class TestLockstepMatchesScalarReference:
         key, chain = ref.keys[c], ref.chains[ref.keys[c]]
         # the eta chain's start position and step size, in a walk state of its own
         one = slice(c, c + 1)
-        chains = bayes._Chains(ps.stats[:, one], ps.log_shapes[one], ps.step_size[one], burn_in)
+        chains = bayes._Chains(ps.stats[:, one], ps.log_shapes[one], ps.step_size[one])
         rng = stream(46)
         moves = 80
         normals, uniforms = rng.standard_normal((moves, 1, 2)), rng.random((moves, 1))
-        path = bayes._walk(chains, 0, normals, np.log(uniforms), set(range(moves)))
+        path = bayes._walk(chains, burn_in, normals, np.log(uniforms), set(range(moves)))
         assert len(path) == moves
         for m, pos in enumerate(path):
             ref._advance(chain, ref.stats[key], normals[m : m + 1, 0], uniforms[m : m + 1, 0], None)
             np.testing.assert_array_equal(pos, [chain["pos"]])
         assert 0 < chain["accepted"] < moves
         assert (chains.accepted[0], len(path), chains.step[0]) == (chain["accepted"], chain["proposed"], chain["step"])
-        assert (chains.w_acc[0], chains.w_prop[0]) == (chain["w_acc"], chain["w_prop"])
         if burn_in:
             assert chain["step"] != 0.5  # the window filled and the step size adapted
 
-    def test_call_resumed_mid_burn_in(self):
-        data = self._data(33, [(1, 0), (2, 1), (2, 2)], 5)
-        ps = make_posterior(data, 2, 3, burn_in=61, thin=4)
-        ref = ScalarReference(data, 2, 3, 61, 4)
-        ps.steps_taken = 23  # a restart part-way through burn-in: 38 moves of it remain
-        for ch in ref.chains.values():
-            ch["steps"] = 23
-        assert_matches_reference(ps, ref, mh_sample(ps, 3, SEED, 41), ref.sample(3, SEED, 41))
-        assert ps.steps_taken == 61 + 3 * 4
-
-    def test_call_resumed_mid_burn_in_with_open_windows(self):
-        # uneven windows, one already past ADAPT_EVERY: the fullest window sets where
-        # the step sizes next change, and each chain adapts when its own window fills
-        data = self._data(35, [(1, 0), (1, 2), (2, 1), (2, 2)], 5)
-        ps = make_posterior(data, 2, 3, burn_in=90, thin=4)
-        ref = ScalarReference(data, 2, 3, 90, 4)
-        ps.steps_taken = 17
-        # the data-backed chains' windows, set in the walk state, where they live in walk order
-        chains = ps._chains
-        chains.w_prop[:] = (np.arange(ps.live.size) * 7) % 31
-        chains.w_acc[:] = chains.w_prop // 3
-        assert ps.window_proposed.max() > bayes.ADAPT_EVERY
-        for c, ch in enumerate(ref.chains.values()):
-            ch["steps"] = 17
-            ch["w_prop"], ch["w_acc"] = int(ps.window_proposed[c]), int(ps.window_accepted[c])
-        for call, n in enumerate([2, 3]):
-            assert_matches_reference(ps, ref, mh_sample(ps, n, SEED, 44, call), ref.sample(n, SEED, 44, call))
-
 
 class TestResidentChains:
-    """The per-channel chain arrays are read-only copies of the walk state the posterior keeps."""
+    """The per-channel chain arrays are read-only, and reading them changes nothing in the walk state."""
 
     def test_per_channel_arrays_reject_writes(self):
         data = dataset_from_fractions(1, 0, [0.5, 0.7], [0.4, 0.3])
@@ -578,7 +547,7 @@ class TestUpdateDataset:
         np.testing.assert_array_equal(updated.log_shapes, position)
         np.testing.assert_array_equal(updated.step_size, step_size)
         assert updated.log_shapes is not ps.log_shapes
-        for counter in ("accepted", "proposed", "window_accepted", "window_proposed"):
+        for counter in ("accepted", "proposed"):
             assert not getattr(updated, counter).any()
         assert updated.steps_taken == 0
         np.testing.assert_array_equal(updated.n_obs, [4, 4])

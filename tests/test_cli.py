@@ -476,6 +476,8 @@ class TestCheckpointArchitecture:
             '{"kind": "mlp", "length": 1, "values": ["x"]}',
             '{"kind": "tabular", "length": 1, "values": [0.0]}',
             '{"kind": "mlp", "length": 1, "values": [0.0], "meta": {"hidden_dim": -2}}',
+            # hidden_dim true would be width 1: 24 parameters on the default scenario
+            '{"kind": "mlp", "length": 24, "values": [0.0' + ", 0.0" * 23 + '], "meta": {"hidden_dim": true}}',
             # a linear policy on the default scenario has 30 parameters
             '{"kind": "linear", "length": 30, "values": [NaN' + ", 0.0" * 29 + "]}",
             '{"kind": "linear", "length": 30, "values": [Infinity' + ", 0.0" * 29 + "]}",

@@ -17,14 +17,19 @@ The output JSON holds, per workload argument, its seed, each side's eval
 curve digests and git commits, the environment the benchmark printed, and
 per end-to-end metric each side's values, median and quartiles and the
 number of pairs in which the new tree did better (by the metric's
-direction in NEW_TREE's ``BENCHMARK.json``).  Each metric also gets two verdicts, printed as well:
+direction in NEW_TREE's ``BENCHMARK.json``).  Each metric also gets three verdicts, printed as well:
 
 - ``meets_claim_rule``: the new tree did better in at least 9 of every 10
   pairs (ties count for neither side), and its median is better than the
   old tree's by more than the distance between the old tree's quartiles;
 - ``worse_than_bound``: the new tree's median is worse than the old
   tree's by more than the metric's ``bound`` in ``BENCHMARK.json``, taken
-  as a fraction of the old tree's median.
+  as a fraction of the old tree's median;
+- ``unresolved``: the old tree's own runs spread wider than that bound
+  (the distance between their quartiles exceeds ``bound`` times the
+  magnitude of their median), so the pairs cannot tell a change within
+  the bound from noise, unless every run of the new tree is better than
+  every run of the old one.
 
 It is written in every case.  The exit status is 1 if any run failed or
 reported ``correct: false``, or if the two trees' eval curves differ, and
@@ -78,7 +83,7 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(runs: dict, spec: dict) -> dict:
-    """Per metric: each side's summary, the pairs in which the change did better, and both verdicts."""
+    """Per metric: each side's summary, the pairs in which the change did better, and the three verdicts."""
     out = {}
     for name, (direction, bound) in spec.items():
         pairs = [
@@ -93,6 +98,7 @@ def compare(runs: dict, spec: dict) -> dict:
         parent, change = summary(old), summary(new)
         # how much better the change's median is than the parent's (negative: worse)
         gain = (parent["median"] - change["median"]) * (1 if direction == "lower" else -1)
+        beats_every_run = max(new) < min(old) if direction == "lower" else min(new) > max(old)
         out[name] = {
             "better": direction,
             "bound": bound,
@@ -103,12 +109,13 @@ def compare(runs: dict, spec: dict) -> dict:
             "median_ratio": change["median"] / parent["median"] if parent["median"] else None,
             "meets_claim_rule": 10 * wins >= 9 * len(pairs) and gain > parent["q3"] - parent["q1"],
             "worse_than_bound": -gain > bound * abs(parent["median"]),
+            "unresolved": parent["q3"] - parent["q1"] > bound * abs(parent["median"]) and not beats_every_run,
         }
     return out
 
 
 def verdict_lines(workload: str, metrics: dict) -> list[str]:
-    """One line per metric: both sides' medians, the parent's quartiles, the pairs won and both verdicts."""
+    """One line per metric: both sides' medians, the parent's quartiles, the pairs won and the three verdicts."""
     lines = []
     for name, m in metrics.items():
         parent, change = m["parent"], m["change"]
@@ -116,7 +123,8 @@ def verdict_lines(workload: str, metrics: dict) -> list[str]:
             f"{workload} {name}: parent {parent['median']:.4g} [{parent['q1']:.4g}, {parent['q3']:.4g}] "
             f"-> change {change['median']:.4g}, better in {m['change_better_pairs']}/{m['pairs']} pairs; "
             f"claim rule {'met' if m['meets_claim_rule'] else 'not met'}; "
-            f"{'WORSE' if m['worse_than_bound'] else 'not worse'} than the parent by more than {m['bound']:g}"
+            f"{'WORSE' if m['worse_than_bound'] else 'not worse'} than the parent by more than {m['bound']:g}; "
+            f"{'UNRESOLVED (parent spread wider than the bound)' if m['unresolved'] else 'resolved'}"
         )
     return lines
 

@@ -12,8 +12,9 @@
 #     config of 2 periods x 8 iterations with 5 replications, once with
 #     the default MLP policy and once with the linear policy (so every
 #     estimator runs through both policies' forward and backward passes),
-#     and for mlr with burn_in 37 and thin 3 (a burn-in that is not a
-#     multiple of the sampler's 25-move adaptation window);
+#     and for mlr with burn_in 37 and thin 3 and with burn_in 24 and thin 2,
+#     so that with the default 500 the sampler's 25-move adaptation windows
+#     end exactly at burn-in (500), leave a remainder (37) and never fill (24);
 #   - greensim simulate --n 20 --seed 4, from a fresh init and from the
 #     mlr run's last checkpoint;
 #   - greensim evaluate --r-test 9 --seed 4 on that checkpoint, its
@@ -65,6 +66,10 @@ run_tree() {
         >"$out/config_burn_in.json"
     greensim train --config "$out/config_burn_in.json" --estimator mlr --seed 3 --r-test 7 \
         --out "$out/train_burn_in_mlr"
+    echo '{"periods": 2, "iterations_per_period": 8, "replications": 5, "burn_in": 24, "thin": 2}' \
+        >"$out/config_short_burn_in.json"
+    greensim train --config "$out/config_short_burn_in.json" --estimator mlr --seed 3 --r-test 7 \
+        --out "$out/train_short_burn_in_mlr"
     local checkpoint="$out/train_mlr/ckpt/iter_16/params.json"
     greensim simulate --n 20 --seed 4 --out "$out/simulate_init.jsonl"
     greensim simulate --n 20 --seed 4 --checkpoint "$checkpoint" --out "$out/simulate_checkpoint.jsonl"
