@@ -65,6 +65,11 @@ EPS_MASS = 1e-6
 # density and would break every likelihood ratio involving the trajectory.
 _FRACTION_EPS = 1e-12
 
+# Most RK4 steps (duration / dt) a fermentation may take, about 17x the
+# default scenario's 60,000: past it the integration runs for minutes, or the
+# step count overflows.
+MAX_RK4_STEPS = 1_000_000
+
 # beta_shapes column layout per (step, action).
 PSI_L, PSI_U, ETA_L, ETA_U = 0, 1, 2, 3
 
@@ -136,11 +141,16 @@ class UpstreamParams:
 
     def __post_init__(self):
         check_fields(self, ScenarioError)
-        if self.V <= 0 or self.dt <= 0 or self.duration <= 0 or self.q_s_max <= 0:
-            raise ScenarioError("V, dt, duration and q_s_max must be positive")
+        for name in ("V", "dt", "duration", "q_s_max"):
+            if getattr(self, name) <= 0:
+                raise ScenarioError(f"{name} must be positive")
         for name in ("S_i_sd", "nu1_sd", "nu2_sd", "harvest_noise_sd"):
             if getattr(self, name) < 0:
                 raise ScenarioError(f"{name} must be nonnegative")
+        if not self.duration / self.dt <= MAX_RK4_STEPS:
+            raise ScenarioError(
+                f"duration / dt must be at most {MAX_RK4_STEPS} RK4 steps, got {self.duration!r} / {self.dt!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -230,8 +240,9 @@ class Scenario:
 
     def __post_init__(self):
         check_fields(self, ScenarioError)
-        if self.p_bar <= 0 or self.i_bar <= 0:
-            raise ScenarioError("state bounds must be positive")
+        for name in ("p_bar", "i_bar"):
+            if getattr(self, name) <= 0:
+                raise ScenarioError(f"{name} must be positive")
         rows = self.true_model.beta_shapes.shape[0]
         if rows < 2:
             # the transitions from steps 1 and 2 read rows 0 and 1
@@ -489,10 +500,7 @@ _SECTIONS = ("upstream", "true_model", "reward", "bounds")
 
 
 def scenario_from_jsonable(obj) -> Scenario:
-    check_object(obj, ScenarioError, "scenario", _SECTIONS)
-    for section in _SECTIONS:
-        if section not in obj:
-            raise ScenarioError(f"scenario is missing the '{section}' section")
+    check_object(obj, ScenarioError, "scenario", _SECTIONS, _SECTIONS)
     upstream = check_object(obj["upstream"], ScenarioError, "upstream", UpstreamParams.__dataclass_fields__)
     reward = check_object(obj["reward"], ScenarioError, "reward", RewardConfig.__dataclass_fields__)
     model = check_object(obj["true_model"], ScenarioError, "true_model", ("beta_shapes",), ("beta_shapes",))

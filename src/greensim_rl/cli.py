@@ -15,7 +15,8 @@ Subcommands and the files they write:
 - ``evaluate``: scores a checkpoint; writes no file.
 - ``compare``: the estimator comparison grid, into the directory
   ``--out``: ``curves/<estimator>_<n_i>.csv``, ``summary.csv`` and
-  ``manifest.json``.
+  ``manifest.json``; its cells run in a pool of ``--threads`` worker
+  processes (default 1, serial).
 - ``oracle-check``: exactness invariants; writes no file.
 - ``posterior-diag``: per-channel MCMC acceptance diagnostics, the CSV
   file ``--out``; ``--draws`` times the sampler's thin may be at most
@@ -80,14 +81,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _default_threads() -> int:
-    env = os.environ.get("GREENSIM_THREADS")
-    try:
-        return _int_at_least(1)(env) if env else 1
-    except argparse.ArgumentTypeError:
-        raise CliError(EXIT_BAD_CONFIG, f"GREENSIM_THREADS must be an integer >= 1, got {env!r}") from None
 
 
 def _int_at_least(minimum: int):
@@ -246,7 +239,6 @@ def _cmd_compare(args) -> int:
     scn = _load_scenario_arg(args.scenario)
     cfg = _load_config_arg(args.config)
     estimator_kinds = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    threads = args.threads if args.threads is not None else _default_threads()
     with _atomic_out_dir(args.out) as tmp:
         try:
             rows, _, errors = run_comparison(
@@ -259,11 +251,10 @@ def _cmd_compare(args) -> int:
                 out_dir=tmp,
                 r_test=args.r_test,
                 window=args.window,
-                threads=threads,
+                threads=args.threads,
             )
         except ValueError as exc:
             raise CliError(EXIT_BAD_CONFIG, f"invalid comparison: {exc}")
-        write_manifest(tmp, {"command": "compare"})
     for row in rows:
         print(f"{row.estimator:>4} n_i={row.n_i:<4} mean={row.mean:8.3f} se={row.se:.3f}")
     for err in errors:
@@ -362,9 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--macros", type=_int_at_least(2), default=5)
     p.add_argument("--r-test", type=_int_at_least(1), default=200)
     p.add_argument("--window", type=int, default=100, help="last-window length, 2..total iterations")
-    p.add_argument(
-        "--threads", type=_int_at_least(1), help="worker processes (default: GREENSIM_THREADS or 1)"
-    )
+    p.add_argument("--threads", type=_int_at_least(1), default=1, help="worker processes (default: 1, serial)")
     p.set_defaults(fn=_cmd_compare)
 
     p = sub.add_parser("oracle-check", help="run the exactness invariant suite")

@@ -32,7 +32,7 @@ from .bioenv import (
     _batch_final_biomass,
     scenario_to_jsonable,
 )
-from .core import Environment, Policy, read_json, returns, rollout_batch, write_csv
+from .core import Environment, Policy, returns, rollout_batch, write_csv
 from .trainer import TrainConfig, train
 
 __all__ = [
@@ -174,13 +174,14 @@ def run_comparison(
     Returns summary rows, raw per-cell results, and per-cell error
     strings (failed cells are isolated; the others complete).  An
     :class:`IntegrationError` is the scenario's fault, not a cell's, and
-    is raised.  When
-    ``out_dir`` is given, writes ``curves/<estimator>_<n_i>.csv``,
-    ``summary.csv`` and ``manifest.json`` there.  Every argument is
-    checked before any cell trains (each cell's config too): bad input,
-    such as an estimator or replication count the grid repeats, raises
-    ``ValueError``.  ``threads`` above 1 runs the cells in a pool of
-    at most ``threads`` worker processes, never more than there are cells.
+    is raised.  When ``out_dir`` is given, writes
+    ``curves/<estimator>_<n_i>.csv``, ``summary.csv`` and, once every
+    cell has run, the comparison's one ``manifest.json`` (``"command":
+    "compare"`` included) there.  Every argument is checked before any
+    cell trains (each cell's config too): bad input, such as an estimator
+    or replication count the grid repeats, raises ``ValueError``.
+    ``threads`` above 1 runs the cells in a pool of at most ``threads``
+    worker processes, never more than there are cells.
     """
     if macros < 2:
         raise ValueError("need at least 2 macro replications")
@@ -229,6 +230,7 @@ def run_comparison(
 
     rows: list[SummaryRow] = []
     results: list[MacroResult] = []
+    curves: dict[tuple[str, int], CurveStats] = {}
     errors: list[str] = []
     for kind in estimator_kinds:
         for n_i in n_i_grid:
@@ -239,14 +241,15 @@ def run_comparison(
                 continue
             rewards = np.stack(cell)
             results.append(MacroResult(estimator=kind, n_i=n_i, rewards=rewards))
-            stats = aggregate_curves(rewards)
+            curves[(kind, n_i)] = stats = aggregate_curves(rewards)
             rows.append(summarize_last_window(stats.mean, window, estimator=kind, n_i=n_i))
 
     if out_dir is not None:
-        _write_outputs(Path(out_dir), results, rows)
+        _write_outputs(Path(out_dir), curves, rows)
         write_manifest(
             Path(out_dir),
             {
+                "command": "compare",
                 "config_digest": digest,
                 "seed": seed,
                 "estimators": list(estimator_kinds),
@@ -261,13 +264,12 @@ def run_comparison(
     return rows, results, errors
 
 
-def _write_outputs(out_dir: Path, results: list[MacroResult], rows: list[SummaryRow]) -> None:
+def _write_outputs(out_dir: Path, curves: dict[tuple[str, int], CurveStats], rows: list[SummaryRow]) -> None:
     curves_dir = out_dir / "curves"
     curves_dir.mkdir(parents=True, exist_ok=True)
-    for result in results:
-        stats = aggregate_curves(result.rewards)
+    for (kind, n_i), stats in curves.items():
         write_csv(
-            curves_dir / f"{result.estimator}_{result.n_i}.csv",
+            curves_dir / f"{kind}_{n_i}.csv",
             ["iteration", "mean", "se", "lo", "hi"],
             zip(range(1, len(stats.mean) + 1), stats.mean, stats.se, stats.lo, stats.hi),
         )
@@ -276,14 +278,12 @@ def _write_outputs(out_dir: Path, results: list[MacroResult], rows: list[Summary
 
 
 def write_manifest(out_dir: Path, fields: dict) -> None:
-    """Write ``out_dir/manifest.json``, merging ``fields`` into any manifest there.
+    """Write ``out_dir/manifest.json``: ``fields`` plus the package ``version``.
 
-    The one manifest writer: ``run_comparison`` records its study (errors
-    included) and a caller such as the CLI adds its own fields on top.
+    The one manifest writer, called once per output directory: by the
+    ``train`` command after its run, and by :func:`run_comparison` after
+    its last cell.
     """
-    path = Path(out_dir) / "manifest.json"
-    manifest = read_json(path, ValueError) if path.exists() else {}
-    manifest.update(fields, version=__version__)
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    with open(Path(out_dir) / "manifest.json", "w") as fh:
+        json.dump({**fields, "version": __version__}, fh, indent=2, sort_keys=True)
         fh.write("\n")

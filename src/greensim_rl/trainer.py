@@ -77,7 +77,7 @@ class TrainConfig:
     hidden_dim: int = 16
     init_scale: float = 0.1
     grad_clip: float | None = None  # max gradient norm; None disables
-    burn_in: int = 500              # MCMC moves before the first draw, at most bayes.MAX_MOVES
+    burn_in: int = 500              # MCMC moves before each period's first draw, at most bayes.MAX_MOVES
     thin: int = 5                   # MCMC moves per draw, at most bayes.MAX_MOVES
 
     def __post_init__(self):

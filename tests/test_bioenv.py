@@ -593,7 +593,7 @@ class TestScenarioIO:
     def test_missing_section_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"upstream": {}}')
-        with pytest.raises(ScenarioError, match="section"):
+        with pytest.raises(ScenarioError, match="missing the field 'scenario.true_model'"):
             load_scenario(path)
 
     def test_unknown_field_rejected(self, tmp_path, scn):

@@ -12,7 +12,7 @@ import pytest
 
 import greensim_rl
 from greensim_rl import bayes, cli
-from greensim_rl.bioenv import ModelParams, default_scenario, save_scenario, scenario_to_jsonable
+from greensim_rl.bioenv import MAX_RK4_STEPS, ModelParams, default_scenario, save_scenario, scenario_to_jsonable
 from greensim_rl.core import substream
 from greensim_rl.harness import evaluate_policy
 from greensim_rl.policy import load_params
@@ -26,6 +26,11 @@ def scenario_with(path, **upstream):
     scn = default_scenario()
     save_scenario(dataclasses.replace(scn, upstream=dataclasses.replace(scn.upstream, **upstream)), path)
     return path
+
+
+def edit_field(section, name, value):
+    """A scenario edit that sets ``scenario[section][name] = value``."""
+    return lambda s: {**s, section: {**s[section], name: value}}
 
 
 @pytest.fixture()
@@ -108,6 +113,8 @@ class TestErrors:
             # past bayes.MAX_MOVES: refused before the sampler would allocate ~900 GiB
             {"thin": 1_000_000_000},
             {"burn_in": 1_000_000_000},
+            {"rolling_window": 0},
+            {"grad_clip": 0},
         ],
     )
     def test_bad_sampler_and_integer_fields_exit_4(self, tmp_path, scenario_file, config, capsys):
@@ -177,10 +184,23 @@ class TestErrors:
             (lambda s: {**s, "true_model": {**s["true_model"], "extra": 1.0}}, "true_model.extra"),
             (lambda s: 5, "JSON object"),
             (lambda s: {**s, "true_model": {"beta_shapes": s["true_model"]["beta_shapes"][:1]}}, "steps 1 and 2"),
+            (lambda s: {k: v for k, v in s.items() if k != "upstream"}, "'scenario.upstream'"),
+            (edit_field("upstream", "V", 0.0), "V must be positive"),
+            (edit_field("upstream", "dt", -0.02), "dt must be positive"),
+            (edit_field("upstream", "duration", 0.0), "duration must be positive"),
+            (edit_field("upstream", "q_s_max", 0.0), "q_s_max must be positive"),
+            (edit_field("upstream", "nu1_sd", -0.01), "nu1_sd must be nonnegative"),
+            (edit_field("true_model", "beta_shapes", np.ones((3, 10, 3)).tolist()), "beta_shapes must have shape"),
+            (edit_field("reward", "r_d", 1.0), "r_d must be in (0, 1)"),
+            (edit_field("reward", "r_d", 0.0), "r_d must be in (0, 1)"),
+            (edit_field("reward", "c_l", -1.0), "c_l must be nonnegative"),
+            (edit_field("bounds", "i_bar", 0.0), "i_bar must be positive"),
         ],
         ids=[
             "missing-key", "empty-section", "list-section", "number-section", "unknown-key",
-            "unknown-model-key", "not-an-object", "one-step-row",
+            "unknown-model-key", "not-an-object", "one-step-row", "missing-section", "volume-0",
+            "dt-negative", "duration-0", "q-s-max-0", "sd-negative", "three-shape-columns", "r-d-1", "r-d-0",
+            "cost-negative", "bound-0",
         ],
     )
     def test_malformed_scenario_section_exits_4(self, tmp_path, edit, field, capsys):
@@ -250,6 +270,30 @@ class TestErrors:
         assert cli.main(argv) == cli.EXIT_BAD_CONFIG
         assert "negative" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "evaluate", "compare", "posterior-diag"])
+    @pytest.mark.parametrize(
+        "duration, dt",
+        [(1e308, 1e-10), (0.02 * (MAX_RK4_STEPS + 1), 0.02)],
+        ids=["overflowing", "just-past-the-bound"],
+    )
+    def test_step_count_past_the_bound_exits_4(self, tmp_path, tiny_config_file, command, duration, dt, capsys):
+        # refused before any integration: an infinite count used to exit 1, a large one ran for minutes
+        scenario = scenario_to_jsonable(default_scenario())
+        scenario["upstream"].update(duration=duration, dt=dt)
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        grid = ["--estimators", "pg", "--n-i", "3", "--macros", "2", "--window", "2", "--r-test", "4"]
+        argv = {
+            "simulate": ["--n", "2", "--out", str(out)],
+            "train": ["--config", str(tiny_config_file), "--out", str(out)],
+            "evaluate": ["--checkpoint", str(out)],
+            "compare": ["--config", str(tiny_config_file), *grid, "--out", str(out)],
+            "posterior-diag": ["--out", str(out)],
+        }[command]
+        assert cli.main([command, "--scenario", str(tmp_path / "scenario.json"), *argv]) == cli.EXIT_BAD_CONFIG
+        assert "duration / dt must be at most" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "scenario.json"]
 
     @pytest.mark.parametrize("fault, code", [("directory", 3), ("not-utf8", 4)])
     @pytest.mark.parametrize("what", ["scenario", "config", "checkpoint", "fraction-data"])
@@ -392,6 +436,16 @@ class TestTrainCommand:
             expected = evaluate_policy(theta, env, scn.true_model, policy, 6, substream(5, 0, k, 4))
             assert float(row.rsplit(",", 1)[1]) == expected
 
+    def test_training_failure_exits_1_without_output(self, tmp_path, scenario_file, monkeypatch, capsys):
+        def train(*args, **kwargs):
+            raise TrainingError("injected failure")
+
+        monkeypatch.setattr(cli, "train", train)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--scenario", str(scenario_file), "--out", str(out)]) == cli.EXIT_RUNTIME
+        assert "training failed: injected failure" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
 
 class TestEvaluateCommand:
     def test_reports_mean(self, tmp_path, scenario_file, tiny_config_file, capsys):
@@ -482,6 +536,8 @@ class TestCheckpointArchitecture:
             '{"kind": "linear", "length": 30, "values": [NaN' + ", 0.0" * 29 + "]}",
             '{"kind": "linear", "length": 30, "values": [Infinity' + ", 0.0" * 29 + "]}",
             '{"kind": "linear", "length": 30, "values": [true' + ", 0.0" * 29 + "]}",
+            '{"kind": "mlp", "length": 0, "values": [], "meta": []}',
+            '{"kind": "mlp", "length": 0, "values": {}}',
         ],
     )
     def test_malformed_checkpoint_exits_4(self, tmp_path, scenario_file, content, capsys):
@@ -794,23 +850,4 @@ class TestNumericArguments:
         )
         assert code == cli.EXIT_BAD_CONFIG
         assert f"window {window}" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["0", "-3", "x"])
-    def test_threads_variable_below_one_exits_4_before_training(
-        self, tmp_path, scenario_file, tiny_config_file, value, monkeypatch, capsys
-    ):
-        # the variable is a config value: anything but an integer >= 1 exits 4, never runs serially
-        from greensim_rl import harness
-
-        def train(*args, **kwargs):
-            raise AssertionError("a cell trained")
-
-        monkeypatch.setattr(harness, "train", train)
-        monkeypatch.setenv("GREENSIM_THREADS", value)
-        out = tmp_path / "cmp"
-        argv = ["compare", "--scenario", str(scenario_file), "--config", str(tiny_config_file)]
-        code = cli.main([*argv, "--out", str(out), "--estimators", "pg", "--n-i", "3", "--macros", "2"])
-        assert code == cli.EXIT_BAD_CONFIG
-        assert f"GREENSIM_THREADS must be an integer >= 1, got {value!r}" in capsys.readouterr().err
         assert not out.exists()

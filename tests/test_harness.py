@@ -1,13 +1,13 @@
 """Evaluation protocol, curve statistics, comparison grid."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from greensim_rl import harness
 from greensim_rl.harness import (
-    MacroResult,
     SummaryRow,
     aggregate_curves,
     evaluate_policy,
@@ -128,7 +128,9 @@ class TestRunComparison:
         assert lines[0] == "iteration,mean,se,lo,hi"
         assert len(lines) == 5
         assert (tmp_path / "summary.csv").exists()
-        assert (tmp_path / "manifest.json").exists()
+        # a library call writes the whole manifest itself, the command included
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == "compare" and manifest["errors"] == []
         # every cell reads back, with float, as the value aggregate_curves computed
         for result in results:
             stats = aggregate_curves(result.rewards)
@@ -244,9 +246,9 @@ class TestRunComparison:
 class TestOutputFiles:
     def test_format_pinned(self, tmp_path):
         # the exact text written for hand-built cells: plain numbers, as csv writes floats
-        result = MacroResult("pg", 3, np.array([[1.0, 2.0], [2.0, 4.5]]))
+        curves = {("pg", 3): aggregate_curves(np.array([[1.0, 2.0], [2.0, 4.5]]))}
         rows = [SummaryRow("pg", 3, 1 / 3, 1e-05), SummaryRow("mlr", 25, -12.5, 0.0)]
-        harness._write_outputs(tmp_path, [result], rows)
+        harness._write_outputs(tmp_path, curves, rows)
         assert (tmp_path / "summary.csv").read_bytes() == (
             b"estimator,n_i,mean,se\r\n"
             b"pg,3,0.3333333333333333,1e-05\r\n"

@@ -20,7 +20,8 @@
 #   - greensim evaluate --r-test 9 --seed 4 on that checkpoint, its
 #     report kept as evaluate.txt (the mean rounded to 4 decimals);
 #   - greensim compare on that config: n_i 3 and 5, 2 macros, r_test 4,
-#     window 5;
+#     window 5, once serially (compare) and once with --threads 2
+#     (compare_pool), which must write the same bytes within the tree;
 #   - greensim posterior-diag --draws 20 --seed 2, on the prior and on the
 #     mlr run's fractions.csv;
 #   - greensim oracle-check, its report kept as oracle.txt (errors at 2
@@ -74,8 +75,13 @@ run_tree() {
     greensim simulate --n 20 --seed 4 --out "$out/simulate_init.jsonl"
     greensim simulate --n 20 --seed 4 --checkpoint "$checkpoint" --out "$out/simulate_checkpoint.jsonl"
     cli evaluate --checkpoint "$checkpoint" --r-test 9 --seed 4 >"$out/evaluate.txt"
-    greensim compare --config "$out/config.json" --seed 3 --n-i 3,5 --macros 2 --r-test 4 --window 5 \
-        --out "$out/compare"
+    local grid=(--config "$out/config.json" --seed 3 --n-i 3,5 --macros 2 --r-test 4 --window 5)
+    greensim compare "${grid[@]}" --out "$out/compare"
+    greensim compare "${grid[@]}" --threads 2 --out "$out/compare_pool"
+    if ! diff -r "$out/compare" "$out/compare_pool"; then
+        echo "compare --threads 2 differs from the serial compare in $out" >&2
+        exit 1
+    fi
     greensim posterior-diag --draws 20 --seed 2 --out "$out/diag_prior.csv"
     greensim posterior-diag --draws 20 --seed 2 --data "$out/train_mlr/fractions.csv" --out "$out/diag_data.csv"
     cli oracle-check >"$out/oracle.txt"
