@@ -24,15 +24,15 @@ omitted, which leaves every ratio exact.  Densities, returns and
 reward-to-go are computed per step over a whole
 :class:`~greensim_rl.core.TrajectoryBatch` and summed along its rows.
 Densities are evaluated for a stack of (policy, model) pairs at once
-(:func:`trajectory_logdensity`).  Each reuse gradient runs one policy
-forward pass at the target ``theta_k``
-(:meth:`~greensim_rl.core.Policy.score_pass`), which gives both the
-target's action log probabilities for the ratios and the score sum they
-weight; in the mixture estimators the target's densities are also the
-block row of a newest record whose pair is the target.  Extending the
-rolling window's block by one record therefore takes one policy call and
-two environment calls (none for the policy-only kind), whatever the
-window size.
+(:func:`trajectory_logdensity`).  The reuse estimators share one pass: one
+policy forward pass at ``theta_k`` over the reused records' batch
+(:meth:`~greensim_rl.core.Policy.score_pass`) gives the target's densities
+and the score sum that weights each trajectory by its ratio.  Only the ratio
+rule differs: ILR divides by the record's own density, MLR and TLR by the
+window's mixture.  A newest record whose pair is the target takes the
+target's densities as its mixture row, so extending the window's block by
+one record takes one policy call and two environment calls (none for the
+policy-only kind), whatever the window size.
 
 A :class:`ReplayBuffer` is bound to one environment and one policy when
 it is built, so the reuse estimators take only the buffer and the target
@@ -47,7 +47,7 @@ generating probabilities); every estimator reads the weights from there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -98,16 +98,16 @@ class ReplayBuffer:
     weights column holds each trajectory's weight within its record, by
     default ``1/n_i`` for a record of ``n_i`` trajectories.
 
-    Every density the buffer computes is under ``env`` and ``policy``, and
-    it memoizes the densities that never change once a record is written,
-    because a record's generating pair is fixed:
+    Every density the buffer computes is under ``env`` and ``policy``.  It
+    memoizes only densities under its records' own pairs, which never
+    change once a record is written; target pairs never reach it:
 
-    * each record's log density under its own pair, which the
-      individual-ratio estimator reuses every iteration;
+    * each record's log density under its own pair, which the individual
+      ratio rule reuses every iteration;
     * the rolling window's block of ``log D_i(tau_j)`` (record ``i``'s
       pair, trajectory ``j`` of any window record), one block per density
-      kind (full, or policy-only for ``tlr``), which the mixture
-      estimators extend by the new records' rows and columns instead of
+      kind (full, or policy-only for ``tlr``), which the mixture ratio
+      rule extends by the new records' rows and columns instead of
       recomputing.
     """
 
@@ -174,6 +174,7 @@ class ReplayBuffer:
         return self._store["weights"][self._offsets[lo] : self._offsets[hi]]
 
     def window(self, size: int) -> list[BufferRecord]:
+        """The newest ``size`` records (all of them when fewer); ``ValueError`` when ``size < 1``."""
         if size < 1:
             raise ValueError("window size must be >= 1")
         return self.records[-size:]
@@ -205,33 +206,24 @@ class ReplayBuffer:
         return own
 
     def window_logdensities(
-        self, size: int, policy_only: bool, theta_k, omega_k
-    ) -> tuple[TrajectoryBatch, np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        """The window's batch, its block ``log D_i(tau_j)``, the target's log densities, and the score sum.
+        self, lo: int, batch: TrajectoryBatch, policy_only: bool, newest_row: np.ndarray | None
+    ) -> np.ndarray:
+        """The block ``log D_i(tau_j)`` over ``records[lo:]``, one density kind (full or policy-only).
 
-        The trajectories of ``window(size)`` form one batch.  The block has
-        shape (records, trajectories): row ``i`` is the ``i``-th window
-        record's pair, and columns are the window's trajectories in record
-        order.  The target is ``log D_k(tau_j)`` of the pair ``(theta_k,
-        omega_k)`` (``omega_k`` unused when ``policy_only``); it and the
-        weighted score sum come from one :meth:`Policy.score_pass` at
-        ``theta_k`` over the batch's steps.
+        ``batch`` is ``trajectories(lo, len(self))``.  The block has shape
+        (records, trajectories): row ``i`` is the ``i``-th record's pair, and
+        columns are ``batch``'s trajectories.  ``newest_row``, when given,
+        is the newest record's row, which the caller already holds.
 
         Only records appended since the last call are evaluated.  The older
         records' columns over the new trajectories take one density call,
-        and the new records' rows over every window trajectory another.  A
-        newest record whose pair is the target's (the same arrays) takes the
-        target as its row.  Appending one record to a window of ``w``
-        evaluates ``2w - 1`` record-by-record blocks instead of ``w**2``.
-        Records that left the window are sliced off; a window start left of
-        the memo's rebuilds the block.
+        and the new records' rows over every window trajectory another.
+        Appending one record to a window of ``w`` evaluates ``2w - 1``
+        record-by-record blocks instead of ``w**2``.  Records that left the
+        window are sliced off; a window start left of the memo's rebuilds the
+        block.
         """
         hi = len(self.records)
-        lo = hi - len(self.window(size))
-        batch = self.trajectories(lo, hi)
-        states, actions, _ = batch.step_arrays
-        logp_k, score_sum = self.policy.score_pass(theta_k, states, actions)
-        target = _step_sums(batch, logp_k[None], [omega_k], self.env, policy_only)[0]
         entry = self._window_logdens.get(policy_only)
         if entry is not None and entry[0] <= lo < entry[1]:
             old_lo, mid, block = entry
@@ -245,15 +237,15 @@ class ReplayBuffer:
             grown[: len(old), :n_old] = block
             if old:
                 grown[: len(old), n_old:] = self._logdensity(self.trajectories(mid, hi), old, policy_only)
-            if new[-1].theta is theta_k and (policy_only or new[-1].omega is omega_k):
-                grown[-1] = target
+            if newest_row is not None:
+                grown[-1] = newest_row
                 new = new[:-1]
             if new:
                 grown[len(old) : len(old) + len(new)] = self._logdensity(batch, new, policy_only)
             block = grown
         block.setflags(write=False)
         self._window_logdens[policy_only] = (lo, hi, block)
-        return batch, block, target, score_sum
+        return block
 
 
 # --- densities -----------------------------------------------------------------
@@ -350,23 +342,47 @@ def pg_gradient(
     return policy.weighted_score_sum(record.theta, states, actions, step_weight)
 
 
-def _individual_ratios(buffer: ReplayBuffer, theta_k, omega_k):
-    """All records' trajectories as one batch, their ratios ``D_k / D_i``, and ``weight * ratio / K``.
-
-    The fourth value is the score sum of the policy pass at ``theta_k`` that
-    gave the target densities.
-    """
+def _newest(buffer: ReplayBuffer) -> BufferRecord:
+    """The buffer's newest record; ``EstimatorError`` when it holds none."""
     if len(buffer) == 0:
         raise EstimatorError("buffer is empty")
-    own = buffer.own_logdensities()
-    if np.any(own == -np.inf):
-        raise EstimatorError("a record assigns zero density to its own trajectory")
-    batch = buffer.trajectories(0, len(buffer))
+    return buffer.records[-1]
+
+
+def _reuse_pass(buffer: ReplayBuffer, theta_k, omega_k, rolling_window: int | None = None, policy_only=False):
+    """The reused records' batch, their ratios to the target, ``weight * ratio / K`` and the score sum.
+
+    No ``rolling_window``: all K records, each by its individual ratio
+    ``D_k / D_i``.  Else the newest K = ``rolling_window`` records, each by
+    the mixture ratio ``D_k / sum_i alpha_i D_i``, ``alpha_i`` proportional to ``n_i``.
+    """
+    newest = _newest(buffer)
+    records = buffer.records if rolling_window is None else buffer.window(rolling_window)
+    lo = len(buffer) - len(records)
+    batch = buffer.trajectories(lo, len(buffer))
     states, actions, _ = batch.step_arrays
     logp_k, score_sum = buffer.policy.score_pass(theta_k, states, actions)
-    target = _step_sums(batch, logp_k[None], [omega_k], buffer.env, False)[0]
-    ratios = np.exp(target - own)
-    return batch, ratios, (1.0 / len(buffer)) * buffer.weights(0, len(buffer)) * ratios, score_sum
+    target = _step_sums(batch, logp_k[None], [omega_k], buffer.env, policy_only)[0]
+    if rolling_window is None:
+        own = buffer.own_logdensities()
+        if np.any(own == -np.inf):
+            raise EstimatorError("a record assigns zero density to its own trajectory")
+        ratios = np.exp(target - own)
+    else:
+        counts = np.array([r.n_i for r in records])
+        own_pair = newest.theta is theta_k and (policy_only or newest.omega is omega_k)
+        newest_row = target if own_pair else None
+        block = buffer.window_logdensities(lo, batch, policy_only, newest_row)
+        ratios = _mixture_ratios(target, block, counts / np.sum(counts))
+    coef = (1.0 / len(records)) * buffer.weights(lo, len(buffer)) * ratios
+    return batch, ratios, coef, score_sum
+
+
+def _reuse_gradient(buffer, theta_k, omega_k, gamma, diag_out, rolling_window=None, policy_only=False):
+    """:func:`_reuse_pass`'s score sum, each step weighted by its coefficient times reward-to-go."""
+    batch, ratios, coef, score_sum = _reuse_pass(buffer, theta_k, omega_k, rolling_window, policy_only)
+    _fill_diag(diag_out, ratios)
+    return score_sum(_step_weights(batch, gamma, coef))
 
 
 def ilr_gradient(
@@ -377,41 +393,13 @@ def ilr_gradient(
     diag_out: dict | None = None,
 ) -> np.ndarray:
     """Individual-ratio gradient over every record in the buffer."""
-    batch, ratios, coef, score_sum = _individual_ratios(buffer, theta_k, omega_k)
-    _fill_diag(diag_out, ratios)
-    return score_sum(_step_weights(batch, gamma, coef))
+    return _reuse_gradient(buffer, theta_k, omega_k, gamma, diag_out)
 
 
 def ilr_mean_estimate(buffer: ReplayBuffer, theta_k, omega_k, gamma: float) -> float:
     """Individual-ratio estimate of the expected return at ``(theta_k, omega_k)``."""
-    batch, _, coef, _ = _individual_ratios(buffer, theta_k, omega_k)
+    batch, _, coef, _ = _reuse_pass(buffer, theta_k, omega_k)
     return float(np.sum(coef * returns(batch.rewards, gamma)))
-
-
-def _mixture_window_gradient(
-    buffer: ReplayBuffer,
-    theta_k,
-    omega_k,
-    rolling_window: int,
-    gamma: float,
-    diag_out: dict | None,
-    policy_only: bool,
-) -> np.ndarray:
-    if len(buffer) == 0:
-        raise EstimatorError("buffer is empty")
-    if rolling_window < 1:
-        raise EstimatorError("rolling window must be >= 1")
-    records = buffer.window(rolling_window)
-    lo = len(buffer) - len(records)
-    counts = np.diff(buffer._offsets[lo:])
-    alphas = counts / np.sum(counts)
-    batch, log_dens, log_target, score_sum = buffer.window_logdensities(
-        rolling_window, policy_only, theta_k, omega_k
-    )
-    f = _mixture_ratios(log_target, log_dens, alphas)
-    coef = (1.0 / len(records)) * buffer.weights(lo, len(buffer)) * f
-    _fill_diag(diag_out, f)
-    return score_sum(_step_weights(batch, gamma, coef))
 
 
 def mlr_gradient(
@@ -431,7 +419,7 @@ def mlr_gradient(
     ratios themselves are formed against the current target pair on every
     call.
     """
-    return _mixture_window_gradient(buffer, theta_k, omega_k, rolling_window, gamma, diag_out, False)
+    return _reuse_gradient(buffer, theta_k, omega_k, gamma, diag_out, rolling_window)
 
 
 def tlr_gradient(
@@ -447,7 +435,7 @@ def tlr_gradient(
     between numerator and denominator, so ratios reduce to products of
     policy probabilities; no transition model is needed at all.
     """
-    return _mixture_window_gradient(buffer, theta_k, None, rolling_window, gamma, diag_out, True)
+    return _reuse_gradient(buffer, theta_k, None, gamma, diag_out, rolling_window, True)
 
 
 def gradient(
@@ -462,13 +450,19 @@ def gradient(
     """The ``kind`` estimator's gradient at the target pair ``(theta_k, omega_k)``, as training calls it.
 
     ``kind`` is one of ``pg | ilr | mlr | tlr``.  ``pg`` is on-policy: it
-    reads only the newest record, whose pair the target must be.  ``ilr``
+    reads only the newest record, and ``theta_k`` and ``omega_k`` must be
+    that record's own ``theta`` and ``omega`` objects, as the trainer
+    passes them; another target raises ``EstimatorError``.  ``ilr``
     reweights every record, ``mlr`` and ``tlr`` the newest
-    ``rolling_window`` ones (``tlr`` ignores ``omega_k``).  Every kind fills
-    ``diag_out`` with its ratios, ``max_ratio`` and ``ess``.
+    ``rolling_window`` ones (``tlr`` ignores ``omega_k``).  Every kind
+    raises ``EstimatorError`` on an empty buffer and fills ``diag_out``
+    with its ratios, ``max_ratio`` and ``ess``.
     """
     if kind == "pg":
-        return pg_gradient(buffer.records[-1], buffer.policy, gamma, diag_out=diag_out)
+        newest = _newest(buffer)
+        if newest.theta is not theta_k or newest.omega is not omega_k:
+            raise EstimatorError("pg is on-policy: the target must be the newest record's own pair")
+        return pg_gradient(newest, buffer.policy, gamma, diag_out=diag_out)
     if kind == "ilr":
         return ilr_gradient(buffer, theta_k, omega_k, gamma, diag_out=diag_out)
     if kind == "mlr":

@@ -185,6 +185,7 @@ def load_params(path) -> tuple[np.ndarray, str, dict]:
     values = payload["values"]
     if not isinstance(values, list):
         raise ValueError(f"'values' must be a list of numbers, got {values!r}")
+    check_typed(ValueError, [("checkpoint field 'length'", payload["length"], "int")])
     # np.array would read true as 1.0: every value must be a finite JSON number
     check_typed(ValueError, (("checkpoint value", v, "float") for v in values))
     if len(values) != payload["length"]:

@@ -547,6 +547,23 @@ class TestCheckpointArchitecture:
         assert code == cli.EXIT_BAD_CONFIG
         assert "invalid checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            # an MLP on the default scenario has 234 parameters: 234.0 must not pass for it
+            '{"kind": "mlp", "length": 234.0, "values": [0.0' + ", 0.0" * 233 + "]}",
+            # true must not pass for a length of 1, nor be blamed on the parameter count
+            '{"kind": "linear", "length": true, "values": [0.0]}',
+        ],
+    )
+    def test_mistyped_length_exits_4(self, tmp_path, scenario_file, content, capsys):
+        path = tmp_path / "params.json"
+        path.write_text(content)
+        code = cli.main(["evaluate", "--scenario", str(scenario_file), "--checkpoint", str(path)])
+        assert code == cli.EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "invalid checkpoint" in err and "checkpoint field 'length' must be of type int" in err
+
 
 class TestCompareCommand:
     def test_tiny_grid(self, tmp_path, scenario_file, tiny_config_file):

@@ -253,6 +253,27 @@ class TestRolloutMatchesHookReference:
         with pytest.raises(ValueError, match=rf"n must be >= 1, got {n}"):
             rollout_batch(ConstEnv(), policy, np.zeros(policy.param_dim), None, n, stream(0))
 
+    @pytest.mark.parametrize(
+        "hook, message",
+        [
+            ("sample_initial_batch", "^non-finite initial state in batch$"),
+            ("sample_transition_batch", "^non-finite state in batch at step 2$"),
+        ],
+    )
+    def test_non_finite_state_rejected(self, hook, message):
+        env = ConstEnv(horizon=4)
+        hooked = getattr(env, hook)
+
+        def poisoned(*args):
+            # a NaN initial state, or a NaN next state on the second step
+            states = hooked(*args)
+            return np.where(states == (0.0 if hook == "sample_initial_batch" else 2.0), np.nan, states)
+
+        setattr(env, hook, poisoned)
+        policy = LinearSoftmaxPolicy(onehot_features(4), 1)
+        with pytest.raises(core.RolloutError, match=message):
+            rollout_batch(env, policy, np.zeros(policy.param_dim), None, 3, stream(0))
+
 
 # The exact text the list-of-trajectories writer produced for this batch; the
 # file format may not change.

@@ -713,3 +713,60 @@ class TestDiagnostics:
             assert diag["max_ratio"] > 0 and 0 < diag["ess"] <= buffer.total_trajectories(), kind
         with pytest.raises(ValueError, match="unknown estimator kind 'zzz'"):
             gradient("zzz", buffer, last.theta, last.omega, 2)
+
+
+class TestPreconditions:
+    """The checks each estimator makes before it computes anything."""
+
+    def test_empty_buffer_raises(self, toy_mdp, tab_policy):
+        buffer = ReplayBuffer(TabularEnv(toy_mdp), tab_policy)
+        theta, omega = np.zeros(tab_policy.param_dim), toy_mdp.transition
+        for kind in ("pg", "ilr", "mlr", "tlr"):
+            with pytest.raises(EstimatorError, match="buffer is empty"):
+                gradient(kind, buffer, theta, omega, 2)
+        with pytest.raises(EstimatorError, match="buffer is empty"):
+            ilr_mean_estimate(buffer, theta, omega, 1.0)
+
+    def test_pg_target_must_be_newest_own_pair(self, toy_mdp, tab_policy, rng):
+        env = TabularEnv(toy_mdp)
+        theta = 0.3 * rng.standard_normal(tab_policy.param_dim)
+        buffer = make_buffer(env, tab_policy, [(theta, toy_mdp.transition)], 4)
+        last = buffer.records[-1]
+        want = pg_gradient(last, tab_policy)
+        np.testing.assert_array_equal(gradient("pg", buffer, last.theta, last.omega, 1), want)
+        # an equal copy, another theta, another model: pg cannot reweight to any of them
+        for theta_k, omega_k in [
+            (theta.copy(), last.omega),
+            (theta + 1.0, last.omega),
+            (last.theta, random_tensor(rng)),
+        ]:
+            with pytest.raises(EstimatorError, match="newest record's own pair"):
+                gradient("pg", buffer, theta_k, omega_k, 1)
+
+    def test_zero_own_density_raises(self, tab_policy):
+        # the record claims a model under which its own trajectories are impossible
+        deterministic = np.zeros((2, 2, 2))
+        deterministic[:, :, 1] = 1.0
+        other = np.zeros((2, 2, 2))
+        other[:, :, 0] = 1.0
+        mdp = TabularMDP(
+            transition=deterministic,
+            rewards=np.ones((2, 2)),
+            initial=np.array([1.0, 0.0]),
+            horizon=3,
+        )
+        env = TabularEnv(mdp)
+        theta = np.zeros(tab_policy.param_dim)
+        buffer = ReplayBuffer(env, tab_policy)
+        buffer.append(theta, other, rollout_batch(env, tab_policy, theta, deterministic, 3, stream(13)))
+        for estimate in (ilr_gradient, lambda *args: ilr_mean_estimate(*args, 1.0)):
+            with pytest.raises(EstimatorError, match="zero density to its own trajectory"):
+                estimate(buffer, theta, deterministic)
+
+    @pytest.mark.parametrize("kind", ["mlr", "tlr"])
+    def test_rolling_window_of_zero_raises(self, kind, toy_mdp, tab_policy, rng):
+        env = TabularEnv(toy_mdp)
+        theta = 0.3 * rng.standard_normal(tab_policy.param_dim)
+        buffer = make_buffer(env, tab_policy, [(theta, toy_mdp.transition)], 4)
+        with pytest.raises(ValueError, match="window size must be >= 1"):
+            window_gradient(kind, buffer, 0)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from greensim_rl import bayes, cli, trainer
+from greensim_rl import bayes, cli, estimators, trainer
 from greensim_rl.bioenv import save_scenario
 from greensim_rl.trainer import (
     TrainConfig,
@@ -53,6 +53,11 @@ class TestPolicyUpdate:
     def test_non_finite_result(self):
         with pytest.raises(TrainingError):
             policy_update(np.array([1e308]), np.array([1e308]), 1.0)
+
+    @pytest.mark.parametrize("learning_rate", [0.0, -0.01])
+    def test_non_positive_learning_rate(self, learning_rate):
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            policy_update(np.zeros(2), np.ones(2), learning_rate)
 
 
 class TestConfig:
@@ -204,6 +209,56 @@ class TestTrainLoop:
         # clipping caps what the update uses, the recorded norm is pre-clip
         theta0_delta = np.linalg.norm(history.iterations[1].theta - history.iterations[0].theta)
         assert theta0_delta <= cfg.learning_rate * 1e-6 * (1 + 1e-9)
+
+    def test_estimator_error_names_the_iteration(self, scn, monkeypatch):
+        def failing(*args, **kwargs):
+            raise estimators.EstimatorError("buffer is empty")
+
+        monkeypatch.setattr(estimators, "gradient", failing)
+        with pytest.raises(TrainingError, match="^iteration 1: estimator failed: buffer is empty$"):
+            train(scn, tiny_cfg(periods=1, iterations_per_period=2))
+
+    def test_non_finite_gradient_names_max_ratio_and_ess(self, scn, monkeypatch):
+        def non_finite(kind, buffer, theta_k, omega_k, rolling_window, gamma, diag_out):
+            diag_out.update(max_ratio=7.5, ess=2.25)
+            return np.full(len(theta_k), np.inf)
+
+        monkeypatch.setattr(estimators, "gradient", non_finite)
+        with pytest.raises(TrainingError, match=r"^iteration 1: non-finite gradient \(max ratio 7.5, ess 2.25\)$"):
+            train(scn, tiny_cfg(periods=1, iterations_per_period=2))
+
+
+class TestWindowOfOneIsPg:
+    """An mlr run whose rolling window holds one record is pg: a one-component
+    mixture gives every trajectory a ratio of exactly 1.0, and the newest
+    block row is the target's, rebuilt on every call."""
+
+    @pytest.mark.parametrize("policy_kind", ["mlp", "linear"])
+    def test_same_files_as_pg(self, scn, tmp_path, policy_kind):
+        save_scenario(scn, tmp_path / "scenario.json")
+        config = {"periods": 2, "iterations_per_period": 8, "replications": 5, "rolling_window": 1}
+        (tmp_path / "cfg.json").write_text(json.dumps({**config, "policy_kind": policy_kind}))
+        args = ["--scenario", str(tmp_path / "scenario.json"), "--config", str(tmp_path / "cfg.json")]
+        runs = {}
+        for kind in ("pg", "mlr"):
+            out = runs[kind] = tmp_path / kind
+            argv = ["train", *args, "--estimator", kind, "--seed", "3", "--r-test", "7", "--out", str(out)]
+            assert cli.main(argv) == 0
+        files = sorted(path.relative_to(runs["pg"]) for path in runs["pg"].rglob("*") if path.is_file())
+        assert files == sorted(path.relative_to(runs["mlr"]) for path in runs["mlr"].rglob("*") if path.is_file())
+        # every iteration's checkpoint (theta, bit for bit), the periods and the posterior's data
+        for name in files:
+            if name.name not in ("manifest.json", "timings.csv", "history.csv"):
+                assert (runs["pg"] / name).read_bytes() == (runs["mlr"] / name).read_bytes(), name
+
+        def history(run):
+            """history.csv without its estimator column."""
+            rows = [line.split(",") for line in (run / "history.csv").read_text().splitlines()]
+            return [row[:1] + row[2:] for row in rows]
+
+        # grad_norm, return_estimate, max_ratio, ess and eval_reward at every iteration
+        mlr = history(runs["mlr"])
+        assert history(runs["pg"]) == mlr and len(mlr) == 17 and mlr[1][3:5] == ["1.0", "5.0"]
 
 
 class TestHistoryExport:

@@ -15,6 +15,10 @@
 #     and for mlr with burn_in 37 and thin 3 and with burn_in 24 and thin 2,
 #     so that with the default 500 the sampler's 25-move adaptation windows
 #     end exactly at burn-in (500), leave a remainder (37) and never fill (24);
+#   - the same train runs for pg, mlr and tlr with rolling window 1, so the
+#     mixture's density block is rebuilt on every call; the mlr run must
+#     write the history of the pg run within the tree (estimator column aside),
+#     since a one-record mixture gives every trajectory a ratio of 1;
 #   - greensim simulate --n 20 --seed 4, from a fresh init and from the
 #     mlr run's last checkpoint;
 #   - greensim evaluate --r-test 9 --seed 4 on that checkpoint, its
@@ -71,6 +75,17 @@ run_tree() {
         >"$out/config_short_burn_in.json"
     greensim train --config "$out/config_short_burn_in.json" --estimator mlr --seed 3 --r-test 7 \
         --out "$out/train_short_burn_in_mlr"
+    echo '{"periods": 2, "iterations_per_period": 8, "replications": 5, "rolling_window": 1}' \
+        >"$out/config_w1.json"
+    for estimator in pg mlr tlr; do
+        greensim train --config "$out/config_w1.json" --estimator "$estimator" --seed 3 --r-test 7 \
+            --out "$out/train_${estimator}_w1"
+    done
+    if ! diff <(cut -d, -f2 --complement "$out/train_pg_w1/history.csv") \
+        <(cut -d, -f2 --complement "$out/train_mlr_w1/history.csv"); then
+        echo "mlr with rolling window 1 differs from pg in $out" >&2
+        exit 1
+    fi
     local checkpoint="$out/train_mlr/ckpt/iter_16/params.json"
     greensim simulate --n 20 --seed 4 --out "$out/simulate_init.jsonl"
     greensim simulate --n 20 --seed 4 --checkpoint "$checkpoint" --out "$out/simulate_checkpoint.jsonl"
