@@ -1,7 +1,9 @@
 """Transition-model risk quantification.
 
-The real-world dataset holds observed chromatography removal fractions per
-(step, pooling window) as four columns (:class:`FractionDataset`).  Under a
+The posterior learns from the real-world dataset, the observed
+chromatography removal fractions per (step, pooling window) that
+:mod:`greensim_rl.bioenv` collects from its true model and reads and
+writes as CSV (:class:`~greensim_rl.bioenv.FractionDataset`).  Under a
 Unif(0, 300] prior on every Beta shape parameter, each (step, action,
 species) channel has an independent posterior over its ``(alpha, beta)``
 pair given the fractions observed for that channel.  The Beta likelihood
@@ -52,26 +54,19 @@ produces data for.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from typing import IO
-
 import numpy as np
 from scipy.special import betaln
 
-from .bioenv import ModelParams
+from .bioenv import FractionDataset, ModelParams
 from .core import substream, write_csv
 
 __all__ = [
-    "FractionDataset",
     "PosteriorState",
     "acceptance_rows",
     "make_posterior",
     "mh_sample",
-    "read_fractions_csv",
     "update_dataset",
     "write_acceptance_csv",
-    "write_fractions_csv",
 ]
 
 PRIOR_HIGH = 300.0
@@ -84,72 +79,6 @@ MAX_MOVES = 100_000
 # Step-size adaptation (burn-in only): after each ADAPT_EVERY moves, nudge toward the target band.
 ADAPT_EVERY = 25
 ACCEPT_LOW, ACCEPT_HIGH = 0.3, 0.5
-
-# FractionDataset columns and their dtypes, in CSV column order.
-_COLUMNS = {"step": np.int64, "action": np.int64, "h": np.float64, "psi": np.float64}
-# The same columns' headers in the fractions CSV file.
-_CSV_COLUMNS = ("step", "action", "h_fraction", "psi_fraction")
-
-
-@dataclass(frozen=True, eq=False)
-class FractionDataset:
-    """All real-world fraction observations collected so far, held as columns.
-
-    Entry ``j`` is one executed transition: ``step[j]`` (1 or 2) and
-    ``action[j]`` (nonnegative) identify its (step, pooling window) cell,
-    ``h[j]`` and ``psi[j]`` are the protein and impurity fractions retained,
-    each in the open interval (0, 1).  The columns are validated at
-    construction and made read-only in place.
-    """
-
-    step: np.ndarray = ()
-    action: np.ndarray = ()
-    h: np.ndarray = ()
-    psi: np.ndarray = ()
-
-    def __post_init__(self):
-        cols = {name: np.asarray(getattr(self, name), dtype=dtype) for name, dtype in _COLUMNS.items()}
-        if cols["step"].ndim != 1 or {arr.shape for arr in cols.values()} != {cols["step"].shape}:
-            raise ValueError("step, action, h and psi must be 1-D columns of one length")
-        bad = cols["step"][(cols["step"] != 1) & (cols["step"] != 2)]
-        if bad.size:
-            raise ValueError(f"observations come from steps 1 and 2, got {bad[0]}")
-        if (cols["action"] < 0).any():
-            raise ValueError("action must be nonnegative")
-        for name in ("h", "psi"):
-            v = cols[name]
-            bad = v[~((v > 0.0) & (v < 1.0))]
-            if bad.size:
-                raise ValueError(f"{name}={bad[0]} outside (0, 1)")
-        for name, arr in cols.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return self.step.size
-
-    def union(self, other: "FractionDataset") -> "FractionDataset":
-        return FractionDataset(*(np.concatenate([getattr(self, c), getattr(other, c)]) for c in _COLUMNS))
-
-
-def write_fractions_csv(dataset: FractionDataset, path) -> None:
-    write_csv(path, _CSV_COLUMNS, zip(*(getattr(dataset, c).tolist() for c in _COLUMNS)))
-
-
-def read_fractions_csv(fh: IO[str]) -> FractionDataset:
-    """Read what :func:`write_fractions_csv` writes; a missing column or cell raises ``ValueError``."""
-    reader = csv.DictReader(fh)
-    header = reader.fieldnames or []
-    for column in _CSV_COLUMNS:
-        if column not in header:
-            raise ValueError(f"fraction data has no {column!r} column")
-    rows = []
-    for row in reader:
-        if None in row or None in row.values():
-            raise ValueError(f"fraction data line {reader.line_num} does not have one cell per header column")
-        rows.append((int(row["step"]), int(row["action"]), float(row["h_fraction"]), float(row["psi_fraction"])))
-    return FractionDataset(*zip(*rows)) if rows else FractionDataset()
-
 
 # --- log likelihood ----------------------------------------------------------
 

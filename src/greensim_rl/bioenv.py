@@ -13,8 +13,10 @@ as a float.  Transitions happen from steps 1 and 2 only; step 3 is
 terminal.
 
 The module also plays the role of the "real world": a configured true
-model ``omega_c`` generates the data that the posterior in
-:mod:`greensim_rl.bayes` learns from.  The shipped default scenario, the
+model ``omega_c`` generates the observations (:class:`FractionDataset`,
+with its CSV format) that the posterior in :mod:`greensim_rl.bayes`
+learns from, and :func:`warm_up_fermentation` integrates a batch
+fermentation before its first harvest.  The shipped default scenario, the
 packaged file ``data/default_scenario.json``, is synthetic -- calibrated
 so the harvest averages about 10 mg of each species -- not a measurement
 of any real process.  Its true model trades protein retention against
@@ -26,23 +28,21 @@ every density stays bounded.
 
 from __future__ import annotations
 
+import csv
 import functools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import IO
 
 import numpy as np
 from scipy.special import betaln
 
-from .core import Environment, check_fields, check_object, check_typed, read_json, rollout_batch
-
-if TYPE_CHECKING:
-    from .bayes import FractionDataset
-    from .core import Policy
+from .core import Environment, Policy, check_fields, check_object, check_typed, read_json, rollout_batch, write_csv
 
 __all__ = [
     "ChromatographyEnv",
+    "FractionDataset",
     "IntegrationError",
     "InvalidStateError",
     "ModelParams",
@@ -54,7 +54,10 @@ __all__ = [
     "collect_real_data",
     "default_scenario",
     "load_scenario",
+    "read_fractions_csv",
     "save_scenario",
+    "warm_up_fermentation",
+    "write_fractions_csv",
 ]
 
 # Smallest admissible mass (mg); keeps transition fractions well-defined.
@@ -131,20 +134,20 @@ class UpstreamParams:
     nu1_sd: float = 0.01
     nu2_mean: float = 0.11          # impurity production rate
     nu2_sd: float = 0.01
-    X0: float = 0.1                 # initial biomass (g/L); must be > 0 to ferment
-    S0: float = 40.0                # initial substrate (g/L)
+    X0: float = 0.1                 # initial biomass (g/L), >= 0; 0 is a fixed point (no growth)
+    S0: float = 40.0                # initial substrate (g/L), >= 0
     F: float = 0.0                  # feed rate (L/h); 0 = pure batch
     duration: float = 1200.0        # fermentation time (h); 50 days
     dt: float = 0.02                # integrator step (h); resolves the substrate-depletion layer
     harvest_noise_sd: float = 5.0   # additive mass noise at harvest (mg)
-    harvest_to_mg: float = 778.0    # g/L -> mg bridge (calibrated, see data/default_scenario.json)
+    harvest_to_mg: float = 778.0    # g/L -> mg bridge, > 0 (calibrated, see data/default_scenario.json)
 
     def __post_init__(self):
         check_fields(self, ScenarioError)
-        for name in ("V", "dt", "duration", "q_s_max"):
+        for name in ("V", "dt", "duration", "q_s_max", "harvest_to_mg"):
             if getattr(self, name) <= 0:
                 raise ScenarioError(f"{name} must be positive")
-        for name in ("S_i_sd", "nu1_sd", "nu2_sd", "harvest_noise_sd"):
+        for name in ("X0", "S0", "S_i_sd", "nu1_sd", "nu2_sd", "harvest_noise_sd"):
             if getattr(self, name) < 0:
                 raise ScenarioError(f"{name} must be nonnegative")
         if not self.duration / self.dt <= MAX_RK4_STEPS:
@@ -325,6 +328,17 @@ def _batch_final_biomass(p: UpstreamParams) -> float:
     return _integrate_biomass(p, p.S_i_mean)
 
 
+def warm_up_fermentation(p: UpstreamParams) -> None:
+    """Integrate a batch (F = 0) fermentation into the cache now; do nothing for F > 0.
+
+    So a diverging batch scenario raises :class:`IntegrationError` here,
+    and forked workers inherit the cache.  A fed-batch one integrates and
+    raises at each harvest.
+    """
+    if p.F == 0.0:
+        _batch_final_biomass(p)
+
+
 # --- chromatography transitions and rewards ---------------------------------
 
 
@@ -454,9 +468,77 @@ class ChromatographyEnv(Environment):
         return out + terminal_op
 
 
+# --- real-world observations ------------------------------------------------
+
+# FractionDataset columns and their dtypes, in CSV column order.
+_COLUMNS = {"step": np.int64, "action": np.int64, "h": np.float64, "psi": np.float64}
+# The same columns' headers in the fractions CSV file.
+_CSV_COLUMNS = ("step", "action", "h_fraction", "psi_fraction")
+
+
+@dataclass(frozen=True, eq=False)
+class FractionDataset:
+    """All real-world fraction observations collected so far, held as columns.
+
+    Entry ``j`` is one executed transition: ``step[j]`` (1 or 2) and
+    ``action[j]`` (nonnegative) identify its (step, pooling window) cell,
+    ``h[j]`` and ``psi[j]`` are the protein and impurity fractions retained,
+    each in the open interval (0, 1).  The columns are validated at
+    construction and made read-only in place.
+    """
+
+    step: np.ndarray = ()
+    action: np.ndarray = ()
+    h: np.ndarray = ()
+    psi: np.ndarray = ()
+
+    def __post_init__(self):
+        cols = {name: np.asarray(getattr(self, name), dtype=dtype) for name, dtype in _COLUMNS.items()}
+        if cols["step"].ndim != 1 or {arr.shape for arr in cols.values()} != {cols["step"].shape}:
+            raise ValueError("step, action, h and psi must be 1-D columns of one length")
+        bad = cols["step"][(cols["step"] != 1) & (cols["step"] != 2)]
+        if bad.size:
+            raise ValueError(f"observations come from steps 1 and 2, got {bad[0]}")
+        if (cols["action"] < 0).any():
+            raise ValueError("action must be nonnegative")
+        for name in ("h", "psi"):
+            v = cols[name]
+            bad = v[~((v > 0.0) & (v < 1.0))]
+            if bad.size:
+                raise ValueError(f"{name}={bad[0]} outside (0, 1)")
+        for name, arr in cols.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return self.step.size
+
+    def union(self, other: FractionDataset) -> FractionDataset:
+        return FractionDataset(*(np.concatenate([getattr(self, c), getattr(other, c)]) for c in _COLUMNS))
+
+
+def write_fractions_csv(dataset: FractionDataset, path) -> None:
+    write_csv(path, _CSV_COLUMNS, zip(*(getattr(dataset, c).tolist() for c in _COLUMNS)))
+
+
+def read_fractions_csv(fh: IO[str]) -> FractionDataset:
+    """Read what :func:`write_fractions_csv` writes; a missing column or cell raises ``ValueError``."""
+    reader = csv.DictReader(fh)
+    header = reader.fieldnames or []
+    for column in _CSV_COLUMNS:
+        if column not in header:
+            raise ValueError(f"fraction data has no {column!r} column")
+    rows = []
+    for row in reader:
+        if None in row or None in row.values():
+            raise ValueError(f"fraction data line {reader.line_num} does not have one cell per header column")
+        rows.append((int(row["step"]), int(row["action"]), float(row["h_fraction"]), float(row["psi_fraction"])))
+    return FractionDataset(*zip(*rows)) if rows else FractionDataset()
+
+
 def collect_real_data(
-    scn: Scenario, policy: "Policy", theta: np.ndarray, m: int, rng: np.random.Generator
-) -> "FractionDataset":
+    scn: Scenario, policy: Policy, theta: np.ndarray, m: int, rng: np.random.Generator
+) -> FractionDataset:
     """Run ``m`` real-world batches under the true model and record fractions.
 
     Every executed transition contributes one observation
@@ -464,8 +546,6 @@ def collect_real_data(
     trajectory and step by step within each; these are the measurements
     the posterior over the transition model consumes.
     """
-    from .bayes import FractionDataset
-
     if m < 1:
         raise ValueError("m must be >= 1")
     env = ChromatographyEnv(scn)

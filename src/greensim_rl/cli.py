@@ -22,6 +22,9 @@ Subcommands and the files they write:
   file ``--out``; ``--draws`` times the sampler's thin may be at most
   ``bayes.MAX_MOVES``.
 
+``train --seed`` and ``compare --seed`` default to the config's ``seed``
+(0 without ``--config``); the manifest records the seed that ran.
+
 Exit codes: 0 success, 2 usage error, 3 an input path (scenario, config,
 checkpoint or fraction data) that is not a file, 4 a malformed scenario,
 config, checkpoint or fraction file (a scenario whose upstream fermentation
@@ -45,11 +48,14 @@ import numpy as np
 from . import __version__, bayes
 from .bioenv import (
     ChromatographyEnv,
+    FractionDataset,
     IntegrationError,
-    _batch_final_biomass,
     default_scenario,
     load_scenario,
+    read_fractions_csv,
     save_scenario,
+    warm_up_fermentation,
+    write_fractions_csv,
 )
 from .core import rollout_batch, substream, write_trajectories_jsonl
 from .harness import (
@@ -59,6 +65,7 @@ from .harness import (
     true_model_eval_fn,
     write_manifest,
 )
+from .oracle import run_oracle_checks
 from .policy import load_params, save_params
 from .trainer import (
     ESTIMATOR_KINDS,
@@ -117,15 +124,9 @@ def _read_input(what: str, path: str, read):
 
 
 def _load_scenario_arg(path: str | None):
-    """The scenario at ``path`` (default: built-in), its batch fermentation integrated up front.
-
-    With F = 0 the upstream RK4 is one cached integration, so a scenario
-    that diverges raises :class:`IntegrationError` here, before any output
-    is written.  With F > 0 it raises at the first harvest.
-    """
+    """The scenario at ``path`` (default: built-in), its batch fermentation integrated before any output is written."""
     scn = default_scenario() if path is None else _read_input("scenario", path, load_scenario)
-    if scn.upstream.F == 0.0:
-        _batch_final_biomass(scn.upstream)
+    warm_up_fermentation(scn.upstream)
     return scn
 
 
@@ -204,7 +205,7 @@ def _cmd_train(args) -> int:
             step_dir.mkdir(parents=True)
             save_params(step_dir / "params.json", rec.theta, cfg.policy_kind, meta={"hidden_dim": cfg.hidden_dim})
         write_history(history, tmp)
-        bayes.write_fractions_csv(history.dataset, tmp / "fractions.csv")
+        write_fractions_csv(history.dataset, tmp / "fractions.csv")
         save_scenario(scn, tmp / "scenario.json")
         write_manifest(
             tmp,
@@ -247,7 +248,7 @@ def _cmd_compare(args) -> int:
                 estimator_kinds,
                 args.n_i,
                 macros=args.macros,
-                seed=args.seed,
+                seed=cfg.seed if args.seed is None else args.seed,
                 out_dir=tmp,
                 r_test=args.r_test,
                 window=args.window,
@@ -264,8 +265,6 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    from .oracle import run_oracle_checks
-
     results = run_oracle_checks()
     failures = 0
     for name, passed, detail in results:
@@ -283,12 +282,12 @@ def _cmd_posterior_diag(args) -> int:
 
         def read(path):
             with open(path) as fh:
-                return bayes.make_posterior(bayes.read_fractions_csv(fh), **grid)
+                return bayes.make_posterior(read_fractions_csv(fh), **grid)
 
         posterior = _read_input("fraction data", args.data, read)
     else:
         # No data: every channel samples straight from the prior.
-        posterior = bayes.make_posterior(bayes.FractionDataset(), **grid)
+        posterior = bayes.make_posterior(FractionDataset(), **grid)
     most = bayes.MAX_MOVES // posterior.thin
     if args.draws > most:
         raise CliError(
@@ -325,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario")
     p.add_argument("--config", help="TrainConfig JSON")
     p.add_argument("--estimator", choices=ESTIMATOR_KINDS)
-    p.add_argument("--seed", type=_int_at_least(0))
+    p.add_argument("--seed", type=_int_at_least(0), help="root seed (default: the config's seed)")
     p.add_argument(
         "--r-test",
         type=_int_at_least(1),
@@ -345,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario")
     p.add_argument("--config")
     p.add_argument("--out", required=True, help="output directory (must not exist)")
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=_int_at_least(0), help="root seed of every cell (default: the config's seed)")
     p.add_argument("--estimators", default="pg,ilr,mlr,tlr")
     p.add_argument(
         "--n-i", type=_replication_counts, default=[25], help="comma-separated replication counts"

@@ -29,8 +29,8 @@ from .bioenv import (
     ChromatographyEnv,
     IntegrationError,
     Scenario,
-    _batch_final_biomass,
     scenario_to_jsonable,
+    warm_up_fermentation,
 )
 from .core import Environment, Policy, returns, rollout_batch, write_csv
 from .trainer import TrainConfig, train
@@ -213,9 +213,7 @@ def run_comparison(
     with ExitStack() as stack:
         runs = [functools.partial(_run_macro_task, t) for t in tasks]
         if threads is not None and threads > 1:
-            if scn.upstream.F == 0.0:
-                # Fill the upstream RK4 cache once: forked workers inherit it.
-                _batch_final_biomass(scn.upstream)
+            warm_up_fermentation(scn.upstream)  # forked workers inherit the upstream RK4 cache
             # The pool starts all max_workers processes at the first submit.
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(threads, len(tasks))))
             runs = [pool.submit(run).result for run in runs]

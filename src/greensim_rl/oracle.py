@@ -21,9 +21,9 @@ import numpy as np
 
 from .core import Environment, Policy, TrajectoryBatch, _sample_categorical, returns, reward_to_go
 from .estimators import ReplayBuffer, gradient, ilr_mean_estimate
+from .policy import LinearSoftmaxPolicy, onehot_features
 
 __all__ = [
-    "EnumerationSizeError",
     "TabularEnv",
     "TabularMDP",
     "enumerate_trajectories",
@@ -32,13 +32,6 @@ __all__ = [
     "exact_policy_gradient",
     "run_oracle_checks",
 ]
-
-MAX_PATHS = 1_000_000
-
-
-class EnumerationSizeError(ValueError):
-    """The trajectory space is too large to enumerate."""
-
 
 @dataclass(frozen=True)
 class TabularMDP:
@@ -138,9 +131,6 @@ def enumerate_trajectories(
     tensor (defaults to it).
     """
     transition = mdp.transition if omega is None else np.asarray(omega, dtype=np.float64)
-    n_paths_bound = mdp.n_states * (mdp.n_states * mdp.n_actions) ** max(mdp.horizon - 1, 0)
-    if n_paths_bound > MAX_PATHS:
-        raise EnumerationSizeError(f"up to {n_paths_bound} paths exceeds the {MAX_PATHS} cap")
     policy_probs = policy.action_probs_batch(theta, np.arange(mdp.n_states, dtype=np.float64)[:, None])
 
     # Each path is (states, actions, probability); every round extends each
@@ -170,8 +160,6 @@ def exact_expected_return(mdp: TabularMDP, theta, gamma: float, policy: Policy) 
 def exact_policy_gradient(mdp: TabularMDP, theta, gamma: float, policy: Policy) -> np.ndarray:
     """Exact gradient of the expected return: score times reward-to-go, averaged."""
     batch, probs = enumerate_trajectories(mdp, theta, policy)
-    if batch.n_steps == 0:
-        return np.zeros(policy.param_dim)
     states, actions, _ = batch.step_arrays
     weights = (probs[:, None] * reward_to_go(batch.rewards, gamma)).reshape(-1)
     return policy.weighted_score_sum(theta, states, actions, weights)
@@ -222,8 +210,6 @@ def estimator_exact_expectation(
 
 
 def _check_setup():
-    from .policy import LinearSoftmaxPolicy, onehot_features
-
     rng = np.random.default_rng(20240811)
     mdp = TabularMDP(
         transition=np.array(

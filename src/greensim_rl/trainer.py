@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import bayes, estimators
-from .bioenv import ChromatographyEnv, Scenario, collect_real_data
+from .bioenv import ChromatographyEnv, FractionDataset, Scenario, collect_real_data
 from .core import Policy, _keep_large_blocks, check_fields, check_object, read_json, returns, rollout_batch
 from .core import substream, write_csv
 from .policy import POLICY_KINDS, make_policy, purification_features
@@ -147,7 +147,7 @@ class TrainHistory:
     macro: int
     iterations: list[IterationRecord] = field(default_factory=list)
     periods: list[PeriodRecord] = field(default_factory=list)
-    dataset: bayes.FractionDataset = field(default_factory=bayes.FractionDataset)  # all real data
+    dataset: FractionDataset = field(default_factory=FractionDataset)  # all real data
 
     def eval_curve(self) -> np.ndarray:
         return np.array([rec.eval_reward for rec in self.iterations], dtype=np.float64)

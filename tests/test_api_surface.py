@@ -77,6 +77,28 @@ def test_one_csv_writer():
     ), f"csv.writer outside core.write_csv: {sites}"
 
 
+def imports_package_module(node) -> bool:
+    """Whether ``node`` imports a module of this package, by a relative import or by the package's name."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == PACKAGE.name
+    return isinstance(node, ast.Import) and any(alias.name.split(".")[0] == PACKAGE.name for alias in node.names)
+
+
+def test_package_imports_at_module_top():
+    # a module imports the package's other modules among its top-level statements:
+    # never inside a function, so the import graph is what the module heads say,
+    # and never under TYPE_CHECKING, so no name is imported for annotations only
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        sites += [
+            (path.stem, node.lineno)
+            for node in ast.walk(tree)
+            if imports_package_module(node) and not any(node is top for top in tree.body)
+        ]
+    assert sites == [], f"package module imported below a module's top level: {sites}"
+
+
 def test_one_json_reader():
     # every JSON file the program reads is parsed by core.read_json
     sites = []

@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 
 from greensim_rl import bayes
-from greensim_rl.bayes import (
+from greensim_rl.bayes import PRIOR_HIGH, acceptance_rows, make_posterior, mh_sample, update_dataset
+from greensim_rl.bioenv import (
+    ETA_L,
+    ETA_U,
+    PSI_L,
+    PSI_U,
     FractionDataset,
-    PRIOR_HIGH,
-    acceptance_rows,
-    make_posterior,
-    mh_sample,
     read_fractions_csv,
-    update_dataset,
     write_fractions_csv,
 )
-from greensim_rl.bioenv import ETA_L, ETA_U, PSI_L, PSI_U
 from greensim_rl.core import substream
 
 from conftest import SEED, stream
@@ -181,6 +180,12 @@ class TestMhSampler:
         b = mh_sample(make_posterior(data, 1, 2, burn_in=50), 5, SEED, 23)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.beta_shapes, y.beta_shapes)
+
+    def test_zero_draws_rejected_before_moving(self):
+        ps = make_posterior(dataset_from_fractions(1, 0, [0.5], [0.4]), n_steps=1, n_actions=1, burn_in=5)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            mh_sample(ps, 0, SEED, 24)
+        assert ps.steps_taken == 0
 
     def test_stream_key_not_generator(self):
         # a draw is named by its key: a Generator or a negative entry is rejected before any move
@@ -536,6 +541,17 @@ class TestUpdateDataset:
         ps = make_posterior(dataset_from_fractions(1, 0, [0.5], [0.4]), 1, 1)
         updated = update_dataset(ps, dataset_from_fractions(1, 0, [0.6, 0.7], [0.3, 0.2]))
         assert len(updated.dataset) == 3
+
+    @pytest.mark.parametrize(
+        "log_shapes, step_size",
+        [(np.zeros((3, 2)), np.ones(2)), (np.zeros((2, 2)), np.ones(3)), (np.zeros(4), np.ones(2))],
+        ids=["three-positions", "three-step-sizes", "flat-positions"],
+    )
+    def test_warm_start_shape_checked(self, log_shapes, step_size):
+        # one (step, action) cell has 2 channels: positions (2, 2), step sizes (2,)
+        data = dataset_from_fractions(1, 0, [0.5], [0.4])
+        with pytest.raises(ValueError, match=r"log_shapes must have shape \(2, 2\) and step_size \(2,\)"):
+            bayes.PosteriorState(data, 1, 1, burn_in=5, thin=1, log_shapes=log_shapes, step_size=step_size)
 
     def test_warm_start_positions_kept_stats_reset(self):
         data = dataset_from_fractions(1, 0, [0.5, 0.6, 0.7], [0.4, 0.3, 0.2])

@@ -68,3 +68,20 @@ def test_verdict_line_names_unresolved(bench_pairs):
     metrics = bench_pairs.compare(runs_of(wide, wide), {"wall_s": ("lower", 0.25)})
     (line,) = bench_pairs.verdict_lines("study_grid", metrics)
     assert line.endswith("UNRESOLVED (parent spread wider than the bound)")
+
+
+def test_tree_identity_names_the_src_bytes(bench_pairs, tmp_path):
+    # two copies that differ by one byte in src/ get different identities
+    trees = []
+    for name, text in (("a", "x = 1\n"), ("b", "x = 2\n"), ("c", "x = 1\n")):
+        (tmp_path / name / "src" / "pkg").mkdir(parents=True)
+        (tmp_path / name / "src" / "pkg" / "mod.py").write_text(text)
+        trees.append(bench_pairs.tree_identity(tmp_path / name))
+    a, b, c = trees
+    assert a["src_sha256"] != b["src_sha256"] and a == c
+    # not a repository: no HEAD and no clean flag
+    assert a["head"] is None and a["src_clean"] is None
+    # a bytecode cache does not change the identity
+    (tmp_path / "c" / "src" / "pkg" / "__pycache__").mkdir()
+    (tmp_path / "c" / "src" / "pkg" / "__pycache__" / "mod.pyc").write_bytes(b"\0")
+    assert bench_pairs.tree_identity(tmp_path / "c") == a

@@ -572,6 +572,11 @@ class TestCollectRealData:
         assert data.h.tolist() == fractions[:, :, 0].reshape(-1).tolist()
         assert data.psi.tolist() == fractions[:, :, 1].reshape(-1).tolist()
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_no_batch_rejected(self, scn, mlp_policy, m):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            collect_real_data(scn, mlp_policy, mlp_policy.init_params(stream(7)), m, stream(8))
+
     def test_deterministic_policy_actions_recorded(self, scn):
         policy = LinearSoftmaxPolicy(purification_features(scn.p_bar, scn.i_bar, 3), 10)
         theta = np.zeros((10, 3))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import greensim_rl
-from greensim_rl import bayes, cli
+from greensim_rl import bayes, bioenv, cli
 from greensim_rl.bioenv import MAX_RK4_STEPS, ModelParams, default_scenario, save_scenario, scenario_to_jsonable
 from greensim_rl.core import substream
 from greensim_rl.harness import evaluate_policy
@@ -190,6 +190,10 @@ class TestErrors:
             (edit_field("upstream", "duration", 0.0), "duration must be positive"),
             (edit_field("upstream", "q_s_max", 0.0), "q_s_max must be positive"),
             (edit_field("upstream", "nu1_sd", -0.01), "nu1_sd must be nonnegative"),
+            (edit_field("upstream", "X0", -0.1), "X0 must be nonnegative"),
+            (edit_field("upstream", "S0", -5.0), "S0 must be nonnegative"),
+            (edit_field("upstream", "harvest_to_mg", -778.0), "harvest_to_mg must be positive"),
+            (edit_field("upstream", "harvest_to_mg", 0.0), "harvest_to_mg must be positive"),
             (edit_field("true_model", "beta_shapes", np.ones((3, 10, 3)).tolist()), "beta_shapes must have shape"),
             (edit_field("reward", "r_d", 1.0), "r_d must be in (0, 1)"),
             (edit_field("reward", "r_d", 0.0), "r_d must be in (0, 1)"),
@@ -199,7 +203,8 @@ class TestErrors:
         ids=[
             "missing-key", "empty-section", "list-section", "number-section", "unknown-key",
             "unknown-model-key", "not-an-object", "one-step-row", "missing-section", "volume-0",
-            "dt-negative", "duration-0", "q-s-max-0", "sd-negative", "three-shape-columns", "r-d-1", "r-d-0",
+            "dt-negative", "duration-0", "q-s-max-0", "sd-negative", "x0-negative", "s0-negative",
+            "harvest-to-mg-negative", "harvest-to-mg-0", "three-shape-columns", "r-d-1", "r-d-0",
             "cost-negative", "bound-0",
         ],
     )
@@ -211,6 +216,16 @@ class TestErrors:
         assert cli.main(argv) == cli.EXIT_BAD_CONFIG
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    def test_stale_temp_sibling_removed(self, tmp_path, tiny_config_file):
+        # a temp sibling left by an earlier process of the same pid is cleared, not merged
+        out = tmp_path / "run"
+        stale = tmp_path / f"run.tmp{os.getpid()}"
+        (stale / "ckpt").mkdir(parents=True)
+        (stale / "stale.txt").write_text("left behind\n")
+        assert cli.main(["train", "--config", str(tiny_config_file), "--out", str(out)]) == 0
+        assert not stale.exists() and not (out / "stale.txt").exists()
+        assert (out / "history.csv").is_file()
 
     def test_negative_seed_exits_2(self, tmp_path, scenario_file, tiny_config_file, capsys):
         out = tmp_path / "run"
@@ -641,6 +656,18 @@ class TestCompareCommand:
         assert len(manifest["config_digest"]) == 64
         assert (out / "curves" / "pg_3.csv").exists()
 
+    def test_seed_defaults_to_config_seed(self, tmp_path, scenario_file, tiny_config_file):
+        # without --seed the config's seed runs, as train --seed does
+        config = tmp_path / "config_seed.json"
+        config.write_text(json.dumps({**json.loads(tiny_config_file.read_text()), "seed": 7}))
+        grid = ["--scenario", str(scenario_file), "--config", str(config), "--estimators", "pg", "--n-i", "3"]
+        grid += ["--macros", "2", "--r-test", "4", "--window", "2"]
+        assert cli.main(["compare", *grid, "--out", str(tmp_path / "default")]) == 0
+        assert cli.main(["compare", *grid, "--seed", "7", "--out", str(tmp_path / "seed7")]) == 0
+        for name in ("summary.csv", "curves/pg_3.csv", "manifest.json"):
+            assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "seed7" / name).read_bytes()
+        assert json.loads((tmp_path / "default" / "manifest.json").read_text())["seed"] == 7
+
     def test_unknown_estimator_rejected(self, tmp_path, scenario_file, capsys):
         code = cli.main(
             ["compare", "--scenario", str(scenario_file), "--out", str(tmp_path / "x"), "--estimators", "zzz"]
@@ -691,7 +718,7 @@ class TestPosteriorDiagCommand:
         config = ["--scenario", str(scenario_file), "--config", str(tiny_config_file)]
         assert cli.main(["train", *config, "--out", str(run)]) == 0
         with open(run / "fractions.csv") as fh:
-            data = bayes.read_fractions_csv(fh)
+            data = bioenv.read_fractions_csv(fh)
         # the run's whole dataset, bit for bit: 3 trajectories x 2 steps before training and after its period
         history = train(default_scenario(), load_train_config(tiny_config_file))
         assert len(data) == 12
@@ -720,9 +747,9 @@ class TestPosteriorDiagCommand:
         # the run's data plus one observation in the widened grid's last window,
         # so the data reaches past the default 10 windows whatever the run's actions
         with open(run / "fractions.csv") as fh:
-            data = bayes.read_fractions_csv(fh).union(bayes.FractionDataset([1], [11], [0.6], [0.3]))
+            data = bioenv.read_fractions_csv(fh).union(bioenv.FractionDataset([1], [11], [0.6], [0.3]))
         fractions = tmp_path / "fractions.csv"
-        bayes.write_fractions_csv(data, fractions)
+        bioenv.write_fractions_csv(data, fractions)
         out = tmp_path / "diag.csv"
         argv = ["posterior-diag", "--data", str(fractions), "--out", str(out), "--draws", "2"]
         assert cli.main(argv) == cli.EXIT_BAD_CONFIG  # the default 10-window grid

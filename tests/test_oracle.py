@@ -14,7 +14,7 @@ from greensim_rl.oracle import (
     exact_policy_gradient,
     run_oracle_checks,
 )
-from greensim_rl.policy import LinearSoftmaxPolicy, onehot_features
+from greensim_rl.policy import LinearSoftmaxPolicy, MlpSoftmaxPolicy, onehot_features
 
 from conftest import logdensity, random_tensor, scores, stream
 
@@ -112,6 +112,20 @@ class TestExactPolicyGradient:
         theta = 0.4 * rng.standard_normal(4)
         grad = exact_policy_gradient(mdp, theta, 1.0, tab_policy)
         np.testing.assert_allclose(grad, 0.0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "policy",
+        [LinearSoftmaxPolicy(onehot_features(2), 2), MlpSoftmaxPolicy(onehot_features(2), 2, hidden_dim=3)],
+        ids=["linear", "mlp"],
+    )
+    def test_horizon_one_has_zero_gradient(self, policy, rng):
+        # no action is taken, so the return and its gradient are 0: zeros of param_dim
+        mdp = TabularMDP(random_tensor(rng), np.ones((2, 2)), np.array([0.3, 0.7]), 1)
+        theta = 0.4 * rng.standard_normal(policy.param_dim)
+        grad = exact_policy_gradient(mdp, theta, 0.9, policy)
+        assert grad.shape == (policy.param_dim,)
+        np.testing.assert_array_equal(grad, 0.0)
+        assert exact_expected_return(mdp, theta, 0.9, policy) == 0.0
 
     def test_matches_finite_differences(self, toy_mdp, tab_policy, rng):
         theta = 0.4 * rng.standard_normal(4)
@@ -256,3 +270,19 @@ class TestValidation:
             )
         with pytest.raises(ValueError):
             TabularMDP(random_tensor(rng), np.zeros((2, 2)), np.array([1.0, 0.0]), 5)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"rewards": np.zeros((2, 3))}, "inconsistent table shapes"),
+            ({"initial": np.array([1.0])}, "inconsistent table shapes"),
+            ({"rewards": np.array([[0.0, np.inf], [0.0, 0.0]])}, "tables must be finite"),
+            ({"initial": np.array([1.5, -0.5])}, "probabilities must be nonnegative"),
+            ({"initial": np.array([0.5, 0.4])}, "initial distribution must sum to 1"),
+        ],
+        ids=["rewards-shape", "initial-shape", "reward-inf", "initial-negative", "initial-sum"],
+    )
+    def test_table_rejections(self, rng, edit, message):
+        tables = {"transition": random_tensor(rng), "rewards": np.zeros((2, 2)), "initial": np.array([0.5, 0.5])}
+        with pytest.raises(ValueError, match=message):
+            TabularMDP(**{**tables, **edit}, horizon=2)

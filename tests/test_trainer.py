@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from greensim_rl import bayes, cli, estimators, trainer
-from greensim_rl.bioenv import save_scenario
+from greensim_rl.bioenv import FractionDataset, save_scenario
 from greensim_rl.trainer import (
     TrainConfig,
     TrainingError,
@@ -110,7 +110,7 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"^{name} must be <= {bayes.MAX_MOVES}"):
                 TrainConfig(**{name: value})
         with pytest.raises(ValueError, match="must be in"):
-            bayes.make_posterior(bayes.FractionDataset(), 3, 10, **{name: bayes.MAX_MOVES + 1})
+            bayes.make_posterior(FractionDataset(), 3, 10, **{name: bayes.MAX_MOVES + 1})
 
     @pytest.mark.parametrize("name", ["learning_rate", "gamma", "init_scale", "grad_clip"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

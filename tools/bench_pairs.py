@@ -13,8 +13,13 @@ first in even pairs and the new tree first in odd ones, so that a drift of
 host speed falls on both sides alike.  From each run it reads the last
 stdout line (the result JSON) and the eval curves' sha256.
 
-The output JSON holds, per workload argument, its seed, each side's eval
-curve digests and git commits, the environment the benchmark printed, and
+The output JSON names each side's tree by its own identity (``trees``): a
+sha256 over its ``src/`` files in sorted path order (bytecode caches
+aside), and, when the tree is the top of a git repository, its HEAD and
+whether ``git status --porcelain -- src`` is empty.  So a working tree
+with uncommitted changes is not filed under its parent's commit.  Per
+workload argument it holds the seed, each side's eval curve digests and
+git commits, the environment the benchmark printed, and
 per end-to-end metric each side's values, median and quartiles and the
 number of pairs in which the new tree did better (by the metric's
 direction in NEW_TREE's ``BENCHMARK.json``).  Each metric also gets three verdicts, printed as well:
@@ -39,6 +44,7 @@ reported ``correct: false``, or if the two trees' eval curves differ, and
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -73,6 +79,31 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         if line.startswith("env "):
             run["env"] = json.loads(line[4:])
     return run
+
+
+def tree_identity(tree: Path) -> dict:
+    """The sha256 of ``tree``'s ``src/`` files and, for the top of a git repository, HEAD and a clean flag."""
+    src = tree / "src"
+    files = sorted(
+        (path.relative_to(tree).as_posix(), path)
+        for path in src.rglob("*")
+        if path.is_file() and "__pycache__" not in path.parts
+    )
+    digest = hashlib.sha256()
+    for name, path in files:
+        data = path.read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    identity = {"src_sha256": digest.hexdigest(), "head": None, "src_clean": None}
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
+
+    top = git("rev-parse", "--show-toplevel")
+    if top.returncode == 0 and Path(top.stdout.strip()).resolve() == tree.resolve():
+        identity["head"] = git("rev-parse", "HEAD").stdout.strip() or None
+        identity["src_clean"] = git("status", "--porcelain", "--", "src").stdout == ""
+    return identity
 
 
 def summary(values: list[float]) -> dict:
@@ -159,6 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "pairs": args.pairs,
+        "trees": {side: tree_identity(trees[side]) for side in SIDES},
         "workloads": {},
     }
     for entry, workload, seed in entries:
