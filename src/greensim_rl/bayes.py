@@ -14,6 +14,14 @@ Metropolis-Hastings chain per channel (on log shapes, with per-chain
 step-size adaptation during burn-in) produces joint posterior draws
 assembled into full model parameter tables.
 
+:mod:`greensim_rl.bioenv` owns the layout, so this module works on
+channel numbers alone: the grid a posterior is made on
+(``ChromatographyEnv.model_grid``), each channel's key and each
+fraction's channel (``FractionDataset.channel_keys`` and ``channels``),
+and the parameter tables a draw's per-channel shapes become
+(``ModelParams.from_channels``).  This module owns the chains and which
+of them a period's mean acceptance counts (:func:`mean_acceptance`).
+
 The chains advance in lockstep.  :class:`PosteriorState` holds them as
 arrays, one row per channel, and every move updates all data-backed chains
 at once: one vectorised ``betaln`` over the proposals, a per-chain
@@ -31,19 +39,13 @@ channel's draws do not depend on the data held by any other channel
 (the counter-based layout of Salmon et al. 2011, "Parallel random
 numbers: as easy as 1, 2, 3").
 
-A posterior's dataset never changes, so :class:`PosteriorState` works out
-its data-backed chains and their sufficient statistics once, when it is
-made, and builds their walk state then too: one work block with its row
-views, the likelihood writer over the chains' statistics, the log
-likelihood of the start positions, and the step sizes and acceptance
-counts, one column per chain in walk order.  That state stays resident
-between draws, and every :func:`mh_sample` call advances it in place.
-A move is a fixed sequence of ufunc calls that write into the block's
-rows, so its cost is what numpy charges per call, not per chain, and a
-call adds to its moves only its random numbers, the gather of their
-data-backed columns and the assembly of its draws.  Every operation is the
-same IEEE operation, in the same order, as in a plain per-chain loop, so
-the draws do not depend on how the work is laid out.
+A posterior's dataset never changes, so :class:`PosteriorState` builds
+its data-backed chains' walk state once, when it is made, and every
+:func:`mh_sample` call advances it in place.  A move is a fixed sequence
+of ufunc calls that write into that state's rows, so it costs what numpy
+charges per call, not per chain.  Every operation is the same IEEE
+operation, in the same order, as in a plain per-chain loop, so the draws
+do not depend on how the work is laid out.
 
 Channels with no observations are sampled by an independence proposal
 from the prior itself, which such a chain accepts with probability one --
@@ -64,6 +66,7 @@ __all__ = [
     "PosteriorState",
     "acceptance_rows",
     "make_posterior",
+    "mean_acceptance",
     "mh_sample",
     "update_dataset",
     "write_acceptance_csv",
@@ -163,12 +166,9 @@ class PosteriorState:
     The dataset is fixed at construction, and so is everything drawn from
     it, read-only: ``live`` indexes the channels with observations, and
     ``stats`` (3, C) stacks every channel's ``n_obs`` (as floats),
-    ``sum_log`` and ``sum_log1m``.  So the walk state is built here too,
-    once per posterior: its work block, its likelihood writer over
-    ``stats[:, live]`` and the log likelihood of the start positions.  The
-    chains start at ``log_shapes`` and ``step_size`` if given (a warm
-    start, as :func:`update_dataset` makes), else at shapes (10, 10) and
-    step size 0.5.
+    ``sum_log`` and ``sum_log1m``; the walk state is built from them here.
+    The chains start at ``log_shapes`` and ``step_size`` if given (a warm
+    start, as :func:`update_dataset` makes), else at (10, 10) and 0.5.
 
     Single-writer: :func:`mh_sample` advances the chains in place.  The
     emitted :class:`~greensim_rl.bioenv.ModelParams` draws are immutable.
@@ -191,7 +191,7 @@ class PosteriorState:
         self.n_actions = n_actions
         self.burn_in = burn_in
         self.thin = thin
-        n_chains = 2 * n_steps * n_actions
+        n_chains = len(self.channel_keys())
         if log_shapes is None:
             log_shapes = np.log(np.full((n_chains, 2), 10.0))
         if step_size is None:
@@ -205,20 +205,11 @@ class PosteriorState:
         self.n_obs = np.zeros(n_chains, dtype=np.int64)
         self.sum_log = np.zeros(n_chains)
         self.sum_log1m = np.zeros(n_chains)
-        outside = (dataset.step > n_steps) | (dataset.action >= n_actions)
-        if outside.any():
-            j = int(np.argmax(outside))
-            raise ValueError(
-                f"observation at step {dataset.step[j]}, action {dataset.action[j]} "
-                f"outside {n_steps} steps x {n_actions} actions"
-            )
-        # Row of each fraction's channel: the (t, a, "eta") row, the (t, a, "psi") row after it.
-        eta_row = 2 * ((dataset.step - 1) * n_actions + dataset.action)
-        channel = np.concatenate([eta_row, eta_row + 1])
+        channel, fractions = dataset.channels(n_steps, n_actions)
         # A stable sort keeps each channel's fractions in observation order, so
         # every per-channel np.sum adds the same values in the same order.
         order = np.argsort(channel, kind="stable")
-        fractions = np.concatenate([dataset.h, dataset.psi])[order]
+        fractions = fractions[order]
         log_x, log1m_x = np.log(fractions), np.log1p(-fractions)
         rows, starts, counts = np.unique(channel[order], return_index=True, return_counts=True)
         self.n_obs[rows] = counts
@@ -260,12 +251,7 @@ class PosteriorState:
         return self._per_channel(self.proposed, self._chains.accepted)
 
     def channel_keys(self) -> list[tuple[int, int, str]]:
-        return [
-            (t, a, channel)
-            for t in range(1, self.n_steps + 1)
-            for a in range(self.n_actions)
-            for channel in ("eta", "psi")
-        ]
+        return FractionDataset.channel_keys(self.n_steps, self.n_actions)
 
 
 def make_posterior(
@@ -275,7 +261,7 @@ def make_posterior(
     burn_in: int = 500,
     thin: int = 5,
 ) -> PosteriorState:
-    """A posterior over the ``n_steps x n_actions`` grid of an environment's horizon and action count.
+    """A posterior over an ``n_steps x n_actions`` grid, such as ``ChromatographyEnv.model_grid()``.
 
     ``burn_in`` and ``thin`` are move counts, each at most ``MAX_MOVES``
     (100,000); a value outside ``[0, MAX_MOVES]`` or ``[1, MAX_MOVES]``
@@ -302,14 +288,10 @@ def _walk(chains: _Chains, burn: int, normals: np.ndarray, log_us: np.ndarray, s
     segment scales its increments in one product and sums its moves' rows
     of an ``(M, L)`` acceptance mask into the accepted counts at its end.
 
-    Every move runs inside the walk state's work block, whose rows and
-    views were made with the posterior, and every operation of a move
-    writes into a row with ``out=``.  A proposal outside the prior support
-    leaves its chain's entry of the acceptance mask unset, and one
-    ``np.copyto`` moves the accepted proposals' rows into the state.  So a
-    call allocates only its increments and its mask, and reads and writes
-    no per-channel array: positions, log likelihoods, step sizes and counts
-    stay in the walk state from one call to the next.
+    Every operation of a move writes into the walk state's rows with
+    ``out=``; a proposal outside the prior support leaves its chain's entry
+    of the mask unset, and one ``np.copyto`` moves the accepted proposals
+    into the state.  So a call allocates only its increments and its mask.
     """
     n_moves, n_live = log_us.shape
     state, prop, pos, prop_pos = chains.state, chains.prop, chains.pos, chains.prop_pos
@@ -367,16 +349,10 @@ def mh_sample(ps: PosteriorState, n: int, root_seed: int, *path: int) -> list[Mo
     one of the C channels (in ``channel_keys()`` order), empty channels
     included, so channel ``c`` always reads column ``c`` at the same stream
     positions and its draws are unaffected by the data held by any other
-    channel.  The data-backed chains advance together on their columns, one
-    set of array operations per move, in segments of fixed step sizes
-    (:func:`_walk`), in the walk state the posterior keeps between calls.
+    channel.  The data-backed chains advance on their columns (:func:`_walk`).
     An empty channel instead takes its column's prior point of each draw's
     block: the flat target always accepts that independence proposal, so
     its draws are i.i.d. Unif(0, 300].
-
-    So what a call costs beyond its moves is drawing its random numbers,
-    gathering the data-backed columns of its increments and uniforms, and
-    assembling its draws' parameter tables.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -406,11 +382,7 @@ def mh_sample(ps: PosteriorState, n: int, root_seed: int, *path: int) -> list[Mo
     ps.steps_taken += n_moves
     ps._positions = positions[-1]
     ps._positions.setflags(write=False)
-
-    # chain rows 2j and 2j+1 are table row j's eta and psi pairs; a table row holds
-    # (PSI_L, PSI_U, ETA_L, ETA_U), so the (eta, psi) axis is reversed
-    shapes = np.exp(positions).reshape(n, ps.n_steps, ps.n_actions, 2, 2)[:, :, :, ::-1]
-    return [ModelParams(table) for table in shapes.reshape(n, ps.n_steps, ps.n_actions, 4)]
+    return ModelParams.from_channels(np.exp(positions), ps.n_actions)
 
 
 def update_dataset(ps: PosteriorState, new_data: FractionDataset) -> PosteriorState:
@@ -448,6 +420,15 @@ def acceptance_rows(ps: PosteriorState) -> list[dict]:
             }
         )
     return rows
+
+
+def mean_acceptance(ps: PosteriorState) -> float:
+    """Mean :func:`acceptance_rows` rate of the data-backed channels that had proposals; 0.0 with none.
+
+    A prior-only channel accepts every independence proposal, so it is left out.
+    """
+    rates = [row["accept_rate"] for row in acceptance_rows(ps) if row["n_obs"] > 0 and row["proposed"] > 0]
+    return float(np.mean(rates)) if rates else 0.0
 
 
 def write_acceptance_csv(ps: PosteriorState, path) -> None:

@@ -16,7 +16,10 @@ The module also plays the role of the "real world": a configured true
 model ``omega_c`` generates the observations (:class:`FractionDataset`,
 with its CSV format) that the posterior in :mod:`greensim_rl.bayes`
 learns from, and :func:`warm_up_fermentation` integrates a batch
-fermentation before its first harvest.  The shipped default scenario, the
+fermentation before its first harvest.  The posterior's layout is this
+module's too: its grid (:meth:`ChromatographyEnv.model_grid`), each
+fraction's channel (:meth:`FractionDataset.channels`) and each draw's table
+(:meth:`ModelParams.from_channels`).  The shipped default scenario, the
 packaged file ``data/default_scenario.json``, is synthetic -- calibrated
 so the harvest averages about 10 mg of each species -- not a measurement
 of any real process.  Its true model trades protein retention against
@@ -181,6 +184,12 @@ class ModelParams:
     @property
     def n_actions(self) -> int:
         return self.beta_shapes.shape[1]
+
+    @classmethod
+    def from_channels(cls, shapes: np.ndarray, n_actions: int) -> list[ModelParams]:
+        """One model per draw of shapes ``(n, channels, 2)``: channel 2j is row j's eta pair, 2j + 1 its psi pair."""
+        tables = shapes.reshape(len(shapes), -1, n_actions, 2, 2)[:, :, :, ::-1]
+        return [cls(table) for table in tables.reshape(len(shapes), -1, n_actions, 4)]
 
     @functools.cached_property
     def log_beta(self) -> np.ndarray:
@@ -379,6 +388,10 @@ class ChromatographyEnv(Environment):
     def action_count(self) -> int:
         return self.scenario.true_model.n_actions
 
+    def model_grid(self) -> tuple[int, int]:
+        """The ``(steps, actions)`` grid of a model's posterior: every step, the terminal one too, by every window."""
+        return self.horizon(), self.action_count()
+
     def sample_initial_batch(self, n, rng) -> np.ndarray:
         """Noisy harvests at step 1: ``n`` rows ``(p1, i1, 1)``, masses clamped to the state box."""
         scn, up = self.scenario, self.scenario.upstream
@@ -512,6 +525,23 @@ class FractionDataset:
 
     def __len__(self) -> int:
         return self.step.size
+
+    @staticmethod
+    def channel_keys(n_steps: int, n_actions: int) -> list[tuple[int, int, str]]:
+        """The ``(step, action, species)`` key of each channel of an ``n_steps x n_actions`` grid, in channel order."""
+        return [(t, a, species) for t in range(1, n_steps + 1) for a in range(n_actions) for species in ("eta", "psi")]
+
+    def channels(self, n_steps: int, n_actions: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each fraction's channel on an ``n_steps x n_actions`` grid and its value, every ``h`` then every ``psi``."""
+        outside = (self.step > n_steps) | (self.action >= n_actions)
+        if outside.any():
+            j = int(np.argmax(outside))
+            raise ValueError(
+                f"observation at step {self.step[j]}, action {self.action[j]} "
+                f"outside {n_steps} steps x {n_actions} actions"
+            )
+        eta = 2 * ((self.step - 1) * n_actions + self.action)
+        return np.concatenate([eta, eta + 1]), np.concatenate([self.h, self.psi])
 
     def union(self, other: FractionDataset) -> FractionDataset:
         return FractionDataset(*(np.concatenate([getattr(self, c), getattr(other, c)]) for c in _COLUMNS))

@@ -158,7 +158,7 @@ def _load_checkpoint(path: str, scn):
 
     def read(path):
         theta, kind, meta = load_params(path)
-        hidden_dim = meta.get("hidden_dim", 16)
+        hidden_dim = meta.get("hidden_dim", TrainConfig().hidden_dim)
         env, policy = scenario_policy(scn, kind, hidden_dim)
         if theta.shape[0] != policy.param_dim:
             raise ValueError(
@@ -275,24 +275,24 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_posterior_diag(args) -> int:
-    # the step x action grid trainer.train builds its posterior on for this scenario
-    env = ChromatographyEnv(_load_scenario_arg(args.scenario))
-    grid = {"n_steps": env.horizon(), "n_actions": env.action_count()}
+    # the grid, burn-in and thin trainer.train builds its posterior with for this scenario
+    env, cfg = ChromatographyEnv(_load_scenario_arg(args.scenario)), TrainConfig()
+    sampler = {"burn_in": cfg.burn_in, "thin": cfg.thin}
     if args.data:
 
         def read(path):
             with open(path) as fh:
-                return bayes.make_posterior(read_fractions_csv(fh), **grid)
+                return bayes.make_posterior(read_fractions_csv(fh), *env.model_grid(), **sampler)
 
         posterior = _read_input("fraction data", args.data, read)
     else:
         # No data: every channel samples straight from the prior.
-        posterior = bayes.make_posterior(FractionDataset(), **grid)
-    most = bayes.MAX_MOVES // posterior.thin
+        posterior = bayes.make_posterior(FractionDataset(), *env.model_grid(), **sampler)
+    most = bayes.MAX_MOVES // cfg.thin
     if args.draws > most:
         raise CliError(
             EXIT_USAGE,
-            f"--draws must be <= {most} (bayes.MAX_MOVES = {bayes.MAX_MOVES} moves at thin {posterior.thin}), "
+            f"--draws must be <= {most} (bayes.MAX_MOVES = {bayes.MAX_MOVES} moves at thin {cfg.thin}), "
             f"got {args.draws}",
         )
     bayes.mh_sample(posterior, args.draws, args.seed, 0)

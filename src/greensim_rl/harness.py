@@ -14,6 +14,7 @@ whose bytes are a pure function of (scenario, config, seed).
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import json
@@ -151,6 +152,34 @@ def config_digest(scn: Scenario, cfg: TrainConfig, extra: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
+# Where a numpy wheel keeps the OpenBLAS it loaded; the file name carries a build hash.
+_NUMPY_LIBS = Path(np.__file__).parents[1] / "numpy.libs"
+
+
+def _numpy_openblas():
+    """The OpenBLAS numpy loaded, or None when ``_NUMPY_LIBS`` holds none with its thread-count setter."""
+    for path in _NUMPY_LIBS.glob("libscipy_openblas64_*.so"):
+        lib = ctypes.CDLL(str(path))  # the library numpy loaded: the same handle, no second copy
+        return lib if hasattr(lib, "scipy_openblas_set_num_threads64_") else None
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool worker initializer: run numpy's BLAS on one thread; do nothing when its setter is not found.
+
+    A forked worker has loaded OpenBLAS already, so an environment variable
+    comes too late.  Two workers of two BLAS threads each on two CPUs run
+    slower than one serial process; no result bit depends on the count.
+    In a forked process the setter starts OpenBLAS's thread pool again, and
+    its idle threads spin before they sleep, taking CPU from the other
+    workers; a count of one never uses the pool, so it is stopped at once.
+    """
+    lib = _numpy_openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
+        lib.blas_thread_shutdown_()
+
+
 def _run_macro_task(args) -> np.ndarray:
     scn, cfg, macro, r_test = args
     history = train(scn, cfg, macro=macro, eval_fn=true_model_eval_fn(scn, r_test, cfg.gamma))
@@ -215,7 +244,9 @@ def run_comparison(
         if threads is not None and threads > 1:
             warm_up_fermentation(scn.upstream)  # forked workers inherit the upstream RK4 cache
             # The pool starts all max_workers processes at the first submit.
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(threads, len(tasks))))
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=min(threads, len(tasks)), initializer=_one_blas_thread)
+            )
             runs = [pool.submit(run).result for run in runs]
         for (_, cfg, h, _), run in zip(tasks, runs):
             key = (cfg.estimator, cfg.replications, h)

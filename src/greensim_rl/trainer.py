@@ -201,9 +201,7 @@ def train(
     data = collect_real_data(
         scn, policy, theta, cfg.real_data_per_period, substream(cfg.seed, macro, 0, _REAL_DATA)
     )
-    posterior = bayes.make_posterior(
-        data, n_steps=env.horizon(), n_actions=env.action_count(), burn_in=cfg.burn_in, thin=cfg.thin
-    )
+    posterior = bayes.make_posterior(data, *env.model_grid(), burn_in=cfg.burn_in, thin=cfg.thin)
 
     buffer = estimators.ReplayBuffer(env, policy)
     history = TrainHistory(config=cfg, macro=macro)
@@ -264,23 +262,12 @@ def train(
                 )
             )
 
-        # prior-only channels always accept their independence proposal: leave them out
-        rates = [
-            row["accept_rate"]
-            for row in bayes.acceptance_rows(posterior)
-            if row["n_obs"] > 0 and row["proposed"] > 0
-        ]
+        acceptance = bayes.mean_acceptance(posterior)  # of this period's draws: the update resets the counts
         new_data = collect_real_data(
             scn, policy, theta, cfg.real_data_per_period, substream(cfg.seed, macro, period, _REAL_DATA)
         )
         posterior = bayes.update_dataset(posterior, new_data)
-        history.periods.append(
-            PeriodRecord(
-                period=period,
-                dataset_size=len(posterior.dataset),
-                mean_acceptance=float(np.mean(rates)) if rates else 0.0,
-            )
-        )
+        history.periods.append(PeriodRecord(period, len(posterior.dataset), acceptance))
     history.dataset = posterior.dataset
     return history
 

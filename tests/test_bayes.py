@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from greensim_rl import bayes
-from greensim_rl.bayes import PRIOR_HIGH, acceptance_rows, make_posterior, mh_sample, update_dataset
+from greensim_rl.bayes import PRIOR_HIGH, acceptance_rows, make_posterior, mean_acceptance, mh_sample, update_dataset
 from greensim_rl.bioenv import (
     ETA_L,
     ETA_U,
@@ -592,6 +592,32 @@ class TestDiagnostics:
         rows = acceptance_rows(ps)
         assert len(rows) == 2 * 3 * 2
         assert all(0.0 <= row["accept_rate"] <= 1.0 for row in rows)
+
+    def test_mean_acceptance_leaves_prior_only_channels_out(self):
+        ps = make_posterior(dataset_from_fractions(1, 1, [0.3, 0.6], [0.2, 0.5]), n_steps=2, n_actions=2, burn_in=50)
+        mh_sample(ps, 4, SEED, 31)
+        rows = acceptance_rows(ps)
+        live = [row["accept_rate"] for row in rows if row["n_obs"] > 0]
+        assert len(live) == 2 and all(row["accept_rate"] == 1.0 for row in rows if row["n_obs"] == 0)
+        assert mean_acceptance(ps) == float(np.mean(live)) < 1.0
+
+    def test_mean_acceptance_zero_without_data_backed_proposals(self):
+        prior_only = make_posterior(FractionDataset(), n_steps=2, n_actions=2, burn_in=5)
+        mh_sample(prior_only, 2, SEED, 32)
+        assert mean_acceptance(prior_only) == 0.0
+        # data, but no move proposed yet
+        assert mean_acceptance(make_posterior(dataset_from_fractions(1, 0, [0.3], [0.2]), 1, 1)) == 0.0
+
+    def test_mean_acceptance_reads_acceptance_rows_once(self, monkeypatch):
+        rows = [
+            {"n_obs": 1, "proposed": 4, "accept_rate": 0.25},
+            {"n_obs": 0, "proposed": 4, "accept_rate": 1.0},
+            {"n_obs": 2, "proposed": 0, "accept_rate": 0.0},
+            {"n_obs": 3, "proposed": 4, "accept_rate": 0.5},
+        ]
+        calls = []
+        monkeypatch.setattr(bayes, "acceptance_rows", lambda ps: calls.append(ps) or rows)
+        assert mean_acceptance("posterior") == 0.375 and calls == ["posterior"]
 
     def test_csv_header(self, tmp_path):
         ps = make_posterior(FractionDataset(), n_steps=1, n_actions=1)

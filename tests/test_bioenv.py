@@ -3,6 +3,7 @@
 import dataclasses
 import fnmatch
 import io
+import re
 import warnings
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from greensim_rl.bioenv import (
     PSI_L,
     PSI_U,
     ChromatographyEnv,
+    FractionDataset,
     InvalidStateError,
     ModelParams,
     RewardConfig,
@@ -583,6 +585,86 @@ class TestCollectRealData:
         theta[6, :] = 100.0  # features are positive, so action 6 dominates everywhere
         data = collect_real_data(scn, policy, theta.ravel(), 5, stream(10))
         assert np.all(data.action == 6)
+
+
+def reference_channels(dataset, n_steps, n_actions):
+    """The channel map as the posterior worked it out from the dataset's columns itself."""
+    outside = (dataset.step > n_steps) | (dataset.action >= n_actions)
+    if outside.any():
+        j = int(np.argmax(outside))
+        raise ValueError(
+            f"observation at step {dataset.step[j]}, action {dataset.action[j]} "
+            f"outside {n_steps} steps x {n_actions} actions"
+        )
+    eta_row = 2 * ((dataset.step - 1) * n_actions + dataset.action)
+    return np.concatenate([eta_row, eta_row + 1]), np.concatenate([dataset.h, dataset.psi])
+
+
+def random_dataset(rng, n_actions):
+    """Observations at steps 1 and 2, one of them at the grid's last action."""
+    n = int(rng.integers(1, 30))
+    action = rng.integers(0, n_actions, size=n)
+    action[rng.integers(n)] = n_actions - 1
+    return FractionDataset(rng.integers(1, 3, size=n), action, rng.uniform(0.01, 0.99, n), rng.uniform(0.01, 0.99, n))
+
+
+def raised(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestPosteriorLayout:
+    def test_model_grid_is_horizon_by_actions(self, env):
+        assert env.model_grid() == (env.horizon(), env.action_count()) == (3, 10)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_channels_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n_steps, n_actions = int(rng.integers(2, 4)), int(rng.integers(1, 6))
+        data = random_dataset(rng, n_actions)
+        channel, fractions = data.channels(n_steps, n_actions)
+        ref_channel, ref_fractions = reference_channels(data, n_steps, n_actions)
+        assert channel.dtype == ref_channel.dtype and fractions.dtype == ref_fractions.dtype
+        np.testing.assert_array_equal(channel, ref_channel)
+        np.testing.assert_array_equal(fractions, ref_fractions)
+        # each fraction's channel is keyed by its own cell and species
+        keys = FractionDataset.channel_keys(n_steps, n_actions)
+        assert len(keys) == 2 * n_steps * n_actions
+        cells = list(zip(data.step.tolist(), data.action.tolist()))
+        assert [keys[c] for c in channel.tolist()] == [(*cell, "eta") for cell in cells] + [
+            (*cell, "psi") for cell in cells
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_off_grid_observation_message(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n_actions = int(rng.integers(1, 6))
+        data = random_dataset(rng, n_actions)
+        off = np.array(data.action)
+        off[rng.integers(len(data))] = n_actions  # one past the grid's last action
+        data = FractionDataset(data.step, off, data.h, data.psi)
+        message = raised(reference_channels, data, 2, n_actions)
+        assert raised(data.channels, 2, n_actions) == message
+        assert re.fullmatch(r"observation at step \d, action \d+ outside 2 steps x \d+ actions", message)
+        if (data.step == 2).any():  # and a step past a one-step grid
+            assert raised(data.channels, 1, n_actions + 1) == raised(reference_channels, data, 1, n_actions + 1)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_tables_match_reshape_and_reverse(self, n):
+        rng = np.random.default_rng(40 + n)
+        n_steps, n_actions = 3, 4
+        shapes = rng.uniform(0.5, 300.0, size=(n, 2 * n_steps * n_actions, 2))
+        expected = shapes.reshape(n, n_steps, n_actions, 2, 2)[:, :, :, ::-1].reshape(n, n_steps, n_actions, 4)
+        models = ModelParams.from_channels(shapes, n_actions)
+        assert len(models) == n
+        for model, table in zip(models, expected):
+            assert model.beta_shapes.tobytes() == np.ascontiguousarray(table).tobytes()
+        # each channel's pair lands in its species' columns of its cell's row
+        for c, (t, a, species) in enumerate(FractionDataset.channel_keys(n_steps, n_actions)):
+            columns = [ETA_L, ETA_U] if species == "eta" else [PSI_L, PSI_U]
+            for model, draw in zip(models, shapes):
+                assert model.beta_shapes[t - 1, a, columns].tolist() == draw[c].tolist()
 
 
 class TestScenarioIO:

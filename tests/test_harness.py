@@ -1,7 +1,11 @@
 """Evaluation protocol, curve statistics, comparison grid."""
 
 import csv
+import ctypes
 import json
+import shutil
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,8 +207,10 @@ class TestRunComparison:
         sizes = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
+                # running the initializer here would set this process's own BLAS threads: check it only
                 sizes.append(max_workers)
+                assert initializer is harness._one_blas_thread
 
             def __enter__(self):
                 return self
@@ -259,3 +265,52 @@ class TestOutputFiles:
             b"1,1.5,0.5,0.52,2.48\r\n"
             b"2,3.25,1.25,0.7999999999999998,5.7\r\n"
         )
+
+
+def blas_thread_getter():
+    """The thread-count getter of the OpenBLAS a numpy wheel loads, looked up apart from the harness, or None."""
+    for path in Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas64_*.so"):
+        return getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None)
+    return None
+
+
+def worker_blas_threads() -> tuple[int, int]:
+    """This process's BLAS thread count, and its number of OS threads (0 where /proc is absent)."""
+    tasks = Path("/proc/self/task")
+    return blas_thread_getter()(), len(list(tasks.iterdir())) if tasks.is_dir() else 0
+
+
+def pool_blas_threads(initializer) -> tuple[int, int]:
+    """:func:`worker_blas_threads` in a fresh pool worker started with ``initializer``."""
+    pool = ProcessPoolExecutor(max_workers=1, initializer=initializer)
+    try:
+        return pool.submit(worker_blas_threads).result(timeout=60)
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+
+
+class TestWorkerBlasThreads:
+    def test_worker_runs_one_thread_and_parent_keeps_its_count(self):
+        getter = blas_thread_getter()
+        if getter is None:
+            pytest.skip("numpy's BLAS has no thread-count getter")
+        before = getter()
+        assert pool_blas_threads(None)[0] == before  # a worker inherits the parent's count
+        threads, os_threads = pool_blas_threads(harness._one_blas_thread)
+        # one BLAS thread, and no idle BLAS pool thread left beside the worker's own
+        assert threads == 1 and os_threads in (0, 1)
+        assert getter() == before
+
+    def test_nothing_found_does_nothing(self, tmp_path, monkeypatch):
+        getter = blas_thread_getter()
+        before = getter() if getter else None
+        monkeypatch.setattr(harness, "_NUMPY_LIBS", tmp_path)  # no library at all
+        assert harness._numpy_openblas() is None
+        assert harness._one_blas_thread() is None
+        # a library by that name, but without the setter
+        other = sorted(Path(np.__file__).parents[1].glob("numpy.libs/libquadmath*.so*"))
+        if other:
+            shutil.copy(other[0], tmp_path / "libscipy_openblas64_-other.so")
+            assert harness._numpy_openblas() is None
+            harness._one_blas_thread()
+        assert (getter() if getter else None) == before
