@@ -25,6 +25,13 @@ Subcommands and the files they write:
 ``train --seed`` and ``compare --seed`` default to the config's ``seed``
 (0 without ``--config``); the manifest records the seed that ran.
 
+A ``manifest.json`` holds the command, the seed, the config, the package
+version and the config digest, the sha256 of the scenario, the config
+and the run's digest inputs: ``r_test`` for a scored ``train`` run (none
+otherwise); ``macros``, ``seed``, ``r_test`` and ``window`` for
+``compare``, whose estimators, ``n_i`` grid and cell errors are recorded
+but not hashed.
+
 Exit codes: 0 success, 2 usage error, 3 an input path (scenario, config,
 checkpoint or fraction data) that is not a file, 4 a malformed scenario,
 config, checkpoint or fraction file (a scenario whose upstream fermentation
@@ -58,13 +65,7 @@ from .bioenv import (
     write_fractions_csv,
 )
 from .core import rollout_batch, substream, write_trajectories_jsonl
-from .harness import (
-    config_digest,
-    evaluate_policy,
-    run_comparison,
-    true_model_eval_fn,
-    write_manifest,
-)
+from .harness import evaluate_policy, run_comparison, true_model_eval_fn, write_manifest
 from .oracle import run_oracle_checks
 from .policy import load_params, save_params
 from .trainer import (
@@ -180,7 +181,7 @@ def _cmd_simulate(args) -> int:
     else:
         cfg = TrainConfig()
         env, policy = scenario_policy(scn, cfg.policy_kind, cfg.hidden_dim)
-        theta = policy.init_params(substream(args.seed, 0))
+        theta = policy.init_params(substream(args.seed, 0), cfg.init_scale)
     batch = rollout_batch(env, policy, theta, scn.true_model, args.n, substream(args.seed, 1))
     with open(args.out, "w") as fh:
         write_trajectories_jsonl(batch, fh)
@@ -207,16 +208,7 @@ def _cmd_train(args) -> int:
         write_history(history, tmp)
         write_fractions_csv(history.dataset, tmp / "fractions.csv")
         save_scenario(scn, tmp / "scenario.json")
-        write_manifest(
-            tmp,
-            {
-                "command": "train",
-                "config_digest": config_digest(scn, cfg, scoring),
-                "seed": cfg.seed,
-                "config": cfg.__dict__,
-                **scoring,
-            },
-        )
+        write_manifest(tmp, scn, cfg, scoring, command="train", seed=cfg.seed)
     final = history.iterations[-1]
     print(
         f"trained {len(history.iterations)} iterations ({cfg.estimator}); "

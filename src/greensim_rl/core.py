@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import abc
 import csv
-import ctypes
 import functools
 import json
 import math
@@ -59,6 +58,7 @@ __all__ = [
     "returns",
     "reward_to_go",
     "rollout_batch",
+    "sample_categorical",
     "softmax_probs",
     "substream",
     "write_csv",
@@ -282,34 +282,6 @@ class Environment(abc.ABC):
         return np.zeros(states.shape[0])
 
 
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, from glibc's <malloc.h>
-
-
-@functools.cache
-def _keep_large_blocks() -> bool:
-    """Keep blocks up to 32 MiB in glibc's heap instead of fresh ``mmap`` pages; True if both settings took.
-
-    glibc serves each block of 128 KiB or more by ``mmap`` and trims the
-    heap top back to the kernel, so the reuse passes' per-call arrays
-    (hidden layers, mixture blocks, ILR's step rows) are page-faulted in
-    afresh on every call.  This sets ``M_MMAP_THRESHOLD`` and
-    ``M_TRIM_THRESHOLD`` to 32 MiB, the threshold's documented maximum on
-    64-bit (mallopt(3)); setting both also turns off glibc's dynamic
-    threshold.  The setting is process-wide and forked workers inherit
-    it.  Allocation never changes arithmetic, so no result bit moves.
-    Without glibc (no ``libc.so.6``, no ``mallopt``, or a call that
-    returns 0) it does nothing and returns False.  Runs once per process.
-    """
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    limit = 32 << 20
-    return all(mallopt(param, limit) != 0 for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD))
-
-
 def _row_max(x: np.ndarray) -> np.ndarray:
     """``x.max(axis=-1, keepdims=True)`` with the same bits, reduced over a transposed copy.
 
@@ -344,7 +316,7 @@ def _log_softmax_at(logits: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray
     return shifted[..., np.arange(logits.shape[-2]), actions] - np.log(total[..., 0]), e, total
 
 
-def _sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One index per row of the ``(n, K)`` probabilities, by inverse CDF from one uniform per row.
 
     The indices are ``np.intp`` (int64 on 64-bit platforms).  ``probs`` is
@@ -450,8 +422,8 @@ class Policy(abc.ABC):
         return self.score_pass(theta, states, actions)[1](weights)
 
     def sample_actions_batch(self, theta, states, rng: np.random.Generator) -> np.ndarray:
-        """One action per state row, drawn by :func:`_sample_categorical`."""
-        return _sample_categorical(self.action_probs_batch(theta, states), rng)
+        """One action per state row, drawn by :func:`sample_categorical`."""
+        return sample_categorical(self.action_probs_batch(theta, states), rng)
 
     def init_params(self, rng: np.random.Generator, scale: float = 0.1) -> np.ndarray:
         return scale * rng.standard_normal(self.param_dim)

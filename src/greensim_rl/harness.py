@@ -10,6 +10,12 @@ the across-macro mean, standard error and a 95% confidence band.
 
 Outputs are tidy CSV files (one curve file per cell plus a summary table)
 whose bytes are a pure function of (scenario, config, seed).
+
+Every ``manifest.json`` (a run's fields, config, package version and config
+digest) comes from :func:`write_manifest`.  The digest covers the scenario,
+the config and the run's digest inputs: a comparison's ``macros``,
+``seed``, ``r_test`` and ``window``, not its estimator or ``n_i`` grid; a
+``train`` run's ``r_test`` when the run is scored.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ __all__ = [
     "MacroResult",
     "SummaryRow",
     "aggregate_curves",
-    "config_digest",
     "evaluate_policy",
     "run_comparison",
     "summarize_last_window",
@@ -142,16 +147,6 @@ def summarize_last_window(
 # --- comparison grid ----------------------------------------------------------
 
 
-def config_digest(scn: Scenario, cfg: TrainConfig, extra: dict) -> str:
-    """sha256 of the scenario, the training config and ``extra``."""
-    payload = {
-        "scenario": scenario_to_jsonable(scn),
-        "config": {k: v for k, v in cfg.__dict__.items()},
-        **extra,
-    }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
 # Where a numpy wheel keeps the OpenBLAS it loaded; the file name carries a build hash.
 _NUMPY_LIBS = Path(np.__file__).parents[1] / "numpy.libs"
 
@@ -228,9 +223,6 @@ def run_comparison(
             raise ValueError(f"the grid repeats the {name} {repeated[0]!r}")
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    digest = config_digest(
-        scn, base_cfg, {"macros": macros, "seed": seed, "r_test": r_test, "window": window}
-    )
     tasks = []
     for kind in estimator_kinds:
         for n_i in n_i_grid:
@@ -277,18 +269,13 @@ def run_comparison(
         _write_outputs(Path(out_dir), curves, rows)
         write_manifest(
             Path(out_dir),
-            {
-                "command": "compare",
-                "config_digest": digest,
-                "seed": seed,
-                "estimators": list(estimator_kinds),
-                "n_i_grid": list(n_i_grid),
-                "macros": macros,
-                "r_test": r_test,
-                "window": window,
-                "config": base_cfg.__dict__,
-                "errors": errors,
-            },
+            scn,
+            base_cfg,
+            {"macros": macros, "seed": seed, "r_test": r_test, "window": window},
+            command="compare",
+            estimators=list(estimator_kinds),
+            n_i_grid=list(n_i_grid),
+            errors=errors,
         )
     return rows, results, errors
 
@@ -306,13 +293,20 @@ def _write_outputs(out_dir: Path, curves: dict[tuple[str, int], CurveStats], row
     write_csv(out_dir / "summary.csv", ["estimator", "n_i", "mean", "se"], summary)
 
 
-def write_manifest(out_dir: Path, fields: dict) -> None:
-    """Write ``out_dir/manifest.json``: ``fields`` plus the package ``version``.
+def write_manifest(out_dir: Path, scn: Scenario, cfg: TrainConfig, inputs: dict, **fields) -> None:
+    """Write ``out_dir/manifest.json`` for a run of ``cfg`` on ``scn``: ``inputs``, ``fields``, ``config``, ``version``.
 
-    The one manifest writer, called once per output directory: by the
-    ``train`` command after its run, and by :func:`run_comparison` after
-    its last cell.
+    Its config digest is the sha256 of the scenario, the config and
+    ``inputs``, so two output directories with one digest ran the same
+    scenario, config and inputs; ``fields`` are not hashed.  The one
+    manifest writer, called once per output directory: by the ``train``
+    command after its run, and by :func:`run_comparison` after its last
+    cell.
     """
+    config = cfg.__dict__
+    payload = {"scenario": scenario_to_jsonable(scn), "config": config, **inputs}
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    manifest = {**inputs, **fields, "config_digest": digest, "config": config, "version": __version__}
     with open(Path(out_dir) / "manifest.json", "w") as fh:
-        json.dump({**fields, "version": __version__}, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

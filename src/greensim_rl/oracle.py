@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Environment, Policy, TrajectoryBatch, _sample_categorical, returns, reward_to_go
+from .core import Environment, Policy, TrajectoryBatch, returns, reward_to_go, sample_categorical
 from .estimators import ReplayBuffer, gradient, ilr_mean_estimate
 from .policy import LinearSoftmaxPolicy, onehot_features
 
@@ -104,7 +104,7 @@ class TabularEnv(Environment):
 
     def sample_transition_batch(self, states, actions, omega, rng) -> np.ndarray:
         rows = np.asarray(omega)[states[:, 0].astype(np.int64), np.asarray(actions, dtype=np.int64)]
-        return _sample_categorical(rows, rng).astype(np.float64)[:, None]
+        return sample_categorical(rows, rng).astype(np.float64)[:, None]
 
     def transition_logpdf_batch(self, states, actions, next_states, omegas) -> np.ndarray:
         tensors = np.stack([np.asarray(omega) for omega in omegas])
@@ -195,14 +195,12 @@ def estimator_exact_expectation(
     expectation exactly.  The probabilities travel as the records' weights
     in the buffer, so the estimators are called as training calls them.
     The target pair is the last component.  ``kind`` is one of
-    ``pg | ilr | mlr | tlr`` (or ``ilr_mean`` for the mean-response
-    estimator).
+    ``pg | ilr | mlr | tlr``; another raises :func:`estimators.gradient`'s
+    ``ValueError``.
     """
     buffer = _enumerated_buffer(mdp, components, policy)
     theta_k, omega_k = buffer.records[-1].theta, buffer.records[-1].omega
     window = rolling_window if rolling_window is not None else len(components)
-    if kind == "ilr_mean":
-        return ilr_mean_estimate(buffer, theta_k, omega_k, gamma)
     return gradient(kind, buffer, theta_k, omega_k, window, gamma)
 
 
@@ -279,7 +277,8 @@ def run_oracle_checks() -> list[tuple[str, bool, str]]:
     err = float(np.max(np.abs(est - tlr_exact)))
     results.append(("tlr expectation equals exact gradient", err < 1e-10, f"max err={err:.2e}"))
 
-    mean = estimator_exact_expectation("ilr_mean", mdp, components, gamma, policy)
+    buffer = _enumerated_buffer(mdp, components, policy)
+    mean = ilr_mean_estimate(buffer, buffer.records[-1].theta, buffer.records[-1].omega, gamma)
     exact_mean = exact_expected_return(target_mdp, theta_k, gamma, policy)
     err = abs(mean - exact_mean)
     results.append(("ilr mean estimate equals exact return", err < 1e-12, f"err={err:.2e}"))

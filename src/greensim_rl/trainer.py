@@ -22,6 +22,8 @@ streams, and identical configurations reproduce byte-identical histories.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import bayes, estimators
 from .bioenv import ChromatographyEnv, FractionDataset, Scenario, collect_real_data
-from .core import Policy, _keep_large_blocks, check_fields, check_object, read_json, returns, rollout_batch
+from .core import Policy, check_fields, check_object, read_json, returns, rollout_batch
 from .core import substream, write_csv
 from .policy import POLICY_KINDS, make_policy, purification_features
 
@@ -175,6 +177,34 @@ def policy_update(theta: np.ndarray, grad: np.ndarray, learning_rate: float) -> 
     return out
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, from glibc's <malloc.h>
+
+
+@functools.cache
+def _keep_large_blocks() -> bool:
+    """Keep blocks up to 32 MiB in glibc's heap instead of fresh ``mmap`` pages; True if both settings took.
+
+    glibc serves each block of 128 KiB or more by ``mmap`` and trims the
+    heap top back to the kernel, so the reuse passes' per-call arrays
+    (hidden layers, mixture blocks, ILR's step rows) are page-faulted in
+    afresh on every call.  This sets ``M_MMAP_THRESHOLD`` and
+    ``M_TRIM_THRESHOLD`` to 32 MiB, the threshold's documented maximum on
+    64-bit (mallopt(3)); setting both also turns off glibc's dynamic
+    threshold.  The setting is process-wide and forked workers inherit
+    it.  Allocation never changes arithmetic, so no result bit moves.
+    Without glibc (no ``libc.so.6``, no ``mallopt``, or a call that
+    returns 0) it does nothing and returns False.  Runs once per process.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    limit = 32 << 20
+    return all(mallopt(param, limit) != 0 for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD))
+
+
 def train(
     scn: Scenario,
     cfg: TrainConfig,
@@ -189,7 +219,7 @@ def train(
     holds each iteration's parameters.
 
     First it keeps blocks up to 32 MiB in glibc's heap
-    (:func:`core._keep_large_blocks`), so the reuse estimators' large
+    (:func:`_keep_large_blocks`), so the reuse estimators' large
     per-call arrays are not page-faulted in afresh on every iteration.
     That allocator setting is process-wide and stays after ``train``
     returns; without glibc nothing is set.  No result bit depends on it.

@@ -131,3 +131,34 @@ def test_one_softmax_head():
                     if isinstance(item, ast.FunctionDef) and item.name in head
                 }
     assert definers == {("core", "Policy", name) for name in head}, f"softmax head defined in {sorted(definers)}"
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_private_name_across_modules():
+    # a module uses only the public names of the package's other modules: it imports
+    # none of their _-prefixed names and reads none from a package module it imported
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()  # the names this module binds to the package or its modules
+        for node in ast.walk(tree):
+            if not imports_package_module(node):
+                continue
+            for alias in node.names:
+                if isinstance(node, ast.Import):
+                    modules.add(alias.asname or alias.name.split(".")[0])
+                elif is_private(alias.name):
+                    sites.append((path.stem, node.lineno, alias.name))
+                elif (PACKAGE / f"{alias.name}.py").exists() and node.module in (None, PACKAGE.name):
+                    modules.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and is_private(node.attr):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in modules:
+                    sites.append((path.stem, node.lineno, node.attr))
+    assert sites == [], f"private names used across package modules: {sites}"

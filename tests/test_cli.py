@@ -1,6 +1,7 @@
 """Command-line surface: dispatch, exit codes, atomic outputs."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,14 @@ import pytest
 
 import greensim_rl
 from greensim_rl import bayes, bioenv, cli
-from greensim_rl.bioenv import MAX_RK4_STEPS, ModelParams, default_scenario, save_scenario, scenario_to_jsonable
+from greensim_rl.bioenv import (
+    MAX_RK4_STEPS,
+    ModelParams,
+    default_scenario,
+    load_scenario,
+    save_scenario,
+    scenario_to_jsonable,
+)
 from greensim_rl.core import substream
 from greensim_rl.harness import evaluate_policy
 from greensim_rl.policy import load_params
@@ -31,6 +39,21 @@ def scenario_with(path, **upstream):
 def edit_field(section, name, value):
     """A scenario edit that sets ``scenario[section][name] = value``."""
     return lambda s: {**s, section: {**s[section], name: value}}
+
+
+def assert_manifest(path, scenario_path, cfg, inputs, fields):
+    """``path`` holds exactly ``inputs``, ``fields``, ``cfg``, the version and the run's config digest.
+
+    The digest is recomputed from the scenario at ``scenario_path``, ``cfg``
+    and the digest ``inputs``, as every manifest defines it.
+    """
+    manifest = json.loads(Path(path).read_text())
+    assert set(manifest) == {*inputs, *fields, "config", "config_digest", "version"}
+    assert {name: manifest[name] for name in {**inputs, **fields}} == {**inputs, **fields}
+    assert manifest["config"] == dataclasses.asdict(cfg)
+    assert manifest["version"] == greensim_rl.__version__
+    payload = {"scenario": scenario_to_jsonable(load_scenario(scenario_path)), "config": manifest["config"], **inputs}
+    assert manifest["config_digest"] == hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.fixture()
@@ -440,6 +463,11 @@ class TestTrainCommand:
         assert scored[0] == plain[0] + ",eval_reward"
         assert "r_test" not in json.loads((tmp_path / "plain" / "manifest.json").read_text())
         assert json.loads((tmp_path / "scored" / "manifest.json").read_text())["r_test"] == 6
+        # the digest covers r_test only when the run is scored
+        cfg = dataclasses.replace(load_train_config(tiny_config_file), seed=5)
+        for run, inputs in (("plain", {}), ("scored", {"r_test": 6})):
+            out = tmp_path / run
+            assert_manifest(out / "manifest.json", out / "scenario.json", cfg, inputs, {"command": "train", "seed": 5})
         # scoring draws on its own stream: training is unchanged
         assert [row.rsplit(",", 1)[0] for row in scored] == plain
         scn = default_scenario()
@@ -610,6 +638,14 @@ class TestCompareCommand:
         assert (out / "summary.csv").exists()
         assert (out / "curves" / "pg_3.csv").exists()
         assert (out / "curves" / "tlr_3.csv").exists()
+        # the digest covers the scenario, the base config, macros, seed, r_test and window; not the grid
+        assert_manifest(
+            out / "manifest.json",
+            scenario_file,
+            load_train_config(tiny_config_file),
+            {"macros": 2, "seed": 9, "r_test": 4, "window": 2},
+            {"command": "compare", "estimators": ["pg", "tlr"], "n_i_grid": [3], "errors": []},
+        )
 
     def test_failed_cell_error_kept_in_manifest(self, tmp_path, scenario_file, tiny_config_file, monkeypatch):
         from greensim_rl import harness

@@ -1,9 +1,7 @@
 """Trajectory batches, returns, rollouts, serialization."""
 
-import ctypes
 import io
 import json
-import platform
 
 import numpy as np
 import pytest
@@ -378,49 +376,3 @@ class TestSubstream:
         with pytest.raises(ValueError, match="nonnegative integers"):
             substream(*key)
 
-
-class FakeLibc:
-    """A C library whose ``mallopt`` records its calls and returns ``result``."""
-
-    def __init__(self, result=1):
-        self.calls = []
-
-        def mallopt(param, value):
-            self.calls.append((param, value))
-            return result
-
-        self.mallopt = mallopt
-
-
-class TestKeepLargeBlocks:
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        core._keep_large_blocks.cache_clear()
-        yield
-        core._keep_large_blocks.cache_clear()
-
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
-    def test_glibc_takes_both_settings(self):
-        assert core._keep_large_blocks() is True
-
-    def test_sets_both_thresholds_once(self, monkeypatch):
-        libc = FakeLibc()
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
-        assert core._keep_large_blocks() is True
-        assert core._keep_large_blocks() is True
-        assert libc.calls == [(-3, 32 << 20), (-1, 32 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
-
-    def test_no_library_is_a_no_op(self, monkeypatch):
-        def missing(name):
-            raise OSError(f"{name}: cannot open shared object file")
-
-        monkeypatch.setattr(ctypes, "CDLL", missing)
-        assert core._keep_large_blocks() is False
-
-    def test_no_mallopt_is_a_no_op(self, monkeypatch):
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
-        assert core._keep_large_blocks() is False
-
-    def test_refused_setting_returns_false(self, monkeypatch):
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibc(result=0))
-        assert core._keep_large_blocks() is False

@@ -143,12 +143,14 @@ class TestRunComparison:
             want = np.column_stack([np.arange(1.0, 5.0), stats.mean, stats.se, stats.lo, stats.hi])
             assert np.array(cells).tobytes() == want.tobytes()
 
-    def test_cell_rewards_independent_of_the_other_cells(self, scn):
+    def test_cell_rewards_independent_of_the_other_cells(self, scn, tmp_path, monkeypatch):
         # common random numbers: the mlr cell draws the same streams whichever cells run beside it
         args = self.small_args(scn)
+        monkeypatch.chdir(tmp_path)
         _, alone, _ = run_comparison(**{**args, "estimator_kinds": ["mlr"]})
         _, beside, errors = run_comparison(**args)
         assert errors == []
+        assert list(tmp_path.iterdir()) == []  # without out_dir nothing is written
         assert [r.estimator for r in beside] == ["pg", "mlr"]
         assert alone[0].rewards.tobytes() == beside[1].rewards.tobytes()
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from greensim_rl.core import returns, rollout_batch
+from greensim_rl.estimators import ilr_mean_estimate
 from greensim_rl.harness import evaluate_policy
 from greensim_rl.oracle import (
     TabularEnv,
     TabularMDP,
+    _enumerated_buffer,
     enumerate_trajectories,
     estimator_exact_expectation,
     exact_expected_return,
@@ -186,8 +188,14 @@ class TestEstimatorExpectations:
         theta_k, omega_k = components[-1]
         target = TabularMDP(omega_k, toy_mdp.rewards, toy_mdp.initial, toy_mdp.horizon)
         exact = exact_expected_return(target, theta_k, 0.9, tab_policy)
-        est = estimator_exact_expectation("ilr_mean", toy_mdp, components, 0.9, tab_policy)
+        buffer = _enumerated_buffer(toy_mdp, components, tab_policy)
+        est = ilr_mean_estimate(buffer, buffer.records[-1].theta, buffer.records[-1].omega, 0.9)
         assert est == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["ilr_mean", "zzz"])
+    def test_unknown_kind_raises(self, toy_mdp, tab_policy, rng, kind):
+        with pytest.raises(ValueError, match="unknown estimator kind"):
+            estimator_exact_expectation(kind, toy_mdp, self.components(rng), 0.9, tab_policy)
 
     def test_full_return_weighting_same_expectation(self, toy_mdp, tab_policy, rng):
         # replacing reward-to-go by the full return leaves the exact

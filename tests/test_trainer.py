@@ -1,7 +1,9 @@
 """Training loop: schedule, updates, determinism, buffer bookkeeping."""
 
+import ctypes
 import dataclasses
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -346,3 +348,50 @@ class TestPeriodAcceptance:
     def test_no_draws_reports_zero(self, scn):
         history = train(scn, tiny_cfg(estimator="tlr"))
         assert [p.mean_acceptance for p in history.periods] == [0.0, 0.0]
+
+
+class FakeLibc:
+    """A C library whose ``mallopt`` records its calls and returns ``result``."""
+
+    def __init__(self, result=1):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return result
+
+        self.mallopt = mallopt
+
+
+class TestKeepLargeBlocks:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        trainer._keep_large_blocks.cache_clear()
+        yield
+        trainer._keep_large_blocks.cache_clear()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_glibc_takes_both_settings(self):
+        assert trainer._keep_large_blocks() is True
+
+    def test_sets_both_thresholds_once(self, monkeypatch):
+        libc = FakeLibc()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        assert trainer._keep_large_blocks() is True
+        assert trainer._keep_large_blocks() is True
+        assert libc.calls == [(-3, 32 << 20), (-1, 32 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    def test_no_library_is_a_no_op(self, monkeypatch):
+        def missing(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", missing)
+        assert trainer._keep_large_blocks() is False
+
+    def test_no_mallopt_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert trainer._keep_large_blocks() is False
+
+    def test_refused_setting_returns_false(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibc(result=0))
+        assert trainer._keep_large_blocks() is False

@@ -32,13 +32,15 @@
 #     significant digits);
 #   - one Python step that writes full_precision.txt: the repr of the mean
 #     that evaluate prints (same checkpoint, r_test 9, seed 4, loaded and
-#     run as the CLI does), and of each estimator's exact expectation on
-#     oracle-check's setup (pg, ilr, ilr_mean, mlr over the whole buffer
-#     and over a window of 2, and tlr on components that share the last
-#     model), so that a change below the reports' rounding still differs.
+#     run as the CLI does), of each estimator's exact expectation on
+#     oracle-check's setup (pg, ilr, mlr over the whole buffer and over a
+#     window of 2, and tlr on components that share the last model), and
+#     of the ILR mean return estimate on that setup's enumerated buffer,
+#     so that a change below the reports' rounding still differs.
 #
 # Then `diff -r` compares the two output trees, ignoring only timings.csv
-# (per-phase wall seconds, the one output that differs between reruns).
+# (per-phase wall seconds, the one output that differs between reruns),
+# and prints its verdict and each tree's line count of src/greensim_rl/*.py.
 # Exits 0 when they match and 1 when they differ.
 set -euo pipefail
 
@@ -103,7 +105,7 @@ run_tree() {
     PYTHONPATH="$tree/src" PYTHONDONTWRITEBYTECODE=1 python3 - "$checkpoint" >"$out/full_precision.txt" <<'PY'
 import sys
 
-from greensim_rl import cli, oracle
+from greensim_rl import cli, estimators, oracle
 
 scn = cli._load_scenario_arg(None)
 env, policy, theta = cli._load_checkpoint(sys.argv[1], scn)
@@ -113,16 +115,25 @@ shared = [(theta, components[-1][1]) for theta, _ in components]
 cases = [("pg", components, None), ("ilr", components, None), ("ilr_mean", components, None),
          ("mlr", components, None), ("mlr", components, 2), ("tlr", shared, None)]
 for kind, parts, window in cases:
-    value = oracle.estimator_exact_expectation(kind, mdp, parts, 0.9, policy, window)
-    print(kind, window, repr(value if kind == "ilr_mean" else value.tolist()))
+    if kind == "ilr_mean":
+        buffer = oracle._enumerated_buffer(mdp, parts, policy)
+        value = estimators.ilr_mean_estimate(buffer, buffer.records[-1].theta, buffer.records[-1].omega, 0.9)
+    else:
+        value = oracle.estimator_exact_expectation(kind, mdp, parts, 0.9, policy, window).tolist()
+    print(kind, window, repr(value))
 PY
 }
 
 run_tree "$1" "$work/old"
 run_tree "$2" "$work/new"
+status=0
 if diff -r -x timings.csv "$work/old" "$work/new"; then
     echo "identical outputs (timings.csv aside) in $work/old and $work/new"
 else
     echo "outputs differ: $work/old vs $work/new" >&2
-    exit 1
+    status=1
 fi
+for tree in "$1" "$2"; do
+    echo "src/greensim_rl/*.py lines in $tree: $(cat "$tree"/src/greensim_rl/*.py | wc -l)"
+done
+exit "$status"
