@@ -292,11 +292,11 @@ def _integrate_biomass(p: UpstreamParams, s_i):
     h = p.duration / n_steps
     if np.ndim(s_i):
         s_i = np.asarray(s_i, dtype=np.float64)
-        x = np.full(s_i.shape, float(p.X0))
-        s = np.full(s_i.shape, float(p.S0))
+        x = np.full(s_i.shape, p.X0)
+        s = np.full(s_i.shape, p.S0)
         clamp = _clamp_array
     else:
-        s_i, x, s = float(s_i), float(p.X0), float(p.S0)
+        s_i, x, s = float(s_i), p.X0, p.S0
         clamp = _clamp_float
     q_s_max, q_m, y_em = p.q_s_max, p.q_m, p.Y_em
     dilution = -p.F / p.V

@@ -5,13 +5,11 @@ Subcommands and the files they write:
 - ``simulate``: true-model rollouts into the file ``--out``, one JSON
   object ``{"steps": [...]}`` per trajectory and line; each step is the
   flat array ``state..., action, reward, next_state...``.
-- ``train``: one training run, into the directory ``--out``:
-  ``history.csv`` (per-iteration diagnostics), ``periods.csv``
-  (per-period dataset size and MCMC acceptance), ``timings.csv``
-  (per-phase wall seconds, the one file that differs between reruns),
-  ``fractions.csv`` (the real-world observations, which
-  ``posterior-diag --data`` reads), ``scenario.json``, ``manifest.json``
-  and ``ckpt/iter_<k>/params.json``.
+- ``train``: one training run, into the directory ``--out``, laid out by
+  ``harness.write_train_outputs``: ``history.csv``, ``periods.csv``,
+  ``timings.csv``, ``fractions.csv`` (which ``posterior-diag --data``
+  reads), ``scenario.json``, ``manifest.json`` and
+  ``ckpt/iter_<k>/params.json``.
 - ``evaluate``: scores a checkpoint; writes no file.
 - ``compare``: the estimator comparison grid, into the directory
   ``--out``: ``curves/<estimator>_<n_i>.csv``, ``summary.csv`` and
@@ -50,8 +48,6 @@ import shutil
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, bayes
 from .bioenv import (
     ChromatographyEnv,
@@ -60,23 +56,12 @@ from .bioenv import (
     default_scenario,
     load_scenario,
     read_fractions_csv,
-    save_scenario,
     warm_up_fermentation,
-    write_fractions_csv,
 )
 from .core import rollout_batch, substream, write_trajectories_jsonl
-from .harness import evaluate_policy, run_comparison, true_model_eval_fn, write_manifest
+from .harness import evaluate_policy, load_checkpoint, run_comparison, true_model_eval_fn, write_train_outputs
 from .oracle import run_oracle_checks
-from .policy import load_params, save_params
-from .trainer import (
-    ESTIMATOR_KINDS,
-    TrainConfig,
-    TrainingError,
-    load_train_config,
-    scenario_policy,
-    train,
-    write_history,
-)
+from .trainer import ESTIMATOR_KINDS, TrainConfig, TrainingError, load_train_config, scenario_policy, train
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -155,20 +140,8 @@ def _atomic_out_dir(path: str):
 
 
 def _load_checkpoint(path: str, scn):
-    """Environment, policy and parameters of a checkpoint, rebuilt from its own architecture."""
-
-    def read(path):
-        theta, kind, meta = load_params(path)
-        hidden_dim = meta.get("hidden_dim", TrainConfig().hidden_dim)
-        env, policy = scenario_policy(scn, kind, hidden_dim)
-        if theta.shape[0] != policy.param_dim:
-            raise ValueError(
-                f"it holds {theta.shape[0]} parameters, but a {kind!r} policy "
-                f"(hidden_dim {hidden_dim}) on this scenario has {policy.param_dim}"
-            )
-        return env, policy, theta
-
-    return _read_input("checkpoint", path, read)
+    """:func:`harness.load_checkpoint` of ``path`` on ``scn``, with the input file exit codes."""
+    return _read_input("checkpoint", path, lambda p: load_checkpoint(p, scn))
 
 
 # --- subcommands --------------------------------------------------------------
@@ -196,19 +169,10 @@ def _cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, estimator=args.estimator)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    eval_fn, scoring = None, {}
-    if args.r_test is not None:
-        eval_fn, scoring = true_model_eval_fn(scn, args.r_test, cfg.gamma), {"r_test": args.r_test}
+    eval_fn = None if args.r_test is None else true_model_eval_fn(scn, args.r_test, cfg.gamma)
     with _atomic_out_dir(args.out) as tmp:
         history = train(scn, cfg, eval_fn=eval_fn)
-        for rec in history.iterations:
-            step_dir = tmp / "ckpt" / f"iter_{rec.iteration}"
-            step_dir.mkdir(parents=True)
-            save_params(step_dir / "params.json", rec.theta, cfg.policy_kind, meta={"hidden_dim": cfg.hidden_dim})
-        write_history(history, tmp)
-        write_fractions_csv(history.dataset, tmp / "fractions.csv")
-        save_scenario(scn, tmp / "scenario.json")
-        write_manifest(tmp, scn, cfg, scoring, command="train", seed=cfg.seed)
+        write_train_outputs(tmp, scn, history, args.r_test)
     final = history.iterations[-1]
     print(
         f"trained {len(history.iterations)} iterations ({cfg.estimator}); "

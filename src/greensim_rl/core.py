@@ -79,19 +79,32 @@ _FIELD_TYPES = {
 def check_typed(error: type[Exception], entries: Iterable[tuple[str, object, str]]) -> None:
     """Raise ``error`` naming the first ``(name, value, annotation)`` whose value is mistyped or not finite.
 
-    Only a ``bool`` annotation admits a bool (JSON's ``true``), and a float value must be finite.
+    Only a ``bool`` annotation admits a bool (JSON's ``true``), and a float value must be finite,
+    as must an int given for a float annotation once it is a float.
     """
     for name, value, kind in entries:
         if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _FIELD_TYPES[kind]):
             raise error(f"{name} must be of type {kind}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise error(f"{name} must be finite, got {value!r}")
+        if kind.startswith("float") and isinstance(value, int):
+            try:
+                float(value)
+            except OverflowError:
+                raise error(f"{name} must be finite, got an integer too large for a float") from None
 
 
 def check_fields(obj, error: type[Exception]) -> None:
-    """:func:`check_typed` on every field of the dataclass ``obj`` with an annotation it knows."""
-    entries = ((f.name, getattr(obj, f.name), f.type) for f in fields(obj))
-    check_typed(error, (entry for entry in entries if entry[2] in _FIELD_TYPES))
+    """:func:`check_typed` on every field of the dataclass ``obj`` with an annotation it knows.
+
+    An int given for a float field is then stored as the nearest float, so
+    the field holds one form however its file spelled the number.
+    """
+    entries = [(f.name, getattr(obj, f.name), f.type) for f in fields(obj) if f.type in _FIELD_TYPES]
+    check_typed(error, entries)
+    for name, value, kind in entries:
+        if kind.startswith("float") and isinstance(value, int):
+            object.__setattr__(obj, name, float(value))
 
 
 def read_json(path, error: type[ValueError]):

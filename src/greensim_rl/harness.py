@@ -11,11 +11,13 @@ the across-macro mean, standard error and a 95% confidence band.
 Outputs are tidy CSV files (one curve file per cell plus a summary table)
 whose bytes are a pure function of (scenario, config, seed).
 
-Every ``manifest.json`` (a run's fields, config, package version and config
-digest) comes from :func:`write_manifest`.  The digest covers the scenario,
-the config and the run's digest inputs: a comparison's ``macros``,
-``seed``, ``r_test`` and ``window``, not its estimator or ``n_i`` grid; a
-``train`` run's ``r_test`` when the run is scored.
+This module lays out every run directory, a comparison's and a ``train``
+run's (:func:`write_train_outputs`), and reads its checkpoints back
+(:func:`load_checkpoint`).  Each ``manifest.json`` (a run's fields, config,
+package version and config digest) comes from :func:`_write_manifest`.  The
+digest covers the scenario, the config and the run's digest inputs: a
+comparison's ``macros``, ``seed``, ``r_test`` and ``window``, not its
+estimator or ``n_i`` grid; a ``train`` run's ``r_test`` when it is scored.
 """
 
 from __future__ import annotations
@@ -36,11 +38,14 @@ from .bioenv import (
     ChromatographyEnv,
     IntegrationError,
     Scenario,
+    save_scenario,
     scenario_to_jsonable,
     warm_up_fermentation,
+    write_fractions_csv,
 )
 from .core import Environment, Policy, returns, rollout_batch, write_csv
-from .trainer import TrainConfig, train
+from .policy import load_params, save_params
+from .trainer import TrainConfig, TrainHistory, scenario_policy, train
 
 __all__ = [
     "CurveStats",
@@ -48,10 +53,11 @@ __all__ = [
     "SummaryRow",
     "aggregate_curves",
     "evaluate_policy",
+    "load_checkpoint",
     "run_comparison",
     "summarize_last_window",
     "true_model_eval_fn",
-    "write_manifest",
+    "write_train_outputs",
 ]
 
 
@@ -267,7 +273,7 @@ def run_comparison(
 
     if out_dir is not None:
         _write_outputs(Path(out_dir), curves, rows)
-        write_manifest(
+        _write_manifest(
             Path(out_dir),
             scn,
             base_cfg,
@@ -278,6 +284,9 @@ def run_comparison(
             errors=errors,
         )
     return rows, results, errors
+
+
+# --- run directories ----------------------------------------------------------
 
 
 def _write_outputs(out_dir: Path, curves: dict[tuple[str, int], CurveStats], rows: list[SummaryRow]) -> None:
@@ -293,15 +302,15 @@ def _write_outputs(out_dir: Path, curves: dict[tuple[str, int], CurveStats], row
     write_csv(out_dir / "summary.csv", ["estimator", "n_i", "mean", "se"], summary)
 
 
-def write_manifest(out_dir: Path, scn: Scenario, cfg: TrainConfig, inputs: dict, **fields) -> None:
+def _write_manifest(out_dir: Path, scn: Scenario, cfg: TrainConfig, inputs: dict, **fields) -> None:
     """Write ``out_dir/manifest.json`` for a run of ``cfg`` on ``scn``: ``inputs``, ``fields``, ``config``, ``version``.
 
     Its config digest is the sha256 of the scenario, the config and
     ``inputs``, so two output directories with one digest ran the same
     scenario, config and inputs; ``fields`` are not hashed.  The one
-    manifest writer, called once per output directory: by the ``train``
-    command after its run, and by :func:`run_comparison` after its last
-    cell.
+    manifest writer, called once per output directory: by
+    :func:`write_train_outputs` and by :func:`run_comparison` after its
+    last cell.
     """
     config = cfg.__dict__
     payload = {"scenario": scenario_to_jsonable(scn), "config": config, **inputs}
@@ -310,3 +319,65 @@ def write_manifest(out_dir: Path, scn: Scenario, cfg: TrainConfig, inputs: dict,
     with open(Path(out_dir) / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_train_outputs(out_dir: Path, scn: Scenario, history: TrainHistory, r_test: int | None) -> None:
+    """Write the ``train`` run of ``history`` on ``scn`` into the existing directory ``out_dir``.
+
+    Its files: ``ckpt/iter_<k>/params.json`` (iteration k's parameters, which
+    :func:`load_checkpoint` reads), ``history.csv`` (per-iteration
+    diagnostics, with ``eval_reward`` when the run scored its iterations),
+    ``periods.csv`` (per-period dataset size and MCMC acceptance),
+    ``timings.csv`` (per-phase wall seconds, the one file that differs
+    between reruns), ``fractions.csv`` (the real-world observations),
+    ``scenario.json`` and ``manifest.json``, whose digest input is
+    ``r_test`` for a run scored by ``r_test`` rollouts (none when None).
+    """
+    cfg = history.config
+    for rec in history.iterations:
+        step_dir = out_dir / "ckpt" / f"iter_{rec.iteration}"
+        step_dir.mkdir(parents=True)
+        save_params(step_dir / "params.json", rec.theta, cfg.policy_kind, meta={"hidden_dim": cfg.hidden_dim})
+    with_eval = any(rec.eval_reward is not None for rec in history.iterations)
+    header = ["iteration", "estimator", "grad_norm", "return_estimate", "max_ratio", "ess"]
+    write_csv(
+        out_dir / "history.csv",
+        header + ["eval_reward"] if with_eval else header,
+        (
+            [rec.iteration, cfg.estimator, rec.grad_norm, rec.return_estimate, rec.max_ratio, rec.ess]
+            + ([rec.eval_reward] if with_eval else [])
+            for rec in history.iterations
+        ),
+    )
+    write_csv(
+        out_dir / "periods.csv",
+        ["period", "dataset_size", "mean_acceptance"],
+        ((rec.period, rec.dataset_size, rec.mean_acceptance) for rec in history.periods),
+    )
+    write_csv(
+        out_dir / "timings.csv",
+        ["iteration", "posterior_s", "rollout_s", "gradient_s", "eval_s", "wall_s"],
+        (
+            (rec.iteration, rec.posterior_s, rec.rollout_s, rec.gradient_s, rec.eval_s, rec.wall_time)
+            for rec in history.iterations
+        ),
+    )
+    write_fractions_csv(history.dataset, out_dir / "fractions.csv")
+    save_scenario(scn, out_dir / "scenario.json")
+    _write_manifest(out_dir, scn, cfg, {} if r_test is None else {"r_test": r_test}, command="train", seed=cfg.seed)
+
+
+def load_checkpoint(path, scn: Scenario) -> tuple[ChromatographyEnv, Policy, np.ndarray]:
+    """Environment, policy and parameters of a checkpoint, rebuilt on ``scn`` from the checkpoint's own header.
+
+    ``ValueError`` if the file is malformed or its parameter count does not fit that policy.
+    """
+    theta, kind, meta = load_params(path)
+    hidden_dim = meta.get("hidden_dim", TrainConfig().hidden_dim)
+    env, policy = scenario_policy(scn, kind, hidden_dim)
+    if theta.shape[0] != policy.param_dim:
+        raise ValueError(
+            f"it holds {theta.shape[0]} parameters, but a {kind!r} policy "
+            f"(hidden_dim {hidden_dim}) on this scenario has {policy.param_dim}"
+        )
+    return env, policy, theta

@@ -18,6 +18,9 @@ since its ratios assume a single shared transition model.
 All randomness is drawn from streams keyed by ``(seed, macro, iteration,
 purpose)``, so two runs differing only in the estimator consume identical
 streams, and identical configurations reproduce byte-identical histories.
+
+This module writes no file: :func:`train` returns a run's history, which
+``harness.write_train_outputs`` lays out in a run directory.
 """
 
 from __future__ import annotations
@@ -26,15 +29,13 @@ import ctypes
 import functools
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import bayes, estimators
 from .bioenv import ChromatographyEnv, FractionDataset, Scenario, collect_real_data
-from .core import Policy, check_fields, check_object, read_json, returns, rollout_batch
-from .core import substream, write_csv
+from .core import Policy, check_fields, check_object, read_json, returns, rollout_batch, substream
 from .policy import POLICY_KINDS, make_policy, purification_features
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "policy_update",
     "scenario_policy",
     "train",
-    "write_history",
 ]
 
 ESTIMATOR_KINDS = ("pg", "ilr", "mlr", "tlr")
@@ -215,8 +215,7 @@ def train(
 
     ``eval_fn(theta, policy, rng)``, when given, scores the post-update
     parameters each iteration on a dedicated stream (the harness plugs the
-    true-model evaluation in here).  ``train`` writes no file: the history
-    holds each iteration's parameters.
+    true-model evaluation in here).
 
     First it keeps blocks up to 32 MiB in glibc's heap
     (:func:`_keep_large_blocks`), so the reuse estimators' large
@@ -300,40 +299,3 @@ def train(
         history.periods.append(PeriodRecord(period, len(posterior.dataset), acceptance))
     history.dataset = posterior.dataset
     return history
-
-
-def write_history(history: TrainHistory, out_dir: Path) -> None:
-    """Write the run's ``history.csv``, ``periods.csv`` and ``timings.csv`` into ``out_dir``.
-
-    ``history.csv`` holds the per-iteration diagnostics, with an
-    ``eval_reward`` column when the run scored its iterations (an
-    ``eval_fn`` was given); ``periods.csv`` the per-period dataset size and
-    mean MCMC acceptance of the data-backed channels.  Wall seconds of each
-    phase and of the whole iteration go to ``timings.csv``, the one
-    non-deterministic output, so the other two stay byte-identical across
-    reruns.
-    """
-    with_eval = any(rec.eval_reward is not None for rec in history.iterations)
-    header = ["iteration", "estimator", "grad_norm", "return_estimate", "max_ratio", "ess"]
-    write_csv(
-        out_dir / "history.csv",
-        header + ["eval_reward"] if with_eval else header,
-        (
-            [rec.iteration, history.config.estimator, rec.grad_norm, rec.return_estimate, rec.max_ratio, rec.ess]
-            + ([rec.eval_reward] if with_eval else [])
-            for rec in history.iterations
-        ),
-    )
-    write_csv(
-        out_dir / "periods.csv",
-        ["period", "dataset_size", "mean_acceptance"],
-        ((rec.period, rec.dataset_size, rec.mean_acceptance) for rec in history.periods),
-    )
-    write_csv(
-        out_dir / "timings.csv",
-        ["iteration", "posterior_s", "rollout_s", "gradient_s", "eval_s", "wall_s"],
-        (
-            (rec.iteration, rec.posterior_s, rec.rollout_s, rec.gradient_s, rec.eval_s, rec.wall_time)
-            for rec in history.iterations
-        ),
-    )

@@ -77,6 +77,18 @@ def test_one_csv_writer():
     ), f"csv.writer outside core.write_csv: {sites}"
 
 
+def test_cli_and_trainer_write_no_run_file():
+    # harness lays out every run directory: cli and trainer name none of the writers of its files
+    writers = {"write_csv", "save_params", "save_scenario", "write_fractions_csv", "write_manifest"}
+    sites = [
+        (module, tok.start[0], tok.string)
+        for module in ("cli", "trainer")
+        for tok in tokenize.generate_tokens(io.StringIO((PACKAGE / f"{module}.py").read_text()).readline)
+        if tok.type == tokenize.NAME and tok.string in writers
+    ]
+    assert sites == [], f"run files written outside harness: {sites}"
+
+
 def imports_package_module(node) -> bool:
     """Whether ``node`` imports a module of this package, by a relative import or by the package's name."""
     if isinstance(node, ast.ImportFrom):

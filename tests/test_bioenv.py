@@ -780,8 +780,21 @@ class TestMistypedFieldsRejected:
         with pytest.raises(ScenarioError, match="^charge_terminal_op_cost must be of type bool"):
             RewardConfig(charge_terminal_op_cost=value)
 
-    def test_integers_accepted_as_floats(self):
-        assert RewardConfig(c_f=48, op_cost=0).c_f == 48
+    def test_integers_accepted_as_floats(self, scn):
+        # and stored as floats: a field holds one form, so a scenario's file and digest do not depend on the spelling
+        upstream = UpstreamParams(V=1000, X0=0, duration=1200)
+        reward = RewardConfig(c_f=48, op_cost=0)
+        bounds = dataclasses.replace(scn, p_bar=30, i_bar=40)
+        values = [upstream.V, upstream.X0, upstream.duration, reward.c_f, reward.op_cost, bounds.p_bar, bounds.i_bar]
+        assert values == [1000.0, 0.0, 1200.0, 48.0, 0.0, 30.0, 40.0]
+        assert all(type(value) is float for value in values)
+        assert upstream == UpstreamParams(V=1000.0, X0=0.0, duration=1200.0)
+
+    @pytest.mark.parametrize("cls, name", [(UpstreamParams, "duration"), (UpstreamParams, "X0"), (RewardConfig, "c_f")])
+    def test_integer_too_large_for_a_float(self, cls, name):
+        for value in (10**400, -(10**400)):
+            with pytest.raises(ScenarioError, match=f"^{name} must be finite, got an integer too large for a float$"):
+                cls(**{name: value})
 
     @pytest.mark.parametrize("entry", ["2.0", True, None, [2.0]])
     def test_beta_shape_entries(self, entry):

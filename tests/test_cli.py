@@ -22,7 +22,7 @@ from greensim_rl.bioenv import (
     scenario_to_jsonable,
 )
 from greensim_rl.core import substream
-from greensim_rl.harness import evaluate_policy
+from greensim_rl.harness import evaluate_policy, true_model_eval_fn, write_train_outputs
 from greensim_rl.policy import load_params
 from greensim_rl.trainer import ESTIMATOR_KINDS, TrainingError, load_train_config, scenario_policy, train
 
@@ -54,6 +54,15 @@ def assert_manifest(path, scenario_path, cfg, inputs, fields):
     assert manifest["version"] == greensim_rl.__version__
     payload = {"scenario": scenario_to_jsonable(load_scenario(scenario_path)), "config": manifest["config"], **inputs}
     assert manifest["config_digest"] == hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def tree_bytes(root):
+    """Every file under ``root`` but ``timings.csv`` (wall seconds), by relative path, with its bytes."""
+    return {
+        path.relative_to(root): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name != "timings.csv"
+    }
 
 
 @pytest.fixture()
@@ -171,6 +180,33 @@ class TestErrors:
         argv = ["--scenario", str(tmp_path / "scenario.json"), "--config", str(tiny_config_file), "--out", str(out)]
         assert cli.main(["train", *argv]) == cli.EXIT_BAD_CONFIG
         assert f"{name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, name",
+        [("upstream", "duration"), ("reward", "price"), ("bounds", "i_bar"), ("config", "learning_rate")],
+    )
+    def test_integer_too_large_for_a_float_exits_4(self, tmp_path, tiny_config_file, section, name, capsys):
+        # a JSON integer of 400 digits is exact in Python, but no double holds it
+        scenario = scenario_to_jsonable(default_scenario())
+        config = json.loads(tiny_config_file.read_text())
+        (config if section == "config" else scenario[section])[name] = 10**400
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        tiny_config_file.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        argv = ["--scenario", str(tmp_path / "scenario.json"), "--config", str(tiny_config_file), "--out", str(out)]
+        assert cli.main(["train", *argv]) == cli.EXIT_BAD_CONFIG
+        assert f"{name} must be finite, got an integer too large for a float" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_beta_shape_too_large_for_a_float_exits_4(self, tmp_path, capsys):
+        scenario = scenario_to_jsonable(default_scenario())
+        scenario["true_model"]["beta_shapes"][0][2][1] = 10**400
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        out = tmp_path / "trajs.jsonl"
+        argv = ["simulate", "--scenario", str(tmp_path / "scenario.json"), "--n", "3", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_BAD_CONFIG
+        assert "beta_shapes must be finite, got an integer too large for a float" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -479,6 +515,39 @@ class TestTrainCommand:
             expected = evaluate_policy(theta, env, scn.true_model, policy, 6, substream(5, 0, k, 4))
             assert float(row.rsplit(",", 1)[1]) == expected
 
+    @pytest.mark.parametrize("section, name, value", [("config", "gamma", 1), ("upstream", "V", 1000)])
+    def test_float_spelled_as_an_integer_writes_the_same_run(self, tmp_path, tiny_config_file, section, name, value):
+        # a float field holds one form, so the files and the manifest's digest do not depend on the spelling
+        runs = []
+        for spelling in (value, float(value)):
+            scenario = scenario_to_jsonable(default_scenario())
+            config = json.loads(tiny_config_file.read_text())
+            (config if section == "config" else scenario[section])[name] = spelling
+            run = tmp_path / repr(spelling)
+            run.mkdir()
+            (run / "scenario.json").write_text(json.dumps(scenario))
+            (run / "config.json").write_text(json.dumps(config))
+            argv = ["--scenario", str(run / "scenario.json"), "--config", str(run / "config.json"), "--r-test", "3"]
+            assert cli.main(["train", *argv, "--out", str(run / "out")]) == 0
+            runs.append(tree_bytes(run / "out"))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("r_test", [None, 4])
+    def test_one_writer_lays_out_the_run(self, tmp_path, scenario_file, tiny_config_file, r_test):
+        # the command's directory is write_train_outputs' layout of the history train returns
+        scoring = [] if r_test is None else ["--r-test", str(r_test)]
+        argv = ["--scenario", str(scenario_file), "--config", str(tiny_config_file), "--estimator", "ilr", "--seed", "2"]
+        assert cli.main(["train", *argv, *scoring, "--out", str(tmp_path / "cli")]) == 0
+        scn = load_scenario(scenario_file)
+        cfg = dataclasses.replace(load_train_config(tiny_config_file), estimator="ilr", seed=2)
+        eval_fn = None if r_test is None else true_model_eval_fn(scn, r_test, cfg.gamma)
+        (tmp_path / "direct").mkdir()
+        write_train_outputs(tmp_path / "direct", scn, train(scn, cfg, eval_fn=eval_fn), r_test)
+        written = tree_bytes(tmp_path / "cli")
+        assert written == tree_bytes(tmp_path / "direct")
+        assert ("eval_reward" in written[Path("history.csv")].decode()) == (r_test is not None)
+        assert len(written) == 5 + 3  # history, periods, fractions, scenario, manifest and 3 checkpoints
+
     def test_training_failure_exits_1_without_output(self, tmp_path, scenario_file, monkeypatch, capsys):
         def train(*args, **kwargs):
             raise TrainingError("injected failure")
@@ -589,6 +658,15 @@ class TestCheckpointArchitecture:
         code = cli.main(["evaluate", "--scenario", str(scenario_file), "--checkpoint", str(path)])
         assert code == cli.EXIT_BAD_CONFIG
         assert "invalid checkpoint" in capsys.readouterr().err
+
+    def test_value_too_large_for_a_float_exits_4(self, tmp_path, scenario_file, capsys):
+        # a linear policy on the default scenario has 30 parameters; no double holds 10**400
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"kind": "linear", "length": 30, "values": [10**400] + [0.0] * 29}))
+        code = cli.main(["evaluate", "--scenario", str(scenario_file), "--checkpoint", str(path)])
+        assert code == cli.EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "invalid checkpoint" in err and "checkpoint value must be finite, got an integer too large" in err
 
     @pytest.mark.parametrize(
         "content",

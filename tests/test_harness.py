@@ -11,16 +11,19 @@ import numpy as np
 import pytest
 
 from greensim_rl import harness
+from greensim_rl.bioenv import ChromatographyEnv
 from greensim_rl.harness import (
     SummaryRow,
     aggregate_curves,
     evaluate_policy,
+    load_checkpoint,
     run_comparison,
     summarize_last_window,
+    write_train_outputs,
 )
 from greensim_rl.oracle import TabularEnv, TabularMDP
-from greensim_rl.policy import LinearSoftmaxPolicy, onehot_features
-from greensim_rl.trainer import TrainConfig
+from greensim_rl.policy import LinearSoftmaxPolicy, MlpSoftmaxPolicy, onehot_features
+from greensim_rl.trainer import TrainConfig, train
 
 from conftest import stream
 
@@ -267,6 +270,67 @@ class TestOutputFiles:
             b"1,1.5,0.5,0.52,2.48\r\n"
             b"2,3.25,1.25,0.7999999999999998,5.7\r\n"
         )
+
+
+def tiny_cfg(**overrides):
+    base = dict(periods=2, iterations_per_period=3, replications=4, real_data_per_period=3, burn_in=20, thin=2, seed=11)
+    return TrainConfig(**{**base, **overrides})
+
+
+class TestTrainOutputs:
+    def test_csv_shape(self, scn, tmp_path):
+        history = train(scn, tiny_cfg(estimator="tlr"))
+        write_train_outputs(tmp_path, scn, history, None)
+        lines = (tmp_path / "history.csv").read_text().splitlines()
+        assert lines[0] == "iteration,estimator,grad_norm,return_estimate,max_ratio,ess"
+        assert len(lines) == 1 + len(history.iterations)
+        assert lines[1].split(",")[1] == "tlr"
+        last = lines[-1].split(",")
+        assert float(last[4]) == history.iterations[-1].max_ratio
+        assert float(last[5]) == history.iterations[-1].ess
+
+    def test_periods_csv(self, scn, tmp_path):
+        history = train(scn, tiny_cfg(estimator="pg"))
+        write_train_outputs(tmp_path, scn, history, None)
+        lines = (tmp_path / "periods.csv").read_text().splitlines()
+        assert lines[0] == "period,dataset_size,mean_acceptance"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["1", "12"], ["2", "18"]]
+        assert [float(line.split(",")[2]) for line in lines[1:]] == [
+            p.mean_acceptance for p in history.periods
+        ]
+
+    def test_files_are_deterministic(self, scn, tmp_path):
+        outputs = []
+        for run in ("a", "b"):
+            history = train(scn, tiny_cfg(estimator="mlr"))
+            (tmp_path / run).mkdir()
+            write_train_outputs(tmp_path / run, scn, history, None)
+            outputs.append([(tmp_path / run / name).read_bytes() for name in ("history.csv", "periods.csv")])
+        assert outputs[0] == outputs[1]
+
+    def test_timings_csv(self, scn, tmp_path):
+        history = train(scn, tiny_cfg(estimator="pg"))
+        write_train_outputs(tmp_path, scn, history, None)
+        lines = (tmp_path / "timings.csv").read_text().splitlines()
+        assert lines[0] == "iteration,posterior_s,rollout_s,gradient_s,eval_s,wall_s"
+        assert len(lines) == 1 + len(history.iterations)
+        for line, rec in zip(lines[1:], history.iterations):
+            values = line.split(",")
+            assert int(values[0]) == rec.iteration
+            assert [float(v) for v in values[1:]] == [
+                rec.posterior_s, rec.rollout_s, rec.gradient_s, rec.eval_s, rec.wall_time
+            ]
+
+    @pytest.mark.parametrize("policy_kind, hidden_dim", [("mlp", 8), ("linear", 16)])
+    def test_checkpoints_read_back(self, scn, tmp_path, policy_kind, hidden_dim):
+        # load_checkpoint rebuilds the policy from the header write_train_outputs wrote
+        history = train(scn, tiny_cfg(periods=1, policy_kind=policy_kind, hidden_dim=hidden_dim))
+        write_train_outputs(tmp_path, scn, history, None)
+        for rec in history.iterations:
+            env, policy, theta = load_checkpoint(tmp_path / "ckpt" / f"iter_{rec.iteration}" / "params.json", scn)
+            assert theta.tobytes() == rec.theta.tobytes() and policy.param_dim == len(rec.theta)
+            assert isinstance(policy, {"mlp": MlpSoftmaxPolicy, "linear": LinearSoftmaxPolicy}[policy_kind])
+            assert isinstance(env, ChromatographyEnv)
 
 
 def blas_thread_getter():

@@ -15,6 +15,9 @@
 #     and for mlr with burn_in 37 and thin 3 and with burn_in 24 and thin 2,
 #     so that with the default 500 the sampler's 25-move adaptation windows
 #     end exactly at burn-in (500), leave a remainder (37) and never fill (24);
+#   - the pg train run on the MLP config once more without --r-test, so a
+#     history.csv without its eval_reward column and a manifest without
+#     r_test are compared too;
 #   - the same train runs for pg, mlr and tlr with rolling window 1, so the
 #     mixture's density block is rebuilt on every call; the mlr run must
 #     write the history of the pg run within the tree (estimator column aside),
@@ -69,6 +72,7 @@ run_tree() {
         greensim train --config "$out/config_linear.json" --estimator "$estimator" --seed 3 --r-test 7 \
             --out "$out/train_linear_$estimator"
     done
+    greensim train --config "$out/config.json" --estimator pg --seed 3 --out "$out/train_pg_unscored"
     echo '{"periods": 2, "iterations_per_period": 8, "replications": 5, "burn_in": 37, "thin": 3}' \
         >"$out/config_burn_in.json"
     greensim train --config "$out/config_burn_in.json" --estimator mlr --seed 3 --r-test 7 \
