@@ -152,7 +152,8 @@ class _Chains:
 class PosteriorState:
     """Dataset plus one MCMC chain per (step, action, species) channel, held as arrays.
 
-    Row ``c`` of every per-channel array belongs to ``channel_keys()[c]``:
+    Row ``c`` of every per-channel array belongs to channel ``c`` of
+    ``FractionDataset.channel_keys(n_steps, n_actions)``:
     ``log_shapes`` (C, 2) is the position on log shapes, ``step_size`` the
     random-walk scale and ``accepted``/``proposed`` the totals since the
     posterior was made.  These four are read-only.  ``log_shapes`` is the
@@ -191,7 +192,7 @@ class PosteriorState:
         self.n_actions = n_actions
         self.burn_in = burn_in
         self.thin = thin
-        n_chains = len(self.channel_keys())
+        n_chains = len(FractionDataset.channel_keys(n_steps, n_actions))
         if log_shapes is None:
             log_shapes = np.log(np.full((n_chains, 2), 10.0))
         if step_size is None:
@@ -249,9 +250,6 @@ class PosteriorState:
     def accepted(self) -> np.ndarray:
         # a prior-only channel accepts every independence proposal
         return self._per_channel(self.proposed, self._chains.accepted)
-
-    def channel_keys(self) -> list[tuple[int, int, str]]:
-        return FractionDataset.channel_keys(self.n_steps, self.n_actions)
 
 
 def make_posterior(
@@ -345,9 +343,9 @@ def mh_sample(ps: PosteriorState, n: int, root_seed: int, *path: int) -> list[Mo
     each block of moves (burn-in, then each draw's ``thin``) the generator
     gives the block's normal increments ``(m, C, 2)`` and then its
     acceptance uniforms ``(m, C)``; after the last block it gives one prior
-    point per block ``(blocks, C, 2)``.  Every array has a column for every
-    one of the C channels (in ``channel_keys()`` order), empty channels
-    included, so channel ``c`` always reads column ``c`` at the same stream
+    point per block ``(blocks, C, 2)``.  Every array has a column for each
+    of the C channels (in ``FractionDataset.channel_keys`` order), empty
+    channels included, so channel ``c`` always reads column ``c`` at the same stream
     positions and its draws are unaffected by the data held by any other
     channel.  The data-backed chains advance on their columns (:func:`_walk`).
     An empty channel instead takes its column's prior point of each draw's
@@ -407,7 +405,7 @@ def update_dataset(ps: PosteriorState, new_data: FractionDataset) -> PosteriorSt
 def acceptance_rows(ps: PosteriorState) -> list[dict]:
     proposed, accepted, step_size = ps.proposed.tolist(), ps.accepted.tolist(), ps.step_size.tolist()
     rows = []
-    for c, (t, a, channel) in enumerate(ps.channel_keys()):
+    for c, (t, a, channel) in enumerate(FractionDataset.channel_keys(ps.n_steps, ps.n_actions)):
         rows.append(
             {
                 "step": t,

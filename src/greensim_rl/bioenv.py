@@ -456,7 +456,7 @@ class ChromatographyEnv(Environment):
         eta_term = beta_log_pdf(h, shapes[..., ETA_L], shapes[..., ETA_U], log_beta[..., 0])
         return eta_term + beta_log_pdf(psi, shapes[..., PSI_L], shapes[..., PSI_U], log_beta[..., 1])
 
-    def reward_batch(self, states, actions, step_index) -> np.ndarray:
+    def reward_batch(self, states, actions) -> np.ndarray:
         """Steps 1 and 2 charge the column operating cost."""
         return np.full(states.shape[0], -self.scenario.reward.op_cost)
 

@@ -33,7 +33,9 @@ but not hashed.
 Exit codes: 0 success, 2 usage error, 3 an input path (scenario, config,
 checkpoint or fraction data) that is not a file, 4 a malformed scenario,
 config, checkpoint or fraction file (a scenario whose upstream fermentation
-diverges too), 1 runtime failure.  Output directories are populated in a
+diverges too), 1 runtime failure.  An empty input path is a missing file
+(exit 3).  Every command creates the missing parents of ``--out`` once its
+inputs are read, before its work.  Output directories are populated in a
 temporary sibling and renamed into place on success, so a failed run never
 leaves a partial directory behind.
 """
@@ -149,12 +151,13 @@ def _load_checkpoint(path: str, scn):
 
 def _cmd_simulate(args) -> int:
     scn = _load_scenario_arg(args.scenario)
-    if args.checkpoint:
-        env, policy, theta = _load_checkpoint(args.checkpoint, scn)
-    else:
+    if args.checkpoint is None:
         cfg = TrainConfig()
         env, policy = scenario_policy(scn, cfg.policy_kind, cfg.hidden_dim)
         theta = policy.init_params(substream(args.seed, 0), cfg.init_scale)
+    else:
+        env, policy, theta = _load_checkpoint(args.checkpoint, scn)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     batch = rollout_batch(env, policy, theta, scn.true_model, args.n, substream(args.seed, 1))
     with open(args.out, "w") as fh:
         write_trajectories_jsonl(batch, fh)
@@ -233,17 +236,16 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_posterior_diag(args) -> int:
     # the grid, burn-in and thin trainer.train builds its posterior with for this scenario
     env, cfg = ChromatographyEnv(_load_scenario_arg(args.scenario)), TrainConfig()
-    sampler = {"burn_in": cfg.burn_in, "thin": cfg.thin}
-    if args.data:
 
-        def read(path):
+    def posterior_on(path):
+        # no fraction data: every channel samples straight from the prior
+        dataset = FractionDataset()
+        if path is not None:
             with open(path) as fh:
-                return bayes.make_posterior(read_fractions_csv(fh), *env.model_grid(), **sampler)
+                dataset = read_fractions_csv(fh)
+        return bayes.make_posterior(dataset, *env.model_grid(), burn_in=cfg.burn_in, thin=cfg.thin)
 
-        posterior = _read_input("fraction data", args.data, read)
-    else:
-        # No data: every channel samples straight from the prior.
-        posterior = bayes.make_posterior(FractionDataset(), *env.model_grid(), **sampler)
+    posterior = posterior_on(None) if args.data is None else _read_input("fraction data", args.data, posterior_on)
     most = bayes.MAX_MOVES // cfg.thin
     if args.draws > most:
         raise CliError(
@@ -251,6 +253,7 @@ def _cmd_posterior_diag(args) -> int:
             f"--draws must be <= {most} (bayes.MAX_MOVES = {bayes.MAX_MOVES} moves at thin {cfg.thin}), "
             f"got {args.draws}",
         )
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     bayes.mh_sample(posterior, args.draws, args.seed, 0)
     bayes.write_acceptance_csv(posterior, args.out)
     print(f"wrote per-channel acceptance diagnostics to {args.out}")

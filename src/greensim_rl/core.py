@@ -17,7 +17,10 @@ models) and return an ``(R, n)`` array, so the estimators evaluate many
 architecture subclasses :class:`Policy` with only ``param_dim``, a forward
 pass ``_forward`` to its logits and a backward pass ``_backward`` from
 them; the softmax, its log probabilities and the score hook are
-:class:`Policy`'s, one implementation for every policy.  Per-trajectory
+:class:`Policy`'s, one implementation for every policy, whose softmax
+terms (max shift, ``exp`` and row sum) one function computes.  The step
+reward is ``reward_batch(states, actions)``; a state stores any step index
+it needs.  Per-trajectory
 quantities are row reductions over the ``(n, H-1)`` matrices; step-level
 arrays are the batch's rows in trajectory-major order
 (:attr:`TrajectoryBatch.step_arrays`).  A batch may hold views: the replay
@@ -59,7 +62,6 @@ __all__ = [
     "reward_to_go",
     "rollout_batch",
     "sample_categorical",
-    "softmax_probs",
     "substream",
     "write_csv",
     "write_trajectories_jsonl",
@@ -287,8 +289,8 @@ class Environment(abc.ABC):
         """
 
     @abc.abstractmethod
-    def reward_batch(self, states, actions, step_index: int) -> np.ndarray:
-        """Reward for taking ``actions`` in ``states`` at 1-based step ``step_index``."""
+    def reward_batch(self, states, actions) -> np.ndarray:
+        """Reward for taking ``actions`` in ``states``."""
 
     def terminal_reward_batch(self, states) -> np.ndarray:
         """Payout on reaching each final state; credited to the last step."""
@@ -306,27 +308,15 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(x.T.copy(), axis=0).T[..., None]
 
 
-def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax over the last axis; each row sums to 1.
+def _softmax_terms(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The softmax terms over the last axis: the max-shifted ``logits``, their ``exp`` and its row sums.
 
-    Works in place only on the array its shift allocates, never on ``logits``.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    e = np.subtract(logits, _row_max(logits))
-    np.exp(e, out=e)
-    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
-
-
-def _log_softmax_at(logits: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``log softmax(logits)[..., n, actions[n]]`` of ``(..., n, A)`` logits, then ``e`` and ``total``.
-
-    One max shift, ``exp`` and sum in :func:`softmax_probs`' order, so
-    ``e / total`` has its bits; only the caller that needs them divides.
+    The head's one softmax pass: ``e / total`` are the probabilities, and
+    ``shifted - log(total)`` their logs, which the callers take at the actions.
     """
     shifted = logits - _row_max(logits)
     e = np.exp(shifted)
-    total = np.add.reduce(e, axis=-1, keepdims=True)
-    return shifted[..., np.arange(logits.shape[-2]), actions] - np.log(total[..., 0]), e, total
+    return shifted, e, np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -388,7 +378,8 @@ class Policy(abc.ABC):
 
     def action_probs_batch(self, theta, states) -> np.ndarray:
         """Action probabilities, shape ``(n, n_actions)``; rows sum to 1."""
-        return softmax_probs(self._forward(self._params(theta, False), states)[-1])
+        _, e, total = _softmax_terms(self._forward(self._params(theta, False), states)[-1])
+        return np.divide(e, total, out=e)
 
     def log_prob_batch(self, thetas, states, actions) -> np.ndarray:
         """``log pi(a_n|s_n)`` under each parameter vector of ``thetas``, shape ``(R, n)``.
@@ -398,8 +389,9 @@ class Policy(abc.ABC):
         ``thetas[r:r+1]`` gives.  Work that depends on the rows only (the
         state features) is done once per call.
         """
-        logits = self._forward(self._params(thetas, True), states)[-1]
-        return _log_softmax_at(logits, np.asarray(actions, dtype=np.int64))[0]
+        shifted, _, total = _softmax_terms(self._forward(self._params(thetas, True), states)[-1])
+        rows = np.arange(shifted.shape[-2])
+        return shifted[..., rows, np.asarray(actions, dtype=np.int64)] - np.log(total[..., 0])
 
     def score_pass(self, theta, states, actions) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
         """One forward pass at ``theta``: ``(log_prob, weighted_sum)``.
@@ -419,7 +411,8 @@ class Policy(abc.ABC):
         theta = self._params(theta, False)
         *layers, logits = self._forward(theta, states)
         actions = np.asarray(actions, dtype=np.int64)
-        log_prob, e, total = _log_softmax_at(logits, actions)
+        shifted, e, total = _softmax_terms(logits)
+        log_prob = shifted[np.arange(len(actions)), actions] - np.log(total[:, 0])
         probs = e / total
 
         def weighted_sum(weights) -> np.ndarray:
@@ -470,7 +463,7 @@ def rollout_batch(
     states[:, 0] = current
     for t in range(1, horizon):
         step_actions = actions[:, t - 1] = policy.sample_actions_batch(theta, current, rng)
-        rewards[:, t - 1] = env.reward_batch(current, step_actions, t)
+        rewards[:, t - 1] = env.reward_batch(current, step_actions)
         current = np.asarray(env.sample_transition_batch(current, step_actions, omega, rng), dtype=np.float64)
         if not np.isfinite(current).all():
             raise RolloutError(f"non-finite state in batch at step {t}")

@@ -13,11 +13,15 @@ whose bytes are a pure function of (scenario, config, seed).
 
 This module lays out every run directory, a comparison's and a ``train``
 run's (:func:`write_train_outputs`), and reads its checkpoints back
-(:func:`load_checkpoint`).  Each ``manifest.json`` (a run's fields, config,
-package version and config digest) comes from :func:`_write_manifest`.  The
-digest covers the scenario, the config and the run's digest inputs: a
-comparison's ``macros``, ``seed``, ``r_test`` and ``window``, not its
-estimator or ``n_i`` grid; a ``train`` run's ``r_test`` when it is scored.
+(:func:`load_checkpoint`).  A checkpoint is a JSON header (``kind``,
+``length``, ``meta``) plus the flat parameter vector ``values``; Python's
+float repr round-trips, so it reads back bit for bit, and a value that is
+not finite is refused on load.  Each ``manifest.json`` (a run's fields,
+config, package version and config digest) comes from
+:func:`_write_manifest`.  The digest covers the scenario, the config and
+the run's digest inputs: a comparison's ``macros``, ``seed``, ``r_test``
+and ``window``, not its estimator or ``n_i`` grid; a ``train`` run's
+``r_test`` when it is scored.
 """
 
 from __future__ import annotations
@@ -43,8 +47,7 @@ from .bioenv import (
     warm_up_fermentation,
     write_fractions_csv,
 )
-from .core import Environment, Policy, returns, rollout_batch, write_csv
-from .policy import load_params, save_params
+from .core import Environment, Policy, check_object, check_typed, read_json, returns, rollout_batch, write_csv
 from .trainer import TrainConfig, TrainHistory, scenario_policy, train
 
 __all__ = [
@@ -334,10 +337,13 @@ def write_train_outputs(out_dir: Path, scn: Scenario, history: TrainHistory, r_t
     ``r_test`` for a run scored by ``r_test`` rollouts (none when None).
     """
     cfg = history.config
+    meta = {"hidden_dim": cfg.hidden_dim}
     for rec in history.iterations:
         step_dir = out_dir / "ckpt" / f"iter_{rec.iteration}"
         step_dir.mkdir(parents=True)
-        save_params(step_dir / "params.json", rec.theta, cfg.policy_kind, meta={"hidden_dim": cfg.hidden_dim})
+        values = rec.theta.tolist()
+        with open(step_dir / "params.json", "w") as fh:
+            json.dump({"kind": cfg.policy_kind, "length": len(values), "values": values, "meta": meta}, fh)
     with_eval = any(rec.eval_reward is not None for rec in history.iterations)
     header = ["iteration", "estimator", "grad_norm", "return_estimate", "max_ratio", "ess"]
     write_csv(
@@ -372,7 +378,19 @@ def load_checkpoint(path, scn: Scenario) -> tuple[ChromatographyEnv, Policy, np.
 
     ``ValueError`` if the file is malformed or its parameter count does not fit that policy.
     """
-    theta, kind, meta = load_params(path)
+    header = read_json(path, ValueError)
+    check_object(header, ValueError, "checkpoint", ("kind", "length", "values", "meta"), ("kind", "length", "values"))
+    kind, values, meta = header["kind"], header["values"], header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError("'meta' must be a JSON object")
+    if not isinstance(values, list):
+        raise ValueError(f"'values' must be a list of numbers, got {values!r}")
+    check_typed(ValueError, [("checkpoint field 'length'", header["length"], "int")])
+    # np.array would read true as 1.0: every value must be a finite JSON number
+    check_typed(ValueError, (("checkpoint value", v, "float") for v in values))
+    if len(values) != header["length"]:
+        raise ValueError(f"checkpoint header says {header['length']} values, file has {len(values)}")
+    theta = np.array(values, dtype=np.float64)
     hidden_dim = meta.get("hidden_dim", TrainConfig().hidden_dim)
     env, policy = scenario_policy(scn, kind, hidden_dim)
     if theta.shape[0] != policy.param_dim:

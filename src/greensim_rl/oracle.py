@@ -117,7 +117,7 @@ class TabularEnv(Environment):
         with np.errstate(divide="ignore"):
             return np.where(p > 0.0, np.log(np.maximum(p, 1e-300)), -np.inf)
 
-    def reward_batch(self, states, actions, step_index) -> np.ndarray:
+    def reward_batch(self, states, actions) -> np.ndarray:
         return self.mdp.rewards[states[:, 0].astype(np.int64), np.asarray(actions, dtype=np.int64)]
 
 

@@ -1,4 +1,4 @@
-"""The two softmax policy architectures over discrete actions.
+"""The two softmax policy architectures over discrete actions, and their state features.
 
 * :class:`LinearSoftmaxPolicy` -- logits linear in the state features;
   the tabular oracle uses it.
@@ -6,30 +6,28 @@
   logits; the training loop uses it.
 
 Each gives its forward and backward pass; the softmax head they share is
-:class:`~greensim_rl.core.Policy`.
+:class:`~greensim_rl.core.Policy`.  Each reads states through a
+:class:`FeatureMap` (:func:`purification_features`, :func:`onehot_features`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.special import expit
 
-from .core import Policy, check_object, check_typed, read_json
+from .core import Policy
 
 __all__ = [
     "FeatureMap",
     "LinearSoftmaxPolicy",
     "MlpSoftmaxPolicy",
     "POLICY_KINDS",
-    "load_params",
     "make_policy",
     "onehot_features",
     "purification_features",
-    "save_params",
 ]
 
 POLICY_KINDS = ("linear", "mlp")
@@ -155,39 +153,3 @@ def make_policy(kind: str, features: FeatureMap, n_actions: int, hidden_dim: int
     if kind == "mlp":
         return MlpSoftmaxPolicy(features, n_actions, hidden_dim)
     raise ValueError(f"unknown policy kind {kind!r} (expected one of {POLICY_KINDS})")
-
-
-# --- checkpoints ------------------------------------------------------------
-#
-# JSON with a shape header plus the flat parameter vector.  Python's float
-# repr is the shortest round-tripping decimal, so load(save(theta)) is
-# bit-exact; a value that is not finite is refused on load.
-
-def save_params(path, theta: np.ndarray, kind: str, meta: dict | None = None) -> None:
-    payload = {
-        "kind": kind,
-        "length": int(np.asarray(theta).shape[0]),
-        "values": [float(x) for x in np.asarray(theta, dtype=np.float64)],
-    }
-    if meta:
-        payload["meta"] = meta
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_params(path) -> tuple[np.ndarray, str, dict]:
-    """Read a checkpoint as ``(theta, kind, meta)``; ValueError if malformed or a value is not a finite number."""
-    payload = read_json(path, ValueError)
-    check_object(payload, ValueError, "checkpoint", ("kind", "length", "values", "meta"), ("kind", "length", "values"))
-    meta = payload.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ValueError("'meta' must be a JSON object")
-    values = payload["values"]
-    if not isinstance(values, list):
-        raise ValueError(f"'values' must be a list of numbers, got {values!r}")
-    check_typed(ValueError, [("checkpoint field 'length'", payload["length"], "int")])
-    # np.array would read true as 1.0: every value must be a finite JSON number
-    check_typed(ValueError, (("checkpoint value", v, "float") for v in values))
-    if len(values) != payload["length"]:
-        raise ValueError(f"checkpoint header says {payload['length']} values, file has {len(values)}")
-    return np.array(values, dtype=np.float64), payload["kind"], meta

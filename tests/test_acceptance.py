@@ -255,7 +255,7 @@ class TestCriterion6Reward:
             rows = state[None, :]
             if state[2] == 3.0:
                 return env.terminal_reward_batch(rows)[0]
-            return env.reward_batch(rows, np.zeros(1, dtype=np.int64), int(state[2]))[0]
+            return env.reward_batch(rows, np.zeros(1, dtype=np.int64))[0]
 
         cases = [
             (np.array([10.0, 1.0, 3.0]), 40.0),

@@ -1,9 +1,14 @@
 """The public surface is what the program uses: every exported name has a caller outside tests."""
 
 import ast
+import inspect
 import io
 import tokenize
 from pathlib import Path
+
+from greensim_rl.bioenv import ChromatographyEnv
+from greensim_rl.core import Environment
+from greensim_rl.oracle import TabularEnv
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "greensim_rl"
@@ -78,11 +83,11 @@ def test_one_csv_writer():
 
 
 def test_cli_and_trainer_write_no_run_file():
-    # harness lays out every run directory: cli and trainer name none of the writers of its files
-    writers = {"write_csv", "save_params", "save_scenario", "write_fractions_csv", "write_manifest"}
+    # harness lays out every run directory: cli, trainer and policy name none of the writers of its files
+    writers = {"write_csv", "dump", "save_scenario", "write_fractions_csv", "write_manifest"}
     sites = [
         (module, tok.start[0], tok.string)
-        for module in ("cli", "trainer")
+        for module in ("cli", "trainer", "policy")
         for tok in tokenize.generate_tokens(io.StringIO((PACKAGE / f"{module}.py").read_text()).readline)
         if tok.type == tokenize.NAME and tok.string in writers
     ]
@@ -143,6 +148,34 @@ def test_one_softmax_head():
                     if isinstance(item, ast.FunctionDef) and item.name in head
                 }
     assert definers == {("core", "Policy", name) for name in head}, f"softmax head defined in {sorted(definers)}"
+
+
+def test_one_softmax_pass():
+    # the head's max shift, exp and row sum are computed by one function of core
+    def calls(node, name):
+        return any(
+            isinstance(call, ast.Call) and ast.unparse(call.func) == name for call in ast.walk(node)
+        )
+
+    tree = ast.parse((PACKAGE / "core.py").read_text())
+    passes = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and calls(node, "_row_max") and calls(node, "np.exp")
+    ]
+    assert len(passes) == 1, f"softmax terms computed in {passes}"
+
+
+def test_environments_keep_the_contract_signatures():
+    # every concrete environment takes each abstract hook's arguments under the contract's names
+    concrete = {
+        cls for cls in Environment.__subclasses__() if cls.__module__.startswith(f"{PACKAGE.name}.")
+    }
+    assert concrete == {ChromatographyEnv, TabularEnv}
+    for cls in concrete:
+        for name in Environment.__abstractmethods__:
+            want = list(inspect.signature(getattr(Environment, name)).parameters)
+            assert list(inspect.signature(getattr(cls, name)).parameters) == want, f"{cls.__name__}.{name}"
 
 
 def is_private(name: str) -> bool:

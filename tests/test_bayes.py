@@ -78,7 +78,7 @@ class TestDataset:
             dataset_from_fractions(2, 3, [0.7], [0.2])
         )
         ps = make_posterior(data, n_steps=2, n_actions=4)
-        keys = ps.channel_keys()
+        keys = FractionDataset.channel_keys(ps.n_steps, ps.n_actions)
         expected = {
             (1, 0, "eta"): [0.5, 0.6],
             (1, 0, "psi"): [0.4, 0.3],
@@ -101,7 +101,7 @@ class TestDataset:
         h, psi = rng.beta(5.0, 2.0, step.size), rng.beta(2.0, 5.0, step.size)
         data = FractionDataset(step[order], action[order], h, psi)
         ps = make_posterior(data, n_steps=3, n_actions=10)
-        for c, (t, a, channel) in enumerate(ps.channel_keys()):
+        for c, (t, a, channel) in enumerate(FractionDataset.channel_keys(ps.n_steps, ps.n_actions)):
             fr = (data.h if channel == "eta" else data.psi)[(data.step == t) & (data.action == a)]
             assert ps.n_obs[c] == fr.size
             assert ps.sum_log[c] == (np.sum(np.log(fr)) if fr.size else 0.0)
@@ -492,7 +492,7 @@ class TestResidentChains:
         second = dataset_from_fractions(1, 1, [0.8, 0.75, 0.9], [0.1, 0.15, 0.05])
         ps = make_posterior(first, 2, 3, burn_in=burn_in, thin=thin)
         ref = ScalarReference(first, 2, 3, burn_in, thin)
-        c = ps.channel_keys().index((1, 1, "eta"))
+        c = FractionDataset.channel_keys(ps.n_steps, ps.n_actions).index((1, 1, "eta"))
         for call, n in enumerate([1, 2, None, 1, 3]):
             reads = [getattr(ps, name) for name in CHAIN_ARRAYS] + [acceptance_rows(ps)]
             if n is None:
@@ -631,7 +631,8 @@ class TestDiagnostics:
         # with the posterior's channels
         ps = make_posterior(dataset_from_fractions(1, 0, [0.5], [0.4]), n_steps=1, n_actions=2)
         totals = SimpleNamespace(
-            channel_keys=ps.channel_keys,
+            n_steps=ps.n_steps,
+            n_actions=ps.n_actions,
             n_obs=ps.n_obs,
             accepted=np.array([1, 0, 2, 0]),
             proposed=np.array([3, 0, 8, 0]),

@@ -509,7 +509,7 @@ class TestReward:
         states = np.array([[10.0, 10.0, 1.0], [12.0, 1.0, 1.0]])
         for step in (1, 2):
             states[:, 2] = step
-            rewards = ENV.reward_batch(states, np.array([0, 9]), step)
+            rewards = ENV.reward_batch(states, np.array([0, 9]))
             np.testing.assert_array_equal(rewards, [-8.0, -8.0])
 
     def test_zero_mass_is_purity_failure(self):

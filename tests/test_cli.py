@@ -21,9 +21,8 @@ from greensim_rl.bioenv import (
     save_scenario,
     scenario_to_jsonable,
 )
-from greensim_rl.core import substream
-from greensim_rl.harness import evaluate_policy, true_model_eval_fn, write_train_outputs
-from greensim_rl.policy import load_params
+from greensim_rl.core import read_json, substream
+from greensim_rl.harness import evaluate_policy, load_checkpoint, true_model_eval_fn, write_train_outputs
 from greensim_rl.trainer import ESTIMATOR_KINDS, TrainingError, load_train_config, scenario_policy, train
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -404,6 +403,25 @@ class TestErrors:
         )
         assert code == cli.EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("argv", [["simulate", "--n", "2"], ["posterior-diag", "--draws", "2"]], ids=lambda a: a[0])
+    def test_out_file_in_a_missing_directory(self, tmp_path, argv):
+        # the command creates the parent directories of --out before its work, as train and compare do
+        out = tmp_path / "nodir" / "deeper" / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert out.is_file() and out.stat().st_size > 0
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [(["simulate", "--n", "2", "--checkpoint", ""], "checkpoint"), (["posterior-diag", "--data", ""], "fraction data")],
+        ids=["simulate-checkpoint", "posterior-diag-data"],
+    )
+    def test_empty_input_path_is_a_missing_file(self, tmp_path, argv, what, capsys):
+        # an empty path names no file: neither a fresh policy nor the prior stands in for it
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_MISSING_FILE
+        assert f"no {what} file at" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSimulate:
     def test_writes_jsonl(self, tmp_path, scenario_file):
@@ -482,9 +500,9 @@ class TestTrainCommand:
         history = train(default_scenario(), cfg)
         assert sorted(p.name for p in (out / "ckpt").iterdir()) == ["iter_1", "iter_2", "iter_3"]
         for rec in history.iterations:
-            theta, kind, meta = load_params(out / "ckpt" / f"iter_{rec.iteration}" / "params.json")
-            assert theta.tobytes() == rec.theta.tobytes()
-            assert (kind, meta) == ("mlp", {"hidden_dim": 16})
+            header = read_json(out / "ckpt" / f"iter_{rec.iteration}" / "params.json", ValueError)
+            assert np.array(header["values"]).tobytes() == rec.theta.tobytes()
+            assert (header["kind"], header["meta"]) == ("mlp", {"hidden_dim": 16})
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 5
         assert manifest["config"]["estimator"] == "pg"
@@ -509,8 +527,7 @@ class TestTrainCommand:
         scn = default_scenario()
         for row in scored[1:]:
             k = int(row.split(",")[0])
-            theta, kind, meta = load_params(tmp_path / "scored" / "ckpt" / f"iter_{k}" / "params.json")
-            env, policy = scenario_policy(scn, kind, meta["hidden_dim"])
+            env, policy, theta = load_checkpoint(tmp_path / "scored" / "ckpt" / f"iter_{k}" / "params.json", scn)
             # the _EVAL stream (purpose 4) of macro 0, iteration k, as compare scores it
             expected = evaluate_policy(theta, env, scn.true_model, policy, 6, substream(5, 0, k, 4))
             assert float(row.rsplit(",", 1)[1]) == expected

@@ -68,7 +68,7 @@ class ConstEnv(Environment):
     def transition_logpdf_batch(self, states, actions, next_states, omegas):
         return np.zeros((len(omegas), states.shape[0]))
 
-    def reward_batch(self, states, actions, step_index):
+    def reward_batch(self, states, actions):
         return np.full(states.shape[0], self._reward)
 
 
@@ -234,7 +234,7 @@ class TestRolloutMatchesHookReference:
         states, actions, rewards = [env.sample_initial_batch(n, rng)], [], []
         for t in range(1, env.horizon()):
             actions.append(policy.sample_actions_batch(theta, states[-1], rng))
-            rewards.append(env.reward_batch(states[-1], actions[-1], t))
+            rewards.append(env.reward_batch(states[-1], actions[-1]))
             states.append(env.sample_transition_batch(states[-1], actions[-1], omega, rng))
         rewards[-1] = rewards[-1] + env.terminal_reward_batch(states[-1])
         want = TrajectoryBatch(np.stack(states, axis=1), np.stack(actions, axis=1), np.stack(rewards, axis=1))

@@ -22,10 +22,11 @@
 #     mixture's density block is rebuilt on every call; the mlr run must
 #     write the history of the pg run within the tree (estimator column aside),
 #     since a one-record mixture gives every trajectory a ratio of 1;
-#   - greensim simulate --n 20 --seed 4, from a fresh init and from the
-#     mlr run's last checkpoint;
-#   - greensim evaluate --r-test 9 --seed 4 on that checkpoint, its
-#     report kept as evaluate.txt (the mean rounded to 4 decimals);
+#   - greensim simulate --n 20 --seed 4, from a fresh init, from the mlr
+#     run's last checkpoint and from the linear mlr run's last checkpoint;
+#   - greensim evaluate --r-test 9 --seed 4 on each of those two
+#     checkpoints, its report kept as evaluate.txt and evaluate_linear.txt
+#     (the mean rounded to 4 decimals);
 #   - greensim compare on that config: n_i 3 and 5, 2 macros, r_test 4,
 #     window 5, once serially (compare) and once with --threads 2
 #     (compare_pool), which must write the same bytes within the tree;
@@ -33,9 +34,11 @@
 #     mlr run's fractions.csv;
 #   - greensim oracle-check, its report kept as oracle.txt (errors at 2
 #     significant digits);
-#   - one Python step that writes full_precision.txt: the repr of the mean
-#     that evaluate prints (same checkpoint, r_test 9, seed 4, loaded and
-#     run as the CLI does), of each estimator's exact expectation on
+#   - one Python step that writes full_precision.txt: for both checkpoints,
+#     the policy class, parameter count and parameter bytes (as hex) that
+#     the CLI's checkpoint reader gives; the repr of the mean that evaluate
+#     prints (the MLP checkpoint, r_test 9, seed 4, loaded and run as the
+#     CLI does), of each estimator's exact expectation on
 #     oracle-check's setup (pg, ilr, mlr over the whole buffer and over a
 #     window of 2, and tlr on components that share the last model), and
 #     of the ILR mean return estimate on that setup's enumerated buffer,
@@ -93,9 +96,12 @@ run_tree() {
         exit 1
     fi
     local checkpoint="$out/train_mlr/ckpt/iter_16/params.json"
+    local linear_checkpoint="$out/train_linear_mlr/ckpt/iter_16/params.json"
     greensim simulate --n 20 --seed 4 --out "$out/simulate_init.jsonl"
     greensim simulate --n 20 --seed 4 --checkpoint "$checkpoint" --out "$out/simulate_checkpoint.jsonl"
+    greensim simulate --n 20 --seed 4 --checkpoint "$linear_checkpoint" --out "$out/simulate_linear_checkpoint.jsonl"
     cli evaluate --checkpoint "$checkpoint" --r-test 9 --seed 4 >"$out/evaluate.txt"
+    cli evaluate --checkpoint "$linear_checkpoint" --r-test 9 --seed 4 >"$out/evaluate_linear.txt"
     local grid=(--config "$out/config.json" --seed 3 --n-i 3,5 --macros 2 --r-test 4 --window 5)
     greensim compare "${grid[@]}" --out "$out/compare"
     greensim compare "${grid[@]}" --threads 2 --out "$out/compare_pool"
@@ -106,12 +112,16 @@ run_tree() {
     greensim posterior-diag --draws 20 --seed 2 --out "$out/diag_prior.csv"
     greensim posterior-diag --draws 20 --seed 2 --data "$out/train_mlr/fractions.csv" --out "$out/diag_data.csv"
     cli oracle-check >"$out/oracle.txt"
-    PYTHONPATH="$tree/src" PYTHONDONTWRITEBYTECODE=1 python3 - "$checkpoint" >"$out/full_precision.txt" <<'PY'
+    PYTHONPATH="$tree/src" PYTHONDONTWRITEBYTECODE=1 python3 - "$checkpoint" "$linear_checkpoint" \
+        >"$out/full_precision.txt" <<'PY'
 import sys
 
 from greensim_rl import cli, estimators, oracle
 
 scn = cli._load_scenario_arg(None)
+for path in sys.argv[1:]:
+    _, policy, theta = cli._load_checkpoint(path, scn)
+    print("checkpoint", type(policy).__name__, policy.param_dim, theta.tobytes().hex())
 env, policy, theta = cli._load_checkpoint(sys.argv[1], scn)
 print("evaluate", repr(cli.evaluate_policy(theta, env, scn.true_model, policy, 9, cli.substream(4, 0))))
 mdp, policy, components, _ = oracle._check_setup()
