@@ -9,7 +9,7 @@ species) channel has an independent posterior over its ``(alpha, beta)``
 pair given the fractions observed for that channel.  The Beta likelihood
 depends on a channel's fractions only through ``(n, sum log x,
 sum log(1-x))``; :class:`PosteriorState` computes these for every channel
-in one grouped reduction over the columns.  A random-walk
+in one grouped reduction, as the three rows of its ``stats``.  A random-walk
 Metropolis-Hastings chain per channel (on log shapes, with per-chain
 step-size adaptation during burn-in) produces joint posterior draws
 assembled into full model parameter tables.
@@ -159,15 +159,15 @@ class PosteriorState:
     posterior was made.  These four are read-only.  ``log_shapes`` is the
     last call's final positions; the other three are assembled when read
     from the data-backed chains' :class:`_Chains` walk state, in walk
-    order, which every :func:`mh_sample` call advances in place.  ``n_obs``,
-    ``sum_log`` and ``sum_log1m`` are the channels' sufficient statistics.
+    order, which every :func:`mh_sample` call advances in place.
     ``steps_taken`` is the move count, shared by every chain: 0 before the
     first :func:`mh_sample` call, past ``burn_in`` after it.
 
     The dataset is fixed at construction, and so is everything drawn from
-    it, read-only: ``live`` indexes the channels with observations, and
-    ``stats`` (3, C) stacks every channel's ``n_obs`` (as floats),
-    ``sum_log`` and ``sum_log1m``; the walk state is built from them here.
+    it, read-only: ``n_obs`` counts each channel's observations, ``live``
+    indexes the channels with any, and the rows of ``stats`` (3, C) are the
+    channels' sufficient statistics: ``n_obs`` (as floats), ``sum log x``
+    and ``sum log(1-x)``.  The walk state is built from them here.
     The chains start at ``log_shapes`` and ``step_size`` if given (a warm
     start, as :func:`update_dataset` makes), else at (10, 10) and 0.5.
 
@@ -204,8 +204,7 @@ class PosteriorState:
             raise ValueError(f"log_shapes must have shape ({n_chains}, 2) and step_size ({n_chains},)")
         self.steps_taken = 0
         self.n_obs = np.zeros(n_chains, dtype=np.int64)
-        self.sum_log = np.zeros(n_chains)
-        self.sum_log1m = np.zeros(n_chains)
+        self.stats = np.zeros((3, n_chains))
         channel, fractions = dataset.channels(n_steps, n_actions)
         # A stable sort keeps each channel's fractions in observation order, so
         # every per-channel np.sum adds the same values in the same order.
@@ -213,14 +212,13 @@ class PosteriorState:
         fractions = fractions[order]
         log_x, log1m_x = np.log(fractions), np.log1p(-fractions)
         rows, starts, counts = np.unique(channel[order], return_index=True, return_counts=True)
-        self.n_obs[rows] = counts
+        self.stats[0, rows] = self.n_obs[rows] = counts
         for c, lo, hi in zip(rows.tolist(), starts.tolist(), (starts + counts).tolist()):
-            self.sum_log[c] = np.sum(log_x[lo:hi])
-            self.sum_log1m[c] = np.sum(log1m_x[lo:hi])
+            self.stats[1, c] = np.sum(log_x[lo:hi])
+            self.stats[2, c] = np.sum(log1m_x[lo:hi])
         # The dataset never changes after this point, so neither does anything drawn from it.
         self.live = np.flatnonzero(self.n_obs > 0)
-        self.stats = np.stack([self.n_obs.astype(np.float64), self.sum_log, self.sum_log1m])
-        for arr in (self.n_obs, self.sum_log, self.sum_log1m, self.live, self.stats, self._positions, self._step_size):
+        for arr in (self.n_obs, self.live, self.stats, self._positions, self._step_size):
             arr.setflags(write=False)
         live = self.live
         self._chains = _Chains(self.stats[:, live], self._positions[live], self._step_size[live])

@@ -26,7 +26,8 @@ of any real process.  Its true model trades protein retention against
 impurity removal: each later pooling window strips more impurity and
 keeps less protein, the same at both steps, and a retained-fraction mean
 ``m`` has the Beta shapes ``(12m, 12(1-m))``, each floored at 1 so that
-every density stays bounded.
+every density stays bounded.  :func:`load_scenario`, the one scenario
+reader, and :func:`read_fractions_csv` each open the file at a path.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import functools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO
 
 import numpy as np
 from scipy.special import betaln
@@ -551,18 +551,19 @@ def write_fractions_csv(dataset: FractionDataset, path) -> None:
     write_csv(path, _CSV_COLUMNS, zip(*(getattr(dataset, c).tolist() for c in _COLUMNS)))
 
 
-def read_fractions_csv(fh: IO[str]) -> FractionDataset:
-    """Read what :func:`write_fractions_csv` writes; a missing column or cell raises ``ValueError``."""
-    reader = csv.DictReader(fh)
-    header = reader.fieldnames or []
-    for column in _CSV_COLUMNS:
-        if column not in header:
-            raise ValueError(f"fraction data has no {column!r} column")
-    rows = []
-    for row in reader:
-        if None in row or None in row.values():
-            raise ValueError(f"fraction data line {reader.line_num} does not have one cell per header column")
-        rows.append((int(row["step"]), int(row["action"]), float(row["h_fraction"]), float(row["psi_fraction"])))
+def read_fractions_csv(path) -> FractionDataset:
+    """Read what :func:`write_fractions_csv` writes at ``path``; a missing column or cell raises ``ValueError``."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for column in _CSV_COLUMNS:
+            if column not in header:
+                raise ValueError(f"fraction data has no {column!r} column")
+        rows = []
+        for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"fraction data line {reader.line_num} does not have one cell per header column")
+            rows.append((int(row["step"]), int(row["action"]), float(row["h_fraction"]), float(row["psi_fraction"])))
     return FractionDataset(*zip(*rows)) if rows else FractionDataset()
 
 
@@ -609,7 +610,14 @@ def scenario_to_jsonable(scn: Scenario) -> dict:
 _SECTIONS = ("upstream", "true_model", "reward", "bounds")
 
 
-def scenario_from_jsonable(obj) -> Scenario:
+def save_scenario(scn: Scenario, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(scenario_to_jsonable(scn), fh, indent=2)
+        fh.write("\n")
+
+
+def load_scenario(path) -> Scenario:
+    obj = read_json(path, ScenarioError)
     check_object(obj, ScenarioError, "scenario", _SECTIONS, _SECTIONS)
     upstream = check_object(obj["upstream"], ScenarioError, "upstream", UpstreamParams.__dataclass_fields__)
     reward = check_object(obj["reward"], ScenarioError, "reward", RewardConfig.__dataclass_fields__)
@@ -625,13 +633,3 @@ def scenario_from_jsonable(obj) -> Scenario:
         p_bar=bounds["p_bar"],
         i_bar=bounds["i_bar"],
     )
-
-
-def save_scenario(scn: Scenario, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario_to_jsonable(scn), fh, indent=2)
-        fh.write("\n")
-
-
-def load_scenario(path) -> Scenario:
-    return scenario_from_jsonable(read_json(path, ScenarioError))

@@ -35,9 +35,11 @@ checkpoint or fraction data) that is not a file, 4 a malformed scenario,
 config, checkpoint or fraction file (a scenario whose upstream fermentation
 diverges too), 1 runtime failure.  An empty input path is a missing file
 (exit 3).  Every command creates the missing parents of ``--out`` once its
-inputs are read, before its work.  Output directories are populated in a
+inputs are read, before its work; an ``--out`` file that is empty, ends in
+a separator or is a directory is refused there (exit 2, nothing written),
+and an existing one is overwritten.  Output directories are populated in a
 temporary sibling and renamed into place on success, so a failed run never
-leaves a partial directory behind.
+leaves a partial directory behind.  ``cli`` opens no file: it passes paths.
 """
 
 from __future__ import annotations
@@ -141,6 +143,13 @@ def _atomic_out_dir(path: str):
     os.replace(tmp, final)
 
 
+def _out_file(path: str) -> None:
+    """Refuse an ``--out`` file path that can never be written (exit 2), else create its missing parents."""
+    if not path or path.endswith(os.sep) or Path(path).is_dir():
+        raise CliError(EXIT_USAGE, f"--out must name a file, got {path!r}")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _load_checkpoint(path: str, scn):
     """:func:`harness.load_checkpoint` of ``path`` on ``scn``, with the input file exit codes."""
     return _read_input("checkpoint", path, lambda p: load_checkpoint(p, scn))
@@ -157,10 +166,9 @@ def _cmd_simulate(args) -> int:
         theta = policy.init_params(substream(args.seed, 0), cfg.init_scale)
     else:
         env, policy, theta = _load_checkpoint(args.checkpoint, scn)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    _out_file(args.out)
     batch = rollout_batch(env, policy, theta, scn.true_model, args.n, substream(args.seed, 1))
-    with open(args.out, "w") as fh:
-        write_trajectories_jsonl(batch, fh)
+    write_trajectories_jsonl(batch, args.out)
     print(f"wrote {len(batch)} trajectories to {args.out}")
     return EXIT_OK
 
@@ -239,10 +247,7 @@ def _cmd_posterior_diag(args) -> int:
 
     def posterior_on(path):
         # no fraction data: every channel samples straight from the prior
-        dataset = FractionDataset()
-        if path is not None:
-            with open(path) as fh:
-                dataset = read_fractions_csv(fh)
+        dataset = FractionDataset() if path is None else read_fractions_csv(path)
         return bayes.make_posterior(dataset, *env.model_grid(), burn_in=cfg.burn_in, thin=cfg.thin)
 
     posterior = posterior_on(None) if args.data is None else _read_input("fraction data", args.data, posterior_on)
@@ -253,7 +258,7 @@ def _cmd_posterior_diag(args) -> int:
             f"--draws must be <= {most} (bayes.MAX_MOVES = {bayes.MAX_MOVES} moves at thin {cfg.thin}), "
             f"got {args.draws}",
         )
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    _out_file(args.out)
     bayes.mh_sample(posterior, args.draws, args.seed, 0)
     bayes.write_acceptance_csv(posterior, args.out)
     print(f"wrote per-channel acceptance diagnostics to {args.out}")
@@ -304,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--out", required=True, help="output directory (must not exist)")
     p.add_argument("--seed", type=_int_at_least(0), help="root seed of every cell (default: the config's seed)")
-    p.add_argument("--estimators", default="pg,ilr,mlr,tlr")
+    p.add_argument("--estimators", default=",".join(ESTIMATOR_KINDS))
     p.add_argument(
         "--n-i", type=_replication_counts, default=[25], help="comma-separated replication counts"
     )

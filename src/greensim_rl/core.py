@@ -27,7 +27,8 @@ arrays are the batch's rows in trajectory-major order
 buffer copies its records into one append-only store and hands out runs of
 records as batches of views into it.  A batch exports as JSONL, one
 ``{"steps": [...]}`` object per trajectory (:func:`write_trajectories_jsonl`).
-Every JSON input file is parsed by :func:`read_json`, and each JSON object
+Every file function of the package takes a path and opens the file itself;
+every JSON input file is parsed by :func:`read_json`, and each JSON object
 in it is checked by :func:`check_object`.
 
 All randomness flows through explicitly passed ``numpy.random.Generator``
@@ -45,7 +46,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import IO, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -492,9 +493,9 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 # One JSON object per trajectory, newline-delimited: ``{"steps": [...]}``,
 # each step a flat array of numbers: state, action, reward, next_state.
 
-def write_trajectories_jsonl(batch: TrajectoryBatch, fh: IO[str]) -> None:
+def write_trajectories_jsonl(batch: TrajectoryBatch, path) -> None:
     states, actions, next_states = batch.step_arrays
     rows = np.column_stack([states, actions, batch.rewards.reshape(-1), next_states])
     rows = rows.reshape(len(batch), batch.n_steps, 2 * states.shape[1] + 2).tolist()
-    for steps in rows:
-        fh.write(json.dumps({"steps": steps}) + "\n")
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps({"steps": steps}) + "\n" for steps in rows)

@@ -77,10 +77,6 @@ class TabularMDP:
     def n_states(self) -> int:
         return self.transition.shape[0]
 
-    @property
-    def n_actions(self) -> int:
-        return self.transition.shape[1]
-
 
 class TabularEnv(Environment):
     """Environment adapter; ``omega`` is a transition tensor.
@@ -97,7 +93,7 @@ class TabularEnv(Environment):
         return self.mdp.horizon
 
     def action_count(self) -> int:
-        return self.mdp.n_actions
+        return self.mdp.transition.shape[1]
 
     def sample_initial_batch(self, n, rng) -> np.ndarray:
         return rng.choice(self.mdp.n_states, size=n, p=self.mdp.initial).astype(np.float64)[:, None]
@@ -115,7 +111,7 @@ class TabularEnv(Environment):
             next_states[:, 0].astype(np.int64),
         ]
         with np.errstate(divide="ignore"):
-            return np.where(p > 0.0, np.log(np.maximum(p, 1e-300)), -np.inf)
+            return np.log(p)
 
     def reward_batch(self, states, actions) -> np.ndarray:
         return self.mdp.rewards[states[:, 0].astype(np.int64), np.asarray(actions, dtype=np.int64)]

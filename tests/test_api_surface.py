@@ -94,6 +94,32 @@ def test_cli_and_trainer_write_no_run_file():
     assert sites == [], f"run files written outside harness: {sites}"
 
 
+def test_cli_opens_no_file():
+    # each file format's module opens its files from a path: cli passes paths on
+    sites = [
+        node.lineno
+        for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "open")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "open")
+        )
+    ]
+    assert sites == [], f"cli opens a file at lines {sites}"
+
+
+def test_no_module_imports_typing_io():
+    # every reader and writer takes a path, so no signature names an open handle
+    sites = [
+        (path.stem, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.ImportFrom) and node.module == "typing" and any(a.name == "IO" for a in node.names))
+        or (isinstance(node, ast.Attribute) and ast.unparse(node) == "typing.IO")
+    ]
+    assert sites == [], f"typing.IO imported at {sites}"
+
+
 def imports_package_module(node) -> bool:
     """Whether ``node`` imports a module of this package, by a relative import or by the package's name."""
     if isinstance(node, ast.ImportFrom):

@@ -88,8 +88,8 @@ class TestDataset:
         for c, key in enumerate(keys):
             fr = np.array(expected.get(key, []))
             assert ps.n_obs[c] == fr.size
-            assert ps.sum_log[c] == pytest.approx(np.sum(np.log(fr)), abs=1e-15)
-            assert ps.sum_log1m[c] == pytest.approx(np.sum(np.log1p(-fr)), abs=1e-15)
+            assert ps.stats[1, c] == pytest.approx(np.sum(np.log(fr)), abs=1e-15)
+            assert ps.stats[2, c] == pytest.approx(np.sum(np.log1p(-fr)), abs=1e-15)
 
     def test_statistics_equal_per_channel_sums(self):
         # 8 to 40 interleaved observations per channel: long enough for np.sum's
@@ -104,8 +104,8 @@ class TestDataset:
         for c, (t, a, channel) in enumerate(FractionDataset.channel_keys(ps.n_steps, ps.n_actions)):
             fr = (data.h if channel == "eta" else data.psi)[(data.step == t) & (data.action == a)]
             assert ps.n_obs[c] == fr.size
-            assert ps.sum_log[c] == (np.sum(np.log(fr)) if fr.size else 0.0)
-            assert ps.sum_log1m[c] == (np.sum(np.log1p(-fr)) if fr.size else 0.0)
+            assert ps.stats[1, c] == (np.sum(np.log(fr)) if fr.size else 0.0)
+            assert ps.stats[2, c] == (np.sum(np.log1p(-fr)) if fr.size else 0.0)
 
     def test_fraction_validation(self):
         cases = [
@@ -150,8 +150,7 @@ class TestDataset:
     def test_csv_round_trip(self, tmp_path):
         data = dataset_from_fractions(1, 2, [0.51234567890123, 0.6], [0.4, 0.311111111111])
         write_fractions_csv(data, tmp_path / "fractions.csv")
-        with open(tmp_path / "fractions.csv", newline="") as fh:
-            assert_same_dataset(read_fractions_csv(fh), data)
+        assert_same_dataset(read_fractions_csv(tmp_path / "fractions.csv"), data)
 
 
 class TestMhSampler:

@@ -2,7 +2,7 @@
 
 import dataclasses
 import fnmatch
-import io
+import json
 import re
 import warnings
 from pathlib import Path
@@ -684,8 +684,6 @@ class TestScenarioIO:
             load_scenario(path)
 
     def test_unknown_field_rejected(self, tmp_path, scn):
-        import json
-
         payload = bioenv.scenario_to_jsonable(scn)
         payload["upstream"]["bogus_knob"] = 1.0
         path = tmp_path / "bad.json"
@@ -797,8 +795,9 @@ class TestMistypedFieldsRejected:
                 cls(**{name: value})
 
     @pytest.mark.parametrize("entry", ["2.0", True, None, [2.0]])
-    def test_beta_shape_entries(self, entry):
+    def test_beta_shape_entries(self, entry, tmp_path):
         obj = bioenv.scenario_to_jsonable(default_scenario())
         obj["true_model"]["beta_shapes"][1][4][2] = entry
+        (tmp_path / "scenario.json").write_text(json.dumps(obj))
         with pytest.raises(ScenarioError, match="^beta_shapes must be of type float"):
-            bioenv.scenario_from_jsonable(obj)
+            bioenv.load_scenario(tmp_path / "scenario.json")

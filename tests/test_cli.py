@@ -409,6 +409,28 @@ class TestErrors:
         out = tmp_path / "nodir" / "deeper" / "out"
         assert cli.main([*argv, "--out", str(out)]) == 0
         assert out.is_file() and out.stat().st_size > 0
+        # and overwrites an existing --out file
+        out.write_text("old\n")
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert "old" not in out.read_text() and out.stat().st_size > 0
+
+    @pytest.mark.parametrize("stub_work", [False, True], ids=["run", "work-stubbed"])
+    @pytest.mark.parametrize("out", ["", "adir", "newdir" + os.sep], ids=["empty", "existing-dir", "trailing-sep"])
+    @pytest.mark.parametrize("argv", [["simulate", "--n", "2"], ["posterior-diag", "--draws", "2"]], ids=lambda a: a[0])
+    def test_unwritable_out_file_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, out, stub_work):
+        # refused before any rollout or MCMC move, with nothing written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        if stub_work:
+
+            def work(*args, **kwargs):
+                raise AssertionError("the work ran before --out was checked")
+
+            monkeypatch.setattr(cli, "rollout_batch", work)
+            monkeypatch.setattr(bayes, "mh_sample", work)
+        assert cli.main([*argv, "--out", out]) == cli.EXIT_USAGE
+        assert "--out must name a file" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"] and not any((tmp_path / "adir").iterdir())
 
     @pytest.mark.parametrize(
         "argv, what",
@@ -848,8 +870,7 @@ class TestPosteriorDiagCommand:
         run = tmp_path / "run"
         config = ["--scenario", str(scenario_file), "--config", str(tiny_config_file)]
         assert cli.main(["train", *config, "--out", str(run)]) == 0
-        with open(run / "fractions.csv") as fh:
-            data = bioenv.read_fractions_csv(fh)
+        data = bioenv.read_fractions_csv(run / "fractions.csv")
         # the run's whole dataset, bit for bit: 3 trajectories x 2 steps before training and after its period
         history = train(default_scenario(), load_train_config(tiny_config_file))
         assert len(data) == 12
@@ -877,8 +898,7 @@ class TestPosteriorDiagCommand:
         assert cli.main(train_argv) == 0
         # the run's data plus one observation in the widened grid's last window,
         # so the data reaches past the default 10 windows whatever the run's actions
-        with open(run / "fractions.csv") as fh:
-            data = bioenv.read_fractions_csv(fh).union(bioenv.FractionDataset([1], [11], [0.6], [0.3]))
+        data = bioenv.read_fractions_csv(run / "fractions.csv").union(bioenv.FractionDataset([1], [11], [0.6], [0.3]))
         fractions = tmp_path / "fractions.csv"
         bioenv.write_fractions_csv(data, fractions)
         out = tmp_path / "diag.csv"

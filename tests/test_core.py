@@ -1,6 +1,5 @@
 """Trajectory batches, returns, rollouts, serialization."""
 
-import io
 import json
 
 import numpy as np
@@ -315,25 +314,22 @@ def jsonl_objects(batch: TrajectoryBatch) -> list[dict]:
 
 
 class TestSerialization:
-    def test_jsonl_round_trip(self, env, mlp_policy, scn):
+    def test_jsonl_round_trip(self, env, mlp_policy, scn, tmp_path):
         theta = mlp_policy.init_params(stream(1))
         batch = rollout_batch(env, mlp_policy, theta, scn.true_model, 5, stream(6))
-        buf = io.StringIO()
-        write_trajectories_jsonl(batch, buf)
-        back = [json.loads(line) for line in buf.getvalue().splitlines()]
+        write_trajectories_jsonl(batch, tmp_path / "t.jsonl")
+        back = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]
         assert len(back) == 5
         assert back == jsonl_objects(batch)
 
-    def test_one_json_object_per_line(self):
-        buf = io.StringIO()
-        write_trajectories_jsonl(make_batch([1.0, 2.0]), buf)
-        lines = [l for l in buf.getvalue().splitlines() if l]
+    def test_one_json_object_per_line(self, tmp_path):
+        write_trajectories_jsonl(make_batch([1.0, 2.0]), tmp_path / "t.jsonl")
+        lines = [l for l in (tmp_path / "t.jsonl").read_text().splitlines() if l]
         assert len(lines) == 1
 
-    def test_format_pinned(self):
-        buf = io.StringIO()
-        write_trajectories_jsonl(pinned_batch(), buf)
-        assert buf.getvalue() == PINNED_JSONL
+    def test_format_pinned(self, tmp_path):
+        write_trajectories_jsonl(pinned_batch(), tmp_path / "t.jsonl")
+        assert (tmp_path / "t.jsonl").read_text() == PINNED_JSONL
         assert [json.loads(line) for line in PINNED_JSONL.splitlines()] == jsonl_objects(pinned_batch())
 
 

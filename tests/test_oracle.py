@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greensim_rl.core import returns, rollout_batch
-from greensim_rl.estimators import ilr_mean_estimate
+from greensim_rl.estimators import ReplayBuffer, gradient, ilr_mean_estimate
 from greensim_rl.harness import evaluate_policy
 from greensim_rl.oracle import (
     TabularEnv,
     TabularMDP,
+    _check_setup,
     _enumerated_buffer,
     enumerate_trajectories,
     estimator_exact_expectation,
@@ -243,6 +246,129 @@ class TestTabularDensity:
                 want = np.log(omega[states[:, 0].astype(int), actions, nxt[:, 0].astype(int)])
             np.testing.assert_allclose(stacked[r], want, rtol=0, atol=1e-15)
         assert stacked[1, 0] == -np.inf and np.isfinite(np.delete(stacked, 0, axis=1)).all()
+
+    def test_tiny_and_zero_probabilities(self):
+        # a valid probability below 1e-300 keeps its own log, so no ratio through it is off by a constant
+        transition = np.full((2, 3, 2), 0.5)
+        transition[0, 0] = [1.0 - 1e-310, 1e-310]
+        transition[0, 2] = [0.0, 1.0]
+        env = TabularEnv(TabularMDP(transition, np.zeros((2, 3)), np.array([1.0, 0.0]), 2))
+        assert env.action_count() == 3
+        logp = env.transition_logpdf_batch(np.zeros((2, 1)), np.array([0, 2]), np.array([[1.0], [0.0]]), [transition])
+        assert logp[0, 0] == np.log(1e-310) and round(float(logp[0, 0]), 2) == -713.80
+        assert logp[0, 1] == -np.inf
+
+
+def record_terms(kind, mdp, components, policy, gamma=0.9):
+    """Each record's term ``c_i(tau)`` of the ``kind`` estimator over component ``i``'s enumeration.
+
+    Record ``i`` of an enumerated buffer holds every trajectory of component
+    ``i``; the term of ``tau`` is the estimator on that buffer with weight 1
+    on ``tau`` in record ``i`` and 0 on every other trajectory.  Returns one
+    ``(terms, probabilities)`` pair per record.  The mixture window is the
+    whole buffer; its weights are those of one trajectory per record when
+    every component enumerates as many trajectories, as components with
+    every probability positive do.
+    """
+    enumerations = [enumerate_trajectories(mdp, theta, policy, omega=omega) for theta, omega in components]
+    out = []
+    for i, (batch_i, probs_i) in enumerate(enumerations):
+        terms = []
+        for j in range(len(batch_i)):
+            buffer = ReplayBuffer(TabularEnv(mdp), policy)
+            for r, ((theta, omega), (batch, _)) in enumerate(zip(components, enumerations)):
+                weights = np.zeros(len(batch))
+                weights[j] = float(r == i)
+                buffer.append(theta, omega, batch, weights)
+            last = buffer.records[-1]
+            terms.append(gradient(kind, buffer, last.theta, last.omega, len(components), gamma))
+        out.append((np.array(terms), probs_i))
+    return out
+
+
+def trace_variance(kind, mdp, components, policy):
+    """Exact ``tr Cov`` of the estimator with one sampled trajectory per record, and its mean.
+
+    The estimator is then a sum of independent record terms, so its trace
+    variance is ``sum_i (E_i |c_i|^2 - |E_i c_i|^2)``.
+    """
+    per_record = record_terms(kind, mdp, components, policy)
+    variance = sum(float(p @ np.sum(c**2, axis=1) - np.sum((p @ c) ** 2)) for c, p in per_record)
+    return variance, sum(p @ c for c, p in per_record)
+
+
+def variances(mdp, policy, components):
+    """Trace variances of pg, ilr and mlr, of tlr and ilr when every component has the last one's model, and |mu|^2."""
+    shared = [(theta, components[-1][1]) for theta, _ in components]
+    out = {kind: trace_variance(kind, mdp, components, policy)[0] for kind in ("pg", "ilr")}
+    out["mlr"], mu = trace_variance("mlr", mdp, components, policy)
+    out["tlr_shared"] = trace_variance("tlr", mdp, shared, policy)[0]
+    out["ilr_shared"] = trace_variance("ilr", mdp, shared, policy)[0]
+    out["mu2"] = float(mu @ mu)
+    return out
+
+
+def assert_mixture_bound(v, k):
+    """Veach & Guibas (1995): the balance heuristic's variance exceeds any other weighting's by at most (1 - 1/K)|mu|^2."""
+    slack = (1.0 - 1.0 / k) * v["mu2"] + 1e-12 * max(1.0, v["ilr"], v["ilr_shared"])
+    assert v["mlr"] <= v["ilr"] + slack
+    assert v["tlr_shared"] <= v["ilr_shared"] + slack
+
+
+class TestEstimatorVariance:
+    @pytest.mark.parametrize(
+        "scale, pinned",
+        [
+            (1.0, {"pg": 1.4298, "ilr": 0.5063, "mlr": 0.4545, "tlr_shared": 0.4481, "ilr_shared": 0.4744, "mu2": 0.4193}),
+            (10.0, {"pg": 0.5070, "ilr": 11.4505, "mlr": 0.2192, "tlr_shared": 0.2311, "ilr_shared": 12.3155, "mu2": 0.0837}),
+        ],
+    )
+    def test_exact_trace_variances(self, scale, pinned):
+        # oracle-check's setup with every theta scaled: at 10 the individual ratios blow up, the mixture's stay bounded
+        mdp, policy, components, _ = _check_setup()
+        components = [(scale * theta, omega) for theta, omega in components]
+        v = variances(mdp, policy, components)
+        assert {key: round(value, 4) for key, value in v.items()} == pinned
+        assert_mixture_bound(v, len(components))
+
+    @pytest.mark.parametrize("kind, shared", [("pg", False), ("ilr", False), ("mlr", False), ("tlr", True)])
+    def test_estimator_is_a_sum_of_record_terms(self, kind, shared):
+        mdp, policy, components, _ = _check_setup()
+        if shared:
+            components = [(theta, components[-1][1]) for theta, _ in components]
+        per_record = record_terms(kind, mdp, components, policy)
+        enumerations = [enumerate_trajectories(mdp, theta, policy, omega=omega)[0] for theta, omega in components]
+        env = TabularEnv(mdp)
+        for draw in range(5):
+            buffer = ReplayBuffer(env, policy)
+            want = 0.0
+            for i, (theta, omega) in enumerate(components):
+                batch = rollout_batch(env, policy, theta, omega, 1, stream(90, draw, i))
+                buffer.append(theta, omega, batch)
+                j = np.flatnonzero(
+                    (enumerations[i].states == batch.states).all(axis=(1, 2))
+                    & (enumerations[i].actions == batch.actions).all(axis=1)
+                )
+                want = want + per_record[i][0][j[0]]
+            last = buffer.records[-1]
+            got = gradient(kind, buffer, last.theta, last.omega, len(components), 0.9)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        horizon=st.integers(2, 3),
+        k=st.integers(2, 3),
+        scale=st.floats(0.3, 10.0),
+    )
+    def test_mixture_bound_on_drawn_setups(self, seed, horizon, k, scale):
+        # every probability positive: all components share one support, so the mixture weights are equal
+        rng = np.random.default_rng(seed)
+        initial = rng.uniform(0.1, 1.0, 2)
+        mdp = TabularMDP(random_tensor(rng), rng.standard_normal((2, 2)), initial / initial.sum(), horizon)
+        policy = LinearSoftmaxPolicy(onehot_features(2), 2)
+        components = [(scale * rng.standard_normal(policy.param_dim), random_tensor(rng)) for _ in range(k)]
+        assert_mixture_bound(variances(mdp, policy, components), k)
 
 
 class TestEvaluatePolicyOnToy:

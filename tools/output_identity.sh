@@ -34,9 +34,10 @@
 #     mlr run's fractions.csv;
 #   - greensim oracle-check, its report kept as oracle.txt (errors at 2
 #     significant digits);
-#   - one Python step that writes full_precision.txt: for both checkpoints,
-#     the policy class, parameter count and parameter bytes (as hex) that
-#     the CLI's checkpoint reader gives; the repr of the mean that evaluate
+#   - one Python step that writes full_precision.txt, through the package's
+#     public functions only: for both checkpoints, the policy class,
+#     parameter count and parameter bytes (as hex) that
+#     harness.load_checkpoint gives; the repr of the mean that evaluate
 #     prints (the MLP checkpoint, r_test 9, seed 4, loaded and run as the
 #     CLI does), of each estimator's exact expectation on
 #     oracle-check's setup (pg, ilr, mlr over the whole buffer and over a
@@ -116,14 +117,17 @@ run_tree() {
         >"$out/full_precision.txt" <<'PY'
 import sys
 
-from greensim_rl import cli, estimators, oracle
+from greensim_rl import bioenv, estimators, oracle
+from greensim_rl.core import substream
+from greensim_rl.harness import evaluate_policy, load_checkpoint
 
-scn = cli._load_scenario_arg(None)
+scn = bioenv.default_scenario()
+bioenv.warm_up_fermentation(scn.upstream)
 for path in sys.argv[1:]:
-    _, policy, theta = cli._load_checkpoint(path, scn)
+    _, policy, theta = load_checkpoint(path, scn)
     print("checkpoint", type(policy).__name__, policy.param_dim, theta.tobytes().hex())
-env, policy, theta = cli._load_checkpoint(sys.argv[1], scn)
-print("evaluate", repr(cli.evaluate_policy(theta, env, scn.true_model, policy, 9, cli.substream(4, 0))))
+env, policy, theta = load_checkpoint(sys.argv[1], scn)
+print("evaluate", repr(evaluate_policy(theta, env, scn.true_model, policy, 9, substream(4, 0))))
 mdp, policy, components, _ = oracle._check_setup()
 shared = [(theta, components[-1][1]) for theta, _ in components]
 cases = [("pg", components, None), ("ilr", components, None), ("ilr_mean", components, None),
