@@ -76,8 +76,10 @@ _FRACTION_EPS = 1e-12
 # step count overflows.
 MAX_RK4_STEPS = 1_000_000
 
-# beta_shapes column layout per (step, action).
+# beta_shapes column layout per (step, action); ModelParams.density_table
+# appends the two betaln normalisers.
 PSI_L, PSI_U, ETA_L, ETA_U = 0, 1, 2, 3
+LOG_BETA_ETA, LOG_BETA_PSI = 4, 5
 
 
 class IntegrationError(RuntimeError):
@@ -167,7 +169,9 @@ class ModelParams:
     t and pooling window a: the impurity fraction retained is
     Beta(psi_l, psi_u) and the protein fraction retained is
     Beta(eta_l, eta_u).  Step 3 rows exist only for uniform indexing;
-    no transition ever reads them.
+    no transition ever reads them.  Two tables derived from it are cached
+    on first use: :attr:`density_table` (the shapes with their ``betaln``
+    normalisers) for the transition density, :attr:`beta_args` for draws.
     """
 
     beta_shapes: np.ndarray
@@ -192,14 +196,17 @@ class ModelParams:
         return [cls(table) for table in tables.reshape(len(shapes), -1, n_actions, 4)]
 
     @functools.cached_property
-    def log_beta(self) -> np.ndarray:
-        """``betaln`` of each entry's (eta, psi) shape pairs, shape ``(steps, actions, 2)``, read-only.
+    def density_table(self) -> np.ndarray:
+        """The Beta shapes, then ``betaln`` of each (eta, psi) pair: ``(steps, actions, 6)``, read-only.
 
-        Taken on first use and kept: a model draw never changes, and a draw
-        that never reaches a density never pays for it.
+        Columns ``PSI_L`` to ``ETA_U`` are :attr:`beta_shapes`; columns
+        ``LOG_BETA_ETA`` and ``LOG_BETA_PSI`` are the normalisers, so one
+        gather gives a row's shapes and normalisers together.  Taken on
+        first use and kept: a model draw never changes, and a draw that
+        never reaches a density never pays for it.
         """
         shapes = self.beta_shapes
-        out = betaln(shapes[..., [ETA_L, PSI_L]], shapes[..., [ETA_U, PSI_U]])
+        out = np.concatenate([shapes, betaln(shapes[..., [ETA_L, PSI_L]], shapes[..., [ETA_U, PSI_U]])], axis=2)
         out.setflags(write=False)
         return out
 
@@ -211,7 +218,7 @@ class ModelParams:
         step t and ``beta_args[t-1, 1]`` the second ``(eta_u, psi_u)``, one
         column per pooling window.  So one gather along the last axis gives
         both argument arrays of a batch's ``Generator.beta`` call, protein
-        row first.  Taken on first use and kept, as :attr:`log_beta` is.
+        row first.  Taken on first use and kept, as :attr:`density_table` is.
         """
         shapes = self.beta_shapes[..., [[ETA_L, PSI_L], [ETA_U, PSI_U]]]  # (steps, actions, 2, 2)
         out = np.ascontiguousarray(shapes.transpose(0, 2, 3, 1))
@@ -443,18 +450,16 @@ class ChromatographyEnv(Environment):
         is a value, not an error.  Rows may be at different steps.
 
         The states are checked and the fractions' logs taken once for all
-        R models; the rows gather the normalisers from each model's cached
-        :attr:`ModelParams.log_beta` table.  Shape ``(R, n)``.
+        R models; the rows gather their shapes and normalisers in one go from
+        each model's cached :attr:`ModelParams.density_table`.  Shape ``(R, n)``.
         """
         t_idx = _batch_step_indices(states)
         actions = np.asarray(actions, dtype=np.int64)
-        tables = np.stack([omega.beta_shapes for omega in omegas])  # (R, steps, actions, 4)
-        log_beta = np.stack([omega.log_beta for omega in omegas])[:, t_idx, actions]
-        shapes = tables[:, t_idx, actions]  # (R, n, 4)
+        rows = np.stack([omega.density_table for omega in omegas])[:, t_idx, actions]  # (R, n, 6)
         h = next_states[:, 0] / states[:, 0]
         psi = next_states[:, 1] / states[:, 1]
-        eta_term = beta_log_pdf(h, shapes[..., ETA_L], shapes[..., ETA_U], log_beta[..., 0])
-        return eta_term + beta_log_pdf(psi, shapes[..., PSI_L], shapes[..., PSI_U], log_beta[..., 1])
+        eta_term = beta_log_pdf(h, rows[..., ETA_L], rows[..., ETA_U], rows[..., LOG_BETA_ETA])
+        return eta_term + beta_log_pdf(psi, rows[..., PSI_L], rows[..., PSI_U], rows[..., LOG_BETA_PSI])
 
     def reward_batch(self, states, actions) -> np.ndarray:
         """Steps 1 and 2 charge the column operating cost."""

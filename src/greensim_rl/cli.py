@@ -35,9 +35,10 @@ checkpoint or fraction data) that is not a file, 4 a malformed scenario,
 config, checkpoint or fraction file (a scenario whose upstream fermentation
 diverges too), 1 runtime failure.  An empty input path is a missing file
 (exit 3).  Every command creates the missing parents of ``--out`` once its
-inputs are read, before its work; an ``--out`` file that is empty, ends in
-a separator or is a directory is refused there (exit 2, nothing written),
-and an existing one is overwritten.  Output directories are populated in a
+inputs are read, before its work.  An ``--out`` under an existing regular
+file, or an ``--out`` file that is empty, ends in a separator or is a
+directory, is refused there (exit 2, nothing written); an existing
+``--out`` file is overwritten.  Output directories are populated in a
 temporary sibling and renamed into place on success, so a failed run never
 leaves a partial directory behind.  ``cli`` opens no file: it passes paths.
 """
@@ -130,7 +131,7 @@ def _atomic_out_dir(path: str):
     final = Path(path)
     if final.exists():
         raise CliError(EXIT_BAD_CONFIG, f"output directory already exists: {final}")
-    final.parent.mkdir(parents=True, exist_ok=True)
+    _make_out_parents(path)
     tmp = final.with_name(final.name + f".tmp{os.getpid()}")
     if tmp.exists():
         shutil.rmtree(tmp)
@@ -147,7 +148,15 @@ def _out_file(path: str) -> None:
     """Refuse an ``--out`` file path that can never be written (exit 2), else create its missing parents."""
     if not path or path.endswith(os.sep) or Path(path).is_dir():
         raise CliError(EXIT_USAGE, f"--out must name a file, got {path!r}")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    _make_out_parents(path)
+
+
+def _make_out_parents(path: str) -> None:
+    """Create the missing parents of ``--out``; one that exists as a regular file is a usage error (exit 2)."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):  # a parent, or an ancestor of one, is a file
+        raise CliError(EXIT_USAGE, f"--out must lie under a directory, not a file, got {path!r}")
 
 
 def _load_checkpoint(path: str, scn):

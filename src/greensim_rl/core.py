@@ -367,7 +367,10 @@ class Policy(abc.ABC):
 
     @abc.abstractmethod
     def _backward(self, theta: np.ndarray, layers, dlogits: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """``sum_n weights[n] * dlogits[n] . d logits[n] / dtheta`` at one ``theta``, shape ``(param_dim,)``."""
+        """``sum_n weights[n] * dlogits[n] . d logits[n] / dtheta`` at one ``theta``, shape ``(param_dim,)``.
+
+        ``dlogits`` is the caller's scratch array: the pass may overwrite it.
+        """
 
     def _params(self, theta, stacked: bool) -> np.ndarray:
         """``theta`` as floats of shape ``(param_dim,)``, or ``(R, param_dim)`` if ``stacked``; ValueError otherwise."""

@@ -42,12 +42,14 @@ it (:meth:`ReplayBuffer.trajectories`), never concatenations.  The store
 also holds each trajectory's within-record weight, ``1/n_i`` unless the
 caller gives others when it appends (the enumeration oracle gives exact
 generating probabilities); every estimator reads the weights from there.
+Each record's ``theta`` is copied into a row of one parameter array that
+grows like the store, so a density call over a run of records reads a view
+of it (:meth:`ReplayBuffer.thetas`) and stacks nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -96,7 +98,10 @@ class ReplayBuffer:
     weights, own log density) that doubles in capacity when full, and
     record ``i`` holds its rows ``_offsets[i]:_offsets[i + 1]``.  The
     weights column holds each trajectory's weight within its record, by
-    default ``1/n_i`` for a record of ``n_i`` trajectories.
+    default ``1/n_i`` for a record of ``n_i`` trajectories.  Each record's
+    ``theta`` is also copied into row ``i`` of one parameter array, which
+    doubles in the same way; :meth:`thetas` hands out a run of rows as a
+    view, the stacked input of one density call.
 
     Every density the buffer computes is under ``env`` and ``policy``.  It
     memoizes only densities under its records' own pairs, which never
@@ -117,6 +122,7 @@ class ReplayBuffer:
         self.records: list[BufferRecord] = []
         self._offsets = [0]
         self._store: dict[str, np.ndarray] = {}  # column name -> rows, allocated by the first append
+        self._thetas: np.ndarray | None = None  # one parameter row per record, allocated by the first append
         self._own_filled = 0  # records whose own log densities are in the store
         # policy_only -> (lo, hi, block over records[lo:hi])
         self._window_logdens: dict[bool, tuple[int, int, np.ndarray]] = {}
@@ -131,15 +137,18 @@ class ReplayBuffer:
         by default ``1/n_i`` for each of the record's ``n_i`` trajectories.
         A batch with no trajectory, or of another horizon or state dimension
         than the stored ones, or weights that are not ``n_i`` finite
-        numbers, raises ``ValueError`` before the buffer changes.  ``theta``
-        is frozen in place, not copied: the density memos assume a record's
-        pair never changes, and the trainer's identity shortcut needs the
-        caller's array.
+        numbers, or a ``theta`` of another shape than the stored ones,
+        raises ``ValueError`` before the buffer changes.  ``theta`` is
+        copied into the buffer's parameter rows and also frozen in place as
+        the record's own: the density memos assume a record's pair never
+        changes, and the trainer's identity shortcut needs the caller's array.
         """
         theta = np.asarray(theta, dtype=np.float64)
         n = len(trajectories)
         if n == 0:
             raise ValueError("a buffer record needs at least one trajectory")
+        if self._thetas is not None and theta.shape != self._thetas.shape[1:]:
+            raise ValueError(f"theta of shape {theta.shape} does not match the buffer's {self._thetas.shape[1:]}")
         if self._store and trajectories.states.shape[1:] != self._store["states"].shape[1:]:
             raise ValueError(
                 f"trajectories of shape {trajectories.states.shape} do not match the buffer's "
@@ -153,21 +162,21 @@ class ReplayBuffer:
         new["own_logdens"] = np.full(n, np.nan)  # filled by own_logdensities
         lo, hi = self._offsets[-1], self._offsets[-1] + n
         for name, rows in new.items():
-            column = self._store.get(name, rows[:0])
-            if hi > len(column):
-                grown = np.empty((max(hi, 2 * len(column)), *rows.shape[1:]), dtype=rows.dtype)
-                grown[:lo] = column[:lo]
-                self._store[name] = column = grown
-            column[lo:hi] = rows
+            self._store[name] = _write_rows(self._store.get(name), lo, rows)
         self._offsets.append(hi)
-        theta.setflags(write=False)
         i = len(self)
+        self._thetas = _write_rows(self._thetas, i, theta[None])
+        theta.setflags(write=False)
         self.records.append(BufferRecord(theta, omega, self.trajectories(i, i + 1), self.weights(i, i + 1)))
 
     def trajectories(self, lo: int, hi: int) -> TrajectoryBatch:
         """The trajectories of ``records[lo:hi]``, in record order, as views into the store."""
         rows = slice(self._offsets[lo], self._offsets[hi])
         return TrajectoryBatch(*(self._store[name][rows] for name in _BATCH_COLUMNS))
+
+    def thetas(self, lo: int, hi: int) -> np.ndarray:
+        """The parameter vectors of ``records[lo:hi]``, one row each, as a view into the buffer's rows."""
+        return self._thetas[lo:hi]
 
     def weights(self, lo: int, hi: int) -> np.ndarray:
         """The trajectory weights of ``records[lo:hi]``, in record order, as a view into the store."""
@@ -182,13 +191,13 @@ class ReplayBuffer:
     def total_trajectories(self) -> int:
         return self._offsets[-1]
 
-    def _logdensity(
-        self, batch: TrajectoryBatch, records: Sequence[BufferRecord], policy_only: bool
-    ) -> np.ndarray:
-        """``log D_i(tau_j)`` for record ``i``'s pair and trajectory ``j`` of ``batch``, in one call."""
-        thetas = np.stack([r.theta for r in records])
-        omegas = [r.omega for r in records]
-        return trajectory_logdensity(batch, thetas, omegas, self.env, self.policy, policy_only)
+    def _logdensity(self, batch: TrajectoryBatch, lo: int, hi: int, policy_only: bool) -> np.ndarray:
+        """``log D_i(tau_j)`` for record ``i``'s pair, ``i`` in ``lo:hi``, and trajectory ``j`` of ``batch``.
+
+        One call, on a view of the parameter rows: nothing is stacked.
+        """
+        omegas = [r.omega for r in self.records[lo:hi]]
+        return trajectory_logdensity(batch, self.thetas(lo, hi), omegas, self.env, self.policy, policy_only)
 
     def own_logdensities(self) -> np.ndarray:
         """Every trajectory's log density under its own record's pair, in record order.
@@ -199,7 +208,7 @@ class ReplayBuffer:
         own = self._store["own_logdens"]
         for i in range(self._own_filled, len(self)):
             rows = slice(self._offsets[i], self._offsets[i + 1])
-            own[rows] = self._logdensity(self.records[i].trajectories, self.records[i : i + 1], False)[0]
+            own[rows] = self._logdensity(self.records[i].trajectories, i, i + 1, False)[0]
         self._own_filled = len(self)
         own = own[: self._offsets[-1]]
         own.setflags(write=False)
@@ -231,21 +240,33 @@ class ReplayBuffer:
         else:
             mid, block = lo, np.zeros((0, 0))
         if mid < hi:
-            old, new = self.records[lo:mid], self.records[mid:hi]
             n_old = block.shape[1]
             grown = np.empty((hi - lo, len(batch)))
-            grown[: len(old), :n_old] = block
-            if old:
-                grown[: len(old), n_old:] = self._logdensity(self.trajectories(mid, hi), old, policy_only)
+            grown[: mid - lo, :n_old] = block
+            if lo < mid:
+                grown[: mid - lo, n_old:] = self._logdensity(self.trajectories(mid, hi), lo, mid, policy_only)
+            rows_hi = hi - (newest_row is not None)  # the newest row, when given, is not recomputed
+            if mid < rows_hi:
+                grown[mid - lo : rows_hi - lo] = self._logdensity(batch, mid, rows_hi, policy_only)
             if newest_row is not None:
                 grown[-1] = newest_row
-                new = new[:-1]
-            if new:
-                grown[len(old) : len(old) + len(new)] = self._logdensity(batch, new, policy_only)
             block = grown
         block.setflags(write=False)
         self._window_logdens[policy_only] = (lo, hi, block)
         return block
+
+
+def _write_rows(column: np.ndarray | None, lo: int, rows: np.ndarray) -> np.ndarray:
+    """``column`` (None before the first write) with ``rows`` at ``lo``: a copy of doubled capacity when full."""
+    hi = lo + len(rows)
+    if column is None:
+        column = rows[:0]
+    if hi > len(column):
+        grown = np.empty((max(hi, 2 * len(column)), *rows.shape[1:]), dtype=rows.dtype)
+        grown[:lo] = column[:lo]
+        column = grown
+    column[lo:hi] = rows
+    return column
 
 
 # --- densities -----------------------------------------------------------------
@@ -292,8 +313,10 @@ def _log_mixture(log_densities: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     weighted = log_densities + np.log(alphas)[:, None]
     peak = np.max(weighted, axis=0)
     safe_peak = np.where(np.isfinite(peak), peak, 0.0)
+    weighted -= safe_peak  # the one W x n array, shifted and exponentiated in place
+    np.exp(weighted, out=weighted)
     with np.errstate(divide="ignore"):
-        out = safe_peak + np.log(np.sum(np.exp(weighted - safe_peak[None, :]), axis=0))
+        out = safe_peak + np.log(np.sum(weighted, axis=0))
     return np.where(np.isfinite(peak), out, -np.inf)
 
 

@@ -136,14 +136,19 @@ class MlpSoftmaxPolicy(Policy):
     def _backward(self, theta, layers, dlogits, weights) -> np.ndarray:
         # Reverse mode through the sigmoid layer; summing over rows collapses
         # each layer's per-row outer products into one matrix product.
+        # Each product is taken in place, in the order the formulas read.
         phi, hidden = layers
         _, b = self.unpack(theta)
         n = phi.shape[0]
         hidden_ext = np.concatenate([np.ones((n, 1)), hidden], axis=1)
-        dhidden = (dlogits @ b[:, 1:]) * hidden * (1.0 - hidden)
+        dhidden = dlogits @ b[:, 1:]
+        dhidden *= hidden
+        dhidden *= 1.0 - hidden
+        dhidden *= weights[:, None]
         phi_ext = np.concatenate([np.ones((n, 1)), phi], axis=1)
-        grad_b = (dlogits * weights[:, None]).T @ hidden_ext
-        grad_w = (dhidden * weights[:, None]).T @ phi_ext
+        dlogits *= weights[:, None]
+        grad_b = dlogits.T @ hidden_ext
+        grad_w = dhidden.T @ phi_ext
         return np.concatenate([grad_w.reshape(-1), grad_b.reshape(-1)])
 
 

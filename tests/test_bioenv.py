@@ -450,14 +450,23 @@ class TestTransitionLogpdf:
             got = beta_log_pdf(np.array([x]), np.array([a]), np.array([b]), betaln(a, b))
             assert got.shape == (1,) and got[0] == pytest.approx(expected, abs=1e-8)
 
-    def test_log_beta_table_is_cached_and_read_only(self, scn):
+    def test_density_table_is_cached_read_only_and_holds_shapes_and_normalisers(self, scn):
         omega = ModelParams(scn.true_model.beta_shapes * 1.5)
-        assert "log_beta" not in vars(omega)  # nothing is taken until a density needs it
+        env = ChromatographyEnv(scn)
+        states = np.array([[10.0, 5.0, 1.0], [8.0, 4.0, 2.0]])
+        next_states = np.array([[6.0, 2.0, 2.0], [5.0, 1.0, 3.0]])
+        env.transition_logpdf_batch(states, [0, 3], next_states, [scn.true_model])
+        assert "density_table" not in vars(omega)  # nothing is taken until a density needs it
+        env.transition_logpdf_batch(states, [0, 3], next_states, [omega])
+        table = vars(omega)["density_table"]
+        assert omega.density_table is table
         shapes = omega.beta_shapes
-        want = betaln(shapes[..., [bioenv.ETA_L, bioenv.PSI_L]], shapes[..., [bioenv.ETA_U, bioenv.PSI_U]])
-        table = omega.log_beta
-        np.testing.assert_array_equal(table, want)
-        assert omega.log_beta is table
+        want_eta = betaln(shapes[..., bioenv.ETA_L], shapes[..., bioenv.ETA_U])
+        want_psi = betaln(shapes[..., bioenv.PSI_L], shapes[..., bioenv.PSI_U])
+        assert table.shape == (*shapes.shape[:2], 6)
+        assert table[..., :4].tobytes() == shapes.tobytes()
+        assert table[..., bioenv.LOG_BETA_ETA].tobytes() == want_eta.tobytes()
+        assert table[..., bioenv.LOG_BETA_PSI].tobytes() == want_psi.tobytes()
         with pytest.raises(ValueError):
             table[0, 0, 0] = 0.0
 

@@ -415,12 +415,22 @@ class TestErrors:
         assert "old" not in out.read_text() and out.stat().st_size > 0
 
     @pytest.mark.parametrize("stub_work", [False, True], ids=["run", "work-stubbed"])
-    @pytest.mark.parametrize("out", ["", "adir", "newdir" + os.sep], ids=["empty", "existing-dir", "trailing-sep"])
+    @pytest.mark.parametrize(
+        "out, message",
+        [
+            ("", "--out must name a file"),
+            ("adir", "--out must name a file"),
+            ("newdir" + os.sep, "--out must name a file"),
+            (os.path.join("afile", "x"), "--out must lie under a directory"),
+        ],
+        ids=["empty", "existing-dir", "trailing-sep", "under-a-file"],
+    )
     @pytest.mark.parametrize("argv", [["simulate", "--n", "2"], ["posterior-diag", "--draws", "2"]], ids=lambda a: a[0])
-    def test_unwritable_out_file_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, out, stub_work):
+    def test_unwritable_out_file_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, out, message, stub_work):
         # refused before any rollout or MCMC move, with nothing written
         monkeypatch.chdir(tmp_path)
         (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("kept")
         if stub_work:
 
             def work(*args, **kwargs):
@@ -429,8 +439,27 @@ class TestErrors:
             monkeypatch.setattr(cli, "rollout_batch", work)
             monkeypatch.setattr(bayes, "mh_sample", work)
         assert cli.main([*argv, "--out", out]) == cli.EXIT_USAGE
-        assert "--out must name a file" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == ["adir"] and not any((tmp_path / "adir").iterdir())
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+        assert not any((tmp_path / "adir").iterdir()) and (tmp_path / "afile").read_text() == "kept"
+
+    @pytest.mark.parametrize(
+        "out", [os.path.join("afile", "run"), os.path.join("afile", "sub", "run")], ids=["parent", "ancestor"]
+    )
+    @pytest.mark.parametrize("argv", [["train"], ["compare", "--macros", "2"]], ids=lambda a: a[0])
+    def test_out_dir_under_a_file_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, out):
+        # refused before any training or comparison cell, with nothing written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept")
+
+        def work(*args, **kwargs):
+            raise AssertionError("the work ran before --out was checked")
+
+        monkeypatch.setattr(cli, "train", work)
+        monkeypatch.setattr(cli, "run_comparison", work)
+        assert cli.main([*argv, "--out", out]) == cli.EXIT_USAGE
+        assert "--out must lie under a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"] and (tmp_path / "afile").read_text() == "kept"
 
     @pytest.mark.parametrize(
         "argv, what",

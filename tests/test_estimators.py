@@ -73,6 +73,15 @@ class TestBufferStructure:
             buffer.append(np.zeros(2), None, zero_batch(1, horizon, dim))
         assert len(buffer) == 1 and buffer.total_trajectories() == 2
 
+    @pytest.mark.parametrize("theta", [np.zeros(3), np.zeros((1, 2)), 0.0], ids=["length", "shape", "scalar"])
+    def test_append_rejects_theta_of_another_shape(self, tab_policy, theta):
+        buffer = ReplayBuffer(None, tab_policy)
+        buffer.append(np.zeros(2), None, zero_batch(2, 3, 1))
+        with pytest.raises(ValueError, match="theta of shape"):
+            buffer.append(theta, None, zero_batch(1, 3, 1))
+        assert len(buffer) == 1 and buffer.total_trajectories() == 2
+        assert buffer.thetas(0, 1).tobytes() == np.zeros((1, 2)).tobytes()
+
     @pytest.mark.parametrize(
         "weights",
         [np.full(3, 0.5), np.full((2, 1), 0.5), np.array([0.5, np.nan]), np.array([np.inf, 0.5])],
@@ -513,22 +522,32 @@ class TestWindowDensityMemo:
             )
             np.testing.assert_allclose(diag["ratios"], want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("window", [3, 5])
     @pytest.mark.parametrize("kind", ["mlr", "tlr"])
-    def test_sliding_block_matches_per_pair_reference(self, kind, scn, env, mlp_policy):
+    def test_sliding_block_matches_per_pair_reference(self, kind, window, scn, env, mlp_policy):
         # chromatography and MLP, as in training: the memo's block, grown by
-        # stacked calls as the window slides, has the bits of one density
-        # call per record's pair over the whole window
-        window, policy_only = 3, kind == "tlr"
+        # stacked calls as the window slides past several growths of the
+        # buffer's parameter rows, has the bits of one density call per
+        # record's pair over the whole window
+        policy_only = kind == "tlr"
         omegas = [scn.true_model, bioenv.ModelParams(np.full((3, 10, 4), 2.0))]
         buffer = ReplayBuffer(None if policy_only else env, mlp_policy)
-        for k in range(1, 7):
+        capacities = set()
+        for k in range(1, 21):
             theta = mlp_policy.init_params(stream(30, k), 0.5)
             omega = omegas[k % 2]
             buffer.append(theta, omega, rollout_batch(env, mlp_policy, theta, omega, 4, stream(31, k)))
+            capacities.add(len(buffer._thetas))
             window_gradient(kind, buffer, window)
             block = buffer._window_logdens[policy_only][2]
             want = window_block_reference(buffer.window(window), env, mlp_policy, policy_only)
             np.testing.assert_array_equal(block, want)
+            lo = max(0, k - window)
+            rows = buffer.thetas(lo, k)
+            assert len(rows) == k - lo
+            for row, record in zip(rows, buffer.records[lo:]):
+                assert row.tobytes() == record.theta.tobytes()
+        assert capacities == {1, 2, 4, 8, 16, 32}
 
     def test_memo_holds_only_window_records(self, toy_mdp, tab_policy, rng):
         env = TabularEnv(toy_mdp)
