@@ -154,14 +154,14 @@ class PosteriorState:
 
     Row ``c`` of every per-channel array belongs to channel ``c`` of
     ``FractionDataset.channel_keys(n_steps, n_actions)``:
-    ``log_shapes`` (C, 2) is the position on log shapes, ``step_size`` the
-    random-walk scale and ``accepted``/``proposed`` the totals since the
-    posterior was made.  These four are read-only.  ``log_shapes`` is the
-    last call's final positions; the other three are assembled when read
-    from the data-backed chains' :class:`_Chains` walk state, in walk
-    order, which every :func:`mh_sample` call advances in place.
-    ``steps_taken`` is the move count, shared by every chain: 0 before the
-    first :func:`mh_sample` call, past ``burn_in`` after it.
+    ``log_shapes`` (C, 2) is the position on log shapes and ``step_size``
+    the random-walk scale, both read-only.  ``log_shapes`` is the last
+    call's final positions; ``step_size`` is assembled when read from the
+    data-backed chains' :class:`_Chains` walk state, in walk order, which
+    every :func:`mh_sample` call advances in place.  ``steps_taken`` is the
+    move count, shared by every chain: 0 before the first :func:`mh_sample`
+    call, past ``burn_in`` after it.  :func:`acceptance_rows` is the one
+    read-out of each channel's proposed and accepted moves.
 
     The dataset is fixed at construction, and so is everything drawn from
     it, read-only: ``n_obs`` counts each channel's observations, ``live``
@@ -237,17 +237,6 @@ class PosteriorState:
     @property
     def step_size(self) -> np.ndarray:
         return self._per_channel(self._step_size, self._chains.step)
-
-    @property
-    def proposed(self) -> np.ndarray:
-        proposed = np.full(self.n_obs.size, self.steps_taken)
-        proposed.setflags(write=False)
-        return proposed
-
-    @property
-    def accepted(self) -> np.ndarray:
-        # a prior-only channel accepts every independence proposal
-        return self._per_channel(self.proposed, self._chains.accepted)
 
 
 def make_posterior(
@@ -401,21 +390,22 @@ def update_dataset(ps: PosteriorState, new_data: FractionDataset) -> PosteriorSt
 
 
 def acceptance_rows(ps: PosteriorState) -> list[dict]:
-    proposed, accepted, step_size = ps.proposed.tolist(), ps.accepted.tolist(), ps.step_size.tolist()
-    rows = []
-    for c, (t, a, channel) in enumerate(FractionDataset.channel_keys(ps.n_steps, ps.n_actions)):
-        rows.append(
-            {
-                "step": t,
-                "action": a,
-                "channel": channel,
-                "n_obs": int(ps.n_obs[c]),
-                "proposed": proposed[c],
-                "accept_rate": accepted[c] / proposed[c] if proposed[c] else 0.0,
-                "step_size": step_size[c],
-            }
-        )
-    return rows
+    """Each channel's row: its moves proposed since the posterior was made, the share accepted and its step size."""
+    proposed, step_size = ps.steps_taken, ps.step_size.tolist()
+    # a prior-only channel accepts every independence proposal
+    accepted = ps._per_channel(np.full(ps.n_obs.size, proposed), ps._chains.accepted).tolist()
+    return [
+        {
+            "step": t,
+            "action": a,
+            "channel": channel,
+            "n_obs": int(ps.n_obs[c]),
+            "proposed": proposed,
+            "accept_rate": accepted[c] / proposed if proposed else 0.0,
+            "step_size": step_size[c],
+        }
+        for c, (t, a, channel) in enumerate(FractionDataset.channel_keys(ps.n_steps, ps.n_actions))
+    ]
 
 
 def mean_acceptance(ps: PosteriorState) -> float:

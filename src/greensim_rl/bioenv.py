@@ -185,10 +185,6 @@ class ModelParams:
         shapes.setflags(write=False)
         object.__setattr__(self, "beta_shapes", shapes)
 
-    @property
-    def n_actions(self) -> int:
-        return self.beta_shapes.shape[1]
-
     @classmethod
     def from_channels(cls, shapes: np.ndarray, n_actions: int) -> list[ModelParams]:
         """One model per draw of shapes ``(n, channels, 2)``: channel 2j is row j's eta pair, 2j + 1 its psi pair."""
@@ -393,7 +389,7 @@ class ChromatographyEnv(Environment):
         return 3
 
     def action_count(self) -> int:
-        return self.scenario.true_model.n_actions
+        return self.scenario.true_model.beta_shapes.shape[1]
 
     def model_grid(self) -> tuple[int, int]:
         """The ``(steps, actions)`` grid of a model's posterior: every step, the terminal one too, by every window."""

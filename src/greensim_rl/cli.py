@@ -34,13 +34,15 @@ Exit codes: 0 success, 2 usage error, 3 an input path (scenario, config,
 checkpoint or fraction data) that is not a file, 4 a malformed scenario,
 config, checkpoint or fraction file (a scenario whose upstream fermentation
 diverges too), 1 runtime failure.  An empty input path is a missing file
-(exit 3).  Every command creates the missing parents of ``--out`` once its
-inputs are read, before its work.  An ``--out`` under an existing regular
-file, or an ``--out`` file that is empty, ends in a separator or is a
-directory, is refused there (exit 2, nothing written); an existing
-``--out`` file is overwritten.  Output directories are populated in a
-temporary sibling and renamed into place on success, so a failed run never
-leaves a partial directory behind.  ``cli`` opens no file: it passes paths.
+(exit 3).  Every command checks ``--out`` once its inputs are read, before
+its work, and creates its missing parents there.  A path that can never be
+written is a usage error (exit 2, nothing written): an empty one, one under
+an existing regular file, a file ``--out`` that ends in a separator or is a
+directory, and a directory ``--out`` that is a regular file.  An existing
+output directory exits 4; an existing ``--out`` file is overwritten.
+Output directories are populated in a temporary sibling and renamed into
+place on success, so a failed run never leaves a partial directory behind.
+``cli`` opens no file: it passes paths.
 """
 
 from __future__ import annotations
@@ -128,10 +130,8 @@ def _load_config_arg(path: str | None) -> TrainConfig:
 @contextlib.contextmanager
 def _atomic_out_dir(path: str):
     """Populate a temp sibling, rename into place only on success."""
+    _out_path(path, directory=True)
     final = Path(path)
-    if final.exists():
-        raise CliError(EXIT_BAD_CONFIG, f"output directory already exists: {final}")
-    _make_out_parents(path)
     tmp = final.with_name(final.name + f".tmp{os.getpid()}")
     if tmp.exists():
         shutil.rmtree(tmp)
@@ -144,17 +144,15 @@ def _atomic_out_dir(path: str):
     os.replace(tmp, final)
 
 
-def _out_file(path: str) -> None:
-    """Refuse an ``--out`` file path that can never be written (exit 2), else create its missing parents."""
-    if not path or path.endswith(os.sep) or Path(path).is_dir():
-        raise CliError(EXIT_USAGE, f"--out must name a file, got {path!r}")
-    _make_out_parents(path)
-
-
-def _make_out_parents(path: str) -> None:
-    """Create the missing parents of ``--out``; one that exists as a regular file is a usage error (exit 2)."""
+def _out_path(path: str, directory: bool) -> None:
+    """Exit 2 if ``--out`` can never be written, 4 if it is an existing output directory; else make its parents."""
+    out = Path(path)
+    if not path or (out.is_file() if directory else (path.endswith(os.sep) or out.is_dir())):
+        raise CliError(EXIT_USAGE, f"--out must name a {'directory' if directory else 'file'}, got {path!r}")
+    if directory and out.exists():
+        raise CliError(EXIT_BAD_CONFIG, f"output directory already exists: {out}")
     try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        out.parent.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):  # a parent, or an ancestor of one, is a file
         raise CliError(EXIT_USAGE, f"--out must lie under a directory, not a file, got {path!r}")
 
@@ -175,7 +173,7 @@ def _cmd_simulate(args) -> int:
         theta = policy.init_params(substream(args.seed, 0), cfg.init_scale)
     else:
         env, policy, theta = _load_checkpoint(args.checkpoint, scn)
-    _out_file(args.out)
+    _out_path(args.out, directory=False)
     batch = rollout_batch(env, policy, theta, scn.true_model, args.n, substream(args.seed, 1))
     write_trajectories_jsonl(batch, args.out)
     print(f"wrote {len(batch)} trajectories to {args.out}")
@@ -267,7 +265,7 @@ def _cmd_posterior_diag(args) -> int:
             f"--draws must be <= {most} (bayes.MAX_MOVES = {bayes.MAX_MOVES} moves at thin {cfg.thin}), "
             f"got {args.draws}",
         )
-    _out_file(args.out)
+    _out_path(args.out, directory=False)
     bayes.mh_sample(posterior, args.draws, args.seed, 0)
     bayes.write_acceptance_csv(posterior, args.out)
     print(f"wrote per-channel acceptance diagnostics to {args.out}")

@@ -57,6 +57,7 @@ from .core import Environment, Policy, TrajectoryBatch, returns, reward_to_go
 
 __all__ = [
     "BufferRecord",
+    "ESTIMATOR_KINDS",
     "EstimatorError",
     "ReplayBuffer",
     "gradient",
@@ -67,6 +68,8 @@ __all__ = [
     "tlr_gradient",
     "trajectory_logdensity",
 ]
+
+ESTIMATOR_KINDS = ("pg", "ilr", "mlr", "tlr")
 
 
 class EstimatorError(RuntimeError):
@@ -472,7 +475,7 @@ def gradient(
 ) -> np.ndarray:
     """The ``kind`` estimator's gradient at the target pair ``(theta_k, omega_k)``, as training calls it.
 
-    ``kind`` is one of ``pg | ilr | mlr | tlr``.  ``pg`` is on-policy: it
+    ``kind`` is one of :data:`ESTIMATOR_KINDS`.  ``pg`` is on-policy: it
     reads only the newest record, and ``theta_k`` and ``omega_k`` must be
     that record's own ``theta`` and ``omega`` objects, as the trainer
     passes them; another target raises ``EstimatorError``.  ``ilr``
@@ -492,4 +495,4 @@ def gradient(
         return mlr_gradient(buffer, theta_k, omega_k, rolling_window, gamma, diag_out=diag_out)
     if kind == "tlr":
         return tlr_gradient(buffer, theta_k, rolling_window, gamma, diag_out=diag_out)
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    raise ValueError(f"unknown estimator kind {kind!r}, not one of {ESTIMATOR_KINDS}")

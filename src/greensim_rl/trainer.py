@@ -36,6 +36,7 @@ import numpy as np
 from . import bayes, estimators
 from .bioenv import ChromatographyEnv, FractionDataset, Scenario, collect_real_data
 from .core import Policy, check_fields, check_object, read_json, returns, rollout_batch, substream
+from .estimators import ESTIMATOR_KINDS
 from .policy import POLICY_KINDS, make_policy, purification_features
 
 __all__ = [
@@ -50,8 +51,6 @@ __all__ = [
     "scenario_policy",
     "train",
 ]
-
-ESTIMATOR_KINDS = ("pg", "ilr", "mlr", "tlr")
 
 # Stream purposes within an iteration (the third path component is the
 # iteration index, or the period index for real-world data collection).

@@ -1,7 +1,5 @@
 """Posterior over the transition model: dataset, prior, MH sampler."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -57,8 +55,9 @@ class TestLogPosteriorPair:
             ps = bayes.PosteriorState(data, 1, 1, burn_in=500, thin=5, log_shapes=warm, step_size=np.ones(2))
             normals, log_us = np.array([[increment, [0.0, 0.0]]]), np.full((1, 2), -np.inf)
             (pos,) = bayes._walk(ps._chains, 0, normals, log_us, {0})
+            ps.steps_taken = 1  # the one move, counted as mh_sample counts its moves
             np.testing.assert_array_equal(pos[:1], start)
-            assert ps.accepted[0] == 0
+            assert acceptance_rows(ps)[0]["accept_rate"] == 0.0
 
     def test_additive_in_observations(self):
         single = log_lik((3.0, 4.0), [0.3])
@@ -207,6 +206,7 @@ class TestMhSampler:
         assert ps.steps_taken == twin.steps_taken == 30 + 2 * 5
         for name in CHAIN_ARRAYS:
             np.testing.assert_array_equal(getattr(ps, name), getattr(twin, name))
+        assert acceptance_rows(ps) == acceptance_rows(twin)
         for x, y in zip(mh_sample(ps, 3, SEED, 47, 2), mh_sample(twin, 3, SEED, 47, 2), strict=True):
             np.testing.assert_array_equal(x.beta_shapes, y.beta_shapes)
 
@@ -260,7 +260,7 @@ class TestMhSampler:
         assert tv < 0.05
 
 
-CHAIN_ARRAYS = ("log_shapes", "step_size", "accepted", "proposed")
+CHAIN_ARRAYS = ("log_shapes", "step_size")
 
 
 class ScalarReference:
@@ -562,8 +562,7 @@ class TestUpdateDataset:
         np.testing.assert_array_equal(updated.log_shapes, position)
         np.testing.assert_array_equal(updated.step_size, step_size)
         assert updated.log_shapes is not ps.log_shapes
-        for counter in ("accepted", "proposed"):
-            assert not getattr(updated, counter).any()
+        assert all(row["proposed"] == 0 and row["accept_rate"] == 0.0 for row in acceptance_rows(updated))
         assert updated.steps_taken == 0
         np.testing.assert_array_equal(updated.n_obs, [4, 4])
 
@@ -625,23 +624,18 @@ class TestDiagnostics:
         assert lines[0] == "step,action,channel,n_obs,proposed,accept_rate,step_size"
 
     def test_csv_format_pinned(self, tmp_path):
-        # the exact text the diagnostics writer produces for hand-set chain totals; every
-        # channel of a posterior proposes the same moves, so the totals sit on a stand-in
-        # with the posterior's channels
-        ps = make_posterior(dataset_from_fractions(1, 0, [0.5], [0.4]), n_steps=1, n_actions=2)
-        totals = SimpleNamespace(
-            n_steps=ps.n_steps,
-            n_actions=ps.n_actions,
-            n_obs=ps.n_obs,
-            accepted=np.array([1, 0, 2, 0]),
-            proposed=np.array([3, 0, 8, 0]),
-            step_size=np.array([0.1, 0.5, 1.2345678901234567, 1e-05]),
-        )
-        bayes.write_acceptance_csv(totals, tmp_path / "diag.csv")
+        # the exact text the diagnostics writer produces for hand-set chain totals: 3 moves
+        # proposed by every channel, 1 and 0 of them accepted by the two data-backed chains
+        data = dataset_from_fractions(1, 0, [0.5], [0.4])
+        step_size = np.array([0.1, 0.5, 1.2345678901234567, 1e-05])
+        ps = bayes.PosteriorState(data, 1, 2, burn_in=5, thin=1, step_size=step_size)
+        ps.steps_taken = 3
+        ps._chains.accepted[:] = [1, 0]
+        bayes.write_acceptance_csv(ps, tmp_path / "diag.csv")
         assert (tmp_path / "diag.csv").read_bytes() == (
             b"step,action,channel,n_obs,proposed,accept_rate,step_size\r\n"
             b"1,0,eta,1,3,0.3333333333333333,0.1\r\n"
-            b"1,0,psi,1,0,0.0,0.5\r\n"
-            b"1,1,eta,0,8,0.25,1.2345678901234567\r\n"
-            b"1,1,psi,0,0,0.0,1e-05\r\n"
+            b"1,0,psi,1,3,0.0,0.5\r\n"
+            b"1,1,eta,0,3,1.0,1.2345678901234567\r\n"
+            b"1,1,psi,0,3,1.0,1e-05\r\n"
         )

@@ -444,11 +444,21 @@ class TestErrors:
         assert not any((tmp_path / "adir").iterdir()) and (tmp_path / "afile").read_text() == "kept"
 
     @pytest.mark.parametrize(
-        "out", [os.path.join("afile", "run"), os.path.join("afile", "sub", "run")], ids=["parent", "ancestor"]
+        "out, message",
+        [
+            (os.path.join("afile", "run"), "--out must lie under a directory"),
+            (os.path.join("afile", "sub", "run"), "--out must lie under a directory"),
+            ("", "--out must name a directory, got ''"),
+            ("afile", "--out must name a directory, got 'afile'"),
+            ("afile" + os.sep, "--out must name a directory"),
+        ],
+        ids=["parent", "ancestor", "empty", "existing-file", "file-with-sep"],
     )
     @pytest.mark.parametrize("argv", [["train"], ["compare", "--macros", "2"]], ids=lambda a: a[0])
-    def test_out_dir_under_a_file_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, out):
-        # refused before any training or comparison cell, with nothing written
+    def test_out_dir_under_a_file_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, out, message):
+        # an --out under a file, an empty one or an existing regular file can never be an output
+        # directory: exit 2 (not the exit 4 of an existing directory) before any training or
+        # comparison cell, with nothing written
         monkeypatch.chdir(tmp_path)
         (tmp_path / "afile").write_text("kept")
 
@@ -458,7 +468,7 @@ class TestErrors:
         monkeypatch.setattr(cli, "train", work)
         monkeypatch.setattr(cli, "run_comparison", work)
         assert cli.main([*argv, "--out", out]) == cli.EXIT_USAGE
-        assert "--out must lie under a directory" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["afile"] and (tmp_path / "afile").read_text() == "kept"
 
     @pytest.mark.parametrize(

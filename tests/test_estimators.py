@@ -730,7 +730,7 @@ class TestDiagnostics:
             diag = {}
             gradient(kind, buffer, last.theta, last.omega, 2, diag_out=diag)
             assert diag["max_ratio"] > 0 and 0 < diag["ess"] <= buffer.total_trajectories(), kind
-        with pytest.raises(ValueError, match="unknown estimator kind 'zzz'"):
+        with pytest.raises(ValueError, match=r"unknown estimator kind 'zzz', not one of \('pg', 'ilr', 'mlr', 'tlr'\)"):
             gradient("zzz", buffer, last.theta, last.omega, 2)
 
 
